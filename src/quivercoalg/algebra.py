@@ -32,25 +32,28 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of concatenation-or-zero."""
     if a.quiver is not b.quiver:
         raise ValueError("elements belong to different quivers")
-    acc = SparseVector()
-    for p, cp in a.combo.items():
-        for q, cq in b.combo.items():
-            pq = compose_paths(p, q)
-            if pq is not None:
-                acc = acc + SparseVector({pq: cp * cq})
-    return AlgebraElement(a.quiver, acc)
+    return AlgebraElement(
+        a.quiver,
+        SparseVector(
+            (pq, cp * cq)
+            for p, cp in a.combo.items()
+            for q, cq in b.combo.items()
+            if (pq := compose_paths(p, q)) is not None
+        ),
+    )
 
 
 def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product (a⊗b)(c⊗d) = ac ⊗ bd on path-pair tensors."""
-    acc = SparseVector()
-    for (p1, p2), c in s.combo.items():
-        for (q1, q2), d in t.combo.items():
-            left = compose_paths(p1, q1)
-            right = compose_paths(p2, q2)
-            if left is not None and right is not None:
-                acc = acc + SparseVector({(left, right): c * d})
-    return TensorElement(acc)
+    return TensorElement(
+        SparseVector(
+            ((left, right), c * d)
+            for (p1, p2), c in s.combo.items()
+            for (q1, q2), d in t.combo.items()
+            if (left := compose_paths(p1, q1)) is not None
+            and (right := compose_paths(p2, q2)) is not None
+        )
+    )
 
 
 def local_unit(elements, field=QQ) -> AlgebraElement:
@@ -90,13 +93,9 @@ def monomial_closure(generators, quiver: Quiver, max_len: int) -> MonomialIdeal:
     gen_set = set(generators)
     closure = []
     for p in enum.paths:
-        if any(g in gen_set for g in _factor_subpaths(p)):
+        if any(g in gen_set for g in p.subpaths()):
             closure.append(p)
     return MonomialIdeal(quiver, generators, closure, max_len, enum.exhaustive)
-
-
-def _factor_subpaths(path: Path):
-    return path.subpaths()
 
 
 def subpath_closure(paths) -> list[Path]:

@@ -117,10 +117,6 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _element_str(element) -> str:
-    return str(element)
-
-
 def cmd_paths(args, field) -> tuple[dict, int]:
     quiver, family = _resolve_quiver_input(args.input)
     quiver = _materialize(quiver, family, args.max_len)
@@ -192,10 +188,9 @@ def cmd_alpha(args, field) -> tuple[dict, int]:
     product = product_quiver(left, right)
     el = parse_element(args.left_element, left, field)
     er = parse_element(args.right_element, right, field)
-    tensor = SparseVector()
-    for p, cp in el.combo.items():
-        for q, cq in er.combo.items():
-            tensor = tensor + SparseVector({(p, q): cp * cq})
+    tensor = SparseVector(
+        ((p, q), cp * cq) for p, cp in el.combo.items() for q, cq in er.combo.items()
+    )
     image = alpha_embed(tensor, product, field)
     return {
         "command": "alpha",

@@ -130,11 +130,11 @@ class TensorElement:
 
 def comultiply(element: CoalgElement) -> TensorElement:
     """Δ(p) = sum of q ⊗ r over all decompositions p = qr, extended linearly."""
-    acc = SparseVector()
-    for path, coeff in element.combo.items():
-        for left, right in path.splits():
-            acc = acc + SparseVector({(left, right): coeff})
-    return TensorElement(acc)
+    return TensorElement(
+        SparseVector(
+            (pair, coeff) for path, coeff in element.combo.items() for pair in path.splits()
+        )
+    )
 
 
 def counit(element: CoalgElement):
@@ -146,40 +146,94 @@ def counit(element: CoalgElement):
     return total
 
 
-def tensor_flatten_left(tensor: TensorElement) -> SparseVector:
-    """Apply counit ⊗ id: collapse each pair (q, r) to r when q is a vertex."""
-    acc = SparseVector()
-    for (left, right), coeff in tensor.combo.items():
-        if left.length == 0:
-            acc = acc + SparseVector({right: coeff})
-    return acc
+def path_delta(path: Path, field=QQ) -> SparseVector:
+    """Basis-level comultiplication table of the path coalgebra."""
+    return SparseVector((pair, field.one) for pair in path.splits())
 
 
-def tensor_flatten_right(tensor: TensorElement) -> SparseVector:
-    """Apply id ⊗ counit."""
-    acc = SparseVector()
-    for (left, right), coeff in tensor.combo.items():
-        if right.length == 0:
-            acc = acc + SparseVector({left: coeff})
-    return acc
+def path_counit(path: Path, field=QQ):
+    """Basis-level counit table of the path coalgebra."""
+    return field.one if path.length == 0 else field.zero
 
 
-def comultiply_tensor_left(tensor: TensorElement) -> SparseVector:
-    """(Δ ⊗ id) on a tensor, as a sparse vector over path triples."""
-    acc = SparseVector()
-    for (left, right), coeff in tensor.combo.items():
-        for a, b in left.splits():
-            acc = acc + SparseVector({(a, b, right): coeff})
-    return acc
+# ---------------------------------------------------------------------------
+# The coalgebra-law kernel: every law check in the library goes through these
+# three functions.  They read basis-level tables (``delta(label)`` a
+# SparseVector over label pairs, ``rho(label)`` one over (module index,
+# coalgebra label) pairs, ``counit(label)`` a scalar) and return None, or
+# (law, label) for the first failure; callers word their own messages.
+# ---------------------------------------------------------------------------
 
 
-def comultiply_tensor_right(tensor: TensorElement) -> SparseVector:
-    """(id ⊗ Δ) on a tensor, as a sparse vector over path triples."""
-    acc = SparseVector()
-    for (left, right), coeff in tensor.combo.items():
-        for b, c in right.splits():
-            acc = acc + SparseVector({(left, b, c): coeff})
-    return acc
+def _sums_to_unit(terms, label) -> bool:
+    """Whether the summed terms equal the basis vector at ``label``."""
+    return SparseVector([*terms, (label, -1)]).is_zero()
+
+
+def _comodule_failure(j, rho, delta, counit):
+    coaction = rho(j)
+    lhs = SparseVector(
+        ((k, c, b), inner * coeff)
+        for (i, b), coeff in coaction.items()
+        for (k, c), inner in rho(i).items()
+    )
+    rhs = SparseVector(
+        ((i, c, d), inner * coeff)
+        for (i, b), coeff in coaction.items()
+        for (c, d), inner in delta(b).items()
+    )
+    if lhs != rhs:
+        return ("coassociativity", j)
+    if not _sums_to_unit(((i, counit(b) * coeff) for (i, b), coeff in coaction.items()), j):
+        return ("counit", j)
+    return None
+
+
+def check_comodule(basis, rho, delta, counit):
+    """(ρ⊗id)ρ = (id⊗Δ)ρ and (id⊗ε)ρ = id on every basis label."""
+    for j in basis:
+        failure = _comodule_failure(j, rho, delta, counit)
+        if failure is not None:
+            return failure
+    return None
+
+
+def check_coalgebra(basis, delta, counit):
+    """Coassociativity and both counit laws on every basis label: the
+    coalgebra coacting on itself (ρ = Δ) plus (ε⊗id)Δ = id."""
+    for b in basis:
+        failure = _comodule_failure(b, delta, delta, counit)
+        if failure is not None:
+            return failure
+        if not _sums_to_unit(((y, counit(x) * coeff) for (x, y), coeff in delta(b).items()), b):
+            return ("left counit", b)
+    return None
+
+
+def _tensor_square(f, tensor):
+    """The terms of (f⊗f)(tensor)."""
+    for (a, b), coeff in tensor.items():
+        image_b = f(b)
+        for u, cu in f(a).items():
+            for v, cv in image_b.items():
+                yield (u, v), coeff * cu * cv
+
+
+def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
+    """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label; ``f(label)`` is a
+    SparseVector over target labels."""
+    for x in basis:
+        image = f(x)
+        lhs = SparseVector(
+            (pair, inner * coeff)
+            for y, coeff in image.items()
+            for pair, inner in delta_tgt(y).items()
+        )
+        if lhs != SparseVector(_tensor_square(f, delta_src(x))):
+            return ("comultiplication", x)
+        if sum((counit_tgt(y) * coeff for y, coeff in image.items()), -counit_src(x)):
+            return ("counit", x)
+    return None
 
 
 def left_tensor_components(tensor: TensorElement) -> list[SparseVector]:
@@ -247,21 +301,12 @@ def wedge(x_basis, y_basis, quiver: Quiver, max_len: int) -> WedgeResult:
     residue_y = {p: reduce_mod_span(SparseVector.unit(p), ry) for p in enum.paths}
 
     def image_of(path: Path) -> SparseVector:
-        acc = SparseVector()
-        for left, right in path.splits():
-            lres = residue_x[left]
-            rres = residue_y[right]
-            if lres.is_zero() or rres.is_zero():
-                continue
-            outer = {}
-            for ll, lc in lres.items():
-                for rl, rc in rres.items():
-                    pair = (ll, rl)
-                    prior = outer.get(pair)
-                    total = lc * rc if prior is None else prior + lc * rc
-                    outer[pair] = total
-            acc = acc + SparseVector(outer)
-        return acc
+        return SparseVector(
+            ((ll, rl), lc * rc)
+            for left, right in path.splits()
+            for ll, lc in residue_x[left].items()
+            for rl, rc in residue_y[right].items()
+        )
 
     kernel = kernel_of_map(enum.paths, image_of)
     basis = [CoalgElement(quiver, v) for v in kernel]

@@ -246,11 +246,11 @@ def random_scalar(rng, field=QQ):
 
 
 def random_element(rng, quiver: Quiver, max_len=5, max_terms=4, field=QQ) -> CoalgElement:
-    acc = SparseVector()
-    for _ in range(rng.randint(1, max_terms)):
-        p = random_path(rng, quiver, max_len)
-        acc = acc + SparseVector({p: random_scalar(rng, field)})
-    return CoalgElement(quiver, acc)
+    terms = (
+        (random_path(rng, quiver, max_len), random_scalar(rng, field))
+        for _ in range(rng.randint(1, max_terms))
+    )
+    return CoalgElement(quiver, SparseVector(terms))
 
 
 def random_poset(rng, max_elements=8) -> Poset:

@@ -165,12 +165,13 @@ class RationalCertificate:
         with both sides evaluated on the given path window."""
         for d_star in duals:
             left = convolve(d_star, f, paths)
-            acc = SparseVector()
-            for c, c_star in zip(self.elements, self.functionals):
-                weight = d_star.evaluate_element(c)
-                if weight:
-                    acc = acc + c_star.restrict(paths).scale(weight)
-            if left.support != acc:
+            right = SparseVector(
+                (p, value * weight)
+                for c, c_star in zip(self.elements, self.functionals)
+                if (weight := d_star.evaluate_element(c))
+                for p, value in c_star.restrict(paths).items()
+            )
+            if left.support != right:
                 return False
         return True
 
@@ -205,19 +206,25 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field
     enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
     if f.support is not None and f.support.is_zero():
         return RationalVerdict("rational", RationalCertificate([], []), "zero functional")
+    cert = _convolution_certificate(f, enum.paths, field)
+    return RationalVerdict("rational", cert, "finite-dimensional path coalgebra")
+
+
+def _convolution_certificate(f: Functional, paths, field) -> RationalCertificate:
+    """c_i = the window's path basis and c_i* = p_i*·f, minimized to the
+    nonzero terms, verified against every dual basis functional."""
     elements = []
     functionals = []
-    for p in enum.paths:
-        p_star = Functional.dual_of_path(p, field)
-        product = convolve(p_star, f, enum.paths)
+    for p in paths:
+        product = convolve(Functional.dual_of_path(p, field), f, paths)
         if not product.support.is_zero():
             elements.append(CoalgElement.from_path(p, field))
             functionals.append(product)
     cert = RationalCertificate(elements, functionals)
-    duals = [Functional.dual_of_path(p, field) for p in enum.paths]
-    if not cert.verify(f, duals, enum.paths):
+    duals = [Functional.dual_of_path(p, field) for p in paths]
+    if not cert.verify(f, duals, paths):
         raise AssertionError("certificate failed to verify; bug")
-    return RationalVerdict("rational", cert, "finite-dimensional path coalgebra")
+    return cert
 
 
 def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field) -> RationalVerdict:
@@ -233,19 +240,7 @@ def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field)
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
         quiver = next(iter(f.support.labels())).quiver
-        enum = enumerate_paths(quiver, window)
-        elements = []
-        functionals = []
-        for p in enum.paths:
-            p_star = Functional.dual_of_path(p, field)
-            product = convolve(p_star, f, enum.paths)
-            if not product.support.is_zero():
-                elements.append(CoalgElement.from_path(p, field))
-                functionals.append(product)
-        cert = RationalCertificate(elements, functionals)
-        duals = [Functional.dual_of_path(p, field) for p in enum.paths]
-        if not cert.verify(f, duals, enum.paths):
-            raise AssertionError("certificate failed to verify; bug")
+        cert = _convolution_certificate(f, enumerate_paths(quiver, window).paths, field)
         return RationalVerdict(
             "rational", cert, "finitely many paths end with each support path"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coalgebra import CoalgElement
+from .coalgebra import CoalgElement, check_morphism
 from .finite_dual import StructuredAlgebra, dual_coalgebra
 from .linalg import SparseVector, rank
 from .quiver import Quiver, Verdict, enumerate_paths
@@ -118,12 +118,21 @@ class IncidenceElement:
 
 def incidence_comultiply(element: IncidenceElement) -> SparseVector:
     """Δ(e_{x,y}) = sum over x <= z <= y of e_{x,z} ⊗ e_{z,y}, linearly."""
-    acc = SparseVector()
     poset = element.poset
-    for (x, y), coeff in element.combo.items():
-        for z in poset.closed_interval(x, y):
-            acc = acc + SparseVector({((x, z), (z, y)): coeff})
-    return acc
+    return SparseVector(
+        (((x, z), (z, y)), coeff)
+        for (x, y), coeff in element.combo.items()
+        for z in poset.closed_interval(x, y)
+    )
+
+
+def incidence_tables(poset: Poset, field=QQ):
+    """Basis-level comultiplication and counit tables of the incidence
+    coalgebra, as functions of an interval."""
+    return (
+        lambda iv: incidence_comultiply(IncidenceElement.from_interval(poset, *iv, field)),
+        lambda iv: field.one if iv[0] == iv[1] else field.zero,
+    )
 
 
 def incidence_counit(element: IncidenceElement):
@@ -162,11 +171,14 @@ def phi_embed(element: IncidenceElement, field=QQ) -> CoalgElement:
     between points are unique."""
     quiver = hasse_quiver(element.poset)
     table = _paths_between(element.poset)
-    acc = SparseVector()
-    for (x, y), coeff in element.combo.items():
-        for p in table.get((str(x), str(y)), []):
-            acc = acc + SparseVector({p: coeff})
-    return CoalgElement(quiver, acc)
+    return CoalgElement(
+        quiver,
+        SparseVector(
+            (p, coeff)
+            for (x, y), coeff in element.combo.items()
+            for p in table.get((str(x), str(y)), [])
+        ),
+    )
 
 
 class FIAElement:
@@ -269,16 +281,18 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
     dual = dual_coalgebra(algebra)
-    for (x, y) in poset.intervals():
-        theta = SparseVector({(x, y): field.one})
-        lhs = dual.comultiply(theta)
-        rhs = incidence_comultiply(IncidenceElement.from_interval(poset, x, y, field))
-        if lhs != rhs:
-            return IncidenceRecoveryReport(False, len(algebra.basis), f"comultiplication mismatch at {(x, y)}")
-        eps_dual = dual.counit(theta)
-        eps_inc = incidence_counit(IncidenceElement.from_interval(poset, x, y, field))
-        if eps_dual - eps_inc:
-            return IncidenceRecoveryReport(False, len(algebra.basis), f"counit mismatch at {(x, y)}")
+    delta, eps = incidence_tables(poset, field)
+    failure = check_morphism(
+        poset.intervals(),
+        lambda interval: SparseVector.unit(interval, field),
+        delta,
+        dual.delta_table.__getitem__,
+        eps,
+        dual.counit_table.__getitem__,
+    )
+    if failure is not None:
+        law, interval = failure
+        return IncidenceRecoveryReport(False, len(algebra.basis), f"{law} mismatch at {interval}")
     dim = len(poset.intervals())
     vectors = [SparseVector.unit(interval) for interval in poset.intervals()]
     if rank(vectors) != dim:
@@ -323,12 +337,8 @@ def incidence_semiperfect_check(target, field=QQ) -> SemiperfectReport:
         for (p, q) in poset.intervals():
             c_star = FIAElement.unit_functional(poset, p, q, field)
             left = incidence_convolve(c_star, e_xy)
-            acc = SparseVector()
-            for u in below:
-                weight = c_star.value(u, x)
-                if weight:
-                    acc = acc + SparseVector({(u, y): field.one}).scale(weight)
-            if left.combo != acc:
+            right = SparseVector(((u, y), field.one * c_star.value(u, x)) for u in below)
+            if left.combo != right:
                 raise AssertionError(f"certificate identity fails at {(x, y)} against {(p, q)}")
         certificates.append(SemiperfectCertificate((x, y), below, True))
     return SemiperfectReport(

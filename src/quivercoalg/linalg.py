@@ -31,18 +31,35 @@ def label_sort_key(label):
 class SparseVector:
     """Sparse linear combination over a set of basis labels.
 
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    all arithmetic returns fresh vectors.
+    Built from a dict ``{label: coeff}`` or from an iterable of
+    ``(label, coeff)`` terms.  Terms with a repeated label are summed in
+    place, so ``SparseVector(gen)`` is the one way to accumulate a sum; it
+    equals the left fold of ``+`` over the one-term vectors.  Zero
+    coefficients, given or summed, are never stored.  Instances are treated
+    as immutable; all arithmetic returns fresh vectors.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        self.entries = {}
-        if entries:
-            for label, coeff in (entries.items() if isinstance(entries, dict) else entries):
+        self.entries = out = {}
+        if entries is None:
+            return
+        if isinstance(entries, dict):
+            for label, coeff in entries.items():
                 if coeff:
-                    self.entries[label] = coeff
+                    out[label] = coeff
+            return
+        for label, coeff in entries:
+            if not coeff:
+                continue
+            acc = out.get(label)
+            if acc is None:
+                out[label] = coeff
+            elif total := acc + coeff:
+                out[label] = total
+            else:
+                del out[label]
 
     @staticmethod
     def unit(label, field=QQ):
@@ -97,13 +114,6 @@ class SparseVector:
             return "SparseVector(0)"
         body = " + ".join(f"{c}*{label}" for label, c in self.sorted_items())
         return f"SparseVector({body})"
-
-
-def vec_sum(vectors) -> SparseVector:
-    total = SparseVector()
-    for v in vectors:
-        total = total + v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +292,15 @@ def span_intersection(basis_a, basis_b) -> list[SparseVector]:
         return basis_a[index] if side == "a" else basis_b[index].scale(-1)
 
     combos = kernel_of_map(domain, image_of)
-    members = []
-    for combo in combos:
-        acc = SparseVector()
-        for marker, coeff in combo.items():
-            if marker[0] == "a":
-                acc = acc + basis_a[marker[1]].scale(coeff)
-        members.append(acc)
+    members = [
+        SparseVector(
+            (label, c * coeff)
+            for (side, index), coeff in combo.items()
+            if side == "a"
+            for label, c in basis_a[index].items()
+        )
+        for combo in combos
+    ]
     return rref(members)
 
 
@@ -312,16 +324,8 @@ def mat_identity(n: int, field=QQ):
     )
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, coeff):
-    return tuple(tuple(x * coeff for x in row) for row in a)
 
 
 def mat_mul(a, b):

@@ -162,29 +162,25 @@ def _split_pair_label(label: str):
 def alpha_embed(tensor: SparseVector, product: Quiver, field=QQ) -> CoalgElement:
     """The shuffle embedding: a pure tensor p⊗q goes to the sum of its
     interleavings over all lattice walks."""
-    acc = SparseVector()
-    for (p, q), coeff in tensor.items():
-        for walk in lattice_walks(p.length, q.length):
-            acc = acc + SparseVector({walk_path(p, q, walk, product): coeff})
-    return CoalgElement(product, acc)
-
-
-def staircase_functional_value(p: Path, q: Path, target: Path) -> bool:
-    """Whether the target equals the all-rights-then-all-ups interleaving of
-    (p, q); these functionals separate the image of the shuffle embedding."""
-    walk = LatticeWalk.from_steps(("R",) * p.length + ("U",) * q.length)
-    return target == walk_path(p, q, walk, target.quiver)
+    return CoalgElement(
+        product,
+        SparseVector(
+            (walk_path(p, q, walk, product), coeff)
+            for (p, q), coeff in tensor.items()
+            for walk in lattice_walks(p.length, q.length)
+        ),
+    )
 
 
 def tensor_comultiply(tensor: SparseVector) -> SparseVector:
     """Comultiplication of the tensor-product coalgebra, over pairs of
     pair-labels: (p⊗q) -> sum over splits of (p1⊗q1) ⊗ (p2⊗q2)."""
-    acc = SparseVector()
-    for (p, q), coeff in tensor.items():
-        for p1, p2 in p.splits():
-            for q1, q2 in q.splits():
-                acc = acc + SparseVector({((p1, q1), (p2, q2)): coeff})
-    return acc
+    return SparseVector(
+        (((p1, q1), (p2, q2)), coeff)
+        for (p, q), coeff in tensor.items()
+        for p1, p2 in p.splits()
+        for q1, q2 in q.splits()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +555,7 @@ def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:
         return False
     tensor = comultiply(difference)
     # Delta(a - c) = a⊗a - c⊗c = a⊗(a-c) + (a-c)⊗c: exhibit the two-term form.
-    expected = SparseVector()
     pa, pc = quiver.vertex_path("a"), quiver.vertex_path("c")
-    expected = expected + SparseVector({(pa, pa): field.one, (pa, pc): -field.one})
-    expected = expected + SparseVector({(pa, pc): field.one, (pc, pc): -field.one})
+    one = field.one
+    expected = SparseVector([((pa, pa), one), ((pa, pc), -one), ((pa, pc), one), ((pc, pc), -one)])
     return tensor.combo == expected

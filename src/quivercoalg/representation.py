@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import subpath_closure
-from .finite_dual import StructuredAlgebra
+from .coalgebra import check_comodule
+from .finite_dual import StructuredAlgebra, dual_coalgebra
 from .linalg import (
     SparseVector,
     mat_eq,
@@ -57,6 +58,8 @@ class Representation:
                     f"matrix for {a.label} has shape {rows}x{cols}, expected "
                     f"{self.dims[a.source]}x{self.dims[a.target]}"
                 )
+            if any(len(row) != cols for row in m):
+                raise ValueError(f"matrix for {a.label} is ragged: its rows differ in length")
 
     def path_matrix(self, path: Path):
         if path.length == 0:
@@ -167,10 +170,6 @@ def module_from_rep(rep: Representation, field=QQ) -> ModuleData:
     for v in order:
         offsets[v] = total
         total += rep.dims[v]
-
-    def embed_block(v, block):
-        # block: dims[v] x dims[w] placed at (offsets[v], offsets[w])
-        return block
 
     vertex_action = {}
     for v in order:
@@ -356,10 +355,6 @@ def cycle_quotient_module(n: int, field=QQ) -> ModuleData:
     return ModuleData(quiver, dim, vertex_action, arrow_action, field)
 
 
-def cycle_quotient_basis_labels(n: int) -> list:
-    return [(j, k) for j in range(n) for k in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Left modules over structured algebras and the comodule construction.
 # ---------------------------------------------------------------------------
@@ -448,25 +443,19 @@ def comodule_from_module(module: LeftModule) -> Coaction:
 
 
 def _verify_coaction(coaction: Coaction, module: LeftModule):
-    from .finite_dual import dual_coalgebra
-
-    algebra = coaction.algebra
-    dual = dual_coalgebra(algebra)
-    for j in range(coaction.dimension):
-        lhs = SparseVector()
-        rhs = SparseVector()
-        for (i, b), coeff in coaction.rho[j].items():
-            for (k, c), inner in coaction.rho[i].items():
-                lhs = lhs + SparseVector({(k, c, b): inner * coeff})
-            for (c, d), inner in dual.delta_table[b].items():
-                rhs = rhs + SparseVector({(i, c, d): inner * coeff})
-        if lhs != rhs:
-            raise AssertionError(f"coaction is not coassociative at basis vector {j}")
-        collapse = SparseVector()
-        for (i, b), coeff in coaction.rho[j].items():
-            collapse = collapse + SparseVector({i: dual.counit_table[b] * coeff})
-        if collapse != SparseVector({j: algebra.field.one}):
-            raise AssertionError(f"coaction counit law fails at basis vector {j}")
+    dual = dual_coalgebra(coaction.algebra)
+    failure = check_comodule(
+        range(coaction.dimension),
+        coaction.rho.__getitem__,
+        dual.delta_table.__getitem__,
+        dual.counit_table.__getitem__,
+    )
+    if failure is None:
+        return
+    law, j = failure
+    if law == "coassociativity":
+        raise AssertionError(f"coaction is not coassociative at basis vector {j}")
+    raise AssertionError(f"coaction counit law fails at basis vector {j}")
 
 
 def module_from_comodule(coaction: Coaction) -> LeftModule:

@@ -164,7 +164,10 @@ def parse_poset_text(text: str) -> ParsedPosetInput:
         for number, line in lines[1:]:
             parts = line.split()
             if parts[0] == "truncate" and len(parts) == 2:
-                truncation = int(parts[1])
+                try:
+                    truncation = int(parts[1])
+                except ValueError as exc:
+                    raise ParseError("truncate level must be an integer", number) from exc
             else:
                 raise ParseError(f"unexpected line in family file: {line!r}", number)
         return ParsedPosetInput(family=family, truncation=truncation)
@@ -239,7 +242,7 @@ def parse_plain_combination(text: str, field=QQ) -> SparseVector:
     text = text.strip()
     if text == "0" or not text:
         return SparseVector()
-    acc: dict = {}
+    terms = []
     pos = 0
     first = True
     while pos < len(text):
@@ -252,11 +255,10 @@ def parse_plain_combination(text: str, field=QQ) -> SparseVector:
         coeff = field.parse(match.group("coeff")) if match.group("coeff") else field.one
         if sign == "-":
             coeff = -coeff
-        label = match.group("label")
-        acc[label] = acc.get(label, field.zero) + coeff
+        terms.append((match.group("label"), coeff))
         pos = match.end()
         first = False
-    return SparseVector(acc)
+    return SparseVector(terms)
 
 
 def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
@@ -318,7 +320,7 @@ def parse_element(text: str, quiver: Quiver, field=QQ) -> CoalgElement:
     text = text.strip()
     if text == "0" or not text:
         return CoalgElement.zero(quiver)
-    acc = SparseVector()
+    terms = []
     pos = 0
     first = True
     while pos < len(text):
@@ -330,11 +332,10 @@ def parse_element(text: str, quiver: Quiver, field=QQ) -> CoalgElement:
         coeff = field.parse(match.group("coeff")) if match.group("coeff") else field.one
         if match.group("sign") == "-":
             coeff = -coeff
-        path = _path_from_bracket(match.group("path"), quiver)
-        acc = acc + SparseVector({path: coeff})
+        terms.append((_path_from_bracket(match.group("path"), quiver), coeff))
         pos = match.end()
         first = False
-    return CoalgElement(quiver, acc)
+    return CoalgElement(quiver, SparseVector(terms))
 
 
 _RULE_RE = re.compile(r"rule:(?P<kind>[a-z-]+)(?:\((?P<arg>[^)]*)\))?$")

@@ -128,6 +128,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_poset_truncate_level_must_be_an_integer(tmp_path, capsys):
+    bad = tmp_path / "bad_poset.txt"
+    bad.write_text("family natchain\ntruncate x\n")
+    status, _, err = run(capsys, "phi", str(bad), "0", "1")
+    assert status == 2
+    assert "line 2" in err
+
+
+def test_ragged_rep_matrix_exit_code(line_file, tmp_path, capsys):
+    rep = tmp_path / "ragged.txt"
+    rep.write_text("rep\ndim a 2\ndim b 2\nmap x 1 2 ; 3\n")
+    status, _, err = run(capsys, "rep-locnilp", line_file, str(rep))
+    assert status == 2
+    assert "ragged" in err
+
+
 def test_unknown_suite_exit_code(capsys):
     status, _, err = run(capsys, "suite", "nonsense")
     assert status == 2

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 from quivercoalg.coalgebra import (
     CoalgElement,
+    check_coalgebra,
+    check_comodule,
+    check_morphism,
     comultiply,
-    comultiply_tensor_left,
-    comultiply_tensor_right,
     counit,
     grouplike_coradical,
     hull_span,
+    path_counit,
+    path_delta,
     subcoalgebra_closure,
-    tensor_flatten_left,
-    tensor_flatten_right,
     wedge,
 )
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
@@ -59,15 +60,63 @@ def test_counit_values():
     assert counit(mixed) == 2
 
 
+def delta_of(path):
+    return comultiply(unit(path)).combo
+
+
+def counit_of(path):
+    return counit(unit(path))
+
+
 def test_coassociativity_and_counit_laws_random():
     rng = random.Random(12)
     for _ in range(60):
         q = random_quiver(rng, 5, 8)
         c = random_element(rng, q, 8)
-        tensor = comultiply(c)
-        assert comultiply_tensor_left(tensor) == comultiply_tensor_right(tensor)
-        assert tensor_flatten_left(tensor) == c.combo
-        assert tensor_flatten_right(tensor) == c.combo
+        assert check_coalgebra(c.combo.labels(), delta_of, counit_of) is None
+        # The regular comodule: the path coalgebra coacting on itself.
+        assert check_comodule(c.combo.labels(), delta_of, delta_of, counit_of) is None
+        # The identity is a coalgebra morphism.
+        assert (
+            check_morphism(c.combo.labels(), SparseVector.unit, delta_of, delta_of, counit_of, counit_of)
+            is None
+        )
+        for p in c.combo.labels():
+            assert path_delta(p) == delta_of(p) and path_counit(p) == counit_of(p)
+
+
+def table(mapping):
+    return lambda label: SparseVector(mapping.get(label, {}))
+
+
+ONE = Fraction(1)
+
+
+def test_law_kernel_rejects_non_coassociative_table():
+    # Δ(b) = a⊗b + b⊗b: (Δ⊗id)Δ(b) misses the term b⊗a⊗b.
+    delta = table({"a": {("a", "a"): ONE}, "b": {("a", "b"): ONE, ("b", "b"): ONE}})
+    counit_of = {"a": ONE, "b": Fraction(0)}.get
+    assert check_coalgebra(["a", "b"], delta, counit_of) == ("coassociativity", "b")
+    assert check_comodule(["a", "b"], delta, delta, counit_of) == ("coassociativity", "b")
+
+
+def test_law_kernel_rejects_wrong_counit():
+    delta = table({"a": {("a", "a"): ONE}})
+    assert check_coalgebra(["a"], delta, {"a": Fraction(2)}.get) == ("counit", "a")
+    # Δ(x) = x⊗a is coassociative and right-counital but not left-counital.
+    delta = table({"a": {("a", "a"): ONE}, "x": {("x", "a"): ONE}})
+    counit_of = {"a": ONE, "x": Fraction(0)}.get
+    assert check_comodule(["a", "x"], delta, delta, counit_of) is None
+    assert check_coalgebra(["a", "x"], delta, counit_of) == ("left counit", "x")
+
+
+def test_law_kernel_rejects_non_morphisms():
+    delta = table({"a": {("a", "a"): ONE}})
+    counit_of = {"a": ONE}.get
+    doubling = table({"a": {"a": Fraction(2)}})
+    assert check_morphism(["a"], doubling, delta, delta, counit_of, counit_of) == ("comultiplication", "a")
+    zero_map = table({})
+    assert check_morphism(["a"], zero_map, delta, delta, counit_of, counit_of) == ("counit", "a")
 
 
 def test_closure_of_grouplike():

@@ -11,6 +11,7 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.dual import Functional
 from quivercoalg.finite_dual import (
+    DualCoalgebra,
     StructuredAlgebra,
     dual_coalgebra,
     is_in_finite_dual,
@@ -24,7 +25,7 @@ from quivercoalg.finite_dual import (
     two_sided_ideal_closure,
 )
 from quivercoalg.linalg import SparseVector, in_span, rank, rref
-from quivercoalg.quiver import QuiverFamily
+from quivercoalg.quiver import Quiver, QuiverFamily
 from quivercoalg.scalars import QQ
 
 
@@ -40,6 +41,25 @@ def test_structured_algebra_validation_rejects_bad_input():
     }
     with pytest.raises(ValueError):
         StructuredAlgebra(basis, mult, ["e"], QQ)
+
+
+def test_dual_coalgebra_rejects_unlawful_algebras():
+    one = QQ.one
+    # e is a two-sided unit, but (x*x)*x = y*x = x while x*(x*x) = x*y = e.
+    unit_rows = {("e", b): SparseVector({b: one}) for b in "exy"}
+    unit_rows.update({(b, "e"): SparseVector({b: one}) for b in "xy"})
+    mult = dict(unit_rows)
+    mult[("x", "x")] = SparseVector({"y": one})
+    mult[("x", "y")] = SparseVector({"e": one})
+    mult[("y", "x")] = SparseVector({"x": one})
+    algebra = StructuredAlgebra(["e", "x", "y"], mult, ["e"], QQ, validate=False)
+    with pytest.raises(ValueError, match="dual comultiplication not coassociative"):
+        DualCoalgebra(algebra)
+    # Associative, but x*e = 0: the idempotent system is not complete.
+    mult = {("e", "e"): SparseVector({"e": one}), ("e", "x"): SparseVector({"x": one})}
+    algebra = StructuredAlgebra(["e", "x"], mult, ["e"], QQ, validate=False)
+    with pytest.raises(ValueError, match="counit law fails at 'x'"):
+        DualCoalgebra(algebra)
 
 
 def test_dual_coalgebra_of_one_idempotent():
@@ -176,6 +196,18 @@ def test_loop_eval_theta_image():
     assert is_in_theta_image(ev1, fam, 10).status == "no_up_to_bound"
     ev0 = Functional.from_rule(fam, "eval", Fraction(0))
     verdict = is_in_theta_image(ev0, fam, 10)
+    assert verdict.found
+    assert [str(p) for p in verdict.witness["complement"]] == ["v"]
+
+
+def test_theta_image_on_truncated_window_needs_room_below_the_horizon():
+    loop = Quiver(["v"], [("x", "v", "v")])
+    # gamma's support closure {v, x, xx} fits the bound but reaches the
+    # window, so it is no proof of a cofinite monomial ideal.
+    gamma = Functional.from_rule(loop, "gamma")
+    assert is_in_theta_image(gamma, loop, window=2).status == "no_up_to_bound"
+    ev0 = Functional.from_rule(loop, "eval", Fraction(0))
+    verdict = is_in_theta_image(ev0, loop, window=2)
     assert verdict.found
     assert [str(p) for p in verdict.witness["complement"]] == ["v"]
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivercoalg.linalg import (
     SparseVector,
@@ -17,13 +18,41 @@ from quivercoalg.linalg import (
     span_intersection,
     spans_equal,
 )
-from quivercoalg.scalars import PrimeField
+from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import dense_rank, sparse_rows_to_dense
 
 
 def sv(**entries):
     return SparseVector({k: Fraction(v) for k, v in entries.items()})
+
+
+def test_repeated_labels_sum():
+    assert SparseVector([("p", 1), ("p", 2)]) == SparseVector({"p": 3})
+    assert SparseVector([("p", 1), ("q", 5), ("p", -1)]) == SparseVector({"q": 5})
+
+
+# Few labels and small coefficients, so repeats and cancellations are common;
+# GF(5) adds cancellations that do not happen over QQ.
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.sampled_from(["p", "q", ("p", "q"), 3]),
+            st.integers(-3, 3),
+            st.integers(1, 3),
+        ),
+        max_size=12,
+    ),
+    field=st.sampled_from([QQ, PrimeField(5)]),
+)
+def test_summing_constructor_is_the_left_fold(terms, field):
+    terms = [(label, field.of(num, den)) for label, num, den in terms]
+    folded = SparseVector()
+    for label, coeff in terms:
+        folded = folded + SparseVector({label: coeff})
+    built = SparseVector(terms)
+    assert built == folded
+    assert all(built.entries.values())
 
 
 def test_solve_membership_zero_vector_empty_generators():

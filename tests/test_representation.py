@@ -211,6 +211,12 @@ def test_comodule_roundtrip_random():
             assert back.action[b] == module.action[b]
 
 
+def test_representation_rejects_ragged_matrix():
+    q = named_quiver("single_arrow")
+    with pytest.raises(ValueError, match="ragged"):
+        Representation(q, {"a": 2, "b": 2}, {"x": ((one(), one()), (one(),))})
+
+
 def test_module_validation_rejects_bad_data():
     q = named_quiver("single_arrow")
     with pytest.raises(ValueError):
