@@ -48,9 +48,11 @@ from .quiver import (
     is_acyclic,
 )
 from .representation import annihilator_monomial_check, is_locally_nilpotent, module_from_rep
-from .scalars import FieldError, field_from_spec
+from .scalars import QQ, FieldError, field_from_spec
 from .textio import (
     ParseError,
+    ParsedPosetInput,
+    ParsedQuiverInput,
     parse_element,
     parse_functional,
     parse_poset_text,
@@ -72,36 +74,28 @@ def _read_file(path: str) -> str:
         raise InputFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _resolve_quiver_input(token: str):
-    """A path to a quiver file, or family:<kind>[:<param>]."""
+def _resolve_quiver_input(token: str) -> ParsedQuiverInput:
+    """A path to a quiver file, or family:<kind>[:<param>].
+
+    Its ``materialize`` truncates a family at the file's ``truncate N``
+    level when the file gives one, else at the level passed (``--max-len``).
+    """
     if token.startswith("family:"):
         try:
-            return None, family_from_token(token[len("family:") :])
+            return ParsedQuiverInput(family=family_from_token(token[len("family:") :]))
         except ValueError as exc:
             raise InputFailure(str(exc)) from exc
-    parsed = parse_quiver_text(_read_file(token))
-    if parsed.is_family:
-        return None, parsed.family
-    return parsed.quiver, None
+    return parse_quiver_text(_read_file(token))
 
 
-def _resolve_poset_input(token: str, max_len: int):
+def _resolve_poset_input(token: str) -> ParsedPosetInput:
+    """A path to a poset file, or family:{natchain|natantichain}."""
     if token.startswith("family:"):
-        kind = token[len("family:") :]
         try:
-            return None, PosetFamily(kind)
+            return ParsedPosetInput(family=PosetFamily(token[len("family:") :]))
         except ValueError as exc:
             raise InputFailure(str(exc)) from exc
-    parsed = parse_poset_text(_read_file(token))
-    if parsed.is_family:
-        return None, parsed.family
-    return parsed.poset, None
-
-
-def _materialize(quiver, family, max_len: int):
-    if quiver is not None:
-        return quiver
-    return family.truncate(max_len)
+    return parse_poset_text(_read_file(token))
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -118,8 +112,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_paths(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.input)
-    quiver = _materialize(quiver, family, args.max_len)
+    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
     enum = enumerate_paths(quiver, args.max_len)
     report = {
         "command": "paths",
@@ -131,8 +124,7 @@ def cmd_paths(args, field) -> tuple[dict, int]:
 
 
 def cmd_delta(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.input)
-    quiver = _materialize(quiver, family, args.max_len)
+    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
     element = parse_element(args.element, quiver, field)
     tensor = comultiply(element)
     terms = [f"{coeff} * [{a}] (x) [{b}]" for (a, b), coeff in tensor.combo.sorted_items()]
@@ -140,8 +132,7 @@ def cmd_delta(args, field) -> tuple[dict, int]:
 
 
 def cmd_mul(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.input)
-    quiver = _materialize(quiver, family, args.max_len)
+    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
     left = parse_element(args.left, quiver, field)
     right = parse_element(args.right, quiver, field)
     product = multiply(left, right)
@@ -149,9 +140,9 @@ def cmd_mul(args, field) -> tuple[dict, int]:
 
 
 def cmd_conv(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.input)
-    concrete = _materialize(quiver, family, args.max_len)
-    carrier = family if family is not None else concrete
+    parsed = _resolve_quiver_input(args.input)
+    concrete = parsed.materialize(args.max_len)
+    carrier = parsed.target
     f = parse_functional(args.left, carrier, concrete, field)
     g = parse_functional(args.right, carrier, concrete, field)
     enum = enumerate_paths(concrete, args.max_len)
@@ -167,10 +158,8 @@ def cmd_conv(args, field) -> tuple[dict, int]:
 
 
 def cmd_product(args, field) -> tuple[dict, int]:
-    left_q, left_f = _resolve_quiver_input(args.left)
-    right_q, right_f = _resolve_quiver_input(args.right)
-    left = _materialize(left_q, left_f, args.max_len)
-    right = _materialize(right_q, right_f, args.max_len)
+    left = _resolve_quiver_input(args.left).materialize(args.max_len)
+    right = _resolve_quiver_input(args.right).materialize(args.max_len)
     product = product_quiver(left, right)
     return {
         "command": "product",
@@ -181,10 +170,8 @@ def cmd_product(args, field) -> tuple[dict, int]:
 
 
 def cmd_alpha(args, field) -> tuple[dict, int]:
-    left_q, left_f = _resolve_quiver_input(args.left)
-    right_q, right_f = _resolve_quiver_input(args.right)
-    left = _materialize(left_q, left_f, args.max_len)
-    right = _materialize(right_q, right_f, args.max_len)
+    left = _resolve_quiver_input(args.left).materialize(args.max_len)
+    right = _resolve_quiver_input(args.right).materialize(args.max_len)
     product = product_quiver(left, right)
     el = parse_element(args.left_element, left, field)
     er = parse_element(args.right_element, right, field)
@@ -200,9 +187,7 @@ def cmd_alpha(args, field) -> tuple[dict, int]:
 
 
 def cmd_phi(args, field) -> tuple[dict, int]:
-    poset, family = _resolve_poset_input(args.input, args.max_len)
-    if poset is None:
-        poset = family.truncate(args.max_len)
+    poset = _resolve_poset_input(args.input).materialize(args.max_len)
     if (args.lower, args.upper) not in poset.leq:
         raise InputFailure(f"({args.lower},{args.upper}) is not an interval of the poset")
     element = IncidenceElement.from_interval(poset, args.lower, args.upper, field)
@@ -216,8 +201,7 @@ def cmd_phi(args, field) -> tuple[dict, int]:
 
 
 def cmd_factor_perp(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.input)
-    quiver = _materialize(quiver, family, args.max_len)
+    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
     if not is_acyclic(quiver):
         raise InputFailure("perp factorization needs an acyclic quiver")
     element = parse_element(args.element, quiver, field)
@@ -244,8 +228,7 @@ def cmd_factor_perp(args, field) -> tuple[dict, int]:
 
 
 def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
-    quiver, family = _resolve_quiver_input(args.quiver)
-    quiver = _materialize(quiver, family, args.max_len)
+    quiver = _resolve_quiver_input(args.quiver).materialize(args.max_len)
     rep = parse_rep_text(_read_file(args.rep), quiver, field)
     verdict = is_locally_nilpotent(rep, field)
     report = {
@@ -273,8 +256,7 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     if args.kind == "cycle":
         if args.input is None:
             raise InputFailure("counterexample cycle needs a quiver input")
-        quiver, family = _resolve_quiver_input(args.input)
-        quiver = _materialize(quiver, family, args.max_len)
+        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
         try:
             ce = build_cycle_counterexample(quiver, args.max_len, field)
         except ValueError as exc:
@@ -292,10 +274,11 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
 
 
 def cmd_check(args, field) -> tuple[dict, int]:
+    if field is not QQ:
+        raise InputFailure(f"check verdicts are certified over q only, not {field.name}")
     name = args.name
     if name == "thm33":
-        quiver, family = _resolve_quiver_input(args.input)
-        target = family if family is not None else quiver
+        target = _resolve_quiver_input(args.input).target
         report = theta_recovery_check(target, codim_bound=args.codim_bound, window=args.max_len, field=field)
         payload = {
             "command": "check-thm33",
@@ -309,16 +292,14 @@ def cmd_check(args, field) -> tuple[dict, int]:
             payload["witness_monomial_verdict"] = report.witness_verdict.status
         return payload, 0 if report.recovered else 1
     if name == "semiperfect":
-        quiver, family = _resolve_quiver_input(args.input)
-        target = family if family is not None else quiver
+        target = _resolve_quiver_input(args.input).target
         verdict = check_semiperfect_condition(target)
         return (
             {"command": "check-semiperfect", "holds": bool(verdict), "explanation": verdict.explanation},
             0 if verdict else 1,
         )
     if name == "bialgebra":
-        quiver, family = _resolve_quiver_input(args.input)
-        quiver = _materialize(quiver, family, args.max_len)
+        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
         report = bialgebra_check(quiver, field=field)
         payload = {
             "command": "check-bialgebra",
@@ -329,9 +310,7 @@ def cmd_check(args, field) -> tuple[dict, int]:
             payload["witness"] = f"([{report.witness[0]}], [{report.witness[1]}])"
         return payload, 0 if report.compatible else 1
     if name == "prop41":
-        poset, family = _resolve_poset_input(args.input, args.max_len)
-        if poset is None:
-            poset = family.truncate(args.max_len)
+        poset = _resolve_poset_input(args.input).materialize(args.max_len)
         quiver = hasse_quiver(poset)
         unique = check_unique_path_condition(quiver)
         from .linalg import rank
@@ -351,9 +330,7 @@ def cmd_check(args, field) -> tuple[dict, int]:
             0 if ok else 1,
         )
     if name == "thm42":
-        poset, family = _resolve_poset_input(args.input, args.max_len)
-        if poset is None:
-            poset = family.truncate(args.max_len)
+        poset = _resolve_poset_input(args.input).materialize(args.max_len)
         report = incidence_dual_recovery_check(poset, field)
         return (
             {
@@ -365,8 +342,7 @@ def cmd_check(args, field) -> tuple[dict, int]:
             0 if report.isomorphism else 1,
         )
     if name == "thm43":
-        poset, family = _resolve_poset_input(args.input, args.max_len)
-        target = family if family is not None else poset
+        target = _resolve_poset_input(args.input).target
         report = incidence_semiperfect_check(target, field)
         return (
             {
@@ -389,8 +365,7 @@ def cmd_check(args, field) -> tuple[dict, int]:
             0 if verdict.status == "coreflexive" else 1,
         )
     if name == "prop32":
-        quiver, family = _resolve_quiver_input(args.input)
-        quiver = _materialize(quiver, family, args.max_len)
+        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
         verdict = check_recovery_clause_equivalence(quiver)
         return (
             {
@@ -402,8 +377,7 @@ def cmd_check(args, field) -> tuple[dict, int]:
             0,
         )
     if name == "thm57":
-        quiver, family = _resolve_quiver_input(args.input)
-        target = family if family is not None else quiver
+        target = _resolve_quiver_input(args.input).target
         verdict = reflexivity_verdict(target)
         gamma = gamma_membership(target)
         return (
@@ -429,8 +403,7 @@ def _coreflexive_target(token: str, max_len: int):
     head = text.lstrip().split()
     if head and head[0] == "poset":
         return parse_poset_text(text).poset
-    parsed = parse_quiver_text(text)
-    return parsed.family if parsed.is_family else parsed.quiver
+    return parse_quiver_text(text).target
 
 
 def cmd_suite(args, field) -> tuple[dict, int]:

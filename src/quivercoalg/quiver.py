@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrow:
+    # Arrows hash and compare by identity: each Quiver builds its own.
     ident: int
     label: str
     source: str
@@ -84,13 +85,36 @@ class Quiver:
         return f"Quiver({tag})"
 
 
-@dataclass(frozen=True)
 class Path:
-    """A path in a fixed quiver: a base vertex, or a composable arrow chain."""
+    """A path in a fixed quiver: a base vertex, or a composable arrow chain.
 
-    quiver: Quiver
-    vertex: Optional[str]
-    arrows: tuple
+    A value: the hash is computed once at construction, so the fields are
+    never reassigned.  Two paths are equal only when they share the quiver
+    object, the base vertex and the arrow sequence.
+    """
+
+    __slots__ = ("quiver", "vertex", "arrows", "_hash")
+
+    def __init__(self, quiver: Quiver, vertex: Optional[str], arrows: tuple):
+        self.quiver = quiver
+        self.vertex = vertex
+        self.arrows = arrows
+        self._hash = hash((vertex, arrows))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Path):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.quiver is other.quiver
+            and self.vertex == other.vertex
+            and self.arrows == other.arrows
+        )
 
     @property
     def length(self) -> int:
@@ -181,18 +205,22 @@ def enumerate_paths(quiver: Quiver, max_len: int) -> PathEnumeration:
     The exhaustive flag is set only when acyclicity guarantees that no
     longer path exists.
     """
-    layers = [[quiver.vertex_path(v) for v in quiver.vertices]]
-    for _ in range(max_len):
-        previous = layers[-1]
-        layer = []
-        for p in previous:
-            for a in quiver.out_arrows(p.target):
-                layer.append(Path(quiver, None, p.arrows + (a,)))
+    # Each layer is built in sort_key order, so nothing is sorted afterwards:
+    # vertices by name, arrows by label, and longer paths by extending the
+    # sorted previous layer with out-arrows in label order.  Arrow labels are
+    # unique, so a label sequence names one path and ties cannot occur.
+    by_label = sorted(quiver.arrows, key=lambda a: a.label)
+    out = {v: sorted(quiver.out_arrows(v), key=lambda a: a.label) for v in quiver.vertices}
+    layers = [[quiver.vertex_path(v) for v in sorted(quiver.vertices)]]
+    for length in range(1, max_len + 1):
+        if length == 1:
+            layer = [Path(quiver, None, (a,)) for a in by_label]
+        else:
+            layer = [Path(quiver, None, p.arrows + (a,)) for p in layers[-1] for a in out[p.target]]
         if not layer:
             break
         layers.append(layer)
     paths = [p for layer in layers for p in layer]
-    paths.sort(key=lambda p: p.sort_key)
     acyclic = is_acyclic(quiver)
     # Ran out of extensions (no path of some length <= max_len exists), or the
     # acyclic longest-path bound is covered: a path visits distinct vertices,

@@ -86,6 +86,11 @@ class ParsedQuiverInput:
     def is_family(self) -> bool:
         return self.family is not None
 
+    @property
+    def target(self):
+        """The family when one is given, else the concrete quiver."""
+        return self.family if self.is_family else self.quiver
+
     def materialize(self, default_level: int) -> Quiver:
         if self.quiver is not None:
             return self.quiver
@@ -143,6 +148,11 @@ class ParsedPosetInput:
     @property
     def is_family(self) -> bool:
         return self.family is not None
+
+    @property
+    def target(self):
+        """The family when one is given, else the concrete poset."""
+        return self.family if self.is_family else self.poset
 
     def materialize(self, default_level: int) -> Poset:
         if self.poset is not None:

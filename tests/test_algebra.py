@@ -13,11 +13,13 @@ from quivercoalg.algebra import (
     monomial_closure,
     multiply,
     subpath_closure,
+    winding_paths,
 )
+from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
-from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths
+from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, find_simple_cycle
 
 from helpers import dense_rank, sparse_rows_to_dense
 
@@ -148,8 +150,52 @@ def test_cycle_counterexample_codimension_matches_dense_oracle():
 def test_cycle_counterexample_identities_on_cycle3():
     quiver = QuiverFamily("cycle", 3).truncate(0)
     ce = build_cycle_counterexample(quiver, 9)  # raises if any identity fails
-    assert ce.identities_checked > 0
+    assert ce.identities_checked == 702 == _identity_count(3, 9)
     assert ce.details["cycle_length"] == 3
+
+
+def _identity_count(s, window):
+    """2·s·Σ (window + 1 - ks - i) over cycle vertices n and ks + i <= window."""
+    return 2 * s * sum(
+        window + 1 - k * s - i
+        for n in range(s)
+        for k in range(1, window + 1)
+        for i in range(window + 1)
+        if k * s + i <= window
+    )
+
+
+@pytest.mark.parametrize(
+    "quiver, window, count",
+    [
+        (named_quiver("loop"), 6, 112),
+        (QuiverFamily("cycle", 3).truncate(0), 36, 46548),
+    ],
+)
+def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
+    ce = build_cycle_counterexample(quiver, window)
+    assert ce.identities_checked == count == _identity_count(ce.details["cycle_length"], window)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
+    quiver = QuiverFamily("cycle", 3).truncate(0)
+    q = winding_paths(quiver, find_simple_cycle(quiver), 9)
+    vertex = unit(q[(0, 0)])
+    difference = unit(q[(0, 3)]) - vertex
+    target = (difference, vertex) if side == "right" else (vertex, difference)
+    exact = algebra.multiply
+
+    def drop_one_term(a, b):
+        product = exact(a, b)
+        if (a, b) == target:
+            kept = product.combo.sorted_items()[1:]
+            return CoalgElement(product.quiver, SparseVector(kept))
+        return product
+
+    monkeypatch.setattr(algebra, "multiply", drop_one_term)
+    with pytest.raises(AssertionError, match=f"{side} product identity fails at n=0,k=1,i=0,m=0,j=0"):
+        build_cycle_counterexample(quiver, 9)
 
 
 def test_cycle_counterexample_needs_a_cycle():

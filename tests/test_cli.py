@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quivercoalg
 from quivercoalg.cli import main
 
 LINE = """quiver
@@ -171,3 +176,47 @@ def test_prime_field_flag(line_file, capsys):
     assert "[x.y]" in out
     status, _, err = run(capsys, "paths", line_file, "--field", "fp:6")
     assert status == 2
+
+
+def test_family_file_truncate_level_is_honoured(tmp_path, capsys):
+    family = tmp_path / "line1.txt"
+    family.write_text("family line1\ntruncate 2\n")
+    status, out, _ = run(capsys, "paths", str(family), "--max-len", "4", "--json")
+    assert status == 0 and json.loads(out)["count"] == 6
+    # Without a level in the file, --max-len is the truncation stage.
+    family.write_text("family line1\n")
+    status, out, _ = run(capsys, "paths", str(family), "--max-len", "4", "--json")
+    assert status == 0 and json.loads(out)["count"] == 15
+
+
+def test_poset_family_file_truncate_level_is_honoured(tmp_path, capsys):
+    family = tmp_path / "chain.txt"
+    family.write_text("family natchain\ntruncate 2\n")
+    status, out, _ = run(capsys, "phi", str(family), "n0", "n2", "--max-len", "5", "--json")
+    assert status == 0 and json.loads(out)["hasse_arrows"] == 2
+    status, _, err = run(capsys, "phi", str(family), "n0", "n4", "--max-len", "5")
+    assert status == 2 and "not an interval" in err
+
+
+def test_check_rejects_prime_field(line_file, capsys):
+    for argv in (["thm33", "family:cycle:2"], ["bialgebra", line_file]):
+        status, out, err = run(capsys, "check", *argv, "--field", "fp:7")
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1 and "fp:7" in err
+
+
+@pytest.mark.parametrize("suite", ["thm36", "bialgebra"])
+def test_suite_output_does_not_depend_on_the_hash_seed(suite):
+    src = str(Path(quivercoalg.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "quivercoalg.cli", "suite", suite, "--json", "--seed", "0"],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["passed"] is True

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercoalg.corpus import enumerate_small_quivers, finite_corpus, named_quiver, random_quiver
 from quivercoalg.quiver import (
+    Path,
     Quiver,
     QuiverFamily,
     check_recovery_clause_equivalence,
@@ -16,8 +18,9 @@ from quivercoalg.quiver import (
     find_simple_cycle,
     is_acyclic,
 )
+from quivercoalg.textio import parse_quiver_text
 
-from helpers import brute_force_path_count
+from helpers import brute_force_path_count, brute_force_paths
 
 
 def test_compose_vertex_identity():
@@ -168,3 +171,75 @@ def test_small_quiver_enumeration_is_exhaustive_up_to_multiset():
     # 1 vertex: arrow multisets over 1 pair: sizes 0,1,2 -> 3
     # 2 vertices: multisets over 4 pairs: 1 + 4 + 10 -> 15
     assert len(quivers) == 3 + 15
+
+
+@st.composite
+def quiver_texts(draw):
+    """Quiver files with up to 4 vertices and 6 arrows, loops and parallels
+    allowed; neither vertices nor arrows are declared in label order."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.permutations(["v", "b", "w", "a"]))[:n]
+    ends = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=6))
+    labels = draw(st.permutations(["x", "b", "a2", "a10", "y", "c"]))
+    lines = ["quiver"] + [f"vertex {name}" for name in names]
+    lines += [f"arrow {label} {s} {t}" for label, (s, t) in zip(labels, ends)]
+    return "\n".join(lines) + "\n"
+
+
+def _rebuilt(p):
+    """A fresh Path object with the same fields."""
+    return Path(p.quiver, p.vertex, tuple(p.arrows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_path_equality_is_quiver_vertex_and_arrow_sequence(text):
+    first = parse_quiver_text(text).quiver
+    second = parse_quiver_text(text).quiver
+    pool = []
+    for q in (first, second):
+        for p in enumerate_paths(q, 2).paths:
+            pool += [p, _rebuilt(p)]
+    for p in pool:
+        for r in pool:
+            same = (
+                p.quiver is r.quiver
+                and p.vertex == r.vertex
+                and [a.ident for a in p.arrows] == [a.ident for a in r.arrows]
+            )
+            assert (p == r) is same
+            if same:
+                assert hash(p) == hash(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_prefix_suffix_recompose_to_the_same_path(text):
+    q = parse_quiver_text(text).quiver
+    for p in enumerate_paths(q, 3).paths:
+        for i in range(p.length + 1):
+            whole = compose_paths(p.prefix(i), p.suffix_from(i))
+            assert whole == p and hash(whole) == hash(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_paths_of_two_parses_of_one_text_are_unequal(text):
+    first = parse_quiver_text(text).quiver
+    second = parse_quiver_text(text).quiver
+    seen = set(enumerate_paths(first, 2).paths)
+    for p in enumerate_paths(second, 2).paths:
+        twin = first.vertex_path(p.vertex) if not p.arrows else first.path_from_labels(
+            a.label for a in p.arrows
+        )
+        assert twin in seen and str(twin) == str(p)
+        assert p != twin and p not in seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts(), st.integers(0, 3))
+def test_distinct_enumerated_paths_match_the_oracle(text, max_len):
+    q = parse_quiver_text(text).quiver
+    paths = enumerate_paths(q, max_len).paths
+    assert len(set(paths)) == len(brute_force_paths(q, max_len))
+    assert paths == sorted(paths, key=lambda p: p.sort_key)
