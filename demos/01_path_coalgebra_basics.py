@@ -27,7 +27,7 @@ print("enumeration is exhaustive:", enum.exhaustive)
 
 xy = CoalgElement.from_path(line.path_from_labels(["x", "y"]))
 print("\ncomultiplication splits a path into all prefix/suffix pairs:")
-print("  delta([x.y]) =", comultiply(xy))
+print("  delta([x.y]) =", " + ".join(f"{c}*[{p}]⊗[{q}]" for (p, q), c in comultiply(xy).sorted_items()))
 
 mixed = CoalgElement.from_path(line.vertex_path("a")).scale(Fraction(2)) - xy.scale(Fraction(3))
 print("counit picks out the length-zero part:  eps(2[a] - 3[x.y]) =", counit(mixed))

@@ -12,25 +12,24 @@ Run:  python demos/05_incidence.py
 """
 
 from quivercoalg import (
-    IncidenceElement,
+    CoalgElement,
     Poset,
     PosetFamily,
+    comultiply,
     hasse_quiver,
-    incidence_comultiply,
     incidence_convolve,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,
 )
-from quivercoalg.incidence import FIAElement
 
 diamond = Poset(["0", "x", "y", "1"], [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")], name="diamond")
 
 print("diamond poset:", len(diamond.intervals()), "intervals,",
       len(diamond.covers()), "covers")
 
-long = IncidenceElement.from_interval(diamond, "0", "1")
-print("\ndelta(e_{0,1}) has", len(incidence_comultiply(long).entries),
+long = CoalgElement.unit(diamond, ("0", "1"))
+print("\ndelta(e_{0,1}) has", len(comultiply(long).entries),
       "terms (one per point between 0 and 1)")
 
 print("\nthe Hasse quiver has one arrow per cover:")
@@ -41,8 +40,8 @@ print("  phi(e_{0,1}) =", phi_embed(long))
 print("  (two paths between 0 and 1, so the map is not onto here)")
 
 print("\nconvolution in the incidence algebra works like matrix units:")
-exx = FIAElement.unit_functional(diamond, "0", "0")
-exy = FIAElement.unit_functional(diamond, "0", "1")
+exx = CoalgElement.unit(diamond, ("0", "0"))
+exy = CoalgElement.unit(diamond, ("0", "1"))
 print("  E_{0,0} . E_{0,1} =", dict(incidence_convolve(exx, exy).combo.items()))
 
 report = incidence_dual_recovery_check(diamond)

@@ -18,7 +18,7 @@ from .quiver import (
 )
 from .coalgebra import (
     CoalgElement,
-    TensorElement,
+    basis_tables,
     comultiply,
     counit,
     grouplike_coradical,
@@ -27,7 +27,6 @@ from .coalgebra import (
     wedge,
 )
 from .algebra import (
-    AlgebraElement,
     bialgebra_check,
     build_cycle_counterexample,
     build_multiarrow_counterexample,
@@ -55,14 +54,10 @@ from .finite_dual import (
     theta_recovery_check,
 )
 from .incidence import (
-    FIAElement,
-    IncidenceElement,
     Poset,
     PosetFamily,
     hasse_quiver,
-    incidence_comultiply,
     incidence_convolve,
-    incidence_counit,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,

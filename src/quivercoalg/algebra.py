@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coalgebra import CoalgElement, TensorElement, comultiply
+from .coalgebra import CoalgElement, comultiply
 from .linalg import SparseVector, rank, reduce_mod_span, rref, solve_membership
 from .quiver import (
     Path,
@@ -25,15 +25,12 @@ from .quiver import (
 )
 from .scalars import QQ
 
-AlgebraElement = CoalgElement
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+def multiply(a: CoalgElement, b: CoalgElement) -> CoalgElement:
     """Bilinear extension of concatenation-or-zero."""
-    if a.quiver is not b.quiver:
+    if a.carrier is not b.carrier:
         raise ValueError("elements belong to different quivers")
-    return AlgebraElement(
-        a.quiver,
+    return CoalgElement(
+        a.carrier,
         SparseVector(
             (pq, cp * cq)
             for p, cp in a.combo.items()
@@ -43,25 +40,23 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     )
 
 
-def tensor_multiply(s: TensorElement, t: TensorElement) -> TensorElement:
+def tensor_multiply(s: SparseVector, t: SparseVector) -> SparseVector:
     """Componentwise product (a⊗b)(c⊗d) = ac ⊗ bd on path-pair tensors."""
-    return TensorElement(
-        SparseVector(
-            ((left, right), c * d)
-            for (p1, p2), c in s.combo.items()
-            for (q1, q2), d in t.combo.items()
-            if (left := compose_paths(p1, q1)) is not None
-            and (right := compose_paths(p2, q2)) is not None
-        )
+    return SparseVector(
+        ((left, right), c * d)
+        for (p1, p2), c in s.items()
+        for (q1, q2), d in t.items()
+        if (left := compose_paths(p1, q1)) is not None
+        and (right := compose_paths(p2, q2)) is not None
     )
 
 
-def local_unit(elements, field=QQ) -> AlgebraElement:
+def local_unit(elements, field=QQ) -> CoalgElement:
     """Sum of the endpoint vertices of all support paths: a local unit."""
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one element to determine the quiver")
-    quiver = elements[0].quiver
+    quiver = elements[0].carrier
     vertices = []
     for e in elements:
         for p in e.combo.labels():
@@ -69,7 +64,7 @@ def local_unit(elements, field=QQ) -> AlgebraElement:
                 if v not in vertices:
                     vertices.append(v)
     acc = SparseVector({quiver.vertex_path(v): field.one for v in vertices})
-    return AlgebraElement(quiver, acc)
+    return CoalgElement(quiver, acc)
 
 
 @dataclass
@@ -81,9 +76,6 @@ class MonomialIdeal:
     closure: list
     max_len: int
     exhaustive: bool
-
-    def basis_vectors(self) -> list[SparseVector]:
-        return [SparseVector.unit(p) for p in self.closure]
 
 
 def monomial_closure(generators, quiver: Quiver, max_len: int) -> MonomialIdeal:

@@ -18,18 +18,17 @@ from .algebra import (
     build_multiarrow_counterexample,
     multiply,
 )
-from .coalgebra import comultiply, subcoalgebra_closure
+from .coalgebra import CoalgElement, comultiply, subcoalgebra_closure
 from .dual import Functional, convolve, gamma_membership, reflexivity_verdict
 from .finite_dual import theta_recovery_check
 from .incidence import (
-    IncidenceElement,
     PosetFamily,
     hasse_quiver,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,
 )
-from .linalg import SparseVector
+from .linalg import SparseVector, rank
 from .products import (
     TensorProduct,
     alpha_embed,
@@ -126,8 +125,7 @@ def cmd_paths(args, field) -> tuple[dict, int]:
 def cmd_delta(args, field) -> tuple[dict, int]:
     quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
     element = parse_element(args.element, quiver, field)
-    tensor = comultiply(element)
-    terms = [f"{coeff} * [{a}] (x) [{b}]" for (a, b), coeff in tensor.combo.sorted_items()]
+    terms = [f"{coeff} * [{a}] (x) [{b}]" for (a, b), coeff in comultiply(element).sorted_items()]
     return {"command": "delta", "element": str(element), "terms": terms}, 0
 
 
@@ -190,7 +188,7 @@ def cmd_phi(args, field) -> tuple[dict, int]:
     poset = _resolve_poset_input(args.input).materialize(args.max_len)
     if (args.lower, args.upper) not in poset.leq:
         raise InputFailure(f"({args.lower},{args.upper}) is not an interval of the poset")
-    element = IncidenceElement.from_interval(poset, args.lower, args.upper, field)
+    element = CoalgElement.unit(poset, (args.lower, args.upper), field)
     image = phi_embed(element, field)
     return {
         "command": "phi",
@@ -313,11 +311,10 @@ def cmd_check(args, field) -> tuple[dict, int]:
         poset = _resolve_poset_input(args.input).materialize(args.max_len)
         quiver = hasse_quiver(poset)
         unique = check_unique_path_condition(quiver)
-        from .linalg import rank
-
-        images = [phi_embed(IncidenceElement.from_interval(poset, x, y, field), field).combo for (x, y) in poset.intervals()]
-        injective = rank(images) == len(poset.intervals())
-        surjective = rank(images) == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)
+        images = [phi_embed(CoalgElement.unit(poset, interval, field), field).combo for interval in poset.intervals()]
+        image_rank = rank(images)
+        injective = image_rank == len(poset.intervals())
+        surjective = image_rank == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)
         ok = injective and (surjective == unique)
         return (
             {

@@ -1,9 +1,10 @@
-"""The path coalgebra of a quiver.
+"""Coalgebra elements, comultiplication and the coalgebra-law kernel.
 
-The same sparse path combinations also serve as elements of the quiver
-algebra (see ``algebra``); only the operations differ.  Comultiplication
-splits a path into all prefix/suffix pairs, the counit picks out the
-length-zero part.
+One element class serves the path coalgebra and the quiver algebra of a
+quiver, and the incidence coalgebra and the finite-support incidence
+algebra of a poset: a sparse combination of basis labels of a carrier.
+Comultiplication splits a label into the carrier's pairs, the counit picks
+out the grouplike part.
 """
 
 from __future__ import annotations
@@ -19,141 +20,110 @@ from .scalars import QQ
 
 
 class CoalgElement:
-    """Sparse exact-scalar combination of paths of a fixed quiver."""
+    """Sparse exact-scalar combination of the basis labels of a carrier.
 
-    __slots__ = ("quiver", "combo")
+    The carrier is a ``Quiver`` (labels are its paths) or a ``Poset``
+    (labels are its intervals ``(x, y)``).  It answers three basis
+    questions: ``owns(label)``, ``splits(label)`` (the pairs of Δ) and
+    ``is_grouplike(label)`` (where the counit is 1).
+    """
 
-    def __init__(self, quiver: Quiver, combo: SparseVector):
+    __slots__ = ("carrier", "combo")
+
+    def __init__(self, carrier, combo: SparseVector):
+        owns = carrier.owns
         for label in combo.labels():
-            if not isinstance(label, Path) or label.quiver is not quiver:
-                raise ValueError(f"label {label!r} does not belong to the quiver")
-        self.quiver = quiver
+            if not owns(label):
+                raise ValueError(f"label {label!r} does not belong to {carrier!r}")
+        self.carrier = carrier
         self.combo = combo
 
     @staticmethod
+    def unit(carrier, label, field=QQ) -> "CoalgElement":
+        return CoalgElement(carrier, SparseVector({label: field.one}))
+
+    @staticmethod
     def from_path(path: Path, field=QQ) -> "CoalgElement":
-        return CoalgElement(path.quiver, SparseVector({path: field.one}))
+        return CoalgElement.unit(path.quiver, path, field)
 
     @staticmethod
-    def zero(quiver: Quiver) -> "CoalgElement":
-        return CoalgElement(quiver, SparseVector())
-
-    @staticmethod
-    def from_items(quiver: Quiver, items) -> "CoalgElement":
-        return CoalgElement(quiver, SparseVector(dict(items)))
+    def zero(carrier) -> "CoalgElement":
+        return CoalgElement(carrier, SparseVector())
 
     def is_zero(self) -> bool:
         return self.combo.is_zero()
 
-    def coeff(self, path: Path):
-        return self.combo.coeff(path)
-
-    def support(self):
-        return sorted(self.combo.labels(), key=lambda p: p.sort_key)
+    def coeff(self, label):
+        return self.combo.coeff(label)
 
     def __add__(self, other: "CoalgElement") -> "CoalgElement":
         self._check(other)
-        return CoalgElement(self.quiver, self.combo + other.combo)
+        return CoalgElement(self.carrier, self.combo + other.combo)
 
     def __sub__(self, other: "CoalgElement") -> "CoalgElement":
         self._check(other)
-        return CoalgElement(self.quiver, self.combo - other.combo)
+        return CoalgElement(self.carrier, self.combo - other.combo)
 
     def scale(self, coeff) -> "CoalgElement":
-        return CoalgElement(self.quiver, self.combo.scale(coeff))
+        return CoalgElement(self.carrier, self.combo.scale(coeff))
 
     def _check(self, other: "CoalgElement"):
-        if self.quiver is not other.quiver:
-            raise ValueError("elements belong to different quivers")
+        if self.carrier is not other.carrier:
+            raise ValueError("elements belong to different carriers")
 
     def __eq__(self, other):
         return (
             isinstance(other, CoalgElement)
-            and self.quiver is other.quiver
+            and self.carrier is other.carrier
             and self.combo == other.combo
         )
 
     def __hash__(self):
-        return hash((id(self.quiver), self.combo))
+        return hash((id(self.carrier), self.combo))
 
     def __str__(self):
         if self.combo.is_zero():
             return "0"
         parts = []
-        for path, coeff in self.combo.sorted_items():
+        for label, coeff in self.combo.sorted_items():
             if coeff == 1 or (hasattr(coeff, "value") and coeff.value == 1):
-                parts.append(f"[{path}]")
+                parts.append(f"[{label}]")
             else:
-                parts.append(f"{coeff}*[{path}]")
+                parts.append(f"{coeff}*[{label}]")
         return " + ".join(parts)
 
     def __repr__(self):
         return f"CoalgElement({self})"
 
 
-class TensorElement:
-    """Sparse combination of ordered path pairs (an element of KΓ ⊗ KΓ')."""
-
-    __slots__ = ("combo",)
-
-    def __init__(self, combo: SparseVector):
-        self.combo = combo
-
-    def is_zero(self) -> bool:
-        return self.combo.is_zero()
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.combo + other.combo)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.combo - other.combo)
-
-    def scale(self, coeff) -> "TensorElement":
-        return TensorElement(self.combo.scale(coeff))
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.combo == other.combo
-
-    def __hash__(self):
-        return hash(self.combo)
-
-    def __str__(self):
-        if self.combo.is_zero():
-            return "0"
-        return " + ".join(
-            f"{coeff}*[{pair[0]}]⊗[{pair[1]}]" for pair, coeff in self.combo.sorted_items()
-        )
-
-    def __repr__(self):
-        return f"TensorElement({self})"
-
-
-def comultiply(element: CoalgElement) -> TensorElement:
-    """Δ(p) = sum of q ⊗ r over all decompositions p = qr, extended linearly."""
-    return TensorElement(
-        SparseVector(
-            (pair, coeff) for path, coeff in element.combo.items() for pair in path.splits()
-        )
+def comultiply(element: CoalgElement) -> SparseVector:
+    """Δ over label pairs: each label goes to the sum of its carrier's
+    splits (prefix/suffix pairs of a path, ((x,z),(z,y)) for an interval),
+    extended linearly."""
+    splits = element.carrier.splits
+    return SparseVector(
+        (pair, coeff) for label, coeff in element.combo.items() for pair in splits(label)
     )
 
 
 def counit(element: CoalgElement):
-    """Sum of the coefficients of the length-zero paths (falsy when zero)."""
+    """Sum of the coefficients of the grouplike labels (falsy when zero)."""
+    grouplike = element.carrier.is_grouplike
     total = 0
-    for path, coeff in element.combo.items():
-        if path.length == 0:
+    for label, coeff in element.combo.items():
+        if grouplike(label):
             total = total + coeff
     return total
 
 
-def path_delta(path: Path, field=QQ) -> SparseVector:
-    """Basis-level comultiplication table of the path coalgebra."""
-    return SparseVector((pair, field.one) for pair in path.splits())
-
-
-def path_counit(path: Path, field=QQ):
-    """Basis-level counit table of the path coalgebra."""
-    return field.one if path.length == 0 else field.zero
+def basis_tables(carrier, field=QQ):
+    """Basis-level comultiplication and counit tables of the carrier's
+    coalgebra, as functions of a label."""
+    one, zero = field.one, field.zero
+    return (
+        lambda label: SparseVector((pair, one) for pair in carrier.splits(label)),
+        lambda label: one if carrier.is_grouplike(label) else zero,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +206,17 @@ def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
     return None
 
 
-def left_tensor_components(tensor: TensorElement) -> list[SparseVector]:
-    """For each right path label, the sparse vector of matching left parts."""
+def left_tensor_components(tensor: SparseVector) -> list[SparseVector]:
+    """For each right label, the sparse vector of matching left parts."""
     grouped: dict = {}
-    for (left, right), coeff in tensor.combo.items():
+    for (left, right), coeff in tensor.items():
         grouped.setdefault(right, []).append((left, coeff))
     return [SparseVector(dict(items)) for items in grouped.values()]
 
 
-def right_tensor_components(tensor: TensorElement) -> list[SparseVector]:
+def right_tensor_components(tensor: SparseVector) -> list[SparseVector]:
     grouped: dict = {}
-    for (left, right), coeff in tensor.combo.items():
+    for (left, right), coeff in tensor.items():
         grouped.setdefault(left, []).append((right, coeff))
     return [SparseVector(dict(items)) for items in grouped.values()]
 
@@ -255,24 +225,24 @@ def subcoalgebra_closure(elements) -> list[CoalgElement]:
     """Basis of the smallest subcoalgebra containing the given elements.
 
     Iterates comultiplication, adjoining the left and right tensor
-    components (grouped over the path basis on the opposite side), until the
+    components (grouped over the label basis on the opposite side), until the
     span stabilizes.  The result is the canonical reduced basis; closing it
     again changes nothing.
     """
     elements = list(elements)
     if not elements:
         return []
-    quiver = elements[0].quiver
+    carrier = elements[0].carrier
     basis = rref([e.combo for e in elements])
     while True:
         vectors = list(basis)
         for vec in basis:
-            tensor = comultiply(CoalgElement(quiver, vec))
+            tensor = comultiply(CoalgElement(carrier, vec))
             vectors.extend(left_tensor_components(tensor))
             vectors.extend(right_tensor_components(tensor))
         refined = rref(vectors)
         if len(refined) == len(basis):
-            return [CoalgElement(quiver, v) for v in refined]
+            return [CoalgElement(carrier, v) for v in refined]
         basis = refined
 
 

@@ -49,10 +49,6 @@ class Functional:
         self.field = field
 
     @staticmethod
-    def from_support(carrier, items, field=QQ) -> "Functional":
-        return Functional(carrier, support=SparseVector(dict(items)), field=field)
-
-    @staticmethod
     def zero(carrier, field=QQ) -> "Functional":
         return Functional(carrier, support=SparseVector(), field=field)
 
@@ -140,7 +136,7 @@ def convolve(f: Functional, g: Functional, paths) -> Functional:
 def psi_embed(element: CoalgElement, field=QQ) -> Functional:
     """Coordinate embedding of the quiver algebra into the dual: the path p
     goes to the functional picking the coefficient of p."""
-    return Functional(element.quiver, support=SparseVector(dict(element.combo.items())), field=field)
+    return Functional(element.carrier, support=SparseVector(dict(element.combo.items())), field=field)
 
 
 def hit_action(c_star: Functional, f: Functional, side: str, paths) -> Functional:

@@ -190,7 +190,7 @@ class FiniteDualElement:
 def theta_embed(element: CoalgElement, max_len: Optional[int] = None) -> FiniteDualElement:
     """Coordinate functional of a path-coalgebra element, with the monomial
     witness ideal spanned by all paths that are not subpaths of its support."""
-    quiver = element.quiver
+    quiver = element.carrier
     if max_len is None:
         if not is_acyclic(quiver):
             raise ValueError("cyclic quiver: supply max_len for a truncated witness")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coalgebra import CoalgElement, check_morphism
+from .coalgebra import CoalgElement, basis_tables, check_morphism
 from .finite_dual import StructuredAlgebra, dual_coalgebra
 from .linalg import SparseVector, rank
 from .quiver import Quiver, Verdict, enumerate_paths
@@ -47,10 +47,6 @@ class Poset:
         self._hasse: Optional[Quiver] = None
         self._paths_between: Optional[dict] = None
 
-    @staticmethod
-    def from_covers(elements, covers, name: str = "") -> "Poset":
-        return Poset(elements, covers, name=name)
-
     def less_equal(self, x, y) -> bool:
         return (x, y) in self.leq
 
@@ -73,74 +69,23 @@ class Poset:
         out.sort(key=lambda xy: (str(xy[0]), str(xy[1])))
         return out
 
-    def __repr__(self):
-        return f"Poset({self.name or len(self.elements)})"
+    # The carrier contract of ``coalgebra.CoalgElement``: the basis of the
+    # incidence coalgebra is the intervals (x, y) with x <= y, Δ splits an
+    # interval through every point between its ends and the counit is 1 on
+    # the one-point intervals.
+    def owns(self, label) -> bool:
+        return label in self.leq
 
-
-class IncidenceElement:
-    """Sparse combination of intervals e_{x,y} of a fixed poset."""
-
-    __slots__ = ("poset", "combo")
-
-    def __init__(self, poset: Poset, combo: SparseVector):
-        for label in combo.labels():
-            if label not in poset.leq:
-                raise ValueError(f"{label!r} is not an interval of the poset")
-        self.poset = poset
-        self.combo = combo
+    def splits(self, interval):
+        x, y = interval
+        return [((x, z), (z, y)) for z in self.closed_interval(x, y)]
 
     @staticmethod
-    def from_interval(poset: Poset, x, y, field=QQ) -> "IncidenceElement":
-        return IncidenceElement(poset, SparseVector({(x, y): field.one}))
-
-    def __add__(self, other):
-        return IncidenceElement(self.poset, self.combo + other.combo)
-
-    def __sub__(self, other):
-        return IncidenceElement(self.poset, self.combo - other.combo)
-
-    def scale(self, coeff):
-        return IncidenceElement(self.poset, self.combo.scale(coeff))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IncidenceElement)
-            and self.poset is other.poset
-            and self.combo == other.combo
-        )
-
-    def __hash__(self):
-        return hash((id(self.poset), self.combo))
+    def is_grouplike(interval) -> bool:
+        return interval[0] == interval[1]
 
     def __repr__(self):
-        return f"IncidenceElement({self.combo})"
-
-
-def incidence_comultiply(element: IncidenceElement) -> SparseVector:
-    """Δ(e_{x,y}) = sum over x <= z <= y of e_{x,z} ⊗ e_{z,y}, linearly."""
-    poset = element.poset
-    return SparseVector(
-        (((x, z), (z, y)), coeff)
-        for (x, y), coeff in element.combo.items()
-        for z in poset.closed_interval(x, y)
-    )
-
-
-def incidence_tables(poset: Poset, field=QQ):
-    """Basis-level comultiplication and counit tables of the incidence
-    coalgebra, as functions of an interval."""
-    return (
-        lambda iv: incidence_comultiply(IncidenceElement.from_interval(poset, *iv, field)),
-        lambda iv: field.one if iv[0] == iv[1] else field.zero,
-    )
-
-
-def incidence_counit(element: IncidenceElement):
-    total = 0
-    for (x, y), coeff in element.combo.items():
-        if x == y:
-            total = total + coeff
-    return total
+        return f"Poset({self.name or len(self.elements)})"
 
 
 def hasse_quiver(poset: Poset) -> Quiver:
@@ -165,12 +110,12 @@ def _paths_between(poset: Poset) -> dict:
     return poset._paths_between
 
 
-def phi_embed(element: IncidenceElement, field=QQ) -> CoalgElement:
+def phi_embed(element: CoalgElement, field=QQ) -> CoalgElement:
     """The interval e_{x,y} goes to the sum of all Hasse-quiver paths from x
     to y; an injective coalgebra morphism, surjective exactly when paths
     between points are unique."""
-    quiver = hasse_quiver(element.poset)
-    table = _paths_between(element.poset)
+    quiver = hasse_quiver(element.carrier)
+    table = _paths_between(element.carrier)
     return CoalgElement(
         quiver,
         SparseVector(
@@ -181,71 +126,20 @@ def phi_embed(element: IncidenceElement, field=QQ) -> CoalgElement:
     )
 
 
-class FIAElement:
-    """Finite-support interval function: a combination of the E_{x,y}."""
-
-    __slots__ = ("poset", "combo")
-
-    def __init__(self, poset: Poset, combo: SparseVector):
-        for label in combo.labels():
-            if label not in poset.leq:
-                raise ValueError(f"{label!r} is not an interval of the poset")
-        self.poset = poset
-        self.combo = combo
-
-    @staticmethod
-    def unit_functional(poset: Poset, x, y, field=QQ) -> "FIAElement":
-        return FIAElement(poset, SparseVector({(x, y): field.one}))
-
-    @staticmethod
-    def identity(poset: Poset, field=QQ) -> "FIAElement":
-        return FIAElement(poset, SparseVector({(x, x): field.one for x in poset.elements}))
-
-    def value(self, x, y):
-        return self.combo.coeff((x, y))
-
-    def __add__(self, other):
-        return FIAElement(self.poset, self.combo + other.combo)
-
-    def __sub__(self, other):
-        return FIAElement(self.poset, self.combo - other.combo)
-
-    def scale(self, coeff):
-        return FIAElement(self.poset, self.combo.scale(coeff))
-
-    def evaluate(self, element: IncidenceElement):
-        total = 0
-        for label, coeff in element.combo.items():
-            total = total + self.combo.coeff(label) * coeff
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FIAElement)
-            and self.poset is other.poset
-            and self.combo == other.combo
-        )
-
-    def __hash__(self):
-        return hash((id(self.poset), self.combo))
-
-    def __repr__(self):
-        return f"FIAElement({self.combo})"
-
-
-def incidence_convolve(f: FIAElement, g: FIAElement) -> FIAElement:
-    """(fg)(x,y) = sum over x <= z <= y of f(x,z) g(z,y)."""
-    if f.poset is not g.poset:
+def incidence_convolve(f: CoalgElement, g: CoalgElement) -> CoalgElement:
+    """Product of the finite-support incidence algebra, on interval
+    functions: (fg)(x,y) = sum over x <= z <= y of f(x,z) g(z,y)."""
+    if f.carrier is not g.carrier:
         raise ValueError("functions on different posets")
-    poset = f.poset
+    poset = f.carrier
     values = {}
     for (x, y) in poset.intervals():
         total = 0
         for z in poset.closed_interval(x, y):
-            total = total + f.value(x, z) * g.value(z, y)
+            total = total + f.coeff((x, z)) * g.coeff((z, y))
         if total:
             values[(x, y)] = total
-    return FIAElement(poset, SparseVector(values))
+    return CoalgElement(poset, SparseVector(values))
 
 
 def fia_structured_algebra(poset: Poset, field=QQ) -> StructuredAlgebra:
@@ -281,7 +175,7 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
     dual = dual_coalgebra(algebra)
-    delta, eps = incidence_tables(poset, field)
+    delta, eps = basis_tables(poset, field)
     failure = check_morphism(
         poset.intervals(),
         lambda interval: SparseVector.unit(interval, field),
@@ -332,12 +226,12 @@ def incidence_semiperfect_check(target, field=QQ) -> SemiperfectReport:
     poset: Poset = target
     certificates = []
     for (x, y) in poset.intervals():
-        e_xy = FIAElement.unit_functional(poset, x, y, field)
+        e_xy = CoalgElement.unit(poset, (x, y), field)
         below = [u for u in poset.elements if (u, x) in poset.leq]
         for (p, q) in poset.intervals():
-            c_star = FIAElement.unit_functional(poset, p, q, field)
+            c_star = CoalgElement.unit(poset, (p, q), field)
             left = incidence_convolve(c_star, e_xy)
-            right = SparseVector(((u, y), field.one * c_star.value(u, x)) for u in below)
+            right = SparseVector(((u, y), field.one * c_star.coeff((u, x))) for u in below)
             if left.combo != right:
                 raise AssertionError(f"certificate identity fails at {(x, y)} against {(p, q)}")
         certificates.append(SemiperfectCertificate((x, y), below, True))

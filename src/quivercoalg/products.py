@@ -10,7 +10,7 @@ from math import comb
 from itertools import combinations
 from typing import Optional
 
-from .coalgebra import CoalgElement, comultiply
+from .coalgebra import CoalgElement, comultiply, counit
 from .dual import Functional
 from .incidence import Poset, PosetFamily
 from .linalg import SparseVector, rank1_decompose_2x2, rank1_factor_2x2
@@ -548,8 +548,6 @@ def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:
     a = CoalgElement.from_path(quiver.vertex_path("a"), field)
     c = CoalgElement.from_path(quiver.vertex_path("c"), field)
     difference = a - c
-    from .coalgebra import counit
-
     eps = counit(difference)
     if eps:
         return False
@@ -558,4 +556,4 @@ def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:
     pa, pc = quiver.vertex_path("a"), quiver.vertex_path("c")
     one = field.one
     expected = SparseVector([((pa, pa), one), ((pa, pc), -one), ((pa, pc), one), ((pc, pc), -one)])
-    return tensor.combo == expected
+    return tensor == expected

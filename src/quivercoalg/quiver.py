@@ -80,6 +80,20 @@ class Quiver:
             raise ValueError("expected at least one arrow label")
         return Path(self, None, arrows)
 
+    # The carrier contract of ``coalgebra.CoalgElement``: the basis of the
+    # path coalgebra is the quiver's paths, Δ splits a path into its
+    # prefix/suffix pairs and the counit is 1 on the vertices.
+    def owns(self, label) -> bool:
+        return isinstance(label, Path) and label.quiver is self
+
+    @staticmethod
+    def splits(path: "Path"):
+        return path.splits()
+
+    @staticmethod
+    def is_grouplike(path: "Path") -> bool:
+        return not path.arrows
+
     def __repr__(self):
         tag = self.name or f"{len(self.vertices)}v{len(self.arrows)}a"
         return f"Quiver({tag})"
@@ -518,12 +532,6 @@ class QuiverFamily:
 
     def finitely_many_paths_between_vertices(self) -> bool:
         return self.kind in ("line2", "line1")
-
-    def has_finite_path_set(self) -> bool:
-        return False
-
-    def has_oriented_cycle(self) -> bool:
-        return self.kind in ("loop", "cycle")
 
     # Vertex sets of all built-in families are countable, hence nonmeasurable
     # in the sense used for grouplike-coalgebra coreflexivity.

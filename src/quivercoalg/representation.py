@@ -61,14 +61,6 @@ class Representation:
             if any(len(row) != cols for row in m):
                 raise ValueError(f"matrix for {a.label} is ragged: its rows differ in length")
 
-    def path_matrix(self, path: Path):
-        if path.length == 0:
-            return mat_identity(self.dims[path.vertex])
-        m = self.maps[path.arrows[0].label]
-        for a in path.arrows[1:]:
-            m = mat_mul(m, self.maps[a.label])
-        return m
-
     def total_dimension(self) -> int:
         return sum(self.dims.values())
 

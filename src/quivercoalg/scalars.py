@@ -158,8 +158,3 @@ def field_from_spec(spec: str):
             raise FieldError(f"bad prime in field spec {spec!r}") from exc
         return PrimeField(p)
     raise FieldError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<prime>')")
-
-
-def scalar_str(x) -> str:
-    """Render a scalar the way the element-expression syntax expects."""
-    return str(x)

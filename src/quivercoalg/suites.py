@@ -21,21 +21,18 @@ from .algebra import (
 )
 from .coalgebra import (
     CoalgElement,
+    basis_tables,
     check_coalgebra,
     check_morphism,
-    path_counit,
-    path_delta,
     subcoalgebra_closure,
 )
 from .dual import Functional, gamma_membership, is_rational_left, psi_embed, reflexivity_verdict
 from .finite_dual import is_in_theta_image, theta_recovery_check
 from .incidence import (
-    IncidenceElement,
     PosetFamily,
     hasse_quiver,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
-    incidence_tables,
 )
 from .linalg import SparseVector, det2, rank, solve_membership
 from .quiver import (
@@ -94,10 +91,11 @@ def check_coalgebra_axioms(seed: int = 0) -> CheckReport:
     quiver_cases = 0
     for _ in range(100):
         quiver = corpus.random_quiver(rng, 6, 10)
-        delta = cache(path_delta)
+        delta, eps = basis_tables(quiver)
+        delta = cache(delta)
         for _ in range(3):
             element = corpus.random_element(rng, quiver, 5)
-            failure = check_coalgebra(element.combo.labels(), delta, path_counit)
+            failure = check_coalgebra(element.combo.labels(), delta, eps)
             if failure is not None:
                 law = "coassociativity" if failure[0] == "coassociativity" else "counit law"
                 return CheckReport("coalgebra-axioms", False, {"failure": f"{law} on {quiver}"})
@@ -109,7 +107,7 @@ def check_coalgebra_axioms(seed: int = 0) -> CheckReport:
         combo = SparseVector(
             (rng.choice(intervals), corpus.random_scalar(rng)) for _ in range(rng.randint(1, 3))
         )
-        failure = check_coalgebra(combo.labels(), *incidence_tables(poset))
+        failure = check_coalgebra(combo.labels(), *basis_tables(poset))
         if failure is not None:
             law = "coassociativity" if failure[0] == "coassociativity" else "counit law"
             return CheckReport("coalgebra-axioms", False, {"failure": f"incidence {law} on {poset}"})
@@ -275,19 +273,20 @@ def check_unique_path_embedding() -> CheckReport:
         quiver = hasse_quiver(poset)
         enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
         phi = {
-            interval: phi_embed(IncidenceElement.from_interval(poset, *interval)).combo
+            interval: phi_embed(CoalgElement.unit(poset, interval)).combo
             for interval in poset.intervals()
         }
-        delta, eps = incidence_tables(poset)
-        failure = check_morphism(phi, phi.__getitem__, delta, path_delta, eps, path_counit)
+        delta, eps = basis_tables(poset)
+        hasse_delta, hasse_eps = basis_tables(quiver)
+        failure = check_morphism(phi, phi.__getitem__, delta, hasse_delta, eps, hasse_eps)
         if failure is not None:
             if failure[0] == "comultiplication":
                 return CheckReport("unique-path-embedding", False, {"failure": f"not a coalgebra morphism on {poset}"})
             return CheckReport("unique-path-embedding", False, {"failure": f"counit mismatch on {poset}"})
-        images = list(phi.values())
-        if rank(images) != len(poset.intervals()):
+        image_rank = rank(list(phi.values()))
+        if image_rank != len(poset.intervals()):
             return CheckReport("unique-path-embedding", False, {"failure": f"not injective on {poset}"})
-        surjective = rank(images) == len(enum.paths)
+        surjective = image_rank == len(enum.paths)
         unique = check_unique_path_condition(quiver)
         if surjective != unique:
             return CheckReport("unique-path-embedding", False, {"failure": f"surjectivity mismatch on {poset}"})
@@ -347,13 +346,15 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
         tensor = SparseVector(terms)
         support = list(terms)
         embedded = alpha_embed(tensor, product)
+        product_delta, product_eps = basis_tables(product)
+        eps_left, eps_right = basis_tables(left)[1], basis_tables(right)[1]
         failure = check_morphism(
             support,
             cache(lambda pair: alpha_embed(SparseVector({pair: QQ.one}), product).combo),
             lambda pair: tensor_comultiply(SparseVector({pair: QQ.one})),
-            path_delta,
-            lambda pair: path_counit(pair[0]) * path_counit(pair[1]),
-            path_counit,
+            product_delta,
+            lambda pair: eps_left(pair[0]) * eps_right(pair[1]),
+            product_eps,
         )
         if failure is not None:
             return CheckReport("walk-embedding", False, {"failure": f"{failure[0]} does not commute"})

@@ -66,7 +66,7 @@ def test_vertices_form_complete_idempotent_system():
     rng = random.Random(6)
     for _ in range(25):
         q = random_quiver(rng, 5, 6)
-        total = CoalgElement.from_items(q, {q.vertex_path(v): Fraction(1) for v in q.vertices})
+        total = CoalgElement(q, SparseVector({q.vertex_path(v): Fraction(1) for v in q.vertices}))
         a = random_element(rng, q, 4)
         assert multiply(total, a) == a
         assert multiply(a, total) == a
@@ -190,7 +190,7 @@ def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
         product = exact(a, b)
         if (a, b) == target:
             kept = product.combo.sorted_items()[1:]
-            return CoalgElement(product.quiver, SparseVector(kept))
+            return CoalgElement(product.carrier, SparseVector(kept))
         return product
 
     monkeypatch.setattr(algebra, "multiply", drop_one_term)

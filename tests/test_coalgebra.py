@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from quivercoalg.coalgebra import (
     CoalgElement,
+    basis_tables,
     check_coalgebra,
     check_comodule,
     check_morphism,
@@ -10,14 +14,13 @@ from quivercoalg.coalgebra import (
     counit,
     grouplike_coradical,
     hull_span,
-    path_counit,
-    path_delta,
     subcoalgebra_closure,
     wedge,
 )
-from quivercoalg.corpus import named_quiver, random_element, random_quiver
+from quivercoalg.corpus import named_poset, named_quiver, random_element, random_quiver
+from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref, span_intersection, spans_equal
-from quivercoalg.quiver import enumerate_paths
+from quivercoalg.quiver import Quiver, enumerate_paths
 
 
 def unit(path):
@@ -28,7 +31,7 @@ def test_comultiply_vertex_is_grouplike():
     q = named_quiver("single_arrow")
     v = q.vertex_path("a")
     tensor = comultiply(unit(v))
-    assert tensor.combo == SparseVector({(v, v): Fraction(1)})
+    assert tensor == SparseVector({(v, v): Fraction(1)})
 
 
 def test_comultiply_arrow():
@@ -36,7 +39,7 @@ def test_comultiply_arrow():
     x = q.arrow_path("x")
     u, v = q.vertex_path("a"), q.vertex_path("b")
     tensor = comultiply(unit(x))
-    assert tensor.combo == SparseVector({(u, x): Fraction(1), (x, v): Fraction(1)})
+    assert tensor == SparseVector({(u, x): Fraction(1), (x, v): Fraction(1)})
 
 
 def test_comultiply_length_two():
@@ -45,11 +48,11 @@ def test_comultiply_length_two():
     xy = q.path_from_labels(["x", "y"])
     a, c = q.vertex_path("a"), q.vertex_path("c")
     tensor = comultiply(unit(xy))
-    assert tensor.combo == SparseVector(
+    assert tensor == SparseVector(
         {(a, xy): Fraction(1), (x, y): Fraction(1), (xy, c): Fraction(1)}
     )
     # A path of length n yields exactly n + 1 tensor terms.
-    assert len(tensor.combo.entries) == 3
+    assert len(tensor.entries) == 3
 
 
 def test_counit_values():
@@ -61,7 +64,7 @@ def test_counit_values():
 
 
 def delta_of(path):
-    return comultiply(unit(path)).combo
+    return comultiply(unit(path))
 
 
 def counit_of(path):
@@ -81,8 +84,70 @@ def test_coassociativity_and_counit_laws_random():
             check_morphism(c.combo.labels(), SparseVector.unit, delta_of, delta_of, counit_of, counit_of)
             is None
         )
+        delta, eps = basis_tables(q)
         for p in c.combo.labels():
-            assert path_delta(p) == delta_of(p) and path_counit(p) == counit_of(p)
+            assert delta(p) == delta_of(p) and eps(p) == counit_of(p)
+
+
+def test_element_labels_must_belong_to_the_carrier():
+    line = named_quiver("line3")
+    twin = named_quiver("line3")
+    with pytest.raises(ValueError):
+        CoalgElement(line, SparseVector({twin.arrow_path("x"): ONE}))
+    for label in ("x", ("a", "b")):
+        with pytest.raises(ValueError):
+            CoalgElement(line, SparseVector({label: ONE}))
+    chain = named_poset("chain3")
+    for label in (("c1", "c0"), ("c0", "c9"), line.vertex_path("a")):
+        with pytest.raises(ValueError):
+            CoalgElement(chain, SparseVector({label: ONE}))
+    assert CoalgElement(chain, SparseVector({("c0", "c2"): ONE})).coeff(("c0", "c2")) == 1
+
+
+def test_elements_over_different_carriers_are_unequal():
+    first, second = named_poset("chain3"), named_poset("chain3")
+    a = CoalgElement.unit(first, ("c0", "c1"))
+    b = CoalgElement.unit(second, ("c0", "c1"))
+    assert a.combo == b.combo and a != b
+    assert a == CoalgElement.unit(first, ("c0", "c1")) and hash(a) == hash(CoalgElement.unit(first, ("c0", "c1")))
+    assert CoalgElement.zero(named_quiver("loop")) != CoalgElement.zero(named_quiver("loop"))
+    with pytest.raises(ValueError):
+        a + b
+
+
+@st.composite
+def carrier_elements(draw):
+    """A nonzero element over a small quiver (paths up to length 3, loops
+    and parallel arrows allowed) or over a small poset."""
+    n = draw(st.integers(1, 4))
+    names = [f"v{i}" for i in range(n)]
+    if draw(st.booleans()):
+        ends = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=6))
+        carrier = Quiver(names, [(f"a{i}", s, t) for i, (s, t) in enumerate(ends)])
+        basis = enumerate_paths(carrier, 3).paths
+    else:
+        # Relations only go up the index order, so the closure is antisymmetric.
+        pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+        relation = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+        carrier = Poset(names, relation)
+        basis = carrier.intervals()
+    support = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(support), max_size=len(support)))
+    return CoalgElement(carrier, SparseVector(zip(support, map(Fraction, coeffs))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(carrier_elements())
+def test_comultiply_and_counit_extend_the_basis_tables(element):
+    carrier = element.carrier
+    delta, eps = basis_tables(carrier)
+    items = element.combo.items()
+    assert comultiply(element) == SparseVector(
+        (pair, coeff * inner) for label, coeff in items for pair, inner in delta(label).items()
+    )
+    assert counit(element) == sum((coeff * eps(label) for label, coeff in items), 0)
+    assert all(carrier.owns(left) and carrier.owns(right) for left, right in comultiply(element).labels())
+    assert check_coalgebra(element.combo.labels(), delta, eps) is None
 
 
 def table(mapping):

@@ -107,7 +107,7 @@ def test_theta_is_coalgebra_morphism():
         dual = dual_coalgebra(algebra)
         for p in algebra.basis:
             transposed = dual.delta_table[p]
-            direct = comultiply(CoalgElement.from_path(p)).combo
+            direct = comultiply(CoalgElement.from_path(p))
             assert transposed == direct
             eps = dual.counit_table[p]
             assert bool(eps) == (p.length == 0)
