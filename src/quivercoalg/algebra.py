@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coalgebra import CoalgElement, comultiply
-from .linalg import SparseVector, rank, reduce_mod_span, rref, solve_membership
+from .linalg import SparseVector, rank, reducer, rref, solve_membership
 from .quiver import (
     Path,
     Quiver,
@@ -130,8 +130,8 @@ def contains_cofinite_monomial_ideal(
     bound-qualified otherwise.
     """
     enum = enumerate_paths(quiver, max_len)
-    basis = rref(list(ideal_generators))
-    outside = [p for p in enum.paths if not reduce_mod_span(SparseVector.unit(p), basis).is_zero()]
+    reduce = reducer(rref(list(ideal_generators)))
+    outside = [p for p in enum.paths if not reduce(SparseVector.unit(p)).is_zero()]
     complement = subpath_closure(outside)
     if len(complement) <= codim_bound:
         if enum.exhaustive:

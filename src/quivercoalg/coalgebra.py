@@ -12,7 +12,7 @@ from __future__ import annotations
 from .linalg import (
     SparseVector,
     kernel_of_map,
-    reduce_mod_span,
+    reducer,
     rref,
 )
 from .quiver import Path, Quiver, enumerate_paths, is_acyclic
@@ -265,10 +265,10 @@ def wedge(x_basis, y_basis, quiver: Quiver, max_len: int) -> WedgeResult:
     the result is the truncated wedge and is flagged as such.
     """
     enum = enumerate_paths(quiver, max_len)
-    rx = rref([e.combo for e in x_basis])
-    ry = rref([e.combo for e in y_basis])
-    residue_x = {p: reduce_mod_span(SparseVector.unit(p), rx) for p in enum.paths}
-    residue_y = {p: reduce_mod_span(SparseVector.unit(p), ry) for p in enum.paths}
+    reduce_x = reducer(rref([e.combo for e in x_basis]))
+    reduce_y = reducer(rref([e.combo for e in y_basis]))
+    residue_x = {p: reduce_x(SparseVector.unit(p)) for p in enum.paths}
+    residue_y = {p: reduce_y(SparseVector.unit(p)) for p in enum.paths}
 
     def image_of(path: Path) -> SparseVector:
         return SparseVector(

@@ -23,7 +23,7 @@ from .linalg import (
     SparseVector,
     kernel_of_map,
     rank,
-    reduce_mod_span,
+    reducer,
     rref,
 )
 from .quiver import Path, Quiver, QuiverFamily, enumerate_paths, is_acyclic
@@ -90,12 +90,16 @@ class StructuredAlgebra:
             vec = SparseVector({b: one})
             if self.product(unit, vec) != vec or self.product(vec, unit) != vec:
                 raise ValueError("idempotent system is not complete")
+        # (ab)c and a(bc) both vanish unless ab or bc is a stored product, so
+        # only those triples are checked, in the order of a full scan.
+        right_factors = {b: [c for c in self.basis if (b, c) in self.mult] for b in self.basis}
+        units = {b: SparseVector({b: one}) for b in self.basis}
         for a in self.basis:
             for b in self.basis:
                 ab = self.basis_product(a, b)
-                for c in self.basis:
-                    left = self.product(ab, SparseVector({c: one}))
-                    right = self.product(SparseVector({a: one}), self.basis_product(b, c))
+                for c in self.basis if ab.entries else right_factors[b]:
+                    left = self.product(ab, units[c])
+                    right = self.product(units[a], self.basis_product(b, c))
                     if left != right:
                         raise ValueError(f"multiplication not associative at ({a},{b},{c})")
 
@@ -231,6 +235,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
     products with every basis element stay in the current stage.
     """
     one = algebra.field.one
+    units = [SparseVector({b: one}) for b in algebra.basis]
 
     def kernel_of_functional():
         return kernel_of_map(
@@ -241,15 +246,16 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
     current = kernel_of_functional()
     while True:
         stage = list(current)
+        reduce = reducer(stage)
 
         def image_of(idx):
             vec = stage[idx]
             acc = {}
-            for slot, b in enumerate(algebra.basis):
-                left = algebra.product(SparseVector({b: one}), vec)
-                right = algebra.product(vec, SparseVector({b: one}))
+            for slot, unit in enumerate(units):
+                left = algebra.product(unit, vec)
+                right = algebra.product(vec, unit)
                 for tag, product in (("l", left), ("r", right)):
-                    residue = reduce_mod_span(product, stage)
+                    residue = reduce(product)
                     for lab, c in residue.items():
                         acc[(tag, slot, lab)] = c
             return SparseVector(acc)
@@ -523,14 +529,14 @@ def two_sided_ideal_closure(algebra: StructuredAlgebra, seeds) -> list[SparseVec
 
 def tensor_slice_ideals(a: StructuredAlgebra, b: StructuredAlgebra, h_basis) -> tuple:
     """The ideals I = {x : x⊗B ⊆ H} and J = {y : A⊗y ⊆ H} of a tensor ideal."""
-    h_rref = rref(list(h_basis))
+    reduce = reducer(rref(list(h_basis)))
     one = a.field.one
 
     def residual_i(x_label):
         acc = {}
         for j, y in enumerate(b.basis):
             vec = SparseVector({(x_label, y): one})
-            residue = reduce_mod_span(vec, h_rref)
+            residue = reduce(vec)
             for lab, c in residue.items():
                 acc[(j, lab)] = c
         return SparseVector(acc)
@@ -539,7 +545,7 @@ def tensor_slice_ideals(a: StructuredAlgebra, b: StructuredAlgebra, h_basis) -> 
         acc = {}
         for i, x in enumerate(a.basis):
             vec = SparseVector({(x, y_label): one})
-            residue = reduce_mod_span(vec, h_rref)
+            residue = reduce(vec)
             for lab, c in residue.items():
                 acc[(i, lab)] = c
         return SparseVector(acc)

@@ -18,6 +18,12 @@ from .quiver import Quiver, Verdict, enumerate_paths
 from .scalars import QQ
 
 
+def _interval_order(interval):
+    """Intervals in listing order: the one-point ones first, then by name."""
+    x, y = str(interval[0]), str(interval[1])
+    return (x != y, x, y)
+
+
 class Poset:
     """Finite partially ordered set with precomputed closure and intervals."""
 
@@ -52,7 +58,7 @@ class Poset:
 
     def intervals(self) -> list:
         pairs = [(x, y) for x in self.elements for y in self.elements if (x, y) in self.leq]
-        pairs.sort(key=lambda xy: (str(xy[0]) != str(xy[1]), str(xy[0]), str(xy[1])))
+        pairs.sort(key=_interval_order)
         return pairs
 
     def closed_interval(self, x, y) -> list:
@@ -128,18 +134,18 @@ def phi_embed(element: CoalgElement, field=QQ) -> CoalgElement:
 
 def incidence_convolve(f: CoalgElement, g: CoalgElement) -> CoalgElement:
     """Product of the finite-support incidence algebra, on interval
-    functions: (fg)(x,y) = sum over x <= z <= y of f(x,z) g(z,y)."""
+    functions: (fg)(x,y) = sum over x <= z <= y of f(x,z) g(z,y).  Only
+    pairs of support intervals that meet at z contribute."""
     if f.carrier is not g.carrier:
         raise ValueError("functions on different posets")
-    poset = f.carrier
-    values = {}
-    for (x, y) in poset.intervals():
-        total = 0
-        for z in poset.closed_interval(x, y):
-            total = total + f.coeff((x, z)) * g.coeff((z, y))
-        if total:
-            values[(x, y)] = total
-    return CoalgElement(poset, SparseVector(values))
+    g_from = {}  # g's support, indexed by the lower end of the interval
+    for (z, y), c in g.combo.items():
+        g_from.setdefault(z, []).append((y, c))
+    product = SparseVector(
+        ((x, y), a * c) for (x, z), a in f.combo.items() for y, c in g_from.get(z, ())
+    )
+    ordered = sorted(product.items(), key=lambda item: _interval_order(item[0]))
+    return CoalgElement(f.carrier, SparseVector(dict(ordered)))
 
 
 def fia_structured_algebra(poset: Poset, field=QQ) -> StructuredAlgebra:

@@ -168,35 +168,27 @@ def _insert_echelon(row: dict, pivots: dict):
     return lead
 
 
-def _insert_reduced(row: dict, pivots: dict):
-    """Normalize, register, and back-substitute into all existing pivots."""
-    lead = _insert_echelon(row, pivots)
-    if lead is None:
-        return None
-    normalized = pivots[lead]
-    for other_lead, other in pivots.items():
-        if other_lead == lead:
-            continue
-        coeff = other.get(lead)
-        if coeff:
-            _subtract_multiple(other, normalized, coeff)
-    return lead
-
-
 def rref(vectors) -> list[SparseVector]:
     """Canonical reduced basis of the span of the given vectors.
 
     The result depends only on the span, not on the generating set: pivots
-    are chosen along the fixed label order and fully back-substituted.
+    are chosen along the fixed label order.  Rows are reduced to echelon
+    form first and back-substituted once at the end, in decreasing lead
+    order, so each row is cleared only of leads that are already final.
     """
     pivots: dict = {}
     for v in vectors:
         row = _eliminate(dict(v.entries), pivots)
-        _insert_reduced(row, pivots)
+        _insert_echelon(row, pivots)
+    leads = sorted(pivots, key=label_sort_key)
+    for lead in reversed(leads):
+        row = pivots[lead]
+        for label in [label for label in row if label != lead and label in pivots]:
+            _subtract_multiple(row, pivots[label], row[label])
     basis = []
-    for lead in sorted(pivots, key=label_sort_key):
+    for lead in leads:
         vec = SparseVector()
-        vec.entries = dict(pivots[lead])
+        vec.entries = pivots[lead]
         basis.append(vec)
     return basis
 
@@ -209,18 +201,31 @@ def rank(vectors) -> int:
     return len(pivots)
 
 
+def reducer(rref_basis):
+    """Residue map modulo the span of an ``rref`` basis.
+
+    The pivot map (each basis row under its lead) is built once; the
+    returned ``reduce(v)`` gives the canonical residue of v as a fresh
+    SparseVector.  Rows of an ``rref`` basis hold no other row's lead, so
+    clearing the leads present in v, smallest first, leaves none behind.
+    """
+    pivots = {_row_lead(b.entries): b.entries for b in rref_basis if b.entries}
+    order = {lead: i for i, lead in enumerate(sorted(pivots, key=label_sort_key))}
+
+    def reduce(v: SparseVector) -> SparseVector:
+        row = dict(v.entries)
+        for label in sorted((label for label in row if label in pivots), key=order.__getitem__):
+            _subtract_multiple(row, pivots[label], row[label])
+        residue = SparseVector()
+        residue.entries = row
+        return residue
+
+    return reduce
+
+
 def in_span(v: SparseVector, rref_basis) -> bool:
     """Membership test against a precomputed ``rref`` basis."""
-    pivots = {_row_lead(b.entries): b.entries for b in rref_basis if b.entries}
-    return not _eliminate(dict(v.entries), pivots)
-
-
-def reduce_mod_span(v: SparseVector, rref_basis) -> SparseVector:
-    """Canonical residue of v modulo the span of an ``rref`` basis."""
-    pivots = {_row_lead(b.entries): b.entries for b in rref_basis if b.entries}
-    residue = SparseVector()
-    residue.entries = _eliminate(dict(v.entries), pivots)
-    return residue
+    return reducer(rref_basis)(v).is_zero()
 
 
 def solve_membership(v: SparseVector, generators) -> list | None:
@@ -328,21 +333,43 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _sparse_rows(m):
+    return [[(j, y) for j, y in enumerate(row) if y] for row in m]
+
+
+def _row_times(vec, sparse_rows, zero, width):
+    """vec times the matrix whose nonzero entries are ``sparse_rows``."""
+    acc = [zero] * width
+    for x, row in zip(vec, sparse_rows):
+        if x:
+            for j, y in row:
+                acc[j] += x * y
+    return tuple(acc)
+
+
 def mat_mul(a, b):
+    """Dense product that skips zero entries of both factors.
+
+    Entries of the result that no term reaches are the field's zero, taken
+    as ``0 * a[0][0] * b[0][0]``, as a sum over every term would give."""
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    cols = range(len(b[0])) if b else ()
-    return tuple(
-        tuple(sum((ra[k] * b[k][j] for k in range(len(b))), 0) for j in cols) for ra in a
-    )
+    width = len(b[0]) if b else 0
+    if not (a and width):
+        return tuple(() for _ in a)
+    rows = _sparse_rows(b)
+    zero = 0 * a[0][0] * b[0][0]
+    return tuple(_row_times(ra, rows, zero, width) for ra in a)
 
 
 def vec_mat(vec, m):
     """Row vector times matrix (right-action convention)."""
     if len(vec) != len(m):
         raise ValueError("shape mismatch in vec_mat")
-    cols = range(len(m[0])) if m else ()
-    return tuple(sum((vec[k] * m[k][j] for k in range(len(m))), 0) for j in cols)
+    width = len(m[0]) if m else 0
+    if not width:
+        return ()
+    return _row_times(vec, _sparse_rows(m), 0 * vec[0] * m[0][0], width)
 
 
 def mat_eq(a, b) -> bool:
@@ -351,7 +378,9 @@ def mat_eq(a, b) -> bool:
     for ra, rb in zip(a, b):
         if len(ra) != len(rb):
             return False
-        if any(x - y for x, y in zip(ra, rb)):
+        # Rows equal entry by entry have zero differences; only other rows
+        # (or rows of different scalar types) are compared by subtraction.
+        if ra != rb and any(x - y for x, y in zip(ra, rb)):
             return False
     return True
 

@@ -376,16 +376,18 @@ class LeftModule:
             )
         if not mat_eq(total, mat_identity(n, field)):
             raise ValueError("left module is not unital")
+        nonzero = {
+            c: [(i, j, y) for i, row in enumerate(m) for j, y in enumerate(row) if y]
+            for c, m in self.action.items()
+        }
         for a in self.algebra.basis:
             for b in self.algebra.basis:
                 composite = mat_mul(self.action[a], self.action[b])
-                expected = mat_zero(n, n, field)
+                expected = [[field.zero] * n for _ in range(n)]
                 for c, coeff in self.algebra.basis_product(a, b).items():
-                    expected = tuple(
-                        tuple(x + coeff * y for x, y in zip(r1, r2))
-                        for r1, r2 in zip(expected, self.action[c])
-                    )
-                if not mat_eq(composite, expected):
+                    for i, j, y in nonzero[c]:
+                        expected[i][j] += coeff * y
+                if not mat_eq(composite, tuple(map(tuple, expected))):
                     raise ValueError(f"action does not respect the product at ({a},{b})")
 
 

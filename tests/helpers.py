@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own elimination and enumeration
 code: ranks come from a plain dense Gaussian elimination over Fraction
-lists, path sets from a direct recursion over the arrow table.
+lists, path sets from a direct recursion over the arrow table, matrix
+products and incidence convolutions from sums over every index.
 """
 
 from fractions import Fraction
@@ -76,3 +77,30 @@ def brute_force_path_count(quiver, max_len):
 def loop_power_decompositions(n):
     """Number of ways to write the n-th loop power as a product of two."""
     return sum(1 for i in range(n + 1))
+
+
+def dense_mat_mul(a, b, zero):
+    """Textbook product of tuple-of-tuple matrices: every entry is the sum,
+    started at the field's zero, of all its terms."""
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(len(b))), zero) for j in range(cols))
+        for row in a
+    )
+
+
+def dense_convolve(poset, f, g, zero):
+    """(fg)(x, y) = sum of f(x, z) g(z, y) over every x <= z <= y, for
+    interval functions given as dicts; returns the nonzero values."""
+    out = {}
+    for x in poset.elements:
+        for y in poset.elements:
+            if (x, y) not in poset.leq:
+                continue
+            total = zero
+            for z in poset.elements:
+                if (x, z) in poset.leq and (z, y) in poset.leq:
+                    total = total + f.get((x, z), zero) * g.get((z, y), zero)
+            if total:
+                out[(x, y)] = total
+    return out

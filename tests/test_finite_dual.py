@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
@@ -26,7 +27,7 @@ from quivercoalg.finite_dual import (
 )
 from quivercoalg.linalg import SparseVector, in_span, rank, rref
 from quivercoalg.quiver import Quiver, QuiverFamily
-from quivercoalg.scalars import QQ
+from quivercoalg.scalars import QQ, PrimeField
 
 
 def test_structured_algebra_validation_rejects_bad_input():
@@ -41,6 +42,69 @@ def test_structured_algebra_validation_rejects_bad_input():
     }
     with pytest.raises(ValueError):
         StructuredAlgebra(basis, mult, ["e"], QQ)
+
+
+def _first_nonassociative_triple(algebra):
+    """Full scan of every basis triple, in basis order."""
+    one = algebra.field.one
+    for a in algebra.basis:
+        for b in algebra.basis:
+            for c in algebra.basis:
+                left = algebra.product(algebra.basis_product(a, b), SparseVector({c: one}))
+                right = algebra.product(SparseVector({a: one}), algebra.basis_product(b, c))
+                if left != right:
+                    return f"multiplication not associative at ({a},{b},{c})"
+    return None
+
+
+def _unital_table(products, field=QQ):
+    """e is the only idempotent and a two-sided unit; the other products
+    are given as {(p, q): {r: coeff}}."""
+    basis = ["e", "a", "b", "c", "d", "f"]
+    mult = {("e", x): SparseVector({x: field.one}) for x in basis}
+    mult.update({(x, "e"): SparseVector({x: field.one}) for x in basis})
+    for pair, vec in products.items():
+        mult[pair] = SparseVector({label: field.of(c) for label, c in vec.items()})
+    return basis, mult
+
+
+@pytest.mark.parametrize(
+    "products",
+    [
+        # The only non-associative triple is (a,b,c): (ab)c = dc = f, but
+        # bc = 0, so of ab and bc only ab is a stored product.
+        {("a", "b"): {"d": 1}, ("d", "c"): {"f": 1}},
+        # The reverse: a(bc) = ad = f, but ab = 0; only bc is stored.
+        {("b", "c"): {"d": 1}, ("a", "d"): {"f": 1}},
+    ],
+)
+def test_associativity_failure_with_one_zero_side(products):
+    basis, mult = _unital_table(products)
+    unchecked = StructuredAlgebra(basis, mult, ["e"], QQ, validate=False)
+    expected = _first_nonassociative_triple(unchecked)
+    assert expected == "multiplication not associative at (a,b,c)"
+    with pytest.raises(ValueError) as info:
+        StructuredAlgebra(basis, mult, ["e"], QQ)
+    assert str(info.value) == expected
+
+
+@given(
+    st.sampled_from([QQ, PrimeField(5)]),
+    st.dictionaries(
+        st.tuples(st.sampled_from("abcdf"), st.sampled_from("abcdf")),
+        st.dictionaries(st.sampled_from("abcdf"), st.integers(-2, 2), max_size=2),
+        max_size=5,
+    ),
+)
+def test_validation_reports_the_first_failing_triple_of_a_full_scan(field, products):
+    basis, mult = _unital_table(products, field)
+    expected = _first_nonassociative_triple(StructuredAlgebra(basis, mult, ["e"], field, validate=False))
+    if expected is None:
+        StructuredAlgebra(basis, mult, ["e"], field)
+        return
+    with pytest.raises(ValueError) as info:
+        StructuredAlgebra(basis, mult, ["e"], field)
+    assert str(info.value) == expected
 
 
 def test_dual_coalgebra_rejects_unlawful_algebras():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset
 from quivercoalg.incidence import (
@@ -17,6 +18,9 @@ from quivercoalg.incidence import (
 from quivercoalg.coalgebra import CoalgElement, comultiply, counit
 from quivercoalg.linalg import SparseVector, rank
 from quivercoalg.quiver import check_unique_path_condition, enumerate_paths
+from quivercoalg.scalars import QQ, PrimeField
+
+from helpers import dense_convolve
 
 
 def test_poset_construction_validates():
@@ -133,6 +137,30 @@ def test_convolution_is_transpose_of_comultiplication():
             for (iv1, iv2), coeff in comultiply(element).items():
                 total = total + f.combo.coeff(iv1) * g.combo.coeff(iv2) * coeff
             assert not (total - product.combo.coeff(iv))
+
+
+@st.composite
+def posets_with_functions(draw):
+    """A poset on up to five shuffled names, with two interval functions
+    (possibly empty) over QQ or GF(5)."""
+    names = draw(st.permutations(list("abcde")))[: draw(st.integers(1, 5))]
+    n = len(names)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    poset = Poset(names, [(names[i], names[j]) for i, j in pairs if i < j])
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    values = st.dictionaries(st.sampled_from(poset.intervals()), st.integers(-2, 2).map(field.of))
+    f, g = (CoalgElement(poset, SparseVector(draw(values))) for _ in range(2))
+    return field, poset, f, g
+
+
+@given(posets_with_functions())
+def test_convolution_matches_the_dense_oracle(case):
+    field, poset, f, g = case
+    product = incidence_convolve(f, g).combo
+    expected = dense_convolve(poset, f.combo.entries, g.combo.entries, field.zero)
+    assert product.entries == expected
+    assert list(product.labels()) == [iv for iv in poset.intervals() if iv in expected]
+    assert all(type(c) is type(field.zero) for c in product.entries.values())
 
 
 def test_recovery_examples():

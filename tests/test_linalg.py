@@ -4,23 +4,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quivercoalg import linalg
 from quivercoalg.linalg import (
     SparseVector,
     codimension_of_span,
     det2,
+    in_span,
     kernel_of_map,
+    label_sort_key,
+    mat_eq,
+    mat_mul,
     mat_rank,
     rank,
     rank1_decompose_2x2,
     rank1_factor_2x2,
+    reducer,
     rref,
     solve_membership,
     span_intersection,
     spans_equal,
+    vec_mat,
 )
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import dense_rank, sparse_rows_to_dense
+from helpers import dense_mat_mul, dense_rank, sparse_rows_to_dense
+
+FIELDS = st.sampled_from([QQ, PrimeField(5)])
 
 
 def sv(**entries):
@@ -213,3 +222,120 @@ def test_prime_field_mode():
 def test_rank_agrees_with_mat_rank():
     rows = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)), (Fraction(0), Fraction(1)))
     assert mat_rank(rows) == dense_rank([list(r) for r in rows]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Kernels against oracles: sparse dense-matrix products, the reducer, rref.
+# Small entries make zeros common; some cases zero a whole row of the left
+# factor and a whole column of the right one, and dimensions may be 0.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def matrix_pairs(draw):
+    field = draw(FIELDS)
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(-2, 2).map(field.of)
+    a = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    if r and k and draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [field.zero] * k
+    if k and c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in b:
+            row[j] = field.zero
+    return field, tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@given(matrix_pairs())
+def test_mat_mul_and_vec_mat_match_the_dense_oracle(case):
+    field, a, b = case
+    scalar = type(field.zero)
+    product = mat_mul(a, b)
+    assert product == dense_mat_mul(a, b, field.zero)
+    assert all(type(x) is scalar for row in product for x in row)
+    for row in a:
+        image = vec_mat(row, b)
+        assert image == dense_mat_mul((row,), b, field.zero)[0]
+        assert all(type(x) is scalar for x in image)
+
+
+def test_mat_mul_and_vec_mat_reject_shape_mismatch():
+    one = QQ.one
+    with pytest.raises(ValueError, match="shape mismatch 1x1 times 2x1"):
+        mat_mul(((one,),), ((one,), (one,)))
+    with pytest.raises(ValueError, match="shape mismatch in vec_mat"):
+        vec_mat((one,), ((one,), (one,)))
+
+
+def test_mat_eq_compares_values():
+    one, zero = QQ.one, QQ.zero
+    assert mat_eq(((one, zero),), ((one, zero),))
+    assert not mat_eq(((one, zero),), ((one, one),))
+    assert not mat_eq(((one,),), ((one,), (one,)))
+    assert not mat_eq(((one,),), ((one, zero),))
+    # Unequal as objects, equal as field elements: compared by difference.
+    gf5 = PrimeField(5)
+    assert mat_eq(((gf5.one, gf5.zero),), ((1, 0),))
+    assert not mat_eq(((gf5.one,),), ((2,),))
+
+
+LABELS = ["a", "b", "c", "d", ("a", 1), 2]
+
+
+def vector_lists(field, max_size=6):
+    coeff = st.integers(-2, 2).map(field.of)
+    vector = st.dictionaries(st.sampled_from(LABELS), coeff, max_size=4).map(SparseVector)
+    return st.lists(vector, max_size=max_size)
+
+
+def field_and(*parts):
+    """A field, then one draw of each strategy built from it."""
+    return FIELDS.flatmap(lambda field: st.tuples(st.just(field), *(part(field) for part in parts)))
+
+
+def _fresh_pivot_residue(v, basis):
+    """Eliminate v against pivots found afresh from the basis rows."""
+    pivots = {min(b.labels(), key=label_sort_key): b.entries for b in basis if b.entries}
+    return linalg._eliminate(dict(v.entries), pivots)
+
+
+@given(field_and(vector_lists, vector_lists))
+def test_reducer_matches_fresh_pivot_elimination(case):
+    field, generators, vectors = case
+    basis = rref(generators)
+    reduce = reducer(basis)
+    leads = {min(b.labels(), key=label_sort_key) for b in basis}
+    for v in vectors + generators + [SparseVector()]:
+        residue = reduce(v)
+        expected = _fresh_pivot_residue(v, basis)
+        assert list(residue.items()) == list(expected.items())
+        assert not leads & set(residue.labels())
+        assert solve_membership(v - residue, generators) is not None
+        assert in_span(v, basis) == residue.is_zero()
+
+
+def test_reducer_clears_leads_smallest_first():
+    # Clearing lead a appends c, then clearing lead b appends d; the residue
+    # keeps that order, as the elimination with fresh pivots does.
+    basis = rref([sv(a=1, c=1), sv(b=1, d=1)])
+    residue = reducer(basis)(sv(b=1, a=1))
+    assert list(residue.items()) == [("c", -1), ("d", -1)]
+    assert not in_span(sv(b=1, a=1), basis) and in_span(sv(a=2, c=2), basis)
+
+
+@given(field_and(vector_lists), st.randoms(use_true_random=False))
+def test_rref_is_order_independent_and_matches_dense_rank(case, rnd):
+    field, vectors = case
+    basis = rref(vectors)
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == basis
+    leads = [min(b.labels(), key=label_sort_key) for b in basis]
+    assert leads == sorted(leads, key=label_sort_key) and len(set(leads)) == len(leads)
+    for b, lead in zip(basis, leads):
+        assert b.coeff(lead) == field.one
+        assert not (set(leads) - {lead}) & set(b.labels())
+    assert len(basis) == rank(vectors)
+    if field is QQ:
+        assert len(basis) == dense_rank(sparse_rows_to_dense(vectors, LABELS))

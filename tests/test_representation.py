@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quivercoalg.corpus import (
+    named_poset,
     named_quiver,
     random_acyclic_quiver,
     random_left_module,
@@ -11,6 +12,7 @@ from quivercoalg.corpus import (
     random_structured_algebra,
 )
 from quivercoalg.finite_dual import structured_from_quiver
+from quivercoalg.incidence import fia_structured_algebra
 from quivercoalg.linalg import mat_eq, mat_mul
 from quivercoalg.quiver import enumerate_paths
 from quivercoalg.representation import (
@@ -27,6 +29,8 @@ from quivercoalg.representation import (
     rep_from_module,
 )
 from quivercoalg.scalars import QQ
+
+from helpers import dense_mat_mul
 
 
 def one():
@@ -222,3 +226,30 @@ def test_module_validation_rejects_bad_data():
     with pytest.raises(ValueError):
         # Vertex actions that do not sum to the identity.
         ModuleData(q, 1, {"a": ((one(),),), "b": ((one(),),)}, {"x": ((one(),),)})
+
+
+def test_left_module_rejects_an_action_that_breaks_a_product():
+    # Adding the action of (c0,c0) to that of (c0,c1) keeps the module
+    # unital and the products into (c0,c1) intact, but (c0,c1)(c0,c0) = 0
+    # now acts as the nonzero matrix of (c0,c0).
+    algebra = fia_structured_algebra(named_poset("chain2"))
+    action = dict(regular_left_module(algebra).action)
+    arrow, vertex = ("c0", "c1"), ("c0", "c0")
+    action[arrow] = tuple(
+        tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(action[arrow], action[vertex])
+    )
+    n = len(algebra.basis)
+    first_failure = None
+    for a in algebra.basis:
+        for b in algebra.basis:
+            expected = [[QQ.zero] * n for _ in range(n)]
+            for c, coeff in algebra.basis_product(a, b).items():
+                for i in range(n):
+                    for j in range(n):
+                        expected[i][j] += coeff * action[c][i][j]
+            if dense_mat_mul(action[a], action[b], QQ.zero) != tuple(map(tuple, expected)):
+                first_failure = first_failure or f"action does not respect the product at ({a},{b})"
+    assert first_failure == "action does not respect the product at (('c0', 'c1'),('c0', 'c0'))"
+    with pytest.raises(ValueError) as info:
+        LeftModule(algebra, n, action)
+    assert str(info.value) == first_failure
