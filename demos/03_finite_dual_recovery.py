@@ -39,7 +39,7 @@ print("  monomial-ideal verdict for its kernel:", report.witness_verdict.status)
 print("\nthe cofinite ideal of winding differences on a 2-cycle:")
 cycle2 = QuiverFamily("cycle", 2).truncate(0)
 ce = build_cycle_counterexample(cycle2, 8)
-print(f"  product identities verified: {ce.identities_checked}")
+print(f"  generator identities verified: {ce.identities_checked}")
 print(f"  observed codimension at the window: {ce.codimension}")
 verdict = contains_cofinite_monomial_ideal(ce.ideal_generators(), cycle2, 8, 10)
 print(f"  contains a cofinite monomial ideal? {verdict.status}")
@@ -47,5 +47,5 @@ print(f"  contains a cofinite monomial ideal? {verdict.status}")
 print("\ninfinitely many parallel arrows defeat recovery the same way:")
 ma = build_multiarrow_counterexample(QuiverFamily("multiarrow"), 5)
 print(f"  difference span has codimension {ma.codimension} in the stage span;")
-print(f"  {ma.identities_checked} product identities verified; no single arrow")
+print(f"  {ma.identities_checked} generator identities verified; no single arrow")
 print("  lies in the span of the differences.")

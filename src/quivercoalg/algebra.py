@@ -183,75 +183,142 @@ def winding_paths(quiver: Quiver, cycle_arrows, max_len: int) -> dict:
     return table
 
 
+def check_ideal(vectors, generators, product, contains):
+    """Closure of the span of ``vectors`` under multiplication by the
+    ``generators`` on both sides.
+
+    A subspace is a two-sided ideal exactly when it is closed under left
+    and right multiplication by a generating set of the algebra, so for
+    each spanning vector v and generator g only gv and vg are tested with
+    ``contains``.  ``product(x, y)`` returns None for a pair outside a
+    truncation window, which is skipped.  Returns ``None`` or the first
+    failing ``(side, generator, vector)``.
+    """
+    for v in vectors:
+        for g in generators:
+            left = product(g, v)
+            if left is not None and not contains(left):
+                return ("left", g, v)
+            right = product(v, g)
+            if right is not None and not contains(right):
+                return ("right", g, v)
+    return None
+
+
+class _SpanMembership:
+    """Membership in span(spanning) + span(monomial paths), counting calls.
+
+    Zero, a spanning vector itself and a combination of monomial paths are
+    answered at once; any other element is reduced against the canonical
+    basis of the whole span, built on first use.  Spanning vectors are
+    looked up by their label set, since paths hash once and scalars do not.
+    """
+
+    def __init__(self, spanning, monomial=()):
+        self.spanning = list(spanning)
+        self.monomial = list(monomial)
+        self._by_labels = {frozenset(e.combo.labels()): e.combo for e in self.spanning}
+        self._monomial_set = set(self.monomial)
+        self._reduce = None
+        self.calls = 0
+
+    def __call__(self, element: CoalgElement) -> bool:
+        self.calls += 1
+        labels = element.combo.labels()
+        monomial = self._monomial_set
+        if all(p in monomial for p in labels) or self._by_labels.get(frozenset(labels)) == element.combo:
+            return True
+        if self._reduce is None:
+            basis = [e.combo for e in self.spanning] + [SparseVector.unit(p) for p in self.monomial]
+            self._reduce = reducer(rref(basis))
+        return self._reduce(element.combo).is_zero()
+
+
+def _generator_elements(quiver: Quiver, field) -> list[CoalgElement]:
+    """The vertex and arrow paths, which generate the path algebra."""
+    return [CoalgElement.from_path(quiver.vertex_path(v), field) for v in quiver.vertices] + [
+        CoalgElement.from_path(Path(quiver, None, (a,)), field) for a in quiver.arrows
+    ]
+
+
+def _raise_on_failure(failure, what: str) -> None:
+    if failure is not None:
+        side, generator, vector = failure
+        raise AssertionError(f"{side} product by generator {generator} takes {vector} out of the {what}")
+
+
 def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> CounterexampleIdeal:
     """Cofinite ideal supported on a simple cycle with no cofinite monomial
     subideal.
 
     With q[n,k] the winding path of length k from cycle vertex n, the ideal
     is spanned by the differences q[n,ks+i] - q[n,i] (k >= 1) together with
-    every path that leaves the cycle.  The four product identities that make
-    this span an ideal are verified on every index combination that stays
-    inside the truncation window.
+    every path that leaves the cycle.  It is certified an ideal inside the
+    window by closure under the generators of the path algebra: each
+    difference times each vertex and each arrow, on both sides, lies in the
+    span, and the monomial part stays off the winding paths under arrow
+    products.  A product longer than the window is skipped; every factor of
+    an in-window product of paths is in the window, so this proves every
+    product identity that stays inside it.  The window must be at least the
+    cycle length, or there are no differences.
     """
     cycle = find_simple_cycle(quiver)
     if cycle is None:
         raise ValueError("quiver has no oriented cycle")
     s = len(cycle)
+    if max_len < s:
+        raise ValueError(f"window {max_len} is shorter than the cycle of length {s}")
     q = winding_paths(quiver, cycle, max_len)
     x_set = set(q.values())
 
-    differences = {}
+    differences = []
+    # Longest path of each difference and generator, keyed by id: they live
+    # through the whole call, and hashing an element hashes its terms.
+    degree = {}
     for n in range(s):
         for i in range(0, max_len + 1):
             for k in range(1, max_len + 1):
                 if k * s + i > max_len:
                     break
-                differences[(n, k, i)] = (
-                    CoalgElement.from_path(q[(n, k * s + i)], field)
-                    - CoalgElement.from_path(q[(n, i)], field)
+                difference = CoalgElement.from_path(q[(n, k * s + i)], field) - CoalgElement.from_path(
+                    q[(n, i)], field
                 )
-
-    checked = 0
-    # (q[n,ks+i] - q[n,i]) * q[n+i,j] = q[n,ks+i+j] - q[n,i+j]; zero for other
-    # starting vertices.  Mirrored on the left with the matching endpoint rule.
-    # Both expected sides are entries of the differences table, since
-    # ks + i + j <= max_len.
-    winding = {key: CoalgElement.from_path(path, field) for key, path in q.items()}
-    zero = CoalgElement.zero(quiver)
-    for (n, k, i), element in differences.items():
-        for m in range(s):
-            for j in range(0, max_len + 1 - k * s - i):
-                right = winding[(m, j)]
-                product = multiply(element, right)
-                expected = differences[(n, k, i + j)] if m % s == (n + i) % s else zero
-                if product != expected:
-                    raise AssertionError(
-                        f"right product identity fails at n={n},k={k},i={i},m={m},j={j}"
-                    )
-                checked += 1
-                left_product = multiply(right, element)
-                expected_left = differences[(m, k, i + j)] if (m + j) % s == n % s else zero
-                if left_product != expected_left:
-                    raise AssertionError(
-                        f"left product identity fails at n={n},k={k},i={i},m={m},j={j}"
-                    )
-                checked += 1
+                differences.append(difference)
+                degree[id(difference)] = k * s + i
 
     enum = enumerate_paths(quiver, max_len)
     monomial_part = [p for p in enum.paths if p not in x_set]
-    generators = [e.combo for e in differences.values()] + [
-        SparseVector.unit(p) for p in monomial_part
-    ]
-    codim = len(enum.paths) - rank(generators)
+
+    def windowed_multiply(x, y):
+        if degree[id(x)] + degree[id(y)] > max_len:
+            return None
+        return multiply(x, y)
+
+    def windowed_compose(p, r):
+        return compose_paths(p, r) if p.length + r.length <= max_len else None
+
+    membership = _SpanMembership(differences, monomial_part)
+    generators = _generator_elements(quiver, field)
+    degree.update((id(g), max(p.length for p in g.combo.labels())) for g in generators)
+    _raise_on_failure(check_ideal(differences, generators, windowed_multiply, membership), "ideal")
+    # Label-level: a path off the winding paths stays off them under arrow
+    # products (None from ``compose_paths`` is a zero product).
+    arrows = [Path(quiver, None, (a,)) for a in quiver.arrows]
+    _raise_on_failure(
+        check_ideal(monomial_part, arrows, windowed_compose, lambda p: p not in x_set), "monomial part"
+    )
+
+    spanning = [e.combo for e in differences] + [SparseVector.unit(p) for p in monomial_part]
+    codim = len(enum.paths) - rank(spanning)
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
         max_len=max_len,
-        difference_generators=list(differences.values()),
+        difference_generators=differences,
         monomial_part=monomial_part,
         closed_path_set=sorted(x_set, key=lambda p: p.sort_key),
         codimension=codim,
-        identities_checked=checked,
+        identities_checked=membership.calls,
         details={"cycle_length": s, "cycle": [a.label for a in cycle]},
     )
 
@@ -262,7 +329,8 @@ def build_multiarrow_counterexample(
     """The parallel-arrow analogue: the span of the differences x_n - x_0.
 
     At stage N the ambient span is {a, b, x_0..x_N}; the difference span is
-    an ideal of codimension three there, and no single arrow belongs to it.
+    an ideal of codimension three there (closed under the vertices and
+    arrows on both sides), and no single arrow belongs to it.
     """
     if family.kind != "multiarrow":
         raise ValueError("expected the multiarrow family")
@@ -271,20 +339,9 @@ def build_multiarrow_counterexample(
     x0 = CoalgElement.from_path(arrows[0], field)
     differences = [CoalgElement.from_path(p, field) - x0 for p in arrows[1:]]
 
-    a = CoalgElement.from_path(quiver.vertex_path("a"), field)
-    b = CoalgElement.from_path(quiver.vertex_path("b"), field)
-    checked = 0
-    for d in differences:
-        if multiply(a, d) != d or multiply(d, b) != d:
-            raise AssertionError("vertex action on a difference is wrong")
-        if not multiply(d, a).is_zero() or not multiply(b, d).is_zero():
-            raise AssertionError("difference should vanish on the wrong side")
-        for p in arrows:
-            e = CoalgElement.from_path(p, field)
-            if not multiply(d, e).is_zero() or not multiply(e, d).is_zero():
-                raise AssertionError("arrow products should vanish")
-            checked += 2
-        checked += 4
+    membership = _SpanMembership(differences)
+    failure = check_ideal(differences, _generator_elements(quiver, field), multiply, membership)
+    _raise_on_failure(failure, "ideal")
 
     gens = [d.combo for d in differences]
     for p in arrows:
@@ -300,7 +357,7 @@ def build_multiarrow_counterexample(
         monomial_part=[],
         closed_path_set=[quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows,
         codimension=codim,
-        identities_checked=checked,
+        identities_checked=membership.calls,
         details={"stage": truncation},
     )
 

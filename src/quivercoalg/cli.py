@@ -7,6 +7,7 @@ negative/unknown), 2 on input errors with line diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -432,57 +433,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="enumerate paths")
     p.add_argument("input")
-    p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("delta", help="comultiply an element")
     p.add_argument("input")
     p.add_argument("element")
-    p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("mul", help="multiply two elements in the quiver algebra")
     p.add_argument("input")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("conv", help="convolve two functionals on the window")
     p.add_argument("input")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("product", help="product of two quivers")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("alpha", help="shuffle-embed a tensor of two elements")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("left_element")
     p.add_argument("right_element")
-    p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("phi", help="embed a poset interval into the Hasse path coalgebra")
     p.add_argument("input")
     p.add_argument("lower")
     p.add_argument("upper")
-    p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("factor-perp", help="saturate and factor a perp functional")
     p.add_argument("input")
     p.add_argument("element")
-    p.set_defaults(func=cmd_factor_perp)
 
     p = sub.add_parser("rep-locnilp", help="local nilpotence of a representation")
     p.add_argument("quiver")
     p.add_argument("rep")
-    p.set_defaults(func=cmd_rep_locnilp)
 
     p = sub.add_parser("counterexample", help="cofinite ideals without monomial subideals")
     p.add_argument("kind", choices=("cycle", "multiarrow"))
     p.add_argument("input", nargs="?", help="quiver input (cycle kind only)")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("check", help="run a named criterion on one input")
     p.add_argument(
@@ -501,25 +492,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("second", nargs="?", help="second input for tensor-product coreflexivity")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("suite", help="run a named verification suite")
     p.add_argument("name")
-    p.set_defaults(func=cmd_suite)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    for flag, value in (("--max-len", args.max_len), ("--codim-bound", args.codim_bound)):
+        if value < 0:
+            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return 2
     try:
         field = field_from_spec(args.field)
     except FieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Looked up at call time, so wrappers installed after import are used.
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        report, status = args.func(args, field)
+        report, status = command(args, field)
     except (InputFailure, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,14 +90,20 @@ class StructuredAlgebra:
             vec = SparseVector({b: one})
             if self.product(unit, vec) != vec or self.product(vec, unit) != vec:
                 raise ValueError("idempotent system is not complete")
-        # (ab)c and a(bc) both vanish unless ab or bc is a stored product, so
-        # only those triples are checked, in the order of a full scan.
+        # a(bc) vanishes unless bc is a stored product, and (ab)c unless lc is
+        # for some label l of ab; only those triples are checked, in the order
+        # of a full scan.
         right_factors = {b: [c for c in self.basis if (b, c) in self.mult] for b in self.basis}
+        position = {b: i for i, b in enumerate(self.basis)}
         units = {b: SparseVector({b: one}) for b in self.basis}
         for a in self.basis:
             for b in self.basis:
                 ab = self.basis_product(a, b)
-                for c in self.basis if ab.entries else right_factors[b]:
+                factors = right_factors[b]
+                if ab.entries:
+                    factors = set(factors).union(*(right_factors[label] for label in ab.labels()))
+                    factors = sorted(factors, key=position.__getitem__)
+                for c in factors:
                     left = self.product(ab, units[c])
                     right = self.product(units[a], self.basis_product(b, c))
                     if left != right:

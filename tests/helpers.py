@@ -3,10 +3,16 @@
 These deliberately avoid the library's own elimination and enumeration
 code: ranks come from a plain dense Gaussian elimination over Fraction
 lists, path sets from a direct recursion over the arrow table, matrix
-products and incidence convolutions from sums over every index.
+products and incidence convolutions from sums over every index, and the
+cycle counterexample's ideal property from every product of a difference
+with every winding path.
 """
 
 from fractions import Fraction
+
+from quivercoalg import algebra
+from quivercoalg.coalgebra import CoalgElement
+from quivercoalg.quiver import find_simple_cycle
 
 
 def dense_rank(rows):
@@ -104,3 +110,42 @@ def dense_convolve(poset, f, g, zero):
             if total:
                 out[(x, y)] = total
     return out
+
+
+def cycle_identity_oracle(quiver, window):
+    """The cubic identity check of the cycle counterexample, by brute force.
+
+    With q[n,k] the winding path of length k from cycle vertex n and the
+    differences d(n,k,i) = q[n,ks+i] - q[n,i], every product with every
+    winding path inside the window must follow the closed forms
+    d(n,k,i) q[m,j] = d(n,k,i+j) when m = n+i (mod s), else 0, and
+    q[m,j] d(n,k,i) = d(m,k,i+j) when m+j = n (mod s), else 0.
+    Products go through ``algebra.multiply`` at call time, so a patched
+    product is seen.  Returns the number of identities; raises
+    AssertionError at the first that fails.
+    """
+    cycle = find_simple_cycle(quiver)
+    s = len(cycle)
+    q = algebra.winding_paths(quiver, cycle, window)
+    winding = {key: CoalgElement.from_path(path) for key, path in q.items()}
+    differences = {
+        (n, k, i): winding[(n, k * s + i)] - winding[(n, i)]
+        for n in range(s)
+        for k in range(1, window + 1)
+        for i in range(window + 1)
+        if k * s + i <= window
+    }
+    zero = CoalgElement.zero(quiver)
+    checked = 0
+    for (n, k, i), element in differences.items():
+        for m in range(s):
+            for j in range(window + 1 - k * s - i):
+                right = winding[(m, j)]
+                expected = differences[(n, k, i + j)] if m % s == (n + i) % s else zero
+                if algebra.multiply(element, right) != expected:
+                    raise AssertionError(f"right identity fails at n={n},k={k},i={i},m={m},j={j}")
+                expected = differences[(m, k, i + j)] if (m + j) % s == n % s else zero
+                if algebra.multiply(right, element) != expected:
+                    raise AssertionError(f"left identity fails at n={n},k={k},i={i},m={m},j={j}")
+                checked += 2
+    return checked

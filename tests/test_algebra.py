@@ -1,12 +1,15 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercoalg.algebra import (
     bialgebra_check,
     build_cycle_counterexample,
     build_multiarrow_counterexample,
+    check_ideal,
     contains_cofinite_monomial_ideal,
     is_subpath_closed,
     local_unit,
@@ -16,12 +19,13 @@ from quivercoalg.algebra import (
     winding_paths,
 )
 from quivercoalg import algebra
+from quivercoalg import quiver as quiver_module
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
 from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, find_simple_cycle
 
-from helpers import dense_rank, sparse_rows_to_dense
+from helpers import cycle_identity_oracle, dense_rank, sparse_rows_to_dense
 
 
 def unit(path):
@@ -149,27 +153,25 @@ def test_cycle_counterexample_codimension_matches_dense_oracle():
 
 def test_cycle_counterexample_identities_on_cycle3():
     quiver = QuiverFamily("cycle", 3).truncate(0)
-    ce = build_cycle_counterexample(quiver, 9)  # raises if any identity fails
-    assert ce.identities_checked == 702 == _identity_count(3, 9)
+    ce = build_cycle_counterexample(quiver, 9)  # raises if the ideal check fails
+    assert ce.identities_checked == 378 == _identity_count(3, 9)
     assert ce.details["cycle_length"] == 3
 
 
 def _identity_count(s, window):
-    """2·s·Σ (window + 1 - ks - i) over cycle vertices n and ks + i <= window."""
-    return 2 * s * sum(
-        window + 1 - k * s - i
-        for n in range(s)
-        for k in range(1, window + 1)
-        for i in range(window + 1)
-        if k * s + i <= window
-    )
+    """Generator products checked on the s-cycle: each of the D differences
+    meets the s vertices and the s arrows on both sides, except that arrow
+    products of the s·⌊window/s⌋ differences of length window leave the
+    window, so 2s·(2D - s⌊window/s⌋) with D = s·Σ_i ⌊(window - i)/s⌋."""
+    differences = s * sum((window - i) // s for i in range(window + 1))
+    return 2 * s * (2 * differences - s * (window // s))
 
 
 @pytest.mark.parametrize(
     "quiver, window, count",
     [
-        (named_quiver("loop"), 6, 112),
-        (QuiverFamily("cycle", 3).truncate(0), 36, 46548),
+        (named_quiver("loop"), 6, 72),
+        (QuiverFamily("cycle", 3).truncate(0), 36, 7344),
     ],
 )
 def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
@@ -194,8 +196,169 @@ def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
         return product
 
     monkeypatch.setattr(algebra, "multiply", drop_one_term)
-    with pytest.raises(AssertionError, match=f"{side} product identity fails at n=0,k=1,i=0,m=0,j=0"):
+    message = f"{side} product by generator [v0] takes -1*[v0] + [x0.x1.x2] out of the ideal"
+    with pytest.raises(AssertionError, match=re.escape(message)):
         build_cycle_counterexample(quiver, 9)
+
+
+def _leave_the_ideal(monkeypatch, side, generator, stray):
+    """Patch ``multiply`` so that every product with ``generator`` on the
+    given side gains the path ``stray``."""
+    exact = algebra.multiply
+
+    def wrong(a, b):
+        product = exact(a, b)
+        if (a if side == "left" else b) == generator:
+            return product + unit(stray)
+        return product
+
+    monkeypatch.setattr(algebra, "multiply", wrong)
+
+
+def _generators(quiver):
+    return [unit(quiver.vertex_path(v)) for v in quiver.vertices] + [
+        unit(quiver.arrow_path(a.label)) for a in quiver.arrows
+    ]
+
+
+_TAIL = named_quiver("loop_with_tail")
+_CYCLE3 = QuiverFamily("cycle", 3).truncate(0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "quiver, generator",
+    [pytest.param(q, g, id=f"{name}-{g}") for name, q in (("tail", _TAIL), ("cycle3", _CYCLE3)) for g in _generators(q)],
+)
+def test_cycle_counterexample_checks_every_generator(monkeypatch, quiver, generator, side):
+    # A winding vertex is never in the ideal (its winding coefficients do
+    # not sum to zero), so a product that gains one leaves the ideal; the
+    # check must test this generator on this side to notice.
+    stray = find_simple_cycle(quiver)[0].source
+    _leave_the_ideal(monkeypatch, side, generator, quiver.vertex_path(stray))
+    with pytest.raises(AssertionError, match=re.escape(f"{side} product by generator {generator} takes")):
+        build_cycle_counterexample(quiver, 4)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("label", ["a", "b", "x0", "x2"])
+def test_multiarrow_counterexample_checks_every_generator(monkeypatch, label, side):
+    quiver = QuiverFamily("multiarrow").truncate(2)
+    generator = next(g for g in _generators(quiver) if str(g) == f"[{label}]")
+    _leave_the_ideal(monkeypatch, side, generator, quiver.arrow_path("x0"))
+    with pytest.raises(AssertionError, match=re.escape(f"{side} product by generator [{label}] takes")):
+        build_multiarrow_counterexample(QuiverFamily("multiarrow"), 2)
+
+
+def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
+    # Bare path composition is corrupted at e_w · x only; element products
+    # keep the exact concatenation, so only the label-level closure check of
+    # the monomial part (which starts with the vertex w) can notice.
+    quiver = named_quiver("loop_with_tail")
+    loop, w = quiver.arrow_path("x"), quiver.vertex_path("w")
+    exact = quiver_module.compose_paths
+
+    def exact_multiply(a, b):
+        terms = ((pq, ca * cb) for p, ca in a.combo.items() for r, cb in b.combo.items() if (pq := exact(p, r)))
+        return CoalgElement(a.carrier, SparseVector(terms))
+
+    monkeypatch.setattr(algebra, "multiply", exact_multiply)
+    monkeypatch.setattr(algebra, "compose_paths", lambda p, r: loop if (p, r) == (w, loop) else exact(p, r))
+    with pytest.raises(AssertionError, match=re.escape("right product by generator x takes w out of the monomial part")):
+        build_cycle_counterexample(quiver, 4)
+
+
+def test_check_ideal_finds_one_sided_ideals():
+    # In the path algebra of a -x-> b -y-> c, span{x} is a left ideal that
+    # x·y leaves, and span{y} a right ideal that x·y leaves; span{x, x.y} is
+    # two-sided.
+    q = named_quiver("line3")
+    x, y, xy = unit(q.arrow_path("x")), unit(q.arrow_path("y")), unit(q.path_from_labels(["x", "y"]))
+    generators = _generators(q)
+
+    def within(*spanning):
+        span = {v.combo for v in spanning}
+        return lambda e: e.is_zero() or solve_membership(e.combo, list(span)) is not None
+
+    assert check_ideal([x], generators, multiply, within(x)) == ("right", y, x)
+    assert check_ideal([y], generators, multiply, within(y)) == ("left", x, y)
+    assert check_ideal([x, xy], generators, multiply, within(x, xy)) is None
+    # Without y among the generators, span{x} would pass: the generating
+    # set has to be complete.
+    assert check_ideal([x], [g for g in generators if g != y], multiply, within(x)) is None
+
+
+def test_check_ideal_skips_products_outside_the_window():
+    q = named_quiver("line3")
+    x, y = unit(q.arrow_path("x")), unit(q.arrow_path("y"))
+    calls = []
+
+    def product(a, b):
+        calls.append((a, b))
+        return None
+
+    assert check_ideal([x], [y], product, lambda e: False) is None
+    assert calls == [(y, x), (x, y)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(["cycle:1", "cycle:2", "cycle:3", "cycle:4", "loop_with_tail"]),
+    data=st.data(),
+)
+def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
+    if shape == "loop_with_tail":
+        quiver = named_quiver("loop_with_tail")
+    else:
+        quiver = QuiverFamily("cycle", int(shape.split(":")[1])).truncate(0)
+    cycle = find_simple_cycle(quiver)
+    s = len(cycle)
+    window = data.draw(st.integers(s, 4 * s), label="window")
+    # Optionally corrupt the products of one difference with one cycle
+    # vertex or cycle arrow on one side: both checks must then fail, or
+    # both pass when the product leaves the window.
+    q = winding_paths(quiver, cycle, window)
+    differences = [
+        unit(q[(n, k * s + i)]) - unit(q[(n, i)])
+        for n in range(s)
+        for k in range(1, window + 1)
+        for i in range(window + 1)
+        if k * s + i <= window
+    ]
+    cycle_generators = [unit(q[(n, j)]) for n in range(s) for j in (0, 1)]
+    corrupt = data.draw(st.booleans(), label="corrupt")
+    with pytest.MonkeyPatch.context() as mp:
+        if corrupt:
+            difference = data.draw(st.sampled_from(differences), label="difference")
+            generator = data.draw(st.sampled_from(cycle_generators), label="generator")
+            side = data.draw(st.sampled_from(["left", "right"]), label="side")
+            target = (generator, difference) if side == "left" else (difference, generator)
+            exact = algebra.multiply
+
+            def wrong(a, b):
+                product = exact(a, b)
+                return product + unit(q[(0, 0)]) if (a, b) == target else product
+
+            mp.setattr(algebra, "multiply", wrong)
+        outcomes = []
+        for run in (lambda: cycle_identity_oracle(quiver, window), lambda: build_cycle_counterexample(quiver, window)):
+            try:
+                run()
+                outcomes.append(True)
+            except AssertionError:
+                outcomes.append(False)
+    assert outcomes[0] == outcomes[1]
+    if not corrupt:
+        assert outcomes == [True, True]
+
+
+def test_cycle_counterexample_window_must_reach_the_cycle():
+    quiver = QuiverFamily("cycle", 3).truncate(0)
+    for window in (0, 2):
+        with pytest.raises(ValueError, match="shorter than the cycle"):
+            build_cycle_counterexample(quiver, window)
+    ce = build_cycle_counterexample(quiver, 3)
+    assert len(ce.difference_generators) == 3 and ce.identities_checked == _identity_count(3, 3)
 
 
 def test_cycle_counterexample_needs_a_cycle():

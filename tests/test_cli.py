@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import quivercoalg
+from quivercoalg import cli
 from quivercoalg.cli import main
 
 LINE = """quiver
@@ -220,3 +221,52 @@ def test_suite_output_does_not_depend_on_the_hash_seed(suite):
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["counterexample", "cycle", "family:cycle:3", "--max-len", "-1"], "--max-len"),
+        (["counterexample", "multiarrow", "--max-len", "-2"], "--max-len"),
+        (["paths", "family:loop", "--max-len", "-1"], "--max-len"),
+        (["check", "thm33", "family:cycle:3", "--codim-bound", "-1"], "--codim-bound"),
+    ],
+)
+def test_negative_flags_exit_2(argv, flag, capsys):
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be nonnegative")
+
+
+def test_counterexample_window_shorter_than_the_cycle(capsys):
+    status, out, err = run(capsys, "counterexample", "cycle", "family:cycle:3", "--max-len", "2")
+    assert status == 2 and out == ""
+    assert err == "error: window 2 is shorter than the cycle of length 3\n"
+    status, out, _ = run(capsys, "counterexample", "cycle", "family:cycle:3", "--max-len", "3", "--json")
+    assert status == 0 and json.loads(out)["difference_generators"] == 3
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    seen = []
+    exact = cli.cmd_paths
+
+    def wrapped(args, field):
+        seen.append(args.input)
+        return exact(args, field)
+
+    monkeypatch.setattr(cli, "cmd_paths", wrapped)
+    status, out, _ = run(capsys, "paths", "family:loop", "--max-len", "2")
+    assert status == 0 and seen == ["family:loop"] and "count: 3" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(quivercoalg.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "quivercoalg", "paths", "family:loop", "--max-len", "2", "--json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        check=False,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["count"] == 3
