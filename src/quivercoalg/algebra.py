@@ -91,10 +91,14 @@ def monomial_closure(generators, quiver: Quiver, max_len: int) -> MonomialIdeal:
 
 
 def subpath_closure(paths) -> list[Path]:
-    """Close a path set under taking contiguous subpaths; sorted output."""
+    """Close a path set under taking contiguous subpaths; sorted output.
+
+    Paths are expanded longest first, and a path already in the closure is
+    skipped: its subpaths are there too."""
     out = set()
-    for p in paths:
-        out.update(p.subpaths())
+    for p in sorted(paths, key=lambda p: p.length, reverse=True):
+        if p not in out:
+            out.update(p.subpaths())
     return sorted(out, key=lambda p: p.sort_key)
 
 

@@ -247,6 +247,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
         return kernel_of_map(
             list(algebra.basis),
             lambda b: SparseVector({"val": functional.coeff(b)}),
+            algebra.field,
         )
 
     current = kernel_of_functional()
@@ -266,7 +267,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
                         acc[(tag, slot, lab)] = c
             return SparseVector(acc)
 
-        combos = kernel_of_map(range(len(stage)), image_of)
+        combos = kernel_of_map(range(len(stage)), image_of, algebra.field)
         refined = rref(
             [
                 SparseVector(
@@ -556,6 +557,6 @@ def tensor_slice_ideals(a: StructuredAlgebra, b: StructuredAlgebra, h_basis) -> 
                 acc[(i, lab)] = c
         return SparseVector(acc)
 
-    ideal_i = kernel_of_map(list(a.basis), residual_i)
-    ideal_j = kernel_of_map(list(b.basis), residual_j)
+    ideal_i = kernel_of_map(list(a.basis), residual_i, a.field)
+    ideal_j = kernel_of_map(list(b.basis), residual_j, b.field)
     return ideal_i, ideal_j

@@ -3,12 +3,18 @@
 Vectors are sparse maps from hashable basis labels to nonzero scalars.
 All elimination routines pivot along a fixed total order on labels
 (``label_sort_key``), so every output basis is canonical: two generating
-sets spanning the same subspace reduce to the identical basis.
+sets spanning the same subspace reduce to the identical basis.  Results
+hold the field's scalars: ``Fraction`` over the rationals (ints are read as
+rationals), ``ModP`` over GF(p).
 """
 
 from __future__ import annotations
 
-from .scalars import QQ
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+
+from .scalars import QQ, FieldError, ModP
 
 
 def label_sort_key(label):
@@ -117,13 +123,142 @@ class SparseVector:
 
 
 # ---------------------------------------------------------------------------
-# Elimination core.  Rows are plain dicts.  Marker labels of the form
-# ("#coeff", key) carry bookkeeping coefficients; they are never pivots.
+# Elimination kernel.  Each call ranks its labels once, in label_sort_key
+# order, and works on rows {rank: int}: over QQ primitive integer vectors
+# combined fraction-free, over GF(p) residues mod p made monic at their lead.
+# Columns ranked at or after ``main`` carry bookkeeping coefficients and are
+# never leads.  Field scalars appear only at the boundary.
 # ---------------------------------------------------------------------------
 
 
-def _is_marker(label) -> bool:
-    return isinstance(label, tuple) and len(label) == 2 and label[0] == "#coeff"
+def _rank_labels(labels) -> dict:
+    """Label -> rank in ``label_sort_key`` order.  Labels are bucketed by a
+    coarse key (the type tag, then the length for paths) and sorted bucket by
+    bucket, so only one bucket's full keys are alive at a time."""
+    buckets: dict = {}
+    for label in labels:
+        buckets.setdefault(label_sort_key(label)[:2], []).append(label)
+    ordered = (label for coarse in sorted(buckets) for label in sorted(buckets[coarse], key=label_sort_key))
+    return {label: rank for rank, label in enumerate(ordered)}
+
+
+def _rows(vectors, field=None, marked=False):
+    """The modulus (0 for the rationals), the label ranks and the rows of the
+    vectors.  With ``marked``, row i holds in column ``len(ranks) + i`` the
+    multiplier applied to vector i, so the main part of every row derived
+    from them is the combination its marker columns name."""
+    moduli = {c.p for v in vectors for c in v.entries.values() if isinstance(c, ModP)}
+    moduli.update([field.p] if hasattr(field, "p") else [])
+    if len(moduli) > 1:
+        raise FieldError(f"mixed moduli {' and '.join(map(str, sorted(moduli)))}")
+    p = moduli.pop() if moduli else 0
+    ranks = _rank_labels({label: None for v in vectors for label in v.entries})
+    rows = []
+    for index, v in enumerate(vectors):
+        if p:
+            scale = 1
+            row = {ranks[label]: r for label, c in v.entries.items()
+                   if (r := c.value if isinstance(c, ModP) else c.numerator * pow(c.denominator, -1, p) % p)}
+        else:
+            scale = lcm(*[c.denominator for c in v.entries.values()])
+            row = {ranks[label]: c.numerator * (scale // c.denominator) for label, c in v.entries.items()}
+        if marked:
+            row[len(ranks) + index] = scale
+        rows.append(row if p else _primitive(row))
+    return p, ranks, rows
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    if g > 1:
+        for k, c in row.items():
+            row[k] = c // g
+    return row
+
+
+def _reduce(row: dict, pivots: dict, p: int) -> dict:
+    """Clear every pivot lead from the row, smallest first, in place.  A pivot
+    row holds no column below its lead, so the cleared lead grows strictly
+    and the leads a step brings in are queued as they appear."""
+    todo = [k for k in row if k in pivots]
+    heapify(todo)
+    while todo:
+        lead = heappop(todo)
+        b = row.get(lead)
+        if b is None:
+            continue
+        prow = pivots[lead]
+        if not p:
+            a = prow[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for k, c in row.items():
+                    row[k] = a * c
+        for k, c in prow.items():
+            old = row.get(k)
+            if old is None:
+                row[k] = (-b * c) % p if p else -b * c
+                if k in pivots:
+                    heappush(todo, k)
+            elif t := ((old - b * c) % p if p else old - b * c):
+                row[k] = t
+            else:
+                del row[k]
+        if not p:
+            _primitive(row)
+    return row
+
+
+def _echelon(rows, p: int, main: int):
+    """Echelon pivots {lead: row} of the rows, and the rows whose main part
+    (columns below ``main``) reduces to zero."""
+    pivots: dict = {}
+    dependent = []
+    for row in rows:
+        row = _reduce(row, pivots, p)
+        lead = min(row, default=main)
+        if lead >= main:
+            dependent.append(row)
+            continue
+        if p and row[lead] != 1:
+            inv = pow(row[lead], -1, p)
+            for k, c in row.items():
+                row[k] = c * inv % p
+        pivots[lead] = row
+    return pivots, dependent
+
+
+def _reduced_rows(pivots: dict, p: int, labels: list, offset: int = 0) -> list[SparseVector]:
+    """Back-substitute echelon pivots, largest lead first, and return the
+    rows divided by their leads as field-valued vectors in lead order."""
+    leads = sorted(pivots)
+    for lead in reversed(leads):
+        pivots[lead] = _reduce(pivots.pop(lead), pivots, p)
+    basis = []
+    for lead in leads:
+        row = pivots[lead]
+        vec = SparseVector()
+        vec.entries = {labels[k - offset]: ModP(p, c) if p else Fraction(c, row[lead]) for k, c in row.items()}
+        basis.append(vec)
+    return basis
+
+
+def rref(vectors) -> list[SparseVector]:
+    """Canonical reduced basis of the span of the given vectors.
+
+    The result depends only on the span, not on the generating set: pivots
+    are chosen along the fixed label order.  Rows are reduced to echelon
+    form first and back-substituted once at the end, in decreasing lead
+    order, so each row is cleared only of leads that are already final.
+    """
+    p, ranks, rows = _rows(list(vectors))
+    return _reduced_rows(_echelon(rows, p, len(ranks))[0], p, list(ranks))
+
+
+def rank(vectors) -> int:
+    p, ranks, rows = _rows(list(vectors))
+    return len(_echelon(rows, p, len(ranks))[0])
 
 
 def _subtract_multiple(row: dict, pivot_row: dict, coeff) -> None:
@@ -136,71 +271,6 @@ def _subtract_multiple(row: dict, pivot_row: dict, coeff) -> None:
             row.pop(plabel, None)
 
 
-def _eliminate(row: dict, pivots: dict) -> dict:
-    """Eliminate every pivot label from the row (smallest label first).
-
-    Pivot rows satisfy the invariant that all their labels are >= their own
-    lead, so the minimal pivotable label strictly increases and the loop
-    terminates regardless of whether the pivots are fully back-substituted.
-    """
-    while True:
-        hits = [label for label in row if not _is_marker(label) and label in pivots]
-        if not hits:
-            return row
-        label = min(hits, key=label_sort_key)
-        _subtract_multiple(row, pivots[label], row[label])
-
-
-def _row_lead(row: dict):
-    main = [label for label in row if not _is_marker(label)]
-    if not main:
-        return None
-    return min(main, key=label_sort_key)
-
-
-def _insert_echelon(row: dict, pivots: dict):
-    """Normalize a reduced row and register it without back-substitution."""
-    lead = _row_lead(row)
-    if lead is None:
-        return None
-    inv = row[lead]
-    pivots[lead] = {label: coeff / inv for label, coeff in row.items()}
-    return lead
-
-
-def rref(vectors) -> list[SparseVector]:
-    """Canonical reduced basis of the span of the given vectors.
-
-    The result depends only on the span, not on the generating set: pivots
-    are chosen along the fixed label order.  Rows are reduced to echelon
-    form first and back-substituted once at the end, in decreasing lead
-    order, so each row is cleared only of leads that are already final.
-    """
-    pivots: dict = {}
-    for v in vectors:
-        row = _eliminate(dict(v.entries), pivots)
-        _insert_echelon(row, pivots)
-    leads = sorted(pivots, key=label_sort_key)
-    for lead in reversed(leads):
-        row = pivots[lead]
-        for label in [label for label in row if label != lead and label in pivots]:
-            _subtract_multiple(row, pivots[label], row[label])
-    basis = []
-    for lead in leads:
-        vec = SparseVector()
-        vec.entries = pivots[lead]
-        basis.append(vec)
-    return basis
-
-
-def rank(vectors) -> int:
-    pivots: dict = {}
-    for v in vectors:
-        row = _eliminate(dict(v.entries), pivots)
-        _insert_echelon(row, pivots)
-    return len(pivots)
-
-
 def reducer(rref_basis):
     """Residue map modulo the span of an ``rref`` basis.
 
@@ -209,7 +279,7 @@ def reducer(rref_basis):
     SparseVector.  Rows of an ``rref`` basis hold no other row's lead, so
     clearing the leads present in v, smallest first, leaves none behind.
     """
-    pivots = {_row_lead(b.entries): b.entries for b in rref_basis if b.entries}
+    pivots = {min(b.entries, key=label_sort_key): b.entries for b in rref_basis if b.entries}
     order = {lead: i for i, lead in enumerate(sorted(pivots, key=label_sort_key))}
 
     def reduce(v: SparseVector) -> SparseVector:
@@ -231,30 +301,18 @@ def in_span(v: SparseVector, rref_basis) -> bool:
 def solve_membership(v: SparseVector, generators) -> list | None:
     """Coefficients expressing v in terms of the generators, or None.
 
-    Deterministic: Gaussian elimination with pivoting along the fixed label
-    order; the certificate satisfies ``v == sum(c_i * g_i)`` exactly.
+    Deterministic: each generator independent of the earlier ones becomes a
+    pivot, v is written in those and the others get zero.  The certificate
+    satisfies ``v == sum(c_i * g_i)`` exactly.
     """
-    generators = list(generators)
-    pivots: dict = {}
-    for index, g in enumerate(generators):
-        row = dict(g.entries)
-        row[("#coeff", index)] = _one_like(g)
-        row = _eliminate(row, pivots)
-        _insert_echelon(row, pivots)
-    residue = _eliminate(dict(v.entries), pivots)
-    if any(not _is_marker(label) for label in residue):
+    p, ranks, rows = _rows(list(generators) + [v], marked=True)
+    main, own = len(ranks), len(ranks) + len(rows) - 1
+    residue = _reduce(rows.pop(), _echelon(rows, p, main)[0], p)
+    if min(residue) < main:
         return None
-    coeffs = [0] * len(generators)
-    for label, coeff in residue.items():
-        coeffs[label[1]] = -coeff
-    return coeffs
-
-
-def _one_like(v: SparseVector):
-    if not v.entries:
-        return 1
-    coeff = next(iter(v.entries.values()))
-    return coeff / coeff
+    coeffs = [-residue.get(k, 0) for k in range(main, own)]
+    # Over GF(p) the marker of v keeps its value 1: pivot rows never hold it.
+    return [ModP(p, c % p) if p else Fraction(c, residue[own]) for c in coeffs]
 
 
 def codimension_of_span(generators, ambient_basis) -> int:
@@ -268,22 +326,18 @@ def codimension_of_span(generators, ambient_basis) -> int:
     return len(ambient) - rank(generators)
 
 
-def kernel_of_map(domain_labels, image_of) -> list[SparseVector]:
+def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
     """Canonical basis of the kernel of a linear map given on domain labels.
 
     ``image_of(label)`` must return a SparseVector over the image labels.
+    The kernel's scalars are those of ``field``, else of the images, else
+    (every image zero) rationals.
     """
-    pivots: dict = {}
-    kernel_rows = []
-    for label in sorted(domain_labels, key=label_sort_key):
-        row = dict(image_of(label).entries)
-        row[("#coeff", label)] = 1
-        row = _eliminate(row, pivots)
-        if _row_lead(row) is None:
-            kernel_rows.append(SparseVector({l[1]: c for l, c in row.items()}))
-        else:
-            _insert_echelon(row, pivots)
-    return rref(kernel_rows)
+    domain = list(_rank_labels(domain_labels))
+    p, ranks, rows = _rows([image_of(label) for label in domain], field, marked=True)
+    main = len(ranks)
+    kernel = _echelon(rows, p, main)[1]
+    return _reduced_rows(_echelon(kernel, p, main + len(domain))[0], p, domain, main)
 
 
 def span_intersection(basis_a, basis_b) -> list[SparseVector]:

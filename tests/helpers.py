@@ -5,13 +5,17 @@ code: ranks come from a plain dense Gaussian elimination over Fraction
 lists, path sets from a direct recursion over the arrow table, matrix
 products and incidence convolutions from sums over every index, and the
 cycle counterexample's ideal property from every product of a difference
-with every winding path.
+with every winding path.  Sparse elimination is checked against the
+dict-row elimination in field scalars that ``linalg`` used before its
+integer kernel, and ``subpath_closure`` against the expansion of every
+path.
 """
 
 from fractions import Fraction
 
 from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement
+from quivercoalg.linalg import SparseVector, label_sort_key
 from quivercoalg.quiver import find_simple_cycle
 
 
@@ -149,3 +153,101 @@ def cycle_identity_oracle(quiver, window):
                     raise AssertionError(f"left identity fails at n={n},k={k},i={i},m={m},j={j}")
                 checked += 2
     return checked
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination on dict rows of field scalars.  Marker labels
+# ("#coeff", key) carry bookkeeping coefficients and are never pivots.  Every
+# entry is converted to a field scalar first, so results hold no floats.
+# ---------------------------------------------------------------------------
+
+
+def _is_marker(label):
+    return isinstance(label, tuple) and len(label) == 2 and label[0] == "#coeff"
+
+
+def _field_row(v, field):
+    return {label: field.of(c) for label, c in v.entries.items() if field.of(c)}
+
+
+def subtract_multiple(row, pivot_row, coeff):
+    for plabel, pcoeff in pivot_row.items():
+        total = row.get(plabel, 0) - coeff * pcoeff
+        if total:
+            row[plabel] = total
+        else:
+            row.pop(plabel, None)
+
+
+def eliminate(row, pivots):
+    """Eliminate every pivot label from the row, smallest label first."""
+    while True:
+        hits = [label for label in row if not _is_marker(label) and label in pivots]
+        if not hits:
+            return row
+        label = min(hits, key=label_sort_key)
+        subtract_multiple(row, pivots[label], row[label])
+
+
+def _row_lead(row):
+    main = [label for label in row if not _is_marker(label)]
+    return min(main, key=label_sort_key) if main else None
+
+
+def _insert_echelon(row, pivots):
+    lead = _row_lead(row)
+    if lead is not None:
+        inv = row[lead]
+        pivots[lead] = {label: coeff / inv for label, coeff in row.items()}
+    return lead
+
+
+def oracle_rref(vectors, field):
+    pivots = {}
+    for v in vectors:
+        _insert_echelon(eliminate(_field_row(v, field), pivots), pivots)
+    leads = sorted(pivots, key=label_sort_key)
+    for lead in reversed(leads):
+        row = pivots[lead]
+        for label in [label for label in row if label != lead and label in pivots]:
+            subtract_multiple(row, pivots[label], row[label])
+    return [SparseVector(pivots[lead]) for lead in leads]
+
+
+def oracle_rank(vectors, field):
+    return len(oracle_rref(vectors, field))
+
+
+def oracle_solve_membership(v, generators, field):
+    generators = list(generators)
+    pivots = {}
+    for index, g in enumerate(generators):
+        row = _field_row(g, field)
+        row[("#coeff", index)] = field.one
+        _insert_echelon(eliminate(row, pivots), pivots)
+    residue = eliminate(_field_row(v, field), pivots)
+    if any(not _is_marker(label) for label in residue):
+        return None
+    coeffs = [field.zero] * len(generators)
+    for label, coeff in residue.items():
+        coeffs[label[1]] = -coeff
+    return coeffs
+
+
+def oracle_kernel_of_map(domain_labels, image_of, field):
+    pivots = {}
+    kernel_rows = []
+    for label in sorted(domain_labels, key=label_sort_key):
+        row = _field_row(image_of(label), field)
+        row[("#coeff", label)] = field.one
+        row = eliminate(row, pivots)
+        if _row_lead(row) is None:
+            kernel_rows.append(SparseVector({l[1]: c for l, c in row.items()}))
+        else:
+            _insert_echelon(row, pivots)
+    return oracle_rref(kernel_rows, field)
+
+
+def expanded_subpath_closure(paths):
+    """Every contiguous subpath of every path, sorted by the path order."""
+    return sorted({s for p in paths for s in p.subpaths()}, key=lambda p: p.sort_key)

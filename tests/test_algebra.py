@@ -25,7 +25,7 @@ from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
 from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, find_simple_cycle
 
-from helpers import cycle_identity_oracle, dense_rank, sparse_rows_to_dense
+from helpers import cycle_identity_oracle, dense_rank, expanded_subpath_closure, sparse_rows_to_dense
 
 
 def unit(path):
@@ -407,3 +407,11 @@ def test_subpath_closure_helper():
     closed = subpath_closure([xy])
     assert {str(p) for p in closed} == {"a", "b", "c", "x", "y", "x.y"}
     assert is_subpath_closed(closed)
+
+
+@given(st.sampled_from(["cycle3", "two_loops", "diamond", "loop_with_tail"]), st.data())
+def test_subpath_closure_matches_expanding_every_path(name, data):
+    # Longest first, skipping paths already closed, gives the same list.
+    paths = enumerate_paths(named_quiver(name), 5).paths
+    support = data.draw(st.lists(st.sampled_from(paths), max_size=8))
+    assert subpath_closure(support) == expanded_subpath_closure(support)

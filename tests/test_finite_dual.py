@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quivercoalg import incidence
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
+    named_poset,
     named_quiver,
     random_element,
     random_structured_algebra,
@@ -332,3 +334,14 @@ def test_tensor_slice_ideals():
             for x in a.basis:
                 assert in_span(a.product(SparseVector({x: one}), vec), basis_i)
                 assert in_span(a.product(vec, SparseVector({x: one})), basis_i)
+
+
+def test_finite_dual_witness_holds_rationals_not_floats():
+    # A functional vanishing off the idempotents: the kernels behind the
+    # witness see zero images, which once came back as 1.0.
+    chain = named_poset("chain3")
+    algebra = incidence.fia_structured_algebra(chain)
+    functional = SparseVector({(x, x): QQ.one for x in chain.elements})
+    witness = is_in_finite_dual(functional, algebra).witness["ideal_basis"]
+    assert [v.entries for v in witness] == [{("c0", "c1"): 1}, {("c0", "c2"): 1}, {("c1", "c2"): 1}]
+    assert all(type(c) is Fraction for v in witness for c in v.entries.values())

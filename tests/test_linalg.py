@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoalg import linalg
 from quivercoalg.linalg import (
     SparseVector,
     codimension_of_span,
@@ -25,9 +24,20 @@ from quivercoalg.linalg import (
     spans_equal,
     vec_mat,
 )
-from quivercoalg.scalars import QQ, PrimeField
+from quivercoalg.corpus import named_quiver
+from quivercoalg.quiver import enumerate_paths
+from quivercoalg.scalars import QQ, FieldError, ModP, PrimeField
 
-from helpers import dense_mat_mul, dense_rank, sparse_rows_to_dense
+from helpers import (
+    dense_mat_mul,
+    dense_rank,
+    eliminate,
+    oracle_kernel_of_map,
+    oracle_rank,
+    oracle_rref,
+    oracle_solve_membership,
+    sparse_rows_to_dense,
+)
 
 FIELDS = st.sampled_from([QQ, PrimeField(5)])
 
@@ -297,7 +307,7 @@ def field_and(*parts):
 def _fresh_pivot_residue(v, basis):
     """Eliminate v against pivots found afresh from the basis rows."""
     pivots = {min(b.labels(), key=label_sort_key): b.entries for b in basis if b.entries}
-    return linalg._eliminate(dict(v.entries), pivots)
+    return eliminate(dict(v.entries), pivots)
 
 
 @given(field_and(vector_lists, vector_lists))
@@ -339,3 +349,114 @@ def test_rref_is_order_independent_and_matches_dense_rank(case, rnd):
     assert len(basis) == rank(vectors)
     if field is QQ:
         assert len(basis) == dense_rank(sparse_rows_to_dense(vectors, LABELS))
+
+
+# ---------------------------------------------------------------------------
+# The integer elimination kernel against the dict-row oracle of helpers,
+# value for value and type for type.  Labels mix strings, ints, tuples and
+# paths; rows may hold plain ints, repeat or be proportional to each other.
+# ---------------------------------------------------------------------------
+
+
+GF5 = PrimeField(5)
+MIXED_LABELS = ["a", "b", 2, 7, ("a", 1), (("b",), 2)] + enumerate_paths(named_quiver("two_loops"), 2).paths[:5]
+
+
+@st.composite
+def systems(draw, max_rows=6):
+    """A field and rows over it.  A row drawn "raw" holds plain ints, so an
+    all-raw system over GF(5) is, for the library, a system over QQ."""
+    field = draw(FIELDS)
+    labels = st.sampled_from(MIXED_LABELS)
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "raw", "repeat", "multiple"]))
+        if kind in ("repeat", "multiple") and rows:
+            factor = field.of(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if kind == "multiple" else 1
+            rows.append(SparseVector({l: c * factor for l, c in draw(st.sampled_from(rows)).items()}))
+            continue
+        entries = draw(st.dictionaries(labels, st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=4))
+        if kind == "raw":
+            rows.append(SparseVector({l: num for l, (num, den) in entries.items()}))
+        else:
+            rows.append(SparseVector({l: field.of(num, den) for l, (num, den) in entries.items()}))
+    return field, rows
+
+
+def _seen_field(field, *vector_lists):
+    """The field the library infers: GF(5) only when a ModP scalar occurs."""
+    scalars = [c for vectors in vector_lists for v in vectors for c in v.entries.values()]
+    return field if any(isinstance(c, ModP) for c in scalars) else QQ
+
+
+def typed(vectors):
+    return [{label: (type(c), c) for label, c in v.items()} for v in vectors]
+
+
+@given(systems())
+def test_rref_and_rank_match_the_oracle(case):
+    field, rows = case
+    field = _seen_field(field, rows)
+    assert typed(rref(rows)) == typed(oracle_rref(rows, field))
+    assert rank(rows) == oracle_rank(rows, field)
+
+
+@given(systems(), st.data())
+def test_kernel_of_map_matches_the_oracle(case, data):
+    field, rows = case
+    # Some domain labels map to zero; the domain labels are paths or ints.
+    domain = data.draw(st.sampled_from([list(range(len(rows) + 2)), MIXED_LABELS[6:]]))
+    images = dict(zip(domain, rows + [SparseVector()] * len(domain)))
+    kernel = kernel_of_map(domain, images.__getitem__, field)
+    assert typed(kernel) == typed(oracle_kernel_of_map(domain, images.__getitem__, field))
+    assert typed(kernel_of_map(domain, images.__getitem__)) == typed(
+        oracle_kernel_of_map(domain, images.__getitem__, _seen_field(field, rows))
+    )
+
+
+@given(systems(), st.data())
+def test_solve_membership_matches_the_oracle(case, data):
+    field, generators = case
+    weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(generators), max_size=len(generators)))
+    v = SparseVector((l, field.of(w) * c) for w, g in zip(weights, generators) for l, c in g.items())
+    if data.draw(st.booleans()):
+        v = v + SparseVector({data.draw(st.sampled_from(MIXED_LABELS)): field.one})
+    field = _seen_field(field, generators, [v])
+    coeffs = solve_membership(v, generators)
+    expected = oracle_solve_membership(v, generators, field)
+    assert (coeffs is None) == (expected is None)
+    if coeffs is not None:
+        assert [(type(c), c) for c in coeffs] == [(type(c), c) for c in expected]
+        recombined = SparseVector((l, c * x) for c, g in zip(coeffs, generators) for l, x in g.items())
+        assert recombined == SparseVector({l: field.of(c) for l, c in v.items()})
+
+
+def test_exact_results_hold_field_scalars_only():
+    # Plain-int input and all-zero images once gave Python floats.
+    kernel = kernel_of_map(["a", "b"], lambda label: SparseVector())
+    assert typed(kernel) == [{"a": (Fraction, 1)}, {"b": (Fraction, 1)}]
+    assert typed(rref([SparseVector({"x": 2, "y": 3})])) == [{"x": (Fraction, 1), "y": (Fraction, Fraction(3, 2))}]
+    assert [(type(c), c) for c in solve_membership(SparseVector({"a": 1}), [SparseVector({"a": 2})])] == [
+        (Fraction, Fraction(1, 2))
+    ]
+    # Over GF(p) the field of an all-zero map comes from the argument.
+    assert typed(kernel_of_map(["a"], lambda label: SparseVector(), GF5)) == [{"a": (ModP, GF5.one)}]
+    assert solve_membership(SparseVector({"a": GF5.of(3)}), [SparseVector({"a": 1}), SparseVector({"b": 2})]) == [
+        GF5.of(3),
+        GF5.zero,
+    ]
+
+
+def test_elimination_on_empty_input():
+    assert rref([]) == [] and rank([]) == 0 and rref([SparseVector()]) == []
+    assert kernel_of_map([], lambda label: SparseVector()) == []
+    assert solve_membership(SparseVector(), [SparseVector()]) == [0]
+
+
+def test_mixed_moduli_raise_field_error():
+    rows = [SparseVector({"a": GF5.one}), SparseVector({"b": PrimeField(7).one})]
+    for call in (lambda: rref(rows), lambda: rank(rows), lambda: solve_membership(rows[0], rows[1:])):
+        with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
+            call()
+    with pytest.raises(FieldError):
+        kernel_of_map(["a"], lambda label: rows[0], PrimeField(7))
