@@ -312,8 +312,9 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         check_ideal(monomial_part, arrows, windowed_compose, lambda p: p not in x_set), "monomial part"
     )
 
-    spanning = [e.combo for e in differences] + [SparseVector.unit(p) for p in monomial_part]
-    codim = len(enum.paths) - rank(spanning)
+    # The differences live on the winding paths and the monomial part off
+    # them, so the two ranks add.
+    codim = len(enum.paths) - len(monomial_part) - rank([e.combo for e in differences])
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,

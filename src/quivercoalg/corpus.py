@@ -6,7 +6,7 @@ Everything is deterministic given the Random instance handed in.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from .coalgebra import CoalgElement
 from .finite_dual import StructuredAlgebra, structured_from_quiver
@@ -150,20 +150,28 @@ def enumerate_posets_up_to_iso(max_elements: int) -> list[Poset]:
     """All isomorphism classes of posets with 1..max_elements elements.
 
     Built by repeatedly adjoining a new maximal element over an arbitrary
-    order ideal, deduplicating by the minimum relation matrix over all
-    relabelings.  Class counts for sizes 1..5 are 1, 2, 5, 16, 63.
+    order ideal, deduplicating by a canonical form.  Every isomorphism keeps
+    each element's invariant (down-set size, up-set size), so the form is
+    the sorted invariants with the minimum relation matrix over the
+    relabelings that list the invariant classes in sorted order, permuting
+    within each class.  Class counts for sizes 1..6 are 1, 2, 5, 16, 63, 318.
     """
 
     def canonical(n, leq_pairs):
         leq = set(leq_pairs)
+        invariant = [(sum((j, i) in leq for j in range(n)), sum((i, j) in leq for j in range(n))) for i in range(n)]
+        classes: dict = {}
+        for i in sorted(range(n), key=invariant.__getitem__):
+            classes.setdefault(invariant[i], []).append(i)
         best = None
-        for perm in permutations(range(n)):
+        for parts in product(*(permutations(members) for members in classes.values())):
+            perm = [i for part in parts for i in part]
             matrix = tuple(
                 tuple(1 if (perm[i], perm[j]) in leq else 0 for j in range(n)) for i in range(n)
             )
             if best is None or matrix < best:
                 best = matrix
-        return best
+        return tuple(sorted(invariant)), best
 
     def ideals(n, leq):
         out = []

@@ -121,16 +121,19 @@ class Functional:
 
 def convolve(f: Functional, g: Functional, paths) -> Functional:
     """(f·g)(p) = sum of f(q)g(r) over decompositions p = qr, on the given
-    path window."""
-    carrier = f.carrier
+    path window.  A finite-support factor vanishes off the lengths of its
+    support paths, so only the splits at those lengths are tried."""
+    f_lengths, g_lengths = (None if h.support is None else {q.length for q in h.support.labels()} for h in (f, g))
     values = {}
     for p in paths:
+        n = p.length
         total = 0
-        for q, r in p.splits():
-            total = total + f(q) * g(r)
+        for i in range(n + 1):
+            if (f_lengths is None or i in f_lengths) and (g_lengths is None or n - i in g_lengths):
+                total = total + f(p.prefix(i)) * g(p.suffix_from(i))
         if total:
             values[p] = total
-    return Functional(carrier, support=SparseVector(values), field=f.field)
+    return Functional(f.carrier, support=SparseVector(values), field=f.field)
 
 
 def psi_embed(element: CoalgElement, field=QQ) -> Functional:

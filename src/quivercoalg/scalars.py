@@ -10,10 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 class FieldError(ValueError):
     """Raised for invalid field specifications or mixed-field arithmetic."""
+
+
+class ParseError(ValueError):
+    """Malformed input text, with its line number when one is known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        self.line = line
+        where = f"line {line}: " if line is not None else ""
+        super().__init__(f"{where}{message}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,10 @@ class RationalField:
         return Fraction(numerator, denominator)
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text.strip()!r}") from None
 
     def __repr__(self):
         return "QQ"
@@ -137,7 +150,10 @@ class PrimeField:
         return num / ModP(self.p, denominator % self.p)
 
     def parse(self, text: str) -> ModP:
-        return self.of(Fraction(text.strip()))
+        value = QQ.parse(text)
+        if value.denominator % self.p == 0:
+            raise ParseError(f"{text.strip()!r} has no value in GF({self.p}): its denominator is divisible by {self.p}")
+        return self.of(value)
 
     def __repr__(self):
         return f"GF({self.p})"

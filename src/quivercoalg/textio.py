@@ -57,14 +57,7 @@ from .incidence import Poset, PosetFamily, POSET_FAMILY_KINDS
 from .linalg import SparseVector
 from .quiver import Quiver, QuiverFamily, family_from_token
 from .representation import Representation
-from .scalars import QQ
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}{message}")
+from .scalars import QQ, ParseError
 
 
 def _meaningful_lines(text: str):

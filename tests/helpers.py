@@ -8,14 +8,21 @@ cycle counterexample's ideal property from every product of a difference
 with every winding path.  Sparse elimination is checked against the
 dict-row elimination in field scalars that ``linalg`` used before its
 integer kernel, and ``subpath_closure`` against the expansion of every
-path.
+path.  Convolution of functionals is checked against the sum over every
+split, poset canonical forms against the minimum over all n! relabelings,
+and the cycle counterexample's codimension against one rank of the
+differences and the monomial units together.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement
+from quivercoalg.dual import Functional
+from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, label_sort_key
+from quivercoalg.scalars import QQ
 from quivercoalg.quiver import find_simple_cycle
 
 
@@ -251,3 +258,54 @@ def oracle_kernel_of_map(domain_labels, image_of, field):
 def expanded_subpath_closure(paths):
     """Every contiguous subpath of every path, sorted by the path order."""
     return sorted({s for p in paths for s in p.subpaths()}, key=lambda p: p.sort_key)
+
+
+def every_split_convolve(f, g, paths):
+    """(f·g)(p) = sum of f(q)g(r) over every split p = qr, zero factors
+    included, in window order."""
+    values = {}
+    for p in paths:
+        total = 0
+        for q, r in p.splits():
+            total = total + f(q) * g(r)
+        if total:
+            values[p] = total
+    return Functional(f.carrier, support=SparseVector(values), field=f.field)
+
+
+def brute_force_canonical(n, leq):
+    """Minimum relation matrix of a poset on 0..n-1 over all n! relabelings."""
+    return min(
+        tuple(tuple(1 if (perm[i], perm[j]) in leq else 0 for j in range(n)) for i in range(n))
+        for perm in permutations(range(n))
+    )
+
+
+def brute_force_posets_up_to_iso(max_elements):
+    """Posets up to isomorphism, built as ``corpus.enumerate_posets_up_to_iso``
+    builds them (a new maximal element over every order ideal, first-seen
+    representative kept) but deduplicated by ``brute_force_canonical``."""
+    tables = [{brute_force_canonical(1, {(0, 0)}): {(0, 0)}}]
+    for n in range(2, max_elements + 1):
+        size = n - 1
+        table = {}
+        for leq in tables[-1].values():
+            for mask in range(1 << size):
+                ideal = {i for i in range(size) if mask >> i & 1}
+                if not all(j in ideal for i in ideal for j in range(size) if (j, i) in leq):
+                    continue
+                new_leq = set(leq) | {(size, size)} | {(i, size) for i in ideal}
+                table.setdefault(brute_force_canonical(n, new_leq), new_leq)
+        tables.append(table)
+    return [
+        Poset([f"e{i}" for i in range(size)], [(f"e{i}", f"e{j}") for i, j in leq], name=f"iso{size}")
+        for size, table in enumerate(tables, start=1)
+        for leq in table.values()
+    ]
+
+
+def cycle_codimension_oracle(ce, paths):
+    """Codimension of a cycle counterexample from one rank of its difference
+    generators and its monomial units together, over the window's paths."""
+    spanning = [e.combo for e in ce.difference_generators] + [SparseVector.unit(p) for p in ce.monomial_part]
+    return len(paths) - oracle_rank(spanning, QQ)

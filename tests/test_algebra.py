@@ -23,9 +23,15 @@ from quivercoalg import quiver as quiver_module
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
-from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, find_simple_cycle
+from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, family_from_token, find_simple_cycle
 
-from helpers import cycle_identity_oracle, dense_rank, expanded_subpath_closure, sparse_rows_to_dense
+from helpers import (
+    cycle_codimension_oracle,
+    cycle_identity_oracle,
+    dense_rank,
+    expanded_subpath_closure,
+    sparse_rows_to_dense,
+)
 
 
 def unit(path):
@@ -149,6 +155,24 @@ def test_cycle_counterexample_codimension_matches_dense_oracle():
     enum = enumerate_paths(quiver, 8)
     rows = sparse_rows_to_dense([g.entries for g in ce.ideal_generators()], enum.paths)
     assert ce.codimension == len(enum.paths) - dense_rank(rows) == 4
+
+
+def _cycle_with_two_tails():
+    """A 3-cycle with a tail leaving each of two of its vertices."""
+    arrows = [("x", "c0", "c1"), ("y", "c1", "c2"), ("z", "c2", "c0"), ("s", "c0", "t0"), ("t", "c1", "t1")]
+    return Quiver(["c0", "c1", "c2", "t0", "t1"], arrows, name="cycle-with-tails")
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [family_from_token(f"cycle:{s}").truncate(0) for s in (1, 2, 3, 4)] + [_cycle_with_two_tails()],
+    ids=["cycle1", "cycle2", "cycle3", "cycle4", "cycle3-tails"],
+)
+def test_cycle_counterexample_codimension_matches_the_full_rank(quiver):
+    s = len(find_simple_cycle(quiver))
+    for window in sorted({s, s + 1, 2 * s + 1, 9}):
+        ce = build_cycle_counterexample(quiver, window)
+        assert ce.codimension == cycle_codimension_oracle(ce, enumerate_paths(quiver, window).paths)
 
 
 def test_cycle_counterexample_identities_on_cycle3():

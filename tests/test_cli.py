@@ -238,6 +238,90 @@ def test_negative_flags_exit_2(argv, flag, capsys):
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be nonnegative")
 
 
+# The conv verb on family:loop and family:line1 at --max-len 3:
+# finite x finite, finite x rule, rule x finite and rule x rule on each,
+# one case over GF(5) and the zero functional.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["family:loop", "dual{[x]:2, [v]:1}", "dual{[x.x]:1/3, [v]:-1}"],
+            '{"command": "conv", "left": "dual{[v]:1, [x]:2}", "right": "dual{[v]:-1, [x.x]:1/3}", "values": ["[v] -> -1", "[x] -> -2", "[x.x] -> 1/3", "[x.x.x] -> 2/3"], "window": 3}',
+        ),
+        (
+            ["family:loop", "dual{[x]:2}", "rule:eval(2)"],
+            '{"command": "conv", "left": "dual{[x]:2}", "right": "rule:eval(2)", "values": ["[x] -> 2", "[x.x] -> 4", "[x.x.x] -> 8"], "window": 3}',
+        ),
+        (
+            ["family:loop", "rule:gamma", "dual{[x.x]:1/3}"],
+            '{"command": "conv", "left": "rule:gamma", "right": "dual{[x.x]:1/3}", "values": ["[x.x] -> 1/3", "[x.x.x] -> 1/3"], "window": 3}',
+        ),
+        (
+            ["family:loop", "rule:gamma", "rule:eval(-1/2)"],
+            '{"command": "conv", "left": "rule:gamma", "right": "rule:eval(-1/2)", "values": ["[v] -> 1", "[x] -> 1/2", "[x.x] -> 3/4", "[x.x.x] -> 5/8"], "window": 3}',
+        ),
+        (
+            ["family:line1", "dual{[a0]:2, [v1]:-1}", "dual{[a1]:3}"],
+            '{"command": "conv", "left": "dual{[v1]:-1, [a0]:2}", "right": "dual{[a1]:3}", "values": ["[a1] -> -3", "[a0.a1] -> 6"], "window": 3}',
+        ),
+        (
+            ["family:line1", "dual{[v1]:1/2}", "rule:starts-at(v1)"],
+            '{"command": "conv", "left": "dual{[v1]:1/2}", "right": "rule:starts-at(v1)", "values": ["[v1] -> 1/2", "[a1] -> 1/2", "[a1.a2] -> 1/2"], "window": 3}',
+        ),
+        (
+            ["family:line1", "rule:starts-at(v0)", "dual{[a1]:-1}"],
+            '{"command": "conv", "left": "rule:starts-at(v0)", "right": "dual{[a1]:-1}", "values": ["[a0.a1] -> -1"], "window": 3}',
+        ),
+        (
+            ["family:line1", "rule:starts-at(v0)", "rule:gamma"],
+            '{"command": "conv", "left": "rule:starts-at(v0)", "right": "rule:gamma", "values": ["[v0] -> 1", "[a0] -> 2", "[a0.a1] -> 3", "[a0.a1.a2] -> 4"], "window": 3}',
+        ),
+        (
+            ["family:loop", "dual{[x]:3, [v]:1/2}", "rule:eval(2)", "--field", "fp:5"],
+            '{"command": "conv", "left": "dual{[v]:3, [x]:3}", "right": "rule:eval(2)", "values": ["[v] -> 3", "[x] -> 4", "[x.x] -> 3", "[x.x.x] -> 1"], "window": 3}',
+        ),
+        (
+            ["family:loop", "dual{}", "rule:gamma"],
+            '{"command": "conv", "left": "dual{}", "right": "rule:gamma", "values": [], "window": 3}',
+        ),
+    ],
+    ids=[
+        "loop-finite-finite", "loop-finite-rule", "loop-rule-finite", "loop-rule-rule",
+        "line1-finite-finite", "line1-finite-rule", "line1-rule-finite", "line1-rule-rule",
+        "loop-fp5", "zero-functional",
+    ],
+)
+def test_conv_verb_output_is_pinned(argv, expected, capsys):
+    status, out, _ = run(capsys, "conv", *argv, "--max-len", "3", "--json")
+    assert status == 0
+    assert out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conv", "family:loop", "rule:eval(1/0)", "rule:gamma"], "zero denominator in '1/0'"),
+        (["conv", "family:loop", "dual{[x]:1/0}", "rule:gamma"], "bad coefficient '1/0'"),
+        (["mul", "family:loop", "1/0*[x]", "[x]"], "zero denominator in '1/0'"),
+        (["delta", "family:loop", "1/5*[x]", "--field", "fp:5"], "'1/5' has no value in GF(5)"),
+    ],
+    ids=["eval-rule", "dual-coefficient", "element", "prime-field"],
+)
+def test_zero_denominator_exits_2(argv, message, capsys):
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("entry, field", [("1/0", "q"), ("2/5", "fp:5")])
+def test_zero_denominator_in_a_rep_matrix_exits_2(line_file, tmp_path, capsys, entry, field):
+    rep = tmp_path / "rep.txt"
+    rep.write_text(f"rep\ndim a 1\ndim b 1\nmap x {entry}\n")
+    status, out, err = run(capsys, "rep-locnilp", line_file, str(rep), "--field", field)
+    assert status == 2 and out == ""
+    assert err.startswith("error: line 4: bad matrix entry")
+
+
 def test_counterexample_window_shorter_than_the_cycle(capsys):
     status, out, err = run(capsys, "counterexample", "cycle", "family:cycle:3", "--max-len", "2")
     assert status == 2 and out == ""

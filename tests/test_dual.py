@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
@@ -15,9 +17,10 @@ from quivercoalg.dual import (
     reflexivity_verdict,
 )
 from quivercoalg.linalg import SparseVector
-from quivercoalg.quiver import QuiverFamily, enumerate_paths
+from quivercoalg.quiver import QuiverFamily, enumerate_paths, family_from_token
+from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import loop_power_decompositions
+from helpers import every_split_convolve, loop_power_decompositions
 
 
 def dual(path):
@@ -80,6 +83,52 @@ def test_convolution_associativity_random():
         left = convolve(convolve(f, g, window), h, window)
         right = convolve(f, convolve(g, h, window), window)
         assert left.support == right.support
+
+
+@st.composite
+def convolution_window(draw):
+    """A small quiver, cyclic ones included, with a window of its paths."""
+    token = draw(st.sampled_from(["loop", "cycle:2", "cycle:3", "line1", "random"]))
+    if token == "random":
+        quiver = random_quiver(random.Random(draw(st.integers(0, 10**6))), 3, 5)
+    else:
+        quiver = family_from_token(token).truncate(3)
+    return quiver, paths_of(quiver, draw(st.integers(0, 4)))
+
+
+@st.composite
+def functional(draw, quiver, window, field, finite):
+    """A finite-support functional (possibly empty, possibly with int values)
+    or one of the gamma, eval, starts_at and has_prefix rules."""
+    if finite:
+        support = draw(st.lists(st.sampled_from(window), max_size=4, unique=True))
+        values = draw(st.lists(st.integers(-2, 2).filter(bool), min_size=len(support), max_size=len(support)))
+        as_int = draw(st.booleans())
+        entries = {p: v if as_int else field.of(v) for p, v in zip(support, values)}
+        return Functional(quiver, support=SparseVector(entries), field=field)
+    kind = draw(st.sampled_from(["gamma", "eval", "starts_at", "has_prefix"]))
+    param = {
+        "gamma": st.none(),
+        "eval": st.integers(-2, 2).map(field.of),
+        "starts_at": st.sampled_from(quiver.vertices),
+        "has_prefix": st.sampled_from(window),
+    }[kind]
+    return Functional.from_rule(quiver, kind, draw(param), field)
+
+
+@pytest.mark.parametrize("left_finite, right_finite", [(True, True), (True, False), (False, True), (False, False)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_convolution_matches_every_split_sum(left_finite, right_finite, data):
+    quiver, window = data.draw(convolution_window())
+    field = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    f = data.draw(functional(quiver, window, field, left_finite))
+    g = data.draw(functional(quiver, window, field, right_finite))
+    got = convolve(f, g, window).support.entries
+    want = every_split_convolve(f, g, window).support.entries
+    # Values, entry order and scalar types all match the every-split sum.
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
 
 
 def test_psi_is_multiplicative_and_injective():

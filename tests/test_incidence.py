@@ -20,7 +20,7 @@ from quivercoalg.linalg import SparseVector, rank
 from quivercoalg.quiver import check_unique_path_condition, enumerate_paths
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import dense_convolve
+from helpers import brute_force_posets_up_to_iso, dense_convolve
 
 
 def test_poset_construction_validates():
@@ -83,6 +83,20 @@ def test_phi_examples():
     chain = named_poset("chain2")
     cover = phi_embed(CoalgElement.unit(chain, ("c0", "c1")))
     assert len(cover.combo.entries) == 1
+
+
+def test_poset_enumeration_matches_the_all_relabelings_oracle():
+    # Same classes, same first-seen representatives, same order.
+    def shape(posets):
+        return [(p.name, p.elements, p.leq) for p in posets]
+
+    assert shape(enumerate_posets_up_to_iso(5)) == shape(brute_force_posets_up_to_iso(5))
+
+
+def test_poset_class_counts():
+    posets = enumerate_posets_up_to_iso(6)
+    counts = [sum(1 for p in posets if len(p.elements) == n) for n in range(1, 7)]
+    assert counts == [1, 2, 5, 16, 63, 318]
 
 
 def test_phi_is_coalgebra_morphism_and_injective_small():

@@ -141,6 +141,17 @@ def test_parse_plain_combination():
         parse_plain_combination("u v")
 
 
+@pytest.mark.parametrize("field, text", [(QQ, "1/0"), (PrimeField(5), "1/5"), (PrimeField(5), "3/10")])
+def test_scalar_with_zero_denominator_is_a_parse_error(field, text):
+    with pytest.raises(ParseError):
+        field.parse(text)
+    with pytest.raises(ParseError):
+        parse_plain_combination(f"{text}*u", field)
+    algebra = f"algebra\nbasis e\nidempotents e\nmul e e = {text}*e\n"
+    with pytest.raises(ParseError, match="line 4"):
+        parse_algebra_text(algebra, field)
+
+
 def test_parse_element_expressions():
     q = named_quiver("line3")
     element = parse_element("3*[x.y] - 1/2*[a]", q)
