@@ -31,7 +31,7 @@ y_star = psi_embed(CoalgElement.from_path(line.arrow_path("y")))
 print("convolution follows concatenation:  x* . y* =", convolve(x_star, y_star, window).describe())
 
 verdict = is_rational_left(Functional.dual_of_path(line.arrow_path("x")), line)
-print("\nx* is rational with a certificate of", len(verdict.certificate.elements), "members")
+print("\nx* is rational with a certificate of", len(verdict.witness.elements), "members")
 
 print("\non the one-sided infinite line, the indicator of all paths leaving a")
 print("vertex is rational with infinite support; its certificate runs through")
@@ -40,15 +40,15 @@ fam = QuiverFamily("line1")
 f = Functional.from_rule(fam, "starts_at", "v3")
 verdict = is_rational_left(f, fam, 10)
 print("  status:", verdict.status)
-print("  members:", len(verdict.certificate.elements), "| rule kinds:",
-      sorted({c.rule.kind for c in verdict.certificate.functionals}))
+print("  members:", len(verdict.witness.elements), "| rule kinds:",
+      sorted({c.rule.kind for c in verdict.witness.functionals}))
 
 print("\non the loop only the zero functional is rational:")
 print("  gamma:", is_rational_left(Functional.from_rule(QuiverFamily('loop'), 'gamma'), QuiverFamily("loop")).status)
 
 print("\nthe all-ones functional is a coordinate functional iff the path set")
 print("is finite:")
-print("  line:", gamma_membership(line).in_image, "| loop:", gamma_membership(QuiverFamily("loop")).in_image)
+print("  line:", bool(gamma_membership(line)), "| loop:", bool(gamma_membership(QuiverFamily("loop"))))
 
 print("\nreflexivity of the quiver algebra = finite dimensionality:")
 for target, name in ((line, "line"), (QuiverFamily("loop"), "loop"), (QuiverFamily("line2"), "two-sided line")):

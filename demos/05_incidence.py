@@ -49,6 +49,6 @@ print("\nfinite dual recovery:", report.isomorphism, "| dimension:", report.dime
 
 print("\nsemiperfectness with certificates:")
 chain = incidence_semiperfect_check(diamond)
-print("  diamond:", chain.value, f"({len(chain.certificates)} certificates verified)")
-print("  chain on the naturals:   ", incidence_semiperfect_check(PosetFamily("natchain")).value)
-print("  antichain on the naturals:", incidence_semiperfect_check(PosetFamily("natantichain")).value)
+print("  diamond:", bool(chain), f"({len(chain.witness)} certificates verified)")
+print("  chain on the naturals:   ", bool(incidence_semiperfect_check(PosetFamily("natchain"))))
+print("  antichain on the naturals:", bool(incidence_semiperfect_check(PosetFamily("natantichain"))))

@@ -69,5 +69,5 @@ for target, name in (
 ):
     verdict = coreflexivity_verdict(target)
     print(f"  {name:28s} -> {verdict.status}")
-    for step in verdict.chain[:1]:
+    for step in verdict.witness[:1]:
         print(f"      {step}")

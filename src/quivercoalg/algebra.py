@@ -22,6 +22,7 @@ from .quiver import (
     find_simple_cycle,
     has_composable_arrow_pair,
     has_multiple_edges,
+    horizon_verdict,
 )
 from .scalars import QQ
 
@@ -107,22 +108,12 @@ def is_subpath_closed(paths) -> bool:
     return all(s in pset for p in pset for s in p.subpaths())
 
 
-@dataclass
-class CofiniteMonomialVerdict:
-    status: str  # yes | no_up_to_bound | yes_exhaustive | no_exhaustive
-    witness_complement: Optional[list] = None
-
-    @property
-    def found(self) -> bool:
-        return self.status.startswith("yes")
-
-
 def contains_cofinite_monomial_ideal(
     ideal_generators,
     quiver: Quiver,
     max_len: int,
     codim_bound: int,
-) -> CofiniteMonomialVerdict:
+) -> Verdict:
     """Does the span of the generators contain a cofinite monomial ideal?
 
     Candidate monomial ideals are described by their complements: finite
@@ -130,23 +121,14 @@ def contains_cofinite_monomial_ideal(
     paths outside E lies inside the ideal iff E contains every path whose
     residue modulo the ideal is nonzero, so the minimal candidate is the
     subpath closure of the set of non-member paths; the search reduces to
-    checking its size.  Verdicts are exact on exhaustive enumerations and
-    bound-qualified otherwise.
+    checking its size.  The horizon rule qualifies the verdict; a yes
+    carries the complement as its witness.
     """
     enum = enumerate_paths(quiver, max_len)
     reduce = reducer(rref(list(ideal_generators)))
     outside = [p for p in enum.paths if not reduce(SparseVector.unit(p)).is_zero()]
     complement = subpath_closure(outside)
-    if len(complement) <= codim_bound:
-        if enum.exhaustive:
-            return CofiniteMonomialVerdict("yes_exhaustive", complement)
-        # On a truncated window a candidate complement touching the horizon
-        # keeps growing with the window, so no yes-witness is certified.
-        if any(p.length >= max_len for p in complement):
-            return CofiniteMonomialVerdict("no_up_to_bound")
-        return CofiniteMonomialVerdict("yes", complement)
-    status = "no_exhaustive" if enum.exhaustive else "no_up_to_bound"
-    return CofiniteMonomialVerdict(status)
+    return horizon_verdict(len(complement) <= codim_bound, enum.exhaustive, complement, max_len)
 
 
 # ---------------------------------------------------------------------------

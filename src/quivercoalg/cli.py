@@ -23,6 +23,7 @@ from .coalgebra import CoalgElement, comultiply, subcoalgebra_closure
 from .dual import Functional, convolve, gamma_membership, reflexivity_verdict
 from .finite_dual import theta_recovery_check
 from .incidence import (
+    POSET_FAMILY_KINDS,
     PosetFamily,
     hasse_quiver,
     incidence_dual_recovery_check,
@@ -244,7 +245,7 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     for i in range(module.dimension):
         vector = tuple(field.one if j == i else field.zero for j in range(module.dimension))
         check = annihilator_monomial_check(module, vector, args.codim_bound)
-        if not check.found:
+        if not check:
             bounded_no += 1
     consistent = (bounded_no > 0) == (not verdict.locally_nilpotent)
     report["annihilator_crosscheck"] = "consistent" if consistent else "inconsistent"
@@ -345,22 +346,21 @@ def cmd_check(args, field) -> tuple[dict, int]:
         return (
             {
                 "command": "check-thm43",
-                "holds": report.value,
+                "holds": bool(report),
                 "explanation": report.explanation,
-                "certificates": len(report.certificates),
+                "certificates": len(report.witness or ()),
             },
-            0 if report.value else 1,
+            0 if report else 1,
         )
     if name == "coreflexive":
-        first = _coreflexive_target(args.input, args.max_len)
+        first = _coreflexive_target(args.input)
         if args.second is not None:
-            second = _coreflexive_target(args.second, args.max_len)
-            verdict = coreflexivity_verdict(TensorProduct(first, second))
+            verdict = coreflexivity_verdict(TensorProduct(first, _coreflexive_target(args.second)))
         else:
             verdict = coreflexivity_verdict(first)
         return (
-            {"command": "check-coreflexive", "status": verdict.status, "chain": verdict.chain},
-            0 if verdict.status == "coreflexive" else 1,
+            {"command": "check-coreflexive", "status": verdict.status, "chain": verdict.witness},
+            0 if verdict else 1,
         )
     if name == "prop32":
         quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
@@ -382,21 +382,21 @@ def cmd_check(args, field) -> tuple[dict, int]:
             {
                 "command": "check-thm57",
                 "status": verdict.status,
-                "proper": verdict.proper,
+                # Every quiver algebra is proper (see reflexivity_verdict).
+                "proper": True,
                 "explanation": verdict.explanation,
-                "gamma_in_image": gamma.in_image,
+                "gamma_in_image": bool(gamma),
             },
-            0 if verdict.reflexive else 1,
+            0 if verdict else 1,
         )
     raise InputFailure(f"unknown check {name!r}")
 
 
-def _coreflexive_target(token: str, max_len: int):
+def _coreflexive_target(token: str):
     if token.startswith("family:"):
-        kind = token[len("family:") :]
-        if kind.split(":")[0] in ("natchain", "natantichain"):
-            return PosetFamily(kind)
-        return family_from_token(kind)
+        if token[len("family:") :].split(":")[0] in POSET_FAMILY_KINDS:
+            return _resolve_poset_input(token).target
+        return _resolve_quiver_input(token).target
     text = _read_file(token)
     head = text.lstrip().split()
     if head and head[0] == "poset":

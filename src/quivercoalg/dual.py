@@ -14,7 +14,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector
-from .quiver import Path, Quiver, QuiverFamily, enumerate_paths, is_acyclic
+from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, is_acyclic
 from .scalars import QQ
 
 
@@ -174,19 +174,13 @@ class RationalCertificate:
                 return False
         return True
 
-
-@dataclass
-class RationalVerdict:
-    status: str  # rational | rational_with_infinite_support | not_rational | unsupported
-    certificate: Optional[RationalCertificate] = None
-    explanation: str = ""
-
     @property
-    def is_rational(self) -> bool:
-        return self.status.startswith("rational")
+    def infinite_support(self) -> bool:
+        """Whether some member functional is a rule with infinite support."""
+        return any(not c_star.finite_support for c_star in self.functionals)
 
 
-def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field=QQ) -> RationalVerdict:
+def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field=QQ) -> Verdict:
     """Decide left-rationality of a functional, with a verified certificate.
 
     Finite acyclic quivers: every functional is rational; the certificate
@@ -195,7 +189,8 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field
     certified through the finitely many paths ending with each support path,
     and the starts-at rule through the finitely many paths ending at its
     vertex; the latter certificate has infinite-support members.  On the
-    loop, only the zero functional is rational.
+    loop, only the zero functional is rational.  A yes carries its
+    ``RationalCertificate`` as the witness; other families are unknown.
     """
     if isinstance(target, QuiverFamily):
         return _rational_on_family(f, target, max_len if max_len is not None else 10, field)
@@ -204,9 +199,9 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field
         raise ValueError("finite cyclic quivers are handled through their family kind")
     enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
     if f.support is not None and f.support.is_zero():
-        return RationalVerdict("rational", RationalCertificate([], []), "zero functional")
+        return Verdict("yes", RationalCertificate([], []), "zero functional")
     cert = _convolution_certificate(f, enum.paths, field)
-    return RationalVerdict("rational", cert, "finite-dimensional path coalgebra")
+    return Verdict("yes", cert, "finite-dimensional path coalgebra")
 
 
 def _convolution_certificate(f: Functional, paths, field) -> RationalCertificate:
@@ -226,23 +221,18 @@ def _convolution_certificate(f: Functional, paths, field) -> RationalCertificate
     return cert
 
 
-def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field) -> RationalVerdict:
+def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field) -> Verdict:
     if f.support is not None and f.support.is_zero():
-        return RationalVerdict("rational", RationalCertificate([], []), "zero functional")
+        return Verdict("yes", RationalCertificate([], []), "zero functional")
     if family.kind in ("loop", "cycle"):
-        return RationalVerdict(
-            "not_rational",
-            explanation="every nonzero functional has an infinite-dimensional hit orbit here",
-        )
+        return Verdict("no", explanation="every nonzero functional has an infinite-dimensional hit orbit here")
     if family.kind not in ("line1", "line2"):
-        return RationalVerdict("unsupported", explanation=f"no rule for family {family.kind}")
+        return Verdict("unknown", explanation=f"no rule for family {family.kind}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
         quiver = next(iter(f.support.labels())).quiver
         cert = _convolution_certificate(f, enumerate_paths(quiver, window).paths, field)
-        return RationalVerdict(
-            "rational", cert, "finitely many paths end with each support path"
-        )
+        return Verdict("yes", cert, "finitely many paths end with each support path")
     if f.rule.kind == "starts_at":
         quiver = family.truncate(window)
         enum = enumerate_paths(quiver, window)
@@ -256,45 +246,24 @@ def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field)
         duals = [Functional.dual_of_path(p, field) for p in enum.paths]
         if not cert.verify(f, duals, enum.paths):
             raise AssertionError("certificate failed to verify; bug")
-        return RationalVerdict(
-            "rational_with_infinite_support",
-            cert,
-            "certified through the finitely many paths ending at the vertex",
-        )
-    return RationalVerdict("unsupported", explanation=f"no rule for {f.describe()}")
+        return Verdict("yes", cert, "certified through the finitely many paths ending at the vertex")
+    return Verdict("unknown", explanation=f"no rule for {f.describe()}")
 
 
-@dataclass
-class GammaVerdict:
-    in_image: bool
-    support: Optional[list] = None
-    explanation: str = ""
-
-
-def gamma_membership(target) -> GammaVerdict:
+def gamma_membership(target) -> Verdict:
     """The all-ones functional lies in the image of the coordinate embedding
-    iff the path set is finite, in which case its support is everything."""
+    iff the path set is finite, in which case its support, the witness, is
+    everything."""
     if isinstance(target, QuiverFamily):
-        return GammaVerdict(False, None, f"{target.describe()}: infinitely many paths")
+        return Verdict("no", explanation=f"{target.describe()}: infinitely many paths")
     quiver: Quiver = target
     if is_acyclic(quiver):
         enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        return GammaVerdict(True, list(enum.paths), "finite path set")
-    return GammaVerdict(False, None, "a cycle makes the path set infinite")
+        return Verdict("yes", list(enum.paths), "finite path set")
+    return Verdict("no", explanation="a cycle makes the path set infinite")
 
 
-@dataclass
-class ReflexivityVerdict:
-    status: str  # reflexive | proper_not_reflexive
-    proper: bool
-    explanation: str
-
-    @property
-    def reflexive(self) -> bool:
-        return self.status == "reflexive"
-
-
-def reflexivity_verdict(target) -> ReflexivityVerdict:
+def reflexivity_verdict(target) -> Verdict:
     """Quiver algebras are always proper; reflexivity holds exactly for the
     finite-dimensional ones, i.e. finite quivers with no oriented cycles."""
     if isinstance(target, QuiverFamily):
@@ -304,12 +273,8 @@ def reflexivity_verdict(target) -> ReflexivityVerdict:
             why = "infinitely many arrows: the algebra is infinite dimensional"
         else:
             why = "infinitely many vertices: the algebra is infinite dimensional"
-        return ReflexivityVerdict("proper_not_reflexive", True, why)
+        return Verdict("no", explanation=why)
     quiver: Quiver = target
     if is_acyclic(quiver):
-        return ReflexivityVerdict(
-            "reflexive", True, "finite acyclic quiver: the algebra is finite dimensional"
-        )
-    return ReflexivityVerdict(
-        "proper_not_reflexive", True, "oriented cycle: the algebra is infinite dimensional"
-    )
+        return Verdict("yes", explanation="finite acyclic quiver: the algebra is finite dimensional")
+    return Verdict("no", explanation="oriented cycle: the algebra is infinite dimensional")

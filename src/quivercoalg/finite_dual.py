@@ -26,7 +26,7 @@ from .linalg import (
     reducer,
     rref,
 )
-from .quiver import Path, Quiver, QuiverFamily, enumerate_paths, is_acyclic
+from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, horizon_verdict, is_acyclic
 from .scalars import QQ
 
 
@@ -165,7 +165,7 @@ class DualCoalgebra:
         )
 
     def counit(self, functional: SparseVector):
-        total = 0
+        total = self.algebra.field.zero
         for b, coeff in functional.items():
             total = total + self.counit_table[b] * coeff
         return total
@@ -223,17 +223,6 @@ def theta_embed(element: CoalgElement, max_len: Optional[int] = None) -> FiniteD
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MembershipVerdict:
-    status: str  # yes | no_up_to_bound
-    witness: Optional[dict] = None
-    explanation: str = ""
-
-    @property
-    def found(self) -> bool:
-        return self.status == "yes"
-
-
 def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector) -> list[SparseVector]:
     """Largest two-sided ideal contained in the kernel of a functional.
 
@@ -281,7 +270,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
         current = refined
 
 
-def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> MembershipVerdict:
+def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Verdict:
     """Membership in the finite dual, with an explicit witness ideal.
 
     Finite-dimensional structured algebras: always yes; the witness is the
@@ -294,7 +283,7 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Mem
             raise ValueError("functionals on a structured algebra are sparse vectors")
         witness = maximal_ideal_in_kernel(target, f)
         codim = len(target.basis) - len(witness)
-        return MembershipVerdict(
+        return Verdict(
             "yes",
             witness={"ideal_basis": witness, "codimension": codim},
             explanation="finite-dimensional algebra: every functional is representative",
@@ -317,7 +306,7 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Mem
                 failures.append(n)
         if failures:
             raise AssertionError("evaluation functional does not kill the witness ideal")
-        return MembershipVerdict(
+        return Verdict(
             "yes",
             witness={"generator": generator, "window": window},
             explanation="kernel contains the cofinite ideal generated by (x - lambda*v)",
@@ -332,64 +321,48 @@ def _loop_power(quiver: Quiver, n: int) -> Path:
     return Path(quiver, None, (arrow,) * n)
 
 
-def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Optional[int] = None) -> MembershipVerdict:
+def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Optional[int] = None) -> Verdict:
     """Is the functional a coordinate functional, i.e. does its kernel
     contain a two-sided cofinite monomial ideal?
 
     A monomial ideal lies inside the kernel iff its complement contains the
-    support, so the minimal candidate complement is the subpath closure of
-    the support; the verdict compares its size with the bound.
+    support, so the minimal candidate complement, the witness, is the
+    subpath closure of the support.  A finite support is a proof; a rule is
+    read on a window and judged by the horizon rule.
     """
+    if isinstance(target, QuiverFamily) and target.kind != "loop":
+        raise ValueError("family membership is implemented for the loop only")
+    because = "kernel contains the monomial ideal avoiding the support subpaths"
+    if f.finite_support:
+        return Verdict("yes", subpath_closure(f.support.labels()), because)
     if isinstance(target, QuiverFamily):
-        if target.kind != "loop":
-            raise ValueError("family membership is implemented for the loop only")
         quiver = target.truncate(window or (codim_bound + 2))
         horizon = codim_bound + 1
-        support = [n for n in range(horizon + 1) if f(_loop_power(quiver, n))]
-        if f.finite_support or not support or max(support) < horizon:
-            items = {
-                _loop_power(quiver, n): f(_loop_power(quiver, n)) for n in range(horizon + 1)
-            }
-            complement = subpath_closure([p for p, c in items.items() if c])
-            return MembershipVerdict(
-                "yes",
-                witness={"complement": complement},
-                explanation="finite support within the window",
-            )
-        return MembershipVerdict(
-            "no_up_to_bound",
-            explanation=(
-                f"every power ideal (x^k), k <= {codim_bound}, misses the kernel: "
-                "the functional is nonzero on arbitrarily long powers"
-            ),
+        support = [p for n in range(horizon + 1) if f(p := _loop_power(quiver, n))]
+        # The closure is always a candidate; the horizon decides.
+        return horizon_verdict(
+            True,
+            False,
+            subpath_closure(support),
+            horizon,
+            "finite support within the window",
+            f"every power ideal (x^k), k <= {codim_bound}, misses the kernel: "
+            "the functional is nonzero on arbitrarily long powers",
         )
     quiver: Quiver = target
-    if f.finite_support:
-        complement = subpath_closure(f.support.labels())
-        return MembershipVerdict(
-            "yes",
-            witness={"complement": complement},
-            explanation="kernel contains the monomial ideal avoiding the support subpaths",
-        )
     if window is None:
         if not is_acyclic(quiver):
             raise ValueError("cyclic quiver: supply a window")
         window = max(0, len(quiver.vertices) - 1)
     enum = enumerate_paths(quiver, window)
-    support = [p for p in enum.paths if f(p)]
-    complement = subpath_closure(support)
+    complement = subpath_closure([p for p in enum.paths if f(p)])
     fits = len(complement) <= codim_bound
-    # On a truncated window a complement touching the horizon keeps growing
-    # with the window, so it is no yes-witness (the horizon rule of
-    # contains_cofinite_monomial_ideal).
-    if enum.exhaustive or (fits and all(p.length < window for p in complement)):
-        return MembershipVerdict(
-            "yes",
-            witness={"complement": complement},
-            explanation="kernel contains the monomial ideal avoiding the support subpaths",
-        )
+    # An exhaustive enumeration sees the whole (finite) support, so its
+    # closure is a witness whatever its size.
     why = "reaches the window horizon" if fits else "exceeds the codimension bound"
-    return MembershipVerdict("no_up_to_bound", explanation=f"support subpath-closure {why}")
+    return horizon_verdict(
+        fits or enum.exhaustive, enum.exhaustive, complement, window, because, f"support subpath-closure {why}"
+    )
 
 
 @dataclass
@@ -397,7 +370,7 @@ class RecoveryReport:
     recovered: bool
     dimension: Optional[int] = None
     witness: Optional[Functional] = None
-    witness_verdict: Optional[MembershipVerdict] = None
+    witness_verdict: Optional[Verdict] = None
     explanation: str = ""
 
     def __bool__(self):
@@ -478,7 +451,7 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     complement = subpath_closure(support)
     if len(complement) <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")
-    verdict = MembershipVerdict(
+    verdict = Verdict(
         "no_up_to_bound",
         explanation="the winding indicator has unbounded support along the cycle",
     )

@@ -53,9 +53,6 @@ class Poset:
         self._hasse: Optional[Quiver] = None
         self._paths_between: Optional[dict] = None
 
-    def less_equal(self, x, y) -> bool:
-        return (x, y) in self.leq
-
     def intervals(self) -> list:
         pairs = [(x, y) for x in self.elements for y in self.elements if (x, y) in self.leq]
         pairs.sort(key=_interval_order)
@@ -207,28 +204,18 @@ class SemiperfectCertificate:
     identity_checked: bool
 
 
-@dataclass
-class SemiperfectReport:
-    value: bool
-    explanation: str
-    certificates: list
-
-    def __bool__(self):
-        return self.value
-
-
-def incidence_semiperfect_check(target, field=QQ) -> SemiperfectReport:
+def incidence_semiperfect_check(target, field=QQ) -> Verdict:
     """Finiteness of down-sets and up-sets, with rational-part certificates.
 
     For a finite poset the condition holds, and for every basis functional
     E_{x,y} the certificate expresses c*·E_{x,y} through the elements
     e_{u,x} with u <= x; the identity is verified against every dual basis
     element c* = E_{p,q}.  The chain family on the naturals fails the
-    condition upward; the antichain family satisfies it.
+    condition upward; the antichain family satisfies it.  The witness is
+    the list of verified certificates; a family has none.
     """
     if isinstance(target, PosetFamily):
-        verdict = target.semiperfect_condition()
-        return SemiperfectReport(bool(verdict), verdict.explanation, [])
+        return target.semiperfect_condition()
     poset: Poset = target
     certificates = []
     for (x, y) in poset.intervals():
@@ -241,10 +228,8 @@ def incidence_semiperfect_check(target, field=QQ) -> SemiperfectReport:
             if left.combo != right:
                 raise AssertionError(f"certificate identity fails at {(x, y)} against {(p, q)}")
         certificates.append(SemiperfectCertificate((x, y), below, True))
-    return SemiperfectReport(
-        True,
-        "finite poset: every down-set and up-set is finite; all certificates verified",
-        certificates,
+    return Verdict(
+        "yes", certificates, "finite poset: every down-set and up-set is finite; all certificates verified"
     )
 
 
@@ -277,8 +262,8 @@ class PosetFamily:
 
     def semiperfect_condition(self) -> Verdict:
         if self.kind == "natchain":
-            return Verdict(False, "infinitely many elements lie above every point of the chain")
-        return Verdict(True, "each element of the antichain is comparable only to itself")
+            return Verdict("no", explanation="infinitely many elements lie above every point of the chain")
+        return Verdict("yes", explanation="each element of the antichain is comparable only to itself")
 
     def __str__(self):
         return f"family:{self.kind}"

@@ -439,11 +439,6 @@ def mat_eq(a, b) -> bool:
     return True
 
 
-def mat_rank(m) -> int:
-    rows = [SparseVector({j: x for j, x in enumerate(row) if x}) for row in m]
-    return rank(rows)
-
-
 def mat_is_zero(m) -> bool:
     return all(not x for row in m for x in row)
 

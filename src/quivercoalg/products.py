@@ -14,7 +14,7 @@ from .coalgebra import CoalgElement, comultiply, counit
 from .dual import Functional
 from .incidence import Poset, PosetFamily
 from .linalg import SparseVector, rank1_decompose_2x2, rank1_factor_2x2
-from .quiver import Path, Quiver, QuiverFamily, enumerate_paths, is_acyclic
+from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, is_acyclic
 from .scalars import QQ
 
 
@@ -441,20 +441,6 @@ class TensorProduct:
     right: object
 
 
-@dataclass
-class CoreflexivityVerdict:
-    status: str  # coreflexive | not_coreflexive | unknown
-    chain: list
-
-    @property
-    def coreflexive(self) -> Optional[bool]:
-        if self.status == "coreflexive":
-            return True
-        if self.status == "not_coreflexive":
-            return False
-        return None
-
-
 def _finitely_many_paths_and_tame(target) -> Optional[str]:
     """Reason string when the target embeds in a path coalgebra with
     finitely many paths between any two vertices and a nonmeasurable vertex
@@ -474,7 +460,7 @@ def _finitely_many_paths_and_tame(target) -> Optional[str]:
     return None
 
 
-def coreflexivity_verdict(target) -> CoreflexivityVerdict:
+def coreflexivity_verdict(target) -> Verdict:
     """Rule-based certifier; 'unknown' is a legitimate output.
 
     Rules, in order: (a) finite dimensional; (b) the one-loop quiver, whose
@@ -482,43 +468,44 @@ def coreflexivity_verdict(target) -> CoreflexivityVerdict:
     finitely many paths between any two vertices with a nonmeasurable
     vertex set, reducing to the grouplike coradical; (d) the multi-arrow
     star, whose skew-primitive quotient is a known non-coreflexive
-    coalgebra; (e) tensor products of two case-(c) coalgebras.
+    coalgebra; (e) tensor products of two case-(c) coalgebras.  The
+    witness is the chain of rules applied.
     """
     chain = []
     if isinstance(target, Quiver):
         if is_acyclic(target):
             chain.append("(a) finite acyclic quiver: the path coalgebra is finite dimensional")
-            return CoreflexivityVerdict("coreflexive", chain)
+            return Verdict("yes", chain)
         if len(target.vertices) == 1 and len(target.arrows) == 1:
             chain.append("(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed")
-            return CoreflexivityVerdict("coreflexive", chain)
+            return Verdict("yes", chain)
         chain.append("cyclic quiver outside the rule set")
-        return CoreflexivityVerdict("unknown", chain)
+        return Verdict("unknown", chain)
     if isinstance(target, Poset):
         chain.append("(a) finite poset: the incidence coalgebra is finite dimensional")
-        return CoreflexivityVerdict("coreflexive", chain)
+        return Verdict("yes", chain)
     if isinstance(target, QuiverFamily):
         if target.kind == "loop":
             chain.append("(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed")
-            return CoreflexivityVerdict("coreflexive", chain)
+            return Verdict("yes", chain)
         reason = _finitely_many_paths_and_tame(target)
         if reason is not None:
             chain.append(f"(c) {reason}")
             chain.append("(c) coradical reduction: coreflexivity follows from the grouplike coradical")
-            return CoreflexivityVerdict("coreflexive", chain)
+            return Verdict("yes", chain)
         if target.kind == "star51":
             chain.append(
                 "(d) growing parallel bundles: the quotient by the skew-primitive span "
                 "of hub minus tip is a known non-coreflexive coalgebra"
             )
-            return CoreflexivityVerdict("not_coreflexive", chain)
+            return Verdict("no", chain)
         chain.append(f"{target.describe()}: outside the rule set")
-        return CoreflexivityVerdict("unknown", chain)
+        return Verdict("unknown", chain)
     if isinstance(target, PosetFamily):
         reason = _finitely_many_paths_and_tame(target)
         chain.append(f"(c) {reason}")
         chain.append("(c) coradical reduction through the incidence embedding")
-        return CoreflexivityVerdict("coreflexive", chain)
+        return Verdict("yes", chain)
     if isinstance(target, TensorProduct):
         left_reason = _finitely_many_paths_and_tame(target.left)
         right_reason = _finitely_many_paths_and_tame(target.right)
@@ -527,17 +514,17 @@ def coreflexivity_verdict(target) -> CoreflexivityVerdict:
         if (
             left_reason is not None
             and right_reason is not None
-            and left_verdict.status == "coreflexive"
-            and right_verdict.status == "coreflexive"
+            and left_verdict.status == "yes"
+            and right_verdict.status == "yes"
         ):
             chain.append(f"(e) left factor: {left_reason}")
             chain.append(f"(e) right factor: {right_reason}")
             chain.append("(e) tensor rule: the product embeds in the path coalgebra of the product quiver")
-            return CoreflexivityVerdict("coreflexive", chain)
+            return Verdict("yes", chain)
         chain.append("tensor product outside the rule set")
-        return CoreflexivityVerdict("unknown", chain)
+        return Verdict("unknown", chain)
     chain.append("unrecognized input")
-    return CoreflexivityVerdict("unknown", chain)
+    return Verdict("unknown", chain)
 
 
 def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:

@@ -319,15 +319,44 @@ def topological_order(quiver: Quiver) -> list:
     return order
 
 
+VERDICT_STATUSES = ("yes", "no", "yes_up_to_bound", "no_up_to_bound", "unknown")
+
+
 @dataclass
 class Verdict:
-    """Boolean answer with a human-readable explanation."""
+    """Every answer of the library, with its witness and a reason.
 
-    value: bool
-    explanation: str
+    ``yes``/``no`` are proved: on a finite object, an exhaustive search or
+    a closed-form rule.  ``yes_up_to_bound``/``no_up_to_bound`` come from a
+    truncated window and are never proofs.  ``unknown`` means no rule
+    applies.  The witness is the certificate the answer rests on.
+    """
+
+    status: str
+    witness: object = None
+    explanation: str = ""
+
+    def __post_init__(self):
+        if self.status not in VERDICT_STATUSES:
+            raise ValueError(f"unknown verdict status {self.status!r}")
 
     def __bool__(self):
-        return self.value
+        return self.status in ("yes", "yes_up_to_bound")
+
+
+def horizon_verdict(found: bool, exhaustive: bool, complement, horizon: int, because="", unless="") -> Verdict:
+    """The horizon rule for a search over the paths below a window horizon.
+
+    An exhaustive search is a proof either way.  On a truncated window a
+    complement touching the horizon keeps growing with the window, so only
+    a complement strictly below it is a (bounded) yes-witness.  ``because``
+    explains a yes, ``unless`` a no.
+    """
+    if exhaustive:
+        return Verdict("yes", complement, because) if found else Verdict("no", explanation=unless)
+    if found and all(p.length < horizon for p in complement):
+        return Verdict("yes_up_to_bound", complement, because)
+    return Verdict("no_up_to_bound", explanation=unless)
 
 
 def check_recovery_condition(target) -> Verdict:
@@ -339,10 +368,10 @@ def check_recovery_condition(target) -> Verdict:
     if isinstance(target, QuiverFamily):
         return target.recovery_condition()
     if is_acyclic(target):
-        return Verdict(True, "finite quiver with no oriented cycles")
+        return Verdict("yes", explanation="finite quiver with no oriented cycles")
     cycle = find_simple_cycle(target)
     route = ".".join(a.label for a in cycle)
-    return Verdict(False, f"oriented cycle found: {route}")
+    return Verdict("no", explanation=f"oriented cycle found: {route}")
 
 
 def check_semiperfect_condition(target) -> Verdict:
@@ -353,10 +382,10 @@ def check_semiperfect_condition(target) -> Verdict:
     if isinstance(target, QuiverFamily):
         return target.semiperfect_condition()
     if is_acyclic(target):
-        return Verdict(True, "finite acyclic quiver: the path set is finite")
+        return Verdict("yes", explanation="finite acyclic quiver: the path set is finite")
     cycle = find_simple_cycle(target)
     v = cycle[0].source
-    return Verdict(False, f"infinitely many paths start and end at {v} (cycle through it)")
+    return Verdict("no", explanation=f"infinitely many paths start and end at {v} (cycle through it)")
 
 
 def check_unique_path_condition(quiver: Quiver) -> bool:
@@ -387,7 +416,7 @@ def check_recovery_clause_equivalence(quiver: Quiver) -> Verdict:
             break
     if clause_one != clause_two:
         raise AssertionError("finiteness clauses disagree; this is a bug")
-    return Verdict(clause_one, "both finiteness clauses agree")
+    return Verdict("yes" if clause_one else "no", explanation="both finiteness clauses agree")
 
 
 def induced_subquiver(quiver: Quiver, vertex_subset) -> Quiver:
@@ -508,14 +537,14 @@ class QuiverFamily:
     def recovery_condition(self) -> Verdict:
         kind = self.kind
         if kind in ("line2", "line1"):
-            return Verdict(True, "acyclic with at most one arrow between any two vertices")
+            return Verdict("yes", explanation="acyclic with at most one arrow between any two vertices")
         if kind in ("star51", "star56"):
-            return Verdict(True, "acyclic with finitely many arrows between any two vertices")
+            return Verdict("yes", explanation="acyclic with finitely many arrows between any two vertices")
         if kind == "loop":
-            return Verdict(False, "the loop is an oriented cycle")
+            return Verdict("no", explanation="the loop is an oriented cycle")
         if kind == "cycle":
-            return Verdict(False, "the quiver is an oriented cycle")
-        return Verdict(False, "infinitely many arrows between the two vertices")
+            return Verdict("no", explanation="the quiver is an oriented cycle")
+        return Verdict("no", explanation="infinitely many arrows between the two vertices")
 
     def semiperfect_condition(self) -> Verdict:
         kind = self.kind
@@ -528,7 +557,7 @@ class QuiverFamily:
             "star51": "infinitely many paths start at the hub vertex",
             "star56": "infinitely many paths start at the hub vertex",
         }
-        return Verdict(False, reasons[kind])
+        return Verdict("no", explanation=reasons[kind])
 
     def finitely_many_paths_between_vertices(self) -> bool:
         return self.kind in ("line2", "line1")

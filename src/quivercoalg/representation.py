@@ -26,7 +26,7 @@ from .linalg import (
     solve_membership,
     vec_mat,
 )
-from .quiver import Path, Quiver, QuiverFamily
+from .quiver import Path, Quiver, QuiverFamily, Verdict
 from .scalars import QQ
 
 
@@ -258,24 +258,13 @@ def _find_nonvanishing_long_path(rep: Representation, depth: int, field=QQ):
     return None
 
 
-@dataclass
-class AnnihilatorVerdict:
-    status: str  # yes | no_up_to_bound
-    complement: Optional[list] = None
-    codimension: Optional[int] = None
-    explanation: str = ""
-
-    @property
-    def found(self) -> bool:
-        return self.status == "yes"
-
-
-def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10) -> AnnihilatorVerdict:
+def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10) -> Verdict:
     """Search for a cofinite monomial ideal annihilating the vector.
 
     The nonvanishing path set of the vector is prefix-closed, so a depth
     first walk with pruning enumerates it; a surviving path longer than the
-    bound already forces more than codim_bound complement elements.
+    bound already forces more than codim_bound complement elements.  A yes
+    walked the whole set, and its witness is the complement.
     """
     quiver = module.quiver
     alive = []
@@ -288,20 +277,13 @@ def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10
         path, image = stack.pop()
         alive.append(path)
         if path.length > codim_bound:
-            return AnnihilatorVerdict(
-                "no_up_to_bound",
-                explanation=f"a path of length {path.length} still acts nontrivially",
-            )
+            return Verdict("no_up_to_bound", explanation=f"a path of length {path.length} still acts nontrivially")
         for a in quiver.out_arrows(path.target):
             new_image = vec_mat(image, module.arrow_action[a.label])
             if any(new_image):
                 stack.append((Path(quiver, None, path.arrows + (a,)), new_image))
-    complement = subpath_closure(alive)
-    return AnnihilatorVerdict(
-        "yes",
-        complement=complement,
-        codimension=len(complement),
-        explanation="the span of all paths outside the closure annihilates the vector",
+    return Verdict(
+        "yes", subpath_closure(alive), "the span of all paths outside the closure annihilates the vector"
     )
 
 

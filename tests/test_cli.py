@@ -9,6 +9,7 @@ import pytest
 import quivercoalg
 from quivercoalg import cli
 from quivercoalg.cli import main
+from quivercoalg.quiver import VERDICT_STATUSES
 
 LINE = """quiver
 vertex a
@@ -354,3 +355,31 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["count"] == 3
+
+
+@pytest.mark.parametrize("token", ["family:bogus", "family:cycle:x", "family:natchain:3"])
+def test_check_coreflexive_bad_family_exits_2(token, line_file, capsys):
+    for argv in ([token], [token, line_file], [line_file, token]):
+        status, out, err = run(capsys, "check", "coreflexive", *argv)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_check_statuses_come_from_the_closed_set(line_file, poset_file, tmp_path, capsys):
+    cyclic = tmp_path / "cyclic.txt"
+    cyclic.write_text("quiver\nvertex a\nvertex b\narrow x a b\narrow y b a\n")
+    families = ["family:" + kind for kind in ("loop", "line1", "line2", "cycle:2", "multiarrow", "star51", "star56")]
+    quivers = [line_file, str(cyclic)] + families
+    runs = [("thm57", q) for q in quivers]
+    runs += [("coreflexive", t) for t in quivers + [poset_file, "family:natchain", "family:natantichain"]]
+    runs += [("coreflexive", line_file, poset_file), ("coreflexive", "family:line1", "family:star51")]
+    seen = set()
+    for name, *inputs in runs:
+        status, out, _ = run(capsys, "check", name, *inputs, "--json")
+        report = json.loads(out)
+        assert report["status"] in VERDICT_STATUSES
+        assert status == (0 if report["status"] == "yes" else 1)
+        if name == "thm57":
+            assert report["proper"] is True
+        seen.add(report["status"])
+    assert seen == {"yes", "no", "unknown"}

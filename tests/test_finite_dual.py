@@ -229,7 +229,7 @@ def test_prop_finite_dual_hit_orbit_spot_check():
         values = {b: Fraction(rng.randint(-2, 2)) for b in algebra.basis if rng.random() < 0.5}
         functional = SparseVector(values)
         verdict = is_in_finite_dual(functional, algebra)
-        assert verdict.found
+        assert verdict.status == "yes"
         orbit = []
         for a in algebra.basis:
             hit = SparseVector(
@@ -249,7 +249,7 @@ def test_loop_eval_membership():
     fam = QuiverFamily("loop")
     ev2 = Functional.from_rule(fam, "eval", Fraction(2))
     verdict = is_in_finite_dual(ev2, fam, window=12)
-    assert verdict.found
+    assert verdict.status == "yes"
     generator = verdict.witness["generator"]
     # kernel generator x - 2v
     labels = {str(p): c for p, c in generator.combo.items()}
@@ -262,8 +262,8 @@ def test_loop_eval_theta_image():
     assert is_in_theta_image(ev1, fam, 10).status == "no_up_to_bound"
     ev0 = Functional.from_rule(fam, "eval", Fraction(0))
     verdict = is_in_theta_image(ev0, fam, 10)
-    assert verdict.found
-    assert [str(p) for p in verdict.witness["complement"]] == ["v"]
+    assert verdict.status == "yes_up_to_bound"
+    assert [str(p) for p in verdict.witness] == ["v"]
 
 
 def test_theta_image_on_truncated_window_needs_room_below_the_horizon():
@@ -274,8 +274,8 @@ def test_theta_image_on_truncated_window_needs_room_below_the_horizon():
     assert is_in_theta_image(gamma, loop, window=2).status == "no_up_to_bound"
     ev0 = Functional.from_rule(loop, "eval", Fraction(0))
     verdict = is_in_theta_image(ev0, loop, window=2)
-    assert verdict.found
-    assert [str(p) for p in verdict.witness["complement"]] == ["v"]
+    assert verdict.status == "yes_up_to_bound"
+    assert [str(p) for p in verdict.witness] == ["v"]
 
 
 def test_theta_image_of_coordinate_functionals():
@@ -285,9 +285,9 @@ def test_theta_image_of_coordinate_functionals():
     from quivercoalg.dual import psi_embed
 
     verdict = is_in_theta_image(psi_embed(element), q)
-    assert verdict.found
+    assert verdict.status == "yes"
     zero = is_in_theta_image(Functional.zero(q), q)
-    assert zero.found and zero.witness["complement"] == []
+    assert zero.status == "yes" and zero.witness == []
 
 
 def test_theta_recovery():
@@ -345,3 +345,14 @@ def test_finite_dual_witness_holds_rationals_not_floats():
     witness = is_in_finite_dual(functional, algebra).witness["ideal_basis"]
     assert [v.entries for v in witness] == [{("c0", "c1"): 1}, {("c0", "c2"): 1}, {("c1", "c2"): 1}]
     assert all(type(c) is Fraction for v in witness for c in v.entries.values())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_dual_counit_returns_field_scalars(field):
+    q = named_quiver("single_arrow")
+    dual = dual_coalgebra(structured_from_quiver(q, field))
+    u, x = q.vertex_path("a"), q.arrow_path("x")
+    empty = dual.counit(SparseVector())
+    assert empty == field.zero and type(empty) is type(field.zero)
+    value = dual.counit(SparseVector({u: field.of(3), x: field.of(2)}))
+    assert value == field.of(3) and type(value) is type(field.zero)

@@ -13,7 +13,6 @@ from quivercoalg.linalg import (
     label_sort_key,
     mat_eq,
     mat_mul,
-    mat_rank,
     rank,
     rank1_decompose_2x2,
     rank1_factor_2x2,
@@ -227,11 +226,6 @@ def test_prime_field_mode():
     recombined = g.scale(coeffs[0]) + h.scale(coeffs[1])
     assert recombined == SparseVector({"a": field.of(3)})
     assert rank([g, h]) == 2
-
-
-def test_rank_agrees_with_mat_rank():
-    rows = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)), (Fraction(0), Fraction(1)))
-    assert mat_rank(rows) == dense_rank([list(r) for r in rows]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -197,19 +197,19 @@ def test_star_factorization_rejects_bad_input():
 
 
 def test_coreflexivity_rule_chain():
-    assert coreflexivity_verdict(named_quiver("diamond")).status == "coreflexive"
-    assert coreflexivity_verdict(named_quiver("loop")).status == "coreflexive"
-    assert coreflexivity_verdict(QuiverFamily("loop")).status == "coreflexive"
-    assert coreflexivity_verdict(QuiverFamily("line2")).status == "coreflexive"
-    assert coreflexivity_verdict(QuiverFamily("star51")).status == "not_coreflexive"
+    assert coreflexivity_verdict(named_quiver("diamond")).status == "yes"
+    assert coreflexivity_verdict(named_quiver("loop")).status == "yes"
+    assert coreflexivity_verdict(QuiverFamily("loop")).status == "yes"
+    assert coreflexivity_verdict(QuiverFamily("line2")).status == "yes"
+    assert coreflexivity_verdict(QuiverFamily("star51")).status == "no"
     assert coreflexivity_verdict(QuiverFamily("star56")).status == "unknown"
     assert coreflexivity_verdict(QuiverFamily("multiarrow")).status == "unknown"
     assert coreflexivity_verdict(named_quiver("cycle2")).status == "unknown"
-    assert coreflexivity_verdict(PosetFamily("natchain")).status == "coreflexive"
+    assert coreflexivity_verdict(PosetFamily("natchain")).status == "yes"
     tensor = TensorProduct(named_quiver("line3"), named_quiver("diamond"))
     verdict = coreflexivity_verdict(tensor)
-    assert verdict.status == "coreflexive"
-    assert any("tensor rule" in step for step in verdict.chain)
+    assert verdict.status == "yes"
+    assert any("tensor rule" in step for step in verdict.witness)
     bad_tensor = TensorProduct(named_quiver("line3"), QuiverFamily("star51"))
     assert coreflexivity_verdict(bad_tensor).status == "unknown"
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from quivercoalg.corpus import enumerate_small_quivers, finite_corpus, named_quiver, random_quiver
 from quivercoalg.quiver import (
+    VERDICT_STATUSES,
     Path,
     Quiver,
     QuiverFamily,
+    Verdict,
     check_recovery_clause_equivalence,
     check_recovery_condition,
     check_semiperfect_condition,
@@ -16,6 +18,7 @@ from quivercoalg.quiver import (
     enumerate_paths,
     family_from_token,
     find_simple_cycle,
+    horizon_verdict,
     is_acyclic,
 )
 from quivercoalg.textio import parse_quiver_text
@@ -243,3 +246,32 @@ def test_distinct_enumerated_paths_match_the_oracle(text, max_len):
     paths = enumerate_paths(q, max_len).paths
     assert len(set(paths)) == len(brute_force_paths(q, max_len))
     assert paths == sorted(paths, key=lambda p: p.sort_key)
+
+
+def test_verdict_truth_and_closed_vocabulary():
+    assert [bool(Verdict(status)) for status in VERDICT_STATUSES] == [True, False, True, False, False]
+    with pytest.raises(ValueError, match="unknown verdict status"):
+        Verdict("proved_yes")
+
+
+def _loop_powers(n):
+    loop = Quiver(["v"], [("x", "v", "v")])
+    return [loop.vertex_path("v")] + [loop.path_from_labels(["x"] * k) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "found, exhaustive, top, status",
+    [
+        (True, True, 3, "yes"),  # exhaustive: a proof, wherever the witness lies
+        (False, True, 1, "no"),
+        (True, False, 2, "yes_up_to_bound"),  # witness strictly below the horizon
+        (True, False, 3, "no_up_to_bound"),  # witness touches the horizon
+        (False, False, 1, "no_up_to_bound"),
+    ],
+)
+def test_horizon_rule(found, exhaustive, top, status):
+    complement = _loop_powers(top)
+    verdict = horizon_verdict(found, exhaustive, complement, 3, "why yes", "why not")
+    assert verdict.status == status
+    assert verdict.witness == (complement if verdict else None)
+    assert verdict.explanation == ("why yes" if verdict else "why not")

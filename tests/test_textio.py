@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quivercoalg.corpus import named_poset, named_quiver
+from quivercoalg.incidence import Poset
+from quivercoalg.quiver import Quiver
 from quivercoalg.scalars import QQ, PrimeField
 from quivercoalg.textio import (
     ParseError,
@@ -85,7 +88,7 @@ def test_parse_quiver_errors_carry_line_numbers():
 def test_parse_poset():
     parsed = parse_poset_text(POSET_TEXT)
     poset = parsed.poset
-    assert poset.less_equal("p", "q")
+    assert ("p", "q") in poset.leq
     text = poset_to_text(named_poset("diamond"))
     again = parse_poset_text(text).poset
     assert len(again.intervals()) == 9
@@ -189,3 +192,39 @@ def test_parse_functional_expressions():
     assert not starts(q.vertex_path("b"))
     with pytest.raises(ParseError):
         parse_functional("rule:unknown", q, q)
+
+
+LABELS = st.text("abxyz019_.()", min_size=1, max_size=3)
+
+
+@st.composite
+def quivers(draw):
+    vertices = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    labels = draw(st.lists(LABELS, max_size=6, unique=True))
+    return Quiver(vertices, [(label, *draw(ends)) for label in labels])
+
+
+@st.composite
+def posets(draw):
+    elements = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+    n = len(elements)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    return Poset(elements, [(elements[i], elements[j]) for i, j in pairs if i < j])
+
+
+@given(quivers())
+def test_quiver_text_round_trip(quiver):
+    again = parse_quiver_text(quiver_to_text(quiver)).quiver
+    assert again.vertices == quiver.vertices
+    assert [(a.label, a.source, a.target) for a in again.arrows] == [
+        (a.label, a.source, a.target) for a in quiver.arrows
+    ]
+
+
+@given(posets())
+def test_poset_text_round_trip(poset):
+    again = parse_poset_text(poset_to_text(poset)).poset
+    assert again.elements == poset.elements
+    assert again.covers() == poset.covers()
+    assert again.leq == poset.leq
