@@ -360,7 +360,7 @@ class BialgebraReport:
         return self.compatible
 
 
-def bialgebra_check(quiver: Quiver, max_len: int = 3, field=QQ) -> BialgebraReport:
+def bialgebra_check(quiver: Quiver, field=QQ) -> BialgebraReport:
     """Compatibility of the concatenation product with the path
     comultiplication, against the structural criterion: no paths of length
     >= 2 and no multiple edges.

@@ -52,10 +52,10 @@ from .representation import annihilator_monomial_check, is_locally_nilpotent, mo
 from .scalars import QQ, FieldError, field_from_spec
 from .textio import (
     ParseError,
-    ParsedPosetInput,
-    ParsedQuiverInput,
+    ParsedInput,
     parse_element,
     parse_functional,
+    parse_input_text,
     parse_poset_text,
     parse_quiver_text,
     parse_rep_text,
@@ -75,28 +75,24 @@ def _read_file(path: str) -> str:
         raise InputFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _resolve_quiver_input(token: str) -> ParsedQuiverInput:
-    """A path to a quiver file, or family:<kind>[:<param>].
-
-    Its ``materialize`` truncates a family at the file's ``truncate N``
-    level when the file gives one, else at the level passed (``--max-len``).
+def _resolve(token: str, kind=None) -> ParsedInput:
+    """A path to an input file, or family:<token>, of kind "quiver", "poset"
+    or None (either: the file header decides, and a family token is a poset
+    family when it names a poset family kind).  Its ``materialize``
+    truncates a family at the file's ``truncate N`` level when the file
+    gives one, else at the level passed (``--max-len``).
     """
-    if token.startswith("family:"):
-        try:
-            return ParsedQuiverInput(family=family_from_token(token[len("family:") :]))
-        except ValueError as exc:
-            raise InputFailure(str(exc)) from exc
-    return parse_quiver_text(_read_file(token))
-
-
-def _resolve_poset_input(token: str) -> ParsedPosetInput:
-    """A path to a poset file, or family:{natchain|natantichain}."""
-    if token.startswith("family:"):
-        try:
-            return ParsedPosetInput(family=PosetFamily(token[len("family:") :]))
-        except ValueError as exc:
-            raise InputFailure(str(exc)) from exc
-    return parse_poset_text(_read_file(token))
+    if not token.startswith("family:"):
+        # Built per call, so wrappers installed after import are used.
+        parse = {"quiver": parse_quiver_text, "poset": parse_poset_text, None: parse_input_text}[kind]
+        return parse(_read_file(token))
+    token = token[len("family:") :]
+    if kind is None:
+        kind = "poset" if token.split(":")[0] in POSET_FAMILY_KINDS else "quiver"
+    try:
+        return ParsedInput(family=PosetFamily(token) if kind == "poset" else family_from_token(token))
+    except ValueError as exc:
+        raise InputFailure(str(exc)) from exc
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -113,7 +109,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def cmd_paths(args, field) -> tuple[dict, int]:
-    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
+    quiver = _resolve(args.input, "quiver").materialize(args.max_len)
     enum = enumerate_paths(quiver, args.max_len)
     report = {
         "command": "paths",
@@ -125,14 +121,14 @@ def cmd_paths(args, field) -> tuple[dict, int]:
 
 
 def cmd_delta(args, field) -> tuple[dict, int]:
-    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
+    quiver = _resolve(args.input, "quiver").materialize(args.max_len)
     element = parse_element(args.element, quiver, field)
     terms = [f"{coeff} * [{a}] (x) [{b}]" for (a, b), coeff in comultiply(element).sorted_items()]
     return {"command": "delta", "element": str(element), "terms": terms}, 0
 
 
 def cmd_mul(args, field) -> tuple[dict, int]:
-    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
+    quiver = _resolve(args.input, "quiver").materialize(args.max_len)
     left = parse_element(args.left, quiver, field)
     right = parse_element(args.right, quiver, field)
     product = multiply(left, right)
@@ -140,7 +136,7 @@ def cmd_mul(args, field) -> tuple[dict, int]:
 
 
 def cmd_conv(args, field) -> tuple[dict, int]:
-    parsed = _resolve_quiver_input(args.input)
+    parsed = _resolve(args.input, "quiver")
     concrete = parsed.materialize(args.max_len)
     carrier = parsed.target
     f = parse_functional(args.left, carrier, concrete, field)
@@ -158,8 +154,8 @@ def cmd_conv(args, field) -> tuple[dict, int]:
 
 
 def cmd_product(args, field) -> tuple[dict, int]:
-    left = _resolve_quiver_input(args.left).materialize(args.max_len)
-    right = _resolve_quiver_input(args.right).materialize(args.max_len)
+    left = _resolve(args.left, "quiver").materialize(args.max_len)
+    right = _resolve(args.right, "quiver").materialize(args.max_len)
     product = product_quiver(left, right)
     return {
         "command": "product",
@@ -170,8 +166,8 @@ def cmd_product(args, field) -> tuple[dict, int]:
 
 
 def cmd_alpha(args, field) -> tuple[dict, int]:
-    left = _resolve_quiver_input(args.left).materialize(args.max_len)
-    right = _resolve_quiver_input(args.right).materialize(args.max_len)
+    left = _resolve(args.left, "quiver").materialize(args.max_len)
+    right = _resolve(args.right, "quiver").materialize(args.max_len)
     product = product_quiver(left, right)
     el = parse_element(args.left_element, left, field)
     er = parse_element(args.right_element, right, field)
@@ -187,7 +183,7 @@ def cmd_alpha(args, field) -> tuple[dict, int]:
 
 
 def cmd_phi(args, field) -> tuple[dict, int]:
-    poset = _resolve_poset_input(args.input).materialize(args.max_len)
+    poset = _resolve(args.input, "poset").materialize(args.max_len)
     if (args.lower, args.upper) not in poset.leq:
         raise InputFailure(f"({args.lower},{args.upper}) is not an interval of the poset")
     element = CoalgElement.unit(poset, (args.lower, args.upper), field)
@@ -201,7 +197,7 @@ def cmd_phi(args, field) -> tuple[dict, int]:
 
 
 def cmd_factor_perp(args, field) -> tuple[dict, int]:
-    quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
+    quiver = _resolve(args.input, "quiver").materialize(args.max_len)
     if not is_acyclic(quiver):
         raise InputFailure("perp factorization needs an acyclic quiver")
     element = parse_element(args.element, quiver, field)
@@ -228,7 +224,7 @@ def cmd_factor_perp(args, field) -> tuple[dict, int]:
 
 
 def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
-    quiver = _resolve_quiver_input(args.quiver).materialize(args.max_len)
+    quiver = _resolve(args.quiver, "quiver").materialize(args.max_len)
     rep = parse_rep_text(_read_file(args.rep), quiver, field)
     verdict = is_locally_nilpotent(rep, field)
     report = {
@@ -256,7 +252,7 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     if args.kind == "cycle":
         if args.input is None:
             raise InputFailure("counterexample cycle needs a quiver input")
-        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
+        quiver = _resolve(args.input, "quiver").materialize(args.max_len)
         try:
             ce = build_cycle_counterexample(quiver, args.max_len, field)
         except ValueError as exc:
@@ -273,135 +269,107 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     }, 0
 
 
+def _check_thm33(target, args):
+    report = theta_recovery_check(target, codim_bound=args.codim_bound, window=args.max_len, field=QQ)
+    fields = {"recovered": report.recovered, "explanation": report.explanation}
+    if report.dimension is not None:
+        fields["dimension"] = report.dimension
+    if report.witness is not None:
+        fields["witness"] = report.witness.describe()
+        fields["witness_monomial_verdict"] = report.witness_verdict.status
+    return fields, report.recovered
+
+
+def _check_semiperfect(target, args):
+    verdict = check_semiperfect_condition(target)
+    return {"holds": bool(verdict), "explanation": verdict.explanation}, bool(verdict)
+
+
+def _check_bialgebra(quiver, args):
+    report = bialgebra_check(quiver, field=QQ)
+    fields = {"compatible": report.compatible, "pairs_checked": report.pairs_checked}
+    if report.witness:
+        fields["witness"] = f"([{report.witness[0]}], [{report.witness[1]}])"
+    return fields, report.compatible
+
+
+def _check_prop41(poset, args):
+    quiver = hasse_quiver(poset)
+    unique = check_unique_path_condition(quiver)
+    images = [phi_embed(CoalgElement.unit(poset, interval, QQ), QQ).combo for interval in poset.intervals()]
+    image_rank = rank(images)
+    injective = image_rank == len(poset.intervals())
+    surjective = image_rank == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)
+    fields = {
+        "injective": injective,
+        "surjective": surjective,
+        "unique_path_condition": unique,
+        "agreement": surjective == unique,
+    }
+    return fields, injective and surjective == unique
+
+
+def _check_thm42(poset, args):
+    report = incidence_dual_recovery_check(poset, QQ)
+    fields = {"isomorphism": report.isomorphism, "dimension": report.dimension, "explanation": report.explanation}
+    return fields, report.isomorphism
+
+
+def _check_thm43(target, args):
+    report = incidence_semiperfect_check(target, QQ)
+    fields = {"holds": bool(report), "explanation": report.explanation, "certificates": len(report.witness or ())}
+    return fields, bool(report)
+
+
+def _check_coreflexive(target, args):
+    if args.second is not None:
+        target = TensorProduct(target, _resolve(args.second).target)
+    verdict = coreflexivity_verdict(target)
+    return {"status": verdict.status, "chain": verdict.witness}, bool(verdict)
+
+
+def _check_prop32(quiver, args):
+    verdict = check_recovery_clause_equivalence(quiver)
+    fields = {"clauses_agree": True, "shared_value": bool(verdict), "explanation": verdict.explanation}
+    return fields, True
+
+
+def _check_thm57(target, args):
+    verdict = reflexivity_verdict(target)
+    fields = {
+        "status": verdict.status,
+        # Every quiver algebra is proper (see reflexivity_verdict).
+        "proper": True,
+        "explanation": verdict.explanation,
+        "gamma_in_image": bool(gamma_membership(target)),
+    }
+    return fields, bool(verdict)
+
+
+# name -> (input kind for _resolve, whether a family is truncated at
+# --max-len, check returning (report fields, passed)).  The checks call the
+# verdict functions through this module's globals, so wrappers installed
+# after import are used.
+CHECKS = {
+    "thm33": ("quiver", False, _check_thm33),
+    "semiperfect": ("quiver", False, _check_semiperfect),
+    "bialgebra": ("quiver", True, _check_bialgebra),
+    "prop41": ("poset", True, _check_prop41),
+    "thm42": ("poset", True, _check_thm42),
+    "thm43": ("poset", False, _check_thm43),
+    "coreflexive": (None, False, _check_coreflexive),
+    "prop32": ("quiver", True, _check_prop32),
+    "thm57": ("quiver", False, _check_thm57),
+}
+
+
 def cmd_check(args, field) -> tuple[dict, int]:
     if field is not QQ:
         raise InputFailure(f"check verdicts are certified over q only, not {field.name}")
-    name = args.name
-    if name == "thm33":
-        target = _resolve_quiver_input(args.input).target
-        report = theta_recovery_check(target, codim_bound=args.codim_bound, window=args.max_len, field=field)
-        payload = {
-            "command": "check-thm33",
-            "recovered": report.recovered,
-            "explanation": report.explanation,
-        }
-        if report.dimension is not None:
-            payload["dimension"] = report.dimension
-        if report.witness is not None:
-            payload["witness"] = report.witness.describe()
-            payload["witness_monomial_verdict"] = report.witness_verdict.status
-        return payload, 0 if report.recovered else 1
-    if name == "semiperfect":
-        target = _resolve_quiver_input(args.input).target
-        verdict = check_semiperfect_condition(target)
-        return (
-            {"command": "check-semiperfect", "holds": bool(verdict), "explanation": verdict.explanation},
-            0 if verdict else 1,
-        )
-    if name == "bialgebra":
-        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
-        report = bialgebra_check(quiver, field=field)
-        payload = {
-            "command": "check-bialgebra",
-            "compatible": report.compatible,
-            "pairs_checked": report.pairs_checked,
-        }
-        if report.witness:
-            payload["witness"] = f"([{report.witness[0]}], [{report.witness[1]}])"
-        return payload, 0 if report.compatible else 1
-    if name == "prop41":
-        poset = _resolve_poset_input(args.input).materialize(args.max_len)
-        quiver = hasse_quiver(poset)
-        unique = check_unique_path_condition(quiver)
-        images = [phi_embed(CoalgElement.unit(poset, interval, field), field).combo for interval in poset.intervals()]
-        image_rank = rank(images)
-        injective = image_rank == len(poset.intervals())
-        surjective = image_rank == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)
-        ok = injective and (surjective == unique)
-        return (
-            {
-                "command": "check-prop41",
-                "injective": injective,
-                "surjective": surjective,
-                "unique_path_condition": unique,
-                "agreement": surjective == unique,
-            },
-            0 if ok else 1,
-        )
-    if name == "thm42":
-        poset = _resolve_poset_input(args.input).materialize(args.max_len)
-        report = incidence_dual_recovery_check(poset, field)
-        return (
-            {
-                "command": "check-thm42",
-                "isomorphism": report.isomorphism,
-                "dimension": report.dimension,
-                "explanation": report.explanation,
-            },
-            0 if report.isomorphism else 1,
-        )
-    if name == "thm43":
-        target = _resolve_poset_input(args.input).target
-        report = incidence_semiperfect_check(target, field)
-        return (
-            {
-                "command": "check-thm43",
-                "holds": bool(report),
-                "explanation": report.explanation,
-                "certificates": len(report.witness or ()),
-            },
-            0 if report else 1,
-        )
-    if name == "coreflexive":
-        first = _coreflexive_target(args.input)
-        if args.second is not None:
-            verdict = coreflexivity_verdict(TensorProduct(first, _coreflexive_target(args.second)))
-        else:
-            verdict = coreflexivity_verdict(first)
-        return (
-            {"command": "check-coreflexive", "status": verdict.status, "chain": verdict.witness},
-            0 if verdict else 1,
-        )
-    if name == "prop32":
-        quiver = _resolve_quiver_input(args.input).materialize(args.max_len)
-        verdict = check_recovery_clause_equivalence(quiver)
-        return (
-            {
-                "command": "check-prop32",
-                "clauses_agree": True,
-                "shared_value": bool(verdict),
-                "explanation": verdict.explanation,
-            },
-            0,
-        )
-    if name == "thm57":
-        target = _resolve_quiver_input(args.input).target
-        verdict = reflexivity_verdict(target)
-        gamma = gamma_membership(target)
-        return (
-            {
-                "command": "check-thm57",
-                "status": verdict.status,
-                # Every quiver algebra is proper (see reflexivity_verdict).
-                "proper": True,
-                "explanation": verdict.explanation,
-                "gamma_in_image": bool(gamma),
-            },
-            0 if verdict else 1,
-        )
-    raise InputFailure(f"unknown check {name!r}")
-
-
-def _coreflexive_target(token: str):
-    if token.startswith("family:"):
-        if token[len("family:") :].split(":")[0] in POSET_FAMILY_KINDS:
-            return _resolve_poset_input(token).target
-        return _resolve_quiver_input(token).target
-    text = _read_file(token)
-    head = text.lstrip().split()
-    if head and head[0] == "poset":
-        return parse_poset_text(text).poset
-    return parse_quiver_text(text).target
+    kind, truncate, check = CHECKS[args.name]
+    parsed = _resolve(args.input, kind)
+    fields, passed = check(parsed.materialize(args.max_len) if truncate else parsed.target, args)
+    return {"command": f"check-{args.name}", **fields}, 0 if passed else 1
 
 
 def cmd_suite(args, field) -> tuple[dict, int]:
@@ -476,20 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="quiver input (cycle kind only)")
 
     p = sub.add_parser("check", help="run a named criterion on one input")
-    p.add_argument(
-        "name",
-        choices=(
-            "thm33",
-            "semiperfect",
-            "bialgebra",
-            "prop41",
-            "thm42",
-            "thm43",
-            "coreflexive",
-            "prop32",
-            "thm57",
-        ),
-    )
+    p.add_argument("name", choices=tuple(CHECKS))
     p.add_argument("input")
     p.add_argument("second", nargs="?", help="second input for tensor-product coreflexivity")
 

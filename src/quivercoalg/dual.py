@@ -90,7 +90,7 @@ class Functional:
         raise ValueError(f"unknown rule kind {kind!r}")
 
     def evaluate_element(self, element: CoalgElement):
-        total = 0
+        total = self.field.zero
         for path, coeff in element.combo.items():
             total = total + self(path) * coeff
         return total

@@ -412,8 +412,6 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
     explicit cofinite counterexample ideal) yet no cofinite monomial ideal
     fits inside its kernel up to the bound.
     """
-    from .algebra import build_cycle_counterexample
-
     if isinstance(target, QuiverFamily):
         if target.kind in ("loop", "cycle"):
             quiver = target.truncate(window)

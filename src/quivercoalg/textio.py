@@ -68,52 +68,64 @@ def _meaningful_lines(text: str):
 
 
 @dataclass
-class ParsedQuiverInput:
-    """Either a concrete quiver or a family plus its truncation level."""
+class ParsedInput:
+    """Either a concrete quiver or poset, or a family plus its truncation level."""
 
-    quiver: Optional[Quiver] = None
-    family: Optional[QuiverFamily] = None
+    concrete: object = None
+    family: object = None
     truncation: Optional[int] = None
 
     @property
-    def is_family(self) -> bool:
-        return self.family is not None
-
-    @property
     def target(self):
-        """The family when one is given, else the concrete quiver."""
-        return self.family if self.is_family else self.quiver
+        """The family when one is given, else the concrete object."""
+        return self.concrete if self.family is None else self.family
 
-    def materialize(self, default_level: int) -> Quiver:
-        if self.quiver is not None:
-            return self.quiver
+    def materialize(self, default_level: int):
+        if self.family is None:
+            return self.concrete
         return self.family.truncate(self.truncation if self.truncation is not None else default_level)
 
 
-def parse_quiver_text(text: str) -> ParsedQuiverInput:
+def _parse_family_file(lines, make_family) -> ParsedInput:
+    """A ``family <token>`` header, then optional ``truncate N``; the family
+    is ``make_family(header words, line number)``."""
+    number, header = lines[0]
+    family = make_family(header.split(), number)
+    truncation = None
+    for number, line in lines[1:]:
+        parts = line.split()
+        if parts[0] == "truncate" and len(parts) == 2:
+            try:
+                truncation = int(parts[1])
+            except ValueError as exc:
+                raise ParseError("truncate level must be an integer", number) from exc
+        else:
+            raise ParseError(f"unexpected line in family file: {line!r}", number)
+    return ParsedInput(family=family, truncation=truncation)
+
+
+def _quiver_family(parts, number) -> QuiverFamily:
+    if len(parts) != 2:
+        raise ParseError("expected: family <token>", number)
+    try:
+        return family_from_token(parts[1])
+    except ValueError as exc:
+        raise ParseError(str(exc), number) from exc
+
+
+def _poset_family(parts, number) -> PosetFamily:
+    if len(parts) != 2 or parts[1] not in POSET_FAMILY_KINDS:
+        raise ParseError(f"expected: family {{{'|'.join(POSET_FAMILY_KINDS)}}}", number)
+    return PosetFamily(parts[1])
+
+
+def parse_quiver_text(text: str) -> ParsedInput:
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ParseError("empty quiver file")
     number, header = lines[0]
     if header.startswith("family"):
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError("expected: family <token>", number)
-        try:
-            family = family_from_token(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), number) from exc
-        truncation = None
-        for number, line in lines[1:]:
-            parts = line.split()
-            if parts[0] == "truncate" and len(parts) == 2:
-                try:
-                    truncation = int(parts[1])
-                except ValueError as exc:
-                    raise ParseError("truncate level must be an integer", number) from exc
-            else:
-                raise ParseError(f"unexpected line in family file: {line!r}", number)
-        return ParsedQuiverInput(family=family, truncation=truncation)
+        return _parse_family_file(lines, _quiver_family)
     if header != "quiver":
         raise ParseError("expected header 'quiver' or 'family <token>'", number)
     vertices = []
@@ -127,53 +139,18 @@ def parse_quiver_text(text: str) -> ParsedQuiverInput:
         else:
             raise ParseError(f"expected 'vertex <label>' or 'arrow <label> <src> <tgt>', got {line!r}", number)
     try:
-        return ParsedQuiverInput(quiver=Quiver(vertices, arrows))
+        return ParsedInput(Quiver(vertices, arrows))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-@dataclass
-class ParsedPosetInput:
-    poset: Optional[Poset] = None
-    family: Optional[PosetFamily] = None
-    truncation: Optional[int] = None
-
-    @property
-    def is_family(self) -> bool:
-        return self.family is not None
-
-    @property
-    def target(self):
-        """The family when one is given, else the concrete poset."""
-        return self.family if self.is_family else self.poset
-
-    def materialize(self, default_level: int) -> Poset:
-        if self.poset is not None:
-            return self.poset
-        return self.family.truncate(self.truncation if self.truncation is not None else default_level)
-
-
-def parse_poset_text(text: str) -> ParsedPosetInput:
+def parse_poset_text(text: str) -> ParsedInput:
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ParseError("empty poset file")
     number, header = lines[0]
     if header.startswith("family"):
-        parts = header.split()
-        if len(parts) != 2 or parts[1] not in POSET_FAMILY_KINDS:
-            raise ParseError(f"expected: family {{{'|'.join(POSET_FAMILY_KINDS)}}}", number)
-        family = PosetFamily(parts[1])
-        truncation = None
-        for number, line in lines[1:]:
-            parts = line.split()
-            if parts[0] == "truncate" and len(parts) == 2:
-                try:
-                    truncation = int(parts[1])
-                except ValueError as exc:
-                    raise ParseError("truncate level must be an integer", number) from exc
-            else:
-                raise ParseError(f"unexpected line in family file: {line!r}", number)
-        return ParsedPosetInput(family=family, truncation=truncation)
+        return _parse_family_file(lines, _poset_family)
     if header != "poset":
         raise ParseError("expected header 'poset' or 'family <token>'", number)
     elements = []
@@ -187,9 +164,19 @@ def parse_poset_text(text: str) -> ParsedPosetInput:
         else:
             raise ParseError(f"expected 'element <label>' or 'cover <a> <b>', got {line!r}", number)
     try:
-        return ParsedPosetInput(poset=Poset(elements, covers))
+        return ParsedInput(Poset(elements, covers))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_input_text(text: str) -> ParsedInput:
+    """A quiver or a poset file: the poset parser for a ``poset`` header or a
+    ``family natchain|natantichain`` header, the quiver parser otherwise."""
+    words = next(_meaningful_lines(text), (None, ""))[1].split()
+    poset_family = len(words) == 2 and words[0] == "family" and words[1] in POSET_FAMILY_KINDS
+    if words[:1] == ["poset"] or poset_family:
+        return parse_poset_text(text)
+    return parse_quiver_text(text)
 
 
 def parse_rep_text(text: str, quiver: Quiver, field=QQ) -> Representation:

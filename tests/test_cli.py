@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quivercoalg
-from quivercoalg import cli
+from quivercoalg import cli, suites
 from quivercoalg.cli import main
 from quivercoalg.quiver import VERDICT_STATUSES
 
@@ -383,3 +384,53 @@ def test_check_statuses_come_from_the_closed_set(line_file, poset_file, tmp_path
             assert report["proper"] is True
         seen.add(report["status"])
     assert seen == {"yes", "no", "unknown"}
+
+
+@pytest.mark.parametrize("kind", ["natchain", "natantichain"])
+def test_check_coreflexive_poset_family_file_answers_like_its_token(kind, line_file, tmp_path, capsys):
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(f"family {kind}\ntruncate 3\n")
+    family_file = str(path)
+    token = "family:" + kind
+    for by_file, by_token in (
+        ([family_file], [token]),
+        ([family_file, line_file], [token, line_file]),
+        ([line_file, family_file], [line_file, token]),
+    ):
+        status, out, err = run(capsys, "check", "coreflexive", *by_file, "--json")
+        assert (status, out, err) == run(capsys, "check", "coreflexive", *by_token, "--json")
+        assert status == 0 and err == "" and json.loads(out)["status"] == "yes"
+
+
+QUIVER_CHECKS = ("thm33", "semiperfect", "bialgebra", "prop32", "thm57")
+POSET_CHECKS = ("prop41", "thm42", "thm43")
+
+
+def test_every_check_but_coreflexive_takes_one_input_kind():
+    kinds = {name: kind for name, (kind, _, _) in cli.CHECKS.items()}
+    assert kinds == {**dict.fromkeys(QUIVER_CHECKS, "quiver"), **dict.fromkeys(POSET_CHECKS, "poset"), "coreflexive": None}
+
+
+@pytest.mark.parametrize(
+    "names, wrong, message",
+    [
+        (QUIVER_CHECKS, "poset_file", "line 1: expected header 'quiver' or 'family <token>'"),
+        (QUIVER_CHECKS, "family:natchain", "unknown family kind 'natchain'"),
+        (POSET_CHECKS, "line_file", "line 1: expected header 'poset' or 'family <token>'"),
+        (POSET_CHECKS, "family:loop", "unknown poset family 'loop'"),
+    ],
+)
+def test_check_of_the_wrong_input_kind_exits_2(names, wrong, message, request, capsys):
+    token = wrong if wrong.startswith("family:") else request.getfixturevalue(wrong)
+    for name in names:
+        assert run(capsys, "check", name, token) == (2, "", f"error: {message}\n")
+
+
+def test_readme_lists_exactly_the_check_and_suite_names():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def listed(verb):
+        return tuple(re.search(rf"^quivercoalg {verb} \{{([^}}]*)\}}", readme, re.M).group(1).split("|"))
+
+    assert listed("check") == tuple(cli.CHECKS)
+    assert listed("suite") == tuple(suites.SUITES)

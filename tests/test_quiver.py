@@ -197,8 +197,8 @@ def _rebuilt(p):
 @settings(max_examples=60, deadline=None)
 @given(quiver_texts())
 def test_path_equality_is_quiver_vertex_and_arrow_sequence(text):
-    first = parse_quiver_text(text).quiver
-    second = parse_quiver_text(text).quiver
+    first = parse_quiver_text(text).target
+    second = parse_quiver_text(text).target
     pool = []
     for q in (first, second):
         for p in enumerate_paths(q, 2).paths:
@@ -218,7 +218,7 @@ def test_path_equality_is_quiver_vertex_and_arrow_sequence(text):
 @settings(max_examples=60, deadline=None)
 @given(quiver_texts())
 def test_prefix_suffix_recompose_to_the_same_path(text):
-    q = parse_quiver_text(text).quiver
+    q = parse_quiver_text(text).target
     for p in enumerate_paths(q, 3).paths:
         for i in range(p.length + 1):
             whole = compose_paths(p.prefix(i), p.suffix_from(i))
@@ -228,8 +228,8 @@ def test_prefix_suffix_recompose_to_the_same_path(text):
 @settings(max_examples=60, deadline=None)
 @given(quiver_texts())
 def test_paths_of_two_parses_of_one_text_are_unequal(text):
-    first = parse_quiver_text(text).quiver
-    second = parse_quiver_text(text).quiver
+    first = parse_quiver_text(text).target
+    second = parse_quiver_text(text).target
     seen = set(enumerate_paths(first, 2).paths)
     for p in enumerate_paths(second, 2).paths:
         twin = first.vertex_path(p.vertex) if not p.arrows else first.path_from_labels(
@@ -242,7 +242,7 @@ def test_paths_of_two_parses_of_one_text_are_unequal(text):
 @settings(max_examples=60, deadline=None)
 @given(quiver_texts(), st.integers(0, 3))
 def test_distinct_enumerated_paths_match_the_oracle(text, max_len):
-    q = parse_quiver_text(text).quiver
+    q = parse_quiver_text(text).target
     paths = enumerate_paths(q, max_len).paths
     assert len(set(paths)) == len(brute_force_paths(q, max_len))
     assert paths == sorted(paths, key=lambda p: p.sort_key)

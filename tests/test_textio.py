@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercoalg.corpus import named_poset, named_quiver
-from quivercoalg.incidence import Poset
-from quivercoalg.quiver import Quiver
+from quivercoalg.incidence import Poset, PosetFamily
+from quivercoalg.quiver import Quiver, QuiverFamily
 from quivercoalg.scalars import QQ, PrimeField
 from quivercoalg.textio import (
     ParseError,
     parse_algebra_text,
     parse_element,
     parse_functional,
+    parse_input_text,
     parse_plain_combination,
     parse_poset_text,
     parse_quiver_text,
@@ -60,17 +61,17 @@ mul x v = x
 
 def test_parse_quiver():
     parsed = parse_quiver_text(QUIVER_TEXT)
-    assert not parsed.is_family
-    q = parsed.quiver
+    assert parsed.family is None
+    q = parsed.target
     assert q.vertices == ("a", "b")
     assert len(q.arrows) == 1
-    round_trip = parse_quiver_text(quiver_to_text(q)).quiver
+    round_trip = parse_quiver_text(quiver_to_text(q)).target
     assert round_trip.vertices == q.vertices
 
 
 def test_parse_family():
     parsed = parse_quiver_text(FAMILY_TEXT)
-    assert parsed.is_family
+    assert parsed.family is not None
     assert parsed.family.kind == "cycle" and parsed.family.param == 3
     assert parsed.truncation == 9
     quiver = parsed.materialize(0)
@@ -87,17 +88,48 @@ def test_parse_quiver_errors_carry_line_numbers():
 
 def test_parse_poset():
     parsed = parse_poset_text(POSET_TEXT)
-    poset = parsed.poset
+    poset = parsed.target
     assert ("p", "q") in poset.leq
     text = poset_to_text(named_poset("diamond"))
-    again = parse_poset_text(text).poset
+    again = parse_poset_text(text).target
     assert len(again.intervals()) == 9
 
 
 def test_parse_poset_family():
     parsed = parse_poset_text("family natchain\ntruncate 4")
-    assert parsed.is_family
+    assert parsed.family is not None
     assert len(parsed.materialize(0).elements) == 5
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        (QUIVER_TEXT, Quiver),
+        (POSET_TEXT, Poset),
+        ("# comment\nfamily cycle:3\ntruncate 9\n", QuiverFamily),
+        ("family natchain\n", PosetFamily),
+        ("family natantichain\ntruncate 2\n", PosetFamily),
+    ],
+)
+def test_parse_input_text_dispatches_on_the_header(text, kind):
+    parsed = parse_input_text(text)
+    assert type(parsed.target) is kind
+    assert (parsed.family is None) == (kind in (Quiver, Poset))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty quiver file"),
+        ("nonsense", "line 1: expected header 'quiver' or 'family <token>'"),
+        ("poset extra", "line 1: expected header 'poset' or 'family <token>'"),
+        ("family natchain:3", "line 1: unexpected parameter for family 'natchain'"),
+    ],
+)
+def test_parse_input_text_diagnostics_come_from_the_chosen_parser(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_input_text(text)
+    assert str(info.value) == message
 
 
 def test_parse_rep():
@@ -215,7 +247,7 @@ def posets(draw):
 
 @given(quivers())
 def test_quiver_text_round_trip(quiver):
-    again = parse_quiver_text(quiver_to_text(quiver)).quiver
+    again = parse_quiver_text(quiver_to_text(quiver)).target
     assert again.vertices == quiver.vertices
     assert [(a.label, a.source, a.target) for a in again.arrows] == [
         (a.label, a.source, a.target) for a in quiver.arrows
@@ -224,7 +256,7 @@ def test_quiver_text_round_trip(quiver):
 
 @given(posets())
 def test_poset_text_round_trip(poset):
-    again = parse_poset_text(poset_to_text(poset)).poset
+    again = parse_poset_text(poset_to_text(poset)).target
     assert again.elements == poset.elements
     assert again.covers() == poset.covers()
     assert again.leq == poset.leq
