@@ -41,6 +41,23 @@ def multiply(a: CoalgElement, b: CoalgElement) -> CoalgElement:
     )
 
 
+def _generator_product(a: CoalgElement, b: CoalgElement) -> CoalgElement:
+    """a·b when one factor is a generator of kQ, a vertex or arrow path with
+    coefficient one: ``a`` when it has a single term (the spanning vectors
+    of the counterexample ideals have two), else ``b``.  The other factor's
+    terms are relabelled through ``compose_paths`` with no scalar
+    arithmetic; by left and right cancellation in kQ no two terms meet."""
+    if len(a.combo.entries) == 1:
+        (g,) = a.combo.entries
+        entries = {gq: c for q, c in b.combo.entries.items() if (gq := compose_paths(g, q)) is not None}
+    else:
+        (g,) = b.combo.entries
+        entries = {qg: c for q, c in a.combo.entries.items() if (qg := compose_paths(q, g)) is not None}
+    combo = SparseVector()
+    combo.entries = entries
+    return CoalgElement._of_own_labels(a.carrier, combo)
+
+
 def tensor_multiply(s: SparseVector, t: SparseVector) -> SparseVector:
     """Componentwise product (a⊗b)(c⊗d) = ac ⊗ bd on path-pair tensors."""
     return SparseVector(
@@ -278,7 +295,7 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     def windowed_multiply(x, y):
         if degree[id(x)] + degree[id(y)] > max_len:
             return None
-        return multiply(x, y)
+        return _generator_product(x, y)
 
     def windowed_compose(p, r):
         return compose_paths(p, r) if p.length + r.length <= max_len else None
@@ -327,7 +344,7 @@ def build_multiarrow_counterexample(
     differences = [CoalgElement.from_path(p, field) - x0 for p in arrows[1:]]
 
     membership = _SpanMembership(differences)
-    failure = check_ideal(differences, _generator_elements(quiver, field), multiply, membership)
+    failure = check_ideal(differences, _generator_elements(quiver, field), _generator_product, membership)
     _raise_on_failure(failure, "ideal")
 
     gens = [d.combo for d in differences]

@@ -9,14 +9,18 @@ out the grouplike part.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import (
     SparseVector,
+    _integers,
+    _nonzero,
     kernel_of_map,
     reducer,
     rref,
 )
 from .quiver import Path, Quiver, enumerate_paths, is_acyclic
-from .scalars import QQ
+from .scalars import QQ, ModP
 
 
 class CoalgElement:
@@ -45,6 +49,15 @@ class CoalgElement:
     @staticmethod
     def from_path(path: Path, field=QQ) -> "CoalgElement":
         return CoalgElement.unit(path.quiver, path, field)
+
+    @staticmethod
+    def _of_own_labels(carrier, combo: SparseVector) -> "CoalgElement":
+        """An element whose labels are known to belong to the carrier, so
+        they are not checked again."""
+        element = object.__new__(CoalgElement)
+        element.carrier = carrier
+        element.combo = combo
+        return element
 
     @staticmethod
     def zero(carrier) -> "CoalgElement":
@@ -132,37 +145,95 @@ def basis_tables(carrier, field=QQ):
 # SparseVector over label pairs, ``rho(label)`` one over (module index,
 # coalgebra label) pairs, ``counit(label)`` a scalar) and return None, or
 # (law, label) for the first failure; callers word their own messages.
+# The arithmetic is on integers: each row a call reads is converted once, to
+# numerators over a scale (residues mod p over GF(p)), and both sides of a
+# law are multiplied by a common multiple of their scales before they are
+# compared.
 # ---------------------------------------------------------------------------
 
 
-def _sums_to_unit(terms, label) -> bool:
-    """Whether the summed terms equal the basis vector at ``label``."""
-    return SparseVector([*terms, (label, -1)]).is_zero()
+class _IntegerTables:
+    """The tables of one kernel call as integers: each row or scalar is
+    converted by ``linalg._integers`` on first use and kept for the call.
+    ``p`` is the modulus of the residues met so far, 0 for rationals."""
+
+    def __init__(self):
+        self.p = 0
+
+    def _convert(self, entries: dict):
+        # A row's scalars share one field, so the first scalar met tells
+        # residues from rationals; ``_integers`` refuses a second modulus.
+        if not self.p:
+            for c in entries.values():
+                if isinstance(c, ModP):
+                    self.p = c.p
+                break
+        return _integers(entries, self.p)
+
+    def rows(self, table):
+        """label -> (scale, {key: int}) of a table of SparseVectors."""
+        return self._memo(lambda label: table(label).entries)
+
+    def scalars(self, table):
+        """label -> (scale, {0: int}) of a table of scalars."""
+        return self._memo(lambda label: {0: table(label)})
+
+    def _memo(self, entries_of):
+        memo = {}
+
+        def converted(label):
+            got = memo.get(label)
+            if got is None:
+                got = memo[label] = self._convert(entries_of(label))
+            return got
+
+        return converted
 
 
-def _comodule_failure(j, rho, delta, counit):
-    coaction = rho(j)
-    lhs = SparseVector(
-        ((k, c, b), inner * coeff)
-        for (i, b), coeff in coaction.items()
-        for (k, c), inner in rho(i).items()
-    )
-    rhs = SparseVector(
-        ((i, c, d), inner * coeff)
-        for (i, b), coeff in coaction.items()
-        for (c, d), inner in delta(b).items()
-    )
-    if lhs != rhs:
+_ONE = (1, {0: 1})  # the scalar 1 as the tables convert it
+
+
+def _counit_differs(terms, counit, scale_j, key, value, p) -> bool:
+    """Whether Σ ε(b)·n / scale_j over the (index, b, n) terms, index by
+    index, differs from the scalar ``value`` = (e, {0: u}), that is u/e, at
+    ``key`` and from zero elsewhere."""
+    e, u = value[0], value[1].get(0, 0)
+    scale = lcm(*[counit(b)[0] for _, b, _ in terms])
+    sums = {key: -u * scale * scale_j}
+    for i, b, n in terms:
+        scale_b, value_b = counit(b)
+        sums[i] = sums.get(i, 0) + n * value_b.get(0, 0) * (scale // scale_b) * e
+    return _nonzero(sums, p)
+
+
+def _comodule_failure(j, rho, delta, counit, ints):
+    scale_j, coaction = rho(j)
+    scale = lcm(*[rho(i)[0] for i, _ in coaction], *[delta(b)[0] for _, b in coaction])
+    sums = {}
+    for (i, b), n in coaction.items():
+        scale_i, inner = rho(i)
+        w = n * (scale // scale_i)
+        for (k, c), m in inner.items():
+            key = (k, c, b)
+            sums[key] = sums.get(key, 0) + w * m
+        scale_b, split = delta(b)
+        w = n * (scale // scale_b)
+        for (c, d), m in split.items():
+            key = (i, c, d)
+            sums[key] = sums.get(key, 0) - w * m
+    if _nonzero(sums, ints.p):
         return ("coassociativity", j)
-    if not _sums_to_unit(((i, counit(b) * coeff) for (i, b), coeff in coaction.items()), j):
+    if _counit_differs([(i, b, n) for (i, b), n in coaction.items()], counit, scale_j, j, _ONE, ints.p):
         return ("counit", j)
     return None
 
 
 def check_comodule(basis, rho, delta, counit):
     """(ρ⊗id)ρ = (id⊗Δ)ρ and (id⊗ε)ρ = id on every basis label."""
+    ints = _IntegerTables()
+    rho, delta, counit = ints.rows(rho), ints.rows(delta), ints.scalars(counit)
     for j in basis:
-        failure = _comodule_failure(j, rho, delta, counit)
+        failure = _comodule_failure(j, rho, delta, counit, ints)
         if failure is not None:
             return failure
     return None
@@ -171,37 +242,45 @@ def check_comodule(basis, rho, delta, counit):
 def check_coalgebra(basis, delta, counit):
     """Coassociativity and both counit laws on every basis label: the
     coalgebra coacting on itself (ρ = Δ) plus (ε⊗id)Δ = id."""
+    ints = _IntegerTables()
+    delta, counit = ints.rows(delta), ints.scalars(counit)
     for b in basis:
-        failure = _comodule_failure(b, delta, delta, counit)
+        failure = _comodule_failure(b, delta, delta, counit, ints)
         if failure is not None:
             return failure
-        if not _sums_to_unit(((y, counit(x) * coeff) for (x, y), coeff in delta(b).items()), b):
+        scale_b, split = delta(b)
+        if _counit_differs([(y, x, n) for (x, y), n in split.items()], counit, scale_b, b, _ONE, ints.p):
             return ("left counit", b)
     return None
-
-
-def _tensor_square(f, tensor):
-    """The terms of (f⊗f)(tensor)."""
-    for (a, b), coeff in tensor.items():
-        image_b = f(b)
-        for u, cu in f(a).items():
-            for v, cv in image_b.items():
-                yield (u, v), coeff * cu * cv
 
 
 def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
     """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label; ``f(label)`` is a
     SparseVector over target labels."""
+    ints = _IntegerTables()
+    f, delta_src, delta_tgt = ints.rows(f), ints.rows(delta_src), ints.rows(delta_tgt)
+    counit_src, counit_tgt = ints.scalars(counit_src), ints.scalars(counit_tgt)
     for x in basis:
-        image = f(x)
-        lhs = SparseVector(
-            (pair, inner * coeff)
-            for y, coeff in image.items()
-            for pair, inner in delta_tgt(y).items()
-        )
-        if lhs != SparseVector(_tensor_square(f, delta_src(x))):
+        # Both sides times scale_f · scale_x · scale.
+        scale_f, image = f(x)
+        scale_x, split = delta_src(x)
+        scale = lcm(*[delta_tgt(y)[0] for y in image], *[f(a)[0] * f(b)[0] for a, b in split])
+        sums = {}
+        for y, n in image.items():
+            scale_y, image_split = delta_tgt(y)
+            w = n * scale_x * (scale // scale_y)
+            for pair, m in image_split.items():
+                sums[pair] = sums.get(pair, 0) + w * m
+        for (a, b), n in split.items():
+            (scale_a, image_a), (scale_b, image_b) = f(a), f(b)
+            w = n * scale_f * (scale // (scale_a * scale_b))
+            for u, cu in image_a.items():
+                wu = w * cu
+                for v, cv in image_b.items():
+                    sums[u, v] = sums.get((u, v), 0) - wu * cv
+        if _nonzero(sums, ints.p):
             return ("comultiplication", x)
-        if sum((counit_tgt(y) * coeff for y, coeff in image.items()), -counit_src(x)):
+        if _counit_differs([(x, y, n) for y, n in image.items()], counit_tgt, scale_f, x, counit_src(x), ints.p):
             return ("counit", x)
     return None
 

@@ -21,6 +21,9 @@ from .coalgebra import CoalgElement, check_coalgebra
 from .dual import Functional
 from .linalg import (
     SparseVector,
+    _integers,
+    _modulus,
+    _nonzero,
     kernel_of_map,
     rank,
     reducer,
@@ -64,7 +67,7 @@ class StructuredAlgebra:
         return self.mult.get((a, b), SparseVector())
 
     def product(self, x: SparseVector, y: SparseVector) -> SparseVector:
-        if not (x.entries and y.entries):  # common in the validation loops
+        if not (x.entries and y.entries):
             return SparseVector()
         mult = self.mult
         return SparseVector(
@@ -75,9 +78,6 @@ class StructuredAlgebra:
             for label, c in mult[a, b].items()
         )
 
-    def unit_vector(self) -> SparseVector:
-        return SparseVector({e: self.field.one for e in self.idempotents})
-
     def _validate(self):
         one = self.field.one
         for e in self.idempotents:
@@ -85,28 +85,46 @@ class StructuredAlgebra:
                 expected = SparseVector({e: one}) if e == f else SparseVector()
                 if self.basis_product(e, f) != expected:
                     raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
-        unit = self.unit_vector()
+        # The structure constants as integers over one scale M, so every
+        # product of two basis elements is table[a, b] / M and both sides of
+        # each identity below carry the same scale.
+        entries = {(pair, label): c for pair, vec in self.mult.items() for label, c in vec.items()}
+        p = _modulus(entries.values(), self.field)
+        scale, ints = _integers(entries, p)
+        table: dict = {}
+        for (pair, label), c in ints.items():
+            table.setdefault(pair, {})[label] = c
+        empty: dict = {}
+        units = dict.fromkeys(self.idempotents)
         for b in self.basis:
-            vec = SparseVector({b: one})
-            if self.product(unit, vec) != vec or self.product(vec, unit) != vec:
-                raise ValueError("idempotent system is not complete")
+            for pairs in ([(e, b) for e in units], [(b, e) for e in units]):
+                sums = {b: -scale}
+                for pair in pairs:
+                    for label, c in table.get(pair, empty).items():
+                        sums[label] = sums.get(label, 0) + c
+                if _nonzero(sums, p):
+                    raise ValueError("idempotent system is not complete")
         # a(bc) vanishes unless bc is a stored product, and (ab)c unless lc is
         # for some label l of ab; only those triples are checked, in the order
         # of a full scan.
         right_factors = {b: [c for c in self.basis if (b, c) in self.mult] for b in self.basis}
         position = {b: i for i, b in enumerate(self.basis)}
-        units = {b: SparseVector({b: one}) for b in self.basis}
         for a in self.basis:
             for b in self.basis:
-                ab = self.basis_product(a, b)
+                ab = table.get((a, b), empty)
                 factors = right_factors[b]
-                if ab.entries:
-                    factors = set(factors).union(*(right_factors[label] for label in ab.labels()))
+                if (a, b) in self.mult:
+                    factors = set(factors).union(*(right_factors[label] for label in self.mult[a, b].labels()))
                     factors = sorted(factors, key=position.__getitem__)
                 for c in factors:
-                    left = self.product(ab, units[c])
-                    right = self.product(units[a], self.basis_product(b, c))
-                    if left != right:
+                    sums = {}
+                    for label, x in ab.items():
+                        for k, y in table.get((label, c), empty).items():
+                            sums[k] = sums.get(k, 0) + x * y
+                    for label, x in table.get((b, c), empty).items():
+                        for k, y in table.get((a, label), empty).items():
+                            sums[k] = sums.get(k, 0) - x * y
+                    if _nonzero(sums, p):
                         raise ValueError(f"multiplication not associative at ({a},{b},{c})")
 
     def __repr__(self):

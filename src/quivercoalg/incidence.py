@@ -13,7 +13,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement, basis_tables, check_morphism
 from .finite_dual import StructuredAlgebra, dual_coalgebra
-from .linalg import SparseVector, rank
+from .linalg import SparseVector, label_sort_key, rank
 from .quiver import Quiver, Verdict, enumerate_paths
 from .scalars import QQ
 
@@ -36,19 +36,25 @@ class Poset:
         for x, y in relation_pairs:
             if x not in index or y not in index:
                 raise ValueError(f"relation pair ({x},{y}) uses undeclared elements")
-        leq = {(x, x) for x in self.elements}
-        leq.update(relation_pairs)
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(leq):
-                for y2, z in list(leq):
-                    if y == y2 and (x, z) not in leq:
-                        leq.add((x, z))
-                        changed = True
-        for x, y in leq:
-            if x != y and (y, x) in leq:
-                raise ValueError(f"antisymmetry fails: {x} and {y} are comparable both ways")
+        # The reflexive-transitive closure: one search per element along the
+        # given pairs.
+        above = {x: [] for x in self.elements}
+        for x, y in relation_pairs:
+            above[x].append(y)
+        leq = set()
+        for x in self.elements:
+            reached = {x}
+            stack = [x]
+            while stack:
+                for z in above[stack.pop()]:
+                    if z not in reached:
+                        reached.add(z)
+                        stack.append(z)
+            leq.update((x, z) for z in reached)
+        both_ways = [(x, y) for x, y in leq if x != y and (y, x) in leq]
+        if both_ways:
+            x, y = min(both_ways, key=label_sort_key)
+            raise ValueError(f"antisymmetry fails: {x} and {y} are comparable both ways")
         self.leq = frozenset(leq)
         self._hasse: Optional[Quiver] = None
         self._paths_between: Optional[dict] = None

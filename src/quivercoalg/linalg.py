@@ -142,26 +142,48 @@ def _rank_labels(labels) -> dict:
     return {label: rank for rank, label in enumerate(ordered)}
 
 
+def _modulus(scalars, field=None) -> int:
+    """The modulus of the scalars' field: p when they (or ``field``) are
+    residues mod p, 0 for the rationals."""
+    moduli = {c.p for c in scalars if isinstance(c, ModP)}
+    moduli.update([field.p] if hasattr(field, "p") else [])
+    if len(moduli) > 1:
+        raise FieldError(f"mixed moduli {' and '.join(map(str, sorted(moduli)))}")
+    return moduli.pop() if moduli else 0
+
+
+def _integers(entries: dict, p: int):
+    """``(scale, ints)`` with ``entries[k] == ints[k] / scale`` in the field:
+    over the rationals (p = 0) the numerators over the least common
+    denominator, over GF(p) the nonzero residues mod p with scale 1."""
+    if p:
+        for c in entries.values():
+            if isinstance(c, ModP) and c.p != p:
+                raise FieldError(f"mixed moduli {min(p, c.p)} and {max(p, c.p)}")
+        return 1, {k: r for k, c in entries.items()
+                   if (r := c.value if isinstance(c, ModP) else c.numerator * pow(c.denominator, -1, p) % p)}
+    scale = lcm(*[c.denominator for c in entries.values()])
+    if scale == 1:
+        return 1, {k: c.numerator for k, c in entries.items()}
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in entries.items()}
+
+
+def _nonzero(sums: dict, p: int) -> bool:
+    """Whether some integer sum is nonzero (mod p when p)."""
+    return any(v % p for v in sums.values()) if p else any(sums.values())
+
+
 def _rows(vectors, field=None, marked=False):
     """The modulus (0 for the rationals), the label ranks and the rows of the
     vectors.  With ``marked``, row i holds in column ``len(ranks) + i`` the
     multiplier applied to vector i, so the main part of every row derived
     from them is the combination its marker columns name."""
-    moduli = {c.p for v in vectors for c in v.entries.values() if isinstance(c, ModP)}
-    moduli.update([field.p] if hasattr(field, "p") else [])
-    if len(moduli) > 1:
-        raise FieldError(f"mixed moduli {' and '.join(map(str, sorted(moduli)))}")
-    p = moduli.pop() if moduli else 0
+    p = _modulus((c for v in vectors for c in v.entries.values()), field)
     ranks = _rank_labels({label: None for v in vectors for label in v.entries})
     rows = []
     for index, v in enumerate(vectors):
-        if p:
-            scale = 1
-            row = {ranks[label]: r for label, c in v.entries.items()
-                   if (r := c.value if isinstance(c, ModP) else c.numerator * pow(c.denominator, -1, p) % p)}
-        else:
-            scale = lcm(*[c.denominator for c in v.entries.values()])
-            row = {ranks[label]: c.numerator * (scale // c.denominator) for label, c in v.entries.items()}
+        scale, ints = _integers(v.entries, p)
+        row = {ranks[label]: c for label, c in ints.items()}
         if marked:
             row[len(ranks) + index] = scale
         rows.append(row if p else _primitive(row))

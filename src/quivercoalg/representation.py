@@ -17,6 +17,9 @@ from .coalgebra import check_comodule
 from .finite_dual import StructuredAlgebra, dual_coalgebra
 from .linalg import (
     SparseVector,
+    _integers,
+    _modulus,
+    _nonzero,
     mat_eq,
     mat_identity,
     mat_is_zero,
@@ -349,27 +352,45 @@ class LeftModule:
             self._validate()
 
     def _validate(self):
-        field = self.algebra.field
-        n = self.dimension
-        total = mat_zero(n, n, field)
-        for e in self.algebra.idempotents:
-            total = tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(total, self.action[e])
-            )
-        if not mat_eq(total, mat_identity(n, field)):
-            raise ValueError("left module is not unital")
-        nonzero = {
-            c: [(i, j, y) for i, row in enumerate(m) for j, y in enumerate(row) if y]
-            for c, m in self.action.items()
+        # ρ(c) = N_c / D with integer matrices N_c over one denominator D,
+        # and the structure constants k_c = (K·k_c) / K; so ρ(a)ρ(b) =
+        # Σ k_c ρ(c) is checked as K·N_a·N_b = D·Σ (K·k_c)·N_c.
+        algebra = self.algebra
+        entries = {
+            (c, i, j): y for c, m in self.action.items() for i, row in enumerate(m) for j, y in enumerate(row) if y
         }
-        for a in self.algebra.basis:
-            for b in self.algebra.basis:
-                composite = mat_mul(self.action[a], self.action[b])
-                expected = [[field.zero] * n for _ in range(n)]
-                for c, coeff in self.algebra.basis_product(a, b).items():
-                    for i, j, y in nonzero[c]:
-                        expected[i][j] += coeff * y
-                if not mat_eq(composite, tuple(map(tuple, expected))):
+        constants = {(pair, label): c for pair, vec in algebra.mult.items() for label, c in vec.items()}
+        p = _modulus([*entries.values(), *constants.values()], algebra.field)
+        d, ints = _integers(entries, p)
+        k, ints_k = _integers(constants, p)
+        rows = {c: [{} for _ in m] for c, m in self.action.items()}
+        for (c, i, j), y in ints.items():
+            rows[c][i][j] = y
+        sums = {(i, i): -d for i in range(self.dimension)}
+        for e in algebra.idempotents:
+            for i, row in enumerate(rows[e]):
+                for j, y in row.items():
+                    sums[i, j] = sums.get((i, j), 0) + y
+        if _nonzero(sums, p):
+            raise ValueError("left module is not unital")
+        products: dict = {}
+        for (pair, label), c in ints_k.items():
+            products.setdefault(pair, []).append((label, d * c))
+        for a in algebra.basis:
+            rows_a = rows[a]
+            for b in algebra.basis:
+                rows_b = rows[b]
+                sums = {}
+                for i, row in enumerate(rows_a):
+                    for mid, x in row.items():
+                        w = k * x
+                        for j, y in rows_b[mid].items():
+                            sums[i, j] = sums.get((i, j), 0) + w * y
+                for c, w in products.get((a, b), ()):
+                    for i, row in enumerate(rows[c]):
+                        for j, y in row.items():
+                            sums[i, j] = sums.get((i, j), 0) - w * y
+                if _nonzero(sums, p):
                     raise ValueError(f"action does not respect the product at ({a},{b})")
 
 

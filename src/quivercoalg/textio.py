@@ -124,7 +124,7 @@ def parse_quiver_text(text: str) -> ParsedInput:
     if not lines:
         raise ParseError("empty quiver file")
     number, header = lines[0]
-    if header.startswith("family"):
+    if header.split()[0] == "family":
         return _parse_family_file(lines, _quiver_family)
     if header != "quiver":
         raise ParseError("expected header 'quiver' or 'family <token>'", number)
@@ -149,7 +149,7 @@ def parse_poset_text(text: str) -> ParsedInput:
     if not lines:
         raise ParseError("empty poset file")
     number, header = lines[0]
-    if header.startswith("family"):
+    if header.split()[0] == "family":
         return _parse_family_file(lines, _poset_family)
     if header != "poset":
         raise ParseError("expected header 'poset' or 'family <token>'", number)

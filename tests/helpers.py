@@ -11,7 +11,11 @@ integer kernel, and ``subpath_closure`` against the expansion of every
 path.  Convolution of functionals is checked against the sum over every
 split, poset canonical forms against the minimum over all n! relabelings,
 and the cycle counterexample's codimension against one rank of the
-differences and the monomial units together.
+differences and the monomial units together.  The integer law kernel and
+the integer validators of structured algebras and left modules are checked
+against their earlier versions, which sum field scalars; the order closure
+of posets against the fixpoint of all-pairs passes; and the bitmask search
+for a cyclic induced subquiver against building every induced subquiver.
 """
 
 from fractions import Fraction
@@ -21,9 +25,9 @@ from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.dual import Functional
 from quivercoalg.incidence import Poset
-from quivercoalg.linalg import SparseVector, label_sort_key
+from quivercoalg.linalg import SparseVector, label_sort_key, mat_eq, mat_identity, mat_mul, mat_zero
 from quivercoalg.scalars import QQ
-from quivercoalg.quiver import find_simple_cycle
+from quivercoalg.quiver import find_simple_cycle, induced_subquiver, is_acyclic
 
 
 def dense_rank(rows):
@@ -309,3 +313,157 @@ def cycle_codimension_oracle(ce, paths):
     generators and its monomial units together, over the window's paths."""
     spanning = [e.combo for e in ce.difference_generators] + [SparseVector.unit(p) for p in ce.monomial_part]
     return len(paths) - oracle_rank(spanning, QQ)
+
+
+# ---------------------------------------------------------------------------
+# The coalgebra-law kernel and the two validators as they were before they
+# moved to integers: every sum is a sum of field scalars.
+# ---------------------------------------------------------------------------
+
+
+def _sums_to_unit(terms, label) -> bool:
+    return SparseVector([*terms, (label, -1)]).is_zero()
+
+
+def _fraction_comodule_failure(j, rho, delta, counit):
+    coaction = rho(j)
+    lhs = SparseVector(
+        ((k, c, b), inner * coeff)
+        for (i, b), coeff in coaction.items()
+        for (k, c), inner in rho(i).items()
+    )
+    rhs = SparseVector(
+        ((i, c, d), inner * coeff)
+        for (i, b), coeff in coaction.items()
+        for (c, d), inner in delta(b).items()
+    )
+    if lhs != rhs:
+        return ("coassociativity", j)
+    if not _sums_to_unit(((i, counit(b) * coeff) for (i, b), coeff in coaction.items()), j):
+        return ("counit", j)
+    return None
+
+
+def fraction_check_comodule(basis, rho, delta, counit):
+    for j in basis:
+        failure = _fraction_comodule_failure(j, rho, delta, counit)
+        if failure is not None:
+            return failure
+    return None
+
+
+def fraction_check_coalgebra(basis, delta, counit):
+    for b in basis:
+        failure = _fraction_comodule_failure(b, delta, delta, counit)
+        if failure is not None:
+            return failure
+        if not _sums_to_unit(((y, counit(x) * coeff) for (x, y), coeff in delta(b).items()), b):
+            return ("left counit", b)
+    return None
+
+
+def _tensor_square(f, tensor):
+    for (a, b), coeff in tensor.items():
+        image_b = f(b)
+        for u, cu in f(a).items():
+            for v, cv in image_b.items():
+                yield (u, v), coeff * cu * cv
+
+
+def fraction_check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
+    for x in basis:
+        image = f(x)
+        lhs = SparseVector(
+            (pair, inner * coeff)
+            for y, coeff in image.items()
+            for pair, inner in delta_tgt(y).items()
+        )
+        if lhs != SparseVector(_tensor_square(f, delta_src(x))):
+            return ("comultiplication", x)
+        if sum((counit_tgt(y) * coeff for y, coeff in image.items()), -counit_src(x)):
+            return ("counit", x)
+    return None
+
+
+def fraction_validate_structured(algebra):
+    """``StructuredAlgebra._validate`` on field scalars: raises the same
+    ValueError at the same first failure."""
+    one = algebra.field.one
+    for e in algebra.idempotents:
+        for f in algebra.idempotents:
+            expected = SparseVector({e: one}) if e == f else SparseVector()
+            if algebra.basis_product(e, f) != expected:
+                raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
+    unit = SparseVector({e: one for e in algebra.idempotents})
+    for b in algebra.basis:
+        vec = SparseVector({b: one})
+        if algebra.product(unit, vec) != vec or algebra.product(vec, unit) != vec:
+            raise ValueError("idempotent system is not complete")
+    right_factors = {b: [c for c in algebra.basis if (b, c) in algebra.mult] for b in algebra.basis}
+    position = {b: i for i, b in enumerate(algebra.basis)}
+    units = {b: SparseVector({b: one}) for b in algebra.basis}
+    for a in algebra.basis:
+        for b in algebra.basis:
+            ab = algebra.basis_product(a, b)
+            factors = right_factors[b]
+            if ab.entries:
+                factors = set(factors).union(*(right_factors[label] for label in ab.labels()))
+                factors = sorted(factors, key=position.__getitem__)
+            for c in factors:
+                left = algebra.product(ab, units[c])
+                right = algebra.product(units[a], algebra.basis_product(b, c))
+                if left != right:
+                    raise ValueError(f"multiplication not associative at ({a},{b},{c})")
+
+
+def fraction_validate_left_module(module):
+    """``LeftModule._validate`` on field scalars: raises the same ValueError
+    at the same first failure."""
+    field = module.algebra.field
+    n = module.dimension
+    total = mat_zero(n, n, field)
+    for e in module.algebra.idempotents:
+        total = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(total, module.action[e]))
+    if not mat_eq(total, mat_identity(n, field)):
+        raise ValueError("left module is not unital")
+    nonzero = {
+        c: [(i, j, y) for i, row in enumerate(m) for j, y in enumerate(row) if y]
+        for c, m in module.action.items()
+    }
+    for a in module.algebra.basis:
+        for b in module.algebra.basis:
+            composite = mat_mul(module.action[a], module.action[b])
+            expected = [[field.zero] * n for _ in range(n)]
+            for c, coeff in module.algebra.basis_product(a, b).items():
+                for i, j, y in nonzero[c]:
+                    expected[i][j] += coeff * y
+            if not mat_eq(composite, tuple(map(tuple, expected))):
+                raise ValueError(f"action does not respect the product at ({a},{b})")
+
+
+def fixpoint_order_closure(elements, relation_pairs):
+    """The reflexive-transitive closure by all-pairs passes until nothing
+    changes."""
+    leq = {(x, x) for x in elements}
+    leq.update(relation_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(leq):
+            for y2, z in list(leq):
+                if y == y2 and (x, z) not in leq:
+                    leq.add((x, z))
+                    changed = True
+    return leq
+
+
+def first_cyclic_induced_subquiver(quiver):
+    """The first vertex subset, as a bitmask over ``quiver.vertices`` in
+    counting order, whose induced subquiver (built as a quiver) is cyclic,
+    or None."""
+    vertices = list(quiver.vertices)
+    for mask in range(1 << len(vertices)):
+        subset = {vertices[i] for i in range(len(vertices)) if mask >> i & 1}
+        if not is_acyclic(induced_subquiver(quiver, subset)):
+            return mask
+    return None

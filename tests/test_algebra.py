@@ -210,7 +210,7 @@ def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
     vertex = unit(q[(0, 0)])
     difference = unit(q[(0, 3)]) - vertex
     target = (difference, vertex) if side == "right" else (vertex, difference)
-    exact = algebra.multiply
+    exact = algebra._generator_product
 
     def drop_one_term(a, b):
         product = exact(a, b)
@@ -219,16 +219,16 @@ def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
             return CoalgElement(product.carrier, SparseVector(kept))
         return product
 
-    monkeypatch.setattr(algebra, "multiply", drop_one_term)
+    monkeypatch.setattr(algebra, "_generator_product", drop_one_term)
     message = f"{side} product by generator [v0] takes -1*[v0] + [x0.x1.x2] out of the ideal"
     with pytest.raises(AssertionError, match=re.escape(message)):
         build_cycle_counterexample(quiver, 9)
 
 
 def _leave_the_ideal(monkeypatch, side, generator, stray):
-    """Patch ``multiply`` so that every product with ``generator`` on the
-    given side gains the path ``stray``."""
-    exact = algebra.multiply
+    """Patch the generator product so that every product with ``generator``
+    on the given side gains the path ``stray``."""
+    exact = algebra._generator_product
 
     def wrong(a, b):
         product = exact(a, b)
@@ -236,7 +236,7 @@ def _leave_the_ideal(monkeypatch, side, generator, stray):
             return product + unit(stray)
         return product
 
-    monkeypatch.setattr(algebra, "multiply", wrong)
+    monkeypatch.setattr(algebra, "_generator_product", wrong)
 
 
 def _generators(quiver):
@@ -286,7 +286,7 @@ def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
         terms = ((pq, ca * cb) for p, ca in a.combo.items() for r, cb in b.combo.items() if (pq := exact(p, r)))
         return CoalgElement(a.carrier, SparseVector(terms))
 
-    monkeypatch.setattr(algebra, "multiply", exact_multiply)
+    monkeypatch.setattr(algebra, "_generator_product", exact_multiply)
     monkeypatch.setattr(algebra, "compose_paths", lambda p, r: loop if (p, r) == (w, loop) else exact(p, r))
     with pytest.raises(AssertionError, match=re.escape("right product by generator x takes w out of the monomial part")):
         build_cycle_counterexample(quiver, 4)
@@ -357,13 +357,18 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
             generator = data.draw(st.sampled_from(cycle_generators), label="generator")
             side = data.draw(st.sampled_from(["left", "right"]), label="side")
             target = (generator, difference) if side == "left" else (difference, generator)
-            exact = algebra.multiply
 
-            def wrong(a, b):
-                product = exact(a, b)
-                return product + unit(q[(0, 0)]) if (a, b) == target else product
+            def wrong(exact):
+                def product(a, b):
+                    result = exact(a, b)
+                    return result + unit(q[(0, 0)]) if (a, b) == target else result
 
-            mp.setattr(algebra, "multiply", wrong)
+                return product
+
+            # The oracle multiplies through ``multiply``, the counterexample
+            # through ``_generator_product``: both see the same corruption.
+            mp.setattr(algebra, "multiply", wrong(algebra.multiply))
+            mp.setattr(algebra, "_generator_product", wrong(algebra._generator_product))
         outcomes = []
         for run in (lambda: cycle_identity_oracle(quiver, window), lambda: build_cycle_counterexample(quiver, window)):
             try:

@@ -346,6 +346,35 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, c
     assert status == 0 and seen == ["family:loop"] and "count: 3" in out
 
 
+@pytest.mark.parametrize("header", ["familyfoo loop", "family_x natchain"])
+def test_family_header_with_a_longer_first_word_exits_2(header, tmp_path, capsys):
+    path = tmp_path / "family.txt"
+    path.write_text(header + "\n")
+    for check in ("thm33", "thm43", "coreflexive"):
+        status, out, err = run(capsys, "check", check, str(path))
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1 and "line 1: expected header" in err
+
+
+def test_phi_diagnostic_does_not_depend_on_the_hash_seed(tmp_path):
+    # Covers p < q and q < p: the antisymmetry error names the least pair.
+    path = tmp_path / "cyclic-cover.txt"
+    path.write_text("poset\nelement p\nelement q\nelement r\ncover p q\ncover q p\ncover q r\n")
+    src = str(Path(quivercoalg.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "quivercoalg", "phi", str(path), "p", "q"],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            capture_output=True,
+            check=False,
+        )
+        outputs.append((done.returncode, done.stdout, done.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 2
+    assert outputs[0][2] == b"error: antisymmetry fails: p and q are comparable both ways\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(quivercoalg.__file__).resolve().parent.parent)
     done = subprocess.run(

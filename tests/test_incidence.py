@@ -20,7 +20,7 @@ from quivercoalg.linalg import SparseVector, rank
 from quivercoalg.quiver import check_unique_path_condition, enumerate_paths
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import brute_force_posets_up_to_iso, dense_convolve
+from helpers import brute_force_posets_up_to_iso, dense_convolve, fixpoint_order_closure
 
 
 def test_poset_construction_validates():
@@ -31,6 +31,30 @@ def test_poset_construction_validates():
     chain = named_poset("chain3")
     assert ("c0", "c2") in chain.leq
     assert ("c2", "c0") not in chain.leq
+
+
+@given(st.integers(1, 7), st.data())
+def test_order_closure_matches_the_fixpoint_of_all_pairs_passes(n, data):
+    # Any relation on n elements, so loops, repeats, shortcuts and cycles
+    # all occur; the closure must be the fixpoint's, and a cycle is refused
+    # with its least pair in label order.
+    elements = [f"e{i}" for i in range(n)]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(elements)), max_size=12))
+    leq = fixpoint_order_closure(elements, pairs)
+    both_ways = sorted((x, y) for x, y in leq if x != y and (y, x) in leq)
+    if both_ways:
+        x, y = both_ways[0]
+        with pytest.raises(ValueError, match=f"^antisymmetry fails: {x} and {y} are comparable both ways$"):
+            Poset(elements, pairs)
+    else:
+        assert Poset(elements, pairs).leq == frozenset(leq)
+
+
+def test_long_chain_closure():
+    n = 60
+    chain = Poset([f"c{i:02d}" for i in range(n)], [(f"c{i:02d}", f"c{i + 1:02d}") for i in range(n - 1)])
+    assert len(chain.leq) == n * (n + 1) // 2
+    assert chain.leq == frozenset(fixpoint_order_closure(chain.elements, [(x, y) for x, y in chain.leq]))
 
 
 def test_interval_and_cover_structure():

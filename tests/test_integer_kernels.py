@@ -1,0 +1,268 @@
+"""The integer law kernel and the integer validators against their field-
+scalar versions in ``helpers``.
+
+Every table is a rescaled copy of a lawful one: basis element b becomes
+λ_b·b, which keeps every law but makes the scalars non-integral over QQ.
+Over GF(5) the scalars are residues.  Half the draws then corrupt one
+entry.  Either way the integer code must give the same None or
+``(law, label)``, or raise the same first ValueError, as the oracle.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    fraction_check_coalgebra,
+    fraction_check_comodule,
+    fraction_check_morphism,
+    fraction_validate_left_module,
+    fraction_validate_structured,
+)
+from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, check_comodule, check_morphism
+from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
+from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra
+from quivercoalg.incidence import hasse_quiver, phi_embed
+from quivercoalg.linalg import SparseVector
+from quivercoalg.quiver import enumerate_paths
+from quivercoalg.representation import LeftModule
+from quivercoalg.scalars import QQ, FieldError, PrimeField
+
+FIELDS = st.sampled_from([QQ, PrimeField(5)])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _scalar(rng, field):
+    """A nonzero scalar; over QQ most are not integers."""
+    if field is QQ:
+        return Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 7]))
+    return field.of(rng.randint(1, 4))
+
+
+def _base_coalgebra(rng, field):
+    """(basis, Δ, ε) as dicts, of a path, incidence or dual coalgebra."""
+    kind = rng.choice(["path", "incidence", "dual"])
+    if kind == "dual":
+        algebra = random_structured_algebra(rng, field=field)
+        dual = DualCoalgebra(algebra, validate=False)
+        return list(algebra.basis), dict(dual.delta_table), dict(dual.counit_table)
+    if kind == "path":
+        carrier = random_quiver(rng, 4, 5)
+        basis = enumerate_paths(carrier, 2).paths
+    else:
+        carrier = random_poset(rng, 5)
+        basis = carrier.intervals()
+    delta, eps = basis_tables(carrier, field)
+    return basis, {b: delta(b) for b in basis}, {b: eps(b) for b in basis}
+
+
+def _rescale(delta, eps, lam):
+    """Δ and ε on the basis λ_b·b."""
+    return (
+        {b: SparseVector({(x, y): c * lam[b] / (lam[x] * lam[y]) for (x, y), c in row.items()})
+         for b, row in delta.items()},
+        {b: value * lam[b] for b, value in eps.items()},
+    )
+
+
+def _rescaled_algebra(rng, field):
+    """A random structured algebra on the basis λ_b·b, with λ = 1 on the
+    idempotents so that they stay idempotent."""
+    algebra = random_structured_algebra(rng, field=field)
+    lam = {b: field.one if b in algebra.idempotents else _scalar(rng, field) for b in algebra.basis}
+    mult = {
+        (a, b): SparseVector({c: k * lam[a] * lam[b] / lam[c] for c, k in vec.items()})
+        for (a, b), vec in algebra.mult.items()
+    }
+    return StructuredAlgebra(algebra.basis, mult, algebra.idempotents, field, algebra.name, validate=False)
+
+
+def _corrupt_row(rng, field, table, new_keys):
+    """Add a nonzero scalar to one entry (old or new) of one row."""
+    label = rng.choice(list(table))
+    entries = dict(table[label].entries)
+    key = rng.choice(list(entries) + new_keys) if entries and rng.random() < 0.7 else rng.choice(new_keys)
+    entries[key] = entries.get(key, field.zero) + _scalar(rng, field)
+    table[label] = SparseVector(entries)
+
+
+def _corrupt_scalar(rng, field, table):
+    label = rng.choice(list(table))
+    table[label] = table[label] + _scalar(rng, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_coalgebra_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
+    rng = random.Random(seed)
+    basis, delta, eps = _base_coalgebra(rng, field)
+    delta, eps = _rescale(delta, eps, {b: _scalar(rng, field) for b in basis})
+    if corrupt:
+        if rng.random() < 0.75:
+            _corrupt_row(rng, field, delta, [(rng.choice(basis), rng.choice(basis)) for _ in range(3)])
+        else:
+            _corrupt_scalar(rng, field, eps)
+    expected = fraction_check_coalgebra(basis, delta.__getitem__, eps.__getitem__)
+    assert check_coalgebra(basis, delta.__getitem__, eps.__getitem__) == expected
+    if not corrupt:
+        assert expected is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_comodule_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
+    rng = random.Random(seed)
+    algebra = _rescaled_algebra(rng, field)
+    module = random_left_module(rng, algebra)
+    n = module.dimension
+    # The module on the basis d_j·m_j: ρ(m_j) = Σ_i m_i ⊗ a_ij b* becomes
+    # Σ_i m'_i ⊗ (d_j / d_i)·a_ij b*.
+    d = [_scalar(rng, field) for _ in range(n)]
+    rho = {
+        j: SparseVector({(i, b): m[i][j] * d[j] / d[i] for b, m in module.action.items() for i in range(n) if m[i][j]})
+        for j in range(n)
+    }
+    dual = DualCoalgebra(algebra, validate=False)
+    delta, eps = dict(dual.delta_table), dict(dual.counit_table)
+    if corrupt:
+        basis = list(algebra.basis)
+        which = rng.random()
+        if which < 0.5:
+            _corrupt_row(rng, field, rho, [(rng.randrange(n), rng.choice(basis)) for _ in range(3)])
+        elif which < 0.8:
+            _corrupt_row(rng, field, delta, [(rng.choice(basis), rng.choice(basis)) for _ in range(3)])
+        else:
+            _corrupt_scalar(rng, field, eps)
+    tables = (range(n), rho.__getitem__, delta.__getitem__, eps.__getitem__)
+    expected = fraction_check_comodule(*tables)
+    assert check_comodule(*tables) == expected
+    if not corrupt:
+        assert expected is None
+
+
+def _morphism_tables(rng, field):
+    """(basis, f, source Δ and ε, target Δ and ε) of φ from a random poset's
+    incidence coalgebra into its Hasse quiver's path coalgebra, or of the
+    identity of a random coalgebra."""
+    if rng.random() < 0.5:
+        poset = random_poset(rng, 5)
+        quiver = hasse_quiver(poset)
+        basis = poset.intervals()
+        f = {x: phi_embed(CoalgElement.unit(poset, x, field)).combo for x in basis}
+        paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
+        delta, eps = basis_tables(poset, field)
+        delta_t, eps_t = basis_tables(quiver, field)
+        source = ({x: delta(x) for x in basis}, {x: eps(x) for x in basis})
+        target = ({p: delta_t(p) for p in paths}, {p: eps_t(p) for p in paths})
+    else:
+        basis, delta, eps = _base_coalgebra(rng, field)
+        f = {x: SparseVector({x: field.one}) for x in basis}
+        source = target = (delta, eps)
+    lam = {x: _scalar(rng, field) for x in source[0]}
+    mu = {y: _scalar(rng, field) for y in target[0]}
+    f = {x: SparseVector({y: c * lam[x] / mu[y] for y, c in row.items()}) for x, row in f.items()}
+    return basis, f, _rescale(*source, lam), _rescale(*target, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_morphism_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
+    rng = random.Random(seed)
+    basis, f, (delta, eps), (delta_t, eps_t) = _morphism_tables(rng, field)
+    if corrupt:
+        targets = list(delta_t)
+        which = rng.random()
+        if which < 0.4:
+            _corrupt_row(rng, field, f, [rng.choice(targets) for _ in range(3)])
+        elif which < 0.6:
+            _corrupt_row(rng, field, delta, [(rng.choice(basis), rng.choice(basis)) for _ in range(3)])
+        elif which < 0.8:
+            _corrupt_row(rng, field, delta_t, [(rng.choice(targets), rng.choice(targets)) for _ in range(3)])
+        else:
+            _corrupt_scalar(rng, field, rng.choice([eps, eps_t]))
+    tables = (basis, f.__getitem__, delta.__getitem__, delta_t.__getitem__, eps.__getitem__, eps_t.__getitem__)
+    expected = fraction_check_morphism(*tables)
+    assert check_morphism(*tables) == expected
+    if not corrupt:
+        assert expected is None
+
+
+def _outcome(validate):
+    try:
+        validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_structured_algebra_validation_agrees_with_the_fraction_validator(field, seed, corrupt):
+    rng = random.Random(seed)
+    algebra = _rescaled_algebra(rng, field)
+    mult = dict(algebra.mult)
+    if corrupt:
+        basis = list(algebra.basis)
+        pair = (rng.choice(basis), rng.choice(basis))
+        table = {pair: mult.get(pair, SparseVector())}
+        _corrupt_row(rng, field, table, basis)
+        mult[pair] = table[pair]
+    unchecked = StructuredAlgebra(algebra.basis, mult, algebra.idempotents, field, validate=False)
+    expected = _outcome(lambda: fraction_validate_structured(unchecked))
+    assert _outcome(unchecked._validate) == expected
+    if not corrupt:
+        assert expected is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_left_module_validation_agrees_with_the_fraction_validator(field, seed, corrupt):
+    rng = random.Random(seed)
+    algebra = _rescaled_algebra(rng, field)
+    module = random_left_module(rng, algebra)
+    n = module.dimension
+    d = [_scalar(rng, field) for _ in range(n)]
+    action = {b: [[m[i][j] * d[j] / d[i] for j in range(n)] for i in range(n)] for b, m in module.action.items()}
+    if corrupt and n:
+        b = rng.choice(list(algebra.basis))
+        i, j = rng.randrange(n), rng.randrange(n)
+        action[b][i][j] += _scalar(rng, field)
+    unchecked = LeftModule(algebra, n, {b: tuple(map(tuple, m)) for b, m in action.items()}, validate=False)
+    expected = _outcome(lambda: fraction_validate_left_module(unchecked))
+    assert _outcome(unchecked._validate) == expected
+    if not corrupt:
+        assert expected is None
+
+
+def test_rescaled_structures_need_both_denominators():
+    # Non-integral structure constants (K > 1) and a non-integral module
+    # (D > 1) that are lawful: an integer check that dropped either scale
+    # would reject them.
+    rng = random.Random(3)
+    non_integral = {"K": 0, "D": 0}
+    for _ in range(40):
+        algebra = _rescaled_algebra(rng, QQ)
+        algebra._validate()
+        module = random_left_module(rng, algebra)  # validated on creation
+        non_integral["K"] += any(c.denominator > 1 for vec in algebra.mult.values() for c in vec.entries.values())
+        non_integral["D"] += any(x.denominator > 1 for m in module.action.values() for row in m for x in row)
+        n = module.dimension
+        rho = {j: SparseVector({(i, b): m[i][j] for b, m in module.action.items() for i in range(n) if m[i][j]})
+               for j in range(n)}
+        dual = DualCoalgebra(algebra)
+        assert check_comodule(range(n), rho.__getitem__, dual.delta_table.__getitem__,
+                              dual.counit_table.__getitem__) is None
+    assert min(non_integral.values()) >= 10
+
+
+def test_kernel_refuses_rows_of_two_moduli():
+    quiver = named_quiver("single_arrow")
+    basis = enumerate_paths(quiver, 1).paths
+    delta5, eps5 = basis_tables(quiver, PrimeField(5))
+    delta7 = basis_tables(quiver, PrimeField(7))[0]
+    mixed = {b: (delta5 if i % 2 else delta7)(b) for i, b in enumerate(basis)}
+    for check in (check_coalgebra, fraction_check_coalgebra):
+        with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
+            check(basis, mixed.__getitem__, eps5)

@@ -7,6 +7,7 @@ from quivercoalg.corpus import enumerate_small_quivers, finite_corpus, named_qui
 from quivercoalg.quiver import (
     VERDICT_STATUSES,
     Path,
+    _first_cyclic_subset,
     Quiver,
     QuiverFamily,
     Verdict,
@@ -23,7 +24,7 @@ from quivercoalg.quiver import (
 )
 from quivercoalg.textio import parse_quiver_text
 
-from helpers import brute_force_path_count, brute_force_paths
+from helpers import brute_force_path_count, brute_force_paths, first_cyclic_induced_subquiver
 
 
 def test_compose_vertex_identity():
@@ -140,6 +141,19 @@ def test_recovery_clause_agreement_examples():
     assert not check_recovery_clause_equivalence(named_quiver("loop"))
     assert check_recovery_clause_equivalence(named_quiver("branching"))
     assert not check_recovery_clause_equivalence(QuiverFamily("cycle", 2).truncate(0))
+
+
+@pytest.mark.parametrize(
+    "quivers",
+    [
+        pytest.param(lambda: enumerate_small_quivers(4, 3), id="all-4-3"),
+        pytest.param(lambda: (random_quiver(random.Random(seed), 8, 10) for seed in range(150)), id="random-8"),
+    ],
+)
+def test_cyclic_subset_search_matches_building_every_induced_subquiver(quivers):
+    for quiver in quivers():
+        assert _first_cyclic_subset(quiver) == first_cyclic_induced_subquiver(quiver), quiver
+        check_recovery_clause_equivalence(quiver)  # raises on disagreement
 
 
 def test_recovery_clause_agreement_on_corpus():

@@ -132,6 +132,15 @@ def test_parse_input_text_diagnostics_come_from_the_chosen_parser(text, message)
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("header", ["familyfoo loop", "family_x natchain", "families cycle:3"])
+def test_family_header_needs_the_word_family(header):
+    # Only a first word that is exactly ``family`` opens a family file.
+    for parse, kind in ((parse_quiver_text, "quiver"), (parse_poset_text, "poset"), (parse_input_text, "quiver")):
+        with pytest.raises(ParseError) as info:
+            parse(header + "\n")
+        assert str(info.value) == f"line 1: expected header '{kind}' or 'family <token>'"
+
+
 def test_parse_rep():
     q = named_quiver("single_arrow")
     rep = parse_rep_text(REP_TEXT, q)
