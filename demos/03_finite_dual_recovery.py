@@ -13,8 +13,8 @@ Run:  python demos/03_finite_dual_recovery.py
 
 from quivercoalg import (
     CoalgElement,
+    Family,
     Quiver,
-    QuiverFamily,
     build_cycle_counterexample,
     build_multiarrow_counterexample,
     contains_cofinite_monomial_ideal,
@@ -30,14 +30,14 @@ print("complement is the subpath set:", [str(p) for p in embedded.witness_comple
 print("\nacyclic case: the embedding is onto;",
       f"dimension = {theta_recovery_check(line).dimension}")
 
-loop = QuiverFamily("loop")
+loop = Family("loop")
 report = theta_recovery_check(loop, codim_bound=10)
 print("\nloop case: recovered =", report.recovered)
 print("  witness functional:", report.witness.describe())
 print("  monomial-ideal verdict for its kernel:", report.witness_verdict.status)
 
 print("\nthe cofinite ideal of winding differences on a 2-cycle:")
-cycle2 = QuiverFamily("cycle", 2).truncate(0)
+cycle2 = Family("cycle", 2).truncate(0)
 ce = build_cycle_counterexample(cycle2, 8)
 print(f"  generator identities verified: {ce.identities_checked}")
 print(f"  observed codimension at the window: {ce.codimension}")
@@ -45,7 +45,7 @@ verdict = contains_cofinite_monomial_ideal(ce.ideal_generators(), cycle2, 8, 10)
 print(f"  contains a cofinite monomial ideal? {verdict.status}")
 
 print("\ninfinitely many parallel arrows defeat recovery the same way:")
-ma = build_multiarrow_counterexample(QuiverFamily("multiarrow"), 5)
+ma = build_multiarrow_counterexample(Family("multiarrow"), 5)
 print(f"  difference span has codimension {ma.codimension} in the stage span;")
 print(f"  {ma.identities_checked} generator identities verified; no single arrow")
 print("  lies in the span of the differences.")

@@ -12,9 +12,9 @@ Run:  python demos/04_rational_part.py
 
 from quivercoalg import (
     CoalgElement,
+    Family,
     Functional,
     Quiver,
-    QuiverFamily,
     convolve,
     enumerate_paths,
     gamma_membership,
@@ -36,7 +36,7 @@ print("\nx* is rational with a certificate of", len(verdict.witness.elements), "
 print("\non the one-sided infinite line, the indicator of all paths leaving a")
 print("vertex is rational with infinite support; its certificate runs through")
 print("the finitely many paths arriving there:")
-fam = QuiverFamily("line1")
+fam = Family("line1")
 f = Functional.from_rule(fam, "starts_at", "v3")
 verdict = is_rational_left(f, fam, 10)
 print("  status:", verdict.status)
@@ -44,13 +44,13 @@ print("  members:", len(verdict.witness.elements), "| rule kinds:",
       sorted({c.rule.kind for c in verdict.witness.functionals}))
 
 print("\non the loop only the zero functional is rational:")
-print("  gamma:", is_rational_left(Functional.from_rule(QuiverFamily('loop'), 'gamma'), QuiverFamily("loop")).status)
+print("  gamma:", is_rational_left(Functional.from_rule(Family('loop'), 'gamma'), Family("loop")).status)
 
 print("\nthe all-ones functional is a coordinate functional iff the path set")
 print("is finite:")
-print("  line:", bool(gamma_membership(line)), "| loop:", bool(gamma_membership(QuiverFamily("loop"))))
+print("  line:", bool(gamma_membership(line)), "| loop:", bool(gamma_membership(Family("loop"))))
 
 print("\nreflexivity of the quiver algebra = finite dimensionality:")
-for target, name in ((line, "line"), (QuiverFamily("loop"), "loop"), (QuiverFamily("line2"), "two-sided line")):
+for target, name in ((line, "line"), (Family("loop"), "loop"), (Family("line2"), "two-sided line")):
     verdict = reflexivity_verdict(target)
     print(f"  {name:15s} {verdict.status:22s} ({verdict.explanation})")

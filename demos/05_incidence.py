@@ -13,8 +13,8 @@ Run:  python demos/05_incidence.py
 
 from quivercoalg import (
     CoalgElement,
+    Family,
     Poset,
-    PosetFamily,
     comultiply,
     hasse_quiver,
     incidence_convolve,
@@ -50,5 +50,5 @@ print("\nfinite dual recovery:", report.isomorphism, "| dimension:", report.dime
 print("\nsemiperfectness with certificates:")
 chain = incidence_semiperfect_check(diamond)
 print("  diamond:", bool(chain), f"({len(chain.witness)} certificates verified)")
-print("  chain on the naturals:   ", bool(incidence_semiperfect_check(PosetFamily("natchain"))))
-print("  antichain on the naturals:", bool(incidence_semiperfect_check(PosetFamily("natantichain"))))
+print("  chain on the naturals:   ", bool(incidence_semiperfect_check(Family("natchain"))))
+print("  antichain on the naturals:", bool(incidence_semiperfect_check(Family("natantichain"))))

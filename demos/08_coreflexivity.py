@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from quivercoalg import (
     CoalgElement,
+    Family,
     Functional,
     Quiver,
-    QuiverFamily,
     TensorProduct,
     coreflexivity_verdict,
     enumerate_paths,
@@ -51,7 +51,7 @@ print("\na random functional vanishing on the saturation splits exactly:")
 print(f"  eta = f1*g1 + f2*g2 verified on all {witness.checked_paths} paths")
 
 print("\nper-branch rank-one splitting on the single-arrow star:")
-quiver = QuiverFamily("star56").truncate(5)
+quiver = Family("star56").truncate(5)
 protected = set(star_truncation_basis(quiver, 1))
 values = {p: Fraction(rng.randint(-3, 3)) for p in star_truncation_basis(quiver, 5) if p not in protected}
 eta_star = Functional(quiver, support=SparseVector(values))
@@ -61,11 +61,11 @@ print(f"  identity verified on {star_witness.checked_paths} basis paths")
 print("\nverdicts from the rule engine (unknown is a legitimate answer):")
 for target, name in (
     (line, "finite acyclic quiver"),
-    (QuiverFamily("loop"), "one loop"),
-    (QuiverFamily("line2"), "two-sided infinite line"),
-    (QuiverFamily("star51"), "growing parallel bundles"),
-    (QuiverFamily("star56"), "single-arrow star"),
-    (TensorProduct(line, QuiverFamily("line1")), "tensor of two tame coalgebras"),
+    (Family("loop"), "one loop"),
+    (Family("line2"), "two-sided infinite line"),
+    (Family("star51"), "growing parallel bundles"),
+    (Family("star56"), "single-arrow star"),
+    (TensorProduct(line, Family("line1")), "tensor of two tame coalgebras"),
 ):
     verdict = coreflexivity_verdict(target)
     print(f"  {name:28s} -> {verdict.status}")

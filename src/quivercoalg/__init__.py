@@ -4,9 +4,10 @@
 from .scalars import QQ, PrimeField, field_from_spec
 from .linalg import SparseVector, codimension_of_span, rank, rank1_decompose_2x2, rref, solve_membership
 from .quiver import (
+    FAMILIES,
+    Family,
     Path,
     Quiver,
-    QuiverFamily,
     check_recovery_clause_equivalence,
     check_recovery_condition,
     check_semiperfect_condition,
@@ -55,7 +56,6 @@ from .finite_dual import (
 )
 from .incidence import (
     Poset,
-    PosetFamily,
     hasse_quiver,
     incidence_convolve,
     incidence_dual_recovery_check,

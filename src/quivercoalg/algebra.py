@@ -14,9 +14,9 @@ from typing import Optional
 from .coalgebra import CoalgElement, comultiply
 from .linalg import SparseVector, rank, reducer, rref, solve_membership
 from .quiver import (
+    Family,
     Path,
     Quiver,
-    QuiverFamily,
     compose_paths,
     enumerate_paths,
     find_simple_cycle,
@@ -327,16 +327,14 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     )
 
 
-def build_multiarrow_counterexample(
-    family: QuiverFamily, truncation: int, field=QQ
-) -> CounterexampleIdeal:
+def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -> CounterexampleIdeal:
     """The parallel-arrow analogue: the span of the differences x_n - x_0.
 
     At stage N the ambient span is {a, b, x_0..x_N}; the difference span is
     an ideal of codimension three there (closed under the vertices and
     arrows on both sides), and no single arrow belongs to it.
     """
-    if family.kind != "multiarrow":
+    if family.facts.finite_arrows:
         raise ValueError("expected the multiarrow family")
     quiver = family.truncate(truncation)
     arrows = [quiver.arrow_path(f"x{i}") for i in range(truncation + 1)]

@@ -23,8 +23,6 @@ from .coalgebra import CoalgElement, comultiply, subcoalgebra_closure
 from .dual import Functional, convolve, gamma_membership, reflexivity_verdict
 from .finite_dual import theta_recovery_check
 from .incidence import (
-    POSET_FAMILY_KINDS,
-    PosetFamily,
     hasse_quiver,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
@@ -40,7 +38,8 @@ from .products import (
     saturate_subcoalgebra,
 )
 from .quiver import (
-    QuiverFamily,
+    FAMILIES,
+    Family,
     check_recovery_clause_equivalence,
     check_semiperfect_condition,
     check_unique_path_condition,
@@ -77,20 +76,18 @@ def _read_file(path: str) -> str:
 
 def _resolve(token: str, kind=None) -> ParsedInput:
     """A path to an input file, or family:<token>, of kind "quiver", "poset"
-    or None (either: the file header decides, and a family token is a poset
-    family when it names a poset family kind).  Its ``materialize``
-    truncates a family at the file's ``truncate N`` level when the file
-    gives one, else at the level passed (``--max-len``).
+    or None (either: the file header, or the carrier of the family kind in
+    ``FAMILIES``, decides).  Its ``materialize`` truncates a family at the
+    file's ``truncate N`` level when the file gives one, else at the level
+    passed (``--max-len``).
     """
     if not token.startswith("family:"):
         # Built per call, so wrappers installed after import are used.
         parse = {"quiver": parse_quiver_text, "poset": parse_poset_text, None: parse_input_text}[kind]
         return parse(_read_file(token))
     token = token[len("family:") :]
-    if kind is None:
-        kind = "poset" if token.split(":")[0] in POSET_FAMILY_KINDS else "quiver"
     try:
-        return ParsedInput(family=PosetFamily(token) if kind == "poset" else family_from_token(token))
+        return ParsedInput(family=family_from_token(token, kind))
     except ValueError as exc:
         raise InputFailure(str(exc)) from exc
 
@@ -249,7 +246,11 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
 
 
 def cmd_counterexample(args, field) -> tuple[dict, int]:
-    if args.kind == "cycle":
+    # Infinitely many parallel arrows: the ideal lives on the family itself.
+    # Otherwise (an oriented cycle) it lives on a quiver input.
+    if not FAMILIES[args.kind].finite_arrows:
+        ce = build_multiarrow_counterexample(Family(args.kind), args.max_len, field)
+    else:
         if args.input is None:
             raise InputFailure("counterexample cycle needs a quiver input")
         quiver = _resolve(args.input, "quiver").materialize(args.max_len)
@@ -257,9 +258,6 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
             ce = build_cycle_counterexample(quiver, args.max_len, field)
         except ValueError as exc:
             raise InputFailure(str(exc)) from exc
-    else:
-        family = QuiverFamily("multiarrow")
-        ce = build_multiarrow_counterexample(family, args.max_len, field)
     return {
         "command": f"counterexample-{ce.kind}",
         "codimension": ce.codimension,
@@ -338,8 +336,6 @@ def _check_thm57(target, args):
     verdict = reflexivity_verdict(target)
     fields = {
         "status": verdict.status,
-        # Every quiver algebra is proper (see reflexivity_verdict).
-        "proper": True,
         "explanation": verdict.explanation,
         "gamma_in_image": bool(gamma_membership(target)),
     }

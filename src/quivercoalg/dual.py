@@ -14,7 +14,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector
-from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, is_acyclic
+from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
 from .scalars import QQ
 
 
@@ -192,7 +192,7 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field
     loop, only the zero functional is rational.  A yes carries its
     ``RationalCertificate`` as the witness; other families are unknown.
     """
-    if isinstance(target, QuiverFamily):
+    if isinstance(target, Family):
         return _rational_on_family(f, target, max_len if max_len is not None else 10, field)
     quiver: Quiver = target
     if not is_acyclic(quiver):
@@ -221,12 +221,12 @@ def _convolution_certificate(f: Functional, paths, field) -> RationalCertificate
     return cert
 
 
-def _rational_on_family(f: Functional, family: QuiverFamily, window: int, field) -> Verdict:
+def _rational_on_family(f: Functional, family: Family, window: int, field) -> Verdict:
     if f.support is not None and f.support.is_zero():
         return Verdict("yes", RationalCertificate([], []), "zero functional")
-    if family.kind in ("loop", "cycle"):
+    if not family.facts.acyclic:
         return Verdict("no", explanation="every nonzero functional has an infinite-dimensional hit orbit here")
-    if family.kind not in ("line1", "line2"):
+    if not family.facts.finite_paths:
         return Verdict("unknown", explanation=f"no rule for family {family.kind}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
@@ -254,7 +254,7 @@ def gamma_membership(target) -> Verdict:
     """The all-ones functional lies in the image of the coordinate embedding
     iff the path set is finite, in which case its support, the witness, is
     everything."""
-    if isinstance(target, QuiverFamily):
+    if isinstance(target, Family):
         return Verdict("no", explanation=f"{target.describe()}: infinitely many paths")
     quiver: Quiver = target
     if is_acyclic(quiver):
@@ -266,10 +266,10 @@ def gamma_membership(target) -> Verdict:
 def reflexivity_verdict(target) -> Verdict:
     """Quiver algebras are always proper; reflexivity holds exactly for the
     finite-dimensional ones, i.e. finite quivers with no oriented cycles."""
-    if isinstance(target, QuiverFamily):
-        if target.kind in ("loop", "cycle"):
+    if isinstance(target, Family):
+        if not target.facts.acyclic:
             why = "oriented cycle: the algebra is infinite dimensional"
-        elif target.kind == "multiarrow":
+        elif not target.facts.finite_arrows:
             why = "infinitely many arrows: the algebra is infinite dimensional"
         else:
             why = "infinitely many vertices: the algebra is infinite dimensional"

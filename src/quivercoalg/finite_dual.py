@@ -29,7 +29,7 @@ from .linalg import (
     reducer,
     rref,
 )
-from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, horizon_verdict, is_acyclic
+from .quiver import Family, Path, Quiver, Verdict, check_recovery_condition, enumerate_paths, horizon_verdict, is_acyclic
 from .scalars import QQ
 
 
@@ -306,7 +306,8 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Ver
             witness={"ideal_basis": witness, "codimension": codim},
             explanation="finite-dimensional algebra: every functional is representative",
         )
-    if isinstance(target, QuiverFamily) and target.kind == "loop":
+    # Rule (b)'s family is the one-loop quiver, whose dual is k[[x]].
+    if isinstance(target, Family) and target.facts.rule == "b":
         if not isinstance(f, Functional) or f.finite_support or f.rule.kind != "eval":
             raise ValueError("only evaluation rules are supported on the loop family")
         lam = f.rule.param
@@ -348,12 +349,12 @@ def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Opti
     subpath closure of the support.  A finite support is a proof; a rule is
     read on a window and judged by the horizon rule.
     """
-    if isinstance(target, QuiverFamily) and target.kind != "loop":
+    if isinstance(target, Family) and target.facts.rule != "b":
         raise ValueError("family membership is implemented for the loop only")
     because = "kernel contains the monomial ideal avoiding the support subpaths"
     if f.finite_support:
         return Verdict("yes", subpath_closure(f.support.labels()), because)
-    if isinstance(target, QuiverFamily):
+    if isinstance(target, Family):
         quiver = target.truncate(window or (codim_bound + 2))
         horizon = codim_bound + 1
         support = [p for n in range(horizon + 1) if f(p := _loop_power(quiver, n))]
@@ -430,11 +431,11 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
     explicit cofinite counterexample ideal) yet no cofinite monomial ideal
     fits inside its kernel up to the bound.
     """
-    if isinstance(target, QuiverFamily):
-        if target.kind in ("loop", "cycle"):
+    if isinstance(target, Family):
+        if not target.facts.acyclic:
             quiver = target.truncate(window)
             return _cyclic_recovery_report(quiver, codim_bound, window, field)
-        verdict = target.recovery_condition()
+        verdict = check_recovery_condition(target)
         return RecoveryReport(bool(verdict), explanation=verdict.explanation)
     quiver: Quiver = target
     if is_acyclic(quiver):

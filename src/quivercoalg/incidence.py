@@ -2,8 +2,9 @@
 finite-support subalgebra with enough idempotents.
 
 Finite posets are input by cover relations; the reflexive-transitive
-closure is computed and validated.  The two built-in infinite families are
-the chain and the antichain on the natural numbers.
+closure is computed and validated.  The two built-in infinite posets, the
+chain and the antichain on the natural numbers, are ``quiver.FAMILIES``
+entries.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 from .coalgebra import CoalgElement, basis_tables, check_morphism
 from .finite_dual import StructuredAlgebra, dual_coalgebra
 from .linalg import SparseVector, label_sort_key, rank
-from .quiver import Quiver, Verdict, enumerate_paths
+from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, enumerate_paths
 from .scalars import QQ
 
 
@@ -220,8 +221,8 @@ def incidence_semiperfect_check(target, field=QQ) -> Verdict:
     condition upward; the antichain family satisfies it.  The witness is
     the list of verified certificates; a family has none.
     """
-    if isinstance(target, PosetFamily):
-        return target.semiperfect_condition()
+    if isinstance(target, Family):
+        return check_semiperfect_condition(target)
     poset: Poset = target
     certificates = []
     for (x, y) in poset.intervals():
@@ -237,39 +238,3 @@ def incidence_semiperfect_check(target, field=QQ) -> Verdict:
     return Verdict(
         "yes", certificates, "finite poset: every down-set and up-set is finite; all certificates verified"
     )
-
-
-POSET_FAMILY_KINDS = ("natchain", "natantichain")
-
-
-@dataclass(frozen=True)
-class PosetFamily:
-    """The chain (ℕ, <=) or the antichain on ℕ, with truncation."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in POSET_FAMILY_KINDS:
-            raise ValueError(f"unknown poset family {self.kind!r}")
-
-    def describe(self) -> str:
-        return {
-            "natchain": "the chain on the natural numbers",
-            "natantichain": "the antichain on the natural numbers",
-        }[self.kind]
-
-    def truncate(self, level: int) -> Poset:
-        elements = [f"n{i}" for i in range(level + 1)]
-        if self.kind == "natchain":
-            covers = [(f"n{i}", f"n{i+1}") for i in range(level)]
-        else:
-            covers = []
-        return Poset(elements, covers, name=f"{self.kind}[{level}]")
-
-    def semiperfect_condition(self) -> Verdict:
-        if self.kind == "natchain":
-            return Verdict("no", explanation="infinitely many elements lie above every point of the chain")
-        return Verdict("yes", explanation="each element of the antichain is comparable only to itself")
-
-    def __str__(self):
-        return f"family:{self.kind}"

@@ -12,9 +12,9 @@ from typing import Optional
 
 from .coalgebra import CoalgElement, comultiply, counit
 from .dual import Functional
-from .incidence import Poset, PosetFamily
+from .incidence import Poset
 from .linalg import SparseVector, rank1_decompose_2x2, rank1_factor_2x2
-from .quiver import Path, Quiver, QuiverFamily, Verdict, enumerate_paths, is_acyclic
+from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
 from .scalars import QQ
 
 
@@ -392,7 +392,7 @@ def star_perp_factorization(n: int, truncation: int, eta: Functional, field=QQ) 
     factor pairs on (b_k, y_k, x_k, x_k y_k) are read off a rank-1 splitting
     of the 2x2 value matrix of eta; everything else is zero.
     """
-    family = QuiverFamily("star56")
+    family = Family("star56")
     if truncation < n:
         raise ValueError("truncation must include the protected branches")
     quiver = family.truncate(truncation)
@@ -441,6 +441,15 @@ class TensorProduct:
     right: object
 
 
+_ONE_LOOP = "(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed"
+# carrier -> (why a rule-(c) family is tame, its coradical reduction step)
+_RULE_C = {
+    "quiver": ("at most one path between any two vertices, countable vertex set",
+               "(c) coradical reduction: coreflexivity follows from the grouplike coradical"),
+    "poset": ("locally finite with countably many elements", "(c) coradical reduction through the incidence embedding"),
+}
+
+
 def _finitely_many_paths_and_tame(target) -> Optional[str]:
     """Reason string when the target embeds in a path coalgebra with
     finitely many paths between any two vertices and a nonmeasurable vertex
@@ -449,14 +458,10 @@ def _finitely_many_paths_and_tame(target) -> Optional[str]:
         if is_acyclic(target):
             return "finite acyclic quiver: finitely many paths between any two vertices"
         return None
-    if isinstance(target, QuiverFamily):
-        if target.finitely_many_paths_between_vertices():
-            return f"{target.describe()}: at most one path between any two vertices, countable vertex set"
-        return None
     if isinstance(target, Poset):
         return "finite poset: its incidence coalgebra embeds in the Hasse path coalgebra with finitely many paths"
-    if isinstance(target, PosetFamily):
-        return f"{target.describe()}: locally finite with countably many elements"
+    if isinstance(target, Family) and target.facts.finite_paths:
+        return f"{target.describe()}: {_RULE_C[target.facts.carrier][0]}"
     return None
 
 
@@ -468,8 +473,9 @@ def coreflexivity_verdict(target) -> Verdict:
     finitely many paths between any two vertices with a nonmeasurable
     vertex set, reducing to the grouplike coradical; (d) the multi-arrow
     star, whose skew-primitive quotient is a known non-coreflexive
-    coalgebra; (e) tensor products of two case-(c) coalgebras.  The
-    witness is the chain of rules applied.
+    coalgebra; (e) tensor products of two case-(c) coalgebras.  A family
+    takes the rule of its ``FAMILIES`` entry.  The witness is the chain of
+    rules applied.
     """
     chain = []
     if isinstance(target, Quiver):
@@ -477,23 +483,23 @@ def coreflexivity_verdict(target) -> Verdict:
             chain.append("(a) finite acyclic quiver: the path coalgebra is finite dimensional")
             return Verdict("yes", chain)
         if len(target.vertices) == 1 and len(target.arrows) == 1:
-            chain.append("(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed")
+            chain.append(_ONE_LOOP)
             return Verdict("yes", chain)
         chain.append("cyclic quiver outside the rule set")
         return Verdict("unknown", chain)
     if isinstance(target, Poset):
         chain.append("(a) finite poset: the incidence coalgebra is finite dimensional")
         return Verdict("yes", chain)
-    if isinstance(target, QuiverFamily):
-        if target.kind == "loop":
-            chain.append("(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed")
+    if isinstance(target, Family):
+        rule = target.facts.rule
+        if rule == "b":
+            chain.append(_ONE_LOOP)
             return Verdict("yes", chain)
-        reason = _finitely_many_paths_and_tame(target)
-        if reason is not None:
-            chain.append(f"(c) {reason}")
-            chain.append("(c) coradical reduction: coreflexivity follows from the grouplike coradical")
+        if rule == "c":
+            chain.append(f"(c) {_finitely_many_paths_and_tame(target)}")
+            chain.append(_RULE_C[target.facts.carrier][1])
             return Verdict("yes", chain)
-        if target.kind == "star51":
+        if rule == "d":
             chain.append(
                 "(d) growing parallel bundles: the quotient by the skew-primitive span "
                 "of hub minus tip is a known non-coreflexive coalgebra"
@@ -501,11 +507,6 @@ def coreflexivity_verdict(target) -> Verdict:
             return Verdict("no", chain)
         chain.append(f"{target.describe()}: outside the rule set")
         return Verdict("unknown", chain)
-    if isinstance(target, PosetFamily):
-        reason = _finitely_many_paths_and_tame(target)
-        chain.append(f"(c) {reason}")
-        chain.append("(c) coradical reduction through the incidence embedding")
-        return Verdict("yes", chain)
     if isinstance(target, TensorProduct):
         left_reason = _finitely_many_paths_and_tame(target.left)
         right_reason = _finitely_many_paths_and_tame(target.right)
@@ -531,7 +532,7 @@ def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:
     """On the growing-bundle star truncation, the span of (hub - tip) is a
     coideal: its image under comultiplication lies in C⊗I + I⊗C and the
     counit kills it.  This backs the quotient step of the verdict rule."""
-    quiver = QuiverFamily("star51").truncate(stage)
+    quiver = Family("star51").truncate(stage)
     a = CoalgElement.from_path(quiver.vertex_path("a"), field)
     c = CoalgElement.from_path(quiver.vertex_path("c"), field)
     difference = a - c

@@ -4,15 +4,16 @@ A quiver is a finite directed multigraph with labeled arrows.  Paths are
 composable arrow sequences; vertices count as paths of length zero.  Path
 identity is by arrow-id sequence, so parallel arrows give distinct paths.
 
-Infinite quivers are supported only through seven named families, each with
-hand-encoded answers to the structural predicates and a ``truncate`` method
-that materializes a finite stage for witness generation.
+Infinite quivers and posets are supported only through the named families
+of ``FAMILIES``: one table of closed-form answers to the structural
+predicates, with a builder that materializes a finite stage for witness
+generation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,8 +366,9 @@ def check_recovery_condition(target) -> Verdict:
     Finite quivers reduce to acyclicity (arrow finiteness is automatic);
     families answer from their metadata.
     """
-    if isinstance(target, QuiverFamily):
-        return target.recovery_condition()
+    if isinstance(target, Family):
+        holds = target.facts.acyclic and target.facts.finite_arrows
+        return Verdict("yes" if holds else "no", explanation=target.facts.recovery)
     if is_acyclic(target):
         return Verdict("yes", explanation="finite quiver with no oriented cycles")
     cycle = find_simple_cycle(target)
@@ -379,8 +381,8 @@ def check_semiperfect_condition(target) -> Verdict:
 
     For a finite quiver this holds iff the quiver is acyclic.
     """
-    if isinstance(target, QuiverFamily):
-        return target.semiperfect_condition()
+    if isinstance(target, Family):
+        return Verdict("yes" if target.facts.semiperfect else "no", explanation=target.facts.semiperfect_reason)
     if is_acyclic(target):
         return Verdict("yes", explanation="finite acyclic quiver: the path set is finite")
     cycle = find_simple_cycle(target)
@@ -464,23 +466,114 @@ def disjoint_union(first: Quiver, second: Quiver, tags=("L", "R")) -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# Built-in infinite families.
+# Built-in infinite families: one table of closed-form facts.
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("line2", "line1", "loop", "cycle", "multiarrow", "star51", "star56")
 
+def _line2(level, param):
+    return [f"v{i}" for i in range(-level, level + 1)], [(f"a{i}", f"v{i}", f"v{i+1}") for i in range(-level, level)]
+
+
+def _line1(level, param):
+    return [f"v{i}" for i in range(level + 1)], [(f"a{i}", f"v{i}", f"v{i+1}") for i in range(level)]
+
+
+def _cycle(level, n):
+    return [f"v{i}" for i in range(n)], [(f"x{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+
+
+def _star(parallel: bool):
+    # Hub a, tip c, branches b_1..b_N with N = max(level, 1); branch n has n
+    # parallel arrows a -> b_n -> c when ``parallel``, else one each way.
+    def build(level, param):
+        stage = range(1, max(level, 1) + 1)
+        arrows = []
+        for n in stage:
+            tags = [f"{n}_{i}" for i in range(1, n + 1)] if parallel else [f"{n}"]
+            arrows += [(f"x{t}", "a", f"b{n}") for t in tags] + [(f"y{t}", f"b{n}", "c") for t in tags]
+        return ["a"] + [f"b{n}" for n in stage] + ["c"], arrows
+
+    return build
+
+
+def _natchain(level, param):
+    return [f"n{i}" for i in range(level + 1)], [(f"n{i}", f"n{i+1}") for i in range(level)]
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """The closed-form facts of one built-in family, read by every verdict.
+
+    ``build(level, param)`` gives the truncation at ``level``: vertices and
+    (label, source, target) arrows for a quiver, elements and cover pairs
+    for a poset.  The path facts of a poset family are those of its Hasse
+    quiver.  ``rule`` is the coreflexivity rule that decides the family:
+    (b) the one-loop quiver, (c) finitely many paths between any two
+    vertices, (d) growing parallel bundles, or None.
+    """
+
+    carrier: str  # "quiver" or "poset"
+    build: Callable
+    description: str  # formatted with the parameter
+    acyclic: bool
+    finite_arrows: bool  # finitely many arrows between any two vertices
+    finite_paths: bool  # finitely many paths between any two vertices
+    semiperfect: bool  # finitely many paths start, and end, at each vertex
+    rule: Optional[str]
+    semiperfect_reason: str
+    recovery: str = ""  # why the Thm 3.3 recovery condition holds or fails
+    parametrized: bool = False  # ``<kind>:<n>`` with n >= 1
+
+
+# kind -> FamilySpec(carrier, builder, description, acyclic, finite arrows,
+# finite paths, semiperfect, rule, semiperfect reason, recovery reason), with
+# the kinds of each carrier in the order the README lists them.
+FAMILIES = {
+    "loop": FamilySpec("quiver", lambda level, param: (["v"], [("x", "v", "v")]), "one vertex with one loop",
+                       False, True, False, False, "b", "all powers of the loop start and end at the vertex",
+                       "the loop is an oriented cycle"),
+    "line2": FamilySpec("quiver", _line2, "two-sided infinite line quiver", True, True, True, False, "c",
+                        "infinitely many paths start (and end) at every vertex",
+                        "acyclic with at most one arrow between any two vertices"),
+    "line1": FamilySpec("quiver", _line1, "left-bounded infinite line quiver", True, True, True, False, "c",
+                        "infinitely many paths start at the first vertex",
+                        "acyclic with at most one arrow between any two vertices"),
+    "cycle": FamilySpec("quiver", _cycle, "oriented cycle of length {}", False, True, False, False, None,
+                        "winding paths of every length start at each vertex", "the quiver is an oriented cycle",
+                        parametrized=True),
+    "multiarrow": FamilySpec("quiver", lambda level, param: (["a", "b"], [(f"x{i}", "a", "b") for i in range(level + 1)]),
+                             "two vertices with countably many parallel arrows", True, False, False, False, None,
+                             "infinitely many arrows start at the source vertex",
+                             "infinitely many arrows between the two vertices"),
+    "star51": FamilySpec("quiver", _star(parallel=True), "star with n parallel arrows into and out of branch n",
+                         True, True, False, False, "d", "infinitely many paths start at the hub vertex",
+                         "acyclic with finitely many arrows between any two vertices"),
+    "star56": FamilySpec("quiver", _star(parallel=False), "star with single arrows through infinitely many branches",
+                         True, True, False, False, None, "infinitely many paths start at the hub vertex",
+                         "acyclic with finitely many arrows between any two vertices"),
+    "natchain": FamilySpec("poset", _natchain, "the chain on the natural numbers", True, True, True, False, "c",
+                           "infinitely many elements lie above every point of the chain"),
+    "natantichain": FamilySpec("poset", lambda level, param: ([f"n{i}" for i in range(level + 1)], []),
+                               "the antichain on the natural numbers", True, True, True, True, "c",
+                               "each element of the antichain is comparable only to itself"),
+}
+
+
+def family_kinds(carrier: str) -> tuple:
+    return tuple(kind for kind, spec in FAMILIES.items() if spec.carrier == carrier)
+
+
+# Truncations are cached, unbounded, so paths built on the same stage by
+# different callers live on the identical quiver object (Path equality
+# needs it).
 _TRUNCATION_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
-class QuiverFamily:
-    """One of the built-in infinite quiver families.
+class Family:
+    """One of the built-in infinite quivers or posets of ``FAMILIES``.
 
-    ``line2`` is the two-sided infinite line, ``line1`` the left-bounded
-    one; ``loop`` and ``cycle`` are finite quivers with infinitely many
-    paths; ``multiarrow`` has countably many parallel arrows a -> b;
-    ``star51`` has n arrows a -> b_n -> c per branch n, ``star56`` one per
-    branch.  Structural predicates are answered from closed-form metadata;
+    Structural predicates are answered from the table's closed-form facts;
     truncations exist only for witness generation.
     """
 
@@ -488,117 +581,63 @@ class QuiverFamily:
     param: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "cycle":
+        if self.facts.parametrized:
             if not self.param or self.param < 1:
-                raise ValueError("cycle family needs a length parameter >= 1")
+                raise ValueError(f"{self.kind} family needs a length parameter >= 1")
+        elif self.param is not None:
+            raise ValueError(f"unexpected parameter for family {self.kind!r}")
+
+    @property
+    def facts(self) -> FamilySpec:
+        return FAMILIES[self.kind]
 
     def describe(self) -> str:
-        return {
-            "line2": "two-sided infinite line quiver",
-            "line1": "left-bounded infinite line quiver",
-            "loop": "one vertex with one loop",
-            "cycle": f"oriented cycle of length {self.param}",
-            "multiarrow": "two vertices with countably many parallel arrows",
-            "star51": "star with n parallel arrows into and out of branch n",
-            "star56": "star with single arrows through infinitely many branches",
-        }[self.kind]
+        return self.facts.description.format(self.param)
 
-    def truncate(self, level: int) -> Quiver:
-        """Materialize all vertices/arrows within the stage parameter.
-
-        Truncations are cached, so paths built on the same stage by
-        different callers live on the identical quiver object.
-        """
+    def truncate(self, level: int):
+        """Materialize the finite stage at ``level``: a ``Quiver``, or a
+        ``Poset`` for a poset family.  Cached per (family, level)."""
         if level < 0:
             raise ValueError("truncation level must be nonnegative")
-        cached = _TRUNCATION_CACHE.get((self, level))
-        if cached is not None:
-            return cached
-        kind = self.kind
-        if kind == "line2":
-            vertices = [f"v{i}" for i in range(-level, level + 1)]
-            arrows = [(f"a{i}", f"v{i}", f"v{i+1}") for i in range(-level, level)]
-        elif kind == "line1":
-            vertices = [f"v{i}" for i in range(level + 1)]
-            arrows = [(f"a{i}", f"v{i}", f"v{i+1}") for i in range(level)]
-        elif kind == "loop":
-            vertices = ["v"]
-            arrows = [("x", "v", "v")]
-        elif kind == "cycle":
-            n = self.param
-            vertices = [f"v{i}" for i in range(n)]
-            arrows = [(f"x{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
-        elif kind == "multiarrow":
-            vertices = ["a", "b"]
-            arrows = [(f"x{i}", "a", "b") for i in range(level + 1)]
-        elif kind == "star51":
-            stage = max(level, 1)
-            vertices = ["a"] + [f"b{n}" for n in range(1, stage + 1)] + ["c"]
-            arrows = []
-            for n in range(1, stage + 1):
-                for i in range(1, n + 1):
-                    arrows.append((f"x{n}_{i}", "a", f"b{n}"))
-                for i in range(1, n + 1):
-                    arrows.append((f"y{n}_{i}", f"b{n}", "c"))
-        else:  # star56
-            stage = max(level, 1)
-            vertices = ["a"] + [f"b{n}" for n in range(1, stage + 1)] + ["c"]
-            arrows = []
-            for n in range(1, stage + 1):
-                arrows.append((f"x{n}", "a", f"b{n}"))
-                arrows.append((f"y{n}", f"b{n}", "c"))
-        quiver = Quiver(vertices, arrows, name=f"{kind}[{level}]")
-        _TRUNCATION_CACHE[(self, level)] = quiver
-        return quiver
-
-    def recovery_condition(self) -> Verdict:
-        kind = self.kind
-        if kind in ("line2", "line1"):
-            return Verdict("yes", explanation="acyclic with at most one arrow between any two vertices")
-        if kind in ("star51", "star56"):
-            return Verdict("yes", explanation="acyclic with finitely many arrows between any two vertices")
-        if kind == "loop":
-            return Verdict("no", explanation="the loop is an oriented cycle")
-        if kind == "cycle":
-            return Verdict("no", explanation="the quiver is an oriented cycle")
-        return Verdict("no", explanation="infinitely many arrows between the two vertices")
-
-    def semiperfect_condition(self) -> Verdict:
-        kind = self.kind
-        reasons = {
-            "line2": "infinitely many paths start (and end) at every vertex",
-            "line1": "infinitely many paths start at the first vertex",
-            "loop": "all powers of the loop start and end at the vertex",
-            "cycle": "winding paths of every length start at each vertex",
-            "multiarrow": "infinitely many arrows start at the source vertex",
-            "star51": "infinitely many paths start at the hub vertex",
-            "star56": "infinitely many paths start at the hub vertex",
-        }
-        return Verdict("no", explanation=reasons[kind])
-
-    def finitely_many_paths_between_vertices(self) -> bool:
-        return self.kind in ("line2", "line1")
-
-    # Vertex sets of all built-in families are countable, hence nonmeasurable
-    # in the sense used for grouplike-coalgebra coreflexivity.
-    vertex_set_nonmeasurable = True
+        key = (self, level)
+        if key not in _TRUNCATION_CACHE:
+            if self.facts.carrier == "poset":
+                from .incidence import Poset as carrier_class  # incidence imports this module
+            else:
+                carrier_class = Quiver
+            points, links = self.facts.build(level, self.param)
+            _TRUNCATION_CACHE[key] = carrier_class(points, links, name=f"{self.kind}[{level}]")
+        return _TRUNCATION_CACHE[key]
 
     def __str__(self):
-        if self.kind == "cycle":
-            return f"family:cycle:{self.param}"
-        return f"family:{self.kind}"
+        return f"family:{self.kind}" if self.param is None else f"family:{self.kind}:{self.param}"
 
 
-def family_from_token(token: str) -> QuiverFamily:
-    """Parse ``loop | line2 | line1 | cycle:<n> | multiarrow | star51 | star56``."""
-    parts = token.split(":")
-    kind = parts[0]
-    if kind == "cycle":
-        if len(parts) != 2:
-            raise ValueError("cycle family needs a length: cycle:<n>")
-        return QuiverFamily("cycle", int(parts[1]))
-    if len(parts) != 1:
+# ``bench/spans.py`` wraps ``QuiverFamily.truncate`` by this name.
+QuiverFamily = Family
+
+
+def family_from_token(token: str, carrier: Optional[str] = None) -> Family:
+    """Parse a family token of the carrier (by default the kind's own, else
+    quiver): a kind of ``FAMILIES``, written ``<kind>:<n>`` when parametrized
+    (``cycle:<n>``).  Poset families take no parameter, and an unknown poset
+    token is named whole."""
+    kind, *params = token.split(":")
+    spec = FAMILIES.get(kind)
+    carrier = carrier or (spec.carrier if spec else "quiver")
+    if carrier == "poset":
+        if params or spec is None or spec.carrier != carrier:
+            raise ValueError(f"unknown poset family {token!r}")
+    elif spec is not None and spec.parametrized:
+        try:
+            (length,) = map(int, params)  # exactly one integer
+        except ValueError:
+            raise ValueError(f"{kind} family needs a length: {kind}:<n>") from None
+        return Family(kind, length)
+    elif params:
         raise ValueError(f"unexpected parameter for family {kind!r}")
-    return QuiverFamily(kind)
+    elif spec is None or spec.carrier != carrier:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return Family(kind)

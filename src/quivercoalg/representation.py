@@ -29,7 +29,7 @@ from .linalg import (
     solve_membership,
     vec_mat,
 )
-from .quiver import Path, Quiver, QuiverFamily, Verdict
+from .quiver import Family, Path, Quiver, Verdict
 from .scalars import QQ
 
 
@@ -300,7 +300,7 @@ def cycle_quotient_module(n: int, field=QQ) -> ModuleData:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    quiver = QuiverFamily("cycle", n).truncate(0)
+    quiver = Family("cycle", n).truncate(0)
     labels = [(j, k) for j in range(n) for k in range(n)]
     index = {lab: i for i, lab in enumerate(labels)}
     dim = n * n

@@ -29,15 +29,14 @@ from .coalgebra import (
 from .dual import Functional, gamma_membership, is_rational_left, psi_embed, reflexivity_verdict
 from .finite_dual import is_in_theta_image, theta_recovery_check
 from .incidence import (
-    PosetFamily,
     hasse_quiver,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
 )
 from .linalg import SparseVector, det2, rank, solve_membership
 from .quiver import (
+    Family,
     Quiver,
-    QuiverFamily,
     check_recovery_clause_equivalence,
     check_recovery_condition,
     check_semiperfect_condition,
@@ -184,7 +183,7 @@ def check_theta_recovery() -> CheckReport:
         if not report.recovered or report.dimension != len(enum.paths):
             return CheckReport("theta-recovery", False, {"failure": f"acyclic case {quiver.name}"})
         acyclic_checked += 1
-    cyclic_targets = [QuiverFamily("loop"), QuiverFamily("cycle", 2), QuiverFamily("cycle", 3)]
+    cyclic_targets = [Family("loop"), Family("cycle", 2), Family("cycle", 3)]
     cyclic_targets += [corpus.named_quiver(n) for n in ("two_loops", "loop_with_tail")]
     cyclic_checked = 0
     loop_witness = None
@@ -194,7 +193,7 @@ def check_theta_recovery() -> CheckReport:
             return CheckReport("theta-recovery", False, {"failure": f"cyclic case {target}"})
         if report.witness_verdict.status != "no_up_to_bound":
             return CheckReport("theta-recovery", False, {"failure": "witness verdict not bounded-no"})
-        if isinstance(target, QuiverFamily) and target.kind == "loop":
+        if target == Family("loop"):
             loop_witness = report.witness.describe()
         cyclic_checked += 1
     return CheckReport(
@@ -210,7 +209,7 @@ def check_counterexample_ideals() -> CheckReport:
     product identities) and arrow differences on the parallel bundle."""
     details = {}
     for s in (1, 2, 3):
-        quiver = QuiverFamily("cycle", s).truncate(0)
+        quiver = Family("cycle", s).truncate(0)
         ce = build_cycle_counterexample(quiver, 4 * s)
         if ce.codimension != s * s:
             return CheckReport(
@@ -224,7 +223,7 @@ def check_counterexample_ideals() -> CheckReport:
         if solve_membership(SparseVector.unit(probe), gens) is not None:
             return CheckReport("counterexample-ideals", False, {"failure": "winding path fell into the ideal"})
         details[f"cycle{s}_identities"] = ce.identities_checked
-    ma = build_multiarrow_counterexample(QuiverFamily("multiarrow"), 5)
+    ma = build_multiarrow_counterexample(Family("multiarrow"), 5)
     if ma.codimension != 3:
         return CheckReport("counterexample-ideals", False, {"failure": f"multiarrow codim {ma.codimension}"})
     details["multiarrow_identities"] = ma.identities_checked
@@ -249,7 +248,7 @@ def check_rational_part(seed: int = 0) -> CheckReport:
             duals_certified += 1
         if rank(image_vectors) != len(enum.paths):
             return CheckReport("rational-part", False, {"failure": f"dimension mismatch on {name}"})
-    family = QuiverFamily("line1")
+    family = Family("line1")
     witness = Functional.from_rule(family, "starts_at", "v3")
     verdict = is_rational_left(witness, family, 10)
     if verdict.status != "yes" or not verdict.witness.infinite_support:
@@ -316,8 +315,8 @@ def check_incidence_rational_part() -> CheckReport:
         if not report:
             return CheckReport("incidence-rational-part", False, {"failure": name})
         certified += len(report.witness)
-    chain = incidence_semiperfect_check(PosetFamily("natchain"))
-    antichain = incidence_semiperfect_check(PosetFamily("natantichain"))
+    chain = incidence_semiperfect_check(Family("natchain"))
+    antichain = incidence_semiperfect_check(Family("natantichain"))
     if chain or not antichain:
         return CheckReport("incidence-rational-part", False, {"failure": "family verdicts"})
     return CheckReport("incidence-rational-part", True, {"certificates": certified})
@@ -432,7 +431,7 @@ def check_star_factorization(seed: int = 0) -> CheckReport:
     runs = 0
     for n in (1, 2):
         truncation = 6
-        quiver = QuiverFamily("star56").truncate(truncation)
+        quiver = Family("star56").truncate(truncation)
         protected = set(star_truncation_basis(quiver, n))
         all_paths = star_truncation_basis(quiver, truncation)
         for _ in range(10):
@@ -558,7 +557,7 @@ def check_reflexivity_closure() -> CheckReport:
             if sorted(gamma.witness, key=lambda p: p.sort_key) != enum.paths:
                 return CheckReport("reflexivity-closure", False, {"failure": f"gamma support on {quiver.name}"})
     for family_kind in ("line2", "line1", "loop", "multiarrow", "star51", "star56"):
-        family = QuiverFamily(family_kind)
+        family = Family(family_kind)
         if reflexivity_verdict(family):
             return CheckReport("reflexivity-closure", False, {"failure": f"family {family_kind}"})
         if gamma_membership(family):

@@ -53,9 +53,9 @@ from typing import Optional
 from .coalgebra import CoalgElement
 from .dual import Functional
 from .finite_dual import StructuredAlgebra
-from .incidence import Poset, PosetFamily, POSET_FAMILY_KINDS
+from .incidence import Poset
 from .linalg import SparseVector
-from .quiver import Quiver, QuiverFamily, family_from_token
+from .quiver import Quiver, family_from_token, family_kinds
 from .representation import Representation
 from .scalars import QQ, ParseError
 
@@ -86,11 +86,19 @@ class ParsedInput:
         return self.family.truncate(self.truncation if self.truncation is not None else default_level)
 
 
-def _parse_family_file(lines, make_family) -> ParsedInput:
-    """A ``family <token>`` header, then optional ``truncate N``; the family
-    is ``make_family(header words, line number)``."""
+def _parse_family_file(lines, carrier: str) -> ParsedInput:
+    """A ``family <token>`` header naming a family of the carrier, then
+    optional ``truncate N`` with N >= 0."""
     number, header = lines[0]
-    family = make_family(header.split(), number)
+    words, kinds = header.split(), family_kinds(carrier)
+    if carrier == "poset" and (len(words) != 2 or words[1] not in kinds):
+        raise ParseError(f"expected: family {{{'|'.join(kinds)}}}", number)
+    if len(words) != 2:
+        raise ParseError("expected: family <token>", number)
+    try:
+        family = family_from_token(words[1], carrier)
+    except ValueError as exc:
+        raise ParseError(str(exc), number) from exc
     truncation = None
     for number, line in lines[1:]:
         parts = line.split()
@@ -99,24 +107,11 @@ def _parse_family_file(lines, make_family) -> ParsedInput:
                 truncation = int(parts[1])
             except ValueError as exc:
                 raise ParseError("truncate level must be an integer", number) from exc
+            if truncation < 0:
+                raise ParseError("truncate level must be nonnegative", number)
         else:
             raise ParseError(f"unexpected line in family file: {line!r}", number)
     return ParsedInput(family=family, truncation=truncation)
-
-
-def _quiver_family(parts, number) -> QuiverFamily:
-    if len(parts) != 2:
-        raise ParseError("expected: family <token>", number)
-    try:
-        return family_from_token(parts[1])
-    except ValueError as exc:
-        raise ParseError(str(exc), number) from exc
-
-
-def _poset_family(parts, number) -> PosetFamily:
-    if len(parts) != 2 or parts[1] not in POSET_FAMILY_KINDS:
-        raise ParseError(f"expected: family {{{'|'.join(POSET_FAMILY_KINDS)}}}", number)
-    return PosetFamily(parts[1])
 
 
 def parse_quiver_text(text: str) -> ParsedInput:
@@ -125,7 +120,7 @@ def parse_quiver_text(text: str) -> ParsedInput:
         raise ParseError("empty quiver file")
     number, header = lines[0]
     if header.split()[0] == "family":
-        return _parse_family_file(lines, _quiver_family)
+        return _parse_family_file(lines, "quiver")
     if header != "quiver":
         raise ParseError("expected header 'quiver' or 'family <token>'", number)
     vertices = []
@@ -150,7 +145,7 @@ def parse_poset_text(text: str) -> ParsedInput:
         raise ParseError("empty poset file")
     number, header = lines[0]
     if header.split()[0] == "family":
-        return _parse_family_file(lines, _poset_family)
+        return _parse_family_file(lines, "poset")
     if header != "poset":
         raise ParseError("expected header 'poset' or 'family <token>'", number)
     elements = []
@@ -171,9 +166,10 @@ def parse_poset_text(text: str) -> ParsedInput:
 
 def parse_input_text(text: str) -> ParsedInput:
     """A quiver or a poset file: the poset parser for a ``poset`` header or a
-    ``family natchain|natantichain`` header, the quiver parser otherwise."""
+    ``family <kind>`` header naming a poset family, the quiver parser
+    otherwise."""
     words = next(_meaningful_lines(text), (None, ""))[1].split()
-    poset_family = len(words) == 2 and words[0] == "family" and words[1] in POSET_FAMILY_KINDS
+    poset_family = len(words) == 2 and words[0] == "family" and words[1] in family_kinds("poset")
     if words[:1] == ["poset"] or poset_family:
         return parse_poset_text(text)
     return parse_quiver_text(text)

@@ -23,7 +23,7 @@ from quivercoalg import quiver as quiver_module
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
-from quivercoalg.quiver import Quiver, QuiverFamily, enumerate_paths, family_from_token, find_simple_cycle
+from quivercoalg.quiver import Family, Quiver, enumerate_paths, family_from_token, find_simple_cycle
 
 from helpers import (
     cycle_codimension_oracle,
@@ -150,7 +150,7 @@ def test_cycle_counterexample_loop():
 
 
 def test_cycle_counterexample_codimension_matches_dense_oracle():
-    quiver = QuiverFamily("cycle", 2).truncate(0)
+    quiver = Family("cycle", 2).truncate(0)
     ce = build_cycle_counterexample(quiver, 8)
     enum = enumerate_paths(quiver, 8)
     rows = sparse_rows_to_dense([g.entries for g in ce.ideal_generators()], enum.paths)
@@ -176,7 +176,7 @@ def test_cycle_counterexample_codimension_matches_the_full_rank(quiver):
 
 
 def test_cycle_counterexample_identities_on_cycle3():
-    quiver = QuiverFamily("cycle", 3).truncate(0)
+    quiver = Family("cycle", 3).truncate(0)
     ce = build_cycle_counterexample(quiver, 9)  # raises if the ideal check fails
     assert ce.identities_checked == 378 == _identity_count(3, 9)
     assert ce.details["cycle_length"] == 3
@@ -195,7 +195,7 @@ def _identity_count(s, window):
     "quiver, window, count",
     [
         (named_quiver("loop"), 6, 72),
-        (QuiverFamily("cycle", 3).truncate(0), 36, 7344),
+        (Family("cycle", 3).truncate(0), 36, 7344),
     ],
 )
 def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
@@ -205,7 +205,7 @@ def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
-    quiver = QuiverFamily("cycle", 3).truncate(0)
+    quiver = Family("cycle", 3).truncate(0)
     q = winding_paths(quiver, find_simple_cycle(quiver), 9)
     vertex = unit(q[(0, 0)])
     difference = unit(q[(0, 3)]) - vertex
@@ -246,7 +246,7 @@ def _generators(quiver):
 
 
 _TAIL = named_quiver("loop_with_tail")
-_CYCLE3 = QuiverFamily("cycle", 3).truncate(0)
+_CYCLE3 = Family("cycle", 3).truncate(0)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -267,11 +267,11 @@ def test_cycle_counterexample_checks_every_generator(monkeypatch, quiver, genera
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("label", ["a", "b", "x0", "x2"])
 def test_multiarrow_counterexample_checks_every_generator(monkeypatch, label, side):
-    quiver = QuiverFamily("multiarrow").truncate(2)
+    quiver = Family("multiarrow").truncate(2)
     generator = next(g for g in _generators(quiver) if str(g) == f"[{label}]")
     _leave_the_ideal(monkeypatch, side, generator, quiver.arrow_path("x0"))
     with pytest.raises(AssertionError, match=re.escape(f"{side} product by generator [{label}] takes")):
-        build_multiarrow_counterexample(QuiverFamily("multiarrow"), 2)
+        build_multiarrow_counterexample(Family("multiarrow"), 2)
 
 
 def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
@@ -334,7 +334,7 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
     if shape == "loop_with_tail":
         quiver = named_quiver("loop_with_tail")
     else:
-        quiver = QuiverFamily("cycle", int(shape.split(":")[1])).truncate(0)
+        quiver = Family("cycle", int(shape.split(":")[1])).truncate(0)
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     window = data.draw(st.integers(s, 4 * s), label="window")
@@ -382,7 +382,7 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
 
 
 def test_cycle_counterexample_window_must_reach_the_cycle():
-    quiver = QuiverFamily("cycle", 3).truncate(0)
+    quiver = Family("cycle", 3).truncate(0)
     for window in (0, 2):
         with pytest.raises(ValueError, match="shorter than the cycle"):
             build_cycle_counterexample(quiver, window)
@@ -407,7 +407,7 @@ def test_cycle_counterexample_on_quiver_with_tail():
 
 
 def test_multiarrow_counterexample():
-    fam = QuiverFamily("multiarrow")
+    fam = Family("multiarrow")
     ce = build_multiarrow_counterexample(fam, 1)
     gens = [d.combo for d in ce.difference_generators]
     x0 = ce.quiver.arrow_path("x0")
@@ -415,7 +415,7 @@ def test_multiarrow_counterexample():
     ce3 = build_multiarrow_counterexample(fam, 3)
     assert ce3.codimension == 3
     with pytest.raises(ValueError):
-        build_multiarrow_counterexample(QuiverFamily("loop"), 3)
+        build_multiarrow_counterexample(Family("loop"), 3)
 
 
 def test_bialgebra_examples():

@@ -10,7 +10,7 @@ import pytest
 import quivercoalg
 from quivercoalg import cli, suites
 from quivercoalg.cli import main
-from quivercoalg.quiver import VERDICT_STATUSES
+from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, family_kinds
 
 LINE = """quiver
 vertex a
@@ -142,6 +142,23 @@ def test_poset_truncate_level_must_be_an_integer(tmp_path, capsys):
     status, _, err = run(capsys, "phi", str(bad), "0", "1")
     assert status == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "body, argv",
+    [("family loop\ntruncate -1\n", ["paths"]), ("family natchain\ntruncate -3\n", ["check", "thm42"])],
+)
+def test_negative_family_truncate_level_exits_2(body, argv, tmp_path, capsys):
+    # Quiver and poset family files fail alike: no traceback, no empty poset.
+    family = tmp_path / "family.txt"
+    family.write_text(body)
+    assert run(capsys, *argv, str(family)) == (2, "", "error: line 2: truncate level must be nonnegative\n")
+
+
+@pytest.mark.parametrize("token", ["family:cycle", "family:cycle:abc", "family:cycle:2:3"])
+def test_cycle_token_without_an_integer_length_names_the_form(token, capsys):
+    for argv in (["paths", token], ["check", "thm33", token], ["check", "coreflexive", token]):
+        assert run(capsys, *argv) == (2, "", "error: cycle family needs a length: cycle:<n>\n")
 
 
 def test_ragged_rep_matrix_exit_code(line_file, tmp_path, capsys):
@@ -387,7 +404,7 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["count"] == 3
 
 
-@pytest.mark.parametrize("token", ["family:bogus", "family:cycle:x", "family:natchain:3"])
+@pytest.mark.parametrize("token", ["family:bogus", "family:cycle:x", "family:cycle:abc", "family:natchain:3"])
 def test_check_coreflexive_bad_family_exits_2(token, line_file, capsys):
     for argv in ([token], [token, line_file], [line_file, token]):
         status, out, err = run(capsys, "check", "coreflexive", *argv)
@@ -409,8 +426,6 @@ def test_check_statuses_come_from_the_closed_set(line_file, poset_file, tmp_path
         report = json.loads(out)
         assert report["status"] in VERDICT_STATUSES
         assert status == (0 if report["status"] == "yes" else 1)
-        if name == "thm57":
-            assert report["proper"] is True
         seen.add(report["status"])
     assert seen == {"yes", "no", "unknown"}
 
@@ -463,3 +478,8 @@ def test_readme_lists_exactly_the_check_and_suite_names():
 
     assert listed("check") == tuple(cli.CHECKS)
     assert listed("suite") == tuple(suites.SUITES)
+    # The family tokens, by carrier, are the kinds of the family table.
+    quiver_tokens = re.search(r"with tokens\n`([^`]*)`", readme).group(1).split(" | ")
+    poset_tokens = re.search(r"poset inputs are files or `family:\{([^}]*)\}`", readme).group(1).split("|")
+    assert quiver_tokens == [f"{kind}:<n>" if FAMILIES[kind].parametrized else kind for kind in family_kinds("quiver")]
+    assert poset_tokens == list(family_kinds("poset"))

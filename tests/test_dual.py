@@ -17,7 +17,7 @@ from quivercoalg.dual import (
     reflexivity_verdict,
 )
 from quivercoalg.linalg import SparseVector
-from quivercoalg.quiver import QuiverFamily, enumerate_paths, family_from_token
+from quivercoalg.quiver import Family, enumerate_paths, family_from_token
 from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import every_split_convolve, loop_power_decompositions
@@ -61,7 +61,7 @@ def test_convolution_shifts_by_suffix():
 
 
 def test_gamma_convolution_counts_decompositions():
-    loop = QuiverFamily("loop").truncate(0)
+    loop = Family("loop").truncate(0)
     window = paths_of(loop, 6)
     gamma = Functional.from_rule(loop, "gamma")
     square = convolve(gamma, gamma, window)
@@ -203,7 +203,7 @@ def test_rational_certificate_reverification():
 
 
 def test_rational_rule_on_bounded_line():
-    fam = QuiverFamily("line1")
+    fam = Family("line1")
     f = Functional.from_rule(fam, "starts_at", "v2")
     verdict = is_rational_left(f, fam, 8)
     assert verdict.status == "yes" and verdict.witness.infinite_support
@@ -214,14 +214,14 @@ def test_rational_rule_on_bounded_line():
 
 
 def test_rational_on_loop_only_zero():
-    fam = QuiverFamily("loop")
+    fam = Family("loop")
     assert is_rational_left(Functional.zero(fam), fam)
     gamma = Functional.from_rule(fam, "gamma")
     assert is_rational_left(gamma, fam).status == "no"
 
 
 def test_rational_finite_support_on_line_family():
-    fam = QuiverFamily("line2")
+    fam = Family("line2")
     quiver = fam.truncate(5)
     f = dual(quiver.arrow_path("a0"))
     verdict = is_rational_left(f, fam, 5)
@@ -233,14 +233,14 @@ def test_gamma_membership():
     verdict = gamma_membership(line)
     assert verdict.status == "yes" and len(verdict.witness) == 6
     assert gamma_membership(named_quiver("loop")).status == "no"
-    assert gamma_membership(QuiverFamily("line1")).status == "no"
+    assert gamma_membership(Family("line1")).status == "no"
 
 
 def test_reflexivity_verdicts():
     assert reflexivity_verdict(named_quiver("diamond")).status == "yes"
-    loop = reflexivity_verdict(QuiverFamily("loop"))
+    loop = reflexivity_verdict(Family("loop"))
     assert loop.status == "no"
-    line2 = reflexivity_verdict(QuiverFamily("line2"))
+    line2 = reflexivity_verdict(Family("line2"))
     assert line2.status == "no"
     assert reflexivity_verdict(named_quiver("cycle2")).status == "no"
 

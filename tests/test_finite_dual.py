@@ -28,7 +28,7 @@ from quivercoalg.finite_dual import (
     two_sided_ideal_closure,
 )
 from quivercoalg.linalg import SparseVector, in_span, rank, rref
-from quivercoalg.quiver import Quiver, QuiverFamily
+from quivercoalg.quiver import Family, Quiver
 from quivercoalg.scalars import QQ, PrimeField
 
 
@@ -246,7 +246,7 @@ def test_prop_finite_dual_hit_orbit_spot_check():
 
 
 def test_loop_eval_membership():
-    fam = QuiverFamily("loop")
+    fam = Family("loop")
     ev2 = Functional.from_rule(fam, "eval", Fraction(2))
     verdict = is_in_finite_dual(ev2, fam, window=12)
     assert verdict.status == "yes"
@@ -257,7 +257,7 @@ def test_loop_eval_membership():
 
 
 def test_loop_eval_theta_image():
-    fam = QuiverFamily("loop")
+    fam = Family("loop")
     ev1 = Functional.from_rule(fam, "eval", Fraction(1))
     assert is_in_theta_image(ev1, fam, 10).status == "no_up_to_bound"
     ev0 = Functional.from_rule(fam, "eval", Fraction(0))
@@ -295,7 +295,7 @@ def test_theta_recovery():
     assert line.recovered and line.dimension == 6
     point = theta_recovery_check(named_quiver("point"))
     assert point.recovered and point.dimension == 1
-    loop = theta_recovery_check(QuiverFamily("loop"))
+    loop = theta_recovery_check(Family("loop"))
     assert not loop.recovered
     assert loop.witness.describe() == "rule:eval(1)"
     assert loop.witness_verdict.status == "no_up_to_bound"

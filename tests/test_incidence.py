@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset
 from quivercoalg.incidence import (
     Poset,
-    PosetFamily,
     fia_structured_algebra,
     hasse_quiver,
     incidence_convolve,
@@ -17,7 +16,7 @@ from quivercoalg.incidence import (
 )
 from quivercoalg.coalgebra import CoalgElement, comultiply, counit
 from quivercoalg.linalg import SparseVector, rank
-from quivercoalg.quiver import check_unique_path_condition, enumerate_paths
+from quivercoalg.quiver import Family, check_unique_path_condition, enumerate_paths
 from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import brute_force_posets_up_to_iso, dense_convolve, fixpoint_order_closure
@@ -227,14 +226,14 @@ def test_fia_structured_algebra_has_matrix_unit_rule():
 def test_semiperfect_examples():
     chain = incidence_semiperfect_check(named_poset("chain4"))
     assert chain.status == "yes" and chain.witness
-    nat = incidence_semiperfect_check(PosetFamily("natchain"))
+    nat = incidence_semiperfect_check(Family("natchain"))
     assert nat.status == "no" and "above" in nat.explanation
-    anti = incidence_semiperfect_check(PosetFamily("natantichain"))
+    anti = incidence_semiperfect_check(Family("natantichain"))
     assert anti.status == "yes"
 
 
 def test_poset_family_truncations():
-    chain = PosetFamily("natchain").truncate(4)
+    chain = Family("natchain").truncate(4)
     assert len(chain.elements) == 5 and len(chain.covers()) == 4
-    anti = PosetFamily("natantichain").truncate(4)
+    anti = Family("natantichain").truncate(4)
     assert len(anti.covers()) == 0

@@ -7,7 +7,6 @@ import pytest
 from quivercoalg.coalgebra import CoalgElement, subcoalgebra_closure
 from quivercoalg.corpus import named_quiver
 from quivercoalg.dual import Functional
-from quivercoalg.incidence import PosetFamily
 from quivercoalg.linalg import SparseVector
 from quivercoalg.products import (
     LatticeWalk,
@@ -25,7 +24,7 @@ from quivercoalg.products import (
     walk_path,
 )
 from quivercoalg.quiver import (
-    QuiverFamily,
+    Family,
     check_recovery_condition,
     check_semiperfect_condition,
     disjoint_union,
@@ -55,7 +54,7 @@ def test_lattice_walk_counts():
 
 def test_walk_path_examples():
     arrow = named_quiver("single_arrow")
-    other = QuiverFamily("line1").truncate(1)
+    other = Family("line1").truncate(1)
     product = product_quiver(arrow, other)
     p = arrow.arrow_path("x")
     q0 = other.vertex_path("v0")
@@ -104,7 +103,7 @@ def test_decompose_round_trip_exhaustive():
 
 def test_alpha_examples():
     arrow = named_quiver("single_arrow")
-    other = QuiverFamily("line1").truncate(1)
+    other = Family("line1").truncate(1)
     product = product_quiver(arrow, other)
     x = arrow.arrow_path("x")
     y = other.arrow_path("a0")
@@ -177,9 +176,9 @@ def test_factorization_random_line():
 
 
 def test_star_factorization_zero_and_shape():
-    zero = Functional.zero(QuiverFamily("star56").truncate(3))
+    zero = Functional.zero(Family("star56").truncate(3))
     witness = star_perp_factorization(1, 3, zero)
-    quiver = QuiverFamily("star56").truncate(3)
+    quiver = Family("star56").truncate(3)
     for p in star_truncation_basis(quiver, 3):
         assert not witness.f1(p) and not witness.f2(p)
     # matrix-shaped identity for a specific indicator functional
@@ -190,7 +189,7 @@ def test_star_factorization_zero_and_shape():
 
 
 def test_star_factorization_rejects_bad_input():
-    quiver = QuiverFamily("star56").truncate(3)
+    quiver = Family("star56").truncate(3)
     bad = Functional(quiver, support=SparseVector({quiver.vertex_path("a"): Fraction(1)}))
     with pytest.raises(ValueError):
         star_perp_factorization(1, 3, bad)
@@ -199,18 +198,18 @@ def test_star_factorization_rejects_bad_input():
 def test_coreflexivity_rule_chain():
     assert coreflexivity_verdict(named_quiver("diamond")).status == "yes"
     assert coreflexivity_verdict(named_quiver("loop")).status == "yes"
-    assert coreflexivity_verdict(QuiverFamily("loop")).status == "yes"
-    assert coreflexivity_verdict(QuiverFamily("line2")).status == "yes"
-    assert coreflexivity_verdict(QuiverFamily("star51")).status == "no"
-    assert coreflexivity_verdict(QuiverFamily("star56")).status == "unknown"
-    assert coreflexivity_verdict(QuiverFamily("multiarrow")).status == "unknown"
+    assert coreflexivity_verdict(Family("loop")).status == "yes"
+    assert coreflexivity_verdict(Family("line2")).status == "yes"
+    assert coreflexivity_verdict(Family("star51")).status == "no"
+    assert coreflexivity_verdict(Family("star56")).status == "unknown"
+    assert coreflexivity_verdict(Family("multiarrow")).status == "unknown"
     assert coreflexivity_verdict(named_quiver("cycle2")).status == "unknown"
-    assert coreflexivity_verdict(PosetFamily("natchain")).status == "yes"
+    assert coreflexivity_verdict(Family("natchain")).status == "yes"
     tensor = TensorProduct(named_quiver("line3"), named_quiver("diamond"))
     verdict = coreflexivity_verdict(tensor)
     assert verdict.status == "yes"
     assert any("tensor rule" in step for step in verdict.witness)
-    bad_tensor = TensorProduct(named_quiver("line3"), QuiverFamily("star51"))
+    bad_tensor = TensorProduct(named_quiver("line3"), Family("star51"))
     assert coreflexivity_verdict(bad_tensor).status == "unknown"
 
 

@@ -9,7 +9,7 @@ from quivercoalg.quiver import (
     Path,
     _first_cyclic_subset,
     Quiver,
-    QuiverFamily,
+    Family,
     Verdict,
     check_recovery_clause_equivalence,
     check_recovery_condition,
@@ -113,20 +113,20 @@ def test_compose_associativity_where_defined():
 def test_is_acyclic():
     assert not is_acyclic(named_quiver("loop"))
     assert is_acyclic(named_quiver("line3"))
-    assert not is_acyclic(QuiverFamily("cycle", 3).truncate(0))
+    assert not is_acyclic(Family("cycle", 3).truncate(0))
 
 
 def test_recovery_condition_families():
-    assert not check_recovery_condition(QuiverFamily("loop"))
-    assert check_recovery_condition(QuiverFamily("star51"))
-    verdict = check_recovery_condition(QuiverFamily("multiarrow"))
+    assert not check_recovery_condition(Family("loop"))
+    assert check_recovery_condition(Family("star51"))
+    verdict = check_recovery_condition(Family("multiarrow"))
     assert not verdict and "arrows" in verdict.explanation
 
 
 def test_semiperfect_condition():
     assert check_semiperfect_condition(named_quiver("line4"))
-    assert not check_semiperfect_condition(QuiverFamily("line1"))
-    assert not check_semiperfect_condition(QuiverFamily("loop"))
+    assert not check_semiperfect_condition(Family("line1"))
+    assert not check_semiperfect_condition(Family("loop"))
 
 
 def test_unique_path_condition():
@@ -140,7 +140,7 @@ def test_unique_path_condition():
 def test_recovery_clause_agreement_examples():
     assert not check_recovery_clause_equivalence(named_quiver("loop"))
     assert check_recovery_clause_equivalence(named_quiver("branching"))
-    assert not check_recovery_clause_equivalence(QuiverFamily("cycle", 2).truncate(0))
+    assert not check_recovery_clause_equivalence(Family("cycle", 2).truncate(0))
 
 
 @pytest.mark.parametrize(
@@ -162,15 +162,15 @@ def test_recovery_clause_agreement_on_corpus():
 
 
 def test_family_truncations_are_cached_and_consistent():
-    fam = QuiverFamily("line1")
+    fam = Family("line1")
     assert fam.truncate(4) is fam.truncate(4)
     # A family answering False exhibits the violating feature at truncation.
-    loop = QuiverFamily("loop").truncate(0)
+    loop = Family("loop").truncate(0)
     assert find_simple_cycle(loop) is not None
-    multi = QuiverFamily("multiarrow")
+    multi = Family("multiarrow")
     counts = [len(multi.truncate(level).arrows) for level in (1, 3, 7)]
     assert counts == [2, 4, 8]  # arrow count between the two vertices grows without bound
-    star = QuiverFamily("star51").truncate(3)
+    star = Family("star51").truncate(3)
     assert len([a for a in star.arrows if a.source == "a" and a.target == "b3"]) == 3
 
 

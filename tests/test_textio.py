@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quivercoalg.corpus import named_poset, named_quiver
-from quivercoalg.incidence import Poset, PosetFamily
-from quivercoalg.quiver import Quiver, QuiverFamily
+from quivercoalg.incidence import Poset
+from quivercoalg.quiver import Family, Quiver
 from quivercoalg.scalars import QQ, PrimeField
 from quivercoalg.textio import (
     ParseError,
@@ -102,19 +102,20 @@ def test_parse_poset_family():
 
 
 @pytest.mark.parametrize(
-    "text, kind",
+    "text, carrier",
     [
         (QUIVER_TEXT, Quiver),
         (POSET_TEXT, Poset),
-        ("# comment\nfamily cycle:3\ntruncate 9\n", QuiverFamily),
-        ("family natchain\n", PosetFamily),
-        ("family natantichain\ntruncate 2\n", PosetFamily),
+        ("# comment\nfamily cycle:3\ntruncate 9\n", Quiver),
+        ("family natchain\n", Poset),
+        ("family natantichain\ntruncate 2\n", Poset),
     ],
 )
-def test_parse_input_text_dispatches_on_the_header(text, kind):
+def test_parse_input_text_dispatches_on_the_header(text, carrier):
     parsed = parse_input_text(text)
-    assert type(parsed.target) is kind
-    assert (parsed.family is None) == (kind in (Quiver, Poset))
+    assert type(parsed.materialize(2)) is carrier
+    assert (parsed.family is None) == ("family" not in text)
+    assert type(parsed.target) is (carrier if parsed.family is None else Family)
 
 
 @pytest.mark.parametrize(
@@ -124,6 +125,7 @@ def test_parse_input_text_dispatches_on_the_header(text, kind):
         ("nonsense", "line 1: expected header 'quiver' or 'family <token>'"),
         ("poset extra", "line 1: expected header 'poset' or 'family <token>'"),
         ("family natchain:3", "line 1: unexpected parameter for family 'natchain'"),
+        ("family cycle:abc", "line 1: cycle family needs a length: cycle:<n>"),
     ],
 )
 def test_parse_input_text_diagnostics_come_from_the_chosen_parser(text, message):
