@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .coalgebra import CoalgElement, comultiply
-from .linalg import SparseVector, rank, reducer, rref, solve_membership
+from .linalg import SparseVector, difference_rank, reducer, rref, solve_membership
 from .quiver import (
     Family,
     Path,
@@ -39,23 +39,6 @@ def multiply(a: CoalgElement, b: CoalgElement) -> CoalgElement:
             if (pq := compose_paths(p, q)) is not None
         ),
     )
-
-
-def _generator_product(a: CoalgElement, b: CoalgElement) -> CoalgElement:
-    """a·b when one factor is a generator of kQ, a vertex or arrow path with
-    coefficient one: ``a`` when it has a single term (the spanning vectors
-    of the counterexample ideals have two), else ``b``.  The other factor's
-    terms are relabelled through ``compose_paths`` with no scalar
-    arithmetic; by left and right cancellation in kQ no two terms meet."""
-    if len(a.combo.entries) == 1:
-        (g,) = a.combo.entries
-        entries = {gq: c for q, c in b.combo.entries.items() if (gq := compose_paths(g, q)) is not None}
-    else:
-        (g,) = b.combo.entries
-        entries = {qg: c for q, c in a.combo.entries.items() if (qg := compose_paths(q, g)) is not None}
-    combo = SparseVector()
-    combo.entries = entries
-    return CoalgElement._of_own_labels(a.carrier, combo)
 
 
 def tensor_multiply(s: SparseVector, t: SparseVector) -> SparseVector:
@@ -208,40 +191,58 @@ def check_ideal(vectors, generators, product, contains):
     return None
 
 
-class _SpanMembership:
-    """Membership in span(spanning) + span(monomial paths), counting calls.
+def _generator_rows(generators, index: dict, window: int):
+    """g·p and p·g, composed once, for each generator path g and each path p
+    of ``index`` (path -> position, by length) with |g| + |p| <= window: per
+    g, a left and a right row over a prefix of the positions, whose entries
+    are the product's position, the product if it is another path, or None."""
+    left, right = {}, {}
+    for g in generators:
+        fits = [p for p in index if g.length + p.length <= window]
+        left[g] = [index.get(r, r) for r in (compose_paths(g, p) for p in fits)]
+        right[g] = [index.get(r, r) for r in (compose_paths(p, g) for p in fits)]
+    return left, right
 
-    Zero, a spanning vector itself and a combination of monomial paths are
-    answered at once; any other element is reduced against the canonical
-    basis of the whole span, built on first use.  Spanning vectors are
-    looked up by their label set, since paths hash once and scalars do not.
+
+def _check_difference_ideal(paths, pairs, differences, window, monomial=(), field=QQ) -> int:
+    """Certify that span(``differences``) + span(``monomial`` paths) is
+    closed on both sides under the vertex and arrow paths, which generate
+    the path algebra, inside ``window``; returns the identities checked.
+    A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
+    p the longer, so a generator times it is a pair of ``_generator_rows``
+    entries: in the span when a stored pair or free of terms off the
+    monomial paths (zero included), else reduced against the span's basis.
     """
+    quiver = paths[0].quiver
+    generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
+    index = {p: i for i, p in enumerate(paths)}
+    vectors = [(index[p], index[r]) for p, r in pairs]
+    left, right = _generator_rows(generators, index, window)
+    stored, monomial_set = set(vectors), set(monomial)
+    reduce, calls = None, 0
 
-    def __init__(self, spanning, monomial=()):
-        self.spanning = list(spanning)
-        self.monomial = list(monomial)
-        self._by_labels = {frozenset(e.combo.labels()): e.combo for e in self.spanning}
-        self._monomial_set = set(self.monomial)
-        self._reduce = None
-        self.calls = 0
+    def product(x, y):
+        g, (i, j), rows = (x, y, left) if y.__class__ is tuple else (y, x, right)
+        row = rows[g]
+        return (row[i], row[j]) if i < len(row) else None
 
-    def __call__(self, element: CoalgElement) -> bool:
-        self.calls += 1
-        labels = element.combo.labels()
-        monomial = self._monomial_set
-        if all(p in monomial for p in labels) or self._by_labels.get(frozenset(labels)) == element.combo:
+    def contains(terms):
+        nonlocal reduce, calls
+        calls += 1
+        a, b = terms
+        if terms in stored or (a is None or a in monomial_set) and (b is None or b in monomial_set):
             return True
-        if self._reduce is None:
-            basis = [e.combo for e in self.spanning] + [SparseVector.unit(p) for p in self.monomial]
-            self._reduce = reducer(rref(basis))
-        return self._reduce(element.combo).is_zero()
+        if reduce is None:
+            reduce = reducer(rref([e.combo for e in differences] + [SparseVector.unit(p) for p in monomial]))
+        labels = [paths[t] if t.__class__ is int else t for t in terms]
+        vector = SparseVector((p, c) for p, c in zip(labels, (field.one, -field.one)) if p is not None)
+        return reduce(vector).is_zero()
 
-
-def _generator_elements(quiver: Quiver, field) -> list[CoalgElement]:
-    """The vertex and arrow paths, which generate the path algebra."""
-    return [CoalgElement.from_path(quiver.vertex_path(v), field) for v in quiver.vertices] + [
-        CoalgElement.from_path(Path(quiver, None, (a,)), field) for a in quiver.arrows
-    ]
+    failure = check_ideal(vectors, generators, product, contains)
+    if failure is not None:
+        side, g, pair = failure
+        _raise_on_failure((side, CoalgElement.from_path(g, field), differences[vectors.index(pair)]), "ideal")
+    return calls
 
 
 def _raise_on_failure(failure, what: str) -> None:
@@ -273,37 +274,18 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         raise ValueError(f"window {max_len} is shorter than the cycle of length {s}")
     q = winding_paths(quiver, cycle, max_len)
     x_set = set(q.values())
-
-    differences = []
-    # Longest path of each difference and generator, keyed by id: they live
-    # through the whole call, and hashing an element hashes its terms.
-    degree = {}
-    for n in range(s):
-        for i in range(0, max_len + 1):
-            for k in range(1, max_len + 1):
-                if k * s + i > max_len:
-                    break
-                difference = CoalgElement.from_path(q[(n, k * s + i)], field) - CoalgElement.from_path(
-                    q[(n, i)], field
-                )
-                differences.append(difference)
-                degree[id(difference)] = k * s + i
+    pairs = [(q[(n, k * s + i)], q[(n, i)])
+             for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
+    differences = [CoalgElement.from_path(p, field) - CoalgElement.from_path(r, field) for p, r in pairs]
 
     enum = enumerate_paths(quiver, max_len)
     monomial_part = [p for p in enum.paths if p not in x_set]
-
-    def windowed_multiply(x, y):
-        if degree[id(x)] + degree[id(y)] > max_len:
-            return None
-        return _generator_product(x, y)
+    closed = sorted(x_set, key=lambda p: p.sort_key)
+    identities = _check_difference_ideal(closed, pairs, differences, max_len, monomial_part, field)
 
     def windowed_compose(p, r):
         return compose_paths(p, r) if p.length + r.length <= max_len else None
 
-    membership = _SpanMembership(differences, monomial_part)
-    generators = _generator_elements(quiver, field)
-    degree.update((id(g), max(p.length for p in g.combo.labels())) for g in generators)
-    _raise_on_failure(check_ideal(differences, generators, windowed_multiply, membership), "ideal")
     # Label-level: a path off the winding paths stays off them under arrow
     # products (None from ``compose_paths`` is a zero product).
     arrows = [Path(quiver, None, (a,)) for a in quiver.arrows]
@@ -313,16 +295,16 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
 
     # The differences live on the winding paths and the monomial part off
     # them, so the two ranks add.
-    codim = len(enum.paths) - len(monomial_part) - rank([e.combo for e in differences])
+    codim = len(enum.paths) - len(monomial_part) - difference_rank(pairs)
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
         max_len=max_len,
         difference_generators=differences,
         monomial_part=monomial_part,
-        closed_path_set=sorted(x_set, key=lambda p: p.sort_key),
+        closed_path_set=closed,
         codimension=codim,
-        identities_checked=membership.calls,
+        identities_checked=identities,
         details={"cycle_length": s, "cycle": [a.label for a in cycle]},
     )
 
@@ -338,19 +320,16 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
         raise ValueError("expected the multiarrow family")
     quiver = family.truncate(truncation)
     arrows = [quiver.arrow_path(f"x{i}") for i in range(truncation + 1)]
-    x0 = CoalgElement.from_path(arrows[0], field)
-    differences = [CoalgElement.from_path(p, field) - x0 for p in arrows[1:]]
-
-    membership = _SpanMembership(differences)
-    failure = check_ideal(differences, _generator_elements(quiver, field), _generator_product, membership)
-    _raise_on_failure(failure, "ideal")
+    pairs = [(p, arrows[0]) for p in arrows[1:]]
+    differences = [CoalgElement.from_path(p, field) - CoalgElement.from_path(r, field) for p, r in pairs]
+    # Every product of a generator and an arrow has length at most two.
+    identities = _check_difference_ideal(arrows, pairs, differences, 2, field=field)
 
     gens = [d.combo for d in differences]
     for p in arrows:
         if solve_membership(SparseVector.unit(p, field), gens) is not None:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
-    enum = enumerate_paths(quiver, 1)
-    codim = len(enum.paths) - rank(gens)
+    codim = len(enumerate_paths(quiver, 1).paths) - difference_rank(pairs)
     return CounterexampleIdeal(
         kind="multiarrow",
         quiver=quiver,
@@ -359,7 +338,7 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
         monomial_part=[],
         closed_path_set=[quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows,
         codimension=codim,
-        identities_checked=membership.calls,
+        identities_checked=identities,
         details={"stage": truncation},
     )
 

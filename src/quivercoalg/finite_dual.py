@@ -312,8 +312,7 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Ver
             raise ValueError("only evaluation rules are supported on the loop family")
         lam = f.rule.param
         quiver = target.truncate(window)
-        v = quiver.vertex_path("v")
-        x = quiver.arrow_path("x")
+        v, x = _loop_power(quiver, 0), _loop_power(quiver, 1)
         field = f.field
         generator = CoalgElement.from_path(x, field) - CoalgElement.from_path(v, field).scale(lam)
         failures = []
@@ -334,10 +333,9 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Ver
 
 
 def _loop_power(quiver: Quiver, n: int) -> Path:
-    if n == 0:
-        return quiver.vertex_path("v")
-    arrow = quiver.arrow_by_label["x"]
-    return Path(quiver, None, (arrow,) * n)
+    """x^n on the one-loop quiver of rule (b), whatever its labels."""
+    (arrow,) = quiver.arrows
+    return Path(quiver, None, (arrow,) * n) if n else quiver.vertex_path(arrow.source)
 
 
 def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Optional[int] = None) -> Verdict:

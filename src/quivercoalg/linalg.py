@@ -283,6 +283,24 @@ def rank(vectors) -> int:
     return len(_echelon(rows, p, len(ranks))[0])
 
 
+def difference_rank(pairs) -> int:
+    """Rank of the vectors e_a - e_b over label pairs (a, b), over any field:
+    they are a graph's incidence vectors, whose rank is the number of
+    union-find merges (the edges of a spanning forest)."""
+    parent, merges = {}, 0
+
+    def root(a):
+        while (up := parent.get(a, a)) != a:
+            parent[a] = a = parent.get(up, up)  # path halving: a steps to its grandparent
+        return a
+
+    for a, b in pairs:
+        if (ra := root(a)) != (rb := root(b)):
+            parent[ra] = rb
+            merges += 1
+    return merges
+
+
 def _subtract_multiple(row: dict, pivot_row: dict, coeff) -> None:
     for plabel, pcoeff in pivot_row.items():
         acc = row.get(plabel)

@@ -12,7 +12,7 @@ generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 
@@ -509,7 +509,8 @@ class FamilySpec:
     for a poset.  The path facts of a poset family are those of its Hasse
     quiver.  ``rule`` is the coreflexivity rule that decides the family:
     (b) the one-loop quiver, (c) finitely many paths between any two
-    vertices, (d) growing parallel bundles, or None.
+    vertices, (d) growing parallel bundles, or None; ``rules`` overrides it
+    at single parameters, as ``at(param)`` reads it.
     """
 
     carrier: str  # "quiver" or "poset"
@@ -523,6 +524,11 @@ class FamilySpec:
     semiperfect_reason: str
     recovery: str = ""  # why the Thm 3.3 recovery condition holds or fails
     parametrized: bool = False  # ``<kind>:<n>`` with n >= 1
+    rules: tuple = ()  # (n, rule at parameter n) where that is not ``rule``
+
+    def at(self, param) -> "FamilySpec":
+        rule = dict(self.rules).get(param, self.rule)
+        return self if rule == self.rule else replace(self, rule=rule)
 
 
 # kind -> FamilySpec(carrier, builder, description, acyclic, finite arrows,
@@ -540,7 +546,7 @@ FAMILIES = {
                         "acyclic with at most one arrow between any two vertices"),
     "cycle": FamilySpec("quiver", _cycle, "oriented cycle of length {}", False, True, False, False, None,
                         "winding paths of every length start at each vertex", "the quiver is an oriented cycle",
-                        parametrized=True),
+                        parametrized=True, rules=((1, "b"),)),  # the 1-cycle is the one-loop quiver
     "multiarrow": FamilySpec("quiver", lambda level, param: (["a", "b"], [(f"x{i}", "a", "b") for i in range(level + 1)]),
                              "two vertices with countably many parallel arrows", True, False, False, False, None,
                              "infinitely many arrows start at the source vertex",
@@ -591,7 +597,7 @@ class Family:
 
     @property
     def facts(self) -> FamilySpec:
-        return FAMILIES[self.kind]
+        return FAMILIES[self.kind].at(self.param)
 
     def describe(self) -> str:
         return self.facts.description.format(self.param)

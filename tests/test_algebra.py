@@ -23,7 +23,7 @@ from quivercoalg import quiver as quiver_module
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import named_quiver, random_element, random_quiver
 from quivercoalg.linalg import SparseVector, solve_membership
-from quivercoalg.quiver import Family, Quiver, enumerate_paths, family_from_token, find_simple_cycle
+from quivercoalg.quiver import Family, Path, Quiver, enumerate_paths, family_from_token, find_simple_cycle
 
 from helpers import (
     cycle_codimension_oracle,
@@ -175,6 +175,42 @@ def test_cycle_counterexample_codimension_matches_the_full_rank(quiver):
         assert ce.codimension == cycle_codimension_oracle(ce, enumerate_paths(quiver, window).paths)
 
 
+def _cyclic_quiver(shape):
+    if shape == "cycle3-tails":
+        return _cycle_with_two_tails()
+    return family_from_token(shape).truncate(0) if shape.startswith("cycle:") else named_quiver(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(["cycle:1", "cycle:2", "cycle:3", "cycle:4", "loop_with_tail", "two_loops", "cycle3-tails"]),
+    data=st.data(),
+)
+def test_product_table_agrees_with_multiply(shape, data):
+    # Every entry of the generator product table is the element product of
+    # the two unit paths: the position of a winding product, any other
+    # product itself, None for zero.  The union-find codimension is the
+    # dense rank's.
+    quiver = _cyclic_quiver(shape)
+    s = len(find_simple_cycle(quiver))
+    window = data.draw(st.integers(s, 4 * s), label="window")
+    ce = build_cycle_counterexample(quiver, window)
+    paths = ce.closed_path_set
+    index = {p: i for i, p in enumerate(paths)}
+    generators = _generators(quiver)
+    left, right = algebra._generator_rows([g for e in generators for g in e.combo.labels()], index, window)
+    for element in generators:
+        (g,) = element.combo.labels()
+        fits = [p for p in paths if g.length + p.length <= window]
+        assert len(left[g]) == len(right[g]) == len(fits)
+        for p, entries in zip(fits, zip(left[g], right[g])):
+            for entry, (a, b) in zip(entries, ((g, p), (p, g))):
+                assert not isinstance(entry, Path) or entry not in index
+                path = paths[entry] if isinstance(entry, int) else entry
+                assert (CoalgElement.zero(quiver) if path is None else unit(path)) == multiply(unit(a), unit(b))
+    assert ce.codimension == cycle_codimension_oracle(ce, enumerate_paths(quiver, window).paths)
+
+
 def test_cycle_counterexample_identities_on_cycle3():
     quiver = Family("cycle", 3).truncate(0)
     ce = build_cycle_counterexample(quiver, 9)  # raises if the ideal check fails
@@ -207,36 +243,37 @@ def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
 def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
     quiver = Family("cycle", 3).truncate(0)
     q = winding_paths(quiver, find_simple_cycle(quiver), 9)
-    vertex = unit(q[(0, 0)])
-    difference = unit(q[(0, 3)]) - vertex
-    target = (difference, vertex) if side == "right" else (vertex, difference)
-    exact = algebra._generator_product
-
-    def drop_one_term(a, b):
-        product = exact(a, b)
-        if (a, b) == target:
-            kept = product.combo.sorted_items()[1:]
-            return CoalgElement(product.carrier, SparseVector(kept))
-        return product
-
-    monkeypatch.setattr(algebra, "_generator_product", drop_one_term)
+    # The vertex times the leading path of q[0,3] - q[0,0], on one side,
+    # loses its one term in the product table.
+    target = (q[(0, 3)], q[(0, 0)]) if side == "right" else (q[(0, 0)], q[(0, 3)])
+    exact = quiver_module.compose_paths
+    monkeypatch.setattr(algebra, "compose_paths", lambda p, r: None if (p, r) == target else exact(p, r))
     message = f"{side} product by generator [v0] takes -1*[v0] + [x0.x1.x2] out of the ideal"
     with pytest.raises(AssertionError, match=re.escape(message)):
         build_cycle_counterexample(quiver, 9)
 
 
-def _leave_the_ideal(monkeypatch, side, generator, stray):
-    """Patch the generator product so that every product with ``generator``
-    on the given side gains the path ``stray``."""
-    exact = algebra._generator_product
+def _leave_the_ideal(monkeypatch, side, generator, ce, window, stray):
+    """Corrupt the product table's entry for ``generator`` times one leading
+    path of a difference of ``ce``, on the given side, through the one
+    composition that fills it.  The leading path is the first longest whose
+    product stays in the window, so that the composition is met first by
+    this generator on this side.  A product on ``ce.closed_path_set`` is
+    dropped, any other (zero or off it) becomes ``stray``: either way the
+    product of the generator with that difference leaves the ideal."""
+    (g,) = generator.combo.labels()
+    leads = [max(d.combo.labels(), key=lambda p: p.length) for d in ce.difference_generators]
+    leading = max((p for p in leads if g.length + p.length <= window), key=lambda p: p.length)
+    target = (g, leading) if side == "left" else (leading, g)
+    support, exact = set(ce.closed_path_set), quiver_module.compose_paths
 
-    def wrong(a, b):
-        product = exact(a, b)
-        if (a if side == "left" else b) == generator:
-            return product + unit(stray)
-        return product
+    def wrong(p, r):
+        product = exact(p, r)
+        if (p, r) != target:
+            return product
+        return None if product in support else stray
 
-    monkeypatch.setattr(algebra, "_generator_product", wrong)
+    monkeypatch.setattr(algebra, "compose_paths", wrong)
 
 
 def _generators(quiver):
@@ -255,11 +292,11 @@ _CYCLE3 = Family("cycle", 3).truncate(0)
     [pytest.param(q, g, id=f"{name}-{g}") for name, q in (("tail", _TAIL), ("cycle3", _CYCLE3)) for g in _generators(q)],
 )
 def test_cycle_counterexample_checks_every_generator(monkeypatch, quiver, generator, side):
-    # A winding vertex is never in the ideal (its winding coefficients do
-    # not sum to zero), so a product that gains one leaves the ideal; the
+    # A lone winding path is never in the ideal (its winding coefficients
+    # do not sum to zero), so the corrupted product leaves the ideal; the
     # check must test this generator on this side to notice.
     stray = find_simple_cycle(quiver)[0].source
-    _leave_the_ideal(monkeypatch, side, generator, quiver.vertex_path(stray))
+    _leave_the_ideal(monkeypatch, side, generator, build_cycle_counterexample(quiver, 4), 4, quiver.vertex_path(stray))
     with pytest.raises(AssertionError, match=re.escape(f"{side} product by generator {generator} takes")):
         build_cycle_counterexample(quiver, 4)
 
@@ -269,25 +306,27 @@ def test_cycle_counterexample_checks_every_generator(monkeypatch, quiver, genera
 def test_multiarrow_counterexample_checks_every_generator(monkeypatch, label, side):
     quiver = Family("multiarrow").truncate(2)
     generator = next(g for g in _generators(quiver) if str(g) == f"[{label}]")
-    _leave_the_ideal(monkeypatch, side, generator, quiver.arrow_path("x0"))
+    ce = build_multiarrow_counterexample(Family("multiarrow"), 2)
+    _leave_the_ideal(monkeypatch, side, generator, ce, 2, quiver.arrow_path("x0"))
     with pytest.raises(AssertionError, match=re.escape(f"{side} product by generator [{label}] takes")):
         build_multiarrow_counterexample(Family("multiarrow"), 2)
 
 
 def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
-    # Bare path composition is corrupted at e_w · x only; element products
-    # keep the exact concatenation, so only the label-level closure check of
-    # the monomial part (which starts with the vertex w) can notice.
+    # Bare path composition is corrupted at e_w · x only once the product
+    # table is filled and checked; the table keeps the exact concatenation,
+    # so only the label-level closure check of the monomial part (which
+    # starts with the vertex w) can notice.
     quiver = named_quiver("loop_with_tail")
     loop, w = quiver.arrow_path("x"), quiver.vertex_path("w")
-    exact = quiver_module.compose_paths
+    exact, check = quiver_module.compose_paths, algebra._check_difference_ideal
 
-    def exact_multiply(a, b):
-        terms = ((pq, ca * cb) for p, ca in a.combo.items() for r, cb in b.combo.items() if (pq := exact(p, r)))
-        return CoalgElement(a.carrier, SparseVector(terms))
+    def check_then_corrupt(*args, **kwargs):
+        identities = check(*args, **kwargs)
+        monkeypatch.setattr(algebra, "compose_paths", lambda p, r: loop if (p, r) == (w, loop) else exact(p, r))
+        return identities
 
-    monkeypatch.setattr(algebra, "_generator_product", exact_multiply)
-    monkeypatch.setattr(algebra, "compose_paths", lambda p, r: loop if (p, r) == (w, loop) else exact(p, r))
+    monkeypatch.setattr(algebra, "_check_difference_ideal", check_then_corrupt)
     with pytest.raises(AssertionError, match=re.escape("right product by generator x takes w out of the monomial part")):
         build_cycle_counterexample(quiver, 4)
 
@@ -338,9 +377,10 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     window = data.draw(st.integers(s, 4 * s), label="window")
-    # Optionally corrupt the products of one difference with one cycle
-    # vertex or cycle arrow on one side: both checks must then fail, or
-    # both pass when the product leaves the window.
+    # Optionally drop the product of one cycle vertex or cycle arrow with
+    # the leading path of one difference, on one side, at the composition
+    # that fills the product table: both checks must then fail, or both
+    # pass when the product is zero or leaves the window.
     q = winding_paths(quiver, cycle, window)
     differences = [
         unit(q[(n, k * s + i)]) - unit(q[(n, i)])
@@ -356,19 +396,12 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
             difference = data.draw(st.sampled_from(differences), label="difference")
             generator = data.draw(st.sampled_from(cycle_generators), label="generator")
             side = data.draw(st.sampled_from(["left", "right"]), label="side")
-            target = (generator, difference) if side == "left" else (difference, generator)
-
-            def wrong(exact):
-                def product(a, b):
-                    result = exact(a, b)
-                    return result + unit(q[(0, 0)]) if (a, b) == target else result
-
-                return product
-
-            # The oracle multiplies through ``multiply``, the counterexample
-            # through ``_generator_product``: both see the same corruption.
-            mp.setattr(algebra, "multiply", wrong(algebra.multiply))
-            mp.setattr(algebra, "_generator_product", wrong(algebra._generator_product))
+            (g,), leading = generator.combo.labels(), max(difference.combo.labels(), key=lambda p: p.length)
+            target = (g, leading) if side == "left" else (leading, g)
+            exact = quiver_module.compose_paths
+            # The oracle composes through ``multiply``, the counterexample
+            # through its product table: both see the same corruption.
+            mp.setattr(algebra, "compose_paths", lambda a, b: None if (a, b) == target else exact(a, b))
         outcomes = []
         for run in (lambda: cycle_identity_oracle(quiver, window), lambda: build_cycle_counterexample(quiver, window)):
             try:

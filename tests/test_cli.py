@@ -446,6 +446,17 @@ def test_check_coreflexive_poset_family_file_answers_like_its_token(kind, line_f
         assert status == 0 and err == "" and json.loads(out)["status"] == "yes"
 
 
+def test_check_coreflexive_one_cycle_token_answers_like_the_one_loop_file(tmp_path, capsys):
+    # family:cycle:1 is the one-loop quiver: rule (b), as the same quiver
+    # written as a file, and not "outside the rule set".
+    path = tmp_path / "one-loop.txt"
+    path.write_text("quiver\nvertex v0\narrow x0 v0 v0\n")
+    by_token = run(capsys, "check", "coreflexive", "family:cycle:1", "--json")
+    assert by_token == run(capsys, "check", "coreflexive", str(path), "--json")
+    assert by_token[0] == 0 and json.loads(by_token[1])["status"] == "yes"
+    assert json.loads(by_token[1])["chain"][0].startswith("(b) one loop")
+
+
 QUIVER_CHECKS = ("thm33", "semiperfect", "bialgebra", "prop32", "thm57")
 POSET_CHECKS = ("prop41", "thm42", "thm43")
 

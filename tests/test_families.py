@@ -21,7 +21,7 @@ from quivercoalg.quiver import FAMILIES, Family, Quiver, enumerate_paths, is_acy
 LEVELS = (2, 4, 6)
 FACTS = ("carrier", "acyclic", "finite_arrows", "finite_paths", "semiperfect", "rule")
 SAMPLES = [Family(kind) for kind, spec in FAMILIES.items() if not spec.parametrized]
-SAMPLES += [Family(kind, n) for kind, spec in FAMILIES.items() if spec.parametrized for n in (2, 3)]
+SAMPLES += [Family(kind, n) for kind, spec in FAMILIES.items() if spec.parametrized for n in (1, 2, 3)]
 SRC = Path(__file__).resolve().parent.parent / "src" / "quivercoalg"
 
 
@@ -92,13 +92,13 @@ EVIDENCE = {
 
 
 def _mismatches(table, families):
-    """(fact, table value) for every fact of ``table`` that the evidence on
-    the families contradicts."""
+    """(fact, table value at the family's parameter) for every fact of
+    ``table`` that the evidence on the families contradicts."""
     return [
-        (fact, getattr(table[family.kind], fact))
+        (fact, getattr(table[family.kind].at(family.param), fact))
         for family in families
         for fact in FACTS
-        if getattr(table[family.kind], fact) != EVIDENCE[fact](family)
+        if getattr(table[family.kind].at(family.param), fact) != EVIDENCE[fact](family)
     ]
 
 
@@ -126,10 +126,30 @@ MUTANTS = [
 
 @pytest.mark.parametrize("kind, fact, wrong", MUTANTS)
 def test_cross_check_fails_on_a_table_with_one_wrong_fact(kind, fact, wrong):
+    # A sample whose rule ``rules`` overrides keeps it under a wrong
+    # ``rule``; every other sample of the kind must report the wrong fact.
     table = dict(FAMILIES)
     table[kind] = dataclasses.replace(FAMILIES[kind], **{fact: wrong})
+    samples = [family for family in SAMPLES if family.kind == kind]
+    changed = [f for f in samples if getattr(table[kind].at(f.param), fact) != getattr(f.facts, fact)]
+    assert changed and _mismatches(table, changed) == [(fact, wrong)] * len(changed)
+    assert _mismatches(table, [f for f in samples if f not in changed]) == []
+
+
+OVERRIDES = [
+    pytest.param(kind, param, wrong, id=f"{kind}:{param}-rule-{wrong}")
+    for kind, spec in FAMILIES.items()
+    for param, rule in spec.rules
+    for wrong in _wrong_values("rule", rule)
+]
+
+
+@pytest.mark.parametrize("kind, param, wrong", OVERRIDES)
+def test_cross_check_fails_on_a_wrong_rule_at_one_parameter(kind, param, wrong):
+    table = dict(FAMILIES)
+    table[kind] = dataclasses.replace(FAMILIES[kind], rules=((param, wrong),))
     families = [family for family in SAMPLES if family.kind == kind]
-    assert _mismatches(table, families) == [(fact, wrong)] * len(families)
+    assert _mismatches(table, families) == [("rule", wrong)]
 
 
 @pytest.mark.parametrize("kind", ["loop", "natchain"])

@@ -266,6 +266,23 @@ def test_loop_eval_theta_image():
     assert [str(p) for p in verdict.witness] == ["v"]
 
 
+def test_one_cycle_family_answers_like_the_loop():
+    # family:cycle:1 takes rule (b) from the table, so the loop-family
+    # membership tests run on it, on its own labels v0 and x0.
+    answers = []
+    for fam in (Family("loop"), Family("cycle", 1)):
+        ev = {lam: Functional.from_rule(fam, "eval", Fraction(lam)) for lam in (0, 1, 2)}
+        generator = is_in_finite_dual(ev[2], fam, window=12).witness["generator"]
+        answers.append(
+            (
+                sorted((p.length, c) for p, c in generator.combo.items()),
+                is_in_theta_image(ev[1], fam, 10).status,
+                [p.length for p in is_in_theta_image(ev[0], fam, 10).witness],
+            )
+        )
+    assert answers[0] == answers[1] == ([(0, Fraction(-2)), (1, Fraction(1))], "no_up_to_bound", [0])
+
+
 def test_theta_image_on_truncated_window_needs_room_below_the_horizon():
     loop = Quiver(["v"], [("x", "v", "v")])
     # gamma's support closure {v, x, xx} fits the bound but reaches the

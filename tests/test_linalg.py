@@ -8,6 +8,7 @@ from quivercoalg.linalg import (
     SparseVector,
     codimension_of_span,
     det2,
+    difference_rank,
     in_span,
     kernel_of_map,
     label_sort_key,
@@ -132,6 +133,14 @@ def test_codimension_matches_dense_oracle_on_random_spans():
             )
         expected = len(labels) - dense_rank(sparse_rows_to_dense([v for v in vectors], labels))
         assert codimension_of_span(vectors, labels) == expected
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
+def test_difference_rank_is_the_dense_rank_of_the_differences(pairs):
+    # Union-find merges against textbook elimination of the rows e_a - e_b
+    # over QQ; repeated pairs, loops (a, a) and cycles included.
+    rows = [[int(c == a) - int(c == b) for c in range(8)] for a, b in pairs]
+    assert difference_rank(pairs) == dense_rank(rows)
 
 
 def test_rref_is_canonical():
