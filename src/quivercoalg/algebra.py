@@ -142,17 +142,23 @@ class CounterexampleIdeal:
     kind: str  # "cycle" | "multiarrow"
     quiver: Quiver
     max_len: int
-    difference_generators: list  # the set S as elements
+    difference_pairs: list  # the set S as pairs (p, r), each standing for p - r
     monomial_part: list  # the set P \ X as paths
     closed_path_set: list  # the set X
     codimension: int
     identities_checked: int
+    field: object  # the scalars of the differences
     details: dict = field(default_factory=dict)
 
     def ideal_generators(self) -> list[SparseVector]:
-        return [e.combo for e in self.difference_generators] + [
+        return [_difference(p, r, self.field) for p, r in self.difference_pairs] + [
             SparseVector.unit(p) for p in self.monomial_part
         ]
+
+
+def _difference(p, r, field) -> SparseVector:
+    """p - r, where None stands for a zero product."""
+    return SparseVector((x, c) for x, c in ((p, field.one), (r, -field.one)) if x is not None)
 
 
 def winding_paths(quiver: Quiver, cycle_arrows, max_len: int) -> dict:
@@ -204,10 +210,11 @@ def _generator_rows(generators, index: dict, window: int):
     return left, right
 
 
-def _check_difference_ideal(paths, pairs, differences, window, monomial=(), field=QQ) -> int:
-    """Certify that span(``differences``) + span(``monomial`` paths) is
-    closed on both sides under the vertex and arrow paths, which generate
-    the path algebra, inside ``window``; returns the identities checked.
+def _check_difference_ideal(paths, pairs, window, monomial=(), field=QQ) -> int:
+    """Certify that the span of the differences p - r of the ``pairs`` and
+    of the ``monomial`` paths is closed on both sides under the vertex and
+    arrow paths, which generate the path algebra, inside ``window``; returns
+    the identities checked.
     A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
     p the longer, so a generator times it is a pair of ``_generator_rows``
     entries: in the span when a stored pair or free of terms off the
@@ -233,15 +240,15 @@ def _check_difference_ideal(paths, pairs, differences, window, monomial=(), fiel
         if terms in stored or (a is None or a in monomial_set) and (b is None or b in monomial_set):
             return True
         if reduce is None:
-            reduce = reducer(rref([e.combo for e in differences] + [SparseVector.unit(p) for p in monomial]))
-        labels = [paths[t] if t.__class__ is int else t for t in terms]
-        vector = SparseVector((p, c) for p, c in zip(labels, (field.one, -field.one)) if p is not None)
-        return reduce(vector).is_zero()
+            spanning = [_difference(p, r, field) for p, r in pairs] + [SparseVector.unit(p) for p in monomial]
+            reduce = reducer(rref(spanning))
+        return reduce(_difference(*(paths[t] if t.__class__ is int else t for t in terms), field)).is_zero()
 
     failure = check_ideal(vectors, generators, product, contains)
     if failure is not None:
         side, g, pair = failure
-        _raise_on_failure((side, CoalgElement.from_path(g, field), differences[vectors.index(pair)]), "ideal")
+        difference = CoalgElement(quiver, _difference(*pairs[vectors.index(pair)], field))
+        _raise_on_failure((side, CoalgElement.from_path(g, field), difference), "ideal")
     return calls
 
 
@@ -276,12 +283,11 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     x_set = set(q.values())
     pairs = [(q[(n, k * s + i)], q[(n, i)])
              for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
-    differences = [CoalgElement.from_path(p, field) - CoalgElement.from_path(r, field) for p, r in pairs]
 
     enum = enumerate_paths(quiver, max_len)
     monomial_part = [p for p in enum.paths if p not in x_set]
     closed = sorted(x_set, key=lambda p: p.sort_key)
-    identities = _check_difference_ideal(closed, pairs, differences, max_len, monomial_part, field)
+    identities = _check_difference_ideal(closed, pairs, max_len, monomial_part, field)
 
     def windowed_compose(p, r):
         return compose_paths(p, r) if p.length + r.length <= max_len else None
@@ -300,11 +306,12 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         kind="cycle",
         quiver=quiver,
         max_len=max_len,
-        difference_generators=differences,
+        difference_pairs=pairs,
         monomial_part=monomial_part,
         closed_path_set=closed,
         codimension=codim,
         identities_checked=identities,
+        field=field,
         details={"cycle_length": s, "cycle": [a.label for a in cycle]},
     )
 
@@ -321,11 +328,10 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     quiver = family.truncate(truncation)
     arrows = [quiver.arrow_path(f"x{i}") for i in range(truncation + 1)]
     pairs = [(p, arrows[0]) for p in arrows[1:]]
-    differences = [CoalgElement.from_path(p, field) - CoalgElement.from_path(r, field) for p, r in pairs]
     # Every product of a generator and an arrow has length at most two.
-    identities = _check_difference_ideal(arrows, pairs, differences, 2, field=field)
+    identities = _check_difference_ideal(arrows, pairs, 2, field=field)
 
-    gens = [d.combo for d in differences]
+    gens = [_difference(p, r, field) for p, r in pairs]
     for p in arrows:
         if solve_membership(SparseVector.unit(p, field), gens) is not None:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
@@ -334,11 +340,12 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
         kind="multiarrow",
         quiver=quiver,
         max_len=1,
-        difference_generators=differences,
+        difference_pairs=pairs,
         monomial_part=[],
         closed_path_set=[quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows,
         codimension=codim,
         identities_checked=identities,
+        field=field,
         details={"stage": truncation},
     )
 

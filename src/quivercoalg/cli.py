@@ -261,7 +261,7 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     return {
         "command": f"counterexample-{ce.kind}",
         "codimension": ce.codimension,
-        "difference_generators": len(ce.difference_generators),
+        "difference_generators": len(ce.difference_pairs),
         "identities_checked": ce.identities_checked,
         "details": {str(k): str(v) for k, v in ce.details.items()},
     }, 0

@@ -19,16 +19,7 @@ from typing import Optional
 from .algebra import subpath_closure
 from .coalgebra import CoalgElement, check_coalgebra
 from .dual import Functional
-from .linalg import (
-    SparseVector,
-    _integers,
-    _modulus,
-    _nonzero,
-    kernel_of_map,
-    rank,
-    reducer,
-    rref,
-)
+from .linalg import SparseVector, kernel_of_map, rank, reducer, rref
 from .quiver import Family, Path, Quiver, Verdict, check_recovery_condition, enumerate_paths, horizon_verdict, is_acyclic
 from .scalars import QQ
 
@@ -85,47 +76,31 @@ class StructuredAlgebra:
                 expected = SparseVector({e: one}) if e == f else SparseVector()
                 if self.basis_product(e, f) != expected:
                     raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
-        # The structure constants as integers over one scale M, so every
-        # product of two basis elements is table[a, b] / M and both sides of
-        # each identity below carry the same scale.
-        entries = {(pair, label): c for pair, vec in self.mult.items() for label, c in vec.items()}
-        p = _modulus(entries.values(), self.field)
-        scale, ints = _integers(entries, p)
-        table: dict = {}
-        for (pair, label), c in ints.items():
-            table.setdefault(pair, {})[label] = c
-        empty: dict = {}
-        units = dict.fromkeys(self.idempotents)
-        for b in self.basis:
-            for pairs in ([(e, b) for e in units], [(b, e) for e in units]):
-                sums = {b: -scale}
-                for pair in pairs:
-                    for label, c in table.get(pair, empty).items():
-                        sums[label] = sums.get(label, 0) + c
-                if _nonzero(sums, p):
-                    raise ValueError("idempotent system is not complete")
-        # a(bc) vanishes unless bc is a stored product, and (ab)c unless lc is
-        # for some label l of ab; only those triples are checked, in the order
-        # of a full scan.
-        right_factors = {b: [c for c in self.basis if (b, c) in self.mult] for b in self.basis}
-        position = {b: i for i, b in enumerate(self.basis)}
+        # Associativity of A is coassociativity of the transposed table A*,
+        # and completeness of the idempotents is its two counit laws.
+        dual = DualCoalgebra(self, validate=False)
+        if check_coalgebra(self.basis, dual.delta_table.__getitem__, dual.counit_table.__getitem__) is not None:
+            raise ValueError(self._first_violation())
+
+    def _first_violation(self) -> str:
+        """The failure a full scan of the identities meets first, in field
+        arithmetic: completeness on every basis element, then (ab)c = a(bc)
+        on every triple where ab or bc is nonzero."""
+        one = self.field.one
+        units = {b: SparseVector({b: one}) for b in self.basis}
+        unit = SparseVector({e: one for e in self.idempotents})
+        for vec in units.values():
+            if self.product(unit, vec) != vec or self.product(vec, unit) != vec:
+                return "idempotent system is not complete"
         for a in self.basis:
             for b in self.basis:
-                ab = table.get((a, b), empty)
-                factors = right_factors[b]
-                if (a, b) in self.mult:
-                    factors = set(factors).union(*(right_factors[label] for label in self.mult[a, b].labels()))
-                    factors = sorted(factors, key=position.__getitem__)
-                for c in factors:
-                    sums = {}
-                    for label, x in ab.items():
-                        for k, y in table.get((label, c), empty).items():
-                            sums[k] = sums.get(k, 0) + x * y
-                    for label, x in table.get((b, c), empty).items():
-                        for k, y in table.get((a, label), empty).items():
-                            sums[k] = sums.get(k, 0) - x * y
-                    if _nonzero(sums, p):
-                        raise ValueError(f"multiplication not associative at ({a},{b},{c})")
+                ab = self.basis_product(a, b)
+                for c in self.basis:
+                    if (ab.entries or (b, c) in self.mult) and (
+                        self.product(ab, units[c]) != self.product(units[a], self.basis_product(b, c))
+                    ):
+                        return f"multiplication not associative at ({a},{b},{c})"
+        raise AssertionError("the law kernel and the scan disagree; bug")
 
     def __repr__(self):
         return f"StructuredAlgebra({self.name or len(self.basis)})"
@@ -455,8 +430,8 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     effective_window = max(window, (codim_bound + 2) * s)
     witness = winding_multiple_indicator(quiver, cycle, field)
     counterexample = build_cycle_counterexample(quiver, effective_window, field)
-    for element in counterexample.difference_generators:
-        if witness.evaluate_element(element):
+    for p, r in counterexample.difference_pairs:
+        if witness(p) != witness(r):
             raise AssertionError("witness does not vanish on the counterexample ideal")
     for p in counterexample.monomial_part:
         if witness(p):

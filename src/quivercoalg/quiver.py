@@ -66,14 +66,17 @@ class Quiver:
             raise ValueError(f"unknown vertex {vertex!r}")
         return Path(self, vertex, ())
 
-    def arrow_path(self, label: str) -> "Path":
+    def _arrow(self, label: str):
         arrow = self.arrow_by_label.get(label)
         if arrow is None:
             raise ValueError(f"unknown arrow {label!r}")
-        return Path(self, None, (arrow,))
+        return arrow
+
+    def arrow_path(self, label: str) -> "Path":
+        return Path(self, None, (self._arrow(label),))
 
     def path_from_labels(self, labels) -> "Path":
-        arrows = tuple(self.arrow_by_label[l] for l in labels)
+        arrows = tuple(self._arrow(l) for l in labels)
         for first, second in zip(arrows, arrows[1:]):
             if first.target != second.source:
                 raise ValueError(f"arrows {first.label},{second.label} do not compose")

@@ -14,12 +14,9 @@ from typing import Optional
 
 from .algebra import subpath_closure
 from .coalgebra import check_comodule
-from .finite_dual import StructuredAlgebra, dual_coalgebra
+from .finite_dual import DualCoalgebra, StructuredAlgebra, dual_coalgebra
 from .linalg import (
     SparseVector,
-    _integers,
-    _modulus,
-    _nonzero,
     mat_eq,
     mat_identity,
     mat_is_zero,
@@ -352,46 +349,32 @@ class LeftModule:
             self._validate()
 
     def _validate(self):
-        # ρ(c) = N_c / D with integer matrices N_c over one denominator D,
-        # and the structure constants k_c = (K·k_c) / K; so ρ(a)ρ(b) =
-        # Σ k_c ρ(c) is checked as K·N_a·N_b = D·Σ (K·k_c)·N_c.
-        algebra = self.algebra
-        entries = {
-            (c, i, j): y for c, m in self.action.items() for i, row in enumerate(m) for j, y in enumerate(row) if y
-        }
-        constants = {(pair, label): c for pair, vec in algebra.mult.items() for label, c in vec.items()}
-        p = _modulus([*entries.values(), *constants.values()], algebra.field)
-        d, ints = _integers(entries, p)
-        k, ints_k = _integers(constants, p)
-        rows = {c: [{} for _ in m] for c, m in self.action.items()}
-        for (c, i, j), y in ints.items():
-            rows[c][i][j] = y
-        sums = {(i, i): -d for i in range(self.dimension)}
+        # A left A-module is a right A*-comodule: ρ(a)ρ(b) = ρ(ab) is the
+        # coaction's coassociativity and unitality its counit law.
+        dual = DualCoalgebra(self.algebra, validate=False)
+        rho = _coaction_rows(self)
+        if check_comodule(range(self.dimension), rho.__getitem__, dual.delta_table.__getitem__,
+                          dual.counit_table.__getitem__) is not None:
+            raise ValueError(self._first_violation())
+
+    def _first_violation(self) -> str:
+        """The failure a full scan meets first, in field arithmetic:
+        unitality, then ρ(a)ρ(b) = ρ(ab) on every pair (a, b)."""
+        algebra, field, n = self.algebra, self.algebra.field, self.dimension
+        total = mat_zero(n, n, field)
         for e in algebra.idempotents:
-            for i, row in enumerate(rows[e]):
-                for j, y in row.items():
-                    sums[i, j] = sums.get((i, j), 0) + y
-        if _nonzero(sums, p):
-            raise ValueError("left module is not unital")
-        products: dict = {}
-        for (pair, label), c in ints_k.items():
-            products.setdefault(pair, []).append((label, d * c))
+            total = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(total, self.action[e]))
+        if not mat_eq(total, mat_identity(n, field)):
+            return "left module is not unital"
         for a in algebra.basis:
-            rows_a = rows[a]
             for b in algebra.basis:
-                rows_b = rows[b]
-                sums = {}
-                for i, row in enumerate(rows_a):
-                    for mid, x in row.items():
-                        w = k * x
-                        for j, y in rows_b[mid].items():
-                            sums[i, j] = sums.get((i, j), 0) + w * y
-                for c, w in products.get((a, b), ()):
-                    for i, row in enumerate(rows[c]):
-                        for j, y in row.items():
-                            sums[i, j] = sums.get((i, j), 0) - w * y
-                if _nonzero(sums, p):
-                    raise ValueError(f"action does not respect the product at ({a},{b})")
+                expected = mat_zero(n, n, field)
+                for c, coeff in algebra.basis_product(a, b).items():
+                    expected = tuple(tuple(x + coeff * y for x, y in zip(r1, r2))
+                                     for r1, r2 in zip(expected, self.action[c]))
+                if not mat_eq(mat_mul(self.action[a], self.action[b]), expected):
+                    return f"action does not respect the product at ({a},{b})"
+        raise AssertionError("the law kernel and the scan disagree; bug")
 
 
 def regular_left_module(algebra: StructuredAlgebra) -> LeftModule:
@@ -419,22 +402,19 @@ class Coaction:
     rho: list  # rho[j]: SparseVector over pairs (i, basis label)
 
 
-def comodule_from_module(module: LeftModule) -> Coaction:
-    """ρ(m_j) = Σ_i m_i ⊗ a*_ij with a*_ij reading off the action matrices;
-    coassociativity and the counit law are verified exactly."""
-    algebra = module.algebra
+def _coaction_rows(module: LeftModule) -> list:
+    """ρ(m_j) = Σ_i m_i ⊗ a*_ij, with a_ij read off the action matrices."""
     n = module.dimension
-    rho = []
-    for j in range(n):
-        acc = {}
-        for b in algebra.basis:
-            column = module.action[b]
-            for i in range(n):
-                coeff = column[i][j]
-                if coeff:
-                    acc[(i, b)] = coeff
-        rho.append(SparseVector(acc))
-    coaction = Coaction(algebra, n, rho)
+    return [
+        SparseVector({(i, b): c for b in module.algebra.basis for i in range(n) if (c := module.action[b][i][j])})
+        for j in range(n)
+    ]
+
+
+def comodule_from_module(module: LeftModule) -> Coaction:
+    """The right comodule of ``_coaction_rows``; coassociativity and the
+    counit law are verified exactly."""
+    coaction = Coaction(module.algebra, module.dimension, _coaction_rows(module))
     _verify_coaction(coaction, module)
     return coaction
 

@@ -184,11 +184,15 @@ def parse_rep_text(text: str, quiver: Quiver, field=QQ) -> Representation:
     for number, line in lines[1:]:
         parts = line.split(None, 2)
         if parts[0] == "dim" and len(parts) == 3:
+            if parts[1] not in quiver._out:
+                raise ParseError(f"unknown vertex {parts[1]!r}", number)
             try:
                 dims[parts[1]] = int(parts[2])
             except ValueError as exc:
                 raise ParseError("dimension must be an integer", number) from exc
         elif parts[0] == "map" and len(parts) >= 2:
+            if parts[1] not in quiver.arrow_by_label:
+                raise ParseError(f"unknown arrow {parts[1]!r}", number)
             body = parts[2] if len(parts) == 3 else ""
             rows = []
             for chunk in body.split(";"):

@@ -311,7 +311,8 @@ def brute_force_posets_up_to_iso(max_elements):
 def cycle_codimension_oracle(ce, paths):
     """Codimension of a cycle counterexample from one rank of its difference
     generators and its monomial units together, over the window's paths."""
-    spanning = [e.combo for e in ce.difference_generators] + [SparseVector.unit(p) for p in ce.monomial_part]
+    spanning = [SparseVector({p: Fraction(1), r: Fraction(-1)}) for p, r in ce.difference_pairs]
+    spanning += [SparseVector.unit(p) for p in ce.monomial_part]
     return len(paths) - oracle_rank(spanning, QQ)
 
 

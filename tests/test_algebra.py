@@ -262,7 +262,7 @@ def _leave_the_ideal(monkeypatch, side, generator, ce, window, stray):
     dropped, any other (zero or off it) becomes ``stray``: either way the
     product of the generator with that difference leaves the ideal."""
     (g,) = generator.combo.labels()
-    leads = [max(d.combo.labels(), key=lambda p: p.length) for d in ce.difference_generators]
+    leads = [max(pair, key=lambda p: p.length) for pair in ce.difference_pairs]
     leading = max((p for p in leads if g.length + p.length <= window), key=lambda p: p.length)
     target = (g, leading) if side == "left" else (leading, g)
     support, exact = set(ce.closed_path_set), quiver_module.compose_paths
@@ -420,7 +420,7 @@ def test_cycle_counterexample_window_must_reach_the_cycle():
         with pytest.raises(ValueError, match="shorter than the cycle"):
             build_cycle_counterexample(quiver, window)
     ce = build_cycle_counterexample(quiver, 3)
-    assert len(ce.difference_generators) == 3 and ce.identities_checked == _identity_count(3, 3)
+    assert len(ce.difference_pairs) == 3 and ce.identities_checked == _identity_count(3, 3)
 
 
 def test_cycle_counterexample_needs_a_cycle():
@@ -442,7 +442,7 @@ def test_cycle_counterexample_on_quiver_with_tail():
 def test_multiarrow_counterexample():
     fam = Family("multiarrow")
     ce = build_multiarrow_counterexample(fam, 1)
-    gens = [d.combo for d in ce.difference_generators]
+    gens = [SparseVector({p: Fraction(1), r: Fraction(-1)}) for p, r in ce.difference_pairs]
     x0 = ce.quiver.arrow_path("x0")
     assert solve_membership(SparseVector({x0: Fraction(1)}), gens) is None
     ce3 = build_multiarrow_counterexample(fam, 3)

@@ -169,6 +169,28 @@ def test_ragged_rep_matrix_exit_code(line_file, tmp_path, capsys):
     assert "ragged" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "[x.zz]"],
+        ["mul", "[x.zz]", "[y]"],
+        ["conv", "dual{[x.zz]:1}", "dual{[x]:1}"],
+        ["alpha", "QUIVER", "[x.zz]", "[y]"],
+        ["factor-perp", "[x.zz]"],
+    ],
+)
+def test_unknown_arrow_in_a_dotted_path_exit_code(argv, line_file, capsys):
+    verb, *rest = argv
+    rest = [line_file if a == "QUIVER" else a for a in rest]
+    assert run(capsys, verb, line_file, *rest) == (2, "", "error: unknown arrow 'zz'\n")
+
+
+def test_rep_naming_an_unknown_arrow_exit_code(line_file, tmp_path, capsys):
+    rep = tmp_path / "unknown.txt"
+    rep.write_text(REP + "map q 1\n")
+    assert run(capsys, "rep-locnilp", line_file, str(rep)) == (2, "", "error: line 7: unknown arrow 'q'\n")
+
+
 def test_unknown_suite_exit_code(capsys):
     status, _, err = run(capsys, "suite", "nonsense")
     assert status == 2

@@ -8,8 +8,11 @@ entry.  Either way the integer code must give the same None or
 ``(law, label)``, or raise the same first ValueError, as the oracle.
 """
 
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +24,15 @@ from helpers import (
     fraction_validate_left_module,
     fraction_validate_structured,
 )
+import quivercoalg
+from quivercoalg import finite_dual, representation
 from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, check_comodule, check_morphism
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
-from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra
+from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_from_quiver
 from quivercoalg.incidence import hasse_quiver, phi_embed
 from quivercoalg.linalg import SparseVector
 from quivercoalg.quiver import enumerate_paths
-from quivercoalg.representation import LeftModule
+from quivercoalg.representation import LeftModule, regular_left_module
 from quivercoalg.scalars import QQ, FieldError, PrimeField
 
 FIELDS = st.sampled_from([QQ, PrimeField(5)])
@@ -266,3 +271,47 @@ def test_kernel_refuses_rows_of_two_moduli():
     for check in (check_coalgebra, fraction_check_coalgebra):
         with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
             check(basis, mixed.__getitem__, eps5)
+
+
+def test_left_module_refuses_actions_over_another_modulus():
+    algebra = structured_from_quiver(named_quiver("single_arrow"), PrimeField(5))
+    module = regular_left_module(algebra)
+    gf7 = PrimeField(7)
+    action = {b: tuple(tuple(gf7.of(x.value) for x in row) for row in m) for b, m in module.action.items()}
+    with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
+        LeftModule(algebra, module.dimension, action)
+
+
+def test_the_law_kernel_is_the_only_gate_of_the_validators(monkeypatch):
+    # With the unit e, aa = b and ba = c but ab = 0 is not associative, and
+    # adding a vertex's action to the arrow's breaks a product of the
+    # regular module; both construct once the kernel accepts everything.
+    basis = ["e", "a", "b", "c"]
+    mult = {pair: SparseVector({x: QQ.one}) for x in basis for pair in (("e", x), (x, "e"))}
+    mult.update({("a", "a"): SparseVector({"b": QQ.one}), ("b", "a"): SparseVector({"c": QQ.one})})
+    algebra = structured_from_quiver(named_quiver("single_arrow"))
+    action = dict(regular_left_module(algebra).action)
+    arrow, vertex = algebra.basis[-1], algebra.basis[0]
+    action[arrow] = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(action[arrow], action[vertex]))
+    with pytest.raises(ValueError, match=re.escape("not associative at (a,a,a)")):
+        StructuredAlgebra(basis, mult, ["e"], QQ)
+    with pytest.raises(ValueError, match="does not respect the product"):
+        LeftModule(algebra, len(algebra.basis), action)
+    monkeypatch.setattr(finite_dual, "check_coalgebra", lambda *tables: None)
+    monkeypatch.setattr(representation, "check_comodule", lambda *tables: None)
+    StructuredAlgebra(basis, mult, ["e"], QQ)
+    LeftModule(algebra, len(algebra.basis), action)
+
+
+def test_only_the_law_kernels_use_the_integer_helpers():
+    private = {"_integers", "_modulus", "_nonzero"}
+    src = Path(quivercoalg.__file__).parent
+    users = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            if private & set(names):
+                users.add(path.stem)
+    assert users == {"coalgebra"}

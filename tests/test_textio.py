@@ -156,6 +156,19 @@ def test_parse_rep_defaults_to_zero_map():
     assert rep.maps["y"] == ((QQ.zero,),)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rep\ndim a 1\ndim zz 2\n", "line 3: unknown vertex 'zz'"),
+        ("rep\n# the arrow is x\ndim a 1\ndim b 1\nmap q 1\n", "line 5: unknown arrow 'q'"),
+    ],
+)
+def test_parse_rep_rejects_unknown_vertices_and_arrows(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_rep_text(text, named_quiver("single_arrow"))
+    assert str(info.value) == message
+
+
 def test_parse_algebra():
     algebra = parse_algebra_text(ALGEBRA_TEXT)
     assert algebra.basis == ("u", "v", "x")
