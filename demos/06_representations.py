@@ -19,8 +19,6 @@ from quivercoalg import (
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
-    module_from_rep,
-    rep_from_module,
 )
 from quivercoalg.finite_dual import structured_from_quiver
 from quivercoalg.representation import regular_left_module
@@ -46,18 +44,12 @@ print("\nloop acting by 1 is NOT locally nilpotent:",
 
 print("\ncycle-quotient modules (full turn == local unit):")
 for n in (1, 2, 3):
-    module = cycle_quotient_module(n)
-    rep_n = rep_from_module(module)
+    rep_n = cycle_quotient_module(n)
     nil = is_locally_nilpotent(rep_n)
-    vector = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(module.dimension))
-    ann = annihilator_monomial_check(module, vector, 10)
-    print(f"  n={n}: dimension {module.dimension}, locally nilpotent: {nil.locally_nilpotent},"
+    vector = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(rep_n.total_dimension()))
+    ann = annihilator_monomial_check(rep_n, vector, 10)
+    print(f"  n={n}: dimension {rep_n.total_dimension()}, locally nilpotent: {nil.locally_nilpotent},"
           f" annihilator search: {ann.status}")
-
-print("\nmodule -> representation -> module round trip:")
-module = module_from_rep(rep)
-back = rep_from_module(module)
-print("  dimensions preserved:", back.dims == rep.dims)
 
 print("\nmodule -> comodule -> module over the dual coalgebra:")
 algebra = structured_from_quiver(Quiver(["u", "v"], [("x", "u", "v")]))

@@ -64,15 +64,12 @@ from .incidence import (
 )
 from .representation import (
     LeftModule,
-    ModuleData,
     Representation,
     annihilator_monomial_check,
     comodule_from_module,
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
-    module_from_rep,
-    rep_from_module,
 )
 from .products import (
     LatticeWalk,

@@ -47,7 +47,7 @@ from .quiver import (
     family_from_token,
     is_acyclic,
 )
-from .representation import annihilator_monomial_check, is_locally_nilpotent, module_from_rep
+from .representation import annihilator_monomial_check, is_locally_nilpotent
 from .scalars import QQ, FieldError, field_from_spec
 from .textio import (
     ParseError,
@@ -233,11 +233,11 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     else:
         report["stable_dims"] = {str(k): v for k, v in (verdict.stable_dims or {}).items()}
         report["witness_path"] = str(verdict.witness_path)
-    module = module_from_rep(rep, field)
+    total = rep.total_dimension()
     bounded_no = 0
-    for i in range(module.dimension):
-        vector = tuple(field.one if j == i else field.zero for j in range(module.dimension))
-        check = annihilator_monomial_check(module, vector, args.codim_bound)
+    for i in range(total):
+        vector = tuple(field.one if j == i else field.zero for j in range(total))
+        check = annihilator_monomial_check(rep, vector, args.codim_bound)
         if not check:
             bounded_no += 1
     consistent = (bounded_no > 0) == (not verdict.locally_nilpotent)

@@ -1,10 +1,11 @@
-"""Finite-dimensional quiver representations, the module/representation
-correspondence, local nilpotence detection, the cycle-quotient module, and
-the comodule construction over finite duals.
+"""Finite-dimensional quiver representations, local nilpotence detection,
+the cycle-quotient module, and the comodule construction over finite duals.
 
-Quiver modules use the row-vector convention: a path acts on the right,
-and the matrix of an arrow a has shape dim V_{s(a)} x dim V_{t(a)}, so
-path composition is plain left-to-right matrix multiplication.
+A right module over the quiver algebra is the same thing as a
+representation (Assem–Simson–Skowroński I, Thm III.1.6), so quiver modules
+are ``Representation``s.  They use the row-vector convention: a path acts on
+the right, and the matrix of an arrow a has shape dim V_{s(a)} x dim
+V_{t(a)}, so path composition is plain left-to-right matrix multiplication.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from .algebra import subpath_closure
 from .coalgebra import check_comodule
-from .finite_dual import DualCoalgebra, StructuredAlgebra, dual_coalgebra
+from .finite_dual import DualCoalgebra, StructuredAlgebra
 from .linalg import (
     SparseVector,
     mat_eq,
@@ -23,7 +24,6 @@ from .linalg import (
     mat_mul,
     mat_zero,
     rref,
-    solve_membership,
     vec_mat,
 )
 from .quiver import Family, Path, Quiver, Verdict
@@ -65,121 +65,6 @@ class Representation:
         return sum(self.dims.values())
 
 
-class ModuleData:
-    """Unital right module over the quiver algebra, by action matrices.
-
-    Validation checks that the vertex actions are orthogonal idempotents
-    summing to the identity and that each arrow action is sandwiched by its
-    endpoint idempotents; path actions then compose-or-vanish automatically.
-    """
-
-    def __init__(self, quiver: Quiver, dimension: int, vertex_action: dict, arrow_action: dict, field=QQ, validate=True):
-        self.quiver = quiver
-        self.dimension = dimension
-        self.vertex_action = vertex_action
-        self.arrow_action = arrow_action
-        self.field = field
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        n = self.dimension
-        identity = mat_identity(n, self.field)
-        total = mat_zero(n, n, self.field)
-        for v in self.quiver.vertices:
-            m = self.vertex_action[v]
-            if not mat_eq(mat_mul(m, m), m):
-                raise ValueError(f"vertex action at {v} is not idempotent")
-            total = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(total, m))
-        if not mat_eq(total, identity):
-            raise ValueError("module is not unital: vertex actions do not sum to identity")
-        for v in self.quiver.vertices:
-            for w in self.quiver.vertices:
-                if v != w and not mat_is_zero(mat_mul(self.vertex_action[v], self.vertex_action[w])):
-                    raise ValueError(f"vertex actions at {v},{w} are not orthogonal")
-        for a in self.quiver.arrows:
-            m = self.arrow_action[a.label]
-            if not mat_eq(mat_mul(self.vertex_action[a.source], m), m):
-                raise ValueError(f"arrow {a.label} not left-sandwiched by its source idempotent")
-            if not mat_eq(mat_mul(m, self.vertex_action[a.target]), m):
-                raise ValueError(f"arrow {a.label} not right-sandwiched by its target idempotent")
-
-    def path_action(self, path: Path):
-        if path.length == 0:
-            return self.vertex_action[path.vertex]
-        m = self.arrow_action[path.arrows[0].label]
-        for a in path.arrows[1:]:
-            m = mat_mul(m, self.arrow_action[a.label])
-        return m
-
-    def act(self, vector, path: Path):
-        return vec_mat(vector, self.path_action(path))
-
-
-def _row_space_basis(matrix, field=QQ):
-    rows = [SparseVector({j: x for j, x in enumerate(row) if x}) for row in matrix]
-    return rref(rows)
-
-
-def _dense_rows(basis, width, field=QQ):
-    out = []
-    for vec in basis:
-        out.append(tuple(vec.coeff(j) if vec.coeff(j) else field.zero for j in range(width)))
-    return out
-
-
-def rep_from_module(module: ModuleData) -> Representation:
-    """The representation with V_u the image of the idempotent at u and the
-    arrow maps induced by the right action."""
-    n = module.dimension
-    field = module.field
-    bases = {}
-    for v in module.quiver.vertices:
-        bases[v] = _dense_rows(_row_space_basis(module.vertex_action[v], field), n, field)
-    dims = {v: len(bases[v]) for v in module.quiver.vertices}
-    maps = {}
-    for a in module.quiver.arrows:
-        source_rows = bases[a.source]
-        target_rows = [SparseVector({j: x for j, x in enumerate(row) if x}) for row in bases[a.target]]
-        block = []
-        for row in source_rows:
-            image = vec_mat(row, module.arrow_action[a.label])
-            image_vec = SparseVector({j: x for j, x in enumerate(image) if x})
-            coeffs = solve_membership(image_vec, target_rows)
-            if coeffs is None:
-                raise AssertionError("arrow action leaves the target idempotent image; bug")
-            block.append(tuple(c if c else field.zero for c in coeffs))
-        maps[a.label] = tuple(block) if block else ()
-    return Representation(module.quiver, dims, maps)
-
-
-def module_from_rep(rep: Representation, field=QQ) -> ModuleData:
-    """Total space of the representation with the path action; inverse of
-    ``rep_from_module`` up to the canonical identification."""
-    order = list(rep.quiver.vertices)
-    offsets = {}
-    total = 0
-    for v in order:
-        offsets[v] = total
-        total += rep.dims[v]
-
-    vertex_action = {}
-    for v in order:
-        m = [[field.zero] * total for _ in range(total)]
-        for i in range(rep.dims[v]):
-            m[offsets[v] + i][offsets[v] + i] = field.one
-        vertex_action[v] = tuple(tuple(row) for row in m)
-    arrow_action = {}
-    for a in rep.quiver.arrows:
-        m = [[field.zero] * total for _ in range(total)]
-        block = rep.maps[a.label]
-        for i in range(rep.dims[a.source]):
-            for j in range(rep.dims[a.target]):
-                m[offsets[a.source] + i][offsets[a.target] + j] = block[i][j]
-        arrow_action[a.label] = tuple(tuple(row) for row in m)
-    return ModuleData(rep.quiver, total, vertex_action, arrow_action, field)
-
-
 @dataclass
 class NilpotenceReport:
     locally_nilpotent: bool
@@ -198,16 +83,7 @@ def is_locally_nilpotent(rep: Representation, field=QQ) -> NilpotenceReport:
     nilpotent) or stabilizes at a nonzero state (witnessed by a nonvanishing
     action of a path long enough to repeat a vertex)."""
     quiver = rep.quiver
-
-    def canonical(state):
-        return tuple(
-            tuple(tuple(row) for row in _dense_rows(state[v], rep.dims[v], field))
-            for v in quiver.vertices
-        )
-
-    state = {
-        v: _row_space_basis(mat_identity(rep.dims[v], field), field) for v in quiver.vertices
-    }
+    state = {v: [SparseVector.unit(j, field) for j in range(rep.dims[v])] for v in quiver.vertices}
     level = 0
     while True:
         if all(not state[v] for v in quiver.vertices):
@@ -216,13 +92,14 @@ def is_locally_nilpotent(rep: Representation, field=QQ) -> NilpotenceReport:
         for a in quiver.arrows:
             m = rep.maps[a.label]
             for basis_vec in state[a.source]:
-                row = tuple(basis_vec.coeff(j) if basis_vec.coeff(j) else field.zero for j in range(rep.dims[a.source]))
+                row = tuple(basis_vec.coeff(j) or field.zero for j in range(rep.dims[a.source]))
                 image = vec_mat(row, m)
                 vec = SparseVector({j: x for j, x in enumerate(image) if x})
                 if not vec.is_zero():
                     new_state[a.target].append(vec)
         new_state = {v: rref(new_state[v]) for v in quiver.vertices}
-        if canonical(new_state) == canonical(state):
+        # rref bases are canonical, so equal spans have equal states.
+        if new_state == state:
             witness = _find_nonvanishing_long_path(rep, level + len(quiver.vertices) + 1, field)
             stable_dims = {v: len(new_state[v]) for v in quiver.vertices}
             return NilpotenceReport(
@@ -258,19 +135,25 @@ def _find_nonvanishing_long_path(rep: Representation, depth: int, field=QQ):
     return None
 
 
-def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10) -> Verdict:
+def annihilator_monomial_check(rep: Representation, vector, codim_bound: int = 10) -> Verdict:
     """Search for a cofinite monomial ideal annihilating the vector.
 
-    The nonvanishing path set of the vector is prefix-closed, so a depth
-    first walk with pruning enumerates it; a surviving path longer than the
-    bound already forces more than codim_bound complement elements.  A yes
-    walked the whole set, and its witness is the complement.
+    ``vector`` lies in the total space, the vertex spaces taken in
+    ``quiver.vertices`` order.  The nonvanishing path set of the vector is
+    prefix-closed, so a depth first walk with pruning enumerates it; a
+    surviving path longer than the bound already forces more than
+    codim_bound complement elements.  A yes walked the whole set, and its
+    witness is the complement.
     """
-    quiver = module.quiver
+    quiver = rep.quiver
+    if len(vector) != rep.total_dimension():
+        raise ValueError(f"vector has length {len(vector)}, expected {rep.total_dimension()}")
     alive = []
     stack = []
+    offset = 0
     for v in quiver.vertices:
-        image = vec_mat(vector, module.vertex_action[v])
+        image = vector[offset:offset + rep.dims[v]]
+        offset += rep.dims[v]
         if any(image):
             stack.append((quiver.vertex_path(v), image))
     while stack:
@@ -279,7 +162,7 @@ def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10
         if path.length > codim_bound:
             return Verdict("no_up_to_bound", explanation=f"a path of length {path.length} still acts nontrivially")
         for a in quiver.out_arrows(path.target):
-            new_image = vec_mat(image, module.arrow_action[a.label])
+            new_image = vec_mat(image, rep.maps[a.label])
             if any(new_image):
                 stack.append((Path(quiver, None, path.arrows + (a,)), new_image))
     return Verdict(
@@ -287,46 +170,21 @@ def annihilator_monomial_check(module: ModuleData, vector, codim_bound: int = 10
     )
 
 
-def cycle_quotient_module(n: int, field=QQ) -> ModuleData:
+def cycle_quotient_module(n: int, field=QQ) -> Representation:
     """The quotient of the cycle-quiver algebra by the relations making
-    every full turn equal to the local unit at its start.
+    every full turn equal to the local unit at its start, as a
+    representation.
 
-    Basis: winding paths of length < n from each of the n vertices (n^2 in
-    total).  Right multiplication reduces any full turn by dropping it, and
-    the resulting action is verified associative and unital.
+    The space at v_m has as basis the winding paths of length < n that end
+    at v_m, the one that starts at v_j listed j-th (n^2 in total).  An arrow
+    extends a path by one step and drops a completed turn, which keeps the
+    start, so every arrow acts as the n x n identity.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     quiver = Family("cycle", n).truncate(0)
-    labels = [(j, k) for j in range(n) for k in range(n)]
-    index = {lab: i for i, lab in enumerate(labels)}
-    dim = n * n
-
-    def matrix_from_action(action):
-        rows = []
-        for lab in labels:
-            row = [field.zero] * dim
-            target = action(lab)
-            if target is not None:
-                row[index[target]] = field.one
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    vertex_action = {}
-    for m in range(n):
-        vertex_action[f"v{m}"] = matrix_from_action(
-            lambda lab, m=m: lab if (lab[0] + lab[1]) % n == m else None
-        )
-    arrow_action = {}
-    for m in range(n):
-        def act(lab, m=m):
-            j, k = lab
-            if (j + k) % n != m:
-                return None
-            return (j, k + 1) if k + 1 < n else (j, 0)
-
-        arrow_action[f"x{m}"] = matrix_from_action(act)
-    return ModuleData(quiver, dim, vertex_action, arrow_action, field)
+    identity = mat_identity(n, field)
+    return Representation(quiver, {v: n for v in quiver.vertices}, {a.label: identity for a in quiver.arrows})
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +273,13 @@ def comodule_from_module(module: LeftModule) -> Coaction:
     """The right comodule of ``_coaction_rows``; coassociativity and the
     counit law are verified exactly."""
     coaction = Coaction(module.algebra, module.dimension, _coaction_rows(module))
-    _verify_coaction(coaction, module)
+    _verify_coaction(coaction)
     return coaction
 
 
-def _verify_coaction(coaction: Coaction, module: LeftModule):
-    dual = dual_coalgebra(coaction.algebra)
+def _verify_coaction(coaction: Coaction):
+    # Every algebra reaching here was validated or is lawful by construction.
+    dual = DualCoalgebra(coaction.algebra, validate=False)
     failure = check_comodule(
         range(coaction.dimension),
         coaction.rho.__getitem__,

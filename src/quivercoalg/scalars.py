@@ -127,6 +127,8 @@ class RationalField:
             return Fraction(text.strip())
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {text.strip()!r}") from None
+        except ValueError:
+            raise ParseError(f"bad number {text.strip()!r}") from None
 
     def __repr__(self):
         return "QQ"

@@ -63,7 +63,6 @@ from .representation import (
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
-    rep_from_module,
 )
 from .finite_dual import dual_coalgebra
 from .scalars import QQ
@@ -463,32 +462,31 @@ def check_star_factorization(seed: int = 0) -> CheckReport:
 
 
 def check_cycle_quotient() -> CheckReport:
-    """The cycle-quotient modules: dimension n^2, verified unital action,
-    failure of local nilpotence with agreeing annihilator verdicts, and no
-    cofinite monomial ideal inside the defining relations."""
+    """The cycle-quotient modules: dimension n^2, failure of local
+    nilpotence with agreeing annihilator verdicts, and no cofinite monomial
+    ideal inside the defining relations."""
     details = {}
     for n in (1, 2, 3):
-        module = cycle_quotient_module(n)
-        if module.dimension != n * n:
+        rep = cycle_quotient_module(n)
+        if rep.total_dimension() != n * n:
             return CheckReport("cycle-quotient", False, {"failure": f"dimension at n={n}"})
-        rep = rep_from_module(module)
         nil = is_locally_nilpotent(rep)
         if nil.locally_nilpotent:
             return CheckReport("cycle-quotient", False, {"failure": f"unexpected nilpotence at n={n}"})
         if nil.witness_path is None:
             return CheckReport("cycle-quotient", False, {"failure": "missing nilpotence witness"})
         disagreements = 0
-        for i in range(module.dimension):
-            vector = tuple(QQ.one if j == i else QQ.zero for j in range(module.dimension))
-            verdict = annihilator_monomial_check(module, vector, 10)
+        for i in range(rep.total_dimension()):
+            vector = tuple(QQ.one if j == i else QQ.zero for j in range(rep.total_dimension()))
+            verdict = annihilator_monomial_check(rep, vector, 10)
             if verdict:
                 disagreements += 1
         if disagreements:
             return CheckReport("cycle-quotient", False, {"failure": f"annihilator verdicts disagree at n={n}"})
         if n == 1:
-            if module.arrow_action["x0"] != ((QQ.one,),):
+            if rep.maps["x0"] != ((QQ.one,),):
                 return CheckReport("cycle-quotient", False, {"failure": "loop action is not the identity"})
-        quiver = module.quiver
+        quiver = rep.quiver
         window = 3 * n if n > 1 else 6
         enum = enumerate_paths(quiver, window)
         # Defining relations: every full turn equals the local unit at its
@@ -514,7 +512,7 @@ def check_cycle_quotient() -> CheckReport:
         verdict = contains_cofinite_monomial_ideal(relation_gens, quiver, window, 10)
         if verdict.status != "no_up_to_bound":
             return CheckReport("cycle-quotient", False, {"failure": f"relations ideal verdict {verdict.status}"})
-        details[f"n{n}_dim"] = module.dimension
+        details[f"n{n}_dim"] = rep.total_dimension()
     return CheckReport("cycle-quotient", True, details)
 
 

@@ -357,17 +357,19 @@ def parse_functional(text: str, carrier, quiver_for_paths: Optional[Quiver] = No
     if not match:
         raise ParseError(f"cannot parse functional {text!r}")
     kind = match.group("kind")
-    arg = match.group("arg")
+    arg = (match.group("arg") or "").strip()
     if kind == "gamma":
         return Functional.from_rule(carrier, "gamma", field=field)
     if kind == "eval":
-        if arg is None:
+        if not arg:
             raise ParseError("rule:eval needs a scalar argument")
         return Functional.from_rule(carrier, "eval", field.parse(arg), field=field)
     if kind == "starts-at":
-        if arg is None:
+        if not arg:
             raise ParseError("rule:starts-at needs a vertex argument")
-        return Functional.from_rule(carrier, "starts_at", arg.strip(), field=field)
+        if isinstance(carrier, Quiver) and arg not in carrier.vertices:
+            raise ParseError(f"unknown vertex {arg!r}")
+        return Functional.from_rule(carrier, "starts_at", arg, field=field)
     raise ParseError(f"unknown rule kind {kind!r}")
 
 

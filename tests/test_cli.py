@@ -354,6 +354,23 @@ def test_zero_denominator_exits_2(argv, message, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "rule, extra, message",
+    [
+        ("rule:eval(abc)", [], "bad number 'abc'"),
+        ("rule:eval(abc)", ["--field", "fp:5"], "bad number 'abc'"),
+        ("rule:eval()", [], "rule:eval needs a scalar argument"),
+        ("rule:starts-at()", [], "rule:starts-at needs a vertex argument"),
+        ("rule:starts-at(zz)", [], "unknown vertex 'zz'"),
+    ],
+    ids=["eval-word", "eval-word-fp5", "eval-empty", "starts-at-empty", "starts-at-unknown"],
+)
+def test_bad_rule_argument_exits_2(rule, extra, message, line_file, capsys):
+    status, out, err = run(capsys, "conv", line_file, rule, "rule:gamma", *extra)
+    assert status == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("entry, field", [("1/0", "q"), ("2/5", "fp:5")])
 def test_zero_denominator_in_a_rep_matrix_exits_2(line_file, tmp_path, capsys, entry, field):
     rep = tmp_path / "rep.txt"

@@ -13,20 +13,17 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.finite_dual import structured_from_quiver
 from quivercoalg.incidence import fia_structured_algebra
-from quivercoalg.linalg import mat_eq, mat_mul
-from quivercoalg.quiver import enumerate_paths
+from quivercoalg.linalg import mat_identity, mat_mul
+from quivercoalg.quiver import Quiver
 from quivercoalg.representation import (
     LeftModule,
-    ModuleData,
     Representation,
     annihilator_monomial_check,
     comodule_from_module,
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
-    module_from_rep,
     regular_left_module,
-    rep_from_module,
 )
 from quivercoalg.scalars import QQ
 
@@ -35,89 +32,6 @@ from helpers import dense_mat_mul
 
 def one():
     return Fraction(1)
-
-
-def test_single_vertex_module():
-    q = named_quiver("point")
-    module = ModuleData(q, 1, {"a": ((one(),),)}, {})
-    rep = rep_from_module(module)
-    assert rep.dims == {"a": 1}
-
-
-def test_regular_module_of_single_arrow():
-    # Right regular module: the idempotent image at a vertex is spanned by
-    # the paths ending there.
-    q = named_quiver("single_arrow")
-    algebra = structured_from_quiver(q)
-    # Build the right regular module directly through action matrices.
-    paths = list(algebra.basis)
-    index = {p: i for i, p in enumerate(paths)}
-    from quivercoalg.quiver import compose_paths
-
-    def right_action_matrix(by):
-        rows = []
-        for p in paths:
-            row = [Fraction(0)] * len(paths)
-            result = compose_paths(p, by)
-            if result is not None:
-                row[index[result]] = Fraction(1)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    vertex_action = {v: right_action_matrix(q.vertex_path(v)) for v in q.vertices}
-    arrow_action = {a.label: right_action_matrix(q.arrow_path(a.label)) for a in q.arrows}
-    module = ModuleData(q, 3, vertex_action, arrow_action)
-    rep = rep_from_module(module)
-    # Paths ending at a: {a}; ending at b: {b, x}.
-    assert rep.dims == {"a": 1, "b": 2}
-
-
-def test_zero_module():
-    q = named_quiver("single_arrow")
-    module = ModuleData(q, 0, {"a": (), "b": ()}, {"x": ()})
-    rep = rep_from_module(module)
-    assert rep.dims == {"a": 0, "b": 0}
-
-
-def test_module_rep_roundtrip_on_random_representations():
-    rng = random.Random(5)
-    for _ in range(30):
-        q = random_acyclic_quiver(rng, 4, 4)
-        rep = random_representation(rng, q, 3)
-        module = module_from_rep(rep)
-        back = rep_from_module(module)
-        assert back.dims == rep.dims
-        for a in q.arrows:
-            assert mat_eq(back.maps[a.label], rep.maps[a.label])
-
-
-def test_path_action_composes():
-    rng = random.Random(6)
-    for _ in range(20):
-        q = random_acyclic_quiver(rng, 4, 4)
-        rep = random_representation(rng, q, 2)
-        module = module_from_rep(rep)
-        enum = enumerate_paths(q, 3)
-        for p in enum.paths:
-            if p.length < 2:
-                continue
-            left = module.path_action(p.prefix(1))
-            right = module.path_action(p.suffix_from(1))
-            assert mat_eq(mat_mul(left, right), module.path_action(p))
-
-
-def test_vertex_path_action_is_projection():
-    q = named_quiver("single_arrow")
-    rep = Representation(q, {"a": 1, "b": 1}, {"x": ((one(),),)})
-    module = module_from_rep(rep)
-    va = module.vertex_action["a"]
-    assert mat_eq(mat_mul(va, va), va)
-    # x in V_a: x . a = x, x . b = 0
-    vec = (one(), Fraction(0))
-    from quivercoalg.linalg import vec_mat
-
-    assert vec_mat(vec, module.vertex_action["a"]) == vec
-    assert vec_mat(vec, module.vertex_action["b"]) == (Fraction(0), Fraction(0))
 
 
 def test_locally_nilpotent_acyclic_always():
@@ -150,37 +64,65 @@ def test_locally_nilpotent_loop_cases():
 def test_annihilator_check_agrees():
     loop = named_quiver("loop")
     nonnil = Representation(loop, {"v": 1}, {"x": ((one(),),)})
-    module = module_from_rep(nonnil)
-    verdict = annihilator_monomial_check(module, (one(),), 10)
+    verdict = annihilator_monomial_check(nonnil, (one(),), 10)
     assert verdict.status == "no_up_to_bound"
-    zero_vec = annihilator_monomial_check(module, (Fraction(0),), 10)
+    zero_vec = annihilator_monomial_check(nonnil, (Fraction(0),), 10)
     assert zero_vec.status == "yes" and len(zero_vec.witness) == 0
     rng = random.Random(8)
     for _ in range(15):
         q = random_acyclic_quiver(rng, 4, 4)
         rep = random_representation(rng, q, 2)
-        module = module_from_rep(rep)
         nil = is_locally_nilpotent(rep).locally_nilpotent
         bounded_no = 0
-        for i in range(module.dimension):
-            vector = tuple(one() if j == i else Fraction(0) for j in range(module.dimension))
-            if annihilator_monomial_check(module, vector, 10).status != "yes":
+        total = rep.total_dimension()
+        for i in range(total):
+            vector = tuple(one() if j == i else Fraction(0) for j in range(total))
+            if annihilator_monomial_check(rep, vector, 10).status != "yes":
                 bounded_no += 1
         assert (bounded_no == 0) == nil
 
 
+def test_annihilator_check_slices_the_total_space_by_vertex():
+    # a -x-> b -y-> c with dims 1, 2, 1: the vector is nonzero at a and at b.
+    q = Quiver(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
+    zero = Fraction(0)
+    rep = Representation(q, {"a": 1, "b": 2, "c": 1}, {"x": ((one(), zero),), "y": ((zero,), (one(),))})
+    # e_a survives x but dies on x.y; the first basis vector of V_b dies on y.
+    verdict = annihilator_monomial_check(rep, (one(), one(), zero, zero), 10)
+    assert verdict.status == "yes"
+    assert verdict.witness == sorted([q.vertex_path("a"), q.vertex_path("b"), q.arrow_path("x")],
+                                     key=lambda p: p.sort_key)
+    # The second basis vector of V_b survives y, which brings in c.
+    verdict = annihilator_monomial_check(rep, (one(), zero, one(), zero), 10)
+    assert verdict.status == "yes"
+    assert set(verdict.witness) == {q.vertex_path(v) for v in "abc"} | {q.arrow_path("x"), q.arrow_path("y")}
+    with pytest.raises(ValueError, match="length 3, expected 4"):
+        annihilator_monomial_check(rep, (one(), zero, zero), 10)
+
+
 def test_cycle_quotient_dimensions_and_unit():
     for n in (1, 2, 3):
-        module = cycle_quotient_module(n)
-        assert module.dimension == n * n
+        rep = cycle_quotient_module(n)
+        assert rep.dims == {f"v{m}": n for m in range(n)}
+        assert rep.total_dimension() == n * n
     k1 = cycle_quotient_module(1)
-    assert k1.arrow_action["x0"] == ((one(),),)
+    assert k1.maps["x0"] == ((one(),),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cycle_quotient_satisfies_its_defining_relations(n):
+    # Every full turn acts as the local unit at its start.
+    rep = cycle_quotient_module(n)
+    for start in range(n):
+        turn = mat_identity(n)
+        for step in range(n):
+            turn = mat_mul(turn, rep.maps[f"x{(start + step) % n}"])
+        assert turn == mat_identity(n)
 
 
 def test_cycle_quotient_not_locally_nilpotent():
     for n in (1, 2, 3):
-        rep = rep_from_module(cycle_quotient_module(n))
-        assert not is_locally_nilpotent(rep).locally_nilpotent
+        assert not is_locally_nilpotent(cycle_quotient_module(n)).locally_nilpotent
 
 
 def test_comodule_one_dimensional():
@@ -219,13 +161,6 @@ def test_representation_rejects_ragged_matrix():
     q = named_quiver("single_arrow")
     with pytest.raises(ValueError, match="ragged"):
         Representation(q, {"a": 2, "b": 2}, {"x": ((one(), one()), (one(),))})
-
-
-def test_module_validation_rejects_bad_data():
-    q = named_quiver("single_arrow")
-    with pytest.raises(ValueError):
-        # Vertex actions that do not sum to the identity.
-        ModuleData(q, 1, {"a": ((one(),),), "b": ((one(),),)}, {"x": ((one(),),)})
 
 
 def test_left_module_rejects_an_action_that_breaks_a_product():
