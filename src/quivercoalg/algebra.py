@@ -143,7 +143,7 @@ class CounterexampleIdeal:
     quiver: Quiver
     max_len: int
     difference_pairs: list  # the set S as pairs (p, r), each standing for p - r
-    monomial_part: list  # the set P \ X as paths
+    monomial_generators: list  # the vertices and arrows off X; they generate P \ X
     closed_path_set: list  # the set X
     codimension: int
     identities_checked: int
@@ -151,8 +151,10 @@ class CounterexampleIdeal:
     details: dict = field(default_factory=dict)
 
     def ideal_generators(self) -> list[SparseVector]:
+        """The differences, then every path of the window off X (enumerated)."""
+        closed = set(self.closed_path_set)
         return [_difference(p, r, self.field) for p, r in self.difference_pairs] + [
-            SparseVector.unit(p) for p in self.monomial_part
+            SparseVector.unit(p) for p in enumerate_paths(self.quiver, self.max_len).paths if p not in closed
         ]
 
 
@@ -210,22 +212,24 @@ def _generator_rows(generators, index: dict, window: int):
     return left, right
 
 
-def _check_difference_ideal(paths, pairs, window, monomial=(), field=QQ) -> int:
-    """Certify that the span of the differences p - r of the ``pairs`` and
-    of the ``monomial`` paths is closed on both sides under the vertex and
-    arrow paths, which generate the path algebra, inside ``window``; returns
-    the identities checked.
+def _check_difference_ideal(paths, pairs, window, field=QQ) -> int:
+    """Certify that the span of the differences p - r of the ``pairs``, plus
+    every path of the window off ``paths``, is closed on both sides under
+    the vertex and arrow paths, which generate the path algebra, inside
+    ``window``; returns the identities checked.  The caller guarantees that
+    the paths off ``paths`` span an ideal inside the window.
     A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
     p the longer, so a generator times it is a pair of ``_generator_rows``
-    entries: in the span when a stored pair or free of terms off the
-    monomial paths (zero included), else reduced against the span's basis.
+    entries: in the span when a stored pair or with no term on ``paths``
+    (zero, or a path off them), else its terms on ``paths`` are reduced
+    against the differences' basis.
     """
     quiver = paths[0].quiver
     generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
     index = {p: i for i, p in enumerate(paths)}
     vectors = [(index[p], index[r]) for p, r in pairs]
     left, right = _generator_rows(generators, index, window)
-    stored, monomial_set = set(vectors), set(monomial)
+    stored = set(vectors)
     reduce, calls = None, 0
 
     def product(x, y):
@@ -237,12 +241,11 @@ def _check_difference_ideal(paths, pairs, window, monomial=(), field=QQ) -> int:
         nonlocal reduce, calls
         calls += 1
         a, b = terms
-        if terms in stored or (a is None or a in monomial_set) and (b is None or b in monomial_set):
+        if terms in stored or a.__class__ is not int and b.__class__ is not int:
             return True
         if reduce is None:
-            spanning = [_difference(p, r, field) for p, r in pairs] + [SparseVector.unit(p) for p in monomial]
-            reduce = reducer(rref(spanning))
-        return reduce(_difference(*(paths[t] if t.__class__ is int else t for t in terms), field)).is_zero()
+            reduce = reducer(rref([_difference(p, r, field) for p, r in pairs]))
+        return reduce(_difference(*(paths[t] if t.__class__ is int else None for t in terms), field)).is_zero()
 
     failure = check_ideal(vectors, generators, product, contains)
     if failure is not None:
@@ -264,14 +267,15 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
 
     With q[n,k] the winding path of length k from cycle vertex n, the ideal
     is spanned by the differences q[n,ks+i] - q[n,i] (k >= 1) together with
-    every path that leaves the cycle.  It is certified an ideal inside the
-    window by closure under the generators of the path algebra: each
-    difference times each vertex and each arrow, on both sides, lies in the
-    span, and the monomial part stays off the winding paths under arrow
-    products.  A product longer than the window is skipped; every factor of
-    an in-window product of paths is in the window, so this proves every
-    product identity that stays inside it.  The window must be at least the
-    cycle length, or there are no differences.
+    every path off the winding paths W, which is built alone.  W is
+    certified closed under subpaths, so the paths off it span the monomial
+    ideal generated by the vertices and arrows off the cycle.  The whole is
+    certified an ideal inside the window by closure under the generators of
+    the path algebra: each difference times each vertex and each arrow, on
+    both sides, lies in the span.  A product longer than the window is
+    skipped; every factor of an in-window product of paths is in the window,
+    so this proves every product identity that stays inside it.  The window
+    must be at least the cycle length, or there are no differences.
     """
     cycle = find_simple_cycle(quiver)
     if cycle is None:
@@ -281,35 +285,27 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         raise ValueError(f"window {max_len} is shorter than the cycle of length {s}")
     q = winding_paths(quiver, cycle, max_len)
     x_set = set(q.values())
+    closed = sorted(x_set, key=lambda p: p.sort_key)
+    # Both subpaths of length n - 1 of each path of W in W: by induction W
+    # holds every subpath, so a product with a path off W is off W or zero.
+    for p in closed:
+        for part in (p.prefix(p.length - 1), p.suffix_from(1)) if p.length else ():
+            if part not in x_set:
+                raise AssertionError(f"subpath {part} of the winding path {p} is off the winding paths")
     pairs = [(q[(n, k * s + i)], q[(n, i)])
              for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
-
-    enum = enumerate_paths(quiver, max_len)
-    monomial_part = [p for p in enum.paths if p not in x_set]
-    closed = sorted(x_set, key=lambda p: p.sort_key)
-    identities = _check_difference_ideal(closed, pairs, max_len, monomial_part, field)
-
-    def windowed_compose(p, r):
-        return compose_paths(p, r) if p.length + r.length <= max_len else None
-
-    # Label-level: a path off the winding paths stays off them under arrow
-    # products (None from ``compose_paths`` is a zero product).
-    arrows = [Path(quiver, None, (a,)) for a in quiver.arrows]
-    _raise_on_failure(
-        check_ideal(monomial_part, arrows, windowed_compose, lambda p: p not in x_set), "monomial part"
-    )
-
-    # The differences live on the winding paths and the monomial part off
-    # them, so the two ranks add.
-    codim = len(enum.paths) - len(monomial_part) - difference_rank(pairs)
+    identities = _check_difference_ideal(closed, pairs, max_len, field)
+    # The differences live on W and the monomial part off it, so the
+    # codimension is |W| less the rank of the differences.
+    generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
         max_len=max_len,
         difference_pairs=pairs,
-        monomial_part=monomial_part,
+        monomial_generators=[g for g in generators if g not in x_set],
         closed_path_set=closed,
-        codimension=codim,
+        codimension=len(closed) - difference_rank(pairs),
         identities_checked=identities,
         field=field,
         details={"cycle_length": s, "cycle": [a.label for a in cycle]},
@@ -327,22 +323,24 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
         raise ValueError("expected the multiarrow family")
     quiver = family.truncate(truncation)
     arrows = [quiver.arrow_path(f"x{i}") for i in range(truncation + 1)]
+    window = [quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows
     pairs = [(p, arrows[0]) for p in arrows[1:]]
-    # Every product of a generator and an arrow has length at most two.
-    identities = _check_difference_ideal(arrows, pairs, 2, field=field)
+    # Every product of a generator and an arrow has length at most two, and
+    # none has length two, so every product is zero or on the window.
+    identities = _check_difference_ideal(window, pairs, 2, field)
 
     gens = [_difference(p, r, field) for p, r in pairs]
     for p in arrows:
         if solve_membership(SparseVector.unit(p, field), gens) is not None:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
-    codim = len(enumerate_paths(quiver, 1).paths) - difference_rank(pairs)
+    codim = len(window) - difference_rank(pairs)
     return CounterexampleIdeal(
         kind="multiarrow",
         quiver=quiver,
         max_len=1,
         difference_pairs=pairs,
-        monomial_part=[],
-        closed_path_set=[quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows,
+        monomial_generators=[],
+        closed_path_set=window,
         codimension=codim,
         identities_checked=identities,
         field=field,

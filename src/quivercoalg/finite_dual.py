@@ -423,21 +423,24 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
 
 def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> RecoveryReport:
     from .algebra import build_cycle_counterexample
-    from .quiver import find_simple_cycle
+    from .quiver import compose_paths, find_simple_cycle
 
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     effective_window = max(window, (codim_bound + 2) * s)
     witness = winding_multiple_indicator(quiver, cycle, field)
     counterexample = build_cycle_counterexample(quiver, effective_window, field)
-    for p, r in counterexample.difference_pairs:
-        if witness(p) != witness(r):
-            raise AssertionError("witness does not vanish on the counterexample ideal")
-    for p in counterexample.monomial_part:
-        if witness(p):
-            raise AssertionError("witness does not vanish off the cycle")
-    enum = enumerate_paths(quiver, effective_window)
-    support = [p for p in enum.paths if witness(p)]
+    winding, off = counterexample.closed_path_set, counterexample.monomial_generators
+    values = {p: witness(p) for p in winding}  # every difference is a pair of winding paths
+    if any(values[p] != values[r] for p, r in counterexample.difference_pairs):
+        raise AssertionError("witness does not vanish on the counterexample ideal")
+    # The paths off W are the monomial generators and their products; the
+    # witness must vanish on the generators and on each one-arrow exit of W.
+    exits = [compose_paths(*pair) for w in winding if w.length < effective_window
+             for a in off if a.length for pair in ((w, a), (a, w))]
+    if any(p is not None and witness(p) for p in off + exits):
+        raise AssertionError("witness does not vanish off the cycle")
+    support = [p for p in winding if values[p]]
     complement = subpath_closure(support)
     if len(complement) <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")

@@ -380,33 +380,6 @@ def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
     return _reduced_rows(_echelon(kernel, p, main + len(domain))[0], p, domain, main)
 
 
-def span_intersection(basis_a, basis_b) -> list[SparseVector]:
-    """Canonical basis of span(A) ∩ span(B)."""
-    basis_a = list(basis_a)
-    basis_b = list(basis_b)
-    domain = [("a", i) for i in range(len(basis_a))] + [("b", j) for j in range(len(basis_b))]
-
-    def image_of(marker):
-        side, index = marker
-        return basis_a[index] if side == "a" else basis_b[index].scale(-1)
-
-    combos = kernel_of_map(domain, image_of)
-    members = [
-        SparseVector(
-            (label, c * coeff)
-            for (side, index), coeff in combo.items()
-            if side == "a"
-            for label, c in basis_a[index].items()
-        )
-        for combo in combos
-    ]
-    return rref(members)
-
-
-def spans_equal(basis_a, basis_b) -> bool:
-    return rref(basis_a) == rref(basis_b)
-
-
 # ---------------------------------------------------------------------------
 # Small dense matrices (tuples of tuples of scalars), used by representations
 # and the rank-1 splitting of 2x2 systems.

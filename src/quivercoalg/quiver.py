@@ -12,8 +12,11 @@ generation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
+
+from .scalars import ParseError
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,6 +579,7 @@ def family_kinds(carrier: str) -> tuple:
 # different callers live on the identical quiver object (Path equality
 # needs it).
 _TRUNCATION_CACHE: dict = {}
+VERTEX_LEVEL_BUDGET = 10_000  # the deepest stage ``Family.has_vertex`` builds
 
 
 @dataclass(frozen=True)
@@ -619,6 +623,16 @@ class Family:
             points, links = self.facts.build(level, self.param)
             _TRUNCATION_CACHE[key] = carrier_class(points, links, name=f"{self.kind}[{level}]")
         return _TRUNCATION_CACHE[key]
+
+    def has_vertex(self, name: str) -> bool:
+        """Whether some truncation has the vertex ``name``.  A vertex name
+        holds at most one integer n, first present at level |n|; a level
+        past the budget is refused, not built."""
+        numbers = re.findall(r"-?\d+", name)
+        level = numbers[0].lstrip("-") if len(numbers) == 1 else "0"
+        if len(level) > len(str(VERTEX_LEVEL_BUDGET)) or int(level) > VERTEX_LEVEL_BUDGET:
+            raise ParseError(f"vertex {name!r} lies past level {VERTEX_LEVEL_BUDGET}, the budget for family stages")
+        return name in self.facts.build(int(level), self.param)[0]
 
     def __str__(self):
         return f"family:{self.kind}" if self.param is None else f"family:{self.kind}:{self.param}"

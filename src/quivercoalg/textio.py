@@ -55,7 +55,7 @@ from .dual import Functional
 from .finite_dual import StructuredAlgebra
 from .incidence import Poset
 from .linalg import SparseVector
-from .quiver import Quiver, family_from_token, family_kinds
+from .quiver import Family, Quiver, family_from_token, family_kinds
 from .representation import Representation
 from .scalars import QQ, ParseError
 
@@ -367,7 +367,8 @@ def parse_functional(text: str, carrier, quiver_for_paths: Optional[Quiver] = No
     if kind == "starts-at":
         if not arg:
             raise ParseError("rule:starts-at needs a vertex argument")
-        if isinstance(carrier, Quiver) and arg not in carrier.vertices:
+        if (isinstance(carrier, Quiver) and arg not in carrier.vertices
+                or isinstance(carrier, Family) and not carrier.has_vertex(arg)):
             raise ParseError(f"unknown vertex {arg!r}")
         return Functional.from_rule(carrier, "starts_at", arg, field=field)
     raise ParseError(f"unknown rule kind {kind!r}")

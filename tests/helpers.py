@@ -11,7 +11,10 @@ integer kernel, and ``subpath_closure`` against the expansion of every
 path.  Convolution of functionals is checked against the sum over every
 split, poset canonical forms against the minimum over all n! relabelings,
 and the cycle counterexample's codimension against one rank of the
-differences and the monomial units together.  The integer law kernel and
+differences and the units of the window's paths off the winding paths
+together; the winding witness is scanned on every one of those paths.
+Span equality and intersection, which only tests need, are computed by
+the dict-row elimination.  The integer law kernel and
 the integer validators of structured algebras and left modules are checked
 against their earlier versions, which sum field scalars; the order closure
 of posets against the fixpoint of all-pairs passes; and the bitmask search
@@ -259,6 +262,33 @@ def oracle_kernel_of_map(domain_labels, image_of, field):
     return oracle_rref(kernel_rows, field)
 
 
+def spans_equal(basis_a, basis_b, field=QQ):
+    """Equal spans: equal reduced row echelon forms."""
+    return oracle_rref(list(basis_a), field) == oracle_rref(list(basis_b), field)
+
+
+def span_intersection(basis_a, basis_b, field=QQ):
+    """Reduced basis of span(A) ∩ span(B): the A-sides of the kernel of
+    (a, b) -> a - b on the two bases."""
+    basis_a, basis_b = list(basis_a), list(basis_b)
+    domain = [("a", i) for i in range(len(basis_a))] + [("b", j) for j in range(len(basis_b))]
+
+    def image_of(marker):
+        side, index = marker
+        return basis_a[index] if side == "a" else basis_b[index].scale(-1)
+
+    members = [
+        SparseVector(
+            (label, c * coeff)
+            for (side, index), coeff in combo.items()
+            if side == "a"
+            for label, c in basis_a[index].items()
+        )
+        for combo in oracle_kernel_of_map(domain, image_of, field)
+    ]
+    return oracle_rref(members, field)
+
+
 def expanded_subpath_closure(paths):
     """Every contiguous subpath of every path, sorted by the path order."""
     return sorted({s for p in paths for s in p.subpaths()}, key=lambda p: p.sort_key)
@@ -310,10 +340,22 @@ def brute_force_posets_up_to_iso(max_elements):
 
 def cycle_codimension_oracle(ce, paths):
     """Codimension of a cycle counterexample from one rank of its difference
-    generators and its monomial units together, over the window's paths."""
+    generators and the units of the window's ``paths`` off its winding paths
+    together, over those paths."""
+    winding = set(ce.closed_path_set)
     spanning = [SparseVector({p: Fraction(1), r: Fraction(-1)}) for p, r in ce.difference_pairs]
-    spanning += [SparseVector.unit(p) for p in ce.monomial_part]
+    spanning += [SparseVector.unit(p) for p in paths if p not in winding]
     return len(paths) - oracle_rank(spanning, QQ)
+
+
+def witness_off_winding_paths(quiver, window, witness):
+    """Every path of length <= ``window`` off the winding paths of the
+    window's cycle counterexample on which ``witness`` is nonzero, over
+    the direct recursion's paths."""
+    winding = set(algebra.build_cycle_counterexample(quiver, window).closed_path_set)
+    paths = [quiver.path_from_labels(seq[1:]) if len(seq) > 1 else quiver.vertex_path(seq[0])
+             for seq in brute_force_paths(quiver, window)]
+    return [p for p in paths if p not in winding and witness(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -313,21 +313,30 @@ def test_multiarrow_counterexample_checks_every_generator(monkeypatch, label, si
 
 
 def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
-    # Bare path composition is corrupted at e_w · x only once the product
-    # table is filled and checked; the table keeps the exact concatenation,
-    # so only the label-level closure check of the monomial part (which
-    # starts with the vertex w) can notice.
+    # The paths off the winding paths are certified an ideal by the subpath
+    # closure of the winding paths.  Corrupt one prefix, of x.x.x, to the
+    # tail arrow y: only the closure check can notice.
     quiver = named_quiver("loop_with_tail")
-    loop, w = quiver.arrow_path("x"), quiver.vertex_path("w")
-    exact, check = quiver_module.compose_paths, algebra._check_difference_ideal
+    target, tail, exact = quiver.path_from_labels(["x", "x", "x"]), quiver.arrow_path("y"), Path.prefix
+    monkeypatch.setattr(Path, "prefix", lambda p, n: tail if (p, n) == (target, 2) else exact(p, n))
+    with pytest.raises(AssertionError, match=re.escape("subpath y of the winding path x.x.x is off the winding paths")):
+        build_cycle_counterexample(quiver, 4)
 
-    def check_then_corrupt(*args, **kwargs):
-        identities = check(*args, **kwargs)
-        monkeypatch.setattr(algebra, "compose_paths", lambda p, r: loop if (p, r) == (w, loop) else exact(p, r))
-        return identities
 
-    monkeypatch.setattr(algebra, "_check_difference_ideal", check_then_corrupt)
-    with pytest.raises(AssertionError, match=re.escape("right product by generator x takes w out of the monomial part")):
+@pytest.mark.parametrize("dropped", [(0, 0), (0, 2), (1, 3)])
+def test_cycle_counterexample_catches_a_missing_winding_path(monkeypatch, dropped):
+    # Drop one winding path from W: the longer winding path through it has
+    # a subpath off W, and the closure check must say so.
+    quiver = Family("cycle", 2).truncate(0)
+    exact = algebra.winding_paths
+
+    def without(*args):
+        table = exact(*args)
+        del table[dropped]
+        return table
+
+    monkeypatch.setattr(algebra, "winding_paths", without)
+    with pytest.raises(AssertionError, match="is off the winding paths"):
         build_cycle_counterexample(quiver, 4)
 
 
@@ -431,12 +440,15 @@ def test_cycle_counterexample_needs_a_cycle():
 def test_cycle_counterexample_on_quiver_with_tail():
     q = named_quiver("loop_with_tail")
     ce = build_cycle_counterexample(q, 6)
-    # Everything off the cycle is swallowed whole: the stray vertex and all
-    # paths through the tail arrow.
-    assert any(p.length == 0 and p.vertex == "w" for p in ce.monomial_part)
-    assert any(any(a.label == "y" for a in p.arrows) for p in ce.monomial_part)
+    # Everything off the cycle is swallowed whole: the stray vertex and the
+    # tail arrow generate it, and every path off the winding paths goes
+    # through the tail to the stray vertex.
+    assert any(p.length == 0 and p.vertex == "w" for p in ce.monomial_generators)
+    assert any(any(a.label == "y" for a in p.arrows) for p in ce.monomial_generators)
     winding = set(ce.closed_path_set)
-    assert all(p not in winding for p in ce.monomial_part)
+    assert all(p not in winding for p in ce.monomial_generators)
+    off = [p for p in enumerate_paths(q, 6).paths if p not in winding]
+    assert len(off) == 7 and all(p.target == "w" for p in off)
 
 
 def test_multiarrow_counterexample():

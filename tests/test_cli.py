@@ -10,7 +10,9 @@ import pytest
 import quivercoalg
 from quivercoalg import cli, suites
 from quivercoalg.cli import main
-from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, family_kinds
+from quivercoalg.corpus import named_quiver
+from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, Family, family_kinds
+from quivercoalg.textio import quiver_to_text
 
 LINE = """quiver
 vertex a
@@ -369,6 +371,39 @@ def test_bad_rule_argument_exits_2(rule, extra, message, line_file, capsys):
     status, out, err = run(capsys, "conv", line_file, rule, "rule:gamma", *extra)
     assert status == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", family_kinds("quiver"))
+def test_starts_at_on_a_family_needs_a_vertex_of_some_truncation(kind, capsys):
+    family = Family(kind, 3 if FAMILIES[kind].parametrized else None)
+    token = str(family)
+    for vertex in family.truncate(8).vertices:
+        status, _, err = run(capsys, "conv", token, f"rule:starts-at({vertex})", "rule:gamma")
+        assert status == 0 and err == ""
+    for vertex in ["zz"] + (["v-1"] if kind == "line1" else []):
+        status, out, err = run(capsys, "conv", token, f"rule:starts-at({vertex})", "rule:gamma")
+        assert status == 2 and out == ""
+        assert err == f"error: unknown vertex '{vertex}'\n"
+
+
+def test_starts_at_on_a_family_accepts_a_vertex_outside_the_window(capsys):
+    status, out, err = run(capsys, "conv", "family:line1", "rule:starts-at(v40)", "rule:gamma", "--max-len", "6")
+    assert status == 0 and err == "" and out.endswith("values:\n")
+    for vertex in ("v10001", "v" + "9" * 5000):  # the second is past Python's int parsing limit
+        status, out, err = run(capsys, "conv", "family:line1", f"rule:starts-at({vertex})", "rule:gamma")
+        assert status == 2 and out == ""
+        assert err == f"error: vertex '{vertex}' lies past level 10000, the budget for family stages\n"
+
+
+def test_check_thm33_on_two_loops_builds_no_window(tmp_path, capsys):
+    # Bound 20 widens the window to 22, where two loops have 2^23 - 1 paths.
+    path = tmp_path / "two_loops.txt"
+    path.write_text(quiver_to_text(named_quiver("two_loops")))
+    status, out, err = run(capsys, "check", "thm33", str(path), "--codim-bound", "20", "--json")
+    report = json.loads(out)
+    assert status == 1 and err == ""
+    assert report["witness_monomial_verdict"] == "no_up_to_bound"
+    assert "cofinite ideal of codimension 1)" in report["explanation"]
 
 
 @pytest.mark.parametrize("entry, field", [("1/0", "q"), ("2/5", "fp:5")])

@@ -19,8 +19,10 @@ from quivercoalg.coalgebra import (
 )
 from quivercoalg.corpus import named_poset, named_quiver, random_element, random_quiver
 from quivercoalg.incidence import Poset
-from quivercoalg.linalg import SparseVector, rref, span_intersection, spans_equal
+from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
+
+from helpers import span_intersection, spans_equal
 
 
 def unit(path):

@@ -10,6 +10,7 @@ family is read through its Hasse quiver.
 
 import ast
 import dataclasses
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -150,6 +151,20 @@ def test_cross_check_fails_on_a_wrong_rule_at_one_parameter(kind, param, wrong):
     table[kind] = dataclasses.replace(FAMILIES[kind], rules=((param, wrong),))
     families = [family for family in SAMPLES if family.kind == kind]
     assert _mismatches(table, families) == [("rule", wrong)]
+
+
+@pytest.mark.parametrize("family", SAMPLES, ids=str)
+def test_a_vertex_name_first_appears_at_the_level_of_its_integer(family):
+    # ``has_vertex`` builds only the stage at |n| for a name holding the
+    # integer n (level 0 for a name without one): every point of every stage
+    # up to 8 must already be there, and the names hold one integer at most.
+    for level in range(9):
+        for name in family.facts.build(level, family.param)[0]:
+            numbers = re.findall(r"-?\d+", name)
+            assert len(numbers) <= 1
+            first = abs(int(numbers[0])) if numbers else 0
+            assert name in family.facts.build(first, family.param)[0] and family.has_vertex(name)
+    assert not family.has_vertex("zz") and not family.has_vertex("v1_2")
 
 
 @pytest.mark.parametrize("kind", ["loop", "natchain"])

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoalg import incidence
+from quivercoalg import algebra, finite_dual, incidence
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
+    CYCLIC_CORPUS,
     named_poset,
     named_quiver,
     random_element,
@@ -28,8 +29,10 @@ from quivercoalg.finite_dual import (
     two_sided_ideal_closure,
 )
 from quivercoalg.linalg import SparseVector, in_span, rank, rref
-from quivercoalg.quiver import Family, Quiver
+from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
 from quivercoalg.scalars import QQ, PrimeField
+
+from helpers import witness_off_winding_paths
 
 
 def test_structured_algebra_validation_rejects_bad_input():
@@ -318,6 +321,71 @@ def test_theta_recovery():
     assert loop.witness_verdict.status == "no_up_to_bound"
     cyc = theta_recovery_check(named_quiver("cycle2"))
     assert not cyc.recovered
+
+
+_CYCLIC = [pytest.param(named_quiver(name), id=name) for name in CYCLIC_CORPUS] + [
+    pytest.param(Family("cycle", s).truncate(0), id=f"cycle:{s}") for s in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("quiver", _CYCLIC)
+def test_witness_vanishes_on_every_path_off_the_winding_paths(quiver):
+    # The report checks the witness off the winding paths only on the
+    # monomial generators and the one-arrow exits; the oracle scans every
+    # path of each window up to 10.
+    witness = theta_recovery_check(quiver, codim_bound=2).witness
+    for window in range(len(find_simple_cycle(quiver)), 11):
+        assert witness_off_winding_paths(quiver, window, witness) == []
+
+
+def test_off_winding_oracle_sees_a_witness_off_the_cycle():
+    quiver = named_quiver("loop_with_tail")
+    flagged = witness_off_winding_paths(quiver, 3, Functional.from_rule(quiver, "gamma"))
+    assert sorted(str(p) for p in flagged) == ["w", "x.x.y", "x.y", "y"]
+
+
+@pytest.mark.parametrize(
+    "stray, where",
+    [("w", "off the cycle"), ("y", "off the cycle"), ("x.y", "off the cycle"), ("x.x.x.y", "off the cycle"),
+     ("x.x", "on the counterexample ideal")],
+)
+def test_recovery_report_checks_the_witness_off_the_winding_paths(monkeypatch, stray, where):
+    # The witness differs from the winding indicator on one path: a monomial
+    # generator (w, y), a one-arrow exit of the winding paths, or a winding
+    # path, which then differs from the other term of a difference.
+    quiver = named_quiver("loop_with_tail")
+    exact = finite_dual.winding_multiple_indicator
+
+    def wrong(q, cycle, field):
+        f = exact(q, cycle, field)
+        return Functional.from_rule(q, "predicate", ("wrong", lambda p: bool(f(p)) != (str(p) == stray)), field)
+
+    monkeypatch.setattr(finite_dual, "winding_multiple_indicator", wrong)
+    with pytest.raises(AssertionError, match=f"witness does not vanish {where}"):
+        theta_recovery_check(quiver, codim_bound=2)
+
+
+def test_cycle_recovery_builds_only_the_winding_paths(monkeypatch):
+    # Codim bound 40 widens the window to 42, where two loops have 2^43 - 1
+    # paths: nothing may enumerate them, and the paths built are counted.
+    quiver = named_quiver("two_loops")
+
+    def refuse(*args):
+        raise AssertionError("enumerate_paths called")
+
+    monkeypatch.setattr(algebra, "enumerate_paths", refuse)
+    monkeypatch.setattr(finite_dual, "enumerate_paths", refuse)
+    built, exact = [0], Path.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        exact(self, *args)
+
+    monkeypatch.setattr(Path, "__init__", counting)
+    report = theta_recovery_check(quiver, codim_bound=40)
+    assert not report.recovered and report.witness_verdict.status == "no_up_to_bound"
+    assert "codimension 1)" in report.explanation
+    assert built[0] < 2000
 
 
 def test_tensor_slice_ideals():

@@ -20,8 +20,6 @@ from quivercoalg.linalg import (
     reducer,
     rref,
     solve_membership,
-    span_intersection,
-    spans_equal,
     vec_mat,
 )
 from quivercoalg.corpus import named_quiver
@@ -36,6 +34,8 @@ from helpers import (
     oracle_rank,
     oracle_rref,
     oracle_solve_membership,
+    span_intersection,
+    spans_equal,
     sparse_rows_to_dense,
 )
 
