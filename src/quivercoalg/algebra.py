@@ -199,6 +199,11 @@ def check_ideal(vectors, generators, product, contains):
     return None
 
 
+def _generators(quiver: Quiver) -> list[Path]:
+    """The vertex and arrow paths, which generate the path algebra."""
+    return [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
+
+
 def _generator_rows(generators, index: dict, window: int):
     """g·p and p·g, composed once, for each generator path g and each path p
     of ``index`` (path -> position, by length) with |g| + |p| <= window: per
@@ -225,7 +230,7 @@ def _check_difference_ideal(paths, pairs, window, field=QQ) -> int:
     against the differences' basis.
     """
     quiver = paths[0].quiver
-    generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
+    generators = _generators(quiver)
     index = {p: i for i, p in enumerate(paths)}
     vectors = [(index[p], index[r]) for p, r in pairs]
     left, right = _generator_rows(generators, index, window)
@@ -297,13 +302,12 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     identities = _check_difference_ideal(closed, pairs, max_len, field)
     # The differences live on W and the monomial part off it, so the
     # codimension is |W| less the rank of the differences.
-    generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
         max_len=max_len,
         difference_pairs=pairs,
-        monomial_generators=[g for g in generators if g not in x_set],
+        monomial_generators=[g for g in _generators(quiver) if g not in x_set],
         closed_path_set=closed,
         codimension=len(closed) - difference_rank(pairs),
         identities_checked=identities,

@@ -434,8 +434,10 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     values = {p: witness(p) for p in winding}  # every difference is a pair of winding paths
     if any(values[p] != values[r] for p, r in counterexample.difference_pairs):
         raise AssertionError("witness does not vanish on the counterexample ideal")
-    # The paths off W are the monomial generators and their products; the
-    # witness must vanish on the generators and on each one-arrow exit of W.
+    # A partial re-check: the witness must vanish on the monomial generators
+    # and on each one-arrow exit of W, not on every path off W.  That it does
+    # follows from ``holds``, which accepts only paths that start on the
+    # cycle and follow its arrows; the tests scan every path off W.
     exits = [compose_paths(*pair) for w in winding if w.length < effective_window
              for a in off if a.length for pair in ((w, a), (a, w))]
     if any(p is not None and witness(p) for p in off + exits):

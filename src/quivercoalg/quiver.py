@@ -16,8 +16,6 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .scalars import ParseError
-
 
 @dataclass(frozen=True, eq=False)
 class Arrow:
@@ -513,7 +511,9 @@ class FamilySpec:
     ``build(level, param)`` gives the truncation at ``level``: vertices and
     (label, source, target) arrows for a quiver, elements and cover pairs
     for a poset.  The path facts of a poset family are those of its Hasse
-    quiver.  ``rule`` is the coreflexivity rule that decides the family:
+    quiver.  ``vertices`` matches the vertex names of every stage, whole,
+    when the stages grow; otherwise every stage has the vertices of stage
+    0.  ``rule`` is the coreflexivity rule that decides the family:
     (b) the one-loop quiver, (c) finitely many paths between any two
     vertices, (d) growing parallel bundles, or None; ``rules`` overrides it
     at single parameters, as ``at(param)`` reads it.
@@ -531,6 +531,7 @@ class FamilySpec:
     recovery: str = ""  # why the Thm 3.3 recovery condition holds or fails
     parametrized: bool = False  # ``<kind>:<n>`` with n >= 1
     rules: tuple = ()  # (n, rule at parameter n) where that is not ``rule``
+    vertices: Optional[str] = None  # regular expression, when the stages grow
 
     def at(self, param) -> "FamilySpec":
         rule = dict(self.rules).get(param, self.rule)
@@ -546,10 +547,10 @@ FAMILIES = {
                        "the loop is an oriented cycle"),
     "line2": FamilySpec("quiver", _line2, "two-sided infinite line quiver", True, True, True, False, "c",
                         "infinitely many paths start (and end) at every vertex",
-                        "acyclic with at most one arrow between any two vertices"),
+                        "acyclic with at most one arrow between any two vertices", vertices=r"v(0|-?[1-9][0-9]*)"),
     "line1": FamilySpec("quiver", _line1, "left-bounded infinite line quiver", True, True, True, False, "c",
                         "infinitely many paths start at the first vertex",
-                        "acyclic with at most one arrow between any two vertices"),
+                        "acyclic with at most one arrow between any two vertices", vertices=r"v(0|[1-9][0-9]*)"),
     "cycle": FamilySpec("quiver", _cycle, "oriented cycle of length {}", False, True, False, False, None,
                         "winding paths of every length start at each vertex", "the quiver is an oriented cycle",
                         parametrized=True, rules=((1, "b"),)),  # the 1-cycle is the one-loop quiver
@@ -559,15 +560,15 @@ FAMILIES = {
                              "infinitely many arrows between the two vertices"),
     "star51": FamilySpec("quiver", _star(parallel=True), "star with n parallel arrows into and out of branch n",
                          True, True, False, False, "d", "infinitely many paths start at the hub vertex",
-                         "acyclic with finitely many arrows between any two vertices"),
+                         "acyclic with finitely many arrows between any two vertices", vertices=r"a|c|b[1-9][0-9]*"),
     "star56": FamilySpec("quiver", _star(parallel=False), "star with single arrows through infinitely many branches",
                          True, True, False, False, None, "infinitely many paths start at the hub vertex",
-                         "acyclic with finitely many arrows between any two vertices"),
+                         "acyclic with finitely many arrows between any two vertices", vertices=r"a|c|b[1-9][0-9]*"),
     "natchain": FamilySpec("poset", _natchain, "the chain on the natural numbers", True, True, True, False, "c",
-                           "infinitely many elements lie above every point of the chain"),
+                           "infinitely many elements lie above every point of the chain", vertices=r"n(0|[1-9][0-9]*)"),
     "natantichain": FamilySpec("poset", lambda level, param: ([f"n{i}" for i in range(level + 1)], []),
                                "the antichain on the natural numbers", True, True, True, True, "c",
-                               "each element of the antichain is comparable only to itself"),
+                               "each element of the antichain is comparable only to itself", vertices=r"n(0|[1-9][0-9]*)"),
 }
 
 
@@ -579,7 +580,6 @@ def family_kinds(carrier: str) -> tuple:
 # different callers live on the identical quiver object (Path equality
 # needs it).
 _TRUNCATION_CACHE: dict = {}
-VERTEX_LEVEL_BUDGET = 10_000  # the deepest stage ``Family.has_vertex`` builds
 
 
 @dataclass(frozen=True)
@@ -625,14 +625,10 @@ class Family:
         return _TRUNCATION_CACHE[key]
 
     def has_vertex(self, name: str) -> bool:
-        """Whether some truncation has the vertex ``name``.  A vertex name
-        holds at most one integer n, first present at level |n|; a level
-        past the budget is refused, not built."""
-        numbers = re.findall(r"-?\d+", name)
-        level = numbers[0].lstrip("-") if len(numbers) == 1 else "0"
-        if len(level) > len(str(VERTEX_LEVEL_BUDGET)) or int(level) > VERTEX_LEVEL_BUDGET:
-            raise ParseError(f"vertex {name!r} lies past level {VERTEX_LEVEL_BUDGET}, the budget for family stages")
-        return name in self.facts.build(int(level), self.param)[0]
+        """Whether some truncation has the vertex ``name``; no stage past 0
+        is built."""
+        pattern = self.facts.vertices
+        return bool(re.fullmatch(pattern, name)) if pattern else name in self.facts.build(0, self.param)[0]
 
     def __str__(self):
         return f"family:{self.kind}" if self.param is None else f"family:{self.kind}:{self.param}"

@@ -267,28 +267,6 @@ def spans_equal(basis_a, basis_b, field=QQ):
     return oracle_rref(list(basis_a), field) == oracle_rref(list(basis_b), field)
 
 
-def span_intersection(basis_a, basis_b, field=QQ):
-    """Reduced basis of span(A) ∩ span(B): the A-sides of the kernel of
-    (a, b) -> a - b on the two bases."""
-    basis_a, basis_b = list(basis_a), list(basis_b)
-    domain = [("a", i) for i in range(len(basis_a))] + [("b", j) for j in range(len(basis_b))]
-
-    def image_of(marker):
-        side, index = marker
-        return basis_a[index] if side == "a" else basis_b[index].scale(-1)
-
-    members = [
-        SparseVector(
-            (label, c * coeff)
-            for (side, index), coeff in combo.items()
-            if side == "a"
-            for label, c in basis_a[index].items()
-        )
-        for combo in oracle_kernel_of_map(domain, image_of, field)
-    ]
-    return oracle_rref(members, field)
-
-
 def expanded_subpath_closure(paths):
     """Every contiguous subpath of every path, sorted by the path order."""
     return sorted({s for p in paths for s in p.subpaths()}, key=lambda p: p.sort_key)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quivercoalg
-from quivercoalg import cli, suites
+from quivercoalg import cli, quiver, suites
 from quivercoalg.cli import main
 from quivercoalg.corpus import named_quiver
 from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, Family, family_kinds
@@ -386,13 +387,31 @@ def test_starts_at_on_a_family_needs_a_vertex_of_some_truncation(kind, capsys):
         assert err == f"error: unknown vertex '{vertex}'\n"
 
 
-def test_starts_at_on_a_family_accepts_a_vertex_outside_the_window(capsys):
-    status, out, err = run(capsys, "conv", "family:line1", "rule:starts-at(v40)", "rule:gamma", "--max-len", "6")
-    assert status == 0 and err == "" and out.endswith("values:\n")
-    for vertex in ("v10001", "v" + "9" * 5000):  # the second is past Python's int parsing limit
-        status, out, err = run(capsys, "conv", "family:line1", f"rule:starts-at({vertex})", "rule:gamma")
-        assert status == 2 and out == ""
-        assert err == f"error: vertex '{vertex}' lies past level 10000, the budget for family stages\n"
+@pytest.mark.parametrize("token, vertex", [
+    ("family:line1", "v40"),
+    ("family:line1", "v" + "9" * 5000),  # past Python's int parsing limit
+    ("family:line2", "v-10001"),
+    ("family:star51", "b9999"),  # its stage 9999 has about 10^8 arrows
+    ("family:cycle:10002", "v10001"),
+])
+def test_starts_at_on_a_family_accepts_a_vertex_outside_the_window(token, vertex, monkeypatch, capsys):
+    # The name is checked without building a stage past the window: every
+    # stage is built afresh, none past level 2, and the arrows are counted.
+    family = quiver.family_from_token(token.removeprefix("family:"))
+    stage_arrows = len(family.facts.build(2, family.param)[1])
+    built = []
+    monkeypatch.setattr(quiver, "_TRUNCATION_CACHE", {})
+    for kind, spec in FAMILIES.items():
+        def build(level, param, exact=spec.build):
+            assert level <= 2, f"stage {level} built"
+            points, links = exact(level, param)
+            built.append(len(links))
+            return points, links
+
+        monkeypatch.setitem(FAMILIES, kind, dataclasses.replace(spec, build=build))
+    status, out, err = run(capsys, "conv", token, f"rule:starts-at({vertex})", "rule:gamma", "--max-len", "2")
+    assert status == 0 and err == "" and "values:" in out
+    assert 0 < sum(built) <= 2 * stage_arrows
 
 
 def test_check_thm33_on_two_loops_builds_no_window(tmp_path, capsys):

@@ -22,7 +22,7 @@ from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
 
-from helpers import span_intersection, spans_equal
+from helpers import spans_equal
 
 
 def unit(path):
@@ -282,14 +282,10 @@ def test_hull_span_intersection_is_path_span():
         enum = enumerate_paths(q, len(q.vertices))
         for u in q.vertices:
             for v in q.vertices:
-                right = [SparseVector({p: Fraction(1)}) for p in hull_span(u, "right", q)]
-                left = [SparseVector({p: Fraction(1)}) for p in hull_span(v, "left", q)]
-                expected = [
-                    SparseVector({p: Fraction(1)})
-                    for p in enum.paths
-                    if p.source == u and p.target == v
-                ]
-                assert spans_equal(span_intersection(right, left), expected)
+                # Both are spans of paths, so they meet in the span of the
+                # paths they share.
+                shared = set(hull_span(u, "right", q)) & set(hull_span(v, "left", q))
+                assert shared == {p for p in enum.paths if p.source == u and p.target == v}
 
 
 def test_grouplike_coradical():

@@ -10,7 +10,6 @@ family is read through its Hasse quiver.
 
 import ast
 import dataclasses
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -154,17 +153,16 @@ def test_cross_check_fails_on_a_wrong_rule_at_one_parameter(kind, param, wrong):
 
 
 @pytest.mark.parametrize("family", SAMPLES, ids=str)
-def test_a_vertex_name_first_appears_at_the_level_of_its_integer(family):
-    # ``has_vertex`` builds only the stage at |n| for a name holding the
-    # integer n (level 0 for a name without one): every point of every stage
-    # up to 8 must already be there, and the names hold one integer at most.
-    for level in range(9):
-        for name in family.facts.build(level, family.param)[0]:
-            numbers = re.findall(r"-?\d+", name)
-            assert len(numbers) <= 1
-            first = abs(int(numbers[0])) if numbers else 0
-            assert name in family.facts.build(first, family.param)[0] and family.has_vertex(name)
-    assert not family.has_vertex("zz") and not family.has_vertex("v1_2")
+def test_has_vertex_agrees_with_the_stages(family):
+    # The closed-form name check against the built stages: a name whose
+    # integer is at most 8 is a vertex of some stage exactly when it is one
+    # of the stages 0-8.  The names tried are every vertex of stage 8 of
+    # every family, plus near misses.
+    stages = {name for level in range(9) for name in family.facts.build(level, family.param)[0]}
+    names = {name for other in SAMPLES for name in other.facts.build(8, other.param)[0]}
+    names |= {"zz", "", "v-0", "v01", "v+1", "v1_2", "b0", "b-1", "n-1", "n01", "x0", "V1", " v1", "v1\n", "v1١"}
+    assert {name for name in names if family.has_vertex(name)} == stages & names
+    assert stages <= names
 
 
 @pytest.mark.parametrize("kind", ["loop", "natchain"])

@@ -34,8 +34,6 @@ from helpers import (
     oracle_rank,
     oracle_rref,
     oracle_solve_membership,
-    span_intersection,
-    spans_equal,
     sparse_rows_to_dense,
 )
 
@@ -155,7 +153,7 @@ def test_rref_is_canonical():
         rng.shuffle(shuffled)
         mixed = [vectors[0] + vectors[1].scale(Fraction(3))] + vectors[1:]
         assert rref(vectors) == rref(shuffled)
-        assert spans_equal(vectors, mixed)
+        assert rref(vectors) == rref(mixed)
 
 
 def test_kernel_of_map_annihilates():
@@ -173,11 +171,14 @@ def test_kernel_of_map_annihilates():
 
 
 def test_span_intersection():
+    # span(A) ∩ span(B) is the A-side of the kernel of (a, b) -> a - b on the
+    # two bases; here it is the line through x + y + z.
     a = [sv(x=1, y=1), sv(z=1)]
     b = [sv(x=1, y=1, z=1)]
-    inter = span_intersection(a, b)
-    assert len(inter) == 1
-    assert inter[0] == sv(x=1, y=1, z=1)
+    images = {("a", i): v for i, v in enumerate(a)} | {("b", j): v.scale(-1) for j, v in enumerate(b)}
+    (combo,) = kernel_of_map(list(images), images.__getitem__)
+    member = SparseVector((l, c * coeff) for (side, i), coeff in combo.items() if side == "a" for l, c in a[i].items())
+    assert rref([member]) == [sv(x=1, y=1, z=1)]
 
 
 def test_rank1_decompose_trivial_cases():
