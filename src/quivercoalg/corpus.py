@@ -334,9 +334,10 @@ def random_structured_algebra(rng, max_basis=6, field=QQ) -> StructuredAlgebra:
 
 
 def _random_base_change(rng, n, field=QQ):
-    """A unimodular matrix with its exact inverse (elementary operations)."""
-    u = mat_identity(n, field)
-    u_inv = mat_identity(n, field)
+    """A unimodular matrix with its exact inverse: elementary operations,
+    row j += lam * row i on u and column i -= lam * column j on u^-1."""
+    u = [list(row) for row in mat_identity(n, field)]
+    u_inv = [list(row) for row in mat_identity(n, field)]
     for _ in range(rng.randint(0, 2 * n)):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -345,13 +346,10 @@ def _random_base_change(rng, n, field=QQ):
         lam = field.of(rng.randint(-2, 2))
         if not lam:
             continue
-        elem = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
-        elem[j][i] = lam
-        elem_inv = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
-        elem_inv[j][i] = -lam
-        u = mat_mul(tuple(tuple(r) for r in elem), u)
-        u_inv = mat_mul(u_inv, tuple(tuple(r) for r in elem_inv))
-    return u, u_inv
+        u[j] = [x + lam * y for x, y in zip(u[j], u[i])]
+        for row in u_inv:
+            row[i] = row[i] - lam * row[j]
+    return tuple(map(tuple, u)), tuple(map(tuple, u_inv))
 
 
 def random_left_module(rng, algebra: StructuredAlgebra) -> LeftModule:

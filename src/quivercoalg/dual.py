@@ -3,36 +3,74 @@ embedding of the quiver algebra, hit actions, rational-part certificates,
 and the reflexivity verdicts.
 
 Functionals are either finitely supported (a sparse vector over paths) or
-given by a named closed-form rule on an infinite family; rules are the only
-infinite-support functionals admitted.
+given by a closed-form rule: a kind of the ``RULES`` table and a parameter.
+Rules are the only infinite-support functionals admitted.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector
 from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
-from .scalars import QQ
+from .scalars import QQ, ParseError
 
 
 @dataclass(frozen=True)
 class Rule:
-    """Closed-form functional on an infinite family.
-
-    ``gamma``: value one on every path.
-    ``eval``: on the one-loop quiver, send the n-th power to lambda^n.
-    ``starts_at``: indicator of all paths with the given source.
-    ``has_prefix``: indicator of all paths extending a fixed path on the
-    right (used for the rational-part certificates).
-    ``predicate``: indicator of a described infinite path set; the parameter
-    is a (name, callable) pair.
-    """
+    """Closed-form functional: a kind of ``RULES`` and its parameter."""
 
     kind: str
     param: object = None
+
+
+def _has_prefix(prefix: Path, path: Path, field):
+    n = prefix.length
+    holds = path.length >= n and path.prefix(n) == prefix and path.suffix_from(n).source == prefix.target
+    return field.one if holds else field.zero
+
+
+def _winding_multiple(cycle: tuple, path: Path, field):
+    s, starts = len(cycle), [a.source for a in cycle]
+    if path.length % s or path.source not in starts:
+        return field.zero
+    n = starts.index(path.source)
+    winds = all(a.ident == cycle[(n + k) % s].ident for k, a in enumerate(path.arrows))
+    return field.one if winds else field.zero
+
+
+def _read_vertex(text: str, carrier, field):
+    if not (carrier.has_vertex(text) if isinstance(carrier, Family) else text in carrier.vertices):
+        raise ParseError(f"unknown vertex {text!r}")
+    return text
+
+
+# One row per rule kind.  ``spelling`` follows ``rule:`` in a description,
+# ``{}`` standing for the parameter.  ``argument`` says what a ``rule:``
+# argument must give (None: no argument is needed), and ``read(text,
+# carrier, field)`` turns that text into the parameter (None: no text can
+# name one).  ``value(param, path, field)`` is the value on a path.
+RuleKind = namedtuple("RuleKind", "spelling argument read value")
+
+RULES = {
+    # Value one on every path.
+    "gamma": RuleKind("gamma", None, lambda text, carrier, field: None, lambda _, path, field: field.one),
+    # On the one-loop quiver, the n-th power goes to lambda^n.
+    "eval": RuleKind("eval({})", "a scalar", lambda text, carrier, field: field.parse(text),
+                     lambda lam, path, field: prod([lam] * path.length, start=field.one)),
+    # Indicator of the paths with the given source.
+    "starts_at": RuleKind("starts-at({})", "a vertex", _read_vertex,
+                          lambda v, path, field: field.one if path.source == v else field.zero),
+    # Indicator of the paths extending a fixed path (rational-part certificates).
+    "has_prefix": RuleKind("has-prefix({})", None, None, _has_prefix),
+    # Indicator of the paths that start on a cycle, given by its arrows in
+    # order, and follow it, with length a multiple of its length.
+    "winding_multiple": RuleKind("winding-multiple", None, None, _winding_multiple),
+}
 
 
 class Functional:
@@ -43,6 +81,8 @@ class Functional:
     def __init__(self, carrier, support: Optional[SparseVector] = None, rule: Optional[Rule] = None, field=QQ):
         if (support is None) == (rule is None):
             raise ValueError("exactly one of support/rule must be given")
+        if rule is not None and rule.kind not in RULES:
+            raise ValueError(f"unknown rule kind {rule.kind!r}")
         self.carrier = carrier
         self.support = support
         self.rule = rule
@@ -67,27 +107,7 @@ class Functional:
     def __call__(self, path: Path):
         if self.support is not None:
             return self.support.coeff(path)
-        kind = self.rule.kind
-        if kind == "gamma":
-            return self.field.one
-        if kind == "eval":
-            lam = self.rule.param
-            value = self.field.one
-            for _ in range(path.length):
-                value = value * lam
-            return value
-        if kind == "starts_at":
-            return self.field.one if path.source == self.rule.param else self.field.zero
-        if kind == "has_prefix":
-            prefix: Path = self.rule.param
-            n = prefix.length
-            if path.length >= n and path.prefix(n) == prefix and path.suffix_from(n).source == prefix.target:
-                return self.field.one
-            return self.field.zero
-        if kind == "predicate":
-            _, holds = self.rule.param
-            return self.field.one if holds(path) else self.field.zero
-        raise ValueError(f"unknown rule kind {kind!r}")
+        return RULES[self.rule.kind].value(self.rule.param, path, self.field)
 
     def evaluate_element(self, element: CoalgElement):
         total = self.field.zero
@@ -105,15 +125,7 @@ class Functional:
                 return "dual{}"
             body = ", ".join(f"[{p}]:{c}" for p, c in self.support.sorted_items())
             return "dual{" + body + "}"
-        if self.rule.kind == "eval":
-            return f"rule:eval({self.rule.param})"
-        if self.rule.kind == "starts_at":
-            return f"rule:starts-at({self.rule.param})"
-        if self.rule.kind == "has_prefix":
-            return f"rule:has-prefix({self.rule.param})"
-        if self.rule.kind == "predicate":
-            return f"rule:{self.rule.param[0]}"
-        return f"rule:{self.rule.kind}"
+        return "rule:" + RULES[self.rule.kind].spelling.format(self.rule.param)
 
     def __repr__(self):
         return f"Functional({self.describe()})"

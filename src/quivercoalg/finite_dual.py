@@ -263,7 +263,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
         current = refined
 
 
-def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Verdict:
+def is_in_finite_dual(f, target, window: int = 12) -> Verdict:
     """Membership in the finite dual, with an explicit witness ideal.
 
     Finite-dimensional structured algebras: always yes; the witness is the
@@ -290,15 +290,9 @@ def is_in_finite_dual(f, target, codim_bound: int = 10, window: int = 12) -> Ver
         v, x = _loop_power(quiver, 0), _loop_power(quiver, 1)
         field = f.field
         generator = CoalgElement.from_path(x, field) - CoalgElement.from_path(v, field).scale(lam)
-        failures = []
         for n in range(window):
-            power_next = _loop_power(quiver, n + 1)
-            power = _loop_power(quiver, n)
-            value = f(power_next) - lam * f(power)
-            if value:
-                failures.append(n)
-        if failures:
-            raise AssertionError("evaluation functional does not kill the witness ideal")
+            if f(_loop_power(quiver, n + 1)) - lam * f(_loop_power(quiver, n)):
+                raise AssertionError("evaluation functional does not kill the witness ideal")
         return Verdict(
             "yes",
             witness={"generator": generator, "window": window},
@@ -369,32 +363,6 @@ class RecoveryReport:
         return self.recovered
 
 
-def winding_multiple_indicator(quiver: Quiver, cycle_arrows, field=QQ) -> Functional:
-    """Indicator of the winding paths whose length is a multiple of the
-    cycle length; vanishes off the cycle.  For the one-loop quiver this is
-    the evaluation at one."""
-    s = len(cycle_arrows)
-    if s == 1 and len(quiver.arrows) == 1 and len(quiver.vertices) == 1:
-        return Functional.from_rule(quiver, "eval", field.one, field)
-    cycle_ids = [a.ident for a in cycle_arrows]
-    start_of = {a.source: n for n, a in enumerate(cycle_arrows)}
-
-    def holds(path: Path) -> bool:
-        if path.length % s != 0:
-            return False
-        if path.length == 0:
-            return path.vertex in start_of
-        n = start_of.get(path.source)
-        if n is None:
-            return False
-        for offset, arrow in enumerate(path.arrows):
-            if arrow.ident != cycle_ids[(n + offset) % s]:
-                return False
-        return True
-
-    return Functional.from_rule(quiver, "predicate", ("winding-multiple", holds), field)
-
-
 def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=QQ) -> RecoveryReport:
     """Decides whether the coordinate embedding recovers the path coalgebra.
 
@@ -428,7 +396,9 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     effective_window = max(window, (codim_bound + 2) * s)
-    witness = winding_multiple_indicator(quiver, cycle, field)
+    # The winding indicator; on the one-loop quiver, evaluation at one.
+    loop = len(quiver.arrows) == len(quiver.vertices) == 1
+    witness = Functional.from_rule(quiver, *(("eval", field.one) if loop else ("winding_multiple", tuple(cycle))), field)
     counterexample = build_cycle_counterexample(quiver, effective_window, field)
     winding, off = counterexample.closed_path_set, counterexample.monomial_generators
     values = {p: witness(p) for p in winding}  # every difference is a pair of winding paths
@@ -436,15 +406,15 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
         raise AssertionError("witness does not vanish on the counterexample ideal")
     # A partial re-check: the witness must vanish on the monomial generators
     # and on each one-arrow exit of W, not on every path off W.  That it does
-    # follows from ``holds``, which accepts only paths that start on the
-    # cycle and follow its arrows; the tests scan every path off W.
+    # follows from the ``winding_multiple`` rule, which accepts only paths
+    # that start on the cycle and follow it; the tests scan every path off W.
     exits = [compose_paths(*pair) for w in winding if w.length < effective_window
              for a in off if a.length for pair in ((w, a), (a, w))]
     if any(p is not None and witness(p) for p in off + exits):
         raise AssertionError("witness does not vanish off the cycle")
-    support = [p for p in winding if values[p]]
-    complement = subpath_closure(support)
-    if len(complement) <= codim_bound:
+    # A support path of length L has L + 1 distinct prefixes, all in the
+    # support's subpath closure.
+    if max(p.length for p in winding if values[p]) + 1 <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")
     verdict = Verdict(
         "no_up_to_bound",

@@ -48,21 +48,27 @@ class Representation:
             m = self.maps.get(a.label)
             if m is None:
                 raise ValueError(f"missing matrix for arrow {a.label}")
+            if problem := shape_problem(a.label, m, self.dims[a.source], self.dims[a.target]):
+                raise ValueError(problem)
             if self.dims[a.source] == 0 or self.dims[a.target] == 0:
                 # Degenerate shapes are normalized to rows of empty tuples.
                 self.maps[a.label] = tuple(() for _ in range(self.dims[a.source]))
-                continue
-            rows, cols = len(m), (len(m[0]) if m else 0)
-            if rows != self.dims[a.source] or cols != self.dims[a.target]:
-                raise ValueError(
-                    f"matrix for {a.label} has shape {rows}x{cols}, expected "
-                    f"{self.dims[a.source]}x{self.dims[a.target]}"
-                )
-            if any(len(row) != cols for row in m):
-                raise ValueError(f"matrix for {a.label} is ragged: its rows differ in length")
 
     def total_dimension(self) -> int:
         return sum(self.dims.values())
+
+
+def shape_problem(label: str, m, rows: int, cols: int) -> Optional[str]:
+    """Why ``m`` is not a rows x cols matrix for the arrow ``label``, or
+    None; any matrix will do when rows or cols is 0."""
+    if not (rows and cols):
+        return None
+    got = len(m), (len(m[0]) if m else 0)
+    if got != (rows, cols):
+        return f"matrix for {label} has shape {got[0]}x{got[1]}, expected {rows}x{cols}"
+    if any(len(row) != cols for row in m):
+        return f"matrix for {label} is ragged: its rows differ in length"
+    return None
 
 
 @dataclass

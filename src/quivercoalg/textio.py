@@ -1,7 +1,9 @@
 """Line-oriented text formats and expression parsers.
 
-One file format per object kind; comments start with ``#``.  Parse errors
-carry line numbers for CLI diagnostics.
+One file format per object kind; comments start with ``#``.  A header line
+is followed by records (a keyword and its fields), all read by one record
+reader; no two records may name the same thing.  Parse errors carry line
+numbers for CLI diagnostics.
 
 Quiver file::
 
@@ -39,8 +41,10 @@ Structured-algebra file (absent products are zero)::
     mul x v = x
 
 Element expressions: ``3*[x.y] - 1/2*[a]`` where ``[a]`` is a vertex and
-``[x.y]`` a path given by dot-joined arrow labels.  Functional
-expressions: ``dual{[p]:3, [q]:-1}``, ``rule:gamma``, ``rule:eval(2)``,
+``[x.y]`` a path given by dot-joined arrow labels; they and the bare-label
+combinations of ``mul`` lines share one signed-term reader.  Functional
+expressions: ``dual{[p]:3, [q]:-1}``, or a rule kind of ``dual.RULES``
+that takes an argument from text: ``rule:gamma``, ``rule:eval(2)``,
 ``rule:starts-at(v)``.
 """
 
@@ -51,12 +55,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coalgebra import CoalgElement
-from .dual import Functional
+from .dual import RULES, Functional
 from .finite_dual import StructuredAlgebra
 from .incidence import Poset
 from .linalg import SparseVector
-from .quiver import Family, Quiver, family_from_token, family_kinds
-from .representation import Representation
+from .quiver import Quiver, family_from_token, family_kinds
+from .representation import Representation, shape_problem
 from .scalars import QQ, ParseError
 
 
@@ -86,6 +90,24 @@ class ParsedInput:
         return self.family.truncate(self.truncation if self.truncation is not None else default_level)
 
 
+def _records(lines, table: dict, unexpected: Optional[str] = None):
+    """Yield ``(line number, keyword, fields)`` for each record after the
+    header.  ``table`` maps each keyword to ``(field count, usage)``: the
+    record has exactly that many whitespace-separated fields, or, for a
+    count of None, the nonempty rest of the line as its one field.  Any
+    other line raises ``unexpected`` followed by the line, by default
+    ``expected '<keyword> <usage>' or ..., got ``."""
+    if unexpected is None:
+        unexpected = "expected " + " or ".join(f"'{kw} {usage}'" for kw, (_, usage) in table.items()) + ", got "
+    for number, line in lines[1:]:
+        keyword, *rest = line.split(None, 1)
+        count, _ = table.get(keyword, (0, ""))
+        fields = rest if count is None else line.split()[1:]
+        if keyword not in table or len(fields) != (1 if count is None else count):
+            raise ParseError(unexpected + repr(line), number)
+        yield number, keyword, fields
+
+
 def _parse_family_file(lines, carrier: str) -> ParsedInput:
     """A ``family <token>`` header naming a family of the carrier, then
     optional ``truncate N`` with N >= 0."""
@@ -100,68 +122,52 @@ def _parse_family_file(lines, carrier: str) -> ParsedInput:
     except ValueError as exc:
         raise ParseError(str(exc), number) from exc
     truncation = None
-    for number, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "truncate" and len(parts) == 2:
-            try:
-                truncation = int(parts[1])
-            except ValueError as exc:
-                raise ParseError("truncate level must be an integer", number) from exc
-            if truncation < 0:
-                raise ParseError("truncate level must be nonnegative", number)
-        else:
-            raise ParseError(f"unexpected line in family file: {line!r}", number)
+    for number, _, (level,) in _records(lines, {"truncate": (1, "<level>")}, "unexpected line in family file: "):
+        if truncation is not None:
+            raise ParseError("second 'truncate' line", number)
+        try:
+            truncation = int(level)
+        except ValueError as exc:
+            raise ParseError("truncate level must be an integer", number) from exc
+        if truncation < 0:
+            raise ParseError("truncate level must be nonnegative", number)
     return ParsedInput(family=family, truncation=truncation)
 
 
-def parse_quiver_text(text: str) -> ParsedInput:
+# The records of a quiver and of a poset file, in the order of the
+# constructor's arguments: one list per keyword.
+_CARRIERS = {
+    "quiver": (Quiver, {"vertex": (1, "<label>"), "arrow": (3, "<label> <src> <tgt>")}),
+    "poset": (Poset, {"element": (1, "<label>"), "cover": (2, "<a> <b>")}),
+}
+
+
+def _parse_carrier_text(text: str, carrier: str) -> ParsedInput:
+    """A ``family <token>`` file, or the carrier's header and its records."""
     lines = list(_meaningful_lines(text))
     if not lines:
-        raise ParseError("empty quiver file")
+        raise ParseError(f"empty {carrier} file")
     number, header = lines[0]
     if header.split()[0] == "family":
-        return _parse_family_file(lines, "quiver")
-    if header != "quiver":
-        raise ParseError("expected header 'quiver' or 'family <token>'", number)
-    vertices = []
-    arrows = []
-    for number, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
-            vertices.append(parts[1])
-        elif parts[0] == "arrow" and len(parts) == 4:
-            arrows.append((parts[1], parts[2], parts[3]))
-        else:
-            raise ParseError(f"expected 'vertex <label>' or 'arrow <label> <src> <tgt>', got {line!r}", number)
+        return _parse_family_file(lines, carrier)
+    if header != carrier:
+        raise ParseError(f"expected header '{carrier}' or 'family <token>'", number)
+    build, table = _CARRIERS[carrier]
+    records = {keyword: [] for keyword in table}
+    for _, keyword, fields in _records(lines, table):
+        records[keyword].append(fields[0] if len(fields) == 1 else tuple(fields))
     try:
-        return ParsedInput(Quiver(vertices, arrows))
+        return ParsedInput(build(*records.values()))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_quiver_text(text: str) -> ParsedInput:
+    return _parse_carrier_text(text, "quiver")
 
 
 def parse_poset_text(text: str) -> ParsedInput:
-    lines = list(_meaningful_lines(text))
-    if not lines:
-        raise ParseError("empty poset file")
-    number, header = lines[0]
-    if header.split()[0] == "family":
-        return _parse_family_file(lines, "poset")
-    if header != "poset":
-        raise ParseError("expected header 'poset' or 'family <token>'", number)
-    elements = []
-    covers = []
-    for number, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "element" and len(parts) == 2:
-            elements.append(parts[1])
-        elif parts[0] == "cover" and len(parts) == 3:
-            covers.append((parts[1], parts[2]))
-        else:
-            raise ParseError(f"expected 'element <label>' or 'cover <a> <b>', got {line!r}", number)
-    try:
-        return ParsedInput(Poset(elements, covers))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parse_carrier_text(text, "poset")
 
 
 def parse_input_text(text: str) -> ParsedInput:
@@ -170,123 +176,113 @@ def parse_input_text(text: str) -> ParsedInput:
     otherwise."""
     words = next(_meaningful_lines(text), (None, ""))[1].split()
     poset_family = len(words) == 2 and words[0] == "family" and words[1] in family_kinds("poset")
-    if words[:1] == ["poset"] or poset_family:
-        return parse_poset_text(text)
-    return parse_quiver_text(text)
+    return _parse_carrier_text(text, "poset" if words[:1] == ["poset"] or poset_family else "quiver")
+
+
+def _header_lines(text: str, header: str) -> list:
+    lines = list(_meaningful_lines(text))
+    if not lines or lines[0][1] != header:
+        raise ParseError(f"expected header '{header}'", lines[0][0] if lines else None)
+    return lines
 
 
 def parse_rep_text(text: str, quiver: Quiver, field=QQ) -> Representation:
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "rep":
-        raise ParseError("expected header 'rep'", lines[0][0] if lines else None)
-    dims = {}
-    raw_maps = {}
-    for number, line in lines[1:]:
-        parts = line.split(None, 2)
-        if parts[0] == "dim" and len(parts) == 3:
-            if parts[1] not in quiver._out:
-                raise ParseError(f"unknown vertex {parts[1]!r}", number)
+    """A vertex without a ``dim`` line has dimension 0 and an arrow without
+    a ``map`` line the zero matrix; none has two lines."""
+    dims, maps, map_lines = {}, {}, {}
+    for number, keyword, fields in _records(
+        _header_lines(text, "rep"), {"dim": (2, "<vertex> <n>"), "map": (None, "<arrow> <rows>")}
+    ):
+        name, *body = fields if keyword == "dim" else fields[0].split(None, 1)
+        known, seen, what = (quiver._out, dims, "vertex") if keyword == "dim" else (quiver.arrow_by_label, maps, "arrow")
+        if name not in known:
+            raise ParseError(f"unknown {what} {name!r}", number)
+        if name in seen:
+            raise ParseError(f"second '{keyword}' line for {what} {name!r}", number)
+        if keyword == "dim":
             try:
-                dims[parts[1]] = int(parts[2])
+                dims[name] = int(body[0])
             except ValueError as exc:
                 raise ParseError("dimension must be an integer", number) from exc
-        elif parts[0] == "map" and len(parts) >= 2:
-            if parts[1] not in quiver.arrow_by_label:
-                raise ParseError(f"unknown arrow {parts[1]!r}", number)
-            body = parts[2] if len(parts) == 3 else ""
-            rows = []
-            for chunk in body.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                try:
-                    rows.append(tuple(field.parse(tok) for tok in chunk.split()))
-                except ValueError as exc:
-                    raise ParseError(f"bad matrix entry in {chunk!r}", number) from exc
-            raw_maps[parts[1]] = tuple(rows)
-        else:
-            raise ParseError(f"expected 'dim <vertex> <n>' or 'map <arrow> <rows>', got {line!r}", number)
-    for v in quiver.vertices:
-        dims.setdefault(v, 0)
-    maps = {}
+            if dims[name] < 0:
+                raise ParseError("dimensions must be nonnegative", number)
+            continue
+        rows = []
+        for chunk in "".join(body).split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            try:
+                rows.append(tuple(field.parse(tok) for tok in chunk.split()))
+            except ValueError as exc:
+                raise ParseError(f"bad matrix entry in {chunk!r}", number) from exc
+        maps[name], map_lines[name] = tuple(rows), number
+    dims = {v: dims.get(v, 0) for v in quiver.vertices}
     for a in quiver.arrows:
-        if a.label in raw_maps:
-            maps[a.label] = raw_maps[a.label]
-        else:
-            maps[a.label] = tuple(
-                tuple(field.zero for _ in range(dims[a.target])) for _ in range(dims[a.source])
-            )
+        if a.label not in maps:
+            maps[a.label] = tuple(tuple(field.zero for _ in range(dims[a.target])) for _ in range(dims[a.source]))
+        elif problem := shape_problem(a.label, maps[a.label], dims[a.source], dims[a.target]):
+            raise ParseError(problem, map_lines[a.label])
+    return Representation(quiver, dims, maps)
+
+
+def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
+    table = {"basis": (None, "<labels>"), "idempotents": (None, "<labels>"), "mul": (None, "<a> <b> = <combination>")}
+    found, mult = {}, {}
+    for number, keyword, (rest,) in _records(_header_lines(text, "algebra"), table, "unexpected line "):
+        if keyword in found:
+            raise ParseError(f"second '{keyword}' line", number)
+        if keyword != "mul":
+            found[keyword] = rest.split()
+            continue
+        match = re.match(r"(\S+)\s+(\S+)\s*=\s*(.*)$", rest)
+        if not match:
+            raise ParseError("expected 'mul <a> <b> = <combination>'", number)
+        if match.group(1, 2) in mult:
+            raise ParseError(f"second 'mul' line for {match.group(1)} {match.group(2)}", number)
+        try:
+            mult[match.group(1, 2)] = parse_plain_combination(match.group(3), field)
+        except ParseError as exc:
+            raise ParseError(str(exc), number) from exc
+    for keyword in ("basis", "idempotents"):
+        if keyword not in found:
+            raise ParseError(f"missing '{keyword}' line")
     try:
-        return Representation(quiver, dims, maps)
+        return StructuredAlgebra(found["basis"], mult, found["idempotents"], field)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-_BARE_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*\s*)?(?P<label>[A-Za-z0-9_.()]+)\s*"
-)
+_TERM = r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*\s*)?{}\s*"
+_BARE_TERM = re.compile(_TERM.format(r"(?P<body>[A-Za-z0-9_.()]+)"))
+_BRACKET_TERM = re.compile(_TERM.format(r"\[(?P<body>[^\]]*)\]"))
+
+
+def _signed_terms(text: str, term, what: str, spelled: str, field):
+    """Yield ``(body, coefficient)`` for each term of a signed sum such as
+    ``2*u - 1/3*v``; ``0`` and the empty text have no terms.  ``term``
+    matches one term with its ``body``; ``what`` names the sum and
+    ``spelled`` formats a body in the error messages.  A generator, so a
+    caller's error on an early term comes before a syntax error later on."""
+    text = text.strip()
+    if text == "0":
+        return
+    pos = 0
+    while pos < len(text):
+        match = term.match(text, pos)
+        if not match:
+            raise ParseError(f"cannot parse {what} near {text[pos:]!r}")
+        sign, coeff, body = match.group("sign", "coeff", "body")
+        if pos and sign is None:
+            raise ParseError("missing +/- before " + spelled.format(body))
+        coeff = field.parse(coeff) if coeff else field.one
+        yield body, -coeff if sign == "-" else coeff
+        pos = match.end()
 
 
 def parse_plain_combination(text: str, field=QQ) -> SparseVector:
     """Linear combination over bare labels: ``2*u + 1/3*v - w`` or ``0``."""
-    text = text.strip()
-    if text == "0" or not text:
-        return SparseVector()
-    terms = []
-    pos = 0
-    first = True
-    while pos < len(text):
-        match = _BARE_TERM.match(text, pos)
-        if not match or match.start() != pos:
-            raise ParseError(f"cannot parse combination near {text[pos:]!r}")
-        sign = match.group("sign")
-        if not first and sign is None:
-            raise ParseError(f"missing +/- before {match.group('label')!r}")
-        coeff = field.parse(match.group("coeff")) if match.group("coeff") else field.one
-        if sign == "-":
-            coeff = -coeff
-        terms.append((match.group("label"), coeff))
-        pos = match.end()
-        first = False
-    return SparseVector(terms)
-
-
-def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
-    lines = list(_meaningful_lines(text))
-    if not lines or lines[0][1] != "algebra":
-        raise ParseError("expected header 'algebra'", lines[0][0] if lines else None)
-    basis = None
-    idempotents = None
-    mult = {}
-    for number, line in lines[1:]:
-        if line.startswith("basis"):
-            basis = line.split()[1:]
-        elif line.startswith("idempotents"):
-            idempotents = line.split()[1:]
-        elif line.startswith("mul"):
-            match = re.match(r"mul\s+(\S+)\s+(\S+)\s*=\s*(.*)$", line)
-            if not match:
-                raise ParseError("expected 'mul <a> <b> = <combination>'", number)
-            try:
-                combo = parse_plain_combination(match.group(3), field)
-            except ParseError as exc:
-                raise ParseError(str(exc), number) from exc
-            mult[(match.group(1), match.group(2))] = combo
-        else:
-            raise ParseError(f"unexpected line {line!r}", number)
-    if basis is None:
-        raise ParseError("missing 'basis' line")
-    if idempotents is None:
-        raise ParseError("missing 'idempotents' line")
-    try:
-        return StructuredAlgebra(basis, mult, idempotents, field)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-_BRACKET_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*\s*)?\[(?P<path>[^\]]*)\]\s*"
-)
+    return SparseVector(_signed_terms(text, _BARE_TERM, "combination", "{!r}", field))
 
 
 def _path_from_bracket(body: str, quiver: Quiver):
@@ -307,32 +303,16 @@ def _path_from_bracket(body: str, quiver: Quiver):
 
 def parse_element(text: str, quiver: Quiver, field=QQ) -> CoalgElement:
     """Element expression: ``3*[x.y] - 1/2*[a]``."""
-    text = text.strip()
-    if text == "0" or not text:
-        return CoalgElement.zero(quiver)
-    terms = []
-    pos = 0
-    first = True
-    while pos < len(text):
-        match = _BRACKET_TERM.match(text, pos)
-        if not match or match.start() != pos:
-            raise ParseError(f"cannot parse element near {text[pos:]!r}")
-        if not first and match.group("sign") is None:
-            raise ParseError(f"missing +/- before [{match.group('path')}]")
-        coeff = field.parse(match.group("coeff")) if match.group("coeff") else field.one
-        if match.group("sign") == "-":
-            coeff = -coeff
-        terms.append((_path_from_bracket(match.group("path"), quiver), coeff))
-        pos = match.end()
-        first = False
-    return CoalgElement(quiver, SparseVector(terms))
+    terms = _signed_terms(text, _BRACKET_TERM, "element", "[{}]", field)
+    return CoalgElement(quiver, SparseVector((_path_from_bracket(body, quiver), c) for body, c in terms))
 
 
 _RULE_RE = re.compile(r"rule:(?P<kind>[a-z-]+)(?:\((?P<arg>[^)]*)\))?$")
 
 
 def parse_functional(text: str, carrier, quiver_for_paths: Optional[Quiver] = None, field=QQ) -> Functional:
-    """Functional expression: finite support or a named rule."""
+    """Functional expression: finite support, or a rule kind of
+    ``dual.RULES`` that a ``rule:`` argument can name."""
     text = text.strip()
     if text.startswith("dual{") and text.endswith("}"):
         body = text[len("dual{") : -1].strip()
@@ -356,22 +336,13 @@ def parse_functional(text: str, carrier, quiver_for_paths: Optional[Quiver] = No
     match = _RULE_RE.match(text)
     if not match:
         raise ParseError(f"cannot parse functional {text!r}")
-    kind = match.group("kind")
-    arg = (match.group("arg") or "").strip()
-    if kind == "gamma":
-        return Functional.from_rule(carrier, "gamma", field=field)
-    if kind == "eval":
-        if not arg:
-            raise ParseError("rule:eval needs a scalar argument")
-        return Functional.from_rule(carrier, "eval", field.parse(arg), field=field)
-    if kind == "starts-at":
-        if not arg:
-            raise ParseError("rule:starts-at needs a vertex argument")
-        if (isinstance(carrier, Quiver) and arg not in carrier.vertices
-                or isinstance(carrier, Family) and not carrier.has_vertex(arg)):
-            raise ParseError(f"unknown vertex {arg!r}")
-        return Functional.from_rule(carrier, "starts_at", arg, field=field)
-    raise ParseError(f"unknown rule kind {kind!r}")
+    name, arg = match.group("kind"), (match.group("arg") or "").strip()
+    kind = next((kind for kind, spec in RULES.items() if spec.read and spec.spelling.split("(")[0] == name), None)
+    if kind is None:
+        raise ParseError(f"unknown rule kind {name!r}")
+    if RULES[kind].argument and not arg:
+        raise ParseError(f"rule:{name} needs {RULES[kind].argument} argument")
+    return Functional.from_rule(carrier, kind, RULES[kind].read(arg, carrier, field), field=field)
 
 
 def quiver_to_text(quiver: Quiver) -> str:

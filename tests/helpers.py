@@ -19,6 +19,9 @@ the integer validators of structured algebras and left modules are checked
 against their earlier versions, which sum field scalars; the order closure
 of posets against the fixpoint of all-pairs passes; and the bitmask search
 for a cyclic induced subquiver against building every induced subquiver.
+The rep and algebra printers serve the text round-trip properties; the
+random base change is checked against products with elementary matrices,
+and the ``winding_multiple`` rule against the predicate it replaced.
 """
 
 from fractions import Fraction
@@ -488,3 +491,79 @@ def first_cyclic_induced_subquiver(quiver):
         if not is_acyclic(induced_subquiver(quiver, subset)):
             return mask
     return None
+
+
+# ---------------------------------------------------------------------------
+# Printers for the rep and algebra text formats, the random base change as
+# a product of elementary matrices, and the winding indicator as the
+# predicate it was written as before it became a rule kind.
+# ---------------------------------------------------------------------------
+
+
+def rep_to_text(rep):
+    """A rep file: every dimension, and the matrix of every arrow whose
+    source and target spaces are both nonzero."""
+    lines = ["rep"] + [f"dim {v} {rep.dims[v]}" for v in rep.quiver.vertices]
+    lines += [f"map {a.label} " + " ; ".join(" ".join(map(str, row)) for row in rep.maps[a.label])
+              for a in rep.quiver.arrows if rep.dims[a.source] and rep.dims[a.target]]
+    return "\n".join(lines) + "\n"
+
+
+def combination_to_text(vector, name):
+    """``2*u - 1/3*v``, with each label written as ``name(label)``."""
+    terms = []
+    for label, coeff in vector.items():
+        value = Fraction(str(coeff))  # a rational or a residue mod p
+        scalar = "" if abs(value) == 1 else f"{abs(value)}*"
+        terms.append(("-" if value < 0 else "+", f"{scalar}{name(label)}"))
+    if not terms:
+        return "0"
+    text = " ".join(f"{sign} {term}" for sign, term in terms)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
+
+
+def algebra_to_text(algebra):
+    """An algebra file whose basis element i is named ``b<i>``."""
+    name = {label: f"b{i}" for i, label in enumerate(algebra.basis)}.__getitem__
+    lines = ["algebra", "basis " + " ".join(map(name, algebra.basis)),
+             "idempotents " + " ".join(map(name, algebra.idempotents))]
+    lines += [f"mul {name(a)} {name(b)} = {combination_to_text(vec, name)}" for (a, b), vec in algebra.mult.items()]
+    return "\n".join(lines) + "\n"
+
+
+def elementary_base_change(rng, n, field=QQ):
+    """``corpus._random_base_change`` with the same random draws, as products
+    with elementary matrices: u = E·u and u^-1 = u^-1·E^-1 per step."""
+    u = mat_identity(n, field)
+    u_inv = mat_identity(n, field)
+    for _ in range(rng.randint(0, 2 * n)):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        lam = field.of(rng.randint(-2, 2))
+        if not lam:
+            continue
+        elem = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+        elem[j][i] = lam
+        elem_inv = [[field.one if r == c else field.zero for c in range(n)] for r in range(n)]
+        elem_inv[j][i] = -lam
+        u = mat_mul(tuple(tuple(r) for r in elem), u)
+        u_inv = mat_mul(u_inv, tuple(tuple(r) for r in elem_inv))
+    return u, u_inv
+
+
+def winds_a_multiple(cycle_arrows, path):
+    """Whether the path starts on the cycle, follows its arrows and has
+    length a multiple of the cycle length."""
+    s = len(cycle_arrows)
+    cycle_ids = [a.ident for a in cycle_arrows]
+    start_of = {a.source: n for n, a in enumerate(cycle_arrows)}
+    if path.length % s != 0:
+        return False
+    if path.length == 0:
+        return path.vertex in start_of
+    n = start_of.get(path.source)
+    if n is None:
+        return False
+    return all(arrow.ident == cycle_ids[(n + offset) % s] for offset, arrow in enumerate(path.arrows))

@@ -194,6 +194,24 @@ def test_rep_naming_an_unknown_arrow_exit_code(line_file, tmp_path, capsys):
     assert run(capsys, "rep-locnilp", line_file, str(rep)) == (2, "", "error: line 7: unknown arrow 'q'\n")
 
 
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("dim a 1\ndim a 2\n", 3, "second 'dim' line for vertex 'a'"),
+        ("dim a 1\ndim b 1\nmap x 1\n# again\nmap x 2\n", 6, "second 'map' line for arrow 'x'"),
+        ("dim a -1\n", 2, "dimensions must be nonnegative"),
+        ("dim a 1\ndim b 1\nmap x 1 2\n", 4, "matrix for x has shape 1x2, expected 1x1"),
+        ("map x 1 2 ; 3\ndim a 2\ndim b 2\n", 2, "matrix for x is ragged: its rows differ in length"),
+    ],
+)
+def test_rep_record_errors_name_their_line(body, line, message, line_file, tmp_path, capsys):
+    # A repeated dim line used to overwrite the first one, and exit 0; a
+    # map is checked against dimensions given after it.
+    rep = tmp_path / "rep.txt"
+    rep.write_text("rep\n" + body)
+    assert run(capsys, "rep-locnilp", line_file, str(rep)) == (2, "", f"error: line {line}: {message}\n")
+
+
 def test_unknown_suite_exit_code(capsys):
     status, _, err = run(capsys, "suite", "nonsense")
     assert status == 2

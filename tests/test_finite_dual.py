@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quivercoalg import algebra, finite_dual, incidence
+from quivercoalg import algebra, dual, finite_dual, incidence
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
     CYCLIC_CORPUS,
@@ -32,7 +32,7 @@ from quivercoalg.linalg import SparseVector, in_span, rank, rref
 from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import witness_off_winding_paths
+from helpers import brute_force_paths, winds_a_multiple, witness_off_winding_paths
 
 
 def test_structured_algebra_validation_rejects_bad_input():
@@ -259,6 +259,22 @@ def test_loop_eval_membership():
     assert labels == {"x": Fraction(1), "v": Fraction(-2)}
 
 
+def test_loop_membership_stops_at_the_first_power_off_the_witness_ideal(monkeypatch):
+    # The evaluation rule is wrong on x^3 only: the check raises at n = 2,
+    # having read no power past x^3.
+    exact, read = dual.RULES["eval"], []
+
+    def wrong(lam, path, field):
+        read.append(path.length)
+        return exact.value(lam, path, field) + (path.length == 3)
+
+    monkeypatch.setitem(dual.RULES, "eval", exact._replace(value=wrong))
+    fam = Family("loop")
+    with pytest.raises(AssertionError, match="evaluation functional does not kill the witness ideal"):
+        is_in_finite_dual(Functional.from_rule(fam, "eval", Fraction(2)), fam, window=12)
+    assert max(read) == 3
+
+
 def test_loop_eval_theta_image():
     fam = Family("loop")
     ev1 = Functional.from_rule(fam, "eval", Fraction(1))
@@ -338,6 +354,26 @@ def test_witness_vanishes_on_every_path_off_the_winding_paths(quiver):
         assert witness_off_winding_paths(quiver, window, witness) == []
 
 
+@pytest.mark.parametrize("quiver", _CYCLIC)
+def test_winding_rule_matches_the_winding_predicate(quiver):
+    # Every path up to length 8, against the predicate the rule replaced.
+    cycle = tuple(find_simple_cycle(quiver))
+    f = Functional.from_rule(quiver, "winding_multiple", cycle)
+    for seq in brute_force_paths(quiver, 8):
+        path = quiver.path_from_labels(seq[1:]) if len(seq) > 1 else quiver.vertex_path(seq[0])
+        assert f(path) == (QQ.one if winds_a_multiple(cycle, path) else QQ.zero)
+
+
+def test_cycle_recovery_bounds_the_support_closure_without_building_it(monkeypatch):
+    def refuse(paths):
+        raise AssertionError("subpath_closure called")
+
+    monkeypatch.setattr(finite_dual, "subpath_closure", refuse)
+    report = theta_recovery_check(Family("cycle", 3), codim_bound=20)
+    assert report.witness.describe() == "rule:winding-multiple"
+    assert report.witness_verdict.status == "no_up_to_bound"
+
+
 def test_off_winding_oracle_sees_a_witness_off_the_cycle():
     quiver = named_quiver("loop_with_tail")
     flagged = witness_off_winding_paths(quiver, 3, Functional.from_rule(quiver, "gamma"))
@@ -354,13 +390,13 @@ def test_recovery_report_checks_the_witness_off_the_winding_paths(monkeypatch, s
     # generator (w, y), a one-arrow exit of the winding paths, or a winding
     # path, which then differs from the other term of a difference.
     quiver = named_quiver("loop_with_tail")
-    exact = finite_dual.winding_multiple_indicator
+    exact = dual.RULES["winding_multiple"]
 
-    def wrong(q, cycle, field):
-        f = exact(q, cycle, field)
-        return Functional.from_rule(q, "predicate", ("wrong", lambda p: bool(f(p)) != (str(p) == stray)), field)
+    def wrong(cycle, path, field):
+        value = exact.value(cycle, path, field)
+        return field.one - value if str(path) == stray else value
 
-    monkeypatch.setattr(finite_dual, "winding_multiple_indicator", wrong)
+    monkeypatch.setitem(dual.RULES, "winding_multiple", exact._replace(value=wrong))
     with pytest.raises(AssertionError, match=f"witness does not vanish {where}"):
         theta_recovery_check(quiver, codim_bound=2)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivercoalg import corpus
 from quivercoalg.corpus import (
     named_poset,
     named_quiver,
@@ -25,9 +26,9 @@ from quivercoalg.representation import (
     module_from_comodule,
     regular_left_module,
 )
-from quivercoalg.scalars import QQ
+from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import dense_mat_mul
+from helpers import dense_mat_mul, elementary_base_change
 
 
 def one():
@@ -188,3 +189,16 @@ def test_left_module_rejects_an_action_that_breaks_a_product():
     with pytest.raises(ValueError) as info:
         LeftModule(algebra, n, action)
     assert str(info.value) == first_failure
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_random_base_change_matches_the_elementary_matrix_products(field):
+    # Row and column operations in place give the same matrices, and take
+    # the same random draws, as the products with elementary matrices.
+    for seed in range(40):
+        n = seed % 5 + 1
+        ours, theirs = random.Random(seed), random.Random(seed)
+        u, u_inv = corpus._random_base_change(ours, n, field)
+        assert (u, u_inv) == elementary_base_change(theirs, n, field)
+        assert mat_mul(u, u_inv) == mat_identity(n, field)
+        assert ours.random() == theirs.random()

@@ -1,11 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quivercoalg.corpus import named_poset, named_quiver
+from quivercoalg.corpus import (
+    named_poset,
+    named_quiver,
+    random_quiver,
+    random_representation,
+    random_structured_algebra,
+)
+from quivercoalg.dual import RULES, Functional
 from quivercoalg.incidence import Poset
-from quivercoalg.quiver import Family, Quiver
+from quivercoalg.linalg import SparseVector
+from quivercoalg.quiver import Family, Quiver, family_from_token
 from quivercoalg.scalars import QQ, PrimeField
 from quivercoalg.textio import (
     ParseError,
@@ -20,6 +29,8 @@ from quivercoalg.textio import (
     poset_to_text,
     quiver_to_text,
 )
+
+from helpers import algebra_to_text, rep_to_text
 
 QUIVER_TEXT = """
 # a commented line
@@ -284,3 +295,91 @@ def test_poset_text_round_trip(poset):
     assert again.elements == poset.elements
     assert again.covers() == poset.covers()
     assert again.leq == poset.leq
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["basis e", "basis e", "idempotents e"], "line 3: second 'basis' line"),
+        (["basis e", "idempotents e", "idempotents e"], "line 4: second 'idempotents' line"),
+        (["basis e", "idempotents e", "mul e e = e", "mul e e = 2*e"], "line 5: second 'mul' line for e e"),
+        (["basis e", "idempotents e", "basisfoo u"], "line 4: unexpected line 'basisfoo u'"),
+        (["basis e", "idempotentsx e"], "line 3: unexpected line 'idempotentsx e'"),
+    ],
+)
+def test_algebra_records_are_whole_words_and_appear_once(lines, message):
+    with pytest.raises(ParseError) as info:
+        parse_algebra_text("\n".join(["algebra", *lines, ""]))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, header", [(parse_quiver_text, "family loop"), (parse_poset_text, "family natchain")])
+def test_family_file_has_at_most_one_truncate_line(parse, header):
+    with pytest.raises(ParseError) as info:
+        parse(f"{header}\ntruncate 2\ntruncate 3\n")
+    assert str(info.value) == "line 3: second 'truncate' line"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, PrimeField(5)]))
+def test_rep_text_round_trip(seed, field):
+    rng = random.Random(seed)
+    quiver = random_quiver(rng, 4, 5)
+    rep = random_representation(rng, quiver, 3, field)
+    text = rep_to_text(rep)
+    again = parse_rep_text(text, quiver, field)
+    assert again == rep
+    assert rep_to_text(again) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, PrimeField(5)]))
+def test_algebra_text_round_trip(seed, field):
+    algebra = random_structured_algebra(random.Random(seed), 6, field)
+    text = algebra_to_text(algebra)
+    again = parse_algebra_text(text, field)
+    assert algebra_to_text(again) == text
+    name = {label: f"b{i}" for i, label in enumerate(algebra.basis)}
+    assert again.basis == tuple(name[b] for b in algebra.basis)
+    assert again.idempotents == tuple(name[e] for e in algebra.idempotents)
+    assert again.mult == {
+        (name[a], name[b]): SparseVector((name[label], c) for label, c in vec.items())
+        for (a, b), vec in algebra.mult.items()
+    }
+
+
+@st.composite
+def rule_functionals(draw, kinds):
+    """A rule functional of one of the kinds on a quiver or a family."""
+    token = draw(st.sampled_from(["line3", "loop", "cycle3", "family:loop", "family:line1", "family:cycle:3"]))
+    carrier = family_from_token(token[len("family:"):]) if token.startswith("family:") else named_quiver(token)
+    vertices = carrier.truncate(2).vertices if isinstance(carrier, Family) else carrier.vertices
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    kind = draw(st.sampled_from(kinds))
+    param = {
+        "gamma": st.none(),
+        "eval": st.builds(field.of, st.integers(-9, 9), st.sampled_from([1, 2, 3])),
+        "starts_at": st.sampled_from(vertices),
+    }[kind]
+    return Functional.from_rule(carrier, kind, draw(param), field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_rule_kind_with_a_reader_parses_its_own_description(data):
+    readable = [kind for kind, spec in RULES.items() if spec.read is not None]
+    assert readable == ["gamma", "eval", "starts_at"]
+    f = data.draw(rule_functionals(readable))
+    concrete = f.carrier if isinstance(f.carrier, Quiver) else None
+    g = parse_functional(f.describe(), f.carrier, concrete, f.field)
+    assert (g.carrier, g.rule, g.field) == (f.carrier, f.rule, f.field)
+
+
+def test_rule_kinds_without_a_reader_are_refused_by_name():
+    quiver = named_quiver("cycle3")
+    for f in (Functional.from_rule(quiver, "has_prefix", quiver.arrow_path("x0")),
+              Functional.from_rule(quiver, "winding_multiple", quiver.arrows)):
+        name = f.describe()[len("rule:"):].split("(")[0]
+        with pytest.raises(ParseError) as info:
+            parse_functional(f.describe(), quiver, quiver)
+        assert str(info.value) == f"unknown rule kind {name!r}"
