@@ -177,26 +177,29 @@ def winding_paths(quiver: Quiver, cycle_arrows, max_len: int) -> dict:
     return table
 
 
-def check_ideal(vectors, generators, product, contains):
+def check_ideal(vectors, generators, row, outside):
     """Closure of the span of ``vectors`` under multiplication by the
     ``generators`` on both sides.
 
     A subspace is a two-sided ideal exactly when it is closed under left
     and right multiplication by a generating set of the algebra, so for
-    each spanning vector v and generator g only gv and vg are tested with
-    ``contains``.  ``product(x, y)`` returns None for a pair outside a
-    truncation window, which is skipped.  Returns ``None`` or the first
-    failing ``(side, generator, vector)``.
+    each spanning vector v and generator g only gv and vg are tested.
+    ``row(side, g)`` gives g·v ("left") or v·g ("right") for every v in
+    order, None for a product outside a truncation window, which is
+    skipped; ``outside(products)`` gets a row's other products and returns
+    the position of the first not in the span, or None.  Returns ``None``
+    or the first failing ``(side, generator, vector)``, vectors outer,
+    generators inner, left before right.
     """
-    for v in vectors:
-        for g in generators:
-            left = product(g, v)
-            if left is not None and not contains(left):
-                return ("left", g, v)
-            right = product(v, g)
-            if right is not None and not contains(right):
-                return ("right", g, v)
-    return None
+    first = None
+    for rank, (g, side) in enumerate((g, side) for g in generators for side in ("left", "right")):
+        products = row(side, g)
+        k = outside([p for p in products if p is not None])
+        if k is not None:
+            k = [i for i, p in enumerate(products) if p is not None][k]
+            if first is None or (k, rank) < first[:2]:
+                first = (k, rank, side, g)
+    return None if first is None else (first[2], first[3], vectors[first[0]])
 
 
 def _generators(quiver: Quiver) -> list[Path]:
@@ -217,16 +220,18 @@ def _generator_rows(generators, index: dict, window: int):
     return left, right
 
 
-def _check_difference_ideal(paths, pairs, window, field=QQ) -> int:
+def _check_difference_ideal(paths, pairs, window, field=QQ) -> tuple[int, int]:
     """Certify that the span of the differences p - r of the ``pairs``, plus
     every path of the window off ``paths``, is closed on both sides under
     the vertex and arrow paths, which generate the path algebra, inside
-    ``window``; returns the identities checked.  The caller guarantees that
-    the paths off ``paths`` span an ideal inside the window.
+    ``window``; returns the identities checked and the span's codimension.
+    The caller guarantees that the paths off ``paths`` span an ideal inside
+    the window, so the codimension is |paths| less the differences' rank.
     A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
     p the longer, so a generator times it is a pair of ``_generator_rows``
-    entries: in the span when a stored pair or with no term on ``paths``
-    (zero, or a path off them), else its terms on ``paths`` are reduced
+    entries, and a row holds one per difference.  A row's products are in
+    the span when stored pairs or with no term on ``paths`` (zero, or a
+    path off them); the others have their terms on ``paths`` reduced
     against the differences' basis.
     """
     quiver = paths[0].quiver
@@ -235,29 +240,31 @@ def _check_difference_ideal(paths, pairs, window, field=QQ) -> int:
     vectors = [(index[p], index[r]) for p, r in pairs]
     left, right = _generator_rows(generators, index, window)
     stored = set(vectors)
-    reduce, calls = None, 0
+    reduce, checked = None, 0
 
-    def product(x, y):
-        g, (i, j), rows = (x, y, left) if y.__class__ is tuple else (y, x, right)
-        row = rows[g]
-        return (row[i], row[j]) if i < len(row) else None
+    def row(side, g):
+        entries = (left if side == "left" else right)[g]
+        n = len(entries)
+        return [(entries[i], entries[j]) if i < n else None for i, j in vectors]
 
-    def contains(terms):
-        nonlocal reduce, calls
-        calls += 1
-        a, b = terms
-        if terms in stored or a.__class__ is not int and b.__class__ is not int:
-            return True
+    def outside(products):
+        nonlocal reduce, checked
+        checked += len(products)
+        suspects = [t for t in set(products).difference(stored) if t[0].__class__ is int or t[1].__class__ is int]
+        if not suspects:
+            return None
         if reduce is None:
             reduce = reducer(rref([_difference(p, r, field) for p, r in pairs]))
-        return reduce(_difference(*(paths[t] if t.__class__ is int else None for t in terms), field)).is_zero()
+        bad = {t for t in suspects
+               if not reduce(_difference(*(paths[x] if x.__class__ is int else None for x in t), field)).is_zero()}
+        return next((k for k, t in enumerate(products) if t in bad), None)
 
-    failure = check_ideal(vectors, generators, product, contains)
+    failure = check_ideal(vectors, generators, row, outside)
     if failure is not None:
         side, g, pair = failure
         difference = CoalgElement(quiver, _difference(*pairs[vectors.index(pair)], field))
         _raise_on_failure((side, CoalgElement.from_path(g, field), difference), "ideal")
-    return calls
+    return checked, len(paths) - difference_rank(vectors)
 
 
 def _raise_on_failure(failure, what: str) -> None:
@@ -299,9 +306,9 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
                 raise AssertionError(f"subpath {part} of the winding path {p} is off the winding paths")
     pairs = [(q[(n, k * s + i)], q[(n, i)])
              for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
-    identities = _check_difference_ideal(closed, pairs, max_len, field)
     # The differences live on W and the monomial part off it, so the
     # codimension is |W| less the rank of the differences.
+    identities, codimension = _check_difference_ideal(closed, pairs, max_len, field)
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
@@ -309,7 +316,7 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         difference_pairs=pairs,
         monomial_generators=[g for g in _generators(quiver) if g not in x_set],
         closed_path_set=closed,
-        codimension=len(closed) - difference_rank(pairs),
+        codimension=codimension,
         identities_checked=identities,
         field=field,
         details={"cycle_length": s, "cycle": [a.label for a in cycle]},
@@ -331,13 +338,12 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     pairs = [(p, arrows[0]) for p in arrows[1:]]
     # Every product of a generator and an arrow has length at most two, and
     # none has length two, so every product is zero or on the window.
-    identities = _check_difference_ideal(window, pairs, 2, field)
+    identities, codim = _check_difference_ideal(window, pairs, 2, field)
 
     gens = [_difference(p, r, field) for p, r in pairs]
     for p in arrows:
         if solve_membership(SparseVector.unit(p, field), gens) is not None:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
-    codim = len(window) - difference_rank(pairs)
     return CounterexampleIdeal(
         kind="multiarrow",
         quiver=quiver,

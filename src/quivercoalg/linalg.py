@@ -286,7 +286,8 @@ def rank(vectors) -> int:
 def difference_rank(pairs) -> int:
     """Rank of the vectors e_a - e_b over label pairs (a, b), over any field:
     they are a graph's incidence vectors, whose rank is the number of
-    union-find merges (the edges of a spanning forest)."""
+    union-find merges (the edges of a spanning forest).  Labels are any
+    hashables; integer positions hash fastest."""
     parent, merges = {}, 0
 
     def root(a):

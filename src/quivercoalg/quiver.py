@@ -189,7 +189,7 @@ class Path:
     def __str__(self):
         if not self.arrows:
             return self.vertex
-        return ".".join(a.label for a in self.arrows)
+        return ".".join([a.label for a in self.arrows])
 
     def __repr__(self):
         return f"Path({self})"

@@ -31,7 +31,8 @@ Representation file (matrix rows ``;``-separated, entries rational)::
     dim b 1
     map x 1/2 0 ; 3 1
 
-Structured-algebra file (absent products are zero)::
+Structured-algebra file (absent products are zero; a product ``= 0`` is
+the basis element ``0`` when there is one)::
 
     algebra
     basis u v x
@@ -154,12 +155,27 @@ def _parse_carrier_text(text: str, carrier: str) -> ParsedInput:
         raise ParseError(f"expected header '{carrier}' or 'family <token>'", number)
     build, table = _CARRIERS[carrier]
     records = {keyword: [] for keyword in table}
-    for _, keyword, fields in _records(lines, table):
-        records[keyword].append(fields[0] if len(fields) == 1 else tuple(fields))
+    for number, keyword, fields in _records(lines, table):
+        records[keyword].append((number, fields[0] if len(fields) == 1 else tuple(fields)))
+    labels, relations = records.values()
     try:
-        return ParsedInput(build(*records.values()))
+        return ParsedInput(build([label for _, label in labels], [fields for _, fields in relations]))
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(str(exc), _refused_line(labels, relations)) from exc
+
+
+def _refused_line(labels, relations) -> Optional[int]:
+    """The line of the record a carrier constructor refuses, given the
+    ``(line, fields)`` records: a label seen before, else the first
+    arrow or cover naming an undeclared label, the order in which
+    ``Quiver`` and ``Poset`` check them; None for any other refusal."""
+    seen = set()
+    for number, label in labels:
+        if label in seen:
+            return number
+        seen.add(label)
+    # An arrow's endpoints and a cover's two elements are its last two fields.
+    return next((number for number, fields in relations if not seen.issuperset(fields[-2:])), None)
 
 
 def parse_quiver_text(text: str) -> ParsedInput:
@@ -228,7 +244,7 @@ def parse_rep_text(text: str, quiver: Quiver, field=QQ) -> Representation:
 
 def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
     table = {"basis": (None, "<labels>"), "idempotents": (None, "<labels>"), "mul": (None, "<a> <b> = <combination>")}
-    found, mult = {}, {}
+    found, mult, zero_pairs = {}, {}, []
     for number, keyword, (rest,) in _records(_header_lines(text, "algebra"), table, "unexpected line "):
         if keyword in found:
             raise ParseError(f"second '{keyword}' line", number)
@@ -244,9 +260,14 @@ def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
             mult[match.group(1, 2)] = parse_plain_combination(match.group(3), field)
         except ParseError as exc:
             raise ParseError(str(exc), number) from exc
+        if match.group(3).strip() == "0":
+            zero_pairs.append(match.group(1, 2))
     for keyword in ("basis", "idempotents"):
         if keyword not in found:
             raise ParseError(f"missing '{keyword}' line")
+    if "0" in found["basis"]:
+        # A right-hand side ``0`` names the basis label 0, not the zero product.
+        mult.update((pair, SparseVector({"0": field.one})) for pair in zero_pairs)
     try:
         return StructuredAlgebra(found["basis"], mult, found["idempotents"], field)
     except ValueError as exc:

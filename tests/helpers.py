@@ -5,25 +5,28 @@ code: ranks come from a plain dense Gaussian elimination over Fraction
 lists, path sets from a direct recursion over the arrow table, matrix
 products and incidence convolutions from sums over every index, and the
 cycle counterexample's ideal property from every product of a difference
-with every winding path.  Sparse elimination is checked against the
-dict-row elimination in field scalars that ``linalg`` used before its
-integer kernel, and ``subpath_closure`` against the expansion of every
-path.  Convolution of functionals is checked against the sum over every
-split, poset canonical forms against the minimum over all n! relabelings,
-and the cycle counterexample's codimension against one rank of the
-differences and the units of the window's paths off the winding paths
-together; the winding witness is scanned on every one of those paths.
-Span equality and intersection, which only tests need, are computed by
-the dict-row elimination.  The integer law kernel and
-the integer validators of structured algebras and left modules are checked
-against their earlier versions, which sum field scalars; the order closure
-of posets against the fixpoint of all-pairs passes; and the bitmask search
-for a cyclic induced subquiver against building every induced subquiver.
-The rep and algebra printers serve the text round-trip properties; the
-random base change is checked against products with elementary matrices,
-and the ``winding_multiple`` rule against the predicate it replaced.
+with every winding path; its row-at-a-time closure check is checked
+against the loop that tests one identity at a time.  Sparse elimination
+is checked against the dict-row elimination in field scalars that
+``linalg`` used before its integer kernel, and ``subpath_closure``
+against the expansion of every path.  Convolution of functionals is
+checked against the sum over every split, poset canonical forms against
+the minimum over all n! relabelings, and the cycle counterexample's
+codimension against one rank of the differences and the units of the
+window's paths off the winding paths together; the winding witness is
+scanned on every one of those paths.  Span equality and intersection,
+which only tests need, are computed by the dict-row elimination.
+The integer law kernel and the integer validators of structured algebras
+and left modules are checked against their earlier versions, which sum
+field scalars; the order closure of posets against the fixpoint of
+all-pairs passes; and the bitmask search for a cyclic induced subquiver
+against building every induced subquiver.  The rep and algebra printers
+serve the text round-trip properties; the random base change is checked
+against products with elementary matrices, and the ``winding_multiple``
+rule against the predicate it replaced.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -31,7 +34,7 @@ from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.dual import Functional
 from quivercoalg.incidence import Poset
-from quivercoalg.linalg import SparseVector, label_sort_key, mat_eq, mat_identity, mat_mul, mat_zero
+from quivercoalg.linalg import SparseVector, label_sort_key, mat_eq, mat_identity, mat_mul, mat_zero, solve_membership
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import find_simple_cycle, induced_subquiver, is_acyclic
 
@@ -169,6 +172,58 @@ def cycle_identity_oracle(quiver, window):
                 if algebra.multiply(right, element) != expected:
                     raise AssertionError(f"left identity fails at n={n},k={k},i={i},m={m},j={j}")
                 checked += 2
+    return checked
+
+
+def per_identity_check_ideal(vectors, generators, product, contains):
+    """``algebra.check_ideal`` one identity at a time: ``product(x, y)``
+    per generator and vector on each side (None outside the window, which
+    is skipped) and ``contains`` per product.  Returns ``None`` or the
+    first failing ``(side, generator, vector)``, vectors outer, generators
+    inner, left before right."""
+    for v in vectors:
+        for g in generators:
+            left = product(g, v)
+            if left is not None and not contains(left):
+                return ("left", g, v)
+            right = product(v, g)
+            if right is not None and not contains(right):
+                return ("right", g, v)
+    return None
+
+
+def per_identity_difference_ideal(paths, pairs, window, field=QQ):
+    """``algebra._check_difference_ideal`` through ``per_identity_check_ideal``:
+    each generator times each difference is looked up in the generator
+    product table (so a patched ``algebra.compose_paths`` is seen) and
+    tested alone.  Returns the identities checked, or raises the same
+    AssertionError at the same first failure."""
+    generators = algebra._generators(paths[0].quiver)
+    index = {p: i for i, p in enumerate(paths)}
+    vectors = [(index[p], index[r]) for p, r in pairs]
+    left, right = algebra._generator_rows(generators, index, window)
+    stored = set(vectors)
+    basis = [SparseVector({p: field.one, r: -field.one}) for p, r in pairs]
+    checked = 0
+
+    def product(x, y):
+        g, (i, j), rows = (x, y, left) if isinstance(y, tuple) else (y, x, right)
+        row = rows[g]
+        return (row[i], row[j]) if i < len(row) else None
+
+    def contains(terms):
+        nonlocal checked
+        checked += 1
+        on_paths = [(paths[t], c) for t, c in zip(terms, (field.one, -field.one)) if isinstance(t, int)]
+        return terms in stored or not on_paths or solve_membership(SparseVector(on_paths), basis) is not None
+
+    failure = per_identity_check_ideal(vectors, generators, product, contains)
+    if failure is not None:
+        side, g, pair = failure
+        p, r = pairs[vectors.index(pair)]
+        difference = CoalgElement(paths[0].quiver, SparseVector({p: field.one, r: -field.one}))
+        raise AssertionError(f"{side} product by generator {CoalgElement.from_path(g, field)} "
+                             f"takes {difference} out of the ideal")
     return checked
 
 
@@ -522,9 +577,19 @@ def combination_to_text(vector, name):
     return text[2:] if text.startswith("+") else "-" + text[2:]
 
 
+def algebra_label_names(algebra):
+    """The name of each basis label in an algebra file: the label as
+    printed when every printed label is distinct and reads back as one
+    bare label, else ``b<i>`` for basis element i."""
+    names = [str(label) for label in algebra.basis]
+    if len(set(names)) < len(names) or not all(re.fullmatch(r"[A-Za-z0-9_.()]+", n) for n in names):
+        names = [f"b{i}" for i in range(len(names))]
+    return dict(zip(algebra.basis, names))
+
+
 def algebra_to_text(algebra):
-    """An algebra file whose basis element i is named ``b<i>``."""
-    name = {label: f"b{i}" for i, label in enumerate(algebra.basis)}.__getitem__
+    """An algebra file over the names of ``algebra_label_names``."""
+    name = algebra_label_names(algebra).__getitem__
     lines = ["algebra", "basis " + " ".join(map(name, algebra.basis)),
              "idempotents " + " ".join(map(name, algebra.idempotents))]
     lines += [f"mul {name(a)} {name(b)} = {combination_to_text(vec, name)}" for (a, b), vec in algebra.mult.items()]

@@ -30,6 +30,7 @@ from helpers import (
     cycle_identity_oracle,
     dense_rank,
     expanded_subpath_closure,
+    per_identity_difference_ideal,
     sparse_rows_to_dense,
 )
 
@@ -340,6 +341,11 @@ def test_cycle_counterexample_catches_a_missing_winding_path(monkeypatch, droppe
         build_cycle_counterexample(quiver, 4)
 
 
+def _rows(vectors):
+    """The rows of element products g·v or v·g over the spanning vectors."""
+    return lambda side, g: [multiply(g, v) if side == "left" else multiply(v, g) for v in vectors]
+
+
 def test_check_ideal_finds_one_sided_ideals():
     # In the path algebra of a -x-> b -y-> c, span{x} is a left ideal that
     # x·y leaves, and span{y} a right ideal that x·y leaves; span{x, x.y} is
@@ -350,14 +356,15 @@ def test_check_ideal_finds_one_sided_ideals():
 
     def within(*spanning):
         span = {v.combo for v in spanning}
-        return lambda e: e.is_zero() or solve_membership(e.combo, list(span)) is not None
+        member = lambda e: e.is_zero() or solve_membership(e.combo, list(span)) is not None
+        return lambda products: next((k for k, e in enumerate(products) if not member(e)), None)
 
-    assert check_ideal([x], generators, multiply, within(x)) == ("right", y, x)
-    assert check_ideal([y], generators, multiply, within(y)) == ("left", x, y)
-    assert check_ideal([x, xy], generators, multiply, within(x, xy)) is None
+    assert check_ideal([x], generators, _rows([x]), within(x)) == ("right", y, x)
+    assert check_ideal([y], generators, _rows([y]), within(y)) == ("left", x, y)
+    assert check_ideal([x, xy], generators, _rows([x, xy]), within(x, xy)) is None
     # Without y among the generators, span{x} would pass: the generating
     # set has to be complete.
-    assert check_ideal([x], [g for g in generators if g != y], multiply, within(x)) is None
+    assert check_ideal([x], [g for g in generators if g != y], _rows([x]), within(x)) is None
 
 
 def test_check_ideal_skips_products_outside_the_window():
@@ -365,12 +372,12 @@ def test_check_ideal_skips_products_outside_the_window():
     x, y = unit(q.arrow_path("x")), unit(q.arrow_path("y"))
     calls = []
 
-    def product(a, b):
-        calls.append((a, b))
-        return None
+    def row(side, g):
+        calls.append((side, g))
+        return [None]
 
-    assert check_ideal([x], [y], product, lambda e: False) is None
-    assert calls == [(y, x), (x, y)]
+    assert check_ideal([x], [y], row, lambda products: 0 if products else None) is None
+    assert calls == [("left", y), ("right", y)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,6 +428,43 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
     assert outcomes[0] == outcomes[1]
     if not corrupt:
         assert outcomes == [True, True]
+
+
+def _closure_outcome(check):
+    try:
+        return ("pass", check())
+    except AssertionError as error:
+        return ("fail", str(error))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(["cycle:1", "cycle:2", "cycle:3", "cycle:4", "loop_with_tail"]),
+    data=st.data(),
+)
+def test_row_closure_check_agrees_with_the_per_identity_loop(shape, data):
+    # With at most one product-table entry corrupted, to zero, to a winding
+    # path or to a path off them, the row-at-a-time check and the loop over
+    # single identities report the same first failure, or pass with the
+    # same identity count.
+    quiver = named_quiver(shape) if shape == "loop_with_tail" else Family("cycle", int(shape[6:])).truncate(0)
+    s = len(find_simple_cycle(quiver))
+    window = data.draw(st.integers(s, 3 * s), label="window")
+    ce = build_cycle_counterexample(quiver, window)
+    paths, pairs = ce.closed_path_set, ce.difference_pairs
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans(), label="corrupt"):
+            g = data.draw(st.sampled_from(algebra._generators(quiver)), label="generator")
+            p = data.draw(st.sampled_from([p for p in paths if g.length + p.length <= window]), label="path")
+            target = data.draw(st.sampled_from([(g, p), (p, g)]), label="pair")
+            wrong = data.draw(st.sampled_from([None, *paths, *ce.monomial_generators]), label="wrong")
+            exact = quiver_module.compose_paths
+            mp.setattr(algebra, "compose_paths", lambda a, b: wrong if (a, b) == target else exact(a, b))
+        rows = _closure_outcome(lambda: algebra._check_difference_ideal(paths, pairs, window)[0])
+        oracle = _closure_outcome(lambda: per_identity_difference_ideal(paths, pairs, window))
+    assert rows == oracle
+    if rows[0] == "pass":
+        assert rows[1] == ce.identities_checked
 
 
 def test_cycle_counterexample_window_must_reach_the_cycle():

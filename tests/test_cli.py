@@ -164,6 +164,27 @@ def test_cycle_token_without_an_integer_length_names_the_form(token, capsys):
         assert run(capsys, *argv) == (2, "", "error: cycle family needs a length: cycle:<n>\n")
 
 
+@pytest.mark.parametrize(
+    "body, argv, expected",
+    [
+        ("quiver\nvertex a\n# a comment\nvertex b\nvertex a\narrow x a b\n", ["paths"],
+         "error: line 5: duplicate vertex labels\n"),
+        ("quiver\nvertex a\nvertex b\narrow x a b\narrow y b c\n", ["paths"],
+         "error: line 5: arrow y has undeclared endpoint\n"),
+        ("poset\nelement p\nelement q\ncover p q\ncover q r\n", ["check", "thm42"],
+         "error: line 5: relation pair (q,r) uses undeclared elements\n"),
+        ("poset\nelement p\nelement q\nelement p\n", ["check", "thm42"], "error: line 4: duplicate poset elements\n"),
+        # Two arrows with one label: no single record is at fault.
+        ("quiver\nvertex a\narrow x a a\narrow x a a\n", ["paths"], "error: duplicate arrow labels\n"),
+    ],
+    ids=["repeated-vertex", "undeclared-endpoint", "undeclared-element", "repeated-element", "repeated-arrow-label"],
+)
+def test_constructor_errors_name_the_line_of_their_record(body, argv, expected, tmp_path, capsys):
+    source = tmp_path / "input.txt"
+    source.write_text(body)
+    assert run(capsys, *argv, str(source)) == (2, "", expected)
+
+
 def test_ragged_rep_matrix_exit_code(line_file, tmp_path, capsys):
     rep = tmp_path / "ragged.txt"
     rep.write_text("rep\ndim a 2\ndim b 2\nmap x 1 2 ; 3\n")

@@ -30,7 +30,7 @@ from quivercoalg.textio import (
     quiver_to_text,
 )
 
-from helpers import algebra_to_text, rep_to_text
+from helpers import algebra_label_names, algebra_to_text, rep_to_text
 
 QUIVER_TEXT = """
 # a commented line
@@ -332,6 +332,16 @@ def test_rep_text_round_trip(seed, field):
     assert rep_to_text(again) == text
 
 
+def test_a_zero_right_hand_side_names_the_basis_label_0():
+    algebra = parse_algebra_text("algebra\nbasis 0 1\nidempotents 0\nmul 0 0 = 0\nmul 0 1 = 1\nmul 1 0 = 1\n")
+    assert algebra.basis == ("0", "1") and algebra.idempotents == ("0",)
+    assert algebra.basis_product("0", "0") == SparseVector({"0": QQ.one})
+    # An omitted product is still zero, and without a label 0 so is ``= 0``.
+    assert algebra.basis_product("1", "1") == SparseVector()
+    again = parse_algebra_text("algebra\nbasis u v\nidempotents u v\nmul u u = u\nmul v v = v\nmul u v = 0\n")
+    assert again.basis_product("u", "v") == SparseVector() and again.basis_product("v", "v") == SparseVector({"v": QQ.one})
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), field=st.sampled_from([QQ, PrimeField(5)]))
 def test_algebra_text_round_trip(seed, field):
@@ -339,7 +349,7 @@ def test_algebra_text_round_trip(seed, field):
     text = algebra_to_text(algebra)
     again = parse_algebra_text(text, field)
     assert algebra_to_text(again) == text
-    name = {label: f"b{i}" for i, label in enumerate(algebra.basis)}
+    name = algebra_label_names(algebra)
     assert again.basis == tuple(name[b] for b in algebra.basis)
     assert again.idempotents == tuple(name[e] for e in algebra.idempotents)
     assert again.mult == {
