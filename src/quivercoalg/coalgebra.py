@@ -300,29 +300,44 @@ def right_tensor_components(tensor: SparseVector) -> list[SparseVector]:
     return [SparseVector(dict(items)) for items in grouped.values()]
 
 
+def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
+    """Canonical ``rref`` basis of the smallest span that contains the
+    vectors and the left and right tensor components of ``delta`` of each
+    of its vectors (grouped over the label basis on the opposite side).
+
+    Components are linear in the tensor, so each round comultiplies only
+    the frontier: the rows new to the span, which with the old basis span
+    it.  The closure stops when the rank does not grow.
+    """
+    basis = rref(vectors)
+    frontier = basis
+    while frontier:
+        grown = list(basis)
+        for vec in frontier:
+            tensor = delta(vec)
+            grown.extend(left_tensor_components(tensor))
+            grown.extend(right_tensor_components(tensor))
+        refined = rref(grown)
+        if len(refined) == len(basis):
+            break
+        old = set(basis)
+        frontier = [vec for vec in refined if vec not in old]
+        basis = refined
+    return basis
+
+
 def subcoalgebra_closure(elements) -> list[CoalgElement]:
     """Basis of the smallest subcoalgebra containing the given elements.
 
-    Iterates comultiplication, adjoining the left and right tensor
-    components (grouped over the label basis on the opposite side), until the
-    span stabilizes.  The result is the canonical reduced basis; closing it
-    again changes nothing.
+    The result is the canonical reduced basis; closing it again changes
+    nothing.
     """
     elements = list(elements)
     if not elements:
         return []
     carrier = elements[0].carrier
-    basis = rref([e.combo for e in elements])
-    while True:
-        vectors = list(basis)
-        for vec in basis:
-            tensor = comultiply(CoalgElement(carrier, vec))
-            vectors.extend(left_tensor_components(tensor))
-            vectors.extend(right_tensor_components(tensor))
-        refined = rref(vectors)
-        if len(refined) == len(basis):
-            return [CoalgElement(carrier, v) for v in refined]
-        basis = refined
+    basis = subcoalgebra_span([e.combo for e in elements], lambda vec: comultiply(CoalgElement(carrier, vec)))
+    return [CoalgElement(carrier, v) for v in basis]
 
 
 class WedgeResult:

@@ -23,7 +23,11 @@ all-pairs passes; and the bitmask search for a cyclic induced subquiver
 against building every induced subquiver.  The rep and algebra printers
 serve the text round-trip properties; the random base change is checked
 against products with elementary matrices, and the ``winding_multiple``
-rule against the predicate it replaced.
+rule against the predicate it replaced.  The largest ideal inside the
+kernel of a functional is checked against the loop that shrank the kernel
+one stage at a time, and its codimension against a dense rank of the
+functional's two-sided translates; the frontier subcoalgebra closure
+against the loop that comultiplies its whole basis every round.
 """
 
 import re
@@ -31,10 +35,21 @@ from fractions import Fraction
 from itertools import permutations
 
 from quivercoalg import algebra
-from quivercoalg.coalgebra import CoalgElement
+from quivercoalg.coalgebra import CoalgElement, comultiply, left_tensor_components, right_tensor_components
 from quivercoalg.dual import Functional
 from quivercoalg.incidence import Poset
-from quivercoalg.linalg import SparseVector, label_sort_key, mat_eq, mat_identity, mat_mul, mat_zero, solve_membership
+from quivercoalg.linalg import (
+    SparseVector,
+    kernel_of_map,
+    label_sort_key,
+    mat_eq,
+    mat_identity,
+    mat_mul,
+    mat_zero,
+    reducer,
+    rref,
+    solve_membership,
+)
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import find_simple_cycle, induced_subquiver, is_acyclic
 
@@ -632,3 +647,62 @@ def winds_a_multiple(cycle_arrows, path):
     if n is None:
         return False
     return all(arrow.ident == cycle_ids[(n + offset) % s] for offset, arrow in enumerate(path.arrows))
+
+
+def stage_loop_maximal_ideal(algebra, functional):
+    """The largest two-sided ideal inside ker f by shrinking ker f: each
+    stage keeps the vectors whose products with every basis unit, on both
+    sides, stay in the stage, until a stage repeats."""
+    units = [SparseVector({b: algebra.field.one}) for b in algebra.basis]
+    current = kernel_of_map(list(algebra.basis), lambda b: SparseVector({"val": functional.coeff(b)}), algebra.field)
+    while True:
+        stage = list(current)
+        reduce = reducer(stage)
+
+        def image_of(idx):
+            acc = {}
+            for slot, unit in enumerate(units):
+                for tag, product in (("l", algebra.product(unit, stage[idx])), ("r", algebra.product(stage[idx], unit))):
+                    for label, c in reduce(product).items():
+                        acc[(tag, slot, label)] = c
+            return SparseVector(acc)
+
+        combos = kernel_of_map(range(len(stage)), image_of, algebra.field)
+        refined = rref([SparseVector((label, c * coeff) for idx, coeff in combo.items() for label, c in stage[idx].items())
+                        for combo in combos])
+        if refined == current:
+            return refined
+        current = refined
+
+
+def translate_rank_codimension(algebra, functional):
+    """dim A - dim I for the largest ideal I inside ker f, over the
+    rationals: the dense rank of the functionals a -> f(u.a.w) over u and w
+    in {1} and the basis, with products summed from the structure table."""
+    def times(x, y):
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                for label, c in algebra.mult.get((a, b), {}).items():
+                    out[label] = out.get(label, 0) + Fraction(ca) * Fraction(cb) * Fraction(c)
+        return out
+
+    units = [{e: 1 for e in algebra.idempotents}] + [{b: 1} for b in algebra.basis]
+    return dense_rank([[sum(Fraction(functional.coeff(label)) * c for label, c in times(times(u, {a: 1}), w).items())
+                        for a in algebra.basis] for u in units for w in units])
+
+
+def whole_basis_subcoalgebra_closure(elements):
+    """The subcoalgebra spanned by the elements, adjoining the tensor
+    components of every basis vector each round until the rank stops."""
+    elements = list(elements)
+    basis = rref([e.combo for e in elements])
+    while True:
+        vectors = list(basis)
+        for vec in basis:
+            tensor = comultiply(CoalgElement(elements[0].carrier, vec))
+            vectors.extend(left_tensor_components(tensor) + right_tensor_components(tensor))
+        refined = rref(vectors)
+        if len(refined) == len(basis):
+            return refined
+        basis = refined

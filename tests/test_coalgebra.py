@@ -17,12 +17,19 @@ from quivercoalg.coalgebra import (
     subcoalgebra_closure,
     wedge,
 )
-from quivercoalg.corpus import named_poset, named_quiver, random_element, random_quiver
+from quivercoalg.corpus import (
+    named_poset,
+    named_quiver,
+    random_acyclic_quiver,
+    random_element,
+    random_poset,
+    random_quiver,
+)
 from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
 
-from helpers import spans_equal
+from helpers import spans_equal, whole_basis_subcoalgebra_closure
 
 
 def unit(path):
@@ -237,6 +244,23 @@ def test_closure_is_idempotent_and_delta_stable():
             tensor = comultiply(e)
             for component in left_tensor_components(tensor) + right_tensor_components(tensor):
                 assert in_span(component, reduced)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_frontier_closure_equals_the_whole_basis_loop(rng, on_poset):
+    # Random acyclic quivers or random posets, with one to three elements.
+    if on_poset:
+        poset = random_poset(rng, 5)
+        intervals = poset.intervals()
+        elements = [CoalgElement(poset, SparseVector({rng.choice(intervals): Fraction(rng.choice((-2, -1, 1, 3)))
+                                                      for _ in range(rng.randint(1, 3))}))
+                    for _ in range(rng.randint(1, 3))]
+    else:
+        quiver = random_acyclic_quiver(rng)
+        elements = [random_element(rng, quiver, 3) for _ in range(rng.randint(1, 3))]
+    closure = subcoalgebra_closure(elements)
+    assert [e.combo for e in closure] == whole_basis_subcoalgebra_closure(elements)
 
 
 def test_wedge_examples():

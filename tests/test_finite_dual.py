@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quivercoalg import algebra, dual, finite_dual, incidence
+from quivercoalg import algebra, coalgebra, dual, finite_dual, incidence
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
     CYCLIC_CORPUS,
+    POSET_CORPUS,
     named_poset,
     named_quiver,
     random_element,
@@ -32,7 +33,13 @@ from quivercoalg.linalg import SparseVector, in_span, rank, rref
 from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import brute_force_paths, winds_a_multiple, witness_off_winding_paths
+from helpers import (
+    brute_force_paths,
+    stage_loop_maximal_ideal,
+    translate_rank_codimension,
+    winds_a_multiple,
+    witness_off_winding_paths,
+)
 
 
 def test_structured_algebra_validation_rejects_bad_input():
@@ -220,6 +227,54 @@ def test_maximal_ideal_in_kernel_is_an_ideal_inside_kernel():
                 left = algebra.product(SparseVector({b: one}), vec)
                 right = algebra.product(vec, SparseVector({b: one}))
                 assert in_span(left, basis) and in_span(right, basis)
+
+
+def _random_functional(rng, algebra):
+    return SparseVector({b: algebra.field.of(rng.randint(-2, 2)) for b in algebra.basis if rng.random() < 0.5})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_maximal_ideal_matches_both_oracles_on_random_algebras(rng):
+    # The annihilator of the generated subcoalgebra is the stage loop's
+    # fixpoint, and its codimension the dense rank of the translates.
+    algebra = random_structured_algebra(rng)
+    functional = _random_functional(rng, algebra)
+    ideal = maximal_ideal_in_kernel(algebra, functional)
+    assert ideal == stage_loop_maximal_ideal(algebra, functional)
+    assert len(algebra.basis) - len(ideal) == translate_rank_codimension(algebra, functional)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(POSET_CORPUS), st.randoms(use_true_random=False))
+def test_maximal_ideal_matches_the_stage_loop_on_corpus_incidence_algebras_over_gf5(name, rng):
+    algebra = incidence.fia_structured_algebra(named_poset(name), PrimeField(5))
+    functional = _random_functional(rng, algebra)
+    assert maximal_ideal_in_kernel(algebra, functional) == stage_loop_maximal_ideal(algebra, functional)
+
+
+@pytest.mark.parametrize("dropped", ["left_tensor_components", "right_tensor_components"])
+def test_a_one_sided_closure_disagrees_with_both_oracles(monkeypatch, dropped):
+    # On the non-commutative chain3 incidence algebra, the translates of
+    # the dual vector of (c0,c1) reach (c0,c0)* on one side and (c1,c1)* on
+    # the other, so closing on one side only leaves an ideal too large.
+    algebra = incidence.fia_structured_algebra(named_poset("chain3"))
+    functional = SparseVector({("c0", "c1"): QQ.one})
+    oracle = stage_loop_maximal_ideal(algebra, functional)
+    assert maximal_ideal_in_kernel(algebra, functional) == oracle
+    monkeypatch.setattr(coalgebra, dropped, lambda tensor: [])
+    mutant = maximal_ideal_in_kernel(algebra, functional)
+    assert mutant != oracle
+    assert len(algebra.basis) - len(mutant) != translate_rank_codimension(algebra, functional)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_finite_dual_refuses_a_label_outside_the_basis(field):
+    algebra = incidence.fia_structured_algebra(named_poset("chain3"), field)
+    with pytest.raises(ValueError, match="'zz' is not a basis label"):
+        is_in_finite_dual(SparseVector({"zz": field.one}), algebra)
+    with pytest.raises(ValueError, match="'zz' is not a basis label"):
+        is_in_finite_dual(SparseVector({("c0", "c1"): field.one, "zz": field.one}), algebra)
 
 
 def test_prop_finite_dual_hit_orbit_spot_check():
