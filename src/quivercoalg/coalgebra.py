@@ -129,33 +129,39 @@ def counit(element: CoalgElement):
     return total
 
 
-def basis_tables(carrier, field=QQ):
+def basis_tables(carrier):
     """Basis-level comultiplication and counit tables of the carrier's
-    coalgebra, as functions of a label."""
-    one, zero = field.one, field.zero
+    coalgebra, as functions of a label, in the law kernel's integer form:
+    Δ(label) is ``(1, {pair: 1})`` over the carrier's splits, ε(label) is
+    ``(1, {0: 1})`` on grouplike labels and ``(1, {})`` elsewhere.  The
+    structure constants are 0 and 1, so the tables serve every field."""
+    splits, grouplike = carrier.splits, carrier.is_grouplike
     return (
-        lambda label: SparseVector((pair, one) for pair in carrier.splits(label)),
-        lambda label: one if carrier.is_grouplike(label) else zero,
+        lambda label: (1, dict.fromkeys(splits(label), 1)),
+        lambda label: _ONE if grouplike(label) else _ZERO,
     )
 
 
 # ---------------------------------------------------------------------------
 # The coalgebra-law kernel: every law check in the library goes through these
-# three functions.  They read basis-level tables (``delta(label)`` a
-# SparseVector over label pairs, ``rho(label)`` one over (module index,
-# coalgebra label) pairs, ``counit(label)`` a scalar) and return None, or
-# (law, label) for the first failure; callers word their own messages.
-# The arithmetic is on integers: each row a call reads is converted once, to
-# numerators over a scale (residues mod p over GF(p)), and both sides of a
-# law are multiplied by a common multiple of their scales before they are
-# compared.
+# three functions.  They read basis-level tables (``delta(label)`` a row over
+# label pairs, ``rho(label)`` one over (module index, coalgebra label) pairs,
+# ``counit(label)`` a scalar) and return None, or (law, label) for the first
+# failure; callers word their own messages.  A row is a SparseVector or an
+# integer row ``(scale, {key: int})`` standing for the entries over the
+# scale; a scalar is a field scalar or an integer row ``(scale, {0: int})``.
+# The arithmetic is on integers: each field row or scalar a call reads is
+# converted once, to numerators over a scale (residues mod p over GF(p)),
+# and both sides of a law are multiplied by a common multiple of their
+# scales before they are compared.
 # ---------------------------------------------------------------------------
 
 
 class _IntegerTables:
-    """The tables of one kernel call as integers: each row or scalar is
-    converted by ``linalg._integers`` on first use and kept for the call.
-    ``p`` is the modulus of the residues met so far, 0 for rationals."""
+    """The tables of one kernel call as integers: each field row or scalar
+    is converted by ``linalg._integers`` on first use, an integer row is
+    taken as it is, and either is kept for the call.  ``p`` is the modulus
+    of the residues met so far, 0 for rationals."""
 
     def __init__(self):
         self.p = 0
@@ -171,26 +177,29 @@ class _IntegerTables:
         return _integers(entries, self.p)
 
     def rows(self, table):
-        """label -> (scale, {key: int}) of a table of SparseVectors."""
-        return self._memo(lambda label: table(label).entries)
+        """label -> (scale, {key: int}) of a table of rows."""
+        return self._memo(table, lambda row: row.entries)
 
     def scalars(self, table):
         """label -> (scale, {0: int}) of a table of scalars."""
-        return self._memo(lambda label: {0: table(label)})
+        return self._memo(table, lambda value: {0: value})
 
-    def _memo(self, entries_of):
+    def _memo(self, table, entries_of):
         memo = {}
 
         def converted(label):
             got = memo.get(label)
             if got is None:
-                got = memo[label] = self._convert(entries_of(label))
+                got = table(label)
+                if got.__class__ is not tuple:
+                    got = self._convert(entries_of(got))
+                memo[label] = got
             return got
 
         return converted
 
 
-_ONE = (1, {0: 1})  # the scalar 1 as the tables convert it
+_ONE, _ZERO = (1, {0: 1}), (1, {})  # the scalars 1 and 0 as integer rows
 
 
 def _counit_differs(terms, counit, scale_j, key, value, p) -> bool:

@@ -21,7 +21,7 @@ from .coalgebra import CoalgElement, check_coalgebra, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, rank, reducer, rref
 from .quiver import Family, Path, Quiver, Verdict, check_recovery_condition, enumerate_paths, horizon_verdict, is_acyclic
-from .scalars import QQ
+from .scalars import QQ, FieldError
 
 
 class StructuredAlgebra:
@@ -228,9 +228,11 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
     of f.  The closure's fixpoint is the certificate.
     """
     basis = set(algebra.basis)
-    for label in functional.labels():
+    for label, value in functional.items():
         if label not in basis:
             raise ValueError(f"functional label {label!r} is not a basis label of {algebra!r}")
+        if not algebra.field.contains(value):
+            raise FieldError(f"functional value {value!r} at label {label!r} is not in {algebra.field!r}")
     span = subcoalgebra_span([functional], DualCoalgebra(algebra, validate=False).comultiply)
     return kernel_of_map(
         algebra.basis, lambda b: SparseVector((i, g.coeff(b)) for i, g in enumerate(span)), algebra.field

@@ -185,7 +185,7 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
     dual = dual_coalgebra(algebra)
-    delta, eps = basis_tables(poset, field)
+    delta, eps = basis_tables(poset)
     failure = check_morphism(
         poset.intervals(),
         lambda interval: SparseVector.unit(interval, field),

@@ -86,9 +86,19 @@ def lattice_walks(n: int, k: int) -> list[LatticeWalk]:
         raise ValueError("grid dimensions must be nonnegative")
     walks = []
     for ups in combinations(range(n + k), k):
-        up_set = set(ups)
-        steps = ["U" if r in up_set else "R" for r in range(n + k)]
-        walks.append(LatticeWalk.from_steps(steps))
+        # Step i + j moves from (i, j): up at the positions in ups, else right.
+        i = j = 0
+        points = [(0, 0)]
+        for r in ups:
+            while i + j < r:
+                i += 1
+                points.append((i, j))
+            j += 1
+            points.append((i, j))
+        while i < n:
+            i += 1
+            points.append((i, j))
+        walks.append(LatticeWalk(tuple(points)))
     assert len(walks) == comb(n + k, k)
     return walks
 

@@ -122,6 +122,11 @@ class RationalField:
     def of(self, numerator, denominator=1):
         return Fraction(numerator, denominator)
 
+    @staticmethod
+    def contains(value) -> bool:
+        """Whether the value is a scalar of this field (ints included)."""
+        return isinstance(value, (int, Fraction))
+
     def parse(self, text: str) -> Fraction:
         try:
             return Fraction(text.strip())
@@ -150,6 +155,10 @@ class PrimeField:
         if denominator == 1:
             return num
         return num / ModP(self.p, denominator % self.p)
+
+    def contains(self, value) -> bool:
+        """Whether the value is a scalar of this field (ints included)."""
+        return isinstance(value, int) or (isinstance(value, ModP) and value.p == self.p)
 
     def parse(self, text: str) -> ModP:
         value = QQ.parse(text)

@@ -345,13 +345,12 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
         support = list(terms)
         embedded = alpha_embed(tensor, product)
         product_delta, product_eps = basis_tables(product)
-        eps_left, eps_right = basis_tables(left)[1], basis_tables(right)[1]
         failure = check_morphism(
             support,
             cache(lambda pair: alpha_embed(SparseVector({pair: QQ.one}), product).combo),
             lambda pair: tensor_comultiply(SparseVector({pair: QQ.one})),
             product_delta,
-            lambda pair: eps_left(pair[0]) * eps_right(pair[1]),
+            lambda pair: QQ.one if left.is_grouplike(pair[0]) and right.is_grouplike(pair[1]) else QQ.zero,
             product_eps,
         )
         if failure is not None:

@@ -27,7 +27,11 @@ rule against the predicate it replaced.  The largest ideal inside the
 kernel of a functional is checked against the loop that shrank the kernel
 one stage at a time, and its codimension against a dense rank of the
 functional's two-sided translates; the frontier subcoalgebra closure
-against the loop that comultiplies its whole basis every round.
+against the loop that comultiplies its whole basis every round.  The
+integer basis tables of path and incidence coalgebras are checked against
+the same tables as SparseVectors of field scalars, and the bialgebra test
+on basis splits against the test that multiplies and comultiplies
+elements.
 """
 
 import re
@@ -51,7 +55,14 @@ from quivercoalg.linalg import (
     solve_membership,
 )
 from quivercoalg.scalars import QQ
-from quivercoalg.quiver import find_simple_cycle, induced_subquiver, is_acyclic
+from quivercoalg.quiver import (
+    Path,
+    find_simple_cycle,
+    has_composable_arrow_pair,
+    has_multiple_edges,
+    induced_subquiver,
+    is_acyclic,
+)
 
 
 def dense_rank(rows):
@@ -706,3 +717,58 @@ def whole_basis_subcoalgebra_closure(elements):
         if len(refined) == len(basis):
             return refined
         basis = refined
+
+
+def field_basis_tables(carrier, field=QQ):
+    """Δ and ε of the carrier's coalgebra in field scalars: Δ(label) the
+    SparseVector of ones over its splits, ε(label) one or zero."""
+    one, zero = field.one, field.zero
+    return (
+        lambda label: SparseVector((pair, one) for pair in carrier.splits(label)),
+        lambda label: one if carrier.is_grouplike(label) else zero,
+    )
+
+
+def _tensor_multiply(s, t):
+    """(a⊗b)(c⊗d) = ac ⊗ bd on path-pair tensors, through
+    ``algebra.compose_paths`` as it is at call time."""
+    compose = algebra.compose_paths
+    return SparseVector(
+        ((left, right), c * d)
+        for (p1, p2), c in s.items()
+        for (q1, q2), d in t.items()
+        if (left := compose(p1, q1)) is not None and (right := compose(p2, q2)) is not None
+    )
+
+
+def element_bialgebra_check(quiver, field=QQ):
+    """``algebra.bialgebra_check`` on elements: Δ(xy) against Δ(x)Δ(y) with
+    ``multiply``, ``comultiply`` and the product of tensors."""
+    criterion = not has_multiple_edges(quiver) and not has_composable_arrow_pair(quiver)
+    witness = None
+    checked = 0
+    for v in quiver.vertices:
+        ev = CoalgElement.from_path(quiver.vertex_path(v), field)
+        for w in quiver.vertices:
+            ew = CoalgElement.from_path(quiver.vertex_path(w), field)
+            checked += 1
+            if comultiply(algebra.multiply(ev, ew)) != _tensor_multiply(comultiply(ev), comultiply(ew)):
+                raise AssertionError("grouplike multiplicativity fails; bug")
+    for a in quiver.arrows:
+        pa = Path(quiver, None, (a,))
+        ea = CoalgElement.from_path(pa, field)
+        for b in quiver.arrows:
+            composable = a.target == b.source
+            parallel = a is not b and a.source == b.source and a.target == b.target
+            if not composable and not parallel:
+                continue
+            pb = Path(quiver, None, (b,))
+            eb = CoalgElement.from_path(pb, field)
+            checked += 1
+            if comultiply(algebra.multiply(ea, eb)) == _tensor_multiply(comultiply(ea), comultiply(eb)):
+                raise AssertionError(f"expected product incompatibility at ({pa}, {pb}); bug")
+            if witness is None:
+                witness = (pa, pb)
+    if (witness is None) != criterion:
+        raise AssertionError("structural criterion and exhaustive witness test disagree; bug")
+    return algebra.BialgebraReport(witness is None, criterion, witness, checked)

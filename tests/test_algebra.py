@@ -21,14 +21,23 @@ from quivercoalg.algebra import (
 from quivercoalg import algebra
 from quivercoalg import quiver as quiver_module
 from quivercoalg.coalgebra import CoalgElement
-from quivercoalg.corpus import named_quiver, random_element, random_quiver
+from quivercoalg.corpus import (
+    acyclic_corpus,
+    cyclic_corpus,
+    enumerate_small_quivers,
+    named_quiver,
+    random_element,
+    random_quiver,
+)
 from quivercoalg.linalg import SparseVector, solve_membership
 from quivercoalg.quiver import Family, Path, Quiver, enumerate_paths, family_from_token, find_simple_cycle
+from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import (
     cycle_codimension_oracle,
     cycle_identity_oracle,
     dense_rank,
+    element_bialgebra_check,
     expanded_subpath_closure,
     per_identity_difference_ideal,
     sparse_rows_to_dense,
@@ -517,6 +526,71 @@ def test_bialgebra_examples():
     assert {str(p) for p in par.witness} == {"x", "y"}
     assert not bialgebra_check(named_quiver("loop")).compatible
     assert bialgebra_check(named_quiver("two_points")).compatible
+
+
+def _bialgebra_outcome(check, quiver, field=QQ):
+    """The report's fields, or the AssertionError's message."""
+    try:
+        report = check(quiver, field)
+    except AssertionError as exc:
+        return str(exc)
+    return report.compatible, report.criterion, report.witness, report.pairs_checked
+
+
+def test_bialgebra_check_agrees_with_the_element_check():
+    small = list(enumerate_small_quivers(3, 3))
+    assert len(small) == 259
+    for quiver in small + acyclic_corpus() + cyclic_corpus():
+        expected = _bialgebra_outcome(element_bialgebra_check, quiver)
+        assert not isinstance(expected, str)
+        assert _bialgebra_outcome(bialgebra_check, quiver) == expected
+    for quiver in acyclic_corpus() + cyclic_corpus():
+        for field in (PrimeField(2), PrimeField(5)):
+            assert _bialgebra_outcome(bialgebra_check, quiver, field) == _bialgebra_outcome(
+                element_bialgebra_check, quiver, field
+            )
+
+
+def _corrupt_product(monkeypatch, target, wrong):
+    exact = quiver_module.compose_paths
+    monkeypatch.setattr(algebra, "compose_paths", lambda p, r: wrong if (p, r) == target else exact(p, r))
+
+
+def test_bialgebra_check_raises_the_element_checks_error_on_a_corrupted_product(monkeypatch):
+    # a·a = x breaks Δ(aa) = Δ(a)Δ(a) on the vertex pairs; u·y = 0 makes
+    # Δ(x)Δ(y) = y⊗x vanish, so the parallel pair (x, y) looks compatible.
+    # x·y = 0 leaves Δ(x)Δ(y) = x⊗y, from the second split of x, against
+    # Δ(0) = 0: still a witness.
+    arrow = named_quiver("single_arrow")
+    a = arrow.vertex_path("a")
+    parallel = named_quiver("parallel_pair")
+    line = named_quiver("line3")
+    cases = [
+        (arrow, (a, a), arrow.arrow_path("x"), "grouplike multiplicativity fails; bug"),
+        (parallel, (parallel.vertex_path("u"), parallel.arrow_path("y")), None,
+         "expected product incompatibility at (x, y); bug"),
+        (line, (line.arrow_path("x"), line.arrow_path("y")), None, _bialgebra_outcome(bialgebra_check, line)),
+    ]
+    for quiver, target, wrong, outcome in cases:
+        with monkeypatch.context() as mp:
+            _corrupt_product(mp, target, wrong)
+            assert _bialgebra_outcome(element_bialgebra_check, quiver) == outcome
+            assert _bialgebra_outcome(bialgebra_check, quiver) == outcome
+
+
+_SMALL_QUIVERS = list(enumerate_small_quivers(3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(_SMALL_QUIVERS) - 1), st.data())
+def test_bialgebra_check_sees_every_corrupted_product_the_element_check_sees(index, data):
+    quiver = _SMALL_QUIVERS[index]
+    generators = [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
+    target = (data.draw(st.sampled_from(generators)), data.draw(st.sampled_from(generators)))
+    wrong = data.draw(st.sampled_from([None] + generators))
+    with pytest.MonkeyPatch.context() as mp:
+        _corrupt_product(mp, target, wrong)
+        assert _bialgebra_outcome(bialgebra_check, quiver) == _bialgebra_outcome(element_bialgebra_check, quiver)
 
 
 def test_subpath_closure_helper():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import (
     CoalgElement,
-    basis_tables,
     check_coalgebra,
     check_comodule,
     check_morphism,
@@ -29,7 +28,7 @@ from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
 
-from helpers import spans_equal, whole_basis_subcoalgebra_closure
+from helpers import field_basis_tables, spans_equal, whole_basis_subcoalgebra_closure
 
 
 def unit(path):
@@ -93,7 +92,7 @@ def test_coassociativity_and_counit_laws_random():
             check_morphism(c.combo.labels(), SparseVector.unit, delta_of, delta_of, counit_of, counit_of)
             is None
         )
-        delta, eps = basis_tables(q)
+        delta, eps = field_basis_tables(q)
         for p in c.combo.labels():
             assert delta(p) == delta_of(p) and eps(p) == counit_of(p)
 
@@ -149,7 +148,7 @@ def carrier_elements(draw):
 @given(carrier_elements())
 def test_comultiply_and_counit_extend_the_basis_tables(element):
     carrier = element.carrier
-    delta, eps = basis_tables(carrier)
+    delta, eps = field_basis_tables(carrier)
     items = element.combo.items()
     assert comultiply(element) == SparseVector(
         (pair, coeff * inner) for label, coeff in items for pair, inner in delta(label).items()

@@ -31,7 +31,7 @@ from quivercoalg.finite_dual import (
 )
 from quivercoalg.linalg import SparseVector, in_span, rank, rref
 from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
-from quivercoalg.scalars import QQ, PrimeField
+from quivercoalg.scalars import QQ, FieldError, PrimeField
 
 from helpers import (
     brute_force_paths,
@@ -275,6 +275,19 @@ def test_finite_dual_refuses_a_label_outside_the_basis(field):
         is_in_finite_dual(SparseVector({"zz": field.one}), algebra)
     with pytest.raises(ValueError, match="'zz' is not a basis label"):
         is_in_finite_dual(SparseVector({("c0", "c1"): field.one, "zz": field.one}), algebra)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_finite_dual_refuses_a_value_outside_the_field(field):
+    algebra = incidence.fia_structured_algebra(named_poset("chain3"), field)
+    foreign = [PrimeField(7).of(2), Fraction(1, 2)] if field is not QQ else [PrimeField(5).of(2), PrimeField(7).of(3)]
+    for value in foreign:
+        with pytest.raises(FieldError, match=r"at label \('c0', 'c1'\) is not in"):
+            is_in_finite_dual(SparseVector({("c0", "c2"): field.one, ("c0", "c1"): value}), algebra)
+    # Plain ints are read in the field.
+    as_int = is_in_finite_dual(SparseVector({("c0", "c1"): 2}), algebra)
+    as_scalar = is_in_finite_dual(SparseVector({("c0", "c1"): field.of(2)}), algebra)
+    assert as_int.witness == as_scalar.witness and as_int.witness["codimension"] == 3
 
 
 def test_prop_finite_dual_hit_orbit_spot_check():

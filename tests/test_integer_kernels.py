@@ -6,6 +6,10 @@ Every table is a rescaled copy of a lawful one: basis element b becomes
 Over GF(5) the scalars are residues.  Half the draws then corrupt one
 entry.  Either way the integer code must give the same None or
 ``(law, label)``, or raise the same first ValueError, as the oracle.
+The integer basis tables of quivers, posets and product quivers are
+checked against the same tables in field scalars, unchanged and with one
+count raised, one pair dropped or the counit 1 on a label that is not
+grouplike.
 """
 
 import ast
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    field_basis_tables,
     fraction_check_coalgebra,
     fraction_check_comodule,
     fraction_check_morphism,
@@ -29,8 +34,9 @@ from quivercoalg import finite_dual, representation
 from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, check_comodule, check_morphism
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
 from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_from_quiver
-from quivercoalg.incidence import hasse_quiver, phi_embed
+from quivercoalg.incidence import Poset, hasse_quiver, phi_embed
 from quivercoalg.linalg import SparseVector
+from quivercoalg.products import product_quiver
 from quivercoalg.quiver import enumerate_paths
 from quivercoalg.representation import LeftModule, regular_left_module
 from quivercoalg.scalars import QQ, FieldError, PrimeField
@@ -59,7 +65,7 @@ def _base_coalgebra(rng, field):
     else:
         carrier = random_poset(rng, 5)
         basis = carrier.intervals()
-    delta, eps = basis_tables(carrier, field)
+    delta, eps = field_basis_tables(carrier, field)
     return basis, {b: delta(b) for b in basis}, {b: eps(b) for b in basis}
 
 
@@ -157,8 +163,8 @@ def _morphism_tables(rng, field):
         basis = poset.intervals()
         f = {x: phi_embed(CoalgElement.unit(poset, x, field)).combo for x in basis}
         paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
-        delta, eps = basis_tables(poset, field)
-        delta_t, eps_t = basis_tables(quiver, field)
+        delta, eps = field_basis_tables(poset, field)
+        delta_t, eps_t = field_basis_tables(quiver, field)
         source = ({x: delta(x) for x in basis}, {x: eps(x) for x in basis})
         target = ({p: delta_t(p) for p in paths}, {p: eps_t(p) for p in paths})
     else:
@@ -192,6 +198,107 @@ def test_morphism_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
     assert check_morphism(*tables) == expected
     if not corrupt:
         assert expected is None
+
+
+def _integer_carrier(rng):
+    """A random quiver, poset or product quiver, with a basis closed under
+    the labels of its splits."""
+    kind = rng.choice(["quiver", "poset", "product"])
+    if kind == "poset":
+        poset = random_poset(rng, 5)
+        return poset, poset.intervals()
+    carrier = random_quiver(rng, 4, 5) if kind == "quiver" else product_quiver(
+        random_quiver(rng, 2, 3), random_quiver(rng, 2, 3))
+    return carrier, enumerate_paths(carrier, 2).paths
+
+
+def test_basis_tables_hold_only_integers():
+    rng = random.Random(20)
+    for _ in range(30):
+        carrier, basis = _integer_carrier(rng)
+        delta, eps = basis_tables(carrier)
+        for label in basis:
+            scale, row = delta(label)
+            assert scale == 1 and row == {pair: 1 for pair in carrier.splits(label)}
+            assert all(type(n) is int for n in row.values())
+            assert eps(label) == (1, {0: 1} if carrier.is_grouplike(label) else {})
+
+
+def _mutate(rng, carrier, basis, tables, field):
+    """One mutant on the integer and the field tables alike (dicts over the
+    basis): a count raised by one, a pair dropped, or the counit 1 on a
+    label that is not grouplike (a raised count when there is none)."""
+    (delta, eps), (field_delta, field_eps) = tables
+    kind = rng.choice(["raise", "drop", "counit"])
+    arrows = [b for b in basis if not carrier.is_grouplike(b)]
+    if kind == "counit" and arrows:
+        b = rng.choice(arrows)
+        eps[b], field_eps[b] = (1, {0: 1}), field.one
+        return
+    b = rng.choice(basis)
+    row = dict(delta[b][1])
+    pair = rng.choice(list(row))
+    if kind == "drop":
+        del row[pair]
+        field_delta[b] = SparseVector({k: c for k, c in field_delta[b].items() if k != pair})
+    else:
+        row[pair] += 1
+        field_delta[b] = field_delta[b] + SparseVector({pair: field.one})
+    delta[b] = (1, row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_integer_basis_tables_agree_with_the_field_tables(field, seed, mutant):
+    # The laws on the integer tables, and the identity (φ into the Hasse
+    # quiver for a poset) as a morphism from them, against the oracle on
+    # field tables.  A mutant goes into the source tables; it may still be
+    # a coalgebra (Δ(xy) without x⊗y is one), but never makes the
+    # injective map a morphism into the unmutated target.
+    rng = random.Random(seed)
+    carrier, basis = _integer_carrier(rng)
+    integer, oracle = basis_tables(carrier), field_basis_tables(carrier, field)
+    if mutant:
+        integer, oracle = [({b: delta(b) for b in basis}, {b: eps(b) for b in basis}) for delta, eps in (integer, oracle)]
+        _mutate(rng, carrier, basis, (integer, oracle), field)
+        integer, oracle = [(delta.__getitem__, eps.__getitem__) for delta, eps in (integer, oracle)]
+    expected = fraction_check_coalgebra(basis, *oracle)
+    assert check_coalgebra(basis, *integer) == expected
+    assert expected is None or mutant
+    if isinstance(carrier, Poset):
+        target = hasse_quiver(carrier)
+        f = {x: phi_embed(CoalgElement.unit(carrier, x, field)).combo for x in basis}.__getitem__
+    else:
+        target, f = carrier, lambda x: SparseVector.unit(x, field)
+    (delta, eps), (delta_t, eps_t) = integer, basis_tables(target)
+    (field_delta, field_eps), (field_delta_t, field_eps_t) = oracle, field_basis_tables(target, field)
+    expected = fraction_check_morphism(basis, f, field_delta, field_delta_t, field_eps, field_eps_t)
+    assert check_morphism(basis, f, delta, delta_t, eps, eps_t) == expected
+    assert (expected is None) == (not mutant)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_each_basis_table_mutant_is_caught_where_the_oracle_fails(field):
+    quiver = named_quiver("line3")
+    basis = enumerate_paths(quiver, 2).paths
+    a, c, x = quiver.vertex_path("a"), quiver.vertex_path("c"), quiver.arrow_path("x")
+    xy = quiver.path_from_labels(["x", "y"])
+    row = {pair: 1 for pair in quiver.splits(xy)}
+    mutants = [  # Δ(xy) or ε(x) changed, and the first failure
+        ({xy: (1, {**row, (a, xy): 2})}, {}, ("coassociativity", xy)),
+        ({xy: (1, {pair: n for pair, n in row.items() if pair != (xy, c)})}, {}, ("coassociativity", xy)),
+        ({}, {x: (1, {0: 1})}, ("counit", x)),
+    ]
+    delta, eps = basis_tables(quiver)
+    for delta_rows, eps_rows, failure in mutants:
+        mutant = (lambda b: delta_rows.get(b) or delta(b), lambda b: eps_rows.get(b) or eps(b))
+        oracle = (
+            lambda b: SparseVector({pair: field.of(n) for pair, n in mutant[0](b)[1].items()}),
+            lambda b: field.of(mutant[1](b)[1].get(0, 0)),
+        )
+        assert fraction_check_coalgebra(basis, *oracle) == failure
+        assert check_coalgebra(basis, *mutant) == failure
+    assert check_coalgebra(basis, delta, eps) is None
 
 
 def _outcome(validate):
@@ -265,8 +372,8 @@ def test_rescaled_structures_need_both_denominators():
 def test_kernel_refuses_rows_of_two_moduli():
     quiver = named_quiver("single_arrow")
     basis = enumerate_paths(quiver, 1).paths
-    delta5, eps5 = basis_tables(quiver, PrimeField(5))
-    delta7 = basis_tables(quiver, PrimeField(7))[0]
+    delta5, eps5 = field_basis_tables(quiver, PrimeField(5))
+    delta7 = field_basis_tables(quiver, PrimeField(7))[0]
     mixed = {b: (delta5 if i % 2 else delta7)(b) for i, b in enumerate(basis)}
     for check in (check_coalgebra, fraction_check_coalgebra):
         with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
