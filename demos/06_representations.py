@@ -54,7 +54,7 @@ for n in (1, 2, 3):
 print("\nmodule -> comodule -> module over the dual coalgebra:")
 algebra = structured_from_quiver(Quiver(["u", "v"], [("x", "u", "v")]))
 regular = regular_left_module(algebra)
-coaction = comodule_from_module(regular)  # verifies the comodule axioms
+coaction = comodule_from_module(regular)  # the coaction the module's check passed
 recovered = module_from_comodule(coaction)
 print("  actions recovered exactly:",
       all(recovered.action[b] == regular.action[b] for b in algebra.basis))

@@ -171,7 +171,7 @@ def cmd_alpha(args, field) -> tuple[dict, int]:
     tensor = SparseVector(
         ((p, q), cp * cq) for p, cp in el.combo.items() for q, cq in er.combo.items()
     )
-    image = alpha_embed(tensor, product, field)
+    image = alpha_embed(tensor, product)
     return {
         "command": "alpha",
         "tensor_terms": len(tensor.entries),
@@ -184,7 +184,7 @@ def cmd_phi(args, field) -> tuple[dict, int]:
     if (args.lower, args.upper) not in poset.leq:
         raise InputFailure(f"({args.lower},{args.upper}) is not an interval of the poset")
     element = CoalgElement.unit(poset, (args.lower, args.upper), field)
-    image = phi_embed(element, field)
+    image = phi_embed(element)
     return {
         "command": "phi",
         "interval": f"({args.lower},{args.upper})",
@@ -294,7 +294,7 @@ def _check_bialgebra(quiver, args):
 def _check_prop41(poset, args):
     quiver = hasse_quiver(poset)
     unique = check_unique_path_condition(quiver)
-    images = [phi_embed(CoalgElement.unit(poset, interval, QQ), QQ).combo for interval in poset.intervals()]
+    images = [phi_embed(CoalgElement.unit(poset, interval, QQ)).combo for interval in poset.intervals()]
     image_rank = rank(images)
     injective = image_rank == len(poset.intervals())
     surjective = image_rank == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector
-from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
+from .quiver import Family, Path, Quiver, Verdict, compose_paths, enumerate_paths, is_acyclic
 from .scalars import QQ, ParseError
 
 
@@ -192,48 +192,60 @@ class RationalCertificate:
         return any(not c_star.finite_support for c_star in self.functionals)
 
 
-def is_rational_left(f: Functional, target, max_len: Optional[int] = None, field=QQ) -> Verdict:
+def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Verdict:
     """Decide left-rationality of a functional, with a verified certificate.
 
-    Finite acyclic quivers: every functional is rational; the certificate
-    takes c_i = the path basis and c_i* = p_i*·f (convolution), minimized to
-    the nonzero terms.  On the line families, a finite-support functional is
-    certified through the finitely many paths ending with each support path,
-    and the starts-at rule through the finitely many paths ending at its
-    vertex; the latter certificate has infinite-support members.  On the
-    loop, only the zero functional is rational.  A yes carries its
-    ``RationalCertificate`` as the witness; other families are unknown.
+    With the translates f_q(qr) = f(r), d*·f = Σ_q d*(q)·f_q, so the paths
+    q with f_q nonzero and their translates certify f when there are
+    finitely many.  That holds for every functional on a finite acyclic
+    quiver.  On the line families it holds for a finite-support functional,
+    on the truncation its support lives on, and for the starts-at rule,
+    whose translates are has-prefix(q) for the paths q ending at its
+    vertex.  On the loop only the zero functional is rational; other
+    families are unknown.  A yes carries its ``RationalCertificate``,
+    checked once by convolution against every dual-basis functional of the
+    window.
     """
     if isinstance(target, Family):
-        return _rational_on_family(f, target, max_len if max_len is not None else 10, field)
+        return _rational_on_family(f, target, max_len if max_len is not None else 10)
     quiver: Quiver = target
     if not is_acyclic(quiver):
         raise ValueError("finite cyclic quivers are handled through their family kind")
-    enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
     if f.support is not None and f.support.is_zero():
         return Verdict("yes", RationalCertificate([], []), "zero functional")
-    cert = _convolution_certificate(f, enum.paths, field)
-    return Verdict("yes", cert, "finite-dimensional path coalgebra")
+    paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
+    return _certified(f, _window_translates(f, paths), paths, "finite-dimensional path coalgebra")
 
 
-def _convolution_certificate(f: Functional, paths, field) -> RationalCertificate:
-    """c_i = the window's path basis and c_i* = p_i*·f, minimized to the
-    nonzero terms, verified against every dual basis functional."""
-    elements = []
-    functionals = []
-    for p in paths:
-        product = convolve(Functional.dual_of_path(p, field), f, paths)
-        if not product.support.is_zero():
-            elements.append(CoalgElement.from_path(p, field))
-            functionals.append(product)
-    cert = RationalCertificate(elements, functionals)
-    duals = [Functional.dual_of_path(p, field) for p in paths]
-    if not cert.verify(f, duals, paths):
+def _window_translates(f: Functional, paths) -> list:
+    """(q, f_q) for each window path q with f_q nonzero on the window, where
+    f_q(qr) = f(r).  The window is closed under subpaths, so only the window
+    paths r with f(r) nonzero contribute."""
+    window = set(paths)
+    by_source = {}
+    for r in f.support.labels() if f.support is not None else paths:
+        if r in window and (value := f(r)):
+            by_source.setdefault(r.source, []).append((r, value))
+    translates = []
+    for q in paths:
+        values = {qr: value for r, value in by_source.get(q.target, ()) if (qr := compose_paths(q, r)) in window}
+        if values:
+            translates.append((q, Functional(q.quiver, support=SparseVector(values), field=f.field)))
+    return translates
+
+
+def _certified(f: Functional, translates, paths, why: str) -> Verdict:
+    """The certificate c_i = q, c_i* = f_q of the translates, verified
+    against every dual-basis functional of the window."""
+    cert = RationalCertificate(
+        [CoalgElement.from_path(q, f.field) for q, _ in translates], [f_q for _, f_q in translates]
+    )
+    if not cert.verify(f, [Functional.dual_of_path(p, f.field) for p in paths], paths):
         raise AssertionError("certificate failed to verify; bug")
-    return cert
+    return Verdict("yes", cert, why)
 
 
-def _rational_on_family(f: Functional, family: Family, window: int, field) -> Verdict:
+def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
     if f.support is not None and f.support.is_zero():
         return Verdict("yes", RationalCertificate([], []), "zero functional")
     if not family.facts.acyclic:
@@ -242,23 +254,16 @@ def _rational_on_family(f: Functional, family: Family, window: int, field) -> Ve
         return Verdict("unknown", explanation=f"no rule for family {family.kind}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
-        quiver = next(iter(f.support.labels())).quiver
-        cert = _convolution_certificate(f, enumerate_paths(quiver, window).paths, field)
-        return Verdict("yes", cert, "finitely many paths end with each support path")
+        paths = enumerate_paths(next(iter(f.support.labels())).quiver, window).paths
+        return _certified(f, _window_translates(f, paths), paths, "finitely many paths end with each support path")
     if f.rule.kind == "starts_at":
+        # f_q = has-prefix(q) for the paths q ending at the vertex, else zero.
         quiver = family.truncate(window)
-        enum = enumerate_paths(quiver, window)
-        vertex = f.rule.param
-        enders = [p for p in enum.paths if p.target == vertex]
-        elements = [CoalgElement.from_path(r, field) for r in enders]
-        functionals = [
-            Functional.from_rule(quiver, "has_prefix", r, field) for r in enders
+        paths = enumerate_paths(quiver, window).paths
+        translates = [
+            (q, Functional.from_rule(quiver, "has_prefix", q, f.field)) for q in paths if q.target == f.rule.param
         ]
-        cert = RationalCertificate(elements, functionals)
-        duals = [Functional.dual_of_path(p, field) for p in enum.paths]
-        if not cert.verify(f, duals, enum.paths):
-            raise AssertionError("certificate failed to verify; bug")
-        return Verdict("yes", cert, "certified through the finitely many paths ending at the vertex")
+        return _certified(f, translates, paths, "certified through the finitely many paths ending at the vertex")
     return Verdict("unknown", explanation=f"no rule for {f.describe()}")
 
 

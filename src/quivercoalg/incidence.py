@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coalgebra import CoalgElement, basis_tables, check_morphism
-from .finite_dual import StructuredAlgebra, dual_coalgebra
+from .finite_dual import DualCoalgebra, StructuredAlgebra
 from .linalg import SparseVector, label_sort_key, rank
 from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, enumerate_paths
 from .scalars import QQ
@@ -120,7 +120,7 @@ def _paths_between(poset: Poset) -> dict:
     return poset._paths_between
 
 
-def phi_embed(element: CoalgElement, field=QQ) -> CoalgElement:
+def phi_embed(element: CoalgElement) -> CoalgElement:
     """The interval e_{x,y} goes to the sum of all Hasse-quiver paths from x
     to y; an injective coalgebra morphism, surjective exactly when paths
     between points are unique."""
@@ -184,7 +184,8 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     incidence algebra: the evaluation map interval -> dual basis vector is a
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
-    dual = dual_coalgebra(algebra)
+    # Building the algebra checked these tables' coalgebra laws.
+    dual = DualCoalgebra(algebra, validate=False)
     delta, eps = basis_tables(poset)
     failure = check_morphism(
         poset.intervals(),

@@ -169,7 +169,7 @@ def _split_pair_label(label: str):
     raise ValueError(f"not a pair label: {label!r}")
 
 
-def alpha_embed(tensor: SparseVector, product: Quiver, field=QQ) -> CoalgElement:
+def alpha_embed(tensor: SparseVector, product: Quiver) -> CoalgElement:
     """The shuffle embedding: a pure tensor p⊗q goes to the sum of its
     interleavings over all lattice walks."""
     return CoalgElement(

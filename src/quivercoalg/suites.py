@@ -229,7 +229,7 @@ def check_counterexample_ideals() -> CheckReport:
     return CheckReport("counterexample-ideals", True, details)
 
 
-def check_rational_part(seed: int = 0) -> CheckReport:
+def check_rational_part() -> CheckReport:
     """Rational-part recovery: on finite acyclic quivers every dual-basis
     functional gets a verified certificate and the coordinate embedding
     fills the whole dual; on the bounded line family the starts-at witness
@@ -528,7 +528,7 @@ def check_dual_coalgebra_axioms(seed: int = 0) -> CheckReport:
     for _ in range(50):
         algebra = corpus.random_structured_algebra(rng)
         module = corpus.random_left_module(rng, algebra)
-        coaction = comodule_from_module(module)  # verifies the comodule axioms
+        coaction = comodule_from_module(module)  # the coaction the module's check passed
         back = module_from_comodule(coaction)
         for b in algebra.basis:
             if back.action[b] != module.action[b]:

@@ -31,7 +31,10 @@ against the loop that comultiplies its whole basis every round.  The
 integer basis tables of path and incidence coalgebras are checked against
 the same tables as SparseVectors of field scalars, and the bialgebra test
 on basis splits against the test that multiplies and comultiplies
-elements.
+elements.  Rational-part certificates built from translates are checked
+against the certificate that convolves p*·f for every window path p, and
+modules whose check must not run are built without ``LeftModule``'s
+constructor.
 """
 
 import re
@@ -40,7 +43,7 @@ from itertools import permutations
 
 from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement, comultiply, left_tensor_components, right_tensor_components
-from quivercoalg.dual import Functional
+from quivercoalg.dual import Functional, RationalCertificate, convolve
 from quivercoalg.incidence import Poset
 from quivercoalg.linalg import (
     SparseVector,
@@ -54,6 +57,7 @@ from quivercoalg.linalg import (
     rref,
     solve_membership,
 )
+from quivercoalg.representation import LeftModule
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import (
     Path,
@@ -544,6 +548,26 @@ def fraction_validate_left_module(module):
                     expected[i][j] += coeff * y
             if not mat_eq(composite, tuple(map(tuple, expected))):
                 raise ValueError(f"action does not respect the product at ({a},{b})")
+
+
+def unchecked_left_module(algebra, dimension, action):
+    """A ``LeftModule`` with the given fields whose law check never ran."""
+    module = object.__new__(LeftModule)
+    module.algebra, module.dimension, module.action = algebra, dimension, action
+    return module
+
+
+def convolution_certificate(f, paths):
+    """The rational-part certificate c_i = p, c_i* = p*·f over the window
+    paths p with p*·f nonzero, each member computed by convolution."""
+    elements = []
+    functionals = []
+    for p in paths:
+        product = convolve(Functional.dual_of_path(p, f.field), f, paths)
+        if not product.support.is_zero():
+            elements.append(CoalgElement.from_path(p, f.field))
+            functionals.append(product)
+    return RationalCertificate(elements, functionals)
 
 
 def fixpoint_order_closure(elements, relation_pairs):

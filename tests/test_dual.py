@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement
-from quivercoalg.corpus import named_quiver, random_element, random_quiver
+from quivercoalg.corpus import ACYCLIC_CORPUS, named_quiver, random_acyclic_quiver, random_element, random_quiver
 from quivercoalg.dual import (
     Functional,
     RationalCertificate,
@@ -20,7 +20,7 @@ from quivercoalg.linalg import SparseVector
 from quivercoalg.quiver import Family, enumerate_paths, family_from_token
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import every_split_convolve, loop_power_decompositions
+from helpers import convolution_certificate, every_split_convolve, loop_power_decompositions
 
 
 def dual(path):
@@ -226,6 +226,135 @@ def test_rational_finite_support_on_line_family():
     f = dual(quiver.arrow_path("a0"))
     verdict = is_rational_left(f, fam, 5)
     assert verdict.status == "yes" and not verdict.witness.infinite_support
+
+
+GF5 = PrimeField(5)
+
+
+def _sweep_functionals(quiver, field, rng):
+    """Every dual-basis functional, each rule kind and random finite
+    supports, over the field."""
+    window = paths_of(quiver)
+    yield from (Functional.dual_of_path(p, field) for p in window)
+    yield Functional.from_rule(quiver, "gamma", None, field)
+    yield Functional.from_rule(quiver, "eval", field.parse("2"), field)
+    yield from (Functional.from_rule(quiver, "starts_at", v, field) for v in sorted(quiver.vertices))
+    yield from (Functional.from_rule(quiver, "has_prefix", p, field) for p in window)
+    for _ in range(3):
+        support = rng.sample(window, rng.randint(1, min(4, len(window))))
+        yield Functional(quiver, support=SparseVector({p: field.of(rng.randint(-3, 3)) for p in support}), field=field)
+
+
+def _members(cert, window):
+    """The certificate as comparable data: each element, and each member
+    functional's values on the window and its field."""
+    return (cert.elements, [(c.restrict(window), c.field) for c in cert.functionals])
+
+
+def test_translate_certificates_match_the_convolution_oracle():
+    # Rule functionals on finite quivers included: their translates must be
+    # read off the window, not off a support.
+    rng = random.Random(11)
+    quivers = [named_quiver(name) for name in ACYCLIC_CORPUS] + [random_acyclic_quiver(rng) for _ in range(10)]
+    checked = 0
+    for quiver in quivers:
+        window = paths_of(quiver)
+        for field in (QQ, GF5):
+            for f in _sweep_functionals(quiver, field, rng):
+                verdict = is_rational_left(f, quiver)
+                oracle = convolution_certificate(f, window)
+                assert verdict.status == "yes", f.describe()
+                assert _members(verdict.witness, window) == _members(oracle, window), f.describe()
+                assert [c.describe() for c in verdict.witness.functionals] == [
+                    c.describe() for c in oracle.functionals
+                ]
+                checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("window", [6, 8, 10])
+def test_family_translates_match_the_convolution_oracle(window):
+    family = Family("line1")
+    truncation = enumerate_paths(family.truncate(window), window).paths
+    starts = Functional.from_rule(family, "starts_at", "v3")
+    verdict = is_rational_left(starts, family, window)
+    assert verdict.witness.infinite_support
+    assert _members(verdict.witness, truncation) == _members(convolution_certificate(starts, truncation), truncation)
+    support_quiver = family.truncate(4)
+    f = Functional(family, support=SparseVector({support_quiver.arrow_path("a1"): Fraction(2),
+                                                support_quiver.vertex_path("v3"): Fraction(-1)}))
+    window_paths = enumerate_paths(support_quiver, window).paths
+    verdict = is_rational_left(f, family, window)
+    assert _members(verdict.witness, window_paths) == _members(convolution_certificate(f, window_paths), window_paths)
+
+
+def test_certificates_carry_the_functional_field():
+    q = named_quiver("line3")
+    verdict = is_rational_left(Functional.dual_of_path(q.arrow_path("x"), GF5), q)
+    assert verdict.witness.elements
+    for element, member in zip(verdict.witness.elements, verdict.witness.functionals):
+        assert all(type(c) is type(GF5.one) for c in element.combo.entries.values())
+        assert member.field is GF5
+    family = Family("line1")
+    verdict = is_rational_left(Functional.from_rule(family, "starts_at", "v2", GF5), family, 6)
+    assert all(type(c) is type(GF5.one) for e in verdict.witness.elements for c in e.combo.entries.values())
+    assert {member.field for member in verdict.witness.functionals} == {GF5}
+
+
+def _rejects(cert, f, window):
+    return not cert.verify(f, [dual(p) for p in window], window)
+
+
+def test_verify_rejects_mutated_translates():
+    added = 0
+    for name in ("line3", "diamond", "branching"):
+        q = named_quiver(name)
+        window = paths_of(q)
+        for f in (dual(q.arrow_path(q.arrows[0].label)), Functional.from_rule(q, "gamma")):
+            cert = is_rational_left(f, q).witness
+            elements, members = cert.elements, cert.functionals
+            # One value of a translate changed.
+            changed = dict(members[0].support.items())
+            first = next(iter(changed))
+            changed[first] += 1
+            mutant = members[:]
+            mutant[0] = Functional(q, support=SparseVector(changed))
+            assert _rejects(RationalCertificate(elements, mutant), f, window)
+            # One translate dropped.
+            for i in range(len(elements)):
+                assert _rejects(RationalCertificate(elements[:i] + elements[i + 1:], members[:i] + members[i + 1:]),
+                                f, window)
+            # A translate added by a path ending outside the start set of f.
+            starts = {r.source for r in window if f(r)}
+            for p in window:
+                if p.target not in starts:
+                    extra = RationalCertificate(elements + [CoalgElement.from_path(p)],
+                                                members + [Functional.from_rule(q, "has_prefix", p)])
+                    assert _rejects(extra, f, window)
+                    added += 1
+    assert added >= 10
+
+
+def test_verify_rejects_family_translates_counted_by_start():
+    # A has-prefix member for a path that starts at the vertex instead of
+    # ending there.
+    family = Family("line1")
+    f = Functional.from_rule(family, "starts_at", "v2")
+    cert = is_rational_left(f, family, 6).witness
+    quiver = family.truncate(6)
+    window = enumerate_paths(quiver, 6).paths
+    assert not _rejects(cert, f, window)
+    leaving = quiver.arrow_path("a2")
+    extra = RationalCertificate(cert.elements + [CoalgElement.from_path(leaving)],
+                                cert.functionals + [Functional.from_rule(quiver, "has_prefix", leaving)])
+    assert _rejects(extra, f, window)
+    assert _rejects(RationalCertificate(cert.elements[1:], cert.functionals[1:]), f, window)
+
+
+def test_rational_left_takes_its_field_from_the_functional():
+    q = named_quiver("line3")
+    with pytest.raises(TypeError):
+        is_rational_left(dual(q.arrow_path("x")), q, field=QQ)
 
 
 def test_gamma_membership():

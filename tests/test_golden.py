@@ -1,0 +1,91 @@
+"""Byte-for-byte outputs of the demos and of the ``check`` verbs.
+
+The stdout of each demo, and of ``quivercoalg check <verb> <input> --json``
+for every quiver verb on the 16 corpus quivers and every poset verb on the
+13 corpus posets, run in-process through ``cli.main``, must equal the files
+under ``tests/golden/``.  The test only reads those files.  After a
+deliberate output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py --rewrite
+
+and review the diff before committing it.
+"""
+
+import contextlib
+import io
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from quivercoalg import cli
+from quivercoalg.corpus import ACYCLIC_CORPUS, CYCLIC_CORPUS, POSET_CORPUS, named_poset, named_quiver
+from quivercoalg.textio import poset_to_text, quiver_to_text
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# verb -> the corpus kinds it reads ("coreflexive" reads both).
+VERBS = {name: ("quiver", "poset") if kind is None else (kind,) for name, (kind, _, _) in cli.CHECKS.items()}
+INPUTS = {
+    "quiver": [(name, quiver_to_text(named_quiver(name))) for name in ACYCLIC_CORPUS + CYCLIC_CORPUS],
+    "poset": [(name, poset_to_text(named_poset(name))) for name in POSET_CORPUS],
+}
+
+
+def demo_output(demo: Path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    return out.getvalue()
+
+
+def check_output(verb: str, directory: Path) -> str:
+    """One record per input: a header with the exit code, then stdout."""
+    records = []
+    for kind in VERBS[verb]:
+        for name, text in INPUTS[kind]:
+            path = directory / f"{kind}-{name}.txt"
+            path.write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                status = cli.main(["check", verb, str(path), "--json"])
+            records.append(f"$ check {verb} {kind}:{name} --json -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
+def golden_files(directory: Path) -> dict:
+    """Golden file name -> the output it must hold."""
+    files = {f"demo-{demo.stem}.txt": demo_output(demo) for demo in DEMOS}
+    files.update({f"check-{verb}.txt": check_output(verb, directory) for verb in VERBS})
+    return files
+
+
+def golden(name: str) -> str:
+    return (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_the_golden_files_are_exactly_these():
+    expected = {f"demo-{demo.stem}.txt" for demo in DEMOS} | {f"check-{verb}.txt" for verb in VERBS}
+    assert {path.name for path in GOLDEN.iterdir()} == expected
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
+def test_demo_stdout_is_unchanged(demo):
+    assert demo_output(demo) == golden(f"demo-{demo.stem}.txt")
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_check_stdout_is_unchanged(verb, tmp_path):
+    assert check_output(verb, tmp_path) == golden(f"check-{verb}.txt")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --rewrite")
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in golden_files(Path(scratch)).items():
+            (GOLDEN / name).write_text(text, encoding="utf-8")

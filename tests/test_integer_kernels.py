@@ -28,6 +28,7 @@ from helpers import (
     fraction_check_morphism,
     fraction_validate_left_module,
     fraction_validate_structured,
+    unchecked_left_module,
 )
 import quivercoalg
 from quivercoalg import finite_dual, representation
@@ -341,7 +342,7 @@ def test_left_module_validation_agrees_with_the_fraction_validator(field, seed, 
         b = rng.choice(list(algebra.basis))
         i, j = rng.randrange(n), rng.randrange(n)
         action[b][i][j] += _scalar(rng, field)
-    unchecked = LeftModule(algebra, n, {b: tuple(map(tuple, m)) for b, m in action.items()}, validate=False)
+    unchecked = unchecked_left_module(algebra, n, {b: tuple(map(tuple, m)) for b, m in action.items()})
     expected = _outcome(lambda: fraction_validate_left_module(unchecked))
     assert _outcome(unchecked._validate) == expected
     if not corrupt:

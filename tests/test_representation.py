@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -14,13 +15,14 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.finite_dual import structured_from_quiver
 from quivercoalg.incidence import fia_structured_algebra
-from quivercoalg.linalg import mat_identity, mat_mul
+from quivercoalg.linalg import SparseVector, mat_identity, mat_mul
 from quivercoalg.quiver import Quiver
 from quivercoalg.representation import (
     LeftModule,
     Representation,
     annihilator_monomial_check,
     comodule_from_module,
+    Coaction,
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
@@ -141,7 +143,7 @@ def test_comodule_of_regular_module():
     q = named_quiver("single_arrow")
     algebra = structured_from_quiver(q)
     reg = regular_left_module(algebra)
-    coaction = comodule_from_module(reg)  # verifies coassociativity + counit
+    coaction = comodule_from_module(reg)
     back = module_from_comodule(coaction)
     for b in algebra.basis:
         assert back.action[b] == reg.action[b]
@@ -156,6 +158,52 @@ def test_comodule_roundtrip_random():
         back = module_from_comodule(coaction)
         for b in algebra.basis:
             assert back.action[b] == module.action[b]
+
+
+def test_module_from_comodule_refuses_a_corrupted_coaction():
+    # Adding to one idempotent entry of a lawful coaction breaks its counit
+    # law: the idempotents' actions no longer sum to the identity.
+    rng = random.Random(4)
+    refused = 0
+    for _ in range(20):
+        algebra = random_structured_algebra(rng)
+        coaction = comodule_from_module(random_left_module(rng, algebra))
+        if not coaction.dimension:
+            continue
+        rho = list(coaction.rho)
+        i, j = rng.randrange(coaction.dimension), rng.randrange(coaction.dimension)
+        e = rng.choice(algebra.idempotents)
+        entries = dict(rho[j].items())
+        entries[(i, e)] = entries.get((i, e), QQ.zero) + QQ.one
+        rho[j] = SparseVector(entries)
+        with pytest.raises(ValueError, match="not unital"):
+            module_from_comodule(Coaction(algebra, coaction.dimension, rho))
+        refused += 1
+    assert refused >= 10
+
+
+def test_regular_left_module_of_every_corpus_and_random_algebra():
+    rng = random.Random(6)
+    algebras = [structured_from_quiver(q) for q in corpus.acyclic_corpus()]
+    algebras += [fia_structured_algebra(poset) for poset in corpus.poset_corpus()]
+    algebras += [random_structured_algebra(rng) for _ in range(30)]
+    for algebra in algebras:
+        module = regular_left_module(algebra)
+        assert module.dimension == len(algebra.basis)
+        back = module_from_comodule(comodule_from_module(module))
+        assert back.action == module.action
+
+
+def test_left_module_is_always_checked():
+    algebra = structured_from_quiver(named_quiver("single_arrow"))
+    n = len(algebra.basis)
+    zero = tuple(tuple(QQ.zero for _ in range(n)) for _ in range(n))
+    action = {b: zero for b in algebra.basis}
+    with pytest.raises(ValueError, match="not unital"):
+        LeftModule(algebra, n, action)
+    assert list(inspect.signature(LeftModule).parameters) == ["algebra", "dimension", "action"]
+    with pytest.raises(TypeError):
+        LeftModule(algebra, n, action, validate=False)
 
 
 def test_representation_rejects_ragged_matrix():
