@@ -142,6 +142,12 @@ def basis_tables(carrier):
     )
 
 
+def linear_extension(table, combo: SparseVector) -> SparseVector:
+    """Σ c·table(label) over the combination, for a table of integer rows
+    ``(1, {key: n})`` such as the embeddings' basis tables."""
+    return SparseVector((key, coeff * n) for label, coeff in combo.items() for key, n in table(label)[1].items())
+
+
 # ---------------------------------------------------------------------------
 # The coalgebra-law kernel: every law check in the library goes through these
 # three functions.  They read basis-level tables (``delta(label)`` a row over
@@ -207,25 +213,24 @@ def _counit_differs(terms, counit, scale_j, key, value, p) -> bool:
     index, differs from the scalar ``value`` = (e, {0: u}), that is u/e, at
     ``key`` and from zero elsewhere."""
     e, u = value[0], value[1].get(0, 0)
-    scale = lcm(*[counit(b)[0] for _, b, _ in terms])
+    terms = [(i, counit(b), n) for i, b, n in terms]
+    scale = lcm(*[scale_b for _, (scale_b, _), _ in terms])
     sums = {key: -u * scale * scale_j}
-    for i, b, n in terms:
-        scale_b, value_b = counit(b)
+    for i, (scale_b, value_b), n in terms:
         sums[i] = sums.get(i, 0) + n * value_b.get(0, 0) * (scale // scale_b) * e
     return _nonzero(sums, p)
 
 
 def _comodule_failure(j, rho, delta, counit, ints):
     scale_j, coaction = rho(j)
-    scale = lcm(*[rho(i)[0] for i, _ in coaction], *[delta(b)[0] for _, b in coaction])
+    terms = [(i, b, n, rho(i), delta(b)) for (i, b), n in coaction.items()]
+    scale = lcm(*[row_i[0] for *_, row_i, _ in terms], *[row_b[0] for *_, row_b in terms])
     sums = {}
-    for (i, b), n in coaction.items():
-        scale_i, inner = rho(i)
+    for i, b, n, (scale_i, inner), (scale_b, split) in terms:
         w = n * (scale // scale_i)
         for (k, c), m in inner.items():
             key = (k, c, b)
             sums[key] = sums.get(key, 0) + w * m
-        scale_b, split = delta(b)
         w = n * (scale // scale_b)
         for (c, d), m in split.items():
             key = (i, c, d)
@@ -265,7 +270,7 @@ def check_coalgebra(basis, delta, counit):
 
 def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
     """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label; ``f(label)`` is a
-    SparseVector over target labels."""
+    row over target labels."""
     ints = _IntegerTables()
     f, delta_src, delta_tgt = ints.rows(f), ints.rows(delta_src), ints.rows(delta_tgt)
     counit_src, counit_tgt = ints.scalars(counit_src), ints.scalars(counit_tgt)
@@ -273,15 +278,15 @@ def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
         # Both sides times scale_f · scale_x · scale.
         scale_f, image = f(x)
         scale_x, split = delta_src(x)
-        scale = lcm(*[delta_tgt(y)[0] for y in image], *[f(a)[0] * f(b)[0] for a, b in split])
+        image_terms = [(n, delta_tgt(y)) for y, n in image.items()]
+        split_terms = [(n, f(a), f(b)) for (a, b), n in split.items()]
+        scale = lcm(*[row[0] for _, row in image_terms], *[row_a[0] * row_b[0] for _, row_a, row_b in split_terms])
         sums = {}
-        for y, n in image.items():
-            scale_y, image_split = delta_tgt(y)
+        for n, (scale_y, image_split) in image_terms:
             w = n * scale_x * (scale // scale_y)
             for pair, m in image_split.items():
                 sums[pair] = sums.get(pair, 0) + w * m
-        for (a, b), n in split.items():
-            (scale_a, image_a), (scale_b, image_b) = f(a), f(b)
+        for n, (scale_a, image_a), (scale_b, image_b) in split_terms:
             w = n * scale_f * (scale // (scale_a * scale_b))
             for u, cu in image_a.items():
                 wu = w * cu

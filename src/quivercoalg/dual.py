@@ -173,16 +173,30 @@ class RationalCertificate:
 
     def verify(self, f: Functional, duals, paths) -> bool:
         """Exact check of the defining identity against the given d* family,
-        with both sides evaluated on the given path window."""
+        with both sides evaluated on the given path window.  The window's
+        splits p = qr with f(r) nonzero are indexed by q, and the element
+        labels by the members they weigh, once: a finite-support d* reads
+        (d*·f)(p) = Σ d*(q)·f(r) and its weights d*(c_i) off the indexes, a
+        rule-valued d* is convolved and evaluated.  Each member c_i* is read
+        on the window once."""
+        by_prefix, by_label = {}, {}
+        for p in paths:
+            for q, r in p.splits():
+                if value := f(r):
+                    by_prefix.setdefault(q, []).append((p, value))
+        for i, c in enumerate(self.elements):
+            for label, coeff in c.combo.items():
+                by_label.setdefault(label, []).append((i, coeff))
+        members = [c_star.restrict(paths) for c_star in self.functionals]
         for d_star in duals:
-            left = convolve(d_star, f, paths)
-            right = SparseVector(
-                (p, value * weight)
-                for c, c_star in zip(self.elements, self.functionals)
-                if (weight := d_star.evaluate_element(c))
-                for p, value in c_star.restrict(paths).items()
-            )
-            if left.support != right:
+            if d_star.support is None:
+                left = convolve(d_star, f, paths).support
+                weights = [(i, d_star.evaluate_element(c)) for i, c in enumerate(self.elements)]
+            else:
+                terms = d_star.support.items()
+                left = SparseVector((p, w * value) for q, w in terms for p, value in by_prefix.get(q, ()))
+                weights = SparseVector((i, w * coeff) for q, w in terms for i, coeff in by_label.get(q, ())).items()
+            if left != SparseVector((p, value * weight) for i, weight in weights for p, value in members[i].items()):
                 return False
         return True
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coalgebra import CoalgElement, basis_tables, check_morphism
+from .coalgebra import CoalgElement, basis_tables, check_morphism, linear_extension
 from .finite_dual import DualCoalgebra, StructuredAlgebra
-from .linalg import SparseVector, label_sort_key, rank
+from .linalg import SparseVector, label_sort_key
 from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, enumerate_paths
 from .scalars import QQ
 
@@ -120,20 +120,18 @@ def _paths_between(poset: Poset) -> dict:
     return poset._paths_between
 
 
+def phi_table(poset: Poset):
+    """φ on the intervals, in the law kernel's integer form: e_{x,y} ->
+    ``(1, {p: 1})`` over the Hasse-quiver paths from x to y."""
+    table = _paths_between(poset)
+    return lambda interval: (1, dict.fromkeys(table.get((str(interval[0]), str(interval[1])), ()), 1))
+
+
 def phi_embed(element: CoalgElement) -> CoalgElement:
-    """The interval e_{x,y} goes to the sum of all Hasse-quiver paths from x
-    to y; an injective coalgebra morphism, surjective exactly when paths
-    between points are unique."""
-    quiver = hasse_quiver(element.carrier)
-    table = _paths_between(element.carrier)
-    return CoalgElement(
-        quiver,
-        SparseVector(
-            (p, coeff)
-            for (x, y), coeff in element.combo.items()
-            for p in table.get((str(x), str(y)), [])
-        ),
-    )
+    """The linear extension of ``phi_table``: the interval e_{x,y} goes to
+    the sum of all Hasse-quiver paths from x to y; an injective coalgebra
+    morphism, surjective exactly when paths between points are unique."""
+    return CoalgElement(hasse_quiver(element.carrier), linear_extension(phi_table(element.carrier), element.combo))
 
 
 def incidence_convolve(f: CoalgElement, g: CoalgElement) -> CoalgElement:
@@ -187,9 +185,10 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     # Building the algebra checked these tables' coalgebra laws.
     dual = DualCoalgebra(algebra, validate=False)
     delta, eps = basis_tables(poset)
+    intervals = poset.intervals()
     failure = check_morphism(
-        poset.intervals(),
-        lambda interval: SparseVector.unit(interval, field),
+        intervals,
+        lambda interval: (1, {interval: 1}),
         delta,
         dual.delta_table.__getitem__,
         eps,
@@ -198,9 +197,10 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     if failure is not None:
         law, interval = failure
         return IncidenceRecoveryReport(False, len(algebra.basis), f"{law} mismatch at {interval}")
-    dim = len(poset.intervals())
-    vectors = [SparseVector.unit(interval) for interval in poset.intervals()]
-    if rank(vectors) != dim:
+    # The evaluation map sends the intervals to distinct dual basis vectors
+    # exactly when they are the algebra's basis with no repeats.
+    dim = len(intervals)
+    if len(set(intervals)) != dim or set(intervals) != set(algebra.basis):
         raise AssertionError("dual basis vectors are not independent; bug")
     return IncidenceRecoveryReport(True, dim, "bijective coalgebra morphism onto the finite dual")
 

@@ -334,11 +334,6 @@ def reducer(rref_basis):
     return reduce
 
 
-def in_span(v: SparseVector, rref_basis) -> bool:
-    """Membership test against a precomputed ``rref`` basis."""
-    return reducer(rref_basis)(v).is_zero()
-
-
 def solve_membership(v: SparseVector, generators) -> list | None:
     """Coefficients expressing v in terms of the generators, or None.
 

@@ -10,7 +10,7 @@ from math import comb
 from itertools import combinations
 from typing import Optional
 
-from .coalgebra import CoalgElement, comultiply, counit
+from .coalgebra import CoalgElement, comultiply, counit, linear_extension
 from .dual import Functional
 from .incidence import Poset
 from .linalg import SparseVector, rank1_decompose_2x2, rank1_factor_2x2
@@ -169,28 +169,29 @@ def _split_pair_label(label: str):
     raise ValueError(f"not a pair label: {label!r}")
 
 
-def alpha_embed(tensor: SparseVector, product: Quiver) -> CoalgElement:
-    """The shuffle embedding: a pure tensor p⊗q goes to the sum of its
+def alpha_table(product: Quiver):
+    """The shuffle embedding on basis pairs, in the law kernel's integer
+    form: (p, q) -> ``(1, {walk_path: 1})`` over the lattice walks of shape
+    (|p|, |q|), whose interleavings are distinct paths.  The walks of each
+    shape are built once per table."""
+    walks = {}
+
+    def row(pair):
+        p, q = pair
+        shape = (p.length, q.length)
+        if shape not in walks:
+            walks[shape] = lattice_walks(*shape)
+        return (1, {walk_path(p, q, walk, product): 1 for walk in walks[shape]})
+
+    return row
+
+
+def alpha_embed(tensor: SparseVector, product: Quiver, table=None) -> CoalgElement:
+    """The shuffle embedding, the linear extension of ``alpha_table``
+    (``table`` if given): a pure tensor p⊗q goes to the sum of its
     interleavings over all lattice walks."""
-    return CoalgElement(
-        product,
-        SparseVector(
-            (walk_path(p, q, walk, product), coeff)
-            for (p, q), coeff in tensor.items()
-            for walk in lattice_walks(p.length, q.length)
-        ),
-    )
-
-
-def tensor_comultiply(tensor: SparseVector) -> SparseVector:
-    """Comultiplication of the tensor-product coalgebra, over pairs of
-    pair-labels: (p⊗q) -> sum over splits of (p1⊗q1) ⊗ (p2⊗q2)."""
-    return SparseVector(
-        (((p1, q1), (p2, q2)), coeff)
-        for (p, q), coeff in tensor.items()
-        for p1, p2 in p.splits()
-        for q1, q2 in q.splits()
-    )
+    row = table or alpha_table(product)
+    return CoalgElement(product, linear_extension(row, tensor))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +446,20 @@ def star_perp_factorization(n: int, truncation: int, eta: Functional, field=QQ) 
 
 @dataclass(frozen=True)
 class TensorProduct:
-    """Descriptor for the tensor product of two coalgebras."""
+    """Descriptor for the tensor product of two coalgebras, and the carrier
+    of ``coalgebra.basis_tables`` on pairs of basis labels: (p⊗q) splits as
+    (p1⊗q1) ⊗ (p2⊗q2) over the splits of each factor, and is grouplike
+    when both factors are."""
 
     left: object
     right: object
+
+    def splits(self, pair):
+        p, q = pair
+        return [((p1, q1), (p2, q2)) for p1, p2 in self.left.splits(p) for q1, q2 in self.right.splits(q)]
+
+    def is_grouplike(self, pair) -> bool:
+        return self.left.is_grouplike(pair[0]) and self.right.is_grouplike(pair[1])
 
 
 _ONE_LOOP = "(b) one loop: the dual algebra is a power series ring; every cofinite ideal is closed"

@@ -34,7 +34,12 @@ on basis splits against the test that multiplies and comultiplies
 elements.  Rational-part certificates built from translates are checked
 against the certificate that convolves p*·f for every window path p, and
 modules whose check must not run are built without ``LeftModule``'s
-constructor.
+constructor.  The shuffle and interval embeddings, the linear extensions
+of integer tables in the library, are checked against the sums they
+replaced, one ``lattice_walks`` call per tensor pair and a filter of the
+Hasse quiver's paths by endpoints; the certificate check that reads a
+split index against the check that convolves every d* with f; and span
+membership is tested by reducing against an ``rref`` basis.
 """
 
 import re
@@ -44,7 +49,7 @@ from itertools import permutations
 from quivercoalg import algebra
 from quivercoalg.coalgebra import CoalgElement, comultiply, left_tensor_components, right_tensor_components
 from quivercoalg.dual import Functional, RationalCertificate, convolve
-from quivercoalg.incidence import Poset
+from quivercoalg.incidence import Poset, hasse_quiver
 from quivercoalg.linalg import (
     SparseVector,
     kernel_of_map,
@@ -59,8 +64,10 @@ from quivercoalg.linalg import (
 )
 from quivercoalg.representation import LeftModule
 from quivercoalg.scalars import QQ
+from quivercoalg.products import lattice_walks, walk_path
 from quivercoalg.quiver import (
     Path,
+    enumerate_paths,
     find_simple_cycle,
     has_composable_arrow_pair,
     has_multiple_edges,
@@ -796,3 +803,53 @@ def element_bialgebra_check(quiver, field=QQ):
     if (witness is None) != criterion:
         raise AssertionError("structural criterion and exhaustive witness test disagree; bug")
     return algebra.BialgebraReport(witness is None, criterion, witness, checked)
+
+
+def in_span(v, rref_basis):
+    """Membership test against a precomputed ``rref`` basis."""
+    return reducer(rref_basis)(v).is_zero()
+
+
+def walk_sum_alpha_embed(tensor, product):
+    """The shuffle embedding as a sum over the walks of each tensor pair,
+    with the walks built for every pair."""
+    return CoalgElement(
+        product,
+        SparseVector(
+            (walk_path(p, q, walk, product), coeff)
+            for (p, q), coeff in tensor.items()
+            for walk in lattice_walks(p.length, q.length)
+        ),
+    )
+
+
+def path_sum_phi_embed(element):
+    """The interval embedding as a sum, for each interval (x, y), over the
+    Hasse quiver's paths filtered to source x and target y."""
+    quiver = hasse_quiver(element.carrier)
+    paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
+    return CoalgElement(
+        quiver,
+        SparseVector(
+            (p, coeff)
+            for (x, y), coeff in element.combo.items()
+            for p in paths
+            if (p.source, p.target) == (str(x), str(y))
+        ),
+    )
+
+
+def convolution_verify(cert, f, duals, paths):
+    """``RationalCertificate.verify`` by convolving every d* with f and
+    evaluating d* on every certificate element."""
+    for d_star in duals:
+        left = convolve(d_star, f, paths)
+        right = SparseVector(
+            (p, value * weight)
+            for c, c_star in zip(cert.elements, cert.functionals)
+            if (weight := d_star.evaluate_element(c))
+            for p, value in c_star.restrict(paths).items()
+        )
+        if left.support != right:
+            return False
+    return True

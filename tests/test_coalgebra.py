@@ -28,7 +28,7 @@ from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
 
-from helpers import field_basis_tables, spans_equal, whole_basis_subcoalgebra_closure
+from helpers import field_basis_tables, in_span, spans_equal, whole_basis_subcoalgebra_closure
 
 
 def unit(path):
@@ -237,7 +237,6 @@ def test_closure_is_idempotent_and_delta_stable():
         basis = [e.combo for e in closure]
         reduced = rref(basis)
         from quivercoalg.coalgebra import left_tensor_components, right_tensor_components
-        from quivercoalg.linalg import in_span
 
         for e in closure:
             tensor = comultiply(e)

@@ -20,7 +20,7 @@ from quivercoalg.linalg import SparseVector
 from quivercoalg.quiver import Family, enumerate_paths, family_from_token
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import convolution_certificate, every_split_convolve, loop_power_decompositions
+from helpers import convolution_certificate, convolution_verify, every_split_convolve, loop_power_decompositions
 
 
 def dual(path):
@@ -305,50 +305,122 @@ def _rejects(cert, f, window):
     return not cert.verify(f, [dual(p) for p in window], window)
 
 
-def test_verify_rejects_mutated_translates():
-    added = 0
+def _mutation_cases():
+    """(quiver, window, f) for a dual-basis functional and gamma on three
+    finite quivers."""
     for name in ("line3", "diamond", "branching"):
         q = named_quiver(name)
         window = paths_of(q)
         for f in (dual(q.arrow_path(q.arrows[0].label)), Functional.from_rule(q, "gamma")):
-            cert = is_rational_left(f, q).witness
-            elements, members = cert.elements, cert.functionals
-            # One value of a translate changed.
-            changed = dict(members[0].support.items())
-            first = next(iter(changed))
-            changed[first] += 1
-            mutant = members[:]
-            mutant[0] = Functional(q, support=SparseVector(changed))
-            assert _rejects(RationalCertificate(elements, mutant), f, window)
-            # One translate dropped.
-            for i in range(len(elements)):
-                assert _rejects(RationalCertificate(elements[:i] + elements[i + 1:], members[:i] + members[i + 1:]),
-                                f, window)
-            # A translate added by a path ending outside the start set of f.
-            starts = {r.source for r in window if f(r)}
-            for p in window:
-                if p.target not in starts:
-                    extra = RationalCertificate(elements + [CoalgElement.from_path(p)],
-                                                members + [Functional.from_rule(q, "has_prefix", p)])
-                    assert _rejects(extra, f, window)
-                    added += 1
+            yield q, window, f
+
+
+def _mutated_translates(q, window, f):
+    """(kind, mutant) for the mutants of the translate certificate of f."""
+    cert = is_rational_left(f, q).witness
+    elements, members = cert.elements, cert.functionals
+    # One value of a translate changed.
+    changed = dict(members[0].support.items())
+    first = next(iter(changed))
+    changed[first] += 1
+    yield "changed", RationalCertificate(elements, [Functional(q, support=SparseVector(changed))] + members[1:])
+    # One translate dropped.
+    for i in range(len(elements)):
+        yield "dropped", RationalCertificate(elements[:i] + elements[i + 1:], members[:i] + members[i + 1:])
+    # A translate added by a path ending outside the start set of f.
+    starts = {r.source for r in window if f(r)}
+    for p in window:
+        if p.target not in starts:
+            yield "added", RationalCertificate(elements + [CoalgElement.from_path(p)],
+                                               members + [Functional.from_rule(q, "has_prefix", p)])
+
+
+def test_verify_rejects_mutated_translates():
+    added = 0
+    for q, window, f in _mutation_cases():
+        for kind, mutant in _mutated_translates(q, window, f):
+            assert _rejects(mutant, f, window)
+            added += kind == "added"
     assert added >= 10
 
 
-def test_verify_rejects_family_translates_counted_by_start():
-    # A has-prefix member for a path that starts at the vertex instead of
-    # ending there.
+def _family_mutants():
+    """The starts-at certificate on line1 at window 6, with a has-prefix
+    member for a path that starts at the vertex instead of ending there,
+    and with its first member dropped."""
     family = Family("line1")
     f = Functional.from_rule(family, "starts_at", "v2")
     cert = is_rational_left(f, family, 6).witness
     quiver = family.truncate(6)
     window = enumerate_paths(quiver, 6).paths
-    assert not _rejects(cert, f, window)
     leaving = quiver.arrow_path("a2")
     extra = RationalCertificate(cert.elements + [CoalgElement.from_path(leaving)],
                                 cert.functionals + [Functional.from_rule(quiver, "has_prefix", leaving)])
-    assert _rejects(extra, f, window)
-    assert _rejects(RationalCertificate(cert.elements[1:], cert.functionals[1:]), f, window)
+    dropped = RationalCertificate(cert.elements[1:], cert.functionals[1:])
+    return quiver, window, f, cert, [extra, dropped]
+
+
+def test_verify_rejects_family_translates_counted_by_start():
+    _, window, f, cert, mutants = _family_mutants()
+    assert not _rejects(cert, f, window)
+    for mutant in mutants:
+        assert _rejects(mutant, f, window)
+
+
+def _rule_duals(q, window, field=QQ):
+    return [Functional.from_rule(q, "gamma", None, field)] + [
+        Functional.from_rule(q, "has_prefix", p, field) for p in window
+    ]
+
+
+def test_split_index_verify_agrees_with_the_convolution_oracle():
+    # Every certificate and mutant above, against dual-basis and rule duals.
+    cases = []
+    for q, window, f in _mutation_cases():
+        certs = [is_rational_left(f, q).witness] + [mutant for _, mutant in _mutated_translates(q, window, f)]
+        cases.append((q, window, f, certs))
+    quiver, window, f, cert, mutants = _family_mutants()
+    cases.append((quiver, window, f, [cert] + mutants))
+    verdicts = set()
+    for q, window, f, certs in cases:
+        for duals in ([dual(p) for p in window], _rule_duals(q, window)):
+            for cert in certs:
+                got = cert.verify(f, duals, window)
+                assert got == convolution_verify(cert, f, duals, window)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_index_verify_agrees_on_random_certificates(data):
+    quiver = random_acyclic_quiver(random.Random(data.draw(st.integers(0, 10**6))), 4, 5)
+    window = paths_of(quiver)
+    field = data.draw(st.sampled_from([QQ, PrimeField(5)]))
+    f = data.draw(functional(quiver, window, field, data.draw(st.booleans())))
+    cert = is_rational_left(f, quiver).witness
+    elements, members = list(cert.elements), list(cert.functionals)
+    action = data.draw(st.sampled_from(["keep", "drop", "add", "change", "scale"]))
+    if action == "scale" and elements:
+        # Element i doubled, its member halved or not.
+        i = data.draw(st.integers(0, len(elements) - 1))
+        elements[i] = elements[i].scale(field.of(2))
+        if data.draw(st.booleans()):
+            members[i] = Functional(quiver, support=members[i].restrict(window).scale(field.of(1, 2)), field=field)
+    elif action == "drop" and elements:
+        i = data.draw(st.integers(0, len(elements) - 1))
+        del elements[i], members[i]
+    elif action == "add":
+        p = data.draw(st.sampled_from(window))
+        elements.append(CoalgElement.from_path(p, field))
+        members.append(Functional.from_rule(quiver, "has_prefix", p, field))
+    elif action == "change" and members:
+        values = dict(members[0].support.items())
+        values[data.draw(st.sampled_from(window))] = field.of(data.draw(st.integers(-2, 2)))
+        members[0] = Functional(quiver, support=SparseVector(values), field=field)
+    mutant = RationalCertificate(elements, members)
+    for duals in ([Functional.dual_of_path(p, field) for p in window], _rule_duals(quiver, window, field)):
+        assert mutant.verify(f, duals, window) == convolution_verify(mutant, f, duals, window)
 
 
 def test_rational_left_takes_its_field_from_the_functional():

@@ -29,12 +29,13 @@ from quivercoalg.finite_dual import (
     theta_recovery_check,
     two_sided_ideal_closure,
 )
-from quivercoalg.linalg import SparseVector, in_span, rank, rref
+from quivercoalg.linalg import SparseVector, rank, rref
 from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
 from quivercoalg.scalars import QQ, FieldError, PrimeField
 
 from helpers import (
     brute_force_paths,
+    in_span,
     stage_loop_maximal_ideal,
     translate_rank_codimension,
     winds_a_multiple,

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset
+from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset, random_scalar
 from quivercoalg.incidence import (
     Poset,
     fia_structured_algebra,
@@ -13,13 +13,14 @@ from quivercoalg.incidence import (
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,
+    phi_table,
 )
 from quivercoalg.coalgebra import CoalgElement, comultiply, counit
 from quivercoalg.linalg import SparseVector, rank
 from quivercoalg.quiver import Family, check_unique_path_condition, enumerate_paths
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import brute_force_posets_up_to_iso, dense_convolve, fixpoint_order_closure
+from helpers import brute_force_posets_up_to_iso, dense_convolve, fixpoint_order_closure, path_sum_phi_embed
 
 
 def test_poset_construction_validates():
@@ -237,3 +238,22 @@ def test_poset_family_truncations():
     assert len(chain.elements) == 5 and len(chain.covers()) == 4
     anti = Family("natantichain").truncate(4)
     assert len(anti.covers()) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, PrimeField(5)]))
+def test_phi_table_extension_matches_the_path_sum_oracle(seed, field):
+    rng = random.Random(seed)
+    poset = random_poset(rng, 6)
+    intervals = poset.intervals()
+    element = CoalgElement(
+        poset, SparseVector((rng.choice(intervals), random_scalar(rng, field)) for _ in range(rng.randint(0, 5)))
+    )
+    image = phi_embed(element)
+    assert image == path_sum_phi_embed(element)
+    assert all(type(c) is type(field.one) for c in image.combo.entries.values())
+    table = phi_table(poset)
+    for interval in intervals:
+        scale, row = table(interval)
+        assert scale == 1 and set(row.values()) <= {1}
+        assert SparseVector(row) == path_sum_phi_embed(CoalgElement.unit(poset, interval)).combo

@@ -9,7 +9,6 @@ from quivercoalg.linalg import (
     codimension_of_span,
     det2,
     difference_rank,
-    in_span,
     kernel_of_map,
     label_sort_key,
     mat_eq,
@@ -30,6 +29,7 @@ from helpers import (
     dense_mat_mul,
     dense_rank,
     eliminate,
+    in_span,
     oracle_kernel_of_map,
     oracle_rank,
     oracle_rref,

@@ -3,15 +3,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quivercoalg.coalgebra import CoalgElement, subcoalgebra_closure
-from quivercoalg.corpus import named_quiver
+from quivercoalg.coalgebra import CoalgElement, basis_tables, subcoalgebra_closure
+from quivercoalg.corpus import named_quiver, random_path, random_quiver, random_scalar
 from quivercoalg.dual import Functional
 from quivercoalg.linalg import SparseVector
 from quivercoalg.products import (
     LatticeWalk,
     TensorProduct,
     alpha_embed,
+    alpha_table,
     coreflexivity_verdict,
     decompose_product_path,
     factor_perp_element,
@@ -30,6 +32,9 @@ from quivercoalg.quiver import (
     disjoint_union,
     enumerate_paths,
 )
+from quivercoalg.scalars import QQ, PrimeField
+
+from helpers import walk_sum_alpha_embed
 
 
 def test_product_quiver_counts():
@@ -232,3 +237,33 @@ def test_closure_under_products_and_unions():
             assert bool(check_recovery_condition(union)) == both
             count = len(enumerate_paths(union, 3).paths)
             assert count == len(enumerate_paths(left, 3).paths) + len(enumerate_paths(right, 3).paths)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([QQ, PrimeField(5)]))
+def test_alpha_table_extension_matches_the_walk_sum_oracle(seed, field):
+    rng = random.Random(seed)
+    left, right = random_quiver(rng, 4, 5), random_quiver(rng, 4, 5)
+    product = product_quiver(left, right)
+    tensor = SparseVector(
+        ((random_path(rng, left, 3), random_path(rng, right, 3)), random_scalar(rng, field))
+        for _ in range(rng.randint(0, 4))
+    )
+    expected = walk_sum_alpha_embed(tensor, product)
+    assert alpha_embed(tensor, product) == expected
+    table = alpha_table(product)
+    assert alpha_embed(tensor, product, table) == expected
+    assert all(type(c) is type(field.one) for c in alpha_embed(tensor, product).combo.entries.values())
+    for p, q in tensor.labels():
+        scale, row = table((p, q))
+        assert scale == 1 and set(row.values()) == {1} and len(row) == comb(p.length + q.length, q.length)
+
+
+def test_tensor_product_tables_split_both_factors():
+    left, right = named_quiver("line3"), named_quiver("single_arrow")
+    delta, eps = basis_tables(TensorProduct(left, right))
+    xy, x = left.path_from_labels(["x", "y"]), right.arrow_path("x")
+    a, b = left.vertex_path("a"), right.vertex_path("a")
+    assert delta((xy, x)) == (1, {((p1, q1), (p2, q2)): 1 for p1, p2 in xy.splits() for q1, q2 in x.splits()})
+    assert eps((a, b))[1] == {0: 1}
+    assert eps((a, x))[1] == {} and eps((xy, b))[1] == {}
