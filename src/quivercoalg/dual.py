@@ -175,10 +175,9 @@ class RationalCertificate:
         """Exact check of the defining identity against the given d* family,
         with both sides evaluated on the given path window.  The window's
         splits p = qr with f(r) nonzero are indexed by q, and the element
-        labels by the members they weigh, once: a finite-support d* reads
-        (d*·f)(p) = Σ d*(q)·f(r) and its weights d*(c_i) off the indexes, a
-        rule-valued d* is convolved and evaluated.  Each member c_i* is read
-        on the window once."""
+        labels by the members they weigh, once: every d* reads (d*·f)(p) =
+        Σ d*(q)·f(r) and its weights d*(c_i) off the indexes, a rule-valued
+        d* at their keys.  Each member c_i* is read on the window once."""
         by_prefix, by_label = {}, {}
         for p in paths:
             for q, r in p.splits():
@@ -189,13 +188,10 @@ class RationalCertificate:
                 by_label.setdefault(label, []).append((i, coeff))
         members = [c_star.restrict(paths) for c_star in self.functionals]
         for d_star in duals:
-            if d_star.support is None:
-                left = convolve(d_star, f, paths).support
-                weights = [(i, d_star.evaluate_element(c)) for i, c in enumerate(self.elements)]
-            else:
-                terms = d_star.support.items()
-                left = SparseVector((p, w * value) for q, w in terms for p, value in by_prefix.get(q, ()))
-                weights = SparseVector((i, w * coeff) for q, w in terms for i, coeff in by_label.get(q, ())).items()
+            terms = (d_star.support.items() if d_star.support is not None
+                     else [(q, w) for q in by_prefix.keys() | by_label.keys() if (w := d_star(q))])
+            left = SparseVector((p, w * value) for q, w in terms for p, value in by_prefix.get(q, ()))
+            weights = SparseVector((i, w * coeff) for q, w in terms for i, coeff in by_label.get(q, ())).items()
             if left != SparseVector((p, value * weight) for i, weight in weights for p, value in members[i].items()):
                 return False
         return True

@@ -359,7 +359,8 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
     if is_acyclic(quiver):
         enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
         dim = len(enum.paths)
-        # Coordinate functionals of distinct paths are independent.
+        # Coordinate functionals of distinct paths are independent; the
+        # enumeration lists each path once, and this guards it.
         if len(set(enum.paths)) != dim:
             raise AssertionError("coordinate functionals are not independent; bug")
         return RecoveryReport(True, dimension=dim, explanation="acyclic: dimensions match and the embedding is injective")

@@ -198,7 +198,8 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
         law, interval = failure
         return IncidenceRecoveryReport(False, len(algebra.basis), f"{law} mismatch at {interval}")
     # The evaluation map sends the intervals to distinct dual basis vectors
-    # exactly when they are the algebra's basis with no repeats.
+    # exactly when they are the algebra's basis with no repeats; this holds
+    # by construction of ``fia_structured_algebra`` and guards it.
     dim = len(intervals)
     if len(set(intervals)) != dim or set(intervals) != set(algebra.basis):
         raise AssertionError("dual basis vectors are not independent; bug")

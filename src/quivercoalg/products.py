@@ -186,12 +186,11 @@ def alpha_table(product: Quiver):
     return row
 
 
-def alpha_embed(tensor: SparseVector, product: Quiver, table=None) -> CoalgElement:
-    """The shuffle embedding, the linear extension of ``alpha_table``
-    (``table`` if given): a pure tensor p⊗q goes to the sum of its
-    interleavings over all lattice walks."""
-    row = table or alpha_table(product)
-    return CoalgElement(product, linear_extension(row, tensor))
+def alpha_embed(tensor: SparseVector, product: Quiver) -> CoalgElement:
+    """The shuffle embedding, the linear extension of ``alpha_table``: a
+    pure tensor p⊗q goes to the sum of its interleavings over all lattice
+    walks."""
+    return CoalgElement(product, linear_extension(alpha_table(product), tensor))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .coalgebra import (
     basis_tables,
     check_coalgebra,
     check_morphism,
+    linear_extension,
     subcoalgebra_closure,
 )
 from .dual import Functional, gamma_membership, is_rational_left, psi_embed, reflexivity_verdict
@@ -47,7 +48,6 @@ from .quiver import (
 )
 from .products import (
     TensorProduct,
-    alpha_embed,
     alpha_table,
     decompose_product_path,
     factor_perp_element,
@@ -343,7 +343,7 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
         tensor = SparseVector(terms)
         support = list(terms)
         alpha = cache(alpha_table(product))  # the walks and rows of this product, each built once
-        embedded = alpha_embed(tensor, product, alpha)
+        embedded = linear_extension(alpha, tensor)
         tensor_delta, tensor_eps = basis_tables(TensorProduct(left, right))
         product_delta, product_eps = basis_tables(product)
         failure = check_morphism(support, alpha, tensor_delta, product_delta, tensor_eps, product_eps)
@@ -356,7 +356,7 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
         for (p, q) in support:
             staircase = LatticeWalk.from_steps(("R",) * p.length + ("U",) * q.length)
             target = walk_path(p, q, staircase, product)
-            if embedded.combo.coeff(target) != tensor.coeff((p, q)):
+            if embedded.coeff(target) != tensor.coeff((p, q)):
                 return CheckReport("walk-embedding", False, {"failure": "staircase functional mismatch"})
             injectivity_cases += 1
     roundtrips = 0
