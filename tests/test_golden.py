@@ -1,9 +1,10 @@
 """Byte-for-byte outputs of the demos and of the ``check`` verbs.
 
-The stdout of each demo, and of ``quivercoalg check <verb> <input> --json``
+The stdout of each demo, of ``quivercoalg check <verb> <input> --json``
 for every quiver verb on the 16 corpus quivers and every poset verb on the
-13 corpus posets, run in-process through ``cli.main``, must equal the files
-under ``tests/golden/``.  The test only reads those files.  After a
+13 corpus posets, and of ``quivercoalg paths`` on the corpus quivers and
+three families (``PATHS_RUNS``), run in-process through ``cli.main``, must
+equal the files under ``tests/golden/``.  The test only reads those files.  After a
 deliberate output change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
@@ -33,6 +34,11 @@ INPUTS = {
     "quiver": [(name, quiver_to_text(named_quiver(name))) for name in ACYCLIC_CORPUS + CYCLIC_CORPUS],
     "poset": [(name, poset_to_text(named_poset(name))) for name in POSET_CORPUS],
 }
+# (input, --max-len, --json): every corpus quiver at three windows, three
+# families, and one text-mode record.
+PATHS_RUNS = [(f"quiver:{name}", window, True) for name, _ in INPUTS["quiver"] for window in (0, 3, 6)]
+PATHS_RUNS += [(f"family:{token}", 5, True) for token in ("loop", "cycle:3", "multiarrow")]
+PATHS_RUNS += [("quiver:two_loops", 3, False)]
 
 
 def demo_output(demo: Path) -> str:
@@ -56,10 +62,32 @@ def check_output(verb: str, directory: Path) -> str:
     return "".join(records)
 
 
+def paths_output(directory: Path) -> str:
+    """One record per run of ``PATHS_RUNS``: a header with the exit code,
+    then stdout."""
+    texts = dict(INPUTS["quiver"])
+    records = []
+    for source, window, as_json in PATHS_RUNS:
+        if source.startswith("quiver:"):
+            name = source[len("quiver:") :]
+            target = directory / f"quiver-{name}.txt"
+            target.write_text(texts[name])
+            target = str(target)
+        else:
+            target = source
+        flags = ["--max-len", str(window)] + ["--json"] * as_json
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main(["paths", target, *flags])
+        records.append(f"$ paths {source} {' '.join(flags)} -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
 def golden_files(directory: Path) -> dict:
     """Golden file name -> the output it must hold."""
     files = {f"demo-{demo.stem}.txt": demo_output(demo) for demo in DEMOS}
     files.update({f"check-{verb}.txt": check_output(verb, directory) for verb in VERBS})
+    files["paths.txt"] = paths_output(directory)
     return files
 
 
@@ -69,6 +97,7 @@ def golden(name: str) -> str:
 
 def test_the_golden_files_are_exactly_these():
     expected = {f"demo-{demo.stem}.txt" for demo in DEMOS} | {f"check-{verb}.txt" for verb in VERBS}
+    expected.add("paths.txt")
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -80,6 +109,10 @@ def test_demo_stdout_is_unchanged(demo):
 @pytest.mark.parametrize("verb", sorted(VERBS))
 def test_check_stdout_is_unchanged(verb, tmp_path):
     assert check_output(verb, tmp_path) == golden(f"check-{verb}.txt")
+
+
+def test_paths_stdout_is_unchanged(tmp_path):
+    assert paths_output(tmp_path) == golden("paths.txt")
 
 
 if __name__ == "__main__":
