@@ -46,6 +46,7 @@ from .quiver import (
     enumerate_paths,
     family_from_token,
     is_acyclic,
+    path_labels,
 )
 from .representation import annihilator_monomial_check, is_locally_nilpotent
 from .scalars import QQ, FieldError, field_from_spec
@@ -107,13 +108,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def cmd_paths(args, field) -> tuple[dict, int]:
     quiver = _resolve(args.input, "quiver").materialize(args.max_len)
-    enum = enumerate_paths(quiver, args.max_len)
-    report = {
-        "command": "paths",
-        "count": len(enum.paths),
-        "exhaustive": enum.exhaustive,
-        "paths": [str(p) for p in enum.paths],
-    }
+    enum = path_labels(quiver, args.max_len)
+    report = {"command": "paths", "count": len(enum.paths), "exhaustive": enum.exhaustive, "paths": enum.paths}
     return report, 0
 
 

@@ -218,35 +218,56 @@ class PathEnumeration:
         return len(self.paths)
 
 
-def enumerate_paths(quiver: Quiver, max_len: int) -> PathEnumeration:
-    """All paths of length <= max_len, sorted by the fixed total order.
+def _walk(quiver: Quiver, max_len: int, first, suffix):
+    """The paths of lengths 1..max_len as layers of (end vertex, payload)
+    pairs, in ``sort_key`` order, and the exhaustive flag.
 
-    The exhaustive flag is set only when acyclicity guarantees that no
-    longer path exists.
+    An arrow a is the path with payload ``first(a)``; extending a path by a
+    appends ``suffix(a)`` to its payload.  Both are computed once per arrow.
     """
     # Each layer is built in sort_key order, so nothing is sorted afterwards:
-    # vertices by name, arrows by label, and longer paths by extending the
-    # sorted previous layer with out-arrows in label order.  Arrow labels are
-    # unique, so a label sequence names one path and ties cannot occur.
+    # arrows by label, and longer paths by extending the sorted previous
+    # layer with out-arrows in label order.  Arrow labels are unique, so a
+    # label sequence names one path and ties cannot occur.
     by_label = sorted(quiver.arrows, key=lambda a: a.label)
-    out = {v: sorted(quiver.out_arrows(v), key=lambda a: a.label) for v in quiver.vertices}
-    layers = [[quiver.vertex_path(v) for v in sorted(quiver.vertices)]]
-    for length in range(1, max_len + 1):
-        if length == 1:
-            layer = [Path(quiver, None, (a,)) for a in by_label]
-        else:
-            layer = [Path(quiver, None, p.arrows + (a,)) for p in layers[-1] for a in out[p.target]]
-        if not layer:
-            break
+    out = {v: [] for v in quiver.vertices}
+    for a in by_label:
+        out[a.source].append((a.target, suffix(a)))
+    layers = []
+    layer = [(a.target, first(a)) for a in by_label] if max_len else []
+    while layer:
         layers.append(layer)
-    paths = [p for layer in layers for p in layer]
-    acyclic = is_acyclic(quiver)
+        if len(layers) == max_len:
+            break
+        layer = [(end, x + s) for v, x in layer for end, s in out[v]]
     # Ran out of extensions (no path of some length <= max_len exists), or the
     # acyclic longest-path bound is covered: a path visits distinct vertices,
     # so its length is at most min(|vertices| - 1, |arrows|).
     longest_bound = min(max(0, len(quiver.vertices) - 1), len(quiver.arrows))
-    ran_out = len(layers) <= max_len or max_len >= longest_bound
-    return PathEnumeration(paths, acyclic and ran_out)
+    ran_out = len(layers) < max_len or max_len >= longest_bound
+    return layers, is_acyclic(quiver) and ran_out
+
+
+def enumerate_paths(quiver: Quiver, max_len: int) -> PathEnumeration:
+    """All paths of length <= max_len, sorted by the fixed total order: the
+    vertices by name, then the layers of the walk, whose payloads are the
+    arrow tuples.  Each ``Path`` is built once, from its finished tuple.
+
+    The exhaustive flag is set only when acyclicity guarantees that no
+    longer path exists.
+    """
+    layers, exhaustive = _walk(quiver, max_len, lambda a: (a,), lambda a: (a,))
+    paths = [Path(quiver, v, ()) for v in sorted(quiver.vertices)]
+    paths += [Path(quiver, None, arrows) for layer in layers for _, arrows in layer]
+    return PathEnumeration(paths, exhaustive)
+
+
+def path_labels(quiver: Quiver, max_len: int) -> PathEnumeration:
+    """``enumerate_paths`` with each path given as its label, ``str(p)``,
+    and no ``Path`` built: the walk's payloads are the label strings."""
+    layers, exhaustive = _walk(quiver, max_len, lambda a: a.label, lambda a: "." + a.label)
+    labels = sorted(quiver.vertices) + [label for layer in layers for _, label in layer]
+    return PathEnumeration(labels, exhaustive)
 
 
 def is_acyclic(quiver: Quiver) -> bool:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quivercoalg.corpus import enumerate_small_quivers, finite_corpus, named_quiver, random_quiver
 from quivercoalg.quiver import (
+    FAMILIES,
     VERDICT_STATUSES,
     Path,
     _first_cyclic_subset,
@@ -21,6 +22,7 @@ from quivercoalg.quiver import (
     find_simple_cycle,
     horizon_verdict,
     is_acyclic,
+    path_labels,
 )
 from quivercoalg.textio import parse_quiver_text
 
@@ -94,6 +96,51 @@ def test_enumeration_is_subpath_closed():
         for p in enum.paths:
             for sub in p.subpaths():
                 assert sub in pool
+
+
+def _oracle_labels(quiver, max_len):
+    """The labels of the brute-force paths in sort_key order: the vertices
+    by name, then the arrow paths by length and label sequence."""
+    keys = sorted((len(seq) - 1, seq[1:] or seq) for seq in brute_force_paths(quiver, max_len))
+    return [".".join(labels) for _, labels in keys]
+
+
+def _assert_walk_agrees(quiver, max_len):
+    """``path_labels`` lists ``str(p)`` of ``enumerate_paths`` with its flag,
+    both match the oracle, and the flag is sound: an exhaustive window has
+    no path one arrow longer."""
+    enum = enumerate_paths(quiver, max_len)
+    labels = path_labels(quiver, max_len)
+    assert labels.paths == [str(p) for p in enum.paths] == _oracle_labels(quiver, max_len)
+    assert labels.exhaustive == enum.exhaustive
+    if enum.exhaustive:
+        assert brute_force_path_count(quiver, max_len + 1) == len(enum.paths)
+    elif is_acyclic(quiver):
+        assert max_len < len(quiver.vertices) - 1
+
+
+def test_path_labels_on_every_small_quiver():
+    quivers = list(enumerate_small_quivers(3, 3))
+    assert len(quivers) == 259
+    for q in quivers:
+        for max_len in range(5):
+            _assert_walk_agrees(q, max_len)
+
+
+def test_path_labels_on_the_corpus_and_family_truncations():
+    families = [Family(kind, 3 if spec.parametrized else None) for kind, spec in FAMILIES.items()]
+    stages = [family.truncate(level) for family in families if family.facts.carrier == "quiver" for level in (0, 2, 4)]
+    for q in finite_corpus() + stages:
+        for max_len in range(7):
+            _assert_walk_agrees(q, max_len)
+
+
+def test_path_labels_extend_by_out_arrows_in_label_order():
+    # Arrows declared against label order, so the declared order of a
+    # vertex's out-arrows is not the order of the walk.
+    q = Quiver(["v", "u"], [("y", "v", "v"), ("x", "v", "v"), ("b", "v", "u"), ("a", "u", "v")])
+    expected = ["u", "v", "a", "b", "x", "y", "a.b", "a.x", "a.y", "b.a", "x.b", "x.x", "x.y", "y.b", "y.x", "y.y"]
+    assert path_labels(q, 2).paths == expected == [str(p) for p in enumerate_paths(q, 2).paths]
 
 
 def test_compose_associativity_where_defined():
@@ -260,6 +307,12 @@ def test_distinct_enumerated_paths_match_the_oracle(text, max_len):
     paths = enumerate_paths(q, max_len).paths
     assert len(set(paths)) == len(brute_force_paths(q, max_len))
     assert paths == sorted(paths, key=lambda p: p.sort_key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quiver_texts(), st.integers(0, 4))
+def test_path_labels_match_the_enumeration_and_the_oracle(text, max_len):
+    _assert_walk_agrees(parse_quiver_text(text).target, max_len)
 
 
 def test_verdict_truth_and_closed_vocabulary():

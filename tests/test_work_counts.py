@@ -1,10 +1,24 @@
-"""Work counts of the acceptance checks, taken by wrapping library functions
-during one call of a check: a regression that rebuilds per row what the
-check builds once per call shows up as a count, without timing anything."""
+"""Work counts of the acceptance checks and of the ``paths`` verb, taken by
+wrapping library functions during one call: a regression that rebuilds per
+row what a check builds once per call shows up as a count, without timing
+anything."""
 
+import json
 from collections import Counter
 
-from quivercoalg import dual, products, suites
+from quivercoalg import cli, dual, incidence, products, quiver, suites
+from quivercoalg.corpus import named_quiver
+from quivercoalg.textio import quiver_to_text
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    exact = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
 
 
 def test_rational_part_convolves_nothing(monkeypatch):
@@ -21,8 +35,35 @@ def test_rational_part_convolves_nothing(monkeypatch):
 
     monkeypatch.setattr(dual, "convolve", counting_convolve)
     monkeypatch.setattr(dual.RationalCertificate, "verify", counting_verify)
+    _count_calls(monkeypatch, calls, suites, "rank")
     assert suites.check_rational_part()
     assert calls == {"verify": 53}
+
+
+def test_unique_path_embedding_enumerates_each_hasse_window_once(monkeypatch):
+    calls = Counter()
+    for module in (suites, incidence):
+        _count_calls(monkeypatch, calls, module, "enumerate_paths")
+    assert suites.check_unique_path_embedding().details == {"posets": 87}
+    assert calls == {"enumerate_paths": 87}
+
+
+def test_paths_verb_builds_no_path(monkeypatch, tmp_path, capsys):
+    source = tmp_path / "two_loops.txt"
+    source.write_text(quiver_to_text(named_quiver("two_loops")))
+    calls = Counter()
+    for module in (cli, quiver):
+        _count_calls(monkeypatch, calls, module, "enumerate_paths")
+    exact = quiver.Path.__init__
+
+    def counting_init(self, *args):
+        calls["Path"] += 1
+        exact(self, *args)
+
+    monkeypatch.setattr(quiver.Path, "__init__", counting_init)
+    assert cli.main(["paths", str(source), "--max-len", "12", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2**13 - 1
+    assert calls == {}
 
 
 def test_walk_embedding_builds_each_shape_once_per_product(monkeypatch):
