@@ -150,10 +150,9 @@ class Path:
     @property
     def sort_key(self):
         # Fixed total order: length, then arrow-label sequence, then identity.
-        # The key tuples are built from lists, at their final size: a tuple
-        # grown from a generator is resized, so it leaves the free list of
-        # its first size and is parked on the one of its final size, and
-        # over many sorts those lists fill up with idle tuples.
+        # Key tuples are built from lists, at their final size: a tuple grown
+        # from a generator is resized, and over many sorts the interpreter's
+        # per-size tuple free lists fill up with the idle ones.
         if not self.arrows:
             return (0, (), (self.vertex,))
         return (len(self.arrows), tuple([a.label for a in self.arrows]), tuple([a.ident for a in self.arrows]))

@@ -11,30 +11,23 @@ from quivercoalg.corpus import named_quiver
 from quivercoalg.textio import quiver_to_text
 
 
-def _count_calls(monkeypatch, calls, module, name):
-    exact = getattr(module, name)
+def _count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` (a module function or a method)
+    under its name in ``calls``."""
+    exact = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls[name] += 1
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(owner, name, counting)
 
 
 def test_rational_part_convolves_nothing(monkeypatch):
     calls = Counter()
-    convolve, verify = dual.convolve, dual.RationalCertificate.verify
-
-    def counting_convolve(*args):
-        calls["convolve"] += 1
-        return convolve(*args)
-
-    def counting_verify(self, *args):
-        calls["verify"] += 1
-        return verify(self, *args)
-
-    monkeypatch.setattr(dual, "convolve", counting_convolve)
-    monkeypatch.setattr(dual.RationalCertificate, "verify", counting_verify)
+    _count_calls(monkeypatch, calls, dual, "convolve")
+    _count_calls(monkeypatch, calls, dual.RationalCertificate, "verify")
+    # The dimension guard compares path counts; it ranks nothing.
     _count_calls(monkeypatch, calls, suites, "rank")
     assert suites.check_rational_part()
     assert calls == {"verify": 53}
@@ -54,13 +47,7 @@ def test_paths_verb_builds_no_path(monkeypatch, tmp_path, capsys):
     calls = Counter()
     for module in (cli, quiver):
         _count_calls(monkeypatch, calls, module, "enumerate_paths")
-    exact = quiver.Path.__init__
-
-    def counting_init(self, *args):
-        calls["Path"] += 1
-        exact(self, *args)
-
-    monkeypatch.setattr(quiver.Path, "__init__", counting_init)
+    _count_calls(monkeypatch, calls, quiver.Path, "__init__")
     assert cli.main(["paths", str(source), "--max-len", "12", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2**13 - 1
     assert calls == {}
