@@ -128,6 +128,15 @@ class SparseVector:
 # combined fraction-free, over GF(p) residues mod p made monic at their lead.
 # Columns ranked at or after ``main`` carry bookkeeping coefficients and are
 # never leads.  Field scalars appear only at the boundary.
+#
+# rank, kernel_of_map and solve_membership peel before they eliminate.  A
+# row that alone holds some label (with a nonzero entry) has coefficient 0
+# in every relation among the rows, so it adds one to the rank, its domain
+# label is 0 in every kernel vector and its generator 0 in every solution;
+# dropping it may leave another label with one holder.  Peeling runs on the
+# integer entries, after every scalar is read (a bad one still raises, a
+# rational that is 0 mod p is no entry), and on real labels only: a marker
+# column is unique to its row.  Only the rows left are ranked and reduced.
 # ---------------------------------------------------------------------------
 
 
@@ -173,21 +182,56 @@ def _nonzero(sums: dict, p: int) -> bool:
     return any(v % p for v in sums.values()) if p else any(sums.values())
 
 
-def _rows(vectors, field=None, marked=False):
-    """The modulus (0 for the rationals), the label ranks and the rows of the
-    vectors.  With ``marked``, row i holds in column ``len(ranks) + i`` the
-    multiplier applied to vector i, so the main part of every row derived
-    from them is the combination its marker columns name."""
+def _converted(vectors, field=None):
+    """The modulus (0 for the rationals) and the ``(scale, ints)`` of every
+    vector from ``_integers``."""
     p = _modulus((c for v in vectors for c in v.entries.values()), field)
-    ranks = _rank_labels({label: None for v in vectors for label in v.entries})
+    return p, [_integers(v.entries, p) for v in vectors]
+
+
+def _peel(converted, held=()) -> list:
+    """The ``(index, (scale, ints))`` pairs of the converted vectors left by
+    peeling, in order.
+
+    A label held by one remaining vector drops that vector; labels in
+    ``held`` never drop one.  Each label keeps its holder count and the sum
+    of its holders' indices, which names the holder once the count is 1, so
+    the peeling is linear in the entries."""
+    count, total = dict.fromkeys(held, 2), {}
+    for index, (_, ints) in enumerate(converted):
+        for label in ints:
+            count[label] = count.get(label, 0) + 1
+            total[label] = total.get(label, 0) + index
+    queue = [label for label, n in count.items() if n == 1]
+    kept = [True] * len(converted)
+    while queue:
+        label = queue.pop()
+        if count[label] != 1:
+            continue
+        index = total[label]
+        kept[index] = False
+        for other in converted[index][1]:
+            count[other] -= 1
+            total[other] -= index
+            if count[other] == 1:
+                queue.append(other)
+    return [(index, pair) for index, pair in enumerate(converted) if kept[index]]
+
+
+def _rows(p: int, converted, marked=False):
+    """The label ranks and the rows of ``(index, (scale, ints))`` pairs.
+    With ``marked``, the row of vector ``index`` holds in column
+    ``len(ranks) + index`` the multiplier applied to that vector, so the
+    main part of every row derived from them is the combination its marker
+    columns name."""
+    ranks = _rank_labels({label: None for _, (_, ints) in converted for label in ints})
     rows = []
-    for index, v in enumerate(vectors):
-        scale, ints = _integers(v.entries, p)
+    for index, (scale, ints) in converted:
         row = {ranks[label]: c for label, c in ints.items()}
         if marked:
             row[len(ranks) + index] = scale
         rows.append(row if p else _primitive(row))
-    return p, ranks, rows
+    return ranks, rows
 
 
 def _primitive(row: dict) -> dict:
@@ -274,13 +318,18 @@ def rref(vectors) -> list[SparseVector]:
     form first and back-substituted once at the end, in decreasing lead
     order, so each row is cleared only of leads that are already final.
     """
-    p, ranks, rows = _rows(list(vectors))
+    p, converted = _converted(list(vectors))
+    ranks, rows = _rows(p, list(enumerate(converted)))
     return _reduced_rows(_echelon(rows, p, len(ranks))[0], p, list(ranks))
 
 
 def rank(vectors) -> int:
-    p, ranks, rows = _rows(list(vectors))
-    return len(_echelon(rows, p, len(ranks))[0])
+    """Dimension of the span: each peeled vector counts one, and the
+    nonzero vectors left count their pivots."""
+    p, converted = _converted(list(vectors))
+    left = _peel(converted)
+    ranks, rows = _rows(p, left)
+    return len(converted) - len(left) + len(_echelon(rows, p, len(ranks))[0])
 
 
 def difference_rank(pairs) -> int:
@@ -339,10 +388,14 @@ def solve_membership(v: SparseVector, generators) -> list | None:
 
     Deterministic: each generator independent of the earlier ones becomes a
     pivot, v is written in those and the others get zero.  The certificate
-    satisfies ``v == sum(c_i * g_i)`` exactly.
+    satisfies ``v == sum(c_i * g_i)`` exactly.  A generator peeled through a
+    label v does not hold is zero in every solution, and dropping it leaves
+    the pivot status of the others as it was.
     """
-    p, ranks, rows = _rows(list(generators) + [v], marked=True)
-    main, own = len(ranks), len(ranks) + len(rows) - 1
+    p, converted = _converted(list(generators) + [v])
+    target = converted.pop()
+    ranks, rows = _rows(p, _peel(converted, target[1]) + [(len(converted), target)], marked=True)
+    main, own = len(ranks), len(ranks) + len(converted)
     residue = _reduce(rows.pop(), _echelon(rows, p, main)[0], p)
     if min(residue) < main:
         return None
@@ -367,10 +420,12 @@ def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
 
     ``image_of(label)`` must return a SparseVector over the image labels.
     The kernel's scalars are those of ``field``, else of the images, else
-    (every image zero) rationals.
+    (every image zero) rationals.  A domain label whose image is peeled is
+    0 in every kernel vector; zero images stay, as kernel vectors.
     """
     domain = list(_rank_labels(domain_labels))
-    p, ranks, rows = _rows([image_of(label) for label in domain], field, marked=True)
+    p, converted = _converted([image_of(label) for label in domain], field)
+    ranks, rows = _rows(p, _peel(converted), marked=True)
     main = len(ranks)
     kernel = _echelon(rows, p, main)[1]
     return _reduced_rows(_echelon(kernel, p, main + len(domain))[0], p, domain, main)

@@ -465,3 +465,92 @@ def test_mixed_moduli_raise_field_error():
             call()
     with pytest.raises(FieldError):
         kernel_of_map(["a"], lambda label: rows[0], PrimeField(7))
+
+
+# ---------------------------------------------------------------------------
+# Peeling.  rank, kernel_of_map and solve_membership drop a row that alone
+# holds a label before they eliminate.  These inputs make it work: stairs
+# that peel one step at a time, repeated rows and zero images, entries that
+# vanish mod p and bad scalars in rows that peeling would drop.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def staircases(draw):
+    """A field and rows: a core from ``systems``, zero rows, and the stair
+    x0 + c1 x1, ..., x(k-1) + ck xk whose top label only its last step
+    holds, so each peel exposes the next step; x0 may be a core label.  A
+    step's entry may be a plain int that is 0 mod 5, an entry over QQ and
+    none over GF(5).  The rows come shuffled."""
+    field, core = draw(systems(max_rows=4))
+    steps = draw(st.integers(1, 6))
+    stair = [("stair", i) for i in range(steps + 1)]
+    if draw(st.booleans()):
+        stair[0] = draw(st.sampled_from(MIXED_LABELS))
+    coeff = st.one_of(st.integers(-3, 3).filter(bool).map(field.of), st.sampled_from([5, -10]))
+    rows = core + [SparseVector({stair[i]: draw(coeff), stair[i + 1]: draw(coeff)}) for i in range(steps)]
+    rows += [SparseVector()] * draw(st.integers(0, 2))
+    return field, draw(st.permutations(rows))
+
+
+@given(staircases(), st.data())
+def test_peeled_systems_match_the_oracles(case, data):
+    field, rows = case
+    assert rank(rows) == oracle_rank(rows, _seen_field(field, rows))
+    domain = list(range(len(rows)))
+    kernel = kernel_of_map(domain, rows.__getitem__, field)
+    assert typed(kernel) == typed(oracle_kernel_of_map(domain, rows.__getitem__, field))
+    # v holds the labels of its combination, and at times one more label
+    # (the stair's top one among them), which no peel may then go through.
+    weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    v = SparseVector((l, field.of(w) * c) for w, g in zip(weights, rows) for l, c in g.items())
+    labels = list(dict.fromkeys(l for g in rows for l in g.labels()))
+    if labels and data.draw(st.booleans()):
+        v = v + SparseVector({data.draw(st.sampled_from(labels)): field.one})
+    coeffs = solve_membership(v, rows)
+    expected = oracle_solve_membership(v, rows, _seen_field(field, rows, [v]))
+    assert coeffs == expected and [type(c) for c in coeffs or []] == [type(c) for c in expected or []]
+
+
+def test_staircase_peels_one_step_at_a_time():
+    # Only the last step holds x4; peeling it leaves x3 to one step, and so
+    # on down to x0, which the two core rows share.  They are proportional.
+    steps = [SparseVector({f"x{i}": Fraction(1), f"x{i + 1}": Fraction(i + 2)}) for i in range(4)]
+    rows = steps[::-1] + [sv(x0=1), sv(x0=-2)]
+    assert rank(rows) == 5
+    assert kernel_of_map(range(6), rows.__getitem__) == [SparseVector({4: Fraction(1), 5: Fraction(1, 2)})]
+    assert solve_membership(sv(x0=3), rows) == [0, 0, 0, 0, 3, 0]
+    # With x4 held by v, no step is peeled and the stair is solved for.
+    assert solve_membership(sv(x0=1, x4=5), rows) == [1, Fraction(-1, 4), Fraction(1, 12), Fraction(-1, 24),
+                                                      Fraction(25, 24), 0]
+
+
+def test_repeated_rows_and_zero_images_are_never_peeled():
+    # Repeated rows share every label and zero images hold none, so both
+    # stay in the system; the kernel holds their relations.
+    rows = [sv(a=1, b=2), sv(a=1, b=2), SparseVector(), sv(b=1, c=1)]
+    assert rank(rows) == 2
+    assert kernel_of_map(range(4), rows.__getitem__) == [SparseVector({0: Fraction(1), 1: Fraction(-1)}),
+                                                         SparseVector({2: Fraction(1)})]
+    assert solve_membership(sv(a=2, b=4), rows) == [2, 0, 0, 0]
+    assert kernel_of_map(["a", "b"], lambda label: SparseVector()) == [sv(a=1), sv(b=1)]
+
+
+def test_peeling_reads_entries_after_conversion():
+    # 5 is zero mod 5, so over GF(5) the first row holds only a and is twice
+    # the second: neither may be peeled through x.
+    rows = [sv(x=5, a=2), sv(a=1)]
+    assert typed(kernel_of_map([0, 1], rows.__getitem__, GF5)) == [{0: (ModP, GF5.one), 1: (ModP, GF5.of(-2))}]
+    assert rank(rows + [SparseVector({"b": GF5.one})]) == 2
+    assert solve_membership(SparseVector({"a": GF5.one}), rows[:1]) == [GF5.of(3)]
+
+
+def test_bad_scalars_raise_in_rows_that_peeling_would_drop():
+    # x alone would peel the first row, but every scalar is read first.
+    for bad, error, message in ((Fraction(1, 5), ValueError, "not invertible"),
+                                (PrimeField(7).one, FieldError, "mixed moduli 5 and 7")):
+        rows = [SparseVector({"x": bad, "a": Fraction(1)}), SparseVector({"a": GF5.one})]
+        for call in (lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__, GF5),
+                     lambda: solve_membership(rows[1], rows[:1])):
+            with pytest.raises(error, match=message):
+                call()

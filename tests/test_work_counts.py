@@ -1,13 +1,15 @@
-"""Work counts of the acceptance checks and of the ``paths`` verb, taken by
-wrapping library functions during one call: a regression that rebuilds per
+"""Work counts of the acceptance checks, of the ``paths`` verb and of sparse
+elimination, taken by wrapping library functions during one call: a regression that rebuilds per
 row what a check builds once per call shows up as a count, without timing
 anything."""
 
 import json
+import random
 from collections import Counter
 
-from quivercoalg import cli, dual, incidence, products, quiver, suites
+from quivercoalg import cli, dual, incidence, linalg, products, quiver, suites
 from quivercoalg.corpus import named_quiver
+from quivercoalg.scalars import QQ
 from quivercoalg.textio import quiver_to_text
 
 
@@ -74,3 +76,24 @@ def test_walk_embedding_builds_each_shape_once_per_product(monkeypatch):
     assert suites.check_walk_embedding(0)
     assert len(tables) == 100
     assert max(builds.values()) == 1 and sum(builds.values()) == 521
+
+
+def test_peeled_systems_reach_no_elimination(monkeypatch):
+    # The 6-sparse 100 x 300 system of the finite-dual benchmark: every row
+    # is peeled (it alone holds a column once the rows peeled before it are
+    # gone), so neither call hands a row to the elimination.
+    shape = random.Random(100)
+    rows = [linalg.SparseVector({c: QQ.of(shape.randint(1, 3)) for c in shape.sample(range(300), 6)})
+            for _ in range(100)]
+    handed = Counter()
+    exact = linalg._echelon
+
+    def counting(echelon_rows, *args):
+        echelon_rows = list(echelon_rows)
+        handed["rows"] += len(echelon_rows)
+        return exact(echelon_rows, *args)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    assert linalg.rank(rows) == 100
+    assert linalg.kernel_of_map(range(100), rows.__getitem__) == []
+    assert handed == {"rows": 0}
