@@ -314,23 +314,19 @@ def right_tensor_components(tensor: SparseVector) -> list[SparseVector]:
     return [SparseVector(dict(items)) for items in grouped.values()]
 
 
-def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
+def _closed_span(vectors, grow) -> list[SparseVector]:
     """Canonical ``rref`` basis of the smallest span that contains the
-    vectors and the left and right tensor components of ``delta`` of each
-    of its vectors (grouped over the label basis on the opposite side).
+    vectors and ``grow(vec)`` for each of its vectors, ``grow`` linear.
 
-    Components are linear in the tensor, so each round comultiplies only
-    the frontier: the rows new to the span, which with the old basis span
-    it.  The closure stops when the rank does not grow.
+    Each round grows only the frontier: the rows new to the span, which with
+    the old basis span it.  The closure stops when the rank does not grow.
     """
     basis = rref(vectors)
     frontier = basis
     while frontier:
         grown = list(basis)
         for vec in frontier:
-            tensor = delta(vec)
-            grown.extend(left_tensor_components(tensor))
-            grown.extend(right_tensor_components(tensor))
+            grown.extend(grow(vec))
         refined = rref(grown)
         if len(refined) == len(basis):
             break
@@ -338,6 +334,21 @@ def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
         frontier = [vec for vec in refined if vec not in old]
         basis = refined
     return basis
+
+
+def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
+    """Canonical ``rref`` basis of the smallest span that contains the
+    vectors and the left and right tensor components of ``delta`` of each
+    of its vectors (grouped over the label basis on the opposite side).
+    Components are linear in the tensor, so ``_closed_span`` comultiplies
+    only the frontier of each round.
+    """
+
+    def components(vec):
+        tensor = delta(vec)
+        return left_tensor_components(tensor) + right_tensor_components(tensor)
+
+    return _closed_span(vectors, components)
 
 
 def subcoalgebra_closure(elements) -> list[CoalgElement]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import subpath_closure
-from .coalgebra import CoalgElement, check_coalgebra, subcoalgebra_span
+from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
 from .quiver import Family, Path, Quiver, Verdict, check_recovery_condition, enumerate_paths, horizon_verdict, is_acyclic
@@ -434,20 +434,17 @@ def tensor_structured(a: StructuredAlgebra, b: StructuredAlgebra) -> StructuredA
 
 
 def two_sided_ideal_closure(algebra: StructuredAlgebra, seeds) -> list[SparseVector]:
-    """Span of the two-sided ideal generated by the seed vectors."""
-    one = algebra.field.one
-    current = rref(list(seeds))
-    while True:
-        extended = list(current)
-        for vec in current:
-            for b in algebra.basis:
-                basis_vec = SparseVector({b: one})
-                extended.append(algebra.product(basis_vec, vec))
-                extended.append(algebra.product(vec, basis_vec))
-        refined = rref(extended)
-        if len(refined) == len(current):
-            return refined
-        current = refined
+    """Span of the two-sided ideal generated by the seed vectors: each round
+    multiplies only the rows new to the span by every basis unit on both
+    sides."""
+    units = [SparseVector({b: algebra.field.one}) for b in algebra.basis]
+
+    def products(vec):
+        for unit in units:
+            yield algebra.product(unit, vec)
+            yield algebra.product(vec, unit)
+
+    return _closed_span(list(seeds), products)
 
 
 def tensor_slice_ideals(a: StructuredAlgebra, b: StructuredAlgebra, h_basis) -> tuple:

@@ -493,6 +493,24 @@ def test_cycle_recovery_builds_only_the_winding_paths(monkeypatch):
     assert built[0] < 2000
 
 
+def whole_basis_ideal_closure(algebra, seeds):
+    """The ideal closure that multiplies every row of the span by every
+    basis unit on both sides each round."""
+    one = algebra.field.one
+    current = rref(list(seeds))
+    while True:
+        extended = list(current)
+        for vec in current:
+            for b in algebra.basis:
+                basis_vec = SparseVector({b: one})
+                extended.append(algebra.product(basis_vec, vec))
+                extended.append(algebra.product(vec, basis_vec))
+        refined = rref(extended)
+        if len(refined) == len(current):
+            return refined
+        current = refined
+
+
 def test_tensor_slice_ideals():
     # The slices of a cofinite tensor ideal are cofinite ideals whose tensor
     # sum stays inside.
@@ -507,6 +525,7 @@ def test_tensor_slice_ideals():
             label = (rng.choice(a.basis), rng.choice(b.basis))
             seeds.append(SparseVector({label: one}))
         h_basis = two_sided_ideal_closure(tensor, seeds)
+        assert h_basis == whole_basis_ideal_closure(tensor, seeds)
         ideal_i, ideal_j = tensor_slice_ideals(a, b, h_basis)
         h_rref = rref(h_basis)
         # I (x) B and A (x) J land inside H.
