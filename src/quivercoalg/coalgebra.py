@@ -315,12 +315,10 @@ def right_tensor_components(tensor: SparseVector) -> list[SparseVector]:
 
 
 def _closed_span(vectors, grow) -> list[SparseVector]:
-    """Canonical ``rref`` basis of the smallest span that contains the
-    vectors and ``grow(vec)`` for each of its vectors, ``grow`` linear.
-
-    Each round grows only the frontier: the rows new to the span, which with
-    the old basis span it.  The closure stops when the rank does not grow.
-    """
+    """Canonical ``rref`` basis of the smallest span that holds the vectors
+    and ``grow(vec)`` of each of its vectors, ``grow`` linear.  Each round
+    grows only the frontier, the rows new to the span, which with the old
+    basis span it; the closure stops when the rank does not grow."""
     basis = rref(vectors)
     frontier = basis
     while frontier:
@@ -339,10 +337,8 @@ def _closed_span(vectors, grow) -> list[SparseVector]:
 def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
     """Canonical ``rref`` basis of the smallest span that contains the
     vectors and the left and right tensor components of ``delta`` of each
-    of its vectors (grouped over the label basis on the opposite side).
-    Components are linear in the tensor, so ``_closed_span`` comultiplies
-    only the frontier of each round.
-    """
+    of its vectors (grouped over the label basis on the opposite side);
+    components are linear in the tensor."""
 
     def components(vec):
         tensor = delta(vec)

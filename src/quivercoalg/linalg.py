@@ -197,7 +197,7 @@ def _peel(converted, held=()) -> list:
     ``held`` never drop one.  Each label keeps its holder count and the sum
     of its holders' indices, which names the holder once the count is 1, so
     the peeling is linear in the entries."""
-    count, total = dict.fromkeys(held, 2), {}
+    count, total = dict.fromkeys(held, 2), {}  # a held label's count never falls to 1
     for index, (_, ints) in enumerate(converted):
         for label in ints:
             count[label] = count.get(label, 0) + 1
