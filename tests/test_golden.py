@@ -2,9 +2,10 @@
 
 The stdout of each demo, of ``quivercoalg check <verb> <input> --json``
 for every quiver verb on the 16 corpus quivers and every poset verb on the
-13 corpus posets, and of ``quivercoalg paths`` on the corpus quivers and
-three families (``PATHS_RUNS``), run in-process through ``cli.main``, must
-equal the files under ``tests/golden/``.  The test only reads those files.  After a
+13 corpus posets, of ``quivercoalg paths`` on the corpus quivers and
+three families (``PATHS_RUNS``), and of the product verbs on corpus pairs
+(``PRODUCT_RUNS``, ``FACTOR_RUNS``), run in-process through ``cli.main``,
+must equal the files under ``tests/golden/``.  The test only reads those files.  After a
 deliberate output change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py --rewrite
@@ -39,6 +40,25 @@ INPUTS = {
 PATHS_RUNS = [(f"quiver:{name}", window, True) for name, _ in INPUTS["quiver"] for window in (0, 3, 6)]
 PATHS_RUNS += [(f"family:{token}", 5, True) for token in ("loop", "cycle:3", "multiarrow")]
 PATHS_RUNS += [("quiver:two_loops", 3, False)]
+# (left, right, left element, right element): ``product --json`` and
+# ``alpha`` on each pair; (quiver, element): ``factor-perp --json`` at
+# seeds 0 and 1.
+PRODUCT_RUNS = [
+    ("single_arrow", "single_arrow", "[x]", "[a] + [x]"),
+    ("line3", "parallel_pair", "[x.y] - 2*[a]", "[x] + 1/2*[y]"),
+    ("diamond", "loop", "[x1.y1] + [x2]", "[x.x]"),
+    ("star_out", "cycle2", "[x1]", "[x0.x1]"),
+    ("two_loops", "loop_with_tail", "[x.y] - [y.x]", "[x.y]"),
+    ("point", "branching", "[a]", "[x.z] + 3*[y]"),
+]
+FACTOR_RUNS = [
+    ("line3", "[a]"),
+    ("line4", "[x.y]"),
+    ("diamond", "[x1.y1]"),
+    ("branching", "[x] + [z]"),
+    ("star_in", "[x1]"),
+    ("parallel_pair", "[x]"),
+]
 
 
 def demo_output(demo: Path) -> str:
@@ -83,11 +103,33 @@ def paths_output(directory: Path) -> str:
     return "".join(records)
 
 
+def products_output(directory: Path) -> str:
+    """One record per run of ``PRODUCT_RUNS`` and ``FACTOR_RUNS``: a header
+    with the exit code, then stdout."""
+    files = {}
+    for name, text in INPUTS["quiver"]:
+        files[name] = directory / f"quiver-{name}.txt"
+        files[name].write_text(text)
+    runs = []
+    for left, right, left_element, right_element in PRODUCT_RUNS:
+        runs.append(["product", left, right, "--json"])
+        runs.append(["alpha", left, right, left_element, right_element])
+    runs += [["factor-perp", name, element, "--json", "--seed", str(seed)] for name, element in FACTOR_RUNS for seed in (0, 1)]
+    records = []
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main([str(files.get(a, a)) for a in argv])
+        records.append(f"$ {' '.join(argv)} -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
 def golden_files(directory: Path) -> dict:
     """Golden file name -> the output it must hold."""
     files = {f"demo-{demo.stem}.txt": demo_output(demo) for demo in DEMOS}
     files.update({f"check-{verb}.txt": check_output(verb, directory) for verb in VERBS})
     files["paths.txt"] = paths_output(directory)
+    files["products.txt"] = products_output(directory)
     return files
 
 
@@ -97,7 +139,7 @@ def golden(name: str) -> str:
 
 def test_the_golden_files_are_exactly_these():
     expected = {f"demo-{demo.stem}.txt" for demo in DEMOS} | {f"check-{verb}.txt" for verb in VERBS}
-    expected.add("paths.txt")
+    expected |= {"paths.txt", "products.txt"}
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -113,6 +155,10 @@ def test_check_stdout_is_unchanged(verb, tmp_path):
 
 def test_paths_stdout_is_unchanged(tmp_path):
     assert paths_output(tmp_path) == golden("paths.txt")
+
+
+def test_product_verbs_stdout_is_unchanged(tmp_path):
+    assert products_output(tmp_path) == golden("products.txt")
 
 
 if __name__ == "__main__":
