@@ -44,4 +44,4 @@ for gamma in enumerate_paths(square, 2).paths:
     if gamma.length == 2:
         p, q, walk = decompose_product_path(gamma)
         assert walk_path(p, q, walk, square) == gamma
-        print(f"  {str(gamma):18s} = interleave([{p}], [{q}]) along {''.join(walk.steps())}")
+        print(f"  {str(gamma):18s} = interleave([{p}], [{q}]) along {''.join(walk.steps)}")

@@ -146,10 +146,18 @@ def cmd_conv(args, field) -> tuple[dict, int]:
     }, 0
 
 
-def cmd_product(args, field) -> tuple[dict, int]:
+def _product(args) -> tuple:
+    """The two quiver inputs of a product verb and their product quiver."""
     left = _resolve(args.left, "quiver").materialize(args.max_len)
     right = _resolve(args.right, "quiver").materialize(args.max_len)
-    product = product_quiver(left, right)
+    try:
+        return left, right, product_quiver(left, right)
+    except ValueError as exc:
+        raise InputFailure(str(exc)) from exc
+
+
+def cmd_product(args, field) -> tuple[dict, int]:
+    product = _product(args)[2]
     return {
         "command": "product",
         "vertices": len(product.vertices),
@@ -159,9 +167,7 @@ def cmd_product(args, field) -> tuple[dict, int]:
 
 
 def cmd_alpha(args, field) -> tuple[dict, int]:
-    left = _resolve(args.left, "quiver").materialize(args.max_len)
-    right = _resolve(args.right, "quiver").materialize(args.max_len)
-    product = product_quiver(left, right)
+    left, right, product = _product(args)
     el = parse_element(args.left_element, left, field)
     er = parse_element(args.right_element, right, field)
     tensor = SparseVector(

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Optional
 
 from .coalgebra import CoalgElement, comultiply, counit, linear_extension
-from .dual import Functional
+from .dual import Functional, convolve
 from .incidence import Poset
 from .linalg import SparseVector, rank1_decompose_2x2, rank1_factor_2x2
 from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
@@ -27,56 +27,54 @@ def _pair_label(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _record(table: dict, label: str, value, kind: str) -> None:
+    if label in table:
+        raise ValueError(f"two {kind} pairs of the product get the label {label!r}")
+    table[label] = value
+
+
 def product_quiver(left: Quiver, right: Quiver) -> Quiver:
     """Vertices are vertex pairs; arrows pair an arrow on one side with a
-    vertex on the other."""
-    vertices = [_pair_label(a, b) for a in left.vertices for b in right.vertices]
+    vertex on the other.  ``product_data`` records the pair behind each
+    vertex label and the origin of each arrow label; two pairs that would
+    share a label raise ``ValueError``."""
+    pairs = {}
+    for a in left.vertices:
+        for b in right.vertices:
+            _record(pairs, _pair_label(a, b), (a, b), "vertex")
     arrows = []
     origin = {}
     for x in left.arrows:
         for b in right.vertices:
             label = _pair_label(x.label, b)
+            _record(origin, label, ("L", x.label, b), "arrow")
             arrows.append((label, _pair_label(x.source, b), _pair_label(x.target, b)))
-            origin[label] = ("L", x.label, b)
     for a in left.vertices:
         for y in right.arrows:
             label = _pair_label(a, y.label)
+            _record(origin, label, ("R", a, y.label), "arrow")
             arrows.append((label, _pair_label(a, y.source), _pair_label(a, y.target)))
-            origin[label] = ("R", a, y.label)
-    product = Quiver(vertices, arrows, name=f"{left.name}x{right.name}")
-    product.product_data = {"left": left, "right": right, "origin": origin}
+    product = Quiver(pairs, arrows, name=f"{left.name}x{right.name}")
+    product.product_data = {"left": left, "right": right, "pairs": pairs, "origin": origin}
     return product
 
 
 @dataclass(frozen=True)
 class LatticeWalk:
-    """Monotone staircase from (0,0) to (n,k): points after each step."""
+    """Monotone staircase from (0,0) to (n,k), as its step word: "R" steps
+    right (the next left arrow), "U" steps up (the next right arrow)."""
 
-    points: tuple
+    steps: tuple
+
+    def __post_init__(self):
+        if self.steps.count("R") + self.steps.count("U") != len(self.steps):
+            bad = next(step for step in self.steps if step not in ("R", "U"))
+            raise ValueError(f"bad step {bad!r}")
 
     @property
     def shape(self):
-        return self.points[-1]
-
-    def steps(self) -> tuple:
-        out = []
-        for (i0, j0), (i1, j1) in zip(self.points, self.points[1:]):
-            out.append("R" if i1 == i0 + 1 else "U")
-        return tuple(out)
-
-    @staticmethod
-    def from_steps(steps) -> "LatticeWalk":
-        i = j = 0
-        points = [(0, 0)]
-        for step in steps:
-            if step == "R":
-                i += 1
-            elif step == "U":
-                j += 1
-            else:
-                raise ValueError(f"bad step {step!r}")
-            points.append((i, j))
-        return LatticeWalk(tuple(points))
+        right = self.steps.count("R")
+        return right, len(self.steps) - right
 
 
 def lattice_walks(n: int, k: int) -> list[LatticeWalk]:
@@ -86,19 +84,10 @@ def lattice_walks(n: int, k: int) -> list[LatticeWalk]:
         raise ValueError("grid dimensions must be nonnegative")
     walks = []
     for ups in combinations(range(n + k), k):
-        # Step i + j moves from (i, j): up at the positions in ups, else right.
-        i = j = 0
-        points = [(0, 0)]
-        for r in ups:
-            while i + j < r:
-                i += 1
-                points.append((i, j))
-            j += 1
-            points.append((i, j))
-        while i < n:
-            i += 1
-            points.append((i, j))
-        walks.append(LatticeWalk(tuple(points)))
+        steps = ["R"] * (n + k)
+        for i in ups:
+            steps[i] = "U"
+        walks.append(LatticeWalk(tuple(steps)))
     assert len(walks) == comb(n + k, k)
     return walks
 
@@ -119,25 +108,25 @@ def walk_path(p: Path, q: Path, walk: LatticeWalk, product: Quiver) -> Path:
     if n + k == 0:
         return product.vertex_path(_pair_label(averts[0], bverts[0]))
     arrows = []
-    for (i0, j0), (i1, j1) in zip(walk.points, walk.points[1:]):
-        if i1 == i0 + 1:
-            label = _pair_label(p.arrows[i0].label, bverts[j0])
+    i = j = 0
+    for step in walk.steps:
+        if step == "R":
+            label = _pair_label(p.arrows[i].label, bverts[j])
+            i += 1
         else:
-            label = _pair_label(averts[i0], q.arrows[j0].label)
+            label = _pair_label(averts[i], q.arrows[j].label)
+            j += 1
         arrows.append(product.arrow_by_label[label])
     return Path(product, None, tuple(arrows))
 
 
 def decompose_product_path(gamma: Path):
     """The unique (p, q, walk) triple with walk_path(p, q, walk) == gamma."""
-    product = gamma.quiver
-    data = getattr(product, "product_data", None)
+    data = getattr(gamma.quiver, "product_data", None)
     if data is None:
         raise ValueError("path does not live in a constructed product quiver")
     left, right, origin = data["left"], data["right"], data["origin"]
-    if gamma.length == 0:
-        a, b = _split_pair_label(gamma.vertex)
-        return left.vertex_path(a), right.vertex_path(b), LatticeWalk.from_steps(())
+    start_left, start_right = data["pairs"][gamma.source]
     left_arrows = []
     right_arrows = []
     steps = []
@@ -149,24 +138,9 @@ def decompose_product_path(gamma: Path):
         else:
             right_arrows.append(right.arrow_by_label[second])
             steps.append("U")
-    start_left, start_right = _split_pair_label(gamma.source)
     p = Path(left, None, tuple(left_arrows)) if left_arrows else left.vertex_path(start_left)
     q = Path(right, None, tuple(right_arrows)) if right_arrows else right.vertex_path(start_right)
-    return p, q, LatticeWalk.from_steps(steps)
-
-
-def _split_pair_label(label: str):
-    if not (label.startswith("(") and label.endswith(")")):
-        raise ValueError(f"not a pair label: {label!r}")
-    depth = 0
-    for idx, ch in enumerate(label):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return label[1:idx], label[idx + 1 : -1]
-    raise ValueError(f"not a pair label: {label!r}")
+    return p, q, LatticeWalk(tuple(steps))
 
 
 def alpha_table(product: Quiver):
@@ -203,14 +177,12 @@ class SaturationResult:
     """The finite-dimensional subcoalgebra swallowing a given one.
 
     ``seed_vertices``: the vertices met by the input's support paths;
-    ``relevant_paths``: all paths with both endpoints among them;
-    ``vertex_set``: every vertex on those paths; ``basis``: all paths with
-    both endpoints in the vertex set (a subcoalgebra basis).
+    ``vertex_set``: every vertex on a path between two of them;
+    ``basis``: all paths inside the vertex set (a subcoalgebra basis).
     """
 
     quiver: Quiver
     seed_vertices: list
-    relevant_paths: list
     vertex_set: list
     basis: list
 
@@ -235,23 +207,18 @@ def _reachable(quiver: Quiver, seeds, forward: bool) -> set:
     return seen
 
 
-def _paths_within(quiver: Quiver, allowed: set, sources: set, targets: set) -> list:
-    """All paths staying inside the allowed vertex set with prescribed
-    endpoint sets; requires the induced subquiver to be acyclic."""
+def _paths_within(quiver: Quiver, allowed: set) -> list:
+    """All paths staying inside the allowed vertex set; requires the
+    induced subquiver to be acyclic, which also bounds the walk."""
     from .quiver import induced_subquiver
 
-    induced = induced_subquiver(quiver, allowed)
-    if not is_acyclic(induced):
+    if not is_acyclic(induced_subquiver(quiver, allowed)):
         raise ValueError("cycle detected among relevant vertices; the hull would be infinite")
     out = []
-    bound = max(0, len(allowed) - 1)
-    stack = [quiver.vertex_path(v) for v in sorted(allowed & sources, key=str)]
+    stack = [quiver.vertex_path(v) for v in allowed]
     while stack:
         path = stack.pop()
-        if path.target in targets:
-            out.append(path)
-        if path.length >= bound:
-            continue
+        out.append(path)
         for a in quiver.out_arrows(path.target):
             if a.target in allowed:
                 stack.append(Path(quiver, None, path.arrows + (a,)))
@@ -263,21 +230,19 @@ def saturate_subcoalgebra(elements, quiver: Quiver) -> SaturationResult:
     """Grow a finite-dimensional subcoalgebra V to the span W of all paths
     whose endpoints lie on paths between V's vertices; W is subpath-closed,
     contains V, and stays finite-dimensional whenever the relevant region
-    has finitely many paths between any two vertices."""
+    has finitely many paths between any two vertices.
+
+    The vertices on paths between two seed vertices are exactly the region
+    reach(seed) ∩ coreach(seed): a path seed → v → seed stays inside it,
+    and every vertex on a path between two region vertices is in it too.
+    So W is the span of the paths inside the region."""
     seed = set()
     for element in elements:
         for p in element.combo.labels():
             seed.update(_vertex_chain(p))
-    seed_vertices = sorted(seed, key=str)
     region = _reachable(quiver, seed, True) & _reachable(quiver, seed, False)
-    relevant = _paths_within(quiver, region, seed, seed)
-    vertex_set = set()
-    for p in relevant:
-        vertex_set.update(_vertex_chain(p))
-    vertex_list = sorted(vertex_set, key=str)
-    region_s = _reachable(quiver, vertex_set, True) & _reachable(quiver, vertex_set, False)
-    basis = _paths_within(quiver, region_s, vertex_set, vertex_set)
-    result = SaturationResult(quiver, seed_vertices, relevant, vertex_list, basis)
+    basis = _paths_within(quiver, region)
+    result = SaturationResult(quiver, sorted(seed, key=str), sorted(region, key=str), basis)
     basis_set = set(basis)
     for element in elements:
         for p in element.combo.labels():
@@ -302,6 +267,13 @@ class FactorizationWitness:
     window: int
     checked_paths: int
 
+    @classmethod
+    def from_values(cls, eta, quiver, field, values, window, checked_paths) -> "FactorizationWitness":
+        """The witness whose factors f1, g1, f2, g2 take the four given
+        path -> value tables on ``quiver``."""
+        f1, g1, f2, g2 = (Functional(quiver, support=SparseVector(table), field=field) for table in values)
+        return cls(eta, f1, g1, f2, g2, window, checked_paths)
+
     def pairs(self):
         return ((self.f1, self.g1), (self.f2, self.g2))
 
@@ -310,10 +282,11 @@ def factor_perp_element(eta: Functional, saturation: SaturationResult, max_len: 
     """Split a functional vanishing on the saturated subcoalgebra into a sum
     of two products of such functionals, by induction on path length.
 
-    Base case on a vertex v outside the saturation: f1(v) = g2(v) = 1 and
-    g1(v) = eta(v), f2(v) = 0.  Induction step: with f1(p) = g2(p) = 0
-    fixed, the one remaining unknown among g1(p), f2(p) is solved from the
-    convolution identity restricted to proper decompositions.
+    Outside W, f1 and g2 are 1 on vertices and 0 on longer paths, and one
+    of g1(p), f2(p) carries the residual of eta(p) after its proper splits:
+    g1(p) when s(p) is outside W (f1(s(p)) = 1), else f2(p) (then t(p) is
+    outside W and g2(t(p)) = 1).  A vertex has no proper split, so g1(v) =
+    eta(v).  Everything is 0 on W.
     """
     quiver = saturation.quiver
     enum = enumerate_paths(quiver, max_len)
@@ -323,62 +296,35 @@ def factor_perp_element(eta: Functional, saturation: SaturationResult, max_len: 
             raise ValueError("the functional does not vanish on the saturated subcoalgebra")
     zero, one = field.zero, field.one
     f1, g1, f2, g2 = {}, {}, {}, {}
-    for p in sorted(enum.paths, key=lambda q: q.length):
-        if p.length == 0:
-            if in_w[p]:
-                f1[p] = g1[p] = f2[p] = g2[p] = zero
-            else:
-                f1[p] = one
-                g2[p] = one
-                g1[p] = eta(p)
-                f2[p] = zero
-            continue
+    for p in enum.paths:  # sorted by length, so every proper split is known
         if in_w[p]:
             f1[p] = g1[p] = f2[p] = g2[p] = zero
             continue
-        u = quiver.vertex_path(p.source)
-        v = quiver.vertex_path(p.target)
         inner = zero
         for q, r in p.splits():
-            if q == p or r == p:
-                continue
-            inner = inner + f1[q] * g1[r] + f2[q] * g2[r]
+            if q != p and r != p:
+                inner = inner + f1[q] * g1[r] + f2[q] * g2[r]
         residual = eta(p) - inner
-        f1[p] = zero
-        g2[p] = zero
-        if not in_w[u]:
-            # f1(u) = 1 carries the unknown g1(p).
-            g1[p] = residual
-            f2[p] = zero
+        f1[p] = g2[p] = zero if p.length else one
+        if in_w[quiver.vertex_path(p.source)]:
+            g1[p], f2[p] = zero, residual
         else:
-            # Here t(p) is outside the saturation, so g2(v) = 1.
-            g1[p] = zero
-            f2[p] = residual
-    witness = FactorizationWitness(
-        eta,
-        Functional(quiver, support=SparseVector(f1), field=field),
-        Functional(quiver, support=SparseVector(g1), field=field),
-        Functional(quiver, support=SparseVector(f2), field=field),
-        Functional(quiver, support=SparseVector(g2), field=field),
-        max_len,
-        len(enum.paths),
-    )
+            g1[p], f2[p] = residual, zero
+    witness = FactorizationWitness.from_values(eta, quiver, field, (f1, g1, f2, g2), max_len, len(enum.paths))
     verify_factorization(witness, saturation.basis, enum.paths)
     return witness
 
 
 def verify_factorization(witness: FactorizationWitness, w_basis, paths) -> None:
     """Exact check: the four functionals vanish on W and the convolution
-    identity holds on every path of the window."""
+    identity eta = f1·g1 + f2·g2 holds on every path of the window."""
     for functional in (witness.f1, witness.g1, witness.f2, witness.g2):
         for p in w_basis:
             if functional(p):
                 raise AssertionError("factor does not vanish on the subcoalgebra")
+    first, second = (convolve(f, g, paths) for f, g in witness.pairs())
     for p in paths:
-        total = 0
-        for q, r in p.splits():
-            total = total + witness.f1(q) * witness.g1(r) + witness.f2(q) * witness.g2(r)
-        if total - witness.eta(p):
+        if first(p) + second(p) - witness.eta(p):
             raise AssertionError(f"convolution identity fails at {p}")
 
 
@@ -425,16 +371,9 @@ def star_perp_factorization(n: int, truncation: int, eta: Functional, field=QQ) 
                 target_g[x] = col[1]
                 target_h[b] = row[0]
                 target_h[y] = row[1]
-    witness = FactorizationWitness(
-        eta,
-        Functional(quiver, support=SparseVector(g1), field=field),
-        Functional(quiver, support=SparseVector(h1), field=field),
-        Functional(quiver, support=SparseVector(g2), field=field),
-        Functional(quiver, support=SparseVector(h2), field=field),
-        truncation,
-        len(star_truncation_basis(quiver, truncation)),
-    )
-    verify_factorization(witness, w_basis, star_truncation_basis(quiver, truncation))
+    basis = star_truncation_basis(quiver, truncation)
+    witness = FactorizationWitness.from_values(eta, quiver, field, (g1, h1, g2, h2), truncation, len(basis))
+    verify_factorization(witness, w_basis, basis)
     return witness
 
 

@@ -47,6 +47,7 @@ from .quiver import (
     is_acyclic,
 )
 from .products import (
+    LatticeWalk,
     TensorProduct,
     alpha_table,
     decompose_product_path,
@@ -350,10 +351,8 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
             return CheckReport("walk-embedding", False, {"failure": f"{failure[0]} does not commute"})
         morphism_cases += 1
         # Staircase functionals recover each tensor coefficient.
-        from .products import LatticeWalk
-
         for (p, q) in support:
-            staircase = LatticeWalk.from_steps(("R",) * p.length + ("U",) * q.length)
+            staircase = LatticeWalk(("R",) * p.length + ("U",) * q.length)
             target = walk_path(p, q, staircase, product)
             if embedded.coeff(target) != tensor.coeff((p, q)):
                 return CheckReport("walk-embedding", False, {"failure": "staircase functional mismatch"})

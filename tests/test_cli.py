@@ -209,6 +209,28 @@ def test_unknown_arrow_in_a_dotted_path_exit_code(argv, line_file, capsys):
     assert run(capsys, verb, line_file, *rest) == (2, "", "error: unknown arrow 'zz'\n")
 
 
+@pytest.mark.parametrize(
+    "left, right, elements, message",
+    [
+        # ('a', 'b,c') and ('a,b', 'c') are both written (a,b,c).
+        ("vertex a\nvertex a,b\n", "vertex b,c\nvertex c\n", ["[a]", "[c]"],
+         "two vertex pairs of the product get the label '(a,b,c)'"),
+        # The arrow x beside the vertex y, and the vertex x beside the arrow y.
+        ("vertex x\nvertex u\narrow x x u\n", "vertex y\nvertex w\narrow y y w\n", ["[x]", "[y]"],
+         "two arrow pairs of the product get the label '(x,y)'"),
+    ],
+    ids=["vertex-pairs", "arrow-pairs"],
+)
+@pytest.mark.parametrize("verb", ["product", "alpha"])
+def test_product_labels_shared_by_two_pairs_exit_2(verb, left, right, elements, message, tmp_path, capsys):
+    files = []
+    for name, body in (("left", left), ("right", right)):
+        files.append(tmp_path / f"{name}.txt")
+        files[-1].write_text("quiver\n" + body)
+    argv = [verb, *map(str, files)] + elements * (verb == "alpha")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_rep_naming_an_unknown_arrow_exit_code(line_file, tmp_path, capsys):
     rep = tmp_path / "unknown.txt"
     rep.write_text(REP + "map q 1\n")

@@ -1,12 +1,22 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement, basis_tables, linear_extension, subcoalgebra_closure
-from quivercoalg.corpus import named_quiver, random_path, random_quiver, random_scalar
+from quivercoalg.corpus import (
+    enumerate_small_quivers,
+    named_quiver,
+    random_acyclic_quiver,
+    random_element,
+    random_path,
+    random_quiver,
+    random_scalar,
+)
 from quivercoalg.dual import Functional
 from quivercoalg.linalg import SparseVector
 from quivercoalg.products import (
@@ -23,14 +33,17 @@ from quivercoalg.products import (
     skew_primitive_quotient_check,
     star_perp_factorization,
     star_truncation_basis,
+    verify_factorization,
     walk_path,
 )
 from quivercoalg.quiver import (
     Family,
+    Quiver,
     check_recovery_condition,
     check_semiperfect_condition,
     disjoint_union,
     enumerate_paths,
+    is_acyclic,
 )
 from quivercoalg.scalars import QQ, PrimeField
 
@@ -57,6 +70,11 @@ def test_lattice_walk_counts():
             assert len(lattice_walks(n, k)) == comb(n + k, k)
 
 
+def test_lattice_walk_rejects_a_bad_step():
+    with pytest.raises(ValueError, match="bad step 'X'"):
+        LatticeWalk(("R", "X"))
+
+
 def test_walk_path_examples():
     arrow = named_quiver("single_arrow")
     other = Family("line1").truncate(1)
@@ -70,7 +88,7 @@ def test_walk_path_examples():
     vertex_image = walk_path(pv, q0, lattice_walks(0, 0)[0], product)
     assert vertex_image.length == 0 and vertex_image.vertex == "(a,v0)"
     q = other.arrow_path("a0")
-    right_up = LatticeWalk.from_steps(("R", "U"))
+    right_up = LatticeWalk(("R", "U"))
     composite = walk_path(p, q, right_up, product)
     assert [a.label for a in composite.arrows] == ["(x,v0)", "(b,a0)"]
 
@@ -106,6 +124,20 @@ def test_decompose_round_trip_exhaustive():
                     assert decompose_product_path(gamma) == (p, q, walk)
 
 
+def test_decompose_round_trip_with_commas_in_labels():
+    # The pair behind a label is recorded, not parsed back from the label.
+    left = Quiver(["a,b", "c"], [("x", "a,b", "c")], name="comma")
+    product = product_quiver(left, left)
+    for gamma in enumerate_paths(product, 2).paths:
+        p, q, walk = decompose_product_path(gamma)
+        assert walk_path(p, q, walk, product) == gamma
+    paths = enumerate_paths(left, 2).paths
+    for p in paths:
+        for q in paths:
+            for walk in lattice_walks(p.length, q.length):
+                assert decompose_product_path(walk_path(p, q, walk, product)) == (p, q, walk)
+
+
 def test_alpha_examples():
     arrow = named_quiver("single_arrow")
     other = Family("line1").truncate(1)
@@ -138,6 +170,47 @@ def test_saturation_examples():
     assert other_branch in set(sat_d.basis)
 
 
+def oracle_saturation(quiver, seed):
+    """The vertices on some path between two seed vertices, and the paths
+    with both endpoints among them, by brute force over every path of an
+    acyclic quiver."""
+    paths = enumerate_paths(quiver, len(quiver.vertices)).paths
+    on_paths = set()
+    for p in paths:
+        if p.source in seed and p.target in seed:
+            on_paths.update([p.source] + [a.target for a in p.arrows])
+    return on_paths, {p for p in paths if p.source in on_paths and p.target in on_paths}
+
+
+def saturation_cases():
+    """(quiver, elements): every vertex seed of one or two vertices and
+    every single path on the acyclic quivers with at most 3 vertices and 3
+    arrows, then the closures of 200 seeded random elements."""
+    for quiver in enumerate_small_quivers(3, 3):
+        if not is_acyclic(quiver):
+            continue
+        for size in (1, 2):
+            for seed in combinations(quiver.vertices, size):
+                yield quiver, [CoalgElement.from_path(quiver.vertex_path(v)) for v in seed]
+        for p in enumerate_paths(quiver, len(quiver.vertices)).paths:
+            yield quiver, [CoalgElement.from_path(p)]
+    rng = random.Random(58)
+    for _ in range(200):
+        quiver = random_acyclic_quiver(rng, 6, 8)
+        yield quiver, subcoalgebra_closure([random_element(rng, quiver, 3)])
+
+
+def test_saturation_matches_its_definition():
+    for quiver, elements in saturation_cases():
+        seed = {v for element in elements for p in element.combo.labels() for v in [p.source] + [a.target for a in p.arrows]}
+        vertices, paths = oracle_saturation(quiver, seed)
+        sat = saturate_subcoalgebra(elements, quiver)
+        assert sat.seed_vertices == sorted(seed, key=str)
+        assert sat.vertex_set == sorted(vertices, key=str)
+        assert set(sat.basis) == paths and len(sat.basis) == len(paths)
+        assert sat.basis == sorted(sat.basis, key=lambda p: p.sort_key)
+
+
 def test_saturation_rejects_relevant_cycles():
     q = named_quiver("loop_with_tail")
     with pytest.raises(ValueError):
@@ -167,6 +240,38 @@ def test_factorization_rejects_nonvanishing_input():
     bad = Functional(line, support=SparseVector({line.vertex_path("a"): Fraction(1)}))
     with pytest.raises(ValueError):
         factor_perp_element(bad, sat, 2)
+
+
+def line_witness():
+    """line3 saturated at its first vertex, and the witness for a functional
+    that is nonzero on every path outside W."""
+    line = named_quiver("line3")
+    sat = saturate_subcoalgebra([CoalgElement.from_path(line.vertex_path("a"))], line)
+    paths = enumerate_paths(line, 2).paths
+    eta = Functional(line, support=SparseVector({p: Fraction(i + 1) for i, p in enumerate(paths) if not sat.contains_path(p)}))
+    return line, sat, paths, factor_perp_element(eta, sat, 2)
+
+
+def test_verify_factorization_rejects_a_perturbed_factor():
+    line, sat, paths, witness = line_witness()
+    y = line.arrow_path("y")
+    # s(y) = b is outside W, so f1(b) = 1 and g1(y) enters the identity at y only.
+    values = dict(witness.g1.support.items())
+    values[y] = values.get(y, 0) + 1
+    bad = dataclasses.replace(witness, g1=Functional(line, support=SparseVector(values)))
+    with pytest.raises(AssertionError) as failure:
+        verify_factorization(bad, sat.basis, paths)
+    assert str(failure.value) == "convolution identity fails at y"
+
+
+def test_verify_factorization_rejects_a_factor_nonzero_on_w():
+    line, sat, paths, witness = line_witness()
+    a = line.vertex_path("a")
+    values = dict(witness.f2.support.items())
+    values[a] = Fraction(1)
+    bad = dataclasses.replace(witness, f2=Functional(line, support=SparseVector(values)))
+    with pytest.raises(AssertionError, match="factor does not vanish on the subcoalgebra"):
+        verify_factorization(bad, sat.basis, paths)
 
 
 def test_factorization_random_line():
