@@ -170,6 +170,10 @@ def test_saturation_examples():
     assert other_branch in set(sat_d.basis)
 
 
+def vertices_on(path):
+    return [path.source] + [a.target for a in path.arrows]
+
+
 def oracle_saturation(quiver, seed):
     """The vertices on some path between two seed vertices, and the paths
     with both endpoints among them, by brute force over every path of an
@@ -178,7 +182,7 @@ def oracle_saturation(quiver, seed):
     on_paths = set()
     for p in paths:
         if p.source in seed and p.target in seed:
-            on_paths.update([p.source] + [a.target for a in p.arrows])
+            on_paths.update(vertices_on(p))
     return on_paths, {p for p in paths if p.source in on_paths and p.target in on_paths}
 
 
@@ -202,7 +206,7 @@ def saturation_cases():
 
 def test_saturation_matches_its_definition():
     for quiver, elements in saturation_cases():
-        seed = {v for element in elements for p in element.combo.labels() for v in [p.source] + [a.target for a in p.arrows]}
+        seed = {v for element in elements for p in element.combo.labels() for v in vertices_on(p)}
         vertices, paths = oracle_saturation(quiver, seed)
         sat = saturate_subcoalgebra(elements, quiver)
         assert sat.seed_vertices == sorted(seed, key=str)
@@ -248,7 +252,8 @@ def line_witness():
     line = named_quiver("line3")
     sat = saturate_subcoalgebra([CoalgElement.from_path(line.vertex_path("a"))], line)
     paths = enumerate_paths(line, 2).paths
-    eta = Functional(line, support=SparseVector({p: Fraction(i + 1) for i, p in enumerate(paths) if not sat.contains_path(p)}))
+    values = {p: Fraction(i + 1) for i, p in enumerate(paths) if not sat.contains_path(p)}
+    eta = Functional(line, support=SparseVector(values))
     return line, sat, paths, factor_perp_element(eta, sat, 2)
 
 
