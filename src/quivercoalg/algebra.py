@@ -8,6 +8,7 @@ the operations differ.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -173,21 +174,19 @@ def check_ideal(vectors, generators, row, outside):
     A subspace is a two-sided ideal exactly when it is closed under left
     and right multiplication by a generating set of the algebra, so for
     each spanning vector v and generator g only gv and vg are tested.
-    ``row(side, g)`` gives g·v ("left") or v·g ("right") for every v in
-    order, None for a product outside a truncation window, which is
-    skipped; ``outside(products)`` gets a row's other products and returns
-    the position of the first not in the span, or None.  Returns ``None``
-    or the first failing ``(side, generator, vector)``, vectors outer,
-    generators inner, left before right.
+    ``row(side, g)`` gives g·v ("left") or v·g ("right") as a dict from the
+    position of v to the product; a position left out is skipped, its
+    product zero, outside a truncation window or known to lie in the span.
+    ``outside(products)`` gets a row and returns the least position whose
+    product is not in the span, or None.  Returns ``None`` or the first
+    failing ``(side, generator, vector)``, vectors outer, generators inner,
+    left before right.
     """
     first = None
     for rank, (g, side) in enumerate((g, side) for g in generators for side in ("left", "right")):
-        products = row(side, g)
-        k = outside([p for p in products if p is not None])
-        if k is not None:
-            k = [i for i, p in enumerate(products) if p is not None][k]
-            if first is None or (k, rank) < first[:2]:
-                first = (k, rank, side, g)
+        k = outside(row(side, g))
+        if k is not None and (first is None or (k, rank) < first[:2]):
+            first = (k, rank, side, g)
     return None if first is None else (first[2], first[3], vectors[first[0]])
 
 
@@ -196,17 +195,35 @@ def _generators(quiver: Quiver) -> list[Path]:
     return [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
 
 
-def _generator_rows(generators, index: dict, window: int):
-    """g·p and p·g, composed once, for each generator path g and each path p
-    of ``index`` (path -> position, by length) with |g| + |p| <= window: per
-    g, a left and a right row over a prefix of the positions, whose entries
-    are the product's position, the product if it is another path, or None."""
-    left, right = {}, {}
+def endpoint_buckets(paths):
+    """The positions in ``paths`` of the paths that start at each vertex,
+    and of those that end at each vertex, each list increasing."""
+    starts, ends = {}, {}
+    for i, p in enumerate(paths):
+        starts.setdefault(p.source, []).append(i)
+        ends.setdefault(p.target, []).append(i)
+    return starts, ends
+
+
+def _generator_rows(generators, paths, window: int) -> dict:
+    """g·p and p·g for each generator path g and each path p of ``paths``
+    (sorted by length) with |g| + |p| <= window, composed only where the
+    endpoints meet.  Per ``(side, g)``: the number n of those p, which are
+    a prefix of the positions, and a row from the position of p to the
+    product's position, or to the product if it is another path.  A
+    position below n that the row leaves out is a zero product: p does not
+    start at t(g) ("left"), or does not end at s(g) ("right")."""
+    index = {p: i for i, p in enumerate(paths)}
+    lengths = [p.length for p in paths]
+    starts, ends = endpoint_buckets(paths)
+    rows = {}
     for g in generators:
-        fits = [p for p in index if g.length + p.length <= window]
-        left[g] = [index.get(r, r) for r in (compose_paths(g, p) for p in fits)]
-        right[g] = [index.get(r, r) for r in (compose_paths(p, g) for p in fits)]
-    return left, right
+        n = bisect_right(lengths, window - g.length)
+        after, before = starts.get(g.target, []), ends.get(g.source, [])
+        after, before = after[:bisect_left(after, n)], before[:bisect_left(before, n)]
+        rows["left", g] = n, {i: index.get(r, r) for i, r in zip(after, [compose_paths(g, paths[i]) for i in after])}
+        rows["right", g] = n, {i: index.get(r, r) for i, r in zip(before, [compose_paths(paths[i], g) for i in before])}
+    return rows
 
 
 def _check_difference_ideal(paths, pairs, window, field=QQ) -> tuple[int, int]:
@@ -218,41 +235,55 @@ def _check_difference_ideal(paths, pairs, window, field=QQ) -> tuple[int, int]:
     the window, so the codimension is |paths| less the differences' rank.
     A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
     p the longer, so a generator times it is a pair of ``_generator_rows``
-    entries, and a row holds one per difference.  A row's products are in
-    the span when stored pairs or with no term on ``paths`` (zero, or a
-    path off them); the others have their terms on ``paths`` reduced
+    entries; a generator times a difference with no term on its row is
+    zero, and is counted as checked without being examined.  A product is
+    in the span when a stored pair or with no term on ``paths`` (zero, or
+    a path off them); the others have their terms on ``paths`` reduced
     against the differences' basis.
     """
     quiver = paths[0].quiver
     generators = _generators(quiver)
     index = {p: i for i, p in enumerate(paths)}
     vectors = [(index[p], index[r]) for p, r in pairs]
-    left, right = _generator_rows(generators, index, window)
+    # The differences by the position of their leading path and of the other.
+    by_lead, by_other = {}, {}
+    for k, (i, j) in enumerate(vectors):
+        by_lead.setdefault(i, []).append((k, j))
+        by_other.setdefault(j, []).append((k, i))
+    rows = _generator_rows(generators, paths, window)
     stored = set(vectors)
-    reduce, checked = None, 0
+    reduce = None
 
     def row(side, g):
-        entries = (left if side == "left" else right)[g]
-        n = len(entries)
-        return [(entries[i], entries[j]) if i < n else None for i, j in vectors]
+        # The products with the differences whose leading path, or only
+        # whose other path, is on the row, less the stored pairs and those
+        # with no term on ``paths``.
+        n, entries = rows[side, g]
+        get = entries.get
+        products = {k: t for x, e in entries.items() if x < n for k, j in by_lead.get(x, ())
+                    if (t := (e, get(j))) not in stored and (e.__class__ is int or t[1].__class__ is int)}
+        products.update((k, (None, e)) for x, e in entries.items() if e.__class__ is int
+                        for k, i in by_other.get(x, ()) if i < n and i not in entries)
+        return products
 
     def outside(products):
-        nonlocal reduce, checked
-        checked += len(products)
-        suspects = [t for t in set(products).difference(stored) if t[0].__class__ is int or t[1].__class__ is int]
-        if not suspects:
+        nonlocal reduce
+        if not products:
             return None
         if reduce is None:
             reduce = reducer(rref([_difference(p, r, field) for p, r in pairs]))
-        bad = {t for t in suspects
+        bad = {t for t in set(products.values())
                if not reduce(_difference(*(paths[x] if x.__class__ is int else None for x in t), field)).is_zero()}
-        return next((k for k, t in enumerate(products) if t in bad), None)
+        return min((k for k, t in products.items() if t in bad), default=None)
 
     failure = check_ideal(vectors, generators, row, outside)
     if failure is not None:
         side, g, pair = failure
         difference = CoalgElement(quiver, _difference(*pairs[vectors.index(pair)], field))
         _raise_on_failure((side, CoalgElement.from_path(g, field), difference), "ideal")
+    # An identity per generator, side and difference whose leading path fits.
+    leads = sorted(i for i, _ in vectors)
+    checked = sum(bisect_left(leads, n) for n, _ in rows.values())
     return checked, len(paths) - difference_rank(vectors)
 
 

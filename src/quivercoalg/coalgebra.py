@@ -51,15 +51,6 @@ class CoalgElement:
         return CoalgElement.unit(path.quiver, path, field)
 
     @staticmethod
-    def _of_own_labels(carrier, combo: SparseVector) -> "CoalgElement":
-        """An element whose labels are known to belong to the carrier, so
-        they are not checked again."""
-        element = object.__new__(CoalgElement)
-        element.carrier = carrier
-        element.combo = combo
-        return element
-
-    @staticmethod
     def zero(carrier) -> "CoalgElement":
         return CoalgElement(carrier, SparseVector())
 

@@ -16,11 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import subpath_closure
+from .algebra import build_cycle_counterexample, endpoint_buckets, subpath_closure
 from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
-from .quiver import Family, Path, Quiver, Verdict, check_recovery_condition, enumerate_paths, horizon_verdict, is_acyclic
+from .quiver import (
+    Family, Path, Quiver, Verdict, check_recovery_condition, compose_paths, enumerate_paths, find_simple_cycle,
+    horizon_verdict, is_acyclic,
+)
 from .scalars import QQ, FieldError
 
 
@@ -113,8 +116,6 @@ def structured_from_quiver(quiver: Quiver, field=QQ) -> StructuredAlgebra:
     enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
     mult = {}
     path_set = set(enum.paths)
-    from .quiver import compose_paths
-
     for p in enum.paths:
         for q in enum.paths:
             pq = compose_paths(p, q)
@@ -368,9 +369,6 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
 
 
 def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> RecoveryReport:
-    from .algebra import build_cycle_counterexample
-    from .quiver import compose_paths, find_simple_cycle
-
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     effective_window = max(window, (codim_bound + 2) * s)
@@ -379,20 +377,29 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     witness = Functional.from_rule(quiver, *(("eval", field.one) if loop else ("winding_multiple", tuple(cycle))), field)
     counterexample = build_cycle_counterexample(quiver, effective_window, field)
     winding, off = counterexample.closed_path_set, counterexample.monomial_generators
-    values = {p: witness(p) for p in winding}  # every difference is a pair of winding paths
-    if any(values[p] != values[r] for p, r in counterexample.difference_pairs):
+    # Every difference is a pair of winding paths; the witness is read once
+    # per winding path, and the pairs compare its values by class.
+    classes = {}
+    value_class = {p: classes.setdefault(witness(p), len(classes)) for p in winding}
+    if any(value_class[p] != value_class[r] for p, r in counterexample.difference_pairs):
         raise AssertionError("witness does not vanish on the counterexample ideal")
     # A partial re-check: the witness must vanish on the monomial generators
     # and on each one-arrow exit of W, not on every path off W.  That it does
     # follows from the ``winding_multiple`` rule, which accepts only paths
     # that start on the cycle and follow it; the tests scan every path off W.
-    exits = [compose_paths(*pair) for w in winding if w.length < effective_window
-             for a in off if a.length for pair in ((w, a), (a, w))]
-    if any(p is not None and witness(p) for p in off + exits):
+    # An arrow a off W meets the paths of W that end at s(a) or start at
+    # t(a); its products with the others are zero.
+    starts, ends = endpoint_buckets(winding)
+    exits = [compose_paths(*pair) for a in off if a.length
+             for pair in [(winding[i], a) for i in ends.get(a.source, ())]
+             + [(a, winding[i]) for i in starts.get(a.target, ())]
+             if pair[0].length + pair[1].length <= effective_window]
+    if any(witness(p) for p in off + exits):
         raise AssertionError("witness does not vanish off the cycle")
     # A support path of length L has L + 1 distinct prefixes, all in the
     # support's subpath closure.
-    if max(p.length for p in winding if values[p]) + 1 <= codim_bound:
+    zero = classes.get(field.zero)
+    if max(p.length for p in winding if value_class[p] != zero) + 1 <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")
     verdict = Verdict(
         "no_up_to_bound",

@@ -44,6 +44,8 @@ class Quiver:
                 arrow = Arrow(ident, label, source, target)
             if arrow.source not in vertex_set or arrow.target not in vertex_set:
                 raise ValueError(f"arrow {arrow.label} has undeclared endpoint")
+            if arrow.label in vertex_set:
+                raise ValueError(f"label {arrow.label!r} names both a vertex and an arrow")
             built.append(arrow)
         self.arrows = tuple(built)
         if len({a.label for a in self.arrows}) != len(self.arrows):

@@ -91,21 +91,32 @@ class ParsedInput:
         return self.family.truncate(self.truncation if self.truncation is not None else default_level)
 
 
+# A label names a vertex, an arrow or a poset element.  It has no
+# whitespace, no brackets, which enclose a path in an element expression,
+# and no dot, which separates the arrows of a path; parentheses and commas
+# stay, as product quivers write their pairs with them.
+_LABEL = re.compile(r"[^\s\[\].]+")
+
+
 def _records(lines, table: dict, unexpected: Optional[str] = None):
     """Yield ``(line number, keyword, fields)`` for each record after the
     header.  ``table`` maps each keyword to ``(field count, usage)``: the
-    record has exactly that many whitespace-separated fields, or, for a
-    count of None, the nonempty rest of the line as its one field.  Any
-    other line raises ``unexpected`` followed by the line, by default
-    ``expected '<keyword> <usage>' or ..., got ``."""
+    record has exactly that many whitespace-separated fields, each a label
+    (``_LABEL``) unless its usage is a number, or, for a count of None,
+    the nonempty rest of the line as its one field.  Any other line raises
+    ``unexpected`` followed by the line, by default ``expected '<keyword>
+    <usage>' or ..., got ``."""
     if unexpected is None:
         unexpected = "expected " + " or ".join(f"'{kw} {usage}'" for kw, (_, usage) in table.items()) + ", got "
     for number, line in lines[1:]:
         keyword, *rest = line.split(None, 1)
-        count, _ = table.get(keyword, (0, ""))
+        count, usage = table.get(keyword, (0, ""))
         fields = rest if count is None else line.split()[1:]
         if keyword not in table or len(fields) != (1 if count is None else count):
             raise ParseError(unexpected + repr(line), number)
+        labels = [] if count is None else [f for f, u in zip(fields, usage.split()) if u not in ("<n>", "<level>")]
+        if bad := next((f for f in labels if not _LABEL.fullmatch(f)), None):
+            raise ParseError(f"bad label {bad!r}: a label has no whitespace, '[', ']' or '.'", number)
         yield number, keyword, fields
 
 
@@ -167,15 +178,18 @@ def _parse_carrier_text(text: str, carrier: str) -> ParsedInput:
 def _refused_line(labels, relations) -> Optional[int]:
     """The line of the record a carrier constructor refuses, given the
     ``(line, fields)`` records: a label seen before, else the first
-    arrow or cover naming an undeclared label, the order in which
-    ``Quiver`` and ``Poset`` check them; None for any other refusal."""
+    arrow or cover naming an undeclared label or an arrow named as a
+    vertex, the order in which ``Quiver`` and ``Poset`` check them; None
+    for any other refusal."""
     seen = set()
     for number, label in labels:
         if label in seen:
             return number
         seen.add(label)
-    # An arrow's endpoints and a cover's two elements are its last two fields.
-    return next((number for number, fields in relations if not seen.issuperset(fields[-2:])), None)
+    # An arrow's endpoints and a cover's two elements are its last two
+    # fields, and an arrow's own label is its first.
+    return next((number for number, fields in relations
+                 if not seen.issuperset(fields[-2:]) or seen.intersection(fields[:-2])), None)
 
 
 def parse_quiver_text(text: str) -> ParsedInput:

@@ -232,21 +232,23 @@ def per_identity_check_ideal(vectors, generators, product, contains):
 def per_identity_difference_ideal(paths, pairs, window, field=QQ):
     """``algebra._check_difference_ideal`` through ``per_identity_check_ideal``:
     each generator times each difference is looked up in the generator
-    product table (so a patched ``algebra.compose_paths`` is seen) and
-    tested alone.  Returns the identities checked, or raises the same
-    AssertionError at the same first failure."""
+    product table (so a patched ``algebra.compose_paths`` or
+    ``algebra._generator_rows`` is seen), a position the table leaves out
+    as zero, and tested alone.  Returns the identities checked and the
+    codimension |paths| less the rank of the differences, or raises the
+    same AssertionError at the same first failure."""
     generators = algebra._generators(paths[0].quiver)
     index = {p: i for i, p in enumerate(paths)}
     vectors = [(index[p], index[r]) for p, r in pairs]
-    left, right = algebra._generator_rows(generators, index, window)
+    rows = algebra._generator_rows(generators, paths, window)
     stored = set(vectors)
     basis = [SparseVector({p: field.one, r: -field.one}) for p, r in pairs]
     checked = 0
 
     def product(x, y):
-        g, (i, j), rows = (x, y, left) if isinstance(y, tuple) else (y, x, right)
-        row = rows[g]
-        return (row[i], row[j]) if i < len(row) else None
+        g, (i, j), side = (x, y, "left") if isinstance(y, tuple) else (y, x, "right")
+        n, entries = rows[side, g]
+        return (entries.get(i), entries.get(j)) if i < n else None
 
     def contains(terms):
         nonlocal checked
@@ -261,7 +263,7 @@ def per_identity_difference_ideal(paths, pairs, window, field=QQ):
         difference = CoalgElement(paths[0].quiver, SparseVector({p: field.one, r: -field.one}))
         raise AssertionError(f"{side} product by generator {CoalgElement.from_path(g, field)} "
                              f"takes {difference} out of the ideal")
-    return checked
+    return checked, len(paths) - oracle_rank(basis, field)
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,8 @@ def _cyclic_quiver(shape):
 def test_product_table_agrees_with_multiply(shape, data):
     # Every entry of the generator product table is the element product of
     # the two unit paths: the position of a winding product, any other
-    # product itself, None for zero.  The union-find codimension is the
-    # dense rank's.
+    # product itself, and a position left out of a row (below its fitting
+    # count) zero.  The union-find codimension is the dense rank's.
     quiver = _cyclic_quiver(shape)
     s = len(find_simple_cycle(quiver))
     window = data.draw(st.integers(s, 4 * s), label="window")
@@ -208,13 +208,14 @@ def test_product_table_agrees_with_multiply(shape, data):
     paths = ce.closed_path_set
     index = {p: i for i, p in enumerate(paths)}
     generators = _generators(quiver)
-    left, right = algebra._generator_rows([g for e in generators for g in e.combo.labels()], index, window)
+    rows = algebra._generator_rows([g for e in generators for g in e.combo.labels()], paths, window)
     for element in generators:
         (g,) = element.combo.labels()
         fits = [p for p in paths if g.length + p.length <= window]
-        assert len(left[g]) == len(right[g]) == len(fits)
-        for p, entries in zip(fits, zip(left[g], right[g])):
-            for entry, (a, b) in zip(entries, ((g, p), (p, g))):
+        (n, left), (m, right) = rows["left", g], rows["right", g]
+        assert n == m == len(fits) and set(left) | set(right) <= set(range(n))
+        for i, p in enumerate(fits):
+            for entry, (a, b) in zip((left.get(i), right.get(i)), ((g, p), (p, g))):
                 assert not isinstance(entry, Path) or entry not in index
                 path = paths[entry] if isinstance(entry, int) else entry
                 assert (CoalgElement.zero(quiver) if path is None else unit(path)) == multiply(unit(a), unit(b))
@@ -249,6 +250,28 @@ def test_cycle_counterexample_identity_count_is_pinned(quiver, window, count):
     assert ce.identities_checked == count == _identity_count(ce.details["cycle_length"], window)
 
 
+# Every window that the cycle-recovery benchmark builds: ``check thm33`` at
+# (codim bound + 2)·s and ``counterexample cycle`` at its --max-len.
+_LADDER = {"loop": (6, 10, 14), "cycle:2": (12, 16, 20), "cycle:3": (12, 18, 24, 36), "cycle:4": (16, 20, 24),
+           "cycle3-tails": (12, 18, 24)}
+
+
+@pytest.mark.parametrize(
+    "shape, window", [pytest.param(shape, w, id=f"{shape}-{w}") for shape, ws in _LADDER.items() for w in ws]
+)
+def test_identity_counts_over_the_cycle_recovery_ladder(shape, window):
+    # The rows examine only the differences that meet a nonzero product,
+    # yet count one identity per generator, side and fitting difference,
+    # as the loop over single identities does; on a pure cycle that is the
+    # closed form.  The codimension is the dense rank's.
+    quiver = family_from_token("loop").truncate(0) if shape == "loop" else _cyclic_quiver(shape)
+    ce = build_cycle_counterexample(quiver, window)
+    oracle = per_identity_difference_ideal(ce.closed_path_set, ce.difference_pairs, window)
+    assert (ce.identities_checked, ce.codimension) == oracle
+    if shape != "cycle3-tails":
+        assert ce.identities_checked == _identity_count(ce.details["cycle_length"], window)
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
     quiver = Family("cycle", 3).truncate(0)
@@ -263,27 +286,34 @@ def test_cycle_counterexample_catches_a_wrong_product(monkeypatch, side):
         build_cycle_counterexample(quiver, 9)
 
 
+def _corrupt_table(monkeypatch, side, g, position, entry):
+    """Make the product table that ``algebra._generator_rows`` gives hold
+    ``entry`` (None for zero) for ``g`` times the path at ``position``, on
+    the given side, whether or not that product was composed."""
+    exact = algebra._generator_rows
+
+    def wrong(*args):
+        rows = exact(*args)
+        rows[side, g][1][position] = entry
+        return rows
+
+    monkeypatch.setattr(algebra, "_generator_rows", wrong)
+
+
 def _leave_the_ideal(monkeypatch, side, generator, ce, window, stray):
     """Corrupt the product table's entry for ``generator`` times one leading
-    path of a difference of ``ce``, on the given side, through the one
-    composition that fills it.  The leading path is the first longest whose
-    product stays in the window, so that the composition is met first by
-    this generator on this side.  A product on ``ce.closed_path_set`` is
-    dropped, any other (zero or off it) becomes ``stray``: either way the
-    product of the generator with that difference leaves the ideal."""
+    path of a difference of ``ce``, on the given side, where the check reads
+    it.  The leading path is the first longest whose product stays in the
+    window.  A product on ``ce.closed_path_set`` is dropped, any other (zero
+    or off it) becomes ``stray``: either way the product of the generator
+    with that difference leaves the ideal."""
     (g,) = generator.combo.labels()
     leads = [max(pair, key=lambda p: p.length) for pair in ce.difference_pairs]
     leading = max((p for p in leads if g.length + p.length <= window), key=lambda p: p.length)
-    target = (g, leading) if side == "left" else (leading, g)
-    support, exact = set(ce.closed_path_set), quiver_module.compose_paths
-
-    def wrong(p, r):
-        product = exact(p, r)
-        if (p, r) != target:
-            return product
-        return None if product in support else stray
-
-    monkeypatch.setattr(algebra, "compose_paths", wrong)
+    product = quiver_module.compose_paths(*((g, leading) if side == "left" else (leading, g)))
+    paths = ce.closed_path_set
+    entry = None if product in paths else paths.index(stray)
+    _corrupt_table(monkeypatch, side, g, paths.index(leading), entry)
 
 
 def _generators(quiver):
@@ -322,6 +352,25 @@ def test_multiarrow_counterexample_checks_every_generator(monkeypatch, label, si
         build_multiarrow_counterexample(Family("multiarrow"), 2)
 
 
+def test_cycle_counterexample_checks_every_fitting_bucket_position(monkeypatch):
+    # Drop the leading path of q[0,3] - q[0,0] from the bucket of paths that
+    # start at v0: its products with v0 and x2 on the left are then never
+    # composed, and the check must notice the lone term left over.
+    quiver = Family("cycle", 3).truncate(0)
+    q = winding_paths(quiver, find_simple_cycle(quiver), 9)
+    exact = algebra.endpoint_buckets
+
+    def dropping(paths):
+        starts, ends = exact(paths)
+        starts["v0"].remove(paths.index(q[(0, 3)]))
+        return starts, ends
+
+    monkeypatch.setattr(algebra, "endpoint_buckets", dropping)
+    message = "left product by generator [v0] takes -1*[v0] + [x0.x1.x2] out of the ideal"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        build_cycle_counterexample(quiver, 9)
+
+
 def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
     # The paths off the winding paths are certified an ideal by the subpath
     # closure of the winding paths.  Corrupt one prefix, of x.x.x, to the
@@ -351,8 +400,9 @@ def test_cycle_counterexample_catches_a_missing_winding_path(monkeypatch, droppe
 
 
 def _rows(vectors):
-    """The rows of element products g·v or v·g over the spanning vectors."""
-    return lambda side, g: [multiply(g, v) if side == "left" else multiply(v, g) for v in vectors]
+    """The rows of element products g·v or v·g over the spanning vectors,
+    by position."""
+    return lambda side, g: {k: multiply(g, v) if side == "left" else multiply(v, g) for k, v in enumerate(vectors)}
 
 
 def test_check_ideal_finds_one_sided_ideals():
@@ -366,7 +416,7 @@ def test_check_ideal_finds_one_sided_ideals():
     def within(*spanning):
         span = {v.combo for v in spanning}
         member = lambda e: e.is_zero() or solve_membership(e.combo, list(span)) is not None
-        return lambda products: next((k for k, e in enumerate(products) if not member(e)), None)
+        return lambda products: min((k for k, e in products.items() if not member(e)), default=None)
 
     assert check_ideal([x], generators, _rows([x]), within(x)) == ("right", y, x)
     assert check_ideal([y], generators, _rows([y]), within(y)) == ("left", x, y)
@@ -377,13 +427,15 @@ def test_check_ideal_finds_one_sided_ideals():
 
 
 def test_check_ideal_skips_products_outside_the_window():
+    # A row leaves out the products outside the window: each row is still
+    # asked for, and an empty one passes.
     q = named_quiver("line3")
     x, y = unit(q.arrow_path("x")), unit(q.arrow_path("y"))
     calls = []
 
     def row(side, g):
         calls.append((side, g))
-        return [None]
+        return {}
 
     assert check_ideal([x], [y], row, lambda products: 0 if products else None) is None
     assert calls == [("left", y), ("right", y)]
@@ -453,9 +505,10 @@ def _closure_outcome(check):
 )
 def test_row_closure_check_agrees_with_the_per_identity_loop(shape, data):
     # With at most one product-table entry corrupted, to zero, to a winding
-    # path or to a path off them, the row-at-a-time check and the loop over
-    # single identities report the same first failure, or pass with the
-    # same identity count.
+    # path or to a path off them, whether its endpoints meet or not, the
+    # row-at-a-time check and the loop over single identities report the
+    # same first failure, or pass with the same identity count and
+    # codimension.
     quiver = named_quiver(shape) if shape == "loop_with_tail" else Family("cycle", int(shape[6:])).truncate(0)
     s = len(find_simple_cycle(quiver))
     window = data.draw(st.integers(s, 3 * s), label="window")
@@ -465,15 +518,14 @@ def test_row_closure_check_agrees_with_the_per_identity_loop(shape, data):
         if data.draw(st.booleans(), label="corrupt"):
             g = data.draw(st.sampled_from(algebra._generators(quiver)), label="generator")
             p = data.draw(st.sampled_from([p for p in paths if g.length + p.length <= window]), label="path")
-            target = data.draw(st.sampled_from([(g, p), (p, g)]), label="pair")
+            side = data.draw(st.sampled_from(["left", "right"]), label="side")
             wrong = data.draw(st.sampled_from([None, *paths, *ce.monomial_generators]), label="wrong")
-            exact = quiver_module.compose_paths
-            mp.setattr(algebra, "compose_paths", lambda a, b: wrong if (a, b) == target else exact(a, b))
-        rows = _closure_outcome(lambda: algebra._check_difference_ideal(paths, pairs, window)[0])
+            _corrupt_table(mp, side, g, paths.index(p), paths.index(wrong) if wrong in paths else wrong)
+        rows = _closure_outcome(lambda: algebra._check_difference_ideal(paths, pairs, window))
         oracle = _closure_outcome(lambda: per_identity_difference_ideal(paths, pairs, window))
     assert rows == oracle
     if rows[0] == "pass":
-        assert rows[1] == ce.identities_checked
+        assert rows[1] == (ce.identities_checked, ce.codimension)
 
 
 def test_cycle_counterexample_window_must_reach_the_cycle():

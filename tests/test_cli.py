@@ -215,11 +215,15 @@ def test_unknown_arrow_in_a_dotted_path_exit_code(argv, line_file, capsys):
         # ('a', 'b,c') and ('a,b', 'c') are both written (a,b,c).
         ("vertex a\nvertex a,b\n", "vertex b,c\nvertex c\n", ["[a]", "[c]"],
          "two vertex pairs of the product get the label '(a,b,c)'"),
-        # The arrow x beside the vertex y, and the vertex x beside the arrow y.
-        ("vertex x\nvertex u\narrow x x u\n", "vertex y\nvertex w\narrow y y w\n", ["[x]", "[y]"],
-         "two arrow pairs of the product get the label '(x,y)'"),
+        # The arrow p beside the vertex q,r, and the vertex p,q beside the
+        # arrow r, are both written (p,q,r).
+        ("vertex a\nvertex p,q\narrow p a a\n", "vertex q,r\nvertex c\narrow r c c\n", ["[a]", "[c]"],
+         "two arrow pairs of the product get the label '(p,q,r)'"),
+        # The vertex pair (p,q) and r, and the arrow p beside the vertex q,r.
+        ("vertex p,q\nvertex s\narrow p s s\n", "vertex r\nvertex q,r\n", ["[s]", "[r]"],
+         "label '(p,q,r)' names both a vertex and an arrow"),
     ],
-    ids=["vertex-pairs", "arrow-pairs"],
+    ids=["vertex-pairs", "arrow-pairs", "vertex-and-arrow"],
 )
 @pytest.mark.parametrize("verb", ["product", "alpha"])
 def test_product_labels_shared_by_two_pairs_exit_2(verb, left, right, elements, message, tmp_path, capsys):
@@ -229,6 +233,25 @@ def test_product_labels_shared_by_two_pairs_exit_2(verb, left, right, elements, 
         files[-1].write_text("quiver\n" + body)
     argv = [verb, *map(str, files)] + elements * (verb == "alpha")
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "body, argv, expected",
+    [
+        ("vertex a.b\n", ["delta", "[a.b]"], "line 2: bad label 'a.b': a label has no whitespace, '[', ']' or '.'"),
+        ("vertex a]b\n", ["delta", "[a]b]"], "line 2: bad label 'a]b': a label has no whitespace, '[', ']' or '.'"),
+        ("vertex x\nvertex u\narrow x x u\n", ["mul", "[x]", "[x]"], "line 4: label 'x' names both a vertex and an arrow"),
+        ("vertex x\nvertex u\narrow x x u\n", ["paths"], "line 4: label 'x' names both a vertex and an arrow"),
+    ],
+    ids=["dot", "bracket", "vertex-and-arrow-mul", "vertex-and-arrow-paths"],
+)
+def test_labels_that_no_element_can_name_exit_2(body, argv, expected, tmp_path, capsys):
+    # Each of these files used to build, although its label could not be
+    # named in an element expression, or named a vertex and an arrow at once.
+    source = tmp_path / "q.txt"
+    source.write_text("quiver\n" + body)
+    verb, *rest = argv
+    assert run(capsys, verb, str(source), *rest) == (2, "", f"error: {expected}\n")
 
 
 def test_rep_naming_an_unknown_arrow_exit_code(line_file, tmp_path, capsys):

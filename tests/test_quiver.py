@@ -244,7 +244,7 @@ def quiver_texts(draw):
     n = draw(st.integers(1, 4))
     names = draw(st.permutations(["v", "b", "w", "a"]))[:n]
     ends = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=6))
-    labels = draw(st.permutations(["x", "b", "a2", "a10", "y", "c"]))
+    labels = draw(st.permutations(["x", "u", "a2", "a10", "y", "c"]))
     lines = ["quiver"] + [f"vertex {name}" for name in names]
     lines += [f"arrow {label} {s} {t}" for label, (s, t) in zip(labels, ends)]
     return "\n".join(lines) + "\n"

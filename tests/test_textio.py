@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import (
     named_poset,
     named_quiver,
@@ -14,7 +15,7 @@ from quivercoalg.corpus import (
 from quivercoalg.dual import RULES, Functional
 from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector
-from quivercoalg.quiver import Family, Quiver, family_from_token
+from quivercoalg.quiver import Family, Quiver, enumerate_paths, family_from_token
 from quivercoalg.scalars import QQ, PrimeField
 from quivercoalg.textio import (
     ParseError,
@@ -261,14 +262,16 @@ def test_parse_functional_expressions():
         parse_functional("rule:unknown", q, q)
 
 
-LABELS = st.text("abxyz019_.()", min_size=1, max_size=3)
+# Labels over the grammar's alphabet: no whitespace, brackets or dots, and
+# parentheses and commas allowed.
+LABELS = st.text("abxyz019_(),", min_size=1, max_size=3)
 
 
 @st.composite
 def quivers(draw):
     vertices = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
     ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    labels = draw(st.lists(LABELS, max_size=6, unique=True))
+    labels = draw(st.lists(LABELS.filter(lambda label: label not in vertices), max_size=6, unique=True))
     return Quiver(vertices, [(label, *draw(ends)) for label in labels])
 
 
@@ -287,6 +290,10 @@ def test_quiver_text_round_trip(quiver):
     assert [(a.label, a.source, a.target) for a in again.arrows] == [
         (a.label, a.source, a.target) for a in quiver.arrows
     ]
+    # Every declared label can be named: each path's printed form, in
+    # brackets, reads back as that path.
+    for p in enumerate_paths(again, 2).paths:
+        assert parse_element(f"[{p}]", again) == CoalgElement.from_path(p)
 
 
 @given(posets())

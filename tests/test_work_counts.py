@@ -1,5 +1,5 @@
-"""Work counts of the acceptance checks, of the ``paths`` verb and of sparse
-elimination, taken by wrapping library functions during one call: a regression that rebuilds per
+"""Work counts of the acceptance checks, of the ``paths`` verb, of sparse
+elimination and of the cycle certificate, taken by wrapping library functions during one call: a regression that rebuilds per
 row what a check builds once per call shows up as a count, without timing
 anything."""
 
@@ -7,9 +7,12 @@ import json
 import random
 from collections import Counter
 
-from quivercoalg import cli, dual, incidence, linalg, products, quiver, suites
+import pytest
+
+from quivercoalg import algebra, cli, dual, finite_dual, incidence, linalg, products, quiver, suites
 from quivercoalg.corpus import named_quiver
 from quivercoalg.scalars import QQ
+from quivercoalg.quiver import Quiver
 from quivercoalg.textio import quiver_to_text
 
 
@@ -97,3 +100,34 @@ def test_peeled_systems_reach_no_elimination(monkeypatch):
     assert linalg.rank(rows) == 100
     assert linalg.kernel_of_map(range(100), rows.__getitem__) == []
     assert handed == {"rows": 0}
+
+
+# A 3-cycle with a tail leaving each of two of its vertices.
+_TAILS = Quiver(["c0", "c1", "c2", "t0", "t1"],
+                [("x", "c0", "c1"), ("y", "c1", "c2"), ("z", "c2", "c0"), ("s", "c0", "t0"), ("t", "c1", "t1")])
+
+
+@pytest.mark.parametrize(
+    "argv, status, composed",
+    [
+        # Window 36: each of the 111 winding paths meets one vertex on each
+        # side, and each of those of length <= 35 one arrow on each side.
+        (["check", "thm33", "family:cycle:3", "--codim-bound", "10"], 1, 2 * 3 * 37 + 2 * 3 * 36),
+        (["counterexample", "cycle", "family:cycle:3", "--max-len", "24"], 0, 2 * 3 * 25 + 2 * 3 * 24),
+        # Window 24: the cycle vertices and arrows as above, each tail arrow
+        # after the 24 winding paths of length <= 23 that end at its source,
+        # and once more for the one-arrow exits that the report re-checks.
+        (["check", "thm33", "TAILS", "--codim-bound", "6"], 1, 2 * 3 * 25 + 2 * 3 * 24 + 2 * 24 + 2 * 24),
+    ],
+    ids=["thm33-cycle3", "counterexample-cycle3", "thm33-tails"],
+)
+def test_cycle_certificate_composes_only_where_endpoints_meet(monkeypatch, tmp_path, capsys, argv, status, composed):
+    source = tmp_path / "tails.txt"
+    source.write_text(quiver_to_text(_TAILS))
+    calls = Counter()
+    for module in (algebra, finite_dual):
+        _count_calls(monkeypatch, calls, module, "compose_paths")
+    # thm33 exits 1: the coordinate embedding does not recover the cycle.
+    assert cli.main([str(source) if a == "TAILS" else a for a in argv] + ["--json"]) == status
+    capsys.readouterr()
+    assert calls == {"compose_paths": composed}
