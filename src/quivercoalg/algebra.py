@@ -317,7 +317,10 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         raise ValueError(f"window {max_len} is shorter than the cycle of length {s}")
     q = winding_paths(quiver, cycle, max_len)
     x_set = set(q.values())
-    closed = sorted(x_set, key=lambda p: p.sort_key)
+    # W in path order: by length, then first arrow label (vertex name at length 0).
+    by_vertex = sorted(range(s), key=lambda n: cycle[n].source)
+    by_arrow = sorted(range(s), key=lambda n: cycle[n].label)
+    closed = [p for k in range(max_len + 1) for n in (by_arrow if k else by_vertex) if (p := q.get((n, k)))]
     # Both subpaths of length n - 1 of each path of W in W: by induction W
     # holds every subpath, so a product with a path off W is off W or zero.
     for p in closed:

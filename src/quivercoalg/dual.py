@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector
-from .quiver import Family, Path, Quiver, Verdict, compose_paths, enumerate_paths, is_acyclic
+from .quiver import Family, Path, Quiver, Verdict, enumerate_paths, is_acyclic
 from .scalars import QQ, ParseError
 
 
@@ -171,25 +171,29 @@ class RationalCertificate:
     elements: list  # CoalgElement
     functionals: list  # Functional
 
-    def verify(self, f: Functional, duals, paths) -> bool:
+    def verify(self, f: Functional, duals, labels, carrier) -> bool:
         """Exact check of the defining identity against the given d* family,
-        with both sides evaluated on the given path window.  The window's
-        splits p = qr with f(r) nonzero are indexed by q, and the element
-        labels by the members they weigh, once: every d* reads (d*·f)(p) =
-        Σ d*(q)·f(r) and its weights d*(c_i) off the indexes, a rule-valued
-        d* at their keys.  Each member c_i* is read on the window once."""
+        with both sides evaluated on the given window of basis labels, whose
+        comultiplication is ``carrier.splits``.  The window's splits p = qr
+        with f(r) nonzero are indexed by q, and the element labels by the
+        members they weigh, once: every d* reads (d*·f)(p) = Σ d*(q)·f(r)
+        and its weights d*(c_i) off the indexes, a rule-valued d* at their
+        keys.  Each member c_i* is read on the window once."""
         by_prefix, by_label = {}, {}
-        for p in paths:
-            for q, r in p.splits():
+        for p in labels:
+            for q, r in carrier.splits(p):
                 if value := f(r):
                     by_prefix.setdefault(q, []).append((p, value))
         for i, c in enumerate(self.elements):
             for label, coeff in c.combo.items():
                 by_label.setdefault(label, []).append((i, coeff))
-        members = [c_star.restrict(paths) for c_star in self.functionals]
+        members = [c_star.restrict(labels) for c_star in self.functionals]
         for d_star in duals:
             terms = (d_star.support.items() if d_star.support is not None
                      else [(q, w) for q in by_prefix.keys() | by_label.keys() if (w := d_star(q))])
+            # A term on neither index adds nothing to either side.
+            if not (terms := [(q, w) for q, w in terms if q in by_prefix or q in by_label]):
+                continue
             left = SparseVector((p, w * value) for q, w in terms for p, value in by_prefix.get(q, ()))
             weights = SparseVector((i, w * coeff) for q, w in terms for i, coeff in by_label.get(q, ())).items()
             if left != SparseVector((p, value * weight) for i, weight in weights for p, value in members[i].items()):
@@ -205,67 +209,64 @@ class RationalCertificate:
 def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Verdict:
     """Decide left-rationality of a functional, with a verified certificate.
 
-    With the translates f_q(qr) = f(r), d*·f = Σ_q d*(q)·f_q, so the paths
-    q with f_q nonzero and their translates certify f when there are
+    With the translates f_q(qr) = f(r), d*·f = Σ_q d*(q)·f_q, so the basis
+    labels q with f_q nonzero and their translates certify f when there are
     finitely many.  That holds for every functional on a finite acyclic
-    quiver.  On the line families it holds for a finite-support functional,
-    on the truncation its support lives on, and for the starts-at rule,
-    whose translates are has-prefix(q) for the paths q ending at its
-    vertex.  On the loop only the zero functional is rational; other
-    families are unknown.  A yes carries its ``RationalCertificate``,
-    checked once by convolution against every dual-basis functional of the
-    window.
+    quiver and on a finite poset, where qr is an interval split through a
+    point and the window is every interval.  On the line families it holds
+    for a finite-support functional, on the truncation its support lives
+    on, and for the starts-at rule, whose translates are has-prefix(q) for
+    the paths q ending at its vertex.  On the loop only the zero functional
+    is rational; other families are unknown.  A yes carries its
+    ``RationalCertificate``, verified once against every dual-basis
+    functional of the window by reading both sides off its splits.
     """
-    if isinstance(target, Family):
-        return _rational_on_family(f, target, max_len if max_len is not None else 10)
-    quiver: Quiver = target
-    if not is_acyclic(quiver):
+    if isinstance(target, Quiver) and not is_acyclic(target):
         raise ValueError("finite cyclic quivers are handled through their family kind")
     if f.support is not None and f.support.is_zero():
         return Verdict("yes", RationalCertificate([], []), "zero functional")
-    paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
-    return _certified(f, _window_translates(f, paths), paths, "finite-dimensional path coalgebra")
+    if isinstance(target, Family):
+        return _rational_on_family(f, target, max_len if max_len is not None else 10)
+    if isinstance(target, Quiver):
+        return _certified(f, enumerate_paths(target, max(0, len(target.vertices) - 1)).paths, target,
+                          "finite-dimensional path coalgebra")
+    # A finite poset: its intervals are the whole basis.
+    return _certified(f, target.intervals(), target, "finite-dimensional incidence coalgebra")
 
 
-def _window_translates(f: Functional, paths) -> list:
-    """(q, f_q) for each window path q with f_q nonzero on the window, where
-    f_q(qr) = f(r).  The window is closed under subpaths, so only the window
-    paths r with f(r) nonzero contribute."""
-    window = set(paths)
-    by_source = {}
-    for r in f.support.labels() if f.support is not None else paths:
-        if r in window and (value := f(r)):
-            by_source.setdefault(r.source, []).append((r, value))
-    translates = []
-    for q in paths:
-        values = {qr: value for r, value in by_source.get(q.target, ()) if (qr := compose_paths(q, r)) in window}
-        if values:
-            translates.append((q, Functional(q.quiver, support=SparseVector(values), field=f.field)))
-    return translates
+def _window_translates(f: Functional, labels, carrier) -> list:
+    """(q, f_q) for each window label q with f_q nonzero on the window, in
+    window order, where f_q(p) = f(r) for each split p = qr."""
+    values = {}
+    for p in labels:
+        for q, r in carrier.splits(p):
+            if value := f(r):
+                values.setdefault(q, {})[p] = value
+    return [(q, Functional(carrier, support=SparseVector(values[q]), field=f.field)) for q in labels if q in values]
 
 
-def _certified(f: Functional, translates, paths, why: str) -> Verdict:
-    """The certificate c_i = q, c_i* = f_q of the translates, verified
-    against every dual-basis functional of the window."""
-    cert = RationalCertificate(
-        [CoalgElement.from_path(q, f.field) for q, _ in translates], [f_q for _, f_q in translates]
-    )
-    if not cert.verify(f, [Functional.dual_of_path(p, f.field) for p in paths], paths):
+def _certified(f: Functional, labels, carrier, why: str, translates=None) -> Verdict:
+    """The certificate c_i = q, c_i* = f_q of the translates, by default
+    those read off the window, verified against every dual-basis functional
+    of the window."""
+    translates = _window_translates(f, labels, carrier) if translates is None else translates
+    cert = RationalCertificate([CoalgElement.unit(carrier, q, f.field) for q, _ in translates],
+                               [f_q for _, f_q in translates])
+    duals = [Functional(carrier, support=SparseVector({p: f.field.one}), field=f.field) for p in labels]
+    if not cert.verify(f, duals, labels, carrier):
         raise AssertionError("certificate failed to verify; bug")
     return Verdict("yes", cert, why)
 
 
 def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
-    if f.support is not None and f.support.is_zero():
-        return Verdict("yes", RationalCertificate([], []), "zero functional")
     if not family.facts.acyclic:
         return Verdict("no", explanation="every nonzero functional has an infinite-dimensional hit orbit here")
     if not family.facts.finite_paths:
         return Verdict("unknown", explanation=f"no rule for family {family.kind}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
-        paths = enumerate_paths(next(iter(f.support.labels())).quiver, window).paths
-        return _certified(f, _window_translates(f, paths), paths, "finitely many paths end with each support path")
+        quiver = next(iter(f.support.labels())).quiver
+        return _certified(f, enumerate_paths(quiver, window).paths, quiver, "finitely many paths end with each support path")
     if f.rule.kind == "starts_at":
         # f_q = has-prefix(q) for the paths q ending at the vertex, else zero.
         quiver = family.truncate(window)
@@ -273,7 +274,7 @@ def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
         translates = [
             (q, Functional.from_rule(quiver, "has_prefix", q, f.field)) for q in paths if q.target == f.rule.param
         ]
-        return _certified(f, translates, paths, "certified through the finitely many paths ending at the vertex")
+        return _certified(f, paths, quiver, "certified through the finitely many paths ending at the vertex", translates)
     return Verdict("unknown", explanation=f"no rule for {f.describe()}")
 
 

@@ -175,21 +175,27 @@ def _parse_carrier_text(text: str, carrier: str) -> ParsedInput:
         raise ParseError(str(exc), _refused_line(labels, relations)) from exc
 
 
+def _first_repeat(records) -> Optional[int]:
+    """The line of the first ``(line, label)`` record whose label an earlier
+    record has, or None."""
+    first = {}
+    return next((number for number, label in records if first.setdefault(label, number) != number), None)
+
+
 def _refused_line(labels, relations) -> Optional[int]:
     """The line of the record a carrier constructor refuses, given the
     ``(line, fields)`` records: a label seen before, else the first
     arrow or cover naming an undeclared label or an arrow named as a
-    vertex, the order in which ``Quiver`` and ``Poset`` check them; None
-    for any other refusal."""
-    seen = set()
-    for number, label in labels:
-        if label in seen:
-            return number
-        seen.add(label)
+    vertex, else the first arrow whose label an earlier arrow has, the
+    order in which ``Quiver`` and ``Poset`` check them; None for any other
+    refusal."""
+    seen = {label for _, label in labels}
     # An arrow's endpoints and a cover's two elements are its last two
     # fields, and an arrow's own label is its first.
-    return next((number for number, fields in relations
-                 if not seen.issuperset(fields[-2:]) or seen.intersection(fields[:-2])), None)
+    return (_first_repeat(labels)
+            or next((number for number, fields in relations
+                     if not seen.issuperset(fields[-2:]) or seen.intersection(fields[:-2])), None)
+            or _first_repeat((number, label) for number, fields in relations for label in fields[:-2]))
 
 
 def parse_quiver_text(text: str) -> ParsedInput:
@@ -290,7 +296,12 @@ def parse_algebra_text(text: str, field=QQ) -> StructuredAlgebra:
 
 _TERM = r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*\s*)?{}\s*"
 _BARE_TERM = re.compile(_TERM.format(r"(?P<body>[A-Za-z0-9_.()]+)"))
-_BRACKET_TERM = re.compile(_TERM.format(r"\[(?P<body>[^\]]*)\]"))
+# A bracketed path: dot-joined labels, none of which holds a bracket
+# (``_LABEL``), so the first ']' closes it and a comma inside is a label's.
+_BRACKET = r"\[(?P<body>[^\[\]]*)\]"
+_BRACKET_TERM = re.compile(_TERM.format(_BRACKET))
+# One ``[path]:coeff`` entry of ``dual{...}`` and the comma before the next.
+_DUAL_ENTRY = re.compile(r"\s*" + _BRACKET + r"\s*:(?P<coeff>[^,\[\]]*)(?:,(?!\Z)|\Z)")
 
 
 def _signed_terms(text: str, term, what: str, spelled: str, field):
@@ -354,19 +365,16 @@ def parse_functional(text: str, carrier, quiver_for_paths: Optional[Quiver] = No
         if quiver_for_paths is None:
             raise ParseError("finite-support functionals need a concrete quiver")
         entries: dict = {}
-        if body:
-            for chunk in body.split(","):
-                if ":" not in chunk:
-                    raise ParseError(f"expected '[path]:coeff', got {chunk!r}")
-                left, right = chunk.rsplit(":", 1)
-                left = left.strip()
-                if not (left.startswith("[") and left.endswith("]")):
-                    raise ParseError(f"expected bracketed path, got {left!r}")
-                path = _path_from_bracket(left[1:-1], quiver_for_paths)
-                try:
-                    entries[path] = field.parse(right)
-                except ValueError as exc:
-                    raise ParseError(f"bad coefficient {right!r}") from exc
+        pos = 0
+        while pos < len(body):
+            if not (match := _DUAL_ENTRY.match(body, pos)):
+                raise ParseError(f"expected '[path]:coeff', got {body[pos:]!r}")
+            path, coeff = _path_from_bracket(match.group("body"), quiver_for_paths), match.group("coeff")
+            try:
+                entries[path] = field.parse(coeff)
+            except ValueError as exc:
+                raise ParseError(f"bad coefficient {coeff!r}") from exc
+            pos = match.end()
         return Functional(carrier, support=SparseVector(entries), field=field)
     match = _RULE_RE.match(text)
     if not match:

@@ -167,6 +167,31 @@ def test_cycle_counterexample_codimension_matches_dense_oracle():
     assert ce.codimension == len(enum.paths) - dense_rank(rows) == 4
 
 
+def _renamed_cyclic_quiver(rng):
+    """A random quiver with an oriented cycle, its vertices and arrows
+    renamed at random, so that label order is not cycle order."""
+    while find_simple_cycle(quiver := random_quiver(rng)) is None:
+        pass
+    names = rng.sample([f"{c}{i}" for c in "uvw" for i in range(12)], len(quiver.vertices) + len(quiver.arrows))
+    vertex = dict(zip(quiver.vertices, names))
+    arrows = [(names[len(vertex) + i], vertex[a.source], vertex[a.target]) for i, a in enumerate(quiver.arrows)]
+    return Quiver(list(vertex.values()), arrows)
+
+
+def test_winding_paths_come_in_path_order():
+    # W is listed by length, then by first arrow (vertex at length 0): the
+    # order of sorting it by path key.
+    rng = random.Random(5)
+    quivers = (cyclic_corpus() + [family_from_token(f"cycle:{s}").truncate(0) for s in range(1, 7)]
+               + [_renamed_cyclic_quiver(rng) for _ in range(30)])
+    for quiver in quivers:
+        cycle = find_simple_cycle(quiver)
+        for window in sorted({len(cycle), len(cycle) + 1, 2 * len(cycle) + 1}):
+            winding = set(winding_paths(quiver, cycle, window).values())
+            ce = build_cycle_counterexample(quiver, window)
+            assert ce.closed_path_set == sorted(winding, key=lambda p: p.sort_key)
+
+
 def _cycle_with_two_tails():
     """A 3-cycle with a tail leaving each of two of its vertices."""
     arrows = [("x", "c0", "c1"), ("y", "c1", "c2"), ("z", "c2", "c0"), ("s", "c0", "t0"), ("t", "c1", "t1")]

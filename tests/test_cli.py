@@ -174,8 +174,8 @@ def test_cycle_token_without_an_integer_length_names_the_form(token, capsys):
         ("poset\nelement p\nelement q\ncover p q\ncover q r\n", ["check", "thm42"],
          "error: line 5: relation pair (q,r) uses undeclared elements\n"),
         ("poset\nelement p\nelement q\nelement p\n", ["check", "thm42"], "error: line 4: duplicate poset elements\n"),
-        # Two arrows with one label: no single record is at fault.
-        ("quiver\nvertex a\narrow x a a\narrow x a a\n", ["paths"], "error: duplicate arrow labels\n"),
+        # The second of two arrows with one label.
+        ("quiver\nvertex a\narrow x a a\narrow x a a\n", ["paths"], "error: line 4: duplicate arrow labels\n"),
     ],
     ids=["repeated-vertex", "undeclared-endpoint", "undeclared-element", "repeated-element", "repeated-arrow-label"],
 )
@@ -252,6 +252,23 @@ def test_labels_that_no_element_can_name_exit_2(body, argv, expected, tmp_path, 
     source.write_text("quiver\n" + body)
     verb, *rest = argv
     assert run(capsys, verb, str(source), *rest) == (2, "", f"error: {expected}\n")
+
+
+def test_conv_reads_pair_labels_with_commas(tmp_path, capsys):
+    # A product quiver's labels are pairs: the comma inside the brackets of
+    # a dual{...} entry belongs to the label, not between two entries.
+    source = tmp_path / "pairs.txt"
+    source.write_text("quiver\nvertex (a,b)\nvertex (c,d)\narrow (x,y) (a,b) (c,d)\n")
+    assert run(capsys, "delta", str(source), "[(x,y)]")[0] == 0
+    status, out, err = run(capsys, "conv", str(source), "dual{[(x,y)]:1}", "dual{[(c,d)]:1}", "--json")
+    assert (status, err) == (0, "")
+    assert json.loads(out)["values"] == ["[(x,y)] -> 1"]
+    status, out, _ = run(capsys, "conv", str(source), "dual{[(a,b)]:1}", "dual{[(x,y)]:2, [(c,d)]:-1}", "--json")
+    assert status == 0 and json.loads(out)["values"] == ["[(x,y)] -> 2"]
+    # Without a comma between two entries, the first entry's coefficient
+    # does not run on into the next one's brackets.
+    assert run(capsys, "conv", str(source), "dual{[(x,y)]:1 [(c,d)]:2}", "rule:gamma") == (
+        2, "", "error: expected '[path]:coeff', got '[(x,y)]:1 [(c,d)]:2'\n")
 
 
 def test_rep_naming_an_unknown_arrow_exit_code(line_file, tmp_path, capsys):

@@ -196,10 +196,10 @@ def test_rational_certificate_reverification():
     verdict = is_rational_left(dual(p), q)
     cert = verdict.witness
     duals = [dual(r) for r in window]
-    assert cert.verify(dual(p), duals, window)
+    assert cert.verify(dual(p), duals, window, q)
     broken = RationalCertificate(cert.elements[:-1], cert.functionals[:-1])
     if cert.elements:
-        assert not broken.verify(dual(p), duals, window)
+        assert not broken.verify(dual(p), duals, window, q)
 
 
 def test_rational_rule_on_bounded_line():
@@ -302,7 +302,7 @@ def test_certificates_carry_the_functional_field():
 
 
 def _rejects(cert, f, window):
-    return not cert.verify(f, [dual(p) for p in window], window)
+    return not cert.verify(f, [dual(p) for p in window], window, window[0].quiver)
 
 
 def _mutation_cases():
@@ -385,7 +385,7 @@ def test_split_index_verify_agrees_with_the_convolution_oracle():
     for q, window, f, certs in cases:
         for duals in ([dual(p) for p in window], _rule_duals(q, window)):
             for cert in certs:
-                got = cert.verify(f, duals, window)
+                got = cert.verify(f, duals, window, q)
                 assert got == convolution_verify(cert, f, duals, window)
                 verdicts.add(got)
     assert verdicts == {True, False}
@@ -420,7 +420,7 @@ def test_split_index_verify_agrees_on_random_certificates(data):
         members[0] = Functional(quiver, support=SparseVector(values), field=field)
     mutant = RationalCertificate(elements, members)
     for duals in ([Functional.dual_of_path(p, field) for p in window], _rule_duals(quiver, window, field)):
-        assert mutant.verify(f, duals, window) == convolution_verify(mutant, f, duals, window)
+        assert mutant.verify(f, duals, window, quiver) == convolution_verify(mutant, f, duals, window)
 
 
 def test_rational_left_takes_its_field_from_the_functional():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset, random_scalar
+from quivercoalg.dual import Functional, RationalCertificate
 from quivercoalg.incidence import (
     Poset,
     fia_structured_algebra,
@@ -231,6 +232,82 @@ def test_semiperfect_examples():
     assert nat.status == "no" and "above" in nat.explanation
     anti = incidence_semiperfect_check(Family("natantichain"))
     assert anti.status == "yes"
+
+
+def _pair_loop_certificates(poset, field=QQ):
+    """The semiperfect certificates as one convolution per pair of
+    intervals finds them: for each interval (x, y), c*·E_{x,y} is checked
+    equal to Σ_{u <= x} c*(u,x)·E_{u,y} for every c* = E_{p,q}, and the
+    certificate is {e_{u,x}: E_{u,y}} over the down-set of x."""
+    certificates = []
+    for x, y in poset.intervals():
+        e_xy = CoalgElement.unit(poset, (x, y), field)
+        below = [u for u in poset.elements if (u, x) in poset.leq]
+        for p, q in poset.intervals():
+            c_star = CoalgElement.unit(poset, (p, q), field)
+            right = SparseVector(((u, y), field.one * c_star.coeff((u, x))) for u in below)
+            assert incidence_convolve(c_star, e_xy).combo == right, ((x, y), (p, q))
+        certificates.append({(u, x): (field.one, SparseVector({(u, y): field.one})) for u in below})
+    return certificates
+
+
+def _as_pairs(cert):
+    """A certificate of one-label elements as {label: (its coefficient,
+    the member's support)}."""
+    pairs = {}
+    for element, member in zip(cert.elements, cert.functionals):
+        (label,) = element.combo.labels()
+        pairs[label] = (element.coeff(label), member.support)
+    return pairs
+
+
+def _small_posets():
+    return enumerate_posets_up_to_iso(5) + poset_corpus()
+
+
+def test_semiperfect_certificates_match_the_pair_loop():
+    checked = 0
+    for poset in _small_posets():
+        for field in (QQ, PrimeField(5)):
+            verdict = incidence_semiperfect_check(poset, field)
+            assert verdict.status == "yes"
+            assert all(isinstance(cert, RationalCertificate) for cert in verdict.witness)
+            assert [_as_pairs(cert) for cert in verdict.witness] == _pair_loop_certificates(poset, field)
+            checked += len(verdict.witness)
+    assert checked > 1000
+
+
+def _verify_on_poset(cert, interval, poset):
+    one = QQ.one
+    intervals = poset.intervals()
+    duals = [Functional(poset, support=SparseVector({i: one})) for i in intervals]
+    return cert.verify(Functional(poset, support=SparseVector({interval: one})), duals, intervals, poset)
+
+
+def test_verify_rejects_mutated_poset_certificates():
+    # Two mutants of the certificate of E_{x,y}: one translate dropped, and
+    # the up-set of y in place of the down-set of x, {e_{y,u}: E_{x,u}}
+    # (the certificate of right, not left, rationality).  Every poset with a
+    # cover has an x whose down-set is more than x itself.
+    with_cover = 0
+    for poset in _small_posets():
+        mutants_rejected = 0
+        for (x, y), cert in zip(poset.intervals(), incidence_semiperfect_check(poset).witness):
+            assert _verify_on_poset(cert, (x, y), poset)
+            for i in range(len(cert.elements)):
+                dropped = RationalCertificate(cert.elements[:i] + cert.elements[i + 1:],
+                                              cert.functionals[:i] + cert.functionals[i + 1:])
+                assert not _verify_on_poset(dropped, (x, y), poset)
+            above = [u for u in poset.elements if (y, u) in poset.leq]
+            upward = RationalCertificate([CoalgElement.unit(poset, (y, u)) for u in above],
+                                         [Functional(poset, support=SparseVector({(x, u): QQ.one})) for u in above])
+            rejected = not _verify_on_poset(upward, (x, y), poset)
+            assert rejected == (_as_pairs(upward) != _as_pairs(cert))
+            mutants_rejected += rejected
+        if poset.covers():
+            with_cover += 1
+            assert mutants_rejected
+    assert with_cover > 80
 
 
 def test_poset_family_truncations():

@@ -46,6 +46,7 @@ from quivercoalg.quiver import (
     is_acyclic,
 )
 from quivercoalg.scalars import QQ, PrimeField
+from quivercoalg.textio import parse_functional
 
 from helpers import walk_sum_alpha_embed
 
@@ -136,6 +137,19 @@ def test_decompose_round_trip_with_commas_in_labels():
         for q in paths:
             for walk in lattice_walks(p.length, q.length):
                 assert decompose_product_path(walk_path(p, q, walk, product)) == (p, q, walk)
+
+
+@pytest.mark.parametrize("name", ["line3", "comma"])
+def test_functionals_on_pair_labels_round_trip(name):
+    # Every path of L x L, alone and all at once with distinct coefficients,
+    # is read back by parse_functional from its own description.
+    left = Quiver(["a,b", "c"], [("x", "a,b", "c")], name="comma") if name == "comma" else named_quiver(name)
+    product = product_quiver(left, left)
+    paths = enumerate_paths(product, 2 * (len(left.vertices) - 1)).paths
+    for f in [Functional.dual_of_path(gamma) for gamma in paths] + [
+        Functional(product, support=SparseVector({gamma: Fraction(i + 1, 2) for i, gamma in enumerate(paths)}))
+    ]:
+        assert parse_functional(f.describe(), product, product).support == f.support
 
 
 def test_alpha_examples():

@@ -1,5 +1,5 @@
 """Work counts of the acceptance checks, of the ``paths`` verb, of sparse
-elimination and of the cycle certificate, taken by wrapping library functions during one call: a regression that rebuilds per
+elimination and of the cycle and poset certificates, taken by wrapping library functions during one call: a regression that rebuilds per
 row what a check builds once per call shows up as a count, without timing
 anything."""
 
@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from quivercoalg import algebra, cli, dual, finite_dual, incidence, linalg, products, quiver, suites
-from quivercoalg.corpus import named_quiver
+from quivercoalg.corpus import named_poset, named_quiver
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import Quiver
 from quivercoalg.textio import quiver_to_text
@@ -36,6 +36,17 @@ def test_rational_part_convolves_nothing(monkeypatch):
     _count_calls(monkeypatch, calls, suites, "rank")
     assert suites.check_rational_part()
     assert calls == {"verify": 53}
+
+
+def test_semiperfect_check_verifies_one_certificate_per_interval(monkeypatch):
+    # The poset certificates are the rational-part certificates of the
+    # dual-basis functionals: one verify each, and no pair of intervals
+    # convolved.
+    calls = Counter()
+    _count_calls(monkeypatch, calls, incidence, "incidence_convolve")
+    _count_calls(monkeypatch, calls, dual.RationalCertificate, "verify")
+    assert len(incidence.incidence_semiperfect_check(named_poset("chain5")).witness) == 15
+    assert calls == {"verify": 15}
 
 
 def test_unique_path_embedding_enumerates_each_hasse_window_once(monkeypatch):
