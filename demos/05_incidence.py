@@ -17,9 +17,9 @@ from quivercoalg import (
     Poset,
     comultiply,
     hasse_quiver,
-    incidence_convolve,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
+    multiply,
     phi_embed,
 )
 
@@ -42,7 +42,7 @@ print("  (two paths between 0 and 1, so the map is not onto here)")
 print("\nconvolution in the incidence algebra works like matrix units:")
 exx = CoalgElement.unit(diamond, ("0", "0"))
 exy = CoalgElement.unit(diamond, ("0", "1"))
-print("  E_{0,0} . E_{0,1} =", dict(incidence_convolve(exx, exy).combo.items()))
+print("  E_{0,0} . E_{0,1} =", dict(multiply(exx, exy).combo.items()))
 
 report = incidence_dual_recovery_check(diamond)
 print("\nfinite dual recovery:", report.isomorphism, "| dimension:", report.dimension)

@@ -20,7 +20,7 @@ from quivercoalg import (
     is_locally_nilpotent,
     module_from_comodule,
 )
-from quivercoalg.finite_dual import structured_from_quiver
+from quivercoalg.finite_dual import structured_algebra
 from quivercoalg.representation import regular_left_module
 
 line = Quiver(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")], name="line")
@@ -52,7 +52,7 @@ for n in (1, 2, 3):
           f" annihilator search: {ann.status}")
 
 print("\nmodule -> comodule -> module over the dual coalgebra:")
-algebra = structured_from_quiver(Quiver(["u", "v"], [("x", "u", "v")]))
+algebra = structured_algebra(Quiver(["u", "v"], [("x", "u", "v")]))
 regular = regular_left_module(algebra)
 coaction = comodule_from_module(regular)  # the coaction the module's check passed
 recovered = module_from_comodule(coaction)

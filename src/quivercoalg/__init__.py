@@ -50,14 +50,13 @@ from .finite_dual import (
     dual_coalgebra,
     is_in_finite_dual,
     is_in_theta_image,
-    structured_from_quiver,
+    structured_algebra,
     theta_embed,
     theta_recovery_check,
 )
 from .incidence import (
     Poset,
     hasse_quiver,
-    incidence_convolve,
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,

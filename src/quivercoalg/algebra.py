@@ -28,16 +28,19 @@ from .quiver import (
 from .scalars import QQ
 
 def multiply(a: CoalgElement, b: CoalgElement) -> CoalgElement:
-    """Bilinear extension of concatenation-or-zero."""
+    """Bilinear extension of the carrier's product of basis labels:
+    concatenation of paths, or intervals composed like matrix units; zero
+    where the labels do not meet."""
     if a.carrier is not b.carrier:
-        raise ValueError("elements belong to different quivers")
+        raise ValueError("elements belong to different carriers")
+    compose = a.carrier.compose
     return CoalgElement(
         a.carrier,
         SparseVector(
             (pq, cp * cq)
             for p, cp in a.combo.items()
             for q, cq in b.combo.items()
-            if (pq := compose_paths(p, q)) is not None
+            if (pq := compose(p, q)) is not None
         ),
     )
 

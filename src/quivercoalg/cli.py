@@ -202,15 +202,15 @@ def cmd_factor_perp(args, field) -> tuple[dict, int]:
     element = parse_element(args.element, quiver, field)
     closure = subcoalgebra_closure([element])
     saturation = saturate_subcoalgebra(closure, quiver)
-    max_len = max(0, len(quiver.vertices) - 1)
-    enum = enumerate_paths(quiver, max_len)
+    paths = quiver.basis()
     rng = random.Random(args.seed)
     values = {}
-    for p in enum.paths:
+    for p in paths:
         if not saturation.contains_path(p):
             values[p] = field.of(rng.randint(-5, 5), rng.randint(1, 3))
     eta = Functional(quiver, support=SparseVector(values), field=field)
-    witness = factor_perp_element(eta, saturation, max_len, field)
+    # The window of the longest path holds every path.
+    witness = factor_perp_element(eta, saturation, paths[-1].length, field)
     return {
         "command": "factor-perp",
         "seed_vertices": [str(v) for v in saturation.seed_vertices],
@@ -299,7 +299,7 @@ def _check_prop41(poset, args):
     images = [phi_embed(CoalgElement.unit(poset, interval, QQ)).combo for interval in poset.intervals()]
     image_rank = rank(images)
     injective = image_rank == len(poset.intervals())
-    surjective = image_rank == len(enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths)
+    surjective = image_rank == len(quiver.basis())
     fields = {
         "injective": injective,
         "surjective": surjective,

@@ -19,7 +19,7 @@ from .linalg import (
     reducer,
     rref,
 )
-from .quiver import Path, Quiver, enumerate_paths, is_acyclic
+from .quiver import Path, Quiver, enumerate_paths
 from .scalars import QQ, ModP
 
 
@@ -398,16 +398,12 @@ def hull_span(vertex: str, side: str, quiver: Quiver, max_len=None) -> list[Path
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if max_len is None:
-        if not is_acyclic(quiver):
-            raise ValueError("cyclic quiver: supply max_len for a truncated hull")
-        max_len = max(0, len(quiver.vertices) - 1)
-    enum = enumerate_paths(quiver, max_len)
+    paths = quiver.basis() if max_len is None else enumerate_paths(quiver, max_len).paths
     if side == "right":
-        return [p for p in enum.paths if p.source == vertex]
-    return [p for p in enum.paths if p.target == vertex]
+        return [p for p in paths if p.source == vertex]
+    return [p for p in paths if p.target == vertex]
 
 
 def grouplike_coradical(quiver: Quiver) -> list[Path]:
     """The coradical basis: every vertex as a length-zero path."""
-    return [quiver.vertex_path(v) for v in quiver.vertices]
+    return quiver.grouplikes()

@@ -9,10 +9,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations, product
 
 from .coalgebra import CoalgElement
-from .finite_dual import StructuredAlgebra, structured_from_quiver
-from .incidence import Poset
+from .finite_dual import StructuredAlgebra, structured_algebra
+from .incidence import Poset, fia_structured_algebra
 from .linalg import SparseVector, mat_identity, mat_mul
-from .quiver import Path, Quiver, enumerate_paths
+from .quiver import Path, Quiver
 from .representation import LeftModule, Representation
 from .scalars import QQ
 
@@ -292,12 +292,9 @@ def random_structured_algebra(rng, max_basis=6, field=QQ) -> StructuredAlgebra:
     if kind == "quiver":
         while True:
             quiver = random_acyclic_quiver(rng, max_vertices=3, max_arrows=2)
-            enum = enumerate_paths(quiver, len(quiver.vertices))
-            if len(enum.paths) <= max_basis:
-                return structured_from_quiver(quiver, field)
+            if len(quiver.basis()) <= max_basis:
+                return structured_algebra(quiver, field, f"K[{quiver.name or 'quiver'}]")
     if kind == "fia":
-        from .incidence import fia_structured_algebra
-
         while True:
             poset = random_poset(rng, 3)
             if len(poset.intervals()) <= max_basis:

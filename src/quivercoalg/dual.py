@@ -216,7 +216,9 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Ve
     point and the window is every interval.  On the line families it holds
     for a finite-support functional, on the truncation its support lives
     on, and for the starts-at rule, whose translates are has-prefix(q) for
-    the paths q ending at its vertex.  On the loop only the zero functional
+    the paths q ending at its vertex.  On the poset families it holds for a
+    finite-support functional, on the truncation at ``max_len`` when that
+    holds the support (else unknown).  On the loop only the zero functional
     is rational; other families are unknown.  A yes carries its
     ``RationalCertificate``, verified once against every dual-basis
     functional of the window by reading both sides off its splits.
@@ -227,11 +229,8 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Ve
         return Verdict("yes", RationalCertificate([], []), "zero functional")
     if isinstance(target, Family):
         return _rational_on_family(f, target, max_len if max_len is not None else 10)
-    if isinstance(target, Quiver):
-        return _certified(f, enumerate_paths(target, max(0, len(target.vertices) - 1)).paths, target,
-                          "finite-dimensional path coalgebra")
-    # A finite poset: its intervals are the whole basis.
-    return _certified(f, target.intervals(), target, "finite-dimensional incidence coalgebra")
+    kind = "path" if isinstance(target, Quiver) else "incidence"
+    return _certified(f, target.basis(), target, f"finite-dimensional {kind} coalgebra")
 
 
 def _window_translates(f: Functional, labels, carrier) -> list:
@@ -263,6 +262,12 @@ def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
         return Verdict("no", explanation="every nonzero functional has an infinite-dimensional hit orbit here")
     if not family.facts.finite_paths:
         return Verdict("unknown", explanation=f"no rule for family {family.kind}")
+    if f.finite_support and family.facts.carrier == "poset":
+        # A truncation is a down-set, so it holds the intervals the translates read.
+        poset = family.truncate(window)
+        if all(poset.owns(label) for label in f.support.labels()):
+            return _certified(f, poset.basis(), poset, "finitely many points lie below each support interval")
+        return Verdict("unknown", explanation=f"the support leaves the truncation at window {window}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
         quiver = next(iter(f.support.labels())).quiver
@@ -286,8 +291,7 @@ def gamma_membership(target) -> Verdict:
         return Verdict("no", explanation=f"{target.describe()}: infinitely many paths")
     quiver: Quiver = target
     if is_acyclic(quiver):
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        return Verdict("yes", list(enum.paths), "finite path set")
+        return Verdict("yes", quiver.basis(), "finite path set")
     return Verdict("no", explanation="a cycle makes the path set infinite")
 
 

@@ -21,8 +21,8 @@ from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
 from .quiver import (
-    Family, Path, Quiver, Verdict, check_recovery_condition, compose_paths, enumerate_paths, find_simple_cycle,
-    horizon_verdict, is_acyclic,
+    Family, Path, PathEnumeration, Quiver, Verdict, check_recovery_condition, compose_paths, enumerate_paths,
+    find_simple_cycle, horizon_verdict, is_acyclic,
 )
 from .scalars import QQ, FieldError
 
@@ -109,24 +109,14 @@ class StructuredAlgebra:
         return f"StructuredAlgebra({self.name or len(self.basis)})"
 
 
-def structured_from_quiver(quiver: Quiver, field=QQ) -> StructuredAlgebra:
-    """The quiver algebra of a finite acyclic quiver as structure constants."""
-    if not is_acyclic(quiver):
-        raise ValueError("only acyclic quivers give finite-dimensional quiver algebras")
-    enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-    mult = {}
-    path_set = set(enum.paths)
-    for p in enum.paths:
-        for q in enum.paths:
-            pq = compose_paths(p, q)
-            if pq is not None:
-                if pq not in path_set:
-                    raise AssertionError("exhaustive enumeration is not closed; bug")
-                mult[(p, q)] = SparseVector({pq: field.one})
-    idempotents = [quiver.vertex_path(v) for v in quiver.vertices]
-    return StructuredAlgebra(
-        enum.paths, mult, idempotents, field, name=f"K[{quiver.name or 'quiver'}]", validate=False
-    )
+def structured_algebra(carrier, field=QQ, name: str = "") -> StructuredAlgebra:
+    """The algebra of a finite carrier as structure constants: the basis
+    labels multiply by ``carrier.compose``, and the grouplike labels are the
+    complete system of orthogonal idempotents.  A quiver gives its quiver
+    algebra (it must be acyclic), a poset its incidence algebra."""
+    basis, compose, one = carrier.basis(), carrier.compose, field.one
+    mult = {(a, b): SparseVector({ab: one}) for a in basis for b in basis if (ab := compose(a, b)) is not None}
+    return StructuredAlgebra(basis, mult, carrier.grouplikes(), field, name)
 
 
 class DualCoalgebra:
@@ -314,11 +304,7 @@ def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Opti
             "the functional is nonzero on arbitrarily long powers",
         )
     quiver: Quiver = target
-    if window is None:
-        if not is_acyclic(quiver):
-            raise ValueError("cyclic quiver: supply a window")
-        window = max(0, len(quiver.vertices) - 1)
-    enum = enumerate_paths(quiver, window)
+    enum = PathEnumeration(quiver.basis(), True) if window is None else enumerate_paths(quiver, window)
     complement = subpath_closure([p for p in enum.paths if f(p)])
     fits = len(complement) <= codim_bound
     # An exhaustive enumeration sees the whole (finite) support, so its
@@ -358,11 +344,11 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
         return RecoveryReport(bool(verdict), explanation=verdict.explanation)
     quiver: Quiver = target
     if is_acyclic(quiver):
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        dim = len(enum.paths)
+        paths = quiver.basis()
+        dim = len(paths)
         # Coordinate functionals of distinct paths are independent; the
         # enumeration lists each path once, and this guards it.
-        if len(set(enum.paths)) != dim:
+        if len(set(paths)) != dim:
             raise AssertionError("coordinate functionals are not independent; bug")
         return RecoveryReport(True, dimension=dim, explanation="acyclic: dimensions match and the embedding is injective")
     return _cyclic_recovery_report(quiver, codim_bound, window, field)

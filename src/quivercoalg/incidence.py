@@ -14,9 +14,9 @@ from typing import Optional
 
 from .coalgebra import CoalgElement, basis_tables, check_morphism, linear_extension
 from .dual import Functional, is_rational_left
-from .finite_dual import DualCoalgebra, StructuredAlgebra
+from .finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
 from .linalg import SparseVector, label_sort_key
-from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, enumerate_paths
+from .quiver import Family, Quiver, Verdict, check_semiperfect_condition
 from .scalars import QQ
 
 
@@ -84,7 +84,8 @@ class Poset:
     # The carrier contract of ``coalgebra.CoalgElement``: the basis of the
     # incidence coalgebra is the intervals (x, y) with x <= y, Δ splits an
     # interval through every point between its ends and the counit is 1 on
-    # the one-point intervals.
+    # the one-point intervals.  The incidence algebra multiplies intervals
+    # that meet like matrix units; the one-point ones are its idempotents.
     def owns(self, label) -> bool:
         return label in self.leq
 
@@ -97,6 +98,16 @@ class Poset:
     @staticmethod
     def is_grouplike(interval) -> bool:
         return interval[0] == interval[1]
+
+    def grouplikes(self) -> list:
+        return [(x, x) for x in self.elements]
+
+    basis = intervals
+
+    @staticmethod
+    def compose(a, b):
+        """(x, z)(z, y) = (x, y), an interval by transitivity; None if they do not meet."""
+        return (a[0], b[1]) if a[1] == b[0] else None
 
     def __repr__(self):
         return f"Poset({self.name or len(self.elements)})"
@@ -113,12 +124,8 @@ def hasse_quiver(poset: Poset) -> Quiver:
 
 def _paths_between(poset: Poset) -> dict:
     if poset._paths_between is None:
-        quiver = hasse_quiver(poset)
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        if not enum.exhaustive:
-            raise AssertionError("Hasse quiver of a finite poset must be acyclic")
         table: dict = {}
-        for p in enum.paths:
+        for p in hasse_quiver(poset).basis():
             table.setdefault((p.source, p.target), []).append(p)
         poset._paths_between = table
     return poset._paths_between
@@ -138,37 +145,9 @@ def phi_embed(element: CoalgElement) -> CoalgElement:
     return CoalgElement(hasse_quiver(element.carrier), linear_extension(phi_table(element.carrier), element.combo))
 
 
-def incidence_convolve(f: CoalgElement, g: CoalgElement) -> CoalgElement:
-    """Product of the finite-support incidence algebra, on interval
-    functions: (fg)(x,y) = sum over x <= z <= y of f(x,z) g(z,y).  Only
-    pairs of support intervals that meet at z contribute."""
-    if f.carrier is not g.carrier:
-        raise ValueError("functions on different posets")
-    g_from = {}  # g's support, indexed by the lower end of the interval
-    for (z, y), c in g.combo.items():
-        g_from.setdefault(z, []).append((y, c))
-    product = SparseVector(
-        ((x, y), a * c) for (x, z), a in f.combo.items() for y, c in g_from.get(z, ())
-    )
-    ordered = sorted(product.items(), key=lambda item: _interval_order(item[0]))
-    return CoalgElement(f.carrier, SparseVector(dict(ordered)))
-
-
 def fia_structured_algebra(poset: Poset, field=QQ) -> StructuredAlgebra:
-    """The finite-support incidence algebra as structure constants: the
-    E_{x,y} multiply like matrix units along composable intervals, and the
-    diagonal ones form the complete orthogonal idempotent system."""
-    basis = poset.intervals()
-    mult = {}
-    for (x, y) in basis:
-        for (u, v) in basis:
-            if y == u:
-                mult[((x, y), (u, v))] = (
-                    SparseVector({(x, v): field.one}) if (x, v) in poset.leq else SparseVector()
-                )
-    mult = {k: v for k, v in mult.items() if not v.is_zero()}
-    idempotents = [(x, x) for x in poset.elements]
-    return StructuredAlgebra(basis, mult, idempotents, field, name=f"FIA({poset.name})")
+    """The finite-support incidence algebra as structure constants."""
+    return structured_algebra(poset, field, f"FIA({poset.name})")
 
 
 @dataclass

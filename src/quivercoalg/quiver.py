@@ -89,7 +89,9 @@ class Quiver:
 
     # The carrier contract of ``coalgebra.CoalgElement``: the basis of the
     # path coalgebra is the quiver's paths, Δ splits a path into its
-    # prefix/suffix pairs and the counit is 1 on the vertices.
+    # prefix/suffix pairs and the counit is 1 on the vertices.  The product
+    # of the quiver algebra is concatenation, zero where the paths do not
+    # meet; the vertices are its idempotents.
     def owns(self, label) -> bool:
         return isinstance(label, Path) and label.quiver is self
 
@@ -100,6 +102,20 @@ class Quiver:
     @staticmethod
     def is_grouplike(path: "Path") -> bool:
         return not path.arrows
+
+    def grouplikes(self) -> list:
+        return [self.vertex_path(v) for v in self.vertices]
+
+    def basis(self) -> list:
+        """Every path, in path order; a path visits distinct vertices."""
+        enum = enumerate_paths(self, max(0, len(self.vertices) - 1))
+        if not enum.exhaustive:
+            raise ValueError(f"{self!r} has an oriented cycle, so infinitely many paths")
+        return enum.paths
+
+    @staticmethod
+    def compose(p: "Path", q: "Path") -> Optional["Path"]:
+        return compose_paths(p, q)  # looked up per call, so a wrapped one is seen
 
     def __repr__(self):
         tag = self.name or f"{len(self.vertices)}v{len(self.arrows)}a"

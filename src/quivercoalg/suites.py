@@ -143,9 +143,9 @@ def check_theta_image(seed: int = 0) -> CheckReport:
     functionals = 0
     for _ in range(50):
         quiver = corpus.random_acyclic_quiver(rng, 5, 6)
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
+        paths = quiver.basis()
         candidates = [psi_embed(corpus.random_element(rng, quiver, 4))]
-        candidates.append(Functional.dual_of_path(rng.choice(enum.paths)))
+        candidates.append(Functional.dual_of_path(rng.choice(paths)))
         for f in candidates:
             verdict = is_in_theta_image(f, quiver)
             if not verdict:
@@ -156,7 +156,7 @@ def check_theta_image(seed: int = 0) -> CheckReport:
             comp_set = set(complement)
             # The witness monomial ideal is spanned by the paths outside the
             # complement; the functional must vanish on every one of them.
-            for p in enum.paths:
+            for p in paths:
                 if p not in comp_set and f(p):
                     return CheckReport("theta-image", False, {"failure": "functional nonzero on the witness ideal"})
             functionals += 1
@@ -180,8 +180,7 @@ def check_theta_recovery() -> CheckReport:
     acyclic_checked = 0
     for quiver in corpus.acyclic_corpus():
         report = theta_recovery_check(quiver)
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        if not report.recovered or report.dimension != len(enum.paths):
+        if not report.recovered or report.dimension != len(quiver.basis()):
             return CheckReport("theta-recovery", False, {"failure": f"acyclic case {quiver.name}"})
         acyclic_checked += 1
     cyclic_targets = [Family("loop"), Family("cycle", 2), Family("cycle", 3)]
@@ -239,15 +238,15 @@ def check_rational_part() -> CheckReport:
     duals_certified = 0
     for name in ("point", "single_arrow", "line3", "line4", "diamond", "parallel_pair", "star_out", "branching"):
         quiver = corpus.named_quiver(name)
-        enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-        for p in enum.paths:
+        paths = quiver.basis()
+        for p in paths:
             verdict = is_rational_left(Functional.dual_of_path(p), quiver)
             if verdict.status != "yes" or verdict.witness.infinite_support:
                 return CheckReport("rational-part", False, {"failure": f"{p} on {name}"})
             duals_certified += 1
         # Dual-basis functionals of distinct paths are independent; the
         # enumeration lists each path once, and this guards it.
-        if len(set(enum.paths)) != len(enum.paths):
+        if len(set(paths)) != len(paths):
             return CheckReport("rational-part", False, {"failure": f"dimension mismatch on {name}"})
     family = Family("line1")
     witness = Functional.from_rule(family, "starts_at", "v3")
@@ -364,17 +363,13 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
                        [(a.label + "'", a.source + "'", a.target + "'") for a in corpus.named_quiver(right_name).arrows],
                        name=right_name + "'")
         product = product_quiver(left, right)
-        enum = enumerate_paths(product, len(product.vertices))
-        if not enum.exhaustive:
-            return CheckReport("walk-embedding", False, {"failure": "product enumeration not exhaustive"})
-        for gamma in enum.paths:
+        for gamma in product.basis():
             p, q, walk = decompose_product_path(gamma)
             if walk_path(p, q, walk, product) != gamma:
                 return CheckReport("walk-embedding", False, {"failure": "round trip broke"})
             roundtrips += 1
-        left_paths = enumerate_paths(left, len(left.vertices)).paths
-        right_paths = enumerate_paths(right, len(right.vertices)).paths
-        for p in left_paths:
+        right_paths = right.basis()
+        for p in left.basis():
             for q in right_paths:
                 for walk in lattice_walks(p.length, q.length):
                     gamma = walk_path(p, q, walk, product)
@@ -402,12 +397,12 @@ def check_perp_factorization(seed: int = 0) -> CheckReport:
             continue
         closure = subcoalgebra_closure([element])
         saturation = saturate_subcoalgebra(closure, quiver)
-        max_len = max(0, len(quiver.vertices) - 1)
-        enum = enumerate_paths(quiver, max_len)
-        outside = [p for p in enum.paths if not saturation.contains_path(p)]
+        paths = quiver.basis()
+        outside = [p for p in paths if not saturation.contains_path(p)]
         values = {p: corpus.random_scalar(rng) for p in outside}
         eta = Functional(quiver, support=SparseVector(values))
-        witness = factor_perp_element(eta, saturation, max_len)
+        # The window of the longest path holds every path.
+        witness = factor_perp_element(eta, saturation, paths[-1].length)
         instances += 1
         paths_checked += witness.checked_paths
     return CheckReport("perp-factorization", True, {"instances": instances, "paths_checked": paths_checked})
@@ -542,8 +537,7 @@ def check_reflexivity_closure() -> CheckReport:
         if bool(gamma) != expected:
             return CheckReport("reflexivity-closure", False, {"failure": f"gamma on {quiver.name}"})
         if gamma:
-            enum = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1))
-            if sorted(gamma.witness, key=lambda p: p.sort_key) != enum.paths:
+            if sorted(gamma.witness, key=lambda p: p.sort_key) != quiver.basis():
                 return CheckReport("reflexivity-closure", False, {"failure": f"gamma support on {quiver.name}"})
     for family_kind in ("line2", "line1", "loop", "multiarrow", "star51", "star56"):
         family = Family(family_kind)

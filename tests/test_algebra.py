@@ -501,9 +501,12 @@ def test_ideal_kernel_agrees_with_the_cubic_oracle(shape, data):
             (g,), leading = generator.combo.labels(), max(difference.combo.labels(), key=lambda p: p.length)
             target = (g, leading) if side == "left" else (leading, g)
             exact = quiver_module.compose_paths
-            # The oracle composes through ``multiply``, the counterexample
-            # through its product table: both see the same corruption.
-            mp.setattr(algebra, "compose_paths", lambda a, b: None if (a, b) == target else exact(a, b))
+            wrong = lambda a, b: None if (a, b) == target else exact(a, b)
+            # The oracle composes through ``multiply``, which reads
+            # ``Quiver.compose``, the counterexample through its product
+            # table: both see the same corruption.
+            mp.setattr(quiver_module, "compose_paths", wrong)
+            mp.setattr(algebra, "compose_paths", wrong)
         outcomes = []
         for run in (lambda: cycle_identity_oracle(quiver, window), lambda: build_cycle_counterexample(quiver, window)):
             try:
@@ -629,8 +632,13 @@ def test_bialgebra_check_agrees_with_the_element_check():
 
 
 def _corrupt_product(monkeypatch, target, wrong):
+    """Corrupt one product where ``bialgebra_check`` and the tensor product
+    read it (``algebra.compose_paths``) and where ``multiply`` does
+    (``Quiver.compose``, through ``quiver.compose_paths``)."""
     exact = quiver_module.compose_paths
-    monkeypatch.setattr(algebra, "compose_paths", lambda p, r: wrong if (p, r) == target else exact(p, r))
+    corrupted = lambda p, r: wrong if (p, r) == target else exact(p, r)
+    monkeypatch.setattr(quiver_module, "compose_paths", corrupted)
+    monkeypatch.setattr(algebra, "compose_paths", corrupted)
 
 
 def test_bialgebra_check_raises_the_element_checks_error_on_a_corrupted_product(monkeypatch):

@@ -228,6 +228,30 @@ def test_rational_finite_support_on_line_family():
     assert verdict.status == "yes" and not verdict.witness.infinite_support
 
 
+@pytest.mark.parametrize("kind", ["natchain", "natantichain"])
+def test_rational_finite_support_on_poset_family(kind):
+    # E_{n0,n0} is certified on the truncation at the window: its one
+    # translate is itself, since n0 is the least point on both families.
+    fam = Family(kind)
+    f = Functional(fam, support=SparseVector({("n0", "n0"): QQ.one}))
+    verdict = is_rational_left(f, fam)
+    assert verdict.status == "yes"
+    poset = fam.truncate(10)
+    labels = poset.basis()
+    duals = [Functional(poset, support=SparseVector({i: QQ.one})) for i in labels]
+    assert verdict.witness.verify(f, duals, labels, poset)
+    assert [list(c.combo.labels()) for c in verdict.witness.elements] == [[("n0", "n0")]]
+    assert [c.support for c in verdict.witness.functionals] == [SparseVector({("n0", "n0"): QQ.one})]
+
+
+def test_rational_on_poset_family_past_the_window_is_unknown():
+    fam = Family("natchain")
+    f = Functional(fam, support=SparseVector({("n0", "n3"): QQ.one}))
+    verdict = is_rational_left(f, fam, 2)
+    assert verdict.status == "unknown" and "window 2" in verdict.explanation
+    assert is_rational_left(f, fam, 3).status == "yes"
+
+
 GF5 = PrimeField(5)
 
 

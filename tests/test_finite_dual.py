@@ -1,16 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivercoalg import algebra, coalgebra, dual, finite_dual, incidence
+from quivercoalg import algebra, coalgebra, corpus, dual, finite_dual, incidence
 from quivercoalg.coalgebra import CoalgElement, comultiply
 from quivercoalg.corpus import (
     CYCLIC_CORPUS,
     POSET_CORPUS,
+    acyclic_corpus,
+    enumerate_posets_up_to_iso,
     named_poset,
     named_quiver,
+    poset_corpus,
     random_element,
     random_structured_algebra,
 )
@@ -22,15 +26,16 @@ from quivercoalg.finite_dual import (
     is_in_finite_dual,
     is_in_theta_image,
     maximal_ideal_in_kernel,
-    structured_from_quiver,
+    structured_algebra,
     tensor_slice_ideals,
     tensor_structured,
     theta_embed,
     theta_recovery_check,
     two_sided_ideal_closure,
 )
+from quivercoalg.incidence import Poset, hasse_quiver
 from quivercoalg.linalg import SparseVector, rank, rref
-from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle
+from quivercoalg.quiver import Family, Path, Quiver, compose_paths, enumerate_paths, find_simple_cycle
 from quivercoalg.scalars import QQ, FieldError, PrimeField
 
 from helpers import (
@@ -149,7 +154,7 @@ def test_dual_coalgebra_of_one_idempotent():
 
 def test_dual_coalgebra_of_single_arrow_quiver():
     q = named_quiver("single_arrow")
-    algebra = structured_from_quiver(q)
+    algebra = structured_algebra(q)
     dual = dual_coalgebra(algebra)
     u, v, x = q.vertex_path("a"), q.vertex_path("b"), q.arrow_path("x")
     assert dual.delta_table[x] == SparseVector({(u, x): QQ.one, (x, v): QQ.one})
@@ -161,6 +166,78 @@ def test_dual_coalgebra_axioms_on_random_algebras():
     rng = random.Random(21)
     for _ in range(25):
         dual_coalgebra(random_structured_algebra(rng))  # validates internally
+
+
+# The two per-carrier builders that ``structured_algebra`` replaced, kept as
+# oracles: each lists the basis, the products (a outer, b inner) and the
+# idempotents (in the order the points were declared) by hand.
+def _quiver_algebra_oracle(quiver, field=QQ):
+    paths = enumerate_paths(quiver, max(0, len(quiver.vertices) - 1)).paths
+    mult = {(p, q): SparseVector({pq: field.one})
+            for p in paths for q in paths if (pq := compose_paths(p, q)) is not None}
+    idempotents = [quiver.vertex_path(v) for v in quiver.vertices]
+    return StructuredAlgebra(paths, mult, idempotents, field, name=f"K[{quiver.name or 'quiver'}]", validate=False)
+
+
+def _incidence_algebra_oracle(poset, field=QQ):
+    basis = poset.intervals()
+    mult = {((x, y), (u, v)): SparseVector({(x, v): field.one}) for (x, y) in basis for (u, v) in basis if y == u}
+    return StructuredAlgebra(basis, mult, [(x, x) for x in poset.elements], field, name=f"FIA({poset.name})")
+
+
+def _oracle(carrier, field=QQ):
+    return (_incidence_algebra_oracle if isinstance(carrier, Poset) else _quiver_algebra_oracle)(carrier, field)
+
+
+def _assert_same_algebra(built, oracle):
+    assert built.basis == oracle.basis
+    assert list(built.mult.items()) == list(oracle.mult.items())
+    assert built.idempotents == oracle.idempotents
+    assert (built.name, built.field) == (oracle.name, oracle.field)
+
+
+def _built(carrier, field=QQ):
+    if isinstance(carrier, Poset):
+        return incidence.fia_structured_algebra(carrier, field)
+    return structured_algebra(carrier, field, f"K[{carrier.name or 'quiver'}]")
+
+
+# The vertices of the first are not declared in name order, so the
+# idempotents are not the basis's vertex paths in basis order.
+_UNSORTED = [Quiver(["c", "a", "b"], [("x", "c", "a"), ("y", "a", "b")], name="unsorted"),
+             Quiver(["v2", "v0", "v1"], [])]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_structured_algebra_matches_the_per_carrier_oracles(field):
+    carriers = _UNSORTED + acyclic_corpus() + poset_corpus()
+    carriers += [hasse_quiver(poset) for poset in enumerate_posets_up_to_iso(4)]
+    for carrier in carriers:
+        _assert_same_algebra(_built(carrier, field), _oracle(carrier, field))
+
+
+def test_random_structured_algebras_match_the_per_carrier_oracles(monkeypatch):
+    # Every quiver and incidence algebra that 300 seeded draws build, from
+    # ``corpus`` directly and through ``fia_structured_algebra``.
+    compared = Counter()
+
+    def checked(carrier, field=QQ, name=""):
+        built = structured_algebra(carrier, field, name)
+        _assert_same_algebra(built, _oracle(carrier, field))
+        compared[type(carrier).__name__] += 1
+        return built
+
+    monkeypatch.setattr(corpus, "structured_algebra", checked)
+    monkeypatch.setattr(incidence, "structured_algebra", checked)
+    rng = random.Random(0)
+    for _ in range(300):
+        random_structured_algebra(rng)
+    assert compared["Quiver"] > 20 and compared["Poset"] > 20
+
+
+def test_structured_algebra_refuses_a_cyclic_quiver():
+    with pytest.raises(ValueError, match="oriented cycle"):
+        structured_algebra(named_quiver("cycle3"))
 
 
 def test_theta_embed_witnesses():
@@ -180,7 +257,7 @@ def test_theta_is_coalgebra_morphism():
     # comultiplication under the coordinate identification.
     for name in ("single_arrow", "line3", "diamond"):
         q = named_quiver(name)
-        algebra = structured_from_quiver(q)
+        algebra = structured_algebra(q)
         dual = dual_coalgebra(algebra)
         for p in algebra.basis:
             transposed = dual.delta_table[p]
@@ -559,7 +636,7 @@ def test_finite_dual_witness_holds_rationals_not_floats():
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_dual_counit_returns_field_scalars(field):
     q = named_quiver("single_arrow")
-    dual = dual_coalgebra(structured_from_quiver(q, field))
+    dual = dual_coalgebra(structured_algebra(q, field))
     u, x = q.vertex_path("a"), q.arrow_path("x")
     empty = dual.counit(SparseVector())
     assert empty == field.zero and type(empty) is type(field.zero)

@@ -34,7 +34,7 @@ import quivercoalg
 from quivercoalg import finite_dual, representation
 from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, check_comodule, check_morphism
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
-from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_from_quiver
+from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
 from quivercoalg.incidence import Poset, hasse_quiver, phi_embed
 from quivercoalg.linalg import SparseVector
 from quivercoalg.products import product_quiver
@@ -382,7 +382,7 @@ def test_kernel_refuses_rows_of_two_moduli():
 
 
 def test_left_module_refuses_actions_over_another_modulus():
-    algebra = structured_from_quiver(named_quiver("single_arrow"), PrimeField(5))
+    algebra = structured_algebra(named_quiver("single_arrow"), PrimeField(5))
     module = regular_left_module(algebra)
     gf7 = PrimeField(7)
     action = {b: tuple(tuple(gf7.of(x.value) for x in row) for row in m) for b, m in module.action.items()}
@@ -397,7 +397,7 @@ def test_the_law_kernel_is_the_only_gate_of_the_validators(monkeypatch):
     basis = ["e", "a", "b", "c"]
     mult = {pair: SparseVector({x: QQ.one}) for x in basis for pair in (("e", x), (x, "e"))}
     mult.update({("a", "a"): SparseVector({"b": QQ.one}), ("b", "a"): SparseVector({"c": QQ.one})})
-    algebra = structured_from_quiver(named_quiver("single_arrow"))
+    algebra = structured_algebra(named_quiver("single_arrow"))
     action = dict(regular_left_module(algebra).action)
     arrow, vertex = algebra.basis[-1], algebra.basis[0]
     action[arrow] = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(action[arrow], action[vertex]))

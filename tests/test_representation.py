@@ -13,7 +13,7 @@ from quivercoalg.corpus import (
     random_representation,
     random_structured_algebra,
 )
-from quivercoalg.finite_dual import structured_from_quiver
+from quivercoalg.finite_dual import structured_algebra
 from quivercoalg.incidence import fia_structured_algebra
 from quivercoalg.linalg import SparseVector, mat_identity, mat_mul
 from quivercoalg.quiver import Quiver
@@ -141,7 +141,7 @@ def test_comodule_one_dimensional():
 
 def test_comodule_of_regular_module():
     q = named_quiver("single_arrow")
-    algebra = structured_from_quiver(q)
+    algebra = structured_algebra(q)
     reg = regular_left_module(algebra)
     coaction = comodule_from_module(reg)
     back = module_from_comodule(coaction)
@@ -184,7 +184,7 @@ def test_module_from_comodule_refuses_a_corrupted_coaction():
 
 def test_regular_left_module_of_every_corpus_and_random_algebra():
     rng = random.Random(6)
-    algebras = [structured_from_quiver(q) for q in corpus.acyclic_corpus()]
+    algebras = [structured_algebra(q) for q in corpus.acyclic_corpus()]
     algebras += [fia_structured_algebra(poset) for poset in corpus.poset_corpus()]
     algebras += [random_structured_algebra(rng) for _ in range(30)]
     for algebra in algebras:
@@ -195,7 +195,7 @@ def test_regular_left_module_of_every_corpus_and_random_algebra():
 
 
 def test_left_module_is_always_checked():
-    algebra = structured_from_quiver(named_quiver("single_arrow"))
+    algebra = structured_algebra(named_quiver("single_arrow"))
     n = len(algebra.basis)
     zero = tuple(tuple(QQ.zero for _ in range(n)) for _ in range(n))
     action = {b: zero for b in algebra.basis}

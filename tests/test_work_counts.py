@@ -3,6 +3,7 @@ elimination and of the cycle and poset certificates, taken by wrapping library f
 row what a check builds once per call shows up as a count, without timing
 anything."""
 
+import inspect
 import json
 import random
 from collections import Counter
@@ -17,15 +18,16 @@ from quivercoalg.textio import quiver_to_text
 
 
 def _count_calls(monkeypatch, calls, owner, name):
-    """Count the calls of ``owner.name`` (a module function or a method)
-    under its name in ``calls``."""
+    """Count the calls of ``owner.name`` (a module function, a method or a
+    static method) under its name in ``calls``."""
     exact = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls[name] += 1
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counting)
+    static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+    monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
 
 
 def test_rational_part_convolves_nothing(monkeypatch):
@@ -43,7 +45,7 @@ def test_semiperfect_check_verifies_one_certificate_per_interval(monkeypatch):
     # dual-basis functionals: one verify each, and no pair of intervals
     # convolved.
     calls = Counter()
-    _count_calls(monkeypatch, calls, incidence, "incidence_convolve")
+    _count_calls(monkeypatch, calls, incidence.Poset, "compose")
     _count_calls(monkeypatch, calls, dual.RationalCertificate, "verify")
     assert len(incidence.incidence_semiperfect_check(named_poset("chain5")).witness) == 15
     assert calls == {"verify": 15}
@@ -51,8 +53,8 @@ def test_semiperfect_check_verifies_one_certificate_per_interval(monkeypatch):
 
 def test_unique_path_embedding_enumerates_each_hasse_window_once(monkeypatch):
     calls = Counter()
-    for module in (suites, incidence):
-        _count_calls(monkeypatch, calls, module, "enumerate_paths")
+    # ``_paths_between`` reads each window through ``Quiver.basis``.
+    _count_calls(monkeypatch, calls, quiver, "enumerate_paths")
     assert suites.check_unique_path_embedding().details == {"posets": 87}
     assert calls == {"enumerate_paths": 87}
 
