@@ -73,6 +73,12 @@ RULES = {
 }
 
 
+def _is_poset(carrier) -> bool:
+    """Whether the carrier is a poset or a poset family (the carriers are
+    quivers, posets and the families of either)."""
+    return carrier.facts.carrier == "poset" if isinstance(carrier, Family) else not isinstance(carrier, Quiver)
+
+
 class Functional:
     """Linear functional on a path coalgebra, finite-support or rule-based."""
 
@@ -83,6 +89,9 @@ class Functional:
             raise ValueError("exactly one of support/rule must be given")
         if rule is not None and rule.kind not in RULES:
             raise ValueError(f"unknown rule kind {rule.kind!r}")
+        # Every rule but gamma reads a path's arrows, which an interval has not.
+        if rule is not None and rule.kind != "gamma" and _is_poset(carrier):
+            raise ValueError(f"rule:{RULES[rule.kind].spelling.format(rule.param)} reads paths; {carrier} is a poset")
         self.carrier = carrier
         self.support = support
         self.rule = rule

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import build_cycle_counterexample, endpoint_buckets, subpath_closure
+from .algebra import endpoint_buckets, subpath_closure, winding_paths
 from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
@@ -355,19 +355,23 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
 
 
 def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> RecoveryReport:
+    from .representation import annihilator_basis, cycle_module  # representation imports this module
+
     cycle = find_simple_cycle(quiver)
     s = len(cycle)
     effective_window = max(window, (codim_bound + 2) * s)
     # The winding indicator; on the one-loop quiver, evaluation at one.
     loop = len(quiver.arrows) == len(quiver.vertices) == 1
     witness = Functional.from_rule(quiver, *(("eval", field.one) if loop else ("winding_multiple", tuple(cycle))), field)
-    counterexample = build_cycle_counterexample(quiver, effective_window, field)
-    winding, off = counterexample.closed_path_set, counterexample.monomial_generators
-    # Every difference is a pair of winding paths; the witness is read once
-    # per winding path, and the pairs compare its values by class.
-    classes = {}
-    value_class = {p: classes.setdefault(witness(p), len(classes)) for p in winding}
-    if any(value_class[p] != value_class[r] for p, r in counterexample.difference_pairs):
+    # The witness is a coefficient functional of the cycle-quotient module
+    # M, so its kernel holds Ann(M), a two-sided ideal of codimension s².
+    codimension = len(annihilator_basis(cycle_module(quiver, field), field))
+    # M_p is the same on the winding paths of one class (start, length mod
+    # s) and zero off them: the witness is read once per path of W, the
+    # winding paths of the window, and compared with its class.
+    table = winding_paths(quiver, cycle, effective_window)
+    values = {key: witness(p) for key, p in table.items()}
+    if any(value != values[n, k % s] for (n, k), value in values.items()):
         raise AssertionError("witness does not vanish on the counterexample ideal")
     # A partial re-check: the witness must vanish on the monomial generators
     # and on each one-arrow exit of W, not on every path off W.  That it does
@@ -375,6 +379,9 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     # that start on the cycle and follow it; the tests scan every path off W.
     # An arrow a off W meets the paths of W that end at s(a) or start at
     # t(a); its products with the others are zero.
+    winding, on_cycle = list(table.values()), {a.source for a in cycle}
+    off = ([quiver.vertex_path(v) for v in quiver.vertices if v not in on_cycle]
+           + [Path(quiver, None, (a,)) for a in quiver.arrows if a not in cycle])
     starts, ends = endpoint_buckets(winding)
     exits = [compose_paths(*pair) for a in off if a.length
              for pair in [(winding[i], a) for i in ends.get(a.source, ())]
@@ -384,8 +391,7 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
         raise AssertionError("witness does not vanish off the cycle")
     # A support path of length L has L + 1 distinct prefixes, all in the
     # support's subpath closure.
-    zero = classes.get(field.zero)
-    if max(p.length for p in winding if value_class[p] != zero) + 1 <= codim_bound:
+    if max((k for (_, k), value in values.items() if value), default=-1) + 1 <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")
     verdict = Verdict(
         "no_up_to_bound",
@@ -397,7 +403,7 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
         witness_verdict=verdict,
         explanation=(
             "cycle found: the winding indicator lies in the finite dual "
-            f"(kernel contains a cofinite ideal of codimension {counterexample.codimension}) "
+            f"(kernel contains a cofinite ideal of codimension {codimension}) "
             "but admits no cofinite monomial ideal up to the bound"
         ),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .scalars import QQ, FieldError, ModP
 
@@ -276,23 +276,27 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
     return row
 
 
+def _add_pivot(row: dict, pivots: dict, p: int, main=inf) -> bool:
+    """Reduce the row in place against the echelon pivots {lead: row}, and
+    make it a pivot, monic over GF(p), when its main part (columns below
+    ``main``) is left nonzero; returns whether it did."""
+    _reduce(row, pivots, p)
+    lead = min(row, default=main)
+    if lead >= main:
+        return False
+    if p and row[lead] != 1:
+        inv = pow(row[lead], -1, p)
+        for k, c in row.items():
+            row[k] = c * inv % p
+    pivots[lead] = row
+    return True
+
+
 def _echelon(rows, p: int, main: int):
     """Echelon pivots {lead: row} of the rows, and the rows whose main part
     (columns below ``main``) reduces to zero."""
     pivots: dict = {}
-    dependent = []
-    for row in rows:
-        row = _reduce(row, pivots, p)
-        lead = min(row, default=main)
-        if lead >= main:
-            dependent.append(row)
-            continue
-        if p and row[lead] != 1:
-            inv = pow(row[lead], -1, p)
-            for k, c in row.items():
-                row[k] = c * inv % p
-        pivots[lead] = row
-    return pivots, dependent
+    return pivots, [row for row in rows if not _add_pivot(row, pivots, p, main)]
 
 
 def _reduced_rows(pivots: dict, p: int, labels: list, offset: int = 0) -> list[SparseVector]:
@@ -330,6 +334,35 @@ def rank(vectors) -> int:
     left = _peel(converted)
     ranks, rows = _rows(p, left)
     return len(converted) - len(left) + len(_echelon(rows, p, len(ranks))[0])
+
+
+def integer_matrices(matrices, field=None) -> tuple[int, list]:
+    """The modulus of the scalars' field (0 for the rationals, p for GF(p))
+    and each matrix as integer sparse rows {row: {column: n}}: numerators
+    over the least common denominator of that matrix, or residues mod p.
+    Each is its matrix up to a nonzero scale, so spans are kept."""
+    entries = [{(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c} for m in matrices]
+    p = _modulus((c for e in entries for c in e.values()), field)
+    converted = []
+    for e in entries:
+        rows = {}
+        for (i, j), n in _integers(e, p)[1].items():
+            rows.setdefault(i, {})[j] = n
+        converted.append(rows)
+    return p, converted
+
+
+class Echelon:
+    """Echelon pivots of integer rows {column: n}, residues mod p when p,
+    admitted one at a time."""
+
+    def __init__(self, p: int = 0):
+        self.p, self.pivots = p, {}
+
+    def admit(self, row: dict) -> bool:
+        """Whether the row is independent of the rows admitted before; if
+        it is, it joins them.  The row itself is left as it is."""
+        return _add_pivot(dict(row), self.pivots, self.p)
 
 
 def difference_rank(pairs) -> int:

@@ -17,17 +17,20 @@ from .algebra import subpath_closure
 from .coalgebra import check_comodule
 from .finite_dual import DualCoalgebra, StructuredAlgebra
 from .linalg import (
+    Echelon,
     SparseVector,
+    integer_matrices,
     mat_eq,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_zero,
+    rank,
     rref,
     vec_mat,
 )
-from .quiver import Family, Path, Quiver, Verdict
-from .scalars import QQ
+from .quiver import Family, Path, Quiver, Verdict, find_simple_cycle
+from .scalars import QQ, ModP
 
 
 @dataclass
@@ -179,7 +182,7 @@ def annihilator_monomial_check(rep: Representation, vector, codim_bound: int = 1
 def cycle_quotient_module(n: int, field=QQ) -> Representation:
     """The quotient of the cycle-quiver algebra by the relations making
     every full turn equal to the local unit at its start, as a
-    representation.
+    representation: ``cycle_module`` of the n-cycle.
 
     The space at v_m has as basis the winding paths of length < n that end
     at v_m, the one that starts at v_j listed j-th (n^2 in total).  An arrow
@@ -188,9 +191,84 @@ def cycle_quotient_module(n: int, field=QQ) -> Representation:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    quiver = Family("cycle", n).truncate(0)
-    identity = mat_identity(n, field)
-    return Representation(quiver, {v: n for v in quiver.vertices}, {a.label: identity for a in quiver.arrows})
+    return cycle_module(Family("cycle", n).truncate(0), field)
+
+
+def cycle_module(quiver: Quiver, field=QQ) -> Representation:
+    """The cycle-quotient module of the simple cycle that
+    ``find_simple_cycle`` finds: dimension s, the cycle's length, at each
+    cycle vertex and 0 elsewhere, the s x s identity on each cycle arrow and
+    zero maps on every other arrow.  With α_v = β_v the basis vector of the
+    trivial path at v (the j-th at the j-th cycle vertex), the coefficient
+    functional p ↦ α_{s(p)}·M_p·β_{t(p)} is the winding indicator; on the
+    one-loop quiver it is eval(1)."""
+    cycle = find_simple_cycle(quiver)
+    if cycle is None:
+        raise ValueError("quiver has no oriented cycle")
+    s, on_cycle = len(cycle), {a.source for a in cycle}
+    dims = {v: s if v in on_cycle else 0 for v in quiver.vertices}
+    identity = mat_identity(s, field)
+    maps = {a.label: identity if a in cycle else mat_zero(dims[a.source], dims[a.target], field) for a in quiver.arrows}
+    return Representation(quiver, dims, maps)
+
+
+def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
+    """A path basis B of span{M_p}, the image of the path algebra in the
+    endomorphisms of the total space: p ↦ M_p is an algebra map whose
+    kernel is Ann(M), so Ann(M) is a two-sided ideal of codimension |B|,
+    inside the kernel of every coefficient functional of M.
+
+    Every path is a vertex followed by arrows, so the closure of the vertex
+    idempotents under right multiplication by the arrows that leave t(b)
+    spans every M_p; a product joins B when it is independent of B.  Each
+    arrow's matrix is converted once to an integer sparse block {row:
+    {column: n}} in the coordinates of the total space (over the rationals,
+    up to a nonzero scale, which keeps every span).  Both claims are
+    re-checked by exact ``rank``: B is independent, and the idempotents and
+    every product lie in its span.  Raises AssertionError otherwise.
+    """
+    quiver = rep.quiver
+    offsets, total = {}, 0
+    for v in quiver.vertices:
+        offsets[v], total = total, total + rep.dims[v]
+    p, converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
+    blocks = {a.label: {offsets[a.source] + i: {offsets[a.target] + j: n for j, n in cols.items()}
+                        for i, cols in m.items()} for a, m in zip(quiver.arrows, converted)}
+    basis, formed, echelon = [], [], Echelon(p)
+
+    def admit(matrix) -> bool:
+        row = {r * total + c: n for r, cols in matrix.items() for c, n in cols.items()}
+        formed.append(row)
+        return echelon.admit(row)
+
+    for v in quiver.vertices:
+        idempotent = {offsets[v] + i: {offsets[v] + i: 1} for i in range(rep.dims[v])}
+        if admit(idempotent):
+            basis.append((quiver.vertex_path(v), idempotent, len(formed) - 1))
+    # B grows while it is walked, so each member is extended once.
+    for path, matrix, _ in basis:
+        for a in quiver.out_arrows(path.target):
+            product = _block_product(matrix, blocks[a.label], p)
+            if admit(product):
+                basis.append((Path(quiver, None, path.arrows + (a,)), product, len(formed) - 1))
+    vectors = [SparseVector({k: ModP(p, n) for k, n in row.items()} if p else row) for row in formed]
+    if rank([vectors[k] for *_, k in basis]) != len(basis) or rank(vectors) != len(basis):
+        raise AssertionError("the Krylov basis does not span the path matrices; bug")
+    return [path for path, *_ in basis]
+
+
+def _block_product(left: dict, right: dict, p: int) -> dict:
+    """The product of two integer sparse matrices {row: {column: n}},
+    reduced mod p when p."""
+    out = {}
+    for r, cols in left.items():
+        acc = {}
+        for k, c in cols.items():
+            for j, n in right.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + c * n
+        if acc := {j: n for j, x in acc.items() if (n := x % p if p else x)}:
+            out[r] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------

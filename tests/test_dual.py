@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement
-from quivercoalg.corpus import ACYCLIC_CORPUS, named_quiver, random_acyclic_quiver, random_element, random_quiver
+from quivercoalg.corpus import (
+    ACYCLIC_CORPUS, named_poset, named_quiver, random_acyclic_quiver, random_element, random_quiver,
+)
 from quivercoalg.dual import (
     Functional,
     RationalCertificate,
@@ -250,6 +252,24 @@ def test_rational_on_poset_family_past_the_window_is_unknown():
     verdict = is_rational_left(f, fam, 2)
     assert verdict.status == "unknown" and "window 2" in verdict.explanation
     assert is_rational_left(f, fam, 3).status == "yes"
+
+
+@pytest.mark.parametrize("carrier", [Family("natchain"), Family("natantichain"), named_poset("chain5")],
+                         ids=["natchain", "natantichain", "chain5"])
+@pytest.mark.parametrize("kind, param", [("eval", QQ.one), ("starts_at", "n0"), ("has_prefix", None),
+                                         ("winding_multiple", ())])
+def test_path_rules_are_refused_on_poset_carriers(carrier, kind, param):
+    with pytest.raises(ValueError, match=rf"^rule:{kind.replace('_', '-')}.* reads paths; .* is a poset$") as info:
+        Functional.from_rule(carrier, kind, param)
+    assert str(carrier) in str(info.value)
+    assert Functional.from_rule(carrier, "gamma").rule.kind == "gamma"
+
+
+def test_rational_part_of_a_path_rule_on_a_poset_family_is_refused():
+    # It used to reach the quiver branch and raise AttributeError there.
+    fam = Family("natchain")
+    with pytest.raises(ValueError, match=r"^rule:starts-at\(n0\) reads paths; family:natchain is a poset$"):
+        is_rational_left(Functional.from_rule(fam, "starts_at", "n0"), fam)
 
 
 GF5 = PrimeField(5)

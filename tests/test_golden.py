@@ -5,7 +5,9 @@ for every quiver verb on the 16 corpus quivers and every poset verb on the
 13 corpus posets, and of ``quivercoalg paths`` on the corpus quivers and
 three families (``PATHS_RUNS``), run in-process through ``cli.main``, must
 equal the files under ``tests/golden/``.  So must the stdout of the
-product verbs on corpus quivers (``PRODUCT_RUNS``, ``FACTOR_RUNS``).
+product verbs on corpus quivers (``PRODUCT_RUNS``, ``FACTOR_RUNS``), and
+of ``check thm33 --json`` at the bounds and cycle lengths of
+``THM33_RUNS``.
 The test only reads those files.  After a deliberate output change,
 rewrite them with
 
@@ -26,6 +28,7 @@ import pytest
 from quivercoalg import cli
 from quivercoalg.corpus import ACYCLIC_CORPUS, CYCLIC_CORPUS, POSET_CORPUS, named_poset, named_quiver
 from quivercoalg.textio import poset_to_text, quiver_to_text
+from test_work_counts import TAILS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -60,6 +63,9 @@ FACTOR_RUNS = [
     ("star_in", "[x1]"),
     ("parallel_pair", "[x]"),
 ]
+# (input, --codim-bound): cycle lengths and bounds past the corpus runs
+# (bound 10, cycles of length at most 3), and a cycle with two tails.
+THM33_RUNS = [("family:cycle:3", 4), ("family:cycle:3", 40), ("family:cycle:5", 10), ("tails", 2), ("tails", 6)]
 
 
 def demo_output(demo: Path) -> str:
@@ -125,12 +131,28 @@ def products_output(directory: Path) -> str:
     return "".join(records)
 
 
+def thm33_output(directory: Path) -> str:
+    """One record per run of ``THM33_RUNS``: a header with the exit code,
+    then stdout."""
+    tails = directory / "quiver-tails.txt"
+    tails.write_text(quiver_to_text(TAILS))
+    records = []
+    for source, bound in THM33_RUNS:
+        argv = ["check", "thm33", str(tails) if source == "tails" else source, "--codim-bound", str(bound), "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main(argv)
+        records.append(f"$ check thm33 {source} --codim-bound {bound} --json -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
 def golden_files(directory: Path) -> dict:
     """Golden file name -> the output it must hold."""
     files = {f"demo-{demo.stem}.txt": demo_output(demo) for demo in DEMOS}
     files.update({f"check-{verb}.txt": check_output(verb, directory) for verb in VERBS})
     files["paths.txt"] = paths_output(directory)
     files["products.txt"] = products_output(directory)
+    files["thm33.txt"] = thm33_output(directory)
     return files
 
 
@@ -142,6 +164,7 @@ def test_the_golden_files_are_exactly_these():
     expected = {f"demo-{demo.stem}.txt" for demo in DEMOS} | {f"check-{verb}.txt" for verb in VERBS}
     expected.add("paths.txt")
     expected.add("products.txt")
+    expected.add("thm33.txt")
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -161,6 +184,10 @@ def test_paths_stdout_is_unchanged(tmp_path):
 
 def test_product_verbs_stdout_is_unchanged(tmp_path):
     assert products_output(tmp_path) == golden("products.txt")
+
+
+def test_thm33_stdout_is_unchanged(tmp_path):
+    assert thm33_output(tmp_path) == golden("thm33.txt")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoalg import corpus
+from quivercoalg import corpus, linalg
+from quivercoalg.algebra import build_cycle_counterexample
 from quivercoalg.corpus import (
+    CYCLIC_CORPUS,
+    enumerate_small_quivers,
     named_poset,
     named_quiver,
     random_acyclic_quiver,
@@ -15,14 +18,16 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.finite_dual import structured_algebra
 from quivercoalg.incidence import fia_structured_algebra
-from quivercoalg.linalg import SparseVector, mat_identity, mat_mul
-from quivercoalg.quiver import Quiver
+from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_is_zero, mat_mul
+from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle, is_acyclic
 from quivercoalg.representation import (
     LeftModule,
     Representation,
+    annihilator_basis,
     annihilator_monomial_check,
     comodule_from_module,
     Coaction,
+    cycle_module,
     cycle_quotient_module,
     is_locally_nilpotent,
     module_from_comodule,
@@ -31,6 +36,7 @@ from quivercoalg.representation import (
 from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import dense_mat_mul, elementary_base_change
+from test_work_counts import TAILS
 
 
 def one():
@@ -126,6 +132,129 @@ def test_cycle_quotient_satisfies_its_defining_relations(n):
 def test_cycle_quotient_not_locally_nilpotent():
     for n in (1, 2, 3):
         assert not is_locally_nilpotent(cycle_quotient_module(n)).locally_nilpotent
+
+
+def test_cycle_module_of_the_n_cycle_is_the_cycle_quotient_module():
+    for n in (1, 2, 3):
+        quiver = Family("cycle", n).truncate(0)
+        assert cycle_module(quiver) == cycle_quotient_module(n)
+
+
+def test_cycle_module_lives_on_the_cycle():
+    rep = cycle_module(TAILS)
+    assert rep.dims == {"c0": 3, "c1": 3, "c2": 3, "t0": 0, "t1": 0}
+    assert all(rep.maps[a] == mat_identity(3) for a in "xyz")
+    assert all(mat_is_zero(rep.maps[a]) for a in "st")
+    with pytest.raises(ValueError, match="no oriented cycle"):
+        cycle_module(named_quiver("line3"))
+
+
+# The windowed counterexample ideal of ``build_cycle_counterexample`` against
+# Ann(M) of the cycle-quotient module: the same codimension s², and M kills
+# the ideal's differences and every path of its window off the winding
+# paths W.  M_p is the product of the arrows' matrices, in field arithmetic.
+
+
+def _path_matrix(rep, path):
+    m = mat_identity(rep.dims[path.source])
+    for a in path.arrows:
+        m = mat_mul(m, rep.maps[a.label])
+    return m
+
+
+def _acting_paths(rep, window):
+    """The paths of length <= window with M_p nonzero.  A path whose prefix
+    acts as zero acts as zero, so the set is prefix-closed and a walk that
+    extends only nonzero products reaches all of it."""
+    quiver = rep.quiver
+    stack = [(quiver.vertex_path(v), mat_identity(rep.dims[v])) for v in quiver.vertices if rep.dims[v]]
+    found = []
+    while stack:
+        path, m = stack.pop()
+        found.append(path)
+        for a in quiver.out_arrows(path.target) if path.length < window else ():
+            if not mat_is_zero(product := mat_mul(m, rep.maps[a.label])):
+                stack.append((Path(quiver, None, path.arrows + (a,)), product))
+    return found
+
+
+def _windowed_ideal_disagreements(quiver, rep, basis, window) -> list[str]:
+    s = len(find_simple_cycle(quiver))
+    ideal = build_cycle_counterexample(quiver, window)
+    wrong = [] if len(basis) == ideal.codimension == s * s else [
+        f"codimension {len(basis)}, windowed {ideal.codimension}, expected {s * s}"]
+    wrong += [f"M differs on {p} - {r}" for p, r in ideal.difference_pairs
+              if not mat_eq(_path_matrix(rep, p), _path_matrix(rep, r))]
+    closed = set(ideal.closed_path_set)
+    return wrong + [f"M is nonzero on {p} off W" for p in _acting_paths(rep, window) if p not in closed]
+
+
+def _windows(quiver):
+    s = len(find_simple_cycle(quiver))
+    return (s, 2 * s + 1, 3 * s + 2)
+
+
+_CYCLIC = ([pytest.param(Family("cycle", s).truncate(0), id=f"cycle:{s}") for s in range(1, 6)]
+           + [pytest.param(named_quiver(name), id=name) for name in CYCLIC_CORPUS] + [pytest.param(TAILS, id="tails")])
+
+
+@pytest.mark.parametrize("quiver", _CYCLIC)
+def test_annihilator_basis_agrees_with_the_windowed_ideal(quiver):
+    rep = cycle_module(quiver)
+    basis = annihilator_basis(rep)
+    for window in _windows(quiver):
+        assert _windowed_ideal_disagreements(quiver, rep, basis, window) == []
+    assert annihilator_basis(cycle_module(quiver, PrimeField(5)), PrimeField(5)) == basis
+
+
+def test_annihilator_basis_agrees_with_the_windowed_ideal_on_small_quivers():
+    cyclic = [q for q in enumerate_small_quivers(3, 3) if not is_acyclic(q)]
+    assert len(cyclic) == 190
+    for quiver in cyclic:
+        rep = cycle_module(quiver)
+        basis = annihilator_basis(rep)
+        for window in _windows(quiver):
+            assert _windowed_ideal_disagreements(quiver, rep, basis, window) == [], (quiver.arrows, window)
+
+
+@pytest.mark.parametrize("quiver", [q for q in _CYCLIC if len(find_simple_cycle(q.values[0])) > 1])
+def test_the_windowed_oracle_sees_a_closure_that_skips_an_arrow(monkeypatch, quiver):
+    # On a loop the skipped product is the vertex's own matrix again, so
+    # only cycles of length 2 or more can show the mutant.
+    rep = cycle_module(quiver)
+    skipped, exact = find_simple_cycle(quiver)[-1], Quiver.out_arrows
+    monkeypatch.setattr(Quiver, "out_arrows", lambda self, v: [a for a in exact(self, v) if a is not skipped])
+    basis = annihilator_basis(rep)
+    monkeypatch.undo()
+    assert _windowed_ideal_disagreements(quiver, rep, basis, _windows(quiver)[0]) != []
+
+
+@pytest.mark.parametrize("quiver", _CYCLIC)
+def test_the_windowed_oracle_sees_a_perturbed_cycle_arrow(quiver):
+    # One entry of the first cycle arrow's identity matrix moves off it.
+    rep = cycle_module(quiver)
+    arrow = find_simple_cycle(quiver)[0].label
+    s = rep.dims[find_simple_cycle(quiver)[0].source]
+    rep.maps[arrow] = tuple(tuple(x + (i == 0 and j == s - 1) for j, x in enumerate(row))
+                            for i, row in enumerate(rep.maps[arrow]))
+    assert _windowed_ideal_disagreements(quiver, rep, annihilator_basis(rep), _windows(quiver)[0]) != []
+
+
+@pytest.mark.parametrize("dropped", range(9))
+def test_the_rank_recheck_sees_a_basis_that_lacks_one_member(monkeypatch, dropped):
+    # The echelon still holds the dropped member's row, so the closure
+    # goes on as if it were there, but the basis does not span it.
+    exact, admitted = linalg.Echelon.admit, []
+
+    def lacking(self, row):
+        if not exact(self, row):
+            return False
+        admitted.append(row)
+        return len(admitted) != dropped + 1
+
+    monkeypatch.setattr(linalg.Echelon, "admit", lacking)
+    with pytest.raises(AssertionError, match="the Krylov basis does not span the path matrices"):
+        annihilator_basis(cycle_module(TAILS))
 
 
 def test_comodule_one_dimensional():

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from quivercoalg import algebra, cli, dual, finite_dual, incidence, linalg, products, quiver, suites
+from quivercoalg import algebra, cli, dual, finite_dual, incidence, linalg, products, quiver, representation, suites
 from quivercoalg.corpus import named_poset, named_quiver
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import Quiver
@@ -116,31 +116,48 @@ def test_peeled_systems_reach_no_elimination(monkeypatch):
 
 
 # A 3-cycle with a tail leaving each of two of its vertices.
-_TAILS = Quiver(["c0", "c1", "c2", "t0", "t1"],
+TAILS = Quiver(["c0", "c1", "c2", "t0", "t1"],
                 [("x", "c0", "c1"), ("y", "c1", "c2"), ("z", "c2", "c0"), ("s", "c0", "t0"), ("t", "c1", "t1")])
 
 
 @pytest.mark.parametrize(
     "argv, status, composed",
     [
-        # Window 36: each of the 111 winding paths meets one vertex on each
-        # side, and each of those of length <= 35 one arrow on each side.
-        (["check", "thm33", "family:cycle:3", "--codim-bound", "10"], 1, 2 * 3 * 37 + 2 * 3 * 36),
+        # thm33 composes only the one-arrow exits of the winding paths that
+        # it re-checks, and every arrow of the 3-cycle lies on the cycle.
+        (["check", "thm33", "family:cycle:3", "--codim-bound", "10"], 1, 0),
+        # Window 24: each of the 75 winding paths meets one vertex on each
+        # side, and each of those of length <= 23 one arrow on each side.
         (["counterexample", "cycle", "family:cycle:3", "--max-len", "24"], 0, 2 * 3 * 25 + 2 * 3 * 24),
-        # Window 24: the cycle vertices and arrows as above, each tail arrow
-        # after the 24 winding paths of length <= 23 that end at its source,
-        # and once more for the one-arrow exits that the report re-checks.
-        (["check", "thm33", "TAILS", "--codim-bound", "6"], 1, 2 * 3 * 25 + 2 * 3 * 24 + 2 * 24 + 2 * 24),
+        # Window 24: each tail arrow is an exit after the 24 winding paths
+        # of length <= 23 that end at its source, 8 starting at each cycle vertex,
+        # and no winding path starts at a tail.
+        (["check", "thm33", "TAILS", "--codim-bound", "6"], 1, 2 * 24),
     ],
     ids=["thm33-cycle3", "counterexample-cycle3", "thm33-tails"],
 )
 def test_cycle_certificate_composes_only_where_endpoints_meet(monkeypatch, tmp_path, capsys, argv, status, composed):
     source = tmp_path / "tails.txt"
-    source.write_text(quiver_to_text(_TAILS))
+    source.write_text(quiver_to_text(TAILS))
     calls = Counter()
     for module in (algebra, finite_dual):
         _count_calls(monkeypatch, calls, module, "compose_paths")
     # thm33 exits 1: the coordinate embedding does not recover the cycle.
     assert cli.main([str(source) if a == "TAILS" else a for a in argv] + ["--json"]) == status
     capsys.readouterr()
-    assert calls == {"compose_paths": composed}
+    assert calls["compose_paths"] == composed
+
+
+@pytest.mark.parametrize("bound", [4, 10, 40])
+def test_thm33_certificate_work_does_not_depend_on_the_bound(monkeypatch, capsys, bound):
+    # The Krylov closure of the 3-cycle's module: its 9 basis paths (the
+    # winding paths of length < 3) each meet the one arrow that leaves
+    # their target, so 9 arrow products at every bound; no windowed ideal.
+    calls = Counter()
+    _count_calls(monkeypatch, calls, representation, "_block_product")
+    for name in ("build_cycle_counterexample", "_generator_rows", "difference_rank"):
+        _count_calls(monkeypatch, calls, algebra, name)
+    _count_calls(monkeypatch, calls, linalg, "difference_rank")
+    assert cli.main(["check", "thm33", "family:cycle:3", "--codim-bound", str(bound), "--json"]) == 1
+    assert "codimension 9)" in json.loads(capsys.readouterr().out)["explanation"]
+    assert calls == {"_block_product": 9}
