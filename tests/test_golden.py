@@ -7,7 +7,8 @@ three families (``PATHS_RUNS``), run in-process through ``cli.main``, must
 equal the files under ``tests/golden/``.  So must the stdout of the
 product verbs on corpus quivers (``PRODUCT_RUNS``, ``FACTOR_RUNS``), and
 of ``check thm33 --json`` at the bounds and cycle lengths of
-``THM33_RUNS``.
+``THM33_RUNS``, and of ``counterexample --json`` at the windows of
+``COUNTEREXAMPLE_RUNS``.
 The test only reads those files.  After a deliberate output change,
 rewrite them with
 
@@ -66,6 +67,12 @@ FACTOR_RUNS = [
 # (input, --codim-bound): cycle lengths and bounds past the corpus runs
 # (bound 10, cycles of length at most 3), and a cycle with two tails.
 THM33_RUNS = [("family:cycle:3", 4), ("family:cycle:3", 40), ("family:cycle:5", 10), ("tails", 2), ("tails", 6)]
+# (kind, input, --max-len, extra flags): the s-cycles at s, 2s + 1, 12 and
+# 24, the cycle with two tails, one run over GF(5) and the parallel bundle.
+COUNTEREXAMPLE_RUNS = [("cycle", f"family:cycle:{s}", w, []) for s in (1, 2, 3) for w in (s, 2 * s + 1, 12, 24)]
+COUNTEREXAMPLE_RUNS += [("cycle", "tails", w, []) for w in (3, 12, 18)]
+COUNTEREXAMPLE_RUNS += [("cycle", "family:cycle:3", 12, ["--field", "fp:5"])]
+COUNTEREXAMPLE_RUNS += [("multiarrow", None, w, []) for w in (2, 5)]
 
 
 def demo_output(demo: Path) -> str:
@@ -146,6 +153,23 @@ def thm33_output(directory: Path) -> str:
     return "".join(records)
 
 
+def counterexample_output(directory: Path) -> str:
+    """One record per run of ``COUNTEREXAMPLE_RUNS``: a header with the exit
+    code, then stdout."""
+    tails = directory / "quiver-tails.txt"
+    tails.write_text(quiver_to_text(TAILS))
+    records = []
+    for kind, source, window, extra in COUNTEREXAMPLE_RUNS:
+        inputs = [] if source is None else [str(tails) if source == "tails" else source]
+        flags = ["--max-len", str(window), *extra, "--json"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main(["counterexample", kind, *inputs, *flags])
+        shown = " ".join(["counterexample", kind, *([source] if source else []), *flags])
+        records.append(f"$ {shown} -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
 def golden_files(directory: Path) -> dict:
     """Golden file name -> the output it must hold."""
     files = {f"demo-{demo.stem}.txt": demo_output(demo) for demo in DEMOS}
@@ -153,6 +177,7 @@ def golden_files(directory: Path) -> dict:
     files["paths.txt"] = paths_output(directory)
     files["products.txt"] = products_output(directory)
     files["thm33.txt"] = thm33_output(directory)
+    files["counterexample.txt"] = counterexample_output(directory)
     return files
 
 
@@ -165,6 +190,7 @@ def test_the_golden_files_are_exactly_these():
     expected.add("paths.txt")
     expected.add("products.txt")
     expected.add("thm33.txt")
+    expected.add("counterexample.txt")
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -188,6 +214,10 @@ def test_product_verbs_stdout_is_unchanged(tmp_path):
 
 def test_thm33_stdout_is_unchanged(tmp_path):
     assert thm33_output(tmp_path) == golden("thm33.txt")
+
+
+def test_counterexample_stdout_is_unchanged(tmp_path):
+    assert counterexample_output(tmp_path) == golden("counterexample.txt")
 
 
 if __name__ == "__main__":
