@@ -4,16 +4,27 @@ constructions that defeat monomial approximation on bad quivers.
 
 Elements are the same sparse path combinations as in ``coalgebra``; only
 the operations differ.
+
+Each counterexample ideal is spanned by differences p - r of paths of a
+subpath-closed set W (winding paths, or the arrows of a bundle) and by the
+paths off W, up to a length w.  p ↦ M_p is an algebra map for a
+representation M, so Ann(M) is a two-sided ideal of codimension
+dim span{M_p}, and the span is certified as Ann(M) within length w:
+(1) every vertex and arrow off W acts by zero, and W holds every path of
+its arrows up to w, so M kills every path off W; (2) M_p = M_r on every
+difference; (3) |W| less the rank of the differences is dim span{M_p},
+with a path basis no longer than w.  By (1) and (2) the span lies in
+Ann(M), by (3) the codimensions agree, so every product of a generator
+and a difference that stays within w lies in the span.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .coalgebra import CoalgElement
-from .linalg import SparseVector, difference_rank, reducer, rref, solve_membership
+from .linalg import SparseVector, difference_rank, reducer, rref
 from .quiver import (
     Family,
     Path,
@@ -126,7 +137,7 @@ def contains_cofinite_monomial_ideal(
 
 # ---------------------------------------------------------------------------
 # Counterexample ideals: cofinite ideals that contain no cofinite monomial
-# ideal, materialized at a truncation level with verified product identities.
+# ideal, materialized at a truncation level as the annihilator of a module.
 # ---------------------------------------------------------------------------
 
 
@@ -146,14 +157,10 @@ class CounterexampleIdeal:
     def ideal_generators(self) -> list[SparseVector]:
         """The differences, then every path of the window off X (enumerated)."""
         closed = set(self.closed_path_set)
-        return [_difference(p, r, self.field) for p, r in self.difference_pairs] + [
+        one = self.field.one
+        return [SparseVector({p: one, r: -one}) for p, r in self.difference_pairs] + [
             SparseVector.unit(p) for p in enumerate_paths(self.quiver, self.max_len).paths if p not in closed
         ]
-
-
-def _difference(p, r, field) -> SparseVector:
-    """p - r, where None stands for a zero product."""
-    return SparseVector((x, c) for x, c in ((p, field.one), (r, -field.one)) if x is not None)
 
 
 def winding_paths(quiver: Quiver, cycle_arrows, max_len: int) -> dict:
@@ -170,130 +177,66 @@ def winding_paths(quiver: Quiver, cycle_arrows, max_len: int) -> dict:
     return table
 
 
-def check_ideal(vectors, generators, row, outside):
-    """Closure of the span of ``vectors`` under multiplication by the
-    ``generators`` on both sides.
-
-    A subspace is a two-sided ideal exactly when it is closed under left
-    and right multiplication by a generating set of the algebra, so for
-    each spanning vector v and generator g only gv and vg are tested.
-    ``row(side, g)`` gives g·v ("left") or v·g ("right") as a dict from the
-    position of v to the product; a position left out is skipped, its
-    product zero, outside a truncation window or known to lie in the span.
-    ``outside(products)`` gets a row and returns the least position whose
-    product is not in the span, or None.  Returns ``None`` or the first
-    failing ``(side, generator, vector)``, vectors outer, generators inner,
-    left before right.
-    """
-    first = None
-    for rank, (g, side) in enumerate((g, side) for g in generators for side in ("left", "right")):
-        k = outside(row(side, g))
-        if k is not None and (first is None or (k, rank) < first[:2]):
-            first = (k, rank, side, g)
-    return None if first is None else (first[2], first[3], vectors[first[0]])
-
-
 def _generators(quiver: Quiver) -> list[Path]:
     """The vertex and arrow paths, which generate the path algebra."""
     return [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
 
 
-def endpoint_buckets(paths):
-    """The positions in ``paths`` of the paths that start at each vertex,
-    and of those that end at each vertex, each list increasing."""
-    starts, ends = {}, {}
-    for i, p in enumerate(paths):
-        starts.setdefault(p.source, []).append(i)
-        ends.setdefault(p.target, []).append(i)
-    return starts, ends
-
-
-def _generator_rows(generators, paths, window: int) -> dict:
-    """g·p and p·g for each generator path g and each path p of ``paths``
-    (sorted by length) with |g| + |p| <= window, composed only where the
-    endpoints meet.  Per ``(side, g)``: the number n of those p, which are
-    a prefix of the positions, and a row from the position of p to the
-    product's position, or to the product if it is another path.  A
-    position below n that the row leaves out is a zero product: p does not
-    start at t(g) ("left"), or does not end at s(g) ("right")."""
-    index = {p: i for i, p in enumerate(paths)}
-    lengths = [p.length for p in paths]
-    starts, ends = endpoint_buckets(paths)
-    rows = {}
-    for g in generators:
-        n = bisect_right(lengths, window - g.length)
-        after, before = starts.get(g.target, []), ends.get(g.source, [])
-        after, before = after[:bisect_left(after, n)], before[:bisect_left(before, n)]
-        rows["left", g] = n, {i: index.get(r, r) for i, r in zip(after, [compose_paths(g, paths[i]) for i in after])}
-        rows["right", g] = n, {i: index.get(r, r) for i, r in zip(before, [compose_paths(paths[i], g) for i in before])}
-    return rows
-
-
-def _check_difference_ideal(paths, pairs, window, field=QQ) -> tuple[int, int]:
-    """Certify that the span of the differences p - r of the ``pairs``, plus
-    every path of the window off ``paths``, is closed on both sides under
-    the vertex and arrow paths, which generate the path algebra, inside
-    ``window``; returns the identities checked and the span's codimension.
-    The caller guarantees that the paths off ``paths`` span an ideal inside
-    the window, so the codimension is |paths| less the differences' rank.
-    A difference p - r is the pair (p, r) of ``paths`` (sorted by length),
-    p the longer, so a generator times it is a pair of ``_generator_rows``
-    entries; a generator times a difference with no term on its row is
-    zero, and is counted as checked without being examined.  A product is
-    in the span when a stored pair or with no term on ``paths`` (zero, or
-    a path off them); the others have their terms on ``paths`` reduced
-    against the differences' basis.
+def _certify_annihilator(module, closed, pairs, window: int, field=QQ) -> tuple[int, int, list]:
+    """The three checks of the module docstring, each raising
+    AssertionError, for W = ``closed`` (subpath-closed, sorted by length)
+    and the representation M that ``module`` builds from the
+    ``representation`` module.  M is formed along W, one product per
+    distinct matrix and arrow.  Returns the identities proved (one per
+    generator, side and difference whose leading path fits beside it), the
+    codimension, and M on each path of W: one object per distinct matrix,
+    its nonzero entries last.
     """
-    quiver = paths[0].quiver
-    generators = _generators(quiver)
-    index = {p: i for i, p in enumerate(paths)}
-    vectors = [(index[p], index[r]) for p, r in pairs]
-    # The differences by the position of their leading path and of the other.
-    by_lead, by_other = {}, {}
-    for k, (i, j) in enumerate(vectors):
-        by_lead.setdefault(i, []).append((k, j))
-        by_other.setdefault(j, []).append((k, i))
-    rows = _generator_rows(generators, paths, window)
-    stored = set(vectors)
-    reduce = None
+    from . import representation  # representation imports this module
 
-    def row(side, g):
-        # The products with the differences whose leading path, or only
-        # whose other path, is on the row, less the stored pairs and those
-        # with no term on ``paths``.
-        n, entries = rows[side, g]
-        get = entries.get
-        products = {k: t for x, e in entries.items() if x < n for k, j in by_lead.get(x, ())
-                    if (t := (e, get(j))) not in stored and (e.__class__ is int or t[1].__class__ is int)}
-        products.update((k, (None, e)) for x, e in entries.items() if e.__class__ is int
-                        for k, i in by_other.get(x, ()) if i < n and i not in entries)
-        return products
+    rep = module(representation)
+    quiver, on_w = rep.quiver, set(closed)
+    for g in _generators(quiver):
+        if g not in on_w and (any(map(any, rep.maps[g.arrows[0].label])) if g.length else rep.dims[g.vertex]):
+            raise AssertionError(f"{g} is off W but does not act by zero")
+    # A matrix is (source, target, nonzero entries), one object per value; each product is formed once.
+    zero, canonical, formed = (None, None, ()), {}, {}
 
-    def outside(products):
-        nonlocal reduce
-        if not products:
-            return None
-        if reduce is None:
-            reduce = reducer(rref([_difference(p, r, field) for p, r in pairs]))
-        bad = {t for t in set(products.values())
-               if not reduce(_difference(*(paths[x] if x.__class__ is int else None for x in t), field)).is_zero()}
-        return min((k for k, t in products.items() if t in bad), default=None)
+    def matrix_of(source, target, entries):
+        key = (source, target, tuple(sorted(entries.items()))) if entries else zero
+        return canonical.setdefault(key, key)
 
-    failure = check_ideal(vectors, generators, row, outside)
-    if failure is not None:
-        side, g, pair = failure
-        difference = CoalgElement(quiver, _difference(*pairs[vectors.index(pair)], field))
-        _raise_on_failure((side, CoalgElement.from_path(g, field), difference), "ideal")
-    # An identity per generator, side and difference whose leading path fits.
-    leads = sorted(i for i, _ in vectors)
-    checked = sum(bisect_left(leads, n) for n, _ in rows.values())
-    return checked, len(paths) - difference_rank(vectors)
+    def times(m, a):
+        if (id(m), a) not in formed:
+            acc = {}
+            for (i, k), c in m[2]:
+                for j, d in enumerate(rep.maps[a.label][k]):
+                    acc[i, j] = acc.get((i, j), 0) + c * d
+            formed[id(m), a] = matrix_of(m[0], a.target, {ij: x for ij, x in acc.items() if x})
+        return formed[id(m), a]
 
-
-def _raise_on_failure(failure, what: str) -> None:
-    if failure is not None:
-        side, generator, vector = failure
-        raise AssertionError(f"{side} product by generator {generator} takes {vector} out of the {what}")
+    # M on W; a path that no extension reaches keeps itself, equal to no matrix.
+    index = {p: i for i, p in enumerate(closed)}
+    steps, matrix = {p.arrows[0] for p in closed if p.length == 1}, list(closed)
+    for i, p in enumerate(closed):
+        if not p.length:
+            matrix[i] = matrix_of(p.vertex, p.vertex, {(j, j): field.one for j in range(rep.dims[p.vertex])})
+        for a in quiver.out_arrows(p.target) if p.length < window else ():
+            if a in steps:
+                if (k := index.get(longer := Path(quiver, None, p.arrows + (a,)))) is None:
+                    raise AssertionError(f"{longer} is off W but its arrows are on it")
+                matrix[k] = times(matrix[i], a)
+    positions = [(index[p], index[r]) for p, r in pairs]
+    for (i, j), (p, r) in zip(positions, pairs):
+        if matrix[i] is not matrix[j]:
+            raise AssertionError(f"M tells {p} from {r}, so their difference is not in Ann(M)")
+    basis = representation.annihilator_basis(rep, field)
+    codimension, longest = len(closed) - difference_rank(positions), max((b.length for b in basis), default=0)
+    if codimension != len(basis) or longest > window:
+        raise AssertionError(f"codimension {codimension} on W, Ann(M) {len(basis)} to length {longest}")
+    leads = [max(closed[i].length, closed[j].length) for i, j in positions]
+    identities = 2 * sum(len(quiver.vertices) * (n <= window) + len(quiver.arrows) * (n < window) for n in leads)
+    return identities, codimension, matrix
 
 
 def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> CounterexampleIdeal:
@@ -303,14 +246,13 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     With q[n,k] the winding path of length k from cycle vertex n, the ideal
     is spanned by the differences q[n,ks+i] - q[n,i] (k >= 1) together with
     every path off the winding paths W, which is built alone.  W is
-    certified closed under subpaths, so the paths off it span the monomial
-    ideal generated by the vertices and arrows off the cycle.  The whole is
-    certified an ideal inside the window by closure under the generators of
-    the path algebra: each difference times each vertex and each arrow, on
-    both sides, lies in the span.  A product longer than the window is
-    skipped; every factor of an in-window product of paths is in the window,
-    so this proves every product identity that stays inside it.  The window
-    must be at least the cycle length, or there are no differences.
+    certified closed under subpaths.  Inside the window the whole is
+    certified as Ann(M), M the cycle-quotient module (``cycle_module``), in
+    three steps: every vertex and arrow off W acts by zero; M_p = M_r on
+    every difference, M formed along W; and the differences' codimension on
+    W is dim span{M_p}.  So every product of a generator and a difference
+    that stays inside the window lies in the ideal.  The window must reach
+    the cycle length, or there are no differences.
     """
     cycle = find_simple_cycle(quiver)
     if cycle is None:
@@ -332,9 +274,8 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
                 raise AssertionError(f"subpath {part} of the winding path {p} is off the winding paths")
     pairs = [(q[(n, k * s + i)], q[(n, i)])
              for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
-    # The differences live on W and the monomial part off it, so the
-    # codimension is |W| less the rank of the differences.
-    identities, codimension = _check_difference_ideal(closed, pairs, max_len, field)
+    identities, codimension, _ = _certify_annihilator(
+        lambda rep: rep.cycle_module(quiver, field), closed, pairs, max_len, field)
     return CounterexampleIdeal(
         kind="cycle",
         quiver=quiver,
@@ -353,8 +294,9 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     """The parallel-arrow analogue: the span of the differences x_n - x_0.
 
     At stage N the ambient span is {a, b, x_0..x_N}; the difference span is
-    an ideal of codimension three there (closed under the vertices and
-    arrows on both sides), and no single arrow belongs to it.
+    the annihilator there of the representation with dimension one at a and
+    b and every arrow acting by one, an ideal of codimension three, and no
+    single arrow belongs to it, as none acts by zero.
     """
     if family.facts.finite_arrows:
         raise ValueError("expected the multiarrow family")
@@ -362,13 +304,13 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     arrows = [quiver.arrow_path(f"x{i}") for i in range(truncation + 1)]
     window = [quiver.vertex_path("a"), quiver.vertex_path("b")] + arrows
     pairs = [(p, arrows[0]) for p in arrows[1:]]
-    # Every product of a generator and an arrow has length at most two, and
-    # none has length two, so every product is zero or on the window.
-    identities, codim = _check_difference_ideal(window, pairs, 2, field)
-
-    gens = [_difference(p, r, field) for p, r in pairs]
-    for p in arrows:
-        if solve_membership(SparseVector.unit(p, field), gens) is not None:
+    # No path is longer than an arrow, so window two holds every product of
+    # a generator and an arrow.  M: dimension one at a and b, arrows by one.
+    ones = {a.label: ((field.one,),) for a in quiver.arrows}
+    identities, codim, matrix = _certify_annihilator(
+        lambda rep: rep.Representation(quiver, {"a": 1, "b": 1}, ones), window, pairs, 2, field)
+    for p, m in zip(window, matrix):
+        if p.length and not m[2]:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
     return CounterexampleIdeal(
         kind="multiarrow",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import endpoint_buckets, subpath_closure, winding_paths
+from .algebra import subpath_closure, winding_paths
 from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
@@ -352,6 +352,16 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
             raise AssertionError("coordinate functionals are not independent; bug")
         return RecoveryReport(True, dimension=dim, explanation="acyclic: dimensions match and the embedding is injective")
     return _cyclic_recovery_report(quiver, codim_bound, window, field)
+
+
+def endpoint_buckets(paths):
+    """The positions in ``paths`` of the paths that start at each vertex,
+    and of those that end at each vertex, each list increasing."""
+    starts, ends = {}, {}
+    for i, p in enumerate(paths):
+        starts.setdefault(p.source, []).append(i)
+        ends.setdefault(p.target, []).append(i)
+    return starts, ends
 
 
 def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> RecoveryReport:

@@ -3,12 +3,9 @@
 These deliberately avoid the library's own elimination and enumeration
 code: ranks come from a plain dense Gaussian elimination over Fraction
 lists, path sets from a direct recursion over the arrow table, matrix
-products and incidence convolutions from sums over every index, and the
-cycle counterexample's ideal property from every product of a difference
-with every winding path; its row-at-a-time closure check is checked
-against the loop that tests one identity at a time.  Sparse elimination
-is checked against the dict-row elimination in field scalars that
-``linalg`` used before its integer kernel, and ``subpath_closure``
+products and incidence convolutions from sums over every index.  Sparse
+elimination is checked against the dict-row elimination in field scalars
+that ``linalg`` used before its integer kernel, and ``subpath_closure``
 against the expansion of every path.  Convolution of functionals is
 checked against the sum over every split, poset canonical forms against
 the minimum over all n! relabelings, and the cycle counterexample's
@@ -19,9 +16,9 @@ which only tests need, are computed by the dict-row elimination.
 The integer law kernel and the integer validators of structured algebras
 and left modules are checked against their earlier versions, which sum
 field scalars; the order closure of posets against the fixpoint of
-all-pairs passes; and the bitmask search for a cyclic induced subquiver
-against building every induced subquiver.  The rep and algebra printers
-serve the text round-trip properties; the random base change is checked
+all-pairs passes; and the finiteness clauses of prop32 against building
+every induced subquiver.  The rep and algebra printers serve the text
+round-trip properties; the random base change is checked
 against products with elementary matrices, and the ``winding_multiple``
 rule against the predicate it replaced.  The largest ideal inside the
 kernel of a functional is checked against the loop that shrank the kernel
@@ -60,7 +57,6 @@ from quivercoalg.linalg import (
     mat_zero,
     reducer,
     rref,
-    solve_membership,
 )
 from quivercoalg.representation import LeftModule
 from quivercoalg.scalars import QQ
@@ -68,7 +64,6 @@ from quivercoalg.products import lattice_walks, walk_path
 from quivercoalg.quiver import (
     Path,
     enumerate_paths,
-    find_simple_cycle,
     has_composable_arrow_pair,
     has_multiple_edges,
     induced_subquiver,
@@ -171,99 +166,6 @@ def dense_convolve(poset, f, g, zero):
             if total:
                 out[(x, y)] = total
     return out
-
-
-def cycle_identity_oracle(quiver, window):
-    """The cubic identity check of the cycle counterexample, by brute force.
-
-    With q[n,k] the winding path of length k from cycle vertex n and the
-    differences d(n,k,i) = q[n,ks+i] - q[n,i], every product with every
-    winding path inside the window must follow the closed forms
-    d(n,k,i) q[m,j] = d(n,k,i+j) when m = n+i (mod s), else 0, and
-    q[m,j] d(n,k,i) = d(m,k,i+j) when m+j = n (mod s), else 0.
-    Products go through ``algebra.multiply`` at call time, so a patched
-    product is seen.  Returns the number of identities; raises
-    AssertionError at the first that fails.
-    """
-    cycle = find_simple_cycle(quiver)
-    s = len(cycle)
-    q = algebra.winding_paths(quiver, cycle, window)
-    winding = {key: CoalgElement.from_path(path) for key, path in q.items()}
-    differences = {
-        (n, k, i): winding[(n, k * s + i)] - winding[(n, i)]
-        for n in range(s)
-        for k in range(1, window + 1)
-        for i in range(window + 1)
-        if k * s + i <= window
-    }
-    zero = CoalgElement.zero(quiver)
-    checked = 0
-    for (n, k, i), element in differences.items():
-        for m in range(s):
-            for j in range(window + 1 - k * s - i):
-                right = winding[(m, j)]
-                expected = differences[(n, k, i + j)] if m % s == (n + i) % s else zero
-                if algebra.multiply(element, right) != expected:
-                    raise AssertionError(f"right identity fails at n={n},k={k},i={i},m={m},j={j}")
-                expected = differences[(m, k, i + j)] if (m + j) % s == n % s else zero
-                if algebra.multiply(right, element) != expected:
-                    raise AssertionError(f"left identity fails at n={n},k={k},i={i},m={m},j={j}")
-                checked += 2
-    return checked
-
-
-def per_identity_check_ideal(vectors, generators, product, contains):
-    """``algebra.check_ideal`` one identity at a time: ``product(x, y)``
-    per generator and vector on each side (None outside the window, which
-    is skipped) and ``contains`` per product.  Returns ``None`` or the
-    first failing ``(side, generator, vector)``, vectors outer, generators
-    inner, left before right."""
-    for v in vectors:
-        for g in generators:
-            left = product(g, v)
-            if left is not None and not contains(left):
-                return ("left", g, v)
-            right = product(v, g)
-            if right is not None and not contains(right):
-                return ("right", g, v)
-    return None
-
-
-def per_identity_difference_ideal(paths, pairs, window, field=QQ):
-    """``algebra._check_difference_ideal`` through ``per_identity_check_ideal``:
-    each generator times each difference is looked up in the generator
-    product table (so a patched ``algebra.compose_paths`` or
-    ``algebra._generator_rows`` is seen), a position the table leaves out
-    as zero, and tested alone.  Returns the identities checked and the
-    codimension |paths| less the rank of the differences, or raises the
-    same AssertionError at the same first failure."""
-    generators = algebra._generators(paths[0].quiver)
-    index = {p: i for i, p in enumerate(paths)}
-    vectors = [(index[p], index[r]) for p, r in pairs]
-    rows = algebra._generator_rows(generators, paths, window)
-    stored = set(vectors)
-    basis = [SparseVector({p: field.one, r: -field.one}) for p, r in pairs]
-    checked = 0
-
-    def product(x, y):
-        g, (i, j), side = (x, y, "left") if isinstance(y, tuple) else (y, x, "right")
-        n, entries = rows[side, g]
-        return (entries.get(i), entries.get(j)) if i < n else None
-
-    def contains(terms):
-        nonlocal checked
-        checked += 1
-        on_paths = [(paths[t], c) for t, c in zip(terms, (field.one, -field.one)) if isinstance(t, int)]
-        return terms in stored or not on_paths or solve_membership(SparseVector(on_paths), basis) is not None
-
-    failure = per_identity_check_ideal(vectors, generators, product, contains)
-    if failure is not None:
-        side, g, pair = failure
-        p, r = pairs[vectors.index(pair)]
-        difference = CoalgElement(paths[0].quiver, SparseVector({p: field.one, r: -field.one}))
-        raise AssertionError(f"{side} product by generator {CoalgElement.from_path(g, field)} "
-                             f"takes {difference} out of the ideal")
-    return checked, len(paths) - oracle_rank(basis, field)
 
 
 # ---------------------------------------------------------------------------

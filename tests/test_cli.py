@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import quivercoalg
 from quivercoalg import cli, quiver, suites
 from quivercoalg.cli import main
 from quivercoalg.corpus import named_quiver
-from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, Family, family_kinds
+from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, Family, Quiver, family_kinds
 from quivercoalg.textio import quiver_to_text
 
 LINE = """quiver
@@ -305,6 +306,18 @@ def test_suite_runs(capsys):
     status, out, _ = run(capsys, "suite", "prop32", "--seed", "7")
     assert status == 0
     assert "[PASS]" in out
+
+
+def test_prop32_check_on_a_long_line_takes_under_a_second(tmp_path, capsys):
+    # Both finiteness clauses come down to acyclicity: no walk over the
+    # 2^40 vertex subsets of this line.
+    line = Quiver([f"v{i}" for i in range(40)], [(f"x{i}", f"v{i}", f"v{i + 1}") for i in range(39)])
+    source = tmp_path / "line40.txt"
+    source.write_text(quiver_to_text(line))
+    start = time.process_time()
+    status, out, _ = run(capsys, "check", "prop32", str(source), "--json")
+    assert time.process_time() - start < 1
+    assert status == 0 and json.loads(out)["shared_value"] is True
 
 
 def test_counterexample_verbs(capsys):

@@ -8,7 +8,6 @@ from quivercoalg.quiver import (
     FAMILIES,
     VERDICT_STATUSES,
     Path,
-    _first_cyclic_subset,
     Quiver,
     Family,
     Verdict,
@@ -199,8 +198,9 @@ def test_recovery_clause_agreement_examples():
 )
 def test_cyclic_subset_search_matches_building_every_induced_subquiver(quivers):
     for quiver in quivers():
-        assert _first_cyclic_subset(quiver) == first_cyclic_induced_subquiver(quiver), quiver
-        check_recovery_clause_equivalence(quiver)  # raises on disagreement
+        # Clause two read off every induced subquiver, against the verdict.
+        clause_two = first_cyclic_induced_subquiver(quiver) is None
+        assert bool(check_recovery_clause_equivalence(quiver)) == clause_two, quiver
 
 
 def test_recovery_clause_agreement_on_corpus():
