@@ -129,6 +129,12 @@ class SparseVector:
 # Columns ranked at or after ``main`` carry bookkeeping coefficients and are
 # never leads.  Field scalars appear only at the boundary.
 #
+# Over QQ a pivot step cancels only gcd(a, b) of the two leads; a row's
+# content is divided out once, when its reduction ends.  rref feeds its rows
+# largest lead first, so back-substitution has little left to clear.  Each
+# label gets one sort key (paths one length at a time, to bound the keys
+# alive), and each distinct output value one scalar object.
+#
 # rank, kernel_of_map and solve_membership peel before they eliminate.  A
 # row that alone holds some label (with a nonzero entry) has coefficient 0
 # in every relation among the rows, so it adds one to the rank, its domain
@@ -141,12 +147,16 @@ class SparseVector:
 
 
 def _rank_labels(labels) -> dict:
-    """Label -> rank in ``label_sort_key`` order.  Labels are bucketed by a
-    coarse key (the type tag, then the length for paths) and sorted bucket by
-    bucket, so only one bucket's full keys are alive at a time."""
+    """Label -> rank in ``label_sort_key`` order, one sort key per label.
+    Plain ints sort as themselves.  Paths (whose class has ``sort_key``) sort
+    one length at a time, after the ints and before the other labels."""
+    labels = list(labels)
+    if all(type(label) is int for label in labels):
+        return {label: rank for rank, label in enumerate(sorted(labels))}
     buckets: dict = {}
     for label in labels:
-        buckets.setdefault(label_sort_key(label)[:2], []).append(label)
+        coarse = label.length if hasattr(type(label), "sort_key") else -1 if isinstance(label, int) else inf
+        buckets.setdefault(coarse, []).append(label)
     ordered = (label for coarse in sorted(buckets) for label in sorted(buckets[coarse], key=label_sort_key))
     return {label: rank for rank, label in enumerate(ordered)}
 
@@ -167,8 +177,11 @@ def _integers(entries: dict, p: int):
     denominator, over GF(p) the nonzero residues mod p with scale 1."""
     if p:
         for c in entries.values():
-            if isinstance(c, ModP) and c.p != p:
-                raise FieldError(f"mixed moduli {min(p, c.p)} and {max(p, c.p)}")
+            if isinstance(c, ModP):
+                if c.p != p:
+                    raise FieldError(f"mixed moduli {min(p, c.p)} and {max(p, c.p)}")
+            elif not c.denominator % p:
+                raise FieldError(f"rational {c} has no residue mod {p}")
         return 1, {k: r for k, c in entries.items()
                    if (r := c.value if isinstance(c, ModP) else c.numerator * pow(c.denominator, -1, p) % p)}
     scale = lcm(*[c.denominator for c in entries.values()])
@@ -245,7 +258,8 @@ def _primitive(row: dict) -> dict:
 def _reduce(row: dict, pivots: dict, p: int) -> dict:
     """Clear every pivot lead from the row, smallest first, in place.  A pivot
     row holds no column below its lead, so the cleared lead grows strictly
-    and the leads a step brings in are queued as they appear."""
+    and the leads a step brings in are queued as they appear.  Over QQ the
+    row is made primitive once, at the end."""
     todo = [k for k in row if k in pivots]
     heapify(todo)
     while todo:
@@ -271,9 +285,7 @@ def _reduce(row: dict, pivots: dict, p: int) -> dict:
                 row[k] = t
             else:
                 del row[k]
-        if not p:
-            _primitive(row)
-    return row
+    return row if p else _primitive(row)
 
 
 def _add_pivot(row: dict, pivots: dict, p: int, main=inf) -> bool:
@@ -301,15 +313,18 @@ def _echelon(rows, p: int, main: int):
 
 def _reduced_rows(pivots: dict, p: int, labels: list, offset: int = 0) -> list[SparseVector]:
     """Back-substitute echelon pivots, largest lead first, and return the
-    rows divided by their leads as field-valued vectors in lead order."""
+    rows divided by their leads as field-valued vectors in lead order, with
+    one (immutable) scalar per distinct (entry, lead) pair."""
     leads = sorted(pivots)
     for lead in reversed(leads):
         pivots[lead] = _reduce(pivots.pop(lead), pivots, p)
+    scalars = {(c, d): ModP(p, c) if p else Fraction(c, d)
+               for c, d in {(c, row[lead]) for lead, row in pivots.items() for c in row.values()}}
     basis = []
     for lead in leads:
         row = pivots[lead]
         vec = SparseVector()
-        vec.entries = {labels[k - offset]: ModP(p, c) if p else Fraction(c, row[lead]) for k, c in row.items()}
+        vec.entries = {labels[k - offset]: scalars[c, row[lead]] for k, c in row.items()}
         basis.append(vec)
     return basis
 
@@ -318,19 +333,24 @@ def rref(vectors) -> list[SparseVector]:
     """Canonical reduced basis of the span of the given vectors.
 
     The result depends only on the span, not on the generating set: pivots
-    are chosen along the fixed label order.  Rows are reduced to echelon
-    form first and back-substituted once at the end, in decreasing lead
-    order, so each row is cleared only of leads that are already final.
+    are chosen along the fixed label order.  Rows enter the echelon largest
+    lead first and are back-substituted once at the end, in decreasing
+    lead order, so each row is cleared only of leads that are already final.
     """
     p, converted = _converted(list(vectors))
     ranks, rows = _rows(p, list(enumerate(converted)))
+    rows.sort(key=lambda row: min(row, default=-1), reverse=True)
     return _reduced_rows(_echelon(rows, p, len(ranks))[0], p, list(ranks))
 
 
 def rank(vectors) -> int:
     """Dimension of the span: each peeled vector counts one, and the
     nonzero vectors left count their pivots."""
-    p, converted = _converted(list(vectors))
+    return _integer_rank(*_converted(list(vectors)))
+
+
+def _integer_rank(p: int, converted) -> int:
+    """``rank`` of ``(scale, ints)`` pairs, residues mod p when p."""
     left = _peel(converted)
     ranks, rows = _rows(p, left)
     return len(converted) - len(left) + len(_echelon(rows, p, len(ranks))[0])

@@ -19,18 +19,18 @@ from .finite_dual import DualCoalgebra, StructuredAlgebra
 from .linalg import (
     Echelon,
     SparseVector,
+    _integer_rank,
     integer_matrices,
     mat_eq,
     mat_identity,
     mat_is_zero,
     mat_mul,
     mat_zero,
-    rank,
     rref,
     vec_mat,
 )
 from .quiver import Family, Path, Quiver, Verdict, find_simple_cycle
-from .scalars import QQ, ModP
+from .scalars import QQ
 
 
 @dataclass
@@ -224,8 +224,9 @@ def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
     arrow's matrix is converted once to an integer sparse block {row:
     {column: n}} in the coordinates of the total space (over the rationals,
     up to a nonzero scale, which keeps every span).  Both claims are
-    re-checked by exact ``rank``: B is independent, and the idempotents and
-    every product lie in its span.  Raises AssertionError otherwise.
+    re-checked by an exact rank of those integer rows: B is independent,
+    and the idempotents and every product lie in its span.  Raises
+    AssertionError otherwise.
     """
     quiver = rep.quiver
     offsets, total = {}, 0
@@ -238,7 +239,7 @@ def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
 
     def admit(matrix) -> bool:
         row = {r * total + c: n for r, cols in matrix.items() for c, n in cols.items()}
-        formed.append(row)
+        formed.append((1, row))
         return echelon.admit(row)
 
     for v in quiver.vertices:
@@ -251,8 +252,7 @@ def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
             product = _block_product(matrix, blocks[a.label], p)
             if admit(product):
                 basis.append((Path(quiver, None, path.arrows + (a,)), product, len(formed) - 1))
-    vectors = [SparseVector({k: ModP(p, n) for k, n in row.items()} if p else row) for row in formed]
-    if rank([vectors[k] for *_, k in basis]) != len(basis) or rank(vectors) != len(basis):
+    if _integer_rank(p, [formed[k] for *_, k in basis]) != len(basis) or _integer_rank(p, formed) != len(basis):
         raise AssertionError("the Krylov basis does not span the path matrices; bug")
     return [path for path, *_ in basis]
 

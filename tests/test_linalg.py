@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quivercoalg import linalg
+from quivercoalg.coalgebra import check_coalgebra
 from quivercoalg.linalg import (
     SparseVector,
     codimension_of_span,
@@ -36,6 +38,7 @@ from helpers import (
     oracle_solve_membership,
     sparse_rows_to_dense,
 )
+from test_work_counts import benchmark_system
 
 FIELDS = st.sampled_from([QQ, PrimeField(5)])
 
@@ -467,6 +470,58 @@ def test_mixed_moduli_raise_field_error():
         kernel_of_map(["a"], lambda label: rows[0], PrimeField(7))
 
 
+def test_rationals_without_a_residue_raise_field_error():
+    # Over GF(5), 1/5 has no value: its denominator is 0 mod 5.
+    rows = [SparseVector({"a": GF5.one}), SparseVector({"b": Fraction(1, 5)})]
+    delta = {"g": SparseVector({("g", "g"): GF5.one, ("g", "h"): Fraction(1, 5)})}
+    for call in (lambda: rref(rows), lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__),
+                 lambda: solve_membership(rows[0], rows[1:]),
+                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": GF5.one}.__getitem__)):
+        with pytest.raises(FieldError, match="rational 1/5 has no residue mod 5"):
+            call()
+
+
+def test_rref_accepts_empty_and_repeated_rows():
+    for field in (QQ, GF5):
+        rows = [SparseVector(), SparseVector({"a": field.one, "b": field.of(2)}), SparseVector(),
+                SparseVector({"a": field.one, "b": field.of(2)}), SparseVector({"b": field.of(4), "c": field.of(2)}),
+                SparseVector({"a": field.of(2), "b": field.of(4)}), SparseVector()]
+        assert typed(rref(rows)) == typed(oracle_rref(rows, field))
+        assert len(rref(rows)) == rank(rows) == 2
+    assert rref([SparseVector()] * 3) == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_benchmark_systems_match_the_oracles(n, field):
+    rows = benchmark_system(n, field, random.Random(-n))
+    # Every row of such a system is peeled; sums of row pairs stop that, so
+    # rank and kernel_of_map also eliminate and the kernel is not empty.
+    pairs = random.Random(n)
+    summed = rows + [rows[i] + rows[j] for i, j in (pairs.sample(range(n), 2) for _ in range(n // 5))]
+    for system in (rows, summed):
+        assert typed(rref(system)) == typed(oracle_rref(system, field))
+        assert rank(system) == oracle_rank(system, field)
+        domain = range(len(system))
+        assert typed(kernel_of_map(domain, system.__getitem__)) == typed(
+            oracle_kernel_of_map(domain, system.__getitem__, field))
+
+
+_INTS = st.integers(-9, 9)
+_PAIRS = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]))
+_LABELS = st.one_of(_INTS, st.booleans(), st.sampled_from(["a", "b", "ab", "10"]), _PAIRS,
+                    st.sampled_from(enumerate_paths(named_quiver("two_loops"), 3).paths))
+
+
+@given(st.sets(_LABELS, max_size=12) | st.sets(_INTS | _PAIRS))
+def test_rank_labels_ranks_in_label_sort_key_order(labels):
+    # Mixed sets: ints of both signs (and bools, which are not plain ints),
+    # strings, tuples of strings and paths of lengths 0 to 3; the second
+    # strategy mixes ints with tuples alone.
+    expected = {label: rank for rank, label in enumerate(sorted(labels, key=label_sort_key))}
+    assert linalg._rank_labels(labels) == expected
+
+
 # ---------------------------------------------------------------------------
 # Peeling.  rank, kernel_of_map and solve_membership drop a row that alone
 # holds a label before they eliminate.  These inputs make it work: stairs
@@ -547,10 +602,10 @@ def test_peeling_reads_entries_after_conversion():
 
 def test_bad_scalars_raise_in_rows_that_peeling_would_drop():
     # x alone would peel the first row, but every scalar is read first.
-    for bad, error, message in ((Fraction(1, 5), ValueError, "not invertible"),
-                                (PrimeField(7).one, FieldError, "mixed moduli 5 and 7")):
+    for bad, message in ((Fraction(1, 5), "rational 1/5 has no residue mod 5"),
+                         (PrimeField(7).one, "mixed moduli 5 and 7")):
         rows = [SparseVector({"x": bad, "a": Fraction(1)}), SparseVector({"a": GF5.one})]
         for call in (lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__, GF5),
                      lambda: solve_membership(rows[1], rows[:1])):
-            with pytest.raises(error, match=message):
+            with pytest.raises(FieldError, match=message):
                 call()

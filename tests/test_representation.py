@@ -257,6 +257,26 @@ def test_the_rank_recheck_sees_a_basis_that_lacks_one_member(monkeypatch, droppe
         annihilator_basis(cycle_module(TAILS))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("dropped", [0, 4, 8])
+def test_the_rank_recheck_sees_a_member_swapped_for_a_dependent_one(monkeypatch, field, dropped):
+    # One member leaves the basis (the echelon keeps its row) and the first
+    # product the echelon rejects joins it: the basis keeps its size and
+    # every product stays in its span, but it is not independent.
+    exact, admitted, rejected = linalg.Echelon.admit, [], []
+
+    def swapping(self, row):
+        if exact(self, row):
+            admitted.append(row)
+            return len(admitted) != dropped + 1
+        rejected.append(row)
+        return len(rejected) == 1
+
+    monkeypatch.setattr(linalg.Echelon, "admit", swapping)
+    with pytest.raises(AssertionError, match="the Krylov basis does not span the path matrices"):
+        annihilator_basis(cycle_module(TAILS, field), field)
+
+
 def test_comodule_one_dimensional():
     one_ = QQ.one
     from quivercoalg.finite_dual import StructuredAlgebra

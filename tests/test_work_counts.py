@@ -94,13 +94,22 @@ def test_walk_embedding_builds_each_shape_once_per_product(monkeypatch):
     assert max(builds.values()) == 1 and sum(builds.values()) == 521
 
 
+def benchmark_system(n, field=QQ, signs=None):
+    """The 6-sparse n x 3n system of the finite-dual benchmark: the pattern
+    and the magnitudes (1 to 3) drawn from random.Random(n), each row's sign
+    from the generator ``signs``, or + without one."""
+    shape, rows = random.Random(n), []
+    for _ in range(n):
+        columns, sign = shape.sample(range(3 * n), 6), signs.choice((-1, 1)) if signs else 1
+        rows.append(linalg.SparseVector({c: field.of(sign * shape.randint(1, 3)) for c in columns}))
+    return rows
+
+
 def test_peeled_systems_reach_no_elimination(monkeypatch):
     # The 6-sparse 100 x 300 system of the finite-dual benchmark: every row
     # is peeled (it alone holds a column once the rows peeled before it are
     # gone), so neither call hands a row to the elimination.
-    shape = random.Random(100)
-    rows = [linalg.SparseVector({c: QQ.of(shape.randint(1, 3)) for c in shape.sample(range(300), 6)})
-            for _ in range(100)]
+    rows = benchmark_system(100)
     handed = Counter()
     exact = linalg._echelon
 
@@ -113,6 +122,21 @@ def test_peeled_systems_reach_no_elimination(monkeypatch):
     assert linalg.rank(rows) == 100
     assert linalg.kernel_of_map(range(100), rows.__getitem__) == []
     assert handed == {"rows": 0}
+
+
+def test_rref_divides_out_the_content_once_per_reduction(monkeypatch):
+    # rref on the 100 x 300 system makes each input row primitive once and
+    # each reduced row once, when its reduction ends: 100 reductions as rows
+    # enter the echelon and 100 in back-substitution.  Each of the 232 pivot
+    # steps cancels gcd(a, b) of its two leads.  Rows enter largest lead
+    # first; fed in input order, they take 379 steps.
+    rows = benchmark_system(100)
+    calls = Counter()
+    for name in ("_primitive", "_reduce", "gcd"):
+        _count_calls(monkeypatch, calls, linalg, name)
+    assert len(linalg.rref(rows)) == 100
+    assert calls["_primitive"] == len(rows) + calls["_reduce"]
+    assert calls == {"_primitive": 300, "_reduce": 200, "gcd": 300 + 232}
 
 
 # A 3-cycle with a tail leaving each of two of its vertices.
