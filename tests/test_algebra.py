@@ -407,6 +407,20 @@ def test_counterexample_certificate_sees_a_perturbed_cycle_arrow(monkeypatch, qu
         build_cycle_counterexample(quiver, 2 * len(find_simple_cycle(quiver)) + 1)
 
 
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(2)], ids=["half", "twice"])
+@pytest.mark.parametrize("quiver", [Family("cycle", s).truncate(0) for s in (1, 2, 3)] + [_TAIL, _cycle_with_two_tails()],
+                         ids=["cycle1", "cycle2", "cycle3", "tail", "cycle3-tails"])
+def test_counterexample_certificate_sees_a_scaled_cycle_arrow(monkeypatch, quiver, factor):
+    # The first cycle arrow acts by factor·I: a full turn then acts by
+    # factor·I, not by I.  An integer form of (1/2)·I is I up to the scale
+    # 2, so a comparison that drops the scale would pass it.
+    arrow = find_simple_cycle(quiver)[0].label
+    _mutated_certificate(monkeypatch, module=lambda rep: _with_map(
+        rep, arrow, tuple(tuple(factor * x for x in row) for row in rep.maps[arrow])))
+    with pytest.raises(AssertionError, match="so their difference is not in Ann"):
+        build_cycle_counterexample(quiver, 2 * len(find_simple_cycle(quiver)) + 1)
+
+
 def test_counterexample_certificate_sees_a_map_off_the_winding_paths(monkeypatch):
     # The tail vertex t0 given a dimension and the tail arrow s a nonzero
     # map, and the second loop y of two loops acting by one: both are off W.
