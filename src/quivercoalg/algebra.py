@@ -186,55 +186,38 @@ def _certify_annihilator(module, closed, pairs, window: int, field=QQ) -> tuple[
     """The three checks of the module docstring, each raising
     AssertionError, for W = ``closed`` (subpath-closed, sorted by length)
     and the representation M that ``module`` builds from the
-    ``representation`` module.  M is formed along W, one product per
-    distinct matrix and arrow.  Returns the identities proved (one per
-    generator, side and difference whose leading path fits beside it), the
-    codimension, and M on each path of W: one object per distinct matrix,
-    its nonzero entries last.
-    """
+    ``representation`` module.  One ``PathAction`` of M forms M along W
+    and the path basis of span{M_p}.  Returns the identities proved (one
+    per generator, side and difference whose leading path fits beside it),
+    the codimension, and M on each path of W: one object per distinct
+    matrix, its nonzero entries last."""
     from . import representation  # representation imports this module
 
-    rep = module(representation)
+    action = representation.PathAction(rep := module(representation), field)
     quiver, on_w = rep.quiver, set(closed)
     for g in _generators(quiver):
-        if g not in on_w and (any(map(any, rep.maps[g.arrows[0].label])) if g.length else rep.dims[g.vertex]):
+        if g not in on_w and (action.arrows[g.arrows[0].label][1] if g.length else rep.dims[g.vertex]):
             raise AssertionError(f"{g} is off W but does not act by zero")
-    # A matrix is (source, target, nonzero entries), one object per value; each product is formed once.
-    zero, canonical, formed = (None, None, ()), {}, {}
-
-    def matrix_of(source, target, entries):
-        key = (source, target, tuple(sorted(entries.items()))) if entries else zero
-        return canonical.setdefault(key, key)
-
-    def times(m, a):
-        if (id(m), a) not in formed:
-            acc = {}
-            for (i, k), c in m[2]:
-                for j, d in enumerate(rep.maps[a.label][k]):
-                    acc[i, j] = acc.get((i, j), 0) + c * d
-            formed[id(m), a] = matrix_of(m[0], a.target, {ij: x for ij, x in acc.items() if x})
-        return formed[id(m), a]
-
     # M on W; a path that no extension reaches keeps itself, equal to no matrix.
-    index = {p: i for i, p in enumerate(closed)}
-    steps, matrix = {p.arrows[0] for p in closed if p.length == 1}, list(closed)
+    index, lengths = {p: i for i, p in enumerate(closed)}, [p.length for p in closed]
+    steps, matrix = {p.arrows[0] for p, n in zip(closed, lengths) if n == 1}, list(closed)
     for i, p in enumerate(closed):
-        if not p.length:
-            matrix[i] = matrix_of(p.vertex, p.vertex, {(j, j): field.one for j in range(rep.dims[p.vertex])})
-        for a in quiver.out_arrows(p.target) if p.length < window else ():
+        if not lengths[i]:
+            matrix[i] = action.vertices[p.vertex]
+        for a in quiver.out_arrows(p.target) if lengths[i] < window else ():
             if a in steps:
                 if (k := index.get(longer := Path(quiver, None, p.arrows + (a,)))) is None:
                     raise AssertionError(f"{longer} is off W but its arrows are on it")
-                matrix[k] = times(matrix[i], a)
+                matrix[k] = action.times(matrix[i], a.label)
     positions = [(index[p], index[r]) for p, r in pairs]
     for (i, j), (p, r) in zip(positions, pairs):
         if matrix[i] is not matrix[j]:
             raise AssertionError(f"M tells {p} from {r}, so their difference is not in Ann(M)")
-    basis = representation.annihilator_basis(rep, field)
+    basis = action.basis()
     codimension, longest = len(closed) - difference_rank(positions), max((b.length for b in basis), default=0)
     if codimension != len(basis) or longest > window:
         raise AssertionError(f"codimension {codimension} on W, Ann(M) {len(basis)} to length {longest}")
-    leads = [max(closed[i].length, closed[j].length) for i, j in positions]
+    leads = [max(lengths[i], lengths[j]) for i, j in positions]
     identities = 2 * sum(len(quiver.vertices) * (n <= window) + len(quiver.arrows) * (n < window) for n in leads)
     return identities, codimension, matrix
 
@@ -310,7 +293,7 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     identities, codim, matrix = _certify_annihilator(
         lambda rep: rep.Representation(quiver, {"a": 1, "b": 1}, ones), window, pairs, 2, field)
     for p, m in zip(window, matrix):
-        if p.length and not m[2]:
+        if p.length and not m[-1]:
             raise AssertionError(f"arrow {p} unexpectedly lies in the ideal")
     return CounterexampleIdeal(
         kind="multiarrow",

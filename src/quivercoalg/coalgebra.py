@@ -14,13 +14,14 @@ from math import lcm
 from .linalg import (
     SparseVector,
     _integers,
+    _modulus,
     _nonzero,
     kernel_of_map,
     reducer,
     rref,
 )
 from .quiver import Path, Quiver, enumerate_paths
-from .scalars import QQ, ModP
+from .scalars import QQ
 
 
 class CoalgElement:
@@ -158,19 +159,19 @@ class _IntegerTables:
     """The tables of one kernel call as integers: each field row or scalar
     is converted by ``linalg._integers`` on first use, an integer row is
     taken as it is, and either is kept for the call.  ``p`` is the modulus
-    of the residues met so far, 0 for rationals."""
+    of the residues met so far, 0 for rationals; the rational rows read
+    before the first residue must have residues too."""
 
     def __init__(self):
-        self.p = 0
+        self.p, self._rational = 0, []
 
     def _convert(self, entries: dict):
-        # A row's scalars share one field, so the first scalar met tells
-        # residues from rationals; ``_integers`` refuses a second modulus.
-        if not self.p:
-            for c in entries.values():
-                if isinstance(c, ModP):
-                    self.p = c.p
-                break
+        if not self.p and (p := _modulus(entries.values())):
+            self.p = p
+            for rational in self._rational:
+                _integers(rational, p)
+        elif not self.p:
+            self._rational.append(entries)
         return _integers(entries, self.p)
 
     def rows(self, table):

@@ -346,11 +346,7 @@ def rref(vectors) -> list[SparseVector]:
 def rank(vectors) -> int:
     """Dimension of the span: each peeled vector counts one, and the
     nonzero vectors left count their pivots."""
-    return _integer_rank(*_converted(list(vectors)))
-
-
-def _integer_rank(p: int, converted) -> int:
-    """``rank`` of ``(scale, ints)`` pairs, residues mod p when p."""
+    p, converted = _converted(list(vectors))
     left = _peel(converted)
     ranks, rows = _rows(p, left)
     return len(converted) - len(left) + len(_echelon(rows, p, len(ranks))[0])
@@ -358,18 +354,12 @@ def _integer_rank(p: int, converted) -> int:
 
 def integer_matrices(matrices, field=None) -> tuple[int, list]:
     """The modulus of the scalars' field (0 for the rationals, p for GF(p))
-    and each matrix as integer sparse rows {row: {column: n}}: numerators
-    over the least common denominator of that matrix, or residues mod p.
-    Each is its matrix up to a nonzero scale, so spans are kept."""
+    and each matrix as ``(scale, {(row, column): n})``, the matrix being
+    the integers over the scale: numerators over the least common
+    denominator of that matrix, or residues mod p with scale 1."""
     entries = [{(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c} for m in matrices]
     p = _modulus((c for e in entries for c in e.values()), field)
-    converted = []
-    for e in entries:
-        rows = {}
-        for (i, j), n in _integers(e, p)[1].items():
-            rows.setdefault(i, {})[j] = n
-        converted.append(rows)
-    return p, converted
+    return p, [_integers(e, p) for e in entries]
 
 
 class Echelon:

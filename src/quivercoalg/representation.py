@@ -11,6 +11,8 @@ V_{t(a)}, so path composition is plain left-to-right matrix multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd
 from typing import Optional
 
 from .algebra import subpath_closure
@@ -19,7 +21,7 @@ from .finite_dual import DualCoalgebra, StructuredAlgebra
 from .linalg import (
     Echelon,
     SparseVector,
-    _integer_rank,
+    _add_pivot,
     integer_matrices,
     mat_eq,
     mat_identity,
@@ -220,41 +222,65 @@ def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
 
     Every path is a vertex followed by arrows, so the closure of the vertex
     idempotents under right multiplication by the arrows that leave t(b)
-    spans every M_p; a product joins B when it is independent of B.  Each
-    arrow's matrix is converted once to an integer sparse block {row:
-    {column: n}} in the coordinates of the total space (over the rationals,
-    up to a nonzero scale, which keeps every span).  Both claims are
-    re-checked by an exact rank of those integer rows: B is independent,
-    and the idempotents and every product lie in its span.  Raises
-    AssertionError otherwise.
+    spans every M_p; a product joins B when it is independent of B.  One
+    exact elimination of the ``PathAction`` rows (nonzero multiples of the
+    matrices, so spans are kept) re-checks both claims: the rows of B all
+    become pivots, and no other matrix formed does; else AssertionError.
     """
-    quiver = rep.quiver
-    offsets, total = {}, 0
-    for v in quiver.vertices:
-        offsets[v], total = total, total + rep.dims[v]
-    p, converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
-    blocks = {a.label: {offsets[a.source] + i: {offsets[a.target] + j: n for j, n in cols.items()}
-                        for i, cols in m.items()} for a, m in zip(quiver.arrows, converted)}
-    basis, formed, echelon = [], [], Echelon(p)
+    return PathAction(rep, field).basis()
 
-    def admit(matrix) -> bool:
-        row = {r * total + c: n for r, cols in matrix.items() for c, n in cols.items()}
-        formed.append((1, row))
-        return echelon.admit(row)
 
-    for v in quiver.vertices:
-        idempotent = {offsets[v] + i: {offsets[v] + i: 1} for i in range(rep.dims[v])}
-        if admit(idempotent):
-            basis.append((quiver.vertex_path(v), idempotent, len(formed) - 1))
-    # B grows while it is walked, so each member is extended once.
-    for path, matrix, _ in basis:
-        for a in quiver.out_arrows(path.target):
-            product = _block_product(matrix, blocks[a.label], p)
-            if admit(product):
-                basis.append((Path(quiver, None, path.arrows + (a,)), product, len(formed) - 1))
-    if _integer_rank(p, [formed[k] for *_, k in basis]) != len(basis) or _integer_rank(p, formed) != len(basis):
-        raise AssertionError("the Krylov basis does not span the path matrices; bug")
-    return [path for path, *_ in basis]
+class PathAction:
+    """The integer path-action kernel of a representation.  Each arrow's
+    matrix is converted once, to block / scale (scale 1 over GF(p)) with
+    block integer rows {row: {column: n}} in total-space coordinates.  A
+    path matrix is one object per value, ``(scale, block, row)`` in lowest
+    terms, row the block flattened to {row * total + column: n}: M_p = M_r,
+    scale included, exactly when the objects are the same.  ``times`` forms
+    one product per distinct matrix and arrow."""
+
+    def __init__(self, rep: Representation, field=QQ):
+        self.quiver = quiver = rep.quiver
+        offsets = dict(zip(quiver.vertices, accumulate([rep.dims[v] for v in quiver.vertices], initial=0)))
+        self.p, converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
+        self.arrows = {}
+        for a, (scale, ints) in zip(quiver.arrows, converted):
+            self.arrows[a.label] = scale, (block := {})
+            for (i, j), n in ints.items():
+                block.setdefault(offsets[a.source] + i, {})[offsets[a.target] + j] = n
+        self._total, self._canonical, self._formed = rep.total_dimension(), {}, {}
+        self.vertices = {v: self._matrix(1, {offsets[v] + i: {offsets[v] + i: 1} for i in range(rep.dims[v])})
+                         for v in quiver.vertices}
+
+    def _matrix(self, scale: int, block: dict) -> tuple:
+        if scale != 1 and (g := gcd(scale, *[n for cols in block.values() for n in cols.values()])) > 1:
+            scale, block = scale // g, {r: {c: n // g for c, n in cols.items()} for r, cols in block.items()}
+        row = {r * self._total + c: n for r, cols in block.items() for c, n in cols.items()}
+        return self._canonical.setdefault((scale, frozenset(row.items())), (scale, block, row))
+
+    def times(self, matrix: tuple, label: str) -> tuple:
+        """The path matrix ``matrix`` times the arrow ``label``."""
+        if (key := (id(matrix), label)) not in self._formed:
+            scale, block = self.arrows[label]
+            self._formed[key] = self._matrix(matrix[0] * scale, _block_product(matrix[1], block, self.p))
+        return self._formed[key]
+
+    def basis(self) -> list[Path]:
+        """``annihilator_basis`` of the representation."""
+        quiver, echelon, basis = self.quiver, Echelon(self.p), []
+        for v in quiver.vertices:
+            if echelon.admit((matrix := self.vertices[v])[2]):
+                basis.append((quiver.vertex_path(v), matrix))
+        # B grows while it is walked, so each member is extended once.
+        for path, matrix in basis:
+            for a in quiver.out_arrows(path.target):
+                if echelon.admit((product := self.times(matrix, a.label))[2]):
+                    basis.append((Path(quiver, None, path.arrows + (a,)), product))
+        pivots, members = {}, {id(matrix) for _, matrix in basis}
+        if (not all(_add_pivot(dict(matrix[2]), pivots, self.p) for _, matrix in basis)
+                or any(_add_pivot(dict(m[2]), pivots, self.p) for m in self._canonical.values() if id(m) not in members)):
+            raise AssertionError("the Krylov basis does not span the path matrices; bug")
+        return [path for path, _ in basis]
 
 
 def _block_product(left: dict, right: dict, p: int) -> dict:

@@ -25,12 +25,14 @@ from quivercoalg.corpus import (
     acyclic_corpus,
     cyclic_corpus,
     enumerate_small_quivers,
+    finite_corpus,
     named_quiver,
     random_element,
     random_quiver,
 )
 from quivercoalg.linalg import SparseVector, solve_membership
 from quivercoalg.quiver import Family, Path, Quiver, enumerate_paths, family_from_token, find_simple_cycle
+from quivercoalg.representation import PathAction, Representation, annihilator_basis, cycle_module
 from quivercoalg.scalars import QQ, PrimeField
 
 from helpers import (
@@ -497,6 +499,113 @@ def test_multiarrow_counterexample_reads_that_no_arrow_acts_by_zero(monkeypatch)
     monkeypatch.setattr(algebra, "_certify_annihilator", zeroing)
     with pytest.raises(AssertionError, match=re.escape("arrow x1 unexpectedly lies in the ideal")):
         build_multiarrow_counterexample(Family("multiarrow"), 3)
+
+
+def field_path_action(rep, field):
+    """Path matrices of a representation in field scalars, as the
+    counterexample certificate once formed them: (source, target, nonzero
+    entries sorted), one object per value and every zero matrix one.
+    Returns the vertex matrix and ``times(m, arrow)``, which forms one
+    product per distinct matrix and arrow."""
+    zero, canonical, formed = (None, None, ()), {}, {}
+
+    def matrix_of(source, target, entries):
+        key = (source, target, tuple(sorted(entries.items()))) if entries else zero
+        return canonical.setdefault(key, key)
+
+    def vertex(v):
+        return matrix_of(v, v, {(j, j): field.one for j in range(rep.dims[v])})
+
+    def times(m, a):
+        if (id(m), a) not in formed:
+            acc = {}
+            for (i, k), c in m[2]:
+                for j, d in enumerate(rep.maps[a.label][k]):
+                    acc[i, j] = acc.get((i, j), 0) + c * d
+            formed[id(m), a] = matrix_of(m[0], a.target, {ij: x for ij, x in acc.items() if x})
+        return formed[id(m), a]
+
+    return vertex, times
+
+
+def field_annihilator_basis(rep, field):
+    """The Krylov walk of ``annihilator_basis`` on the field path matrices:
+    a product joins the basis when the oracle rank grows."""
+    vertex, times = field_path_action(rep, field)
+    quiver, basis, rows = rep.quiver, [], []
+
+    def admit(m):
+        row = SparseVector({(m[0], i, m[1], j): x for (i, j), x in m[2]})
+        if oracle_rank(rows + [row], field) == len(rows):
+            return False
+        rows.append(row)
+        return True
+
+    for v in quiver.vertices:
+        if admit(m := vertex(v)):
+            basis.append((quiver.vertex_path(v), m))
+    for path, m in basis:
+        for a in quiver.out_arrows(path.target):
+            if admit(product := times(m, a)):
+                basis.append((Path(quiver, None, path.arrows + (a,)), product))
+    return [path for path, _ in basis]
+
+
+_ENTRIES = [(0, 1), (1, 1), (-1, 1), (2, 1), (1, 2), (-1, 3)]
+
+
+@st.composite
+def cycle_representations(draw):
+    """A representation of a cycle quiver over QQ or GF(5): random entries
+    (integral and rational), or each arrow a scalar times a permutation
+    matrix, whose powers repeat."""
+    field = draw(st.sampled_from([QQ, PrimeField(5)]))
+    quiver = Family("cycle", draw(st.integers(1, 3))).truncate(0)
+    entry = st.sampled_from(_ENTRIES).map(lambda nd: field.of(*nd))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 2))
+        dims, maps = dict.fromkeys(quiver.vertices, d), {}
+        for a in quiver.arrows:
+            c, perm = draw(entry), draw(st.permutations(range(d)))
+            maps[a.label] = tuple(tuple(c if j == perm[i] else field.zero for j in range(d)) for i in range(d))
+    else:
+        dims = {v: draw(st.integers(0, 2)) for v in quiver.vertices}
+        maps = {a.label: tuple(tuple(draw(entry) for _ in range(dims[a.target])) for _ in range(dims[a.source]))
+                for a in quiver.arrows}
+    return Representation(quiver, dims, maps), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_representations())
+def test_the_integer_kernel_tells_path_matrices_apart_as_the_field_oracle_does(drawn):
+    # Every pair of winding paths up to window 2s + 1: the integer kernel
+    # forms one object for M_p and M_r exactly when the field oracle does.
+    rep, field = drawn
+    cycle = find_simple_cycle(rep.quiver)
+    s = len(cycle)
+    q = winding_paths(rep.quiver, cycle, 2 * s + 1)
+    action, (vertex, times) = PathAction(rep, field), field_path_action(rep, field)
+    kernel, oracle = {}, {}
+    for (n, k), p in sorted(q.items(), key=lambda item: item[0][1]):
+        if k:
+            before, a = q[n, k - 1], cycle[(n + k - 1) % s]
+            kernel[p], oracle[p] = action.times(kernel[before], a.label), times(oracle[before], a)
+        else:
+            kernel[p], oracle[p] = action.vertices[p.vertex], vertex(p.vertex)
+    paths = list(q.values())
+    assert [[kernel[p] is kernel[r] for r in paths] for p in paths] == [[oracle[p] is oracle[r] for r in paths]
+                                                                         for p in paths]
+    assert annihilator_basis(rep, field) == field_annihilator_basis(rep, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("quiver", finite_corpus(), ids=lambda q: q.name)
+def test_annihilator_basis_matches_the_field_oracle_on_the_corpus(quiver, field):
+    # The cycle module of each cyclic quiver, and on every quiver the module
+    # of dimension one at each vertex with every arrow acting by one.
+    ones = Representation(quiver, dict.fromkeys(quiver.vertices, 1), {a.label: ((field.one,),) for a in quiver.arrows})
+    for rep in [ones] + ([cycle_module(quiver, field)] if find_simple_cycle(quiver) else []):
+        assert annihilator_basis(rep, field) == field_annihilator_basis(rep, field)
 
 
 def test_counterexample_certificate_needs_the_paths_of_w_arrows_on_w():

@@ -381,6 +381,24 @@ def test_kernel_refuses_rows_of_two_moduli():
             check(basis, mixed.__getitem__, eps5)
 
 
+_GF5 = PrimeField(5)
+
+
+@pytest.mark.parametrize("delta_g, order", [
+    # Δg = (1/5)·g⊗g, ε(g) = 5 holds every law over QQ and has no residue
+    # mod 5; Δh = h⊗h in GF(5) fixes the modulus, read before or after it.
+    ({("g", "g"): Fraction(1, 5)}, ["g", "h"]),
+    ({("g", "g"): Fraction(1, 5)}, ["h", "g"]),
+    # One row of both kinds, the rational read first.
+    ({("g", "g"): Fraction(1, 5), ("g", "h"): _GF5.one}, ["g", "h"]),
+], ids=["rational-row-first", "residue-row-first", "mixed-row"])
+def test_kernel_refuses_a_rational_without_a_residue_in_any_order(delta_g, order):
+    delta = {"g": SparseVector(delta_g), "h": SparseVector({("h", "h"): _GF5.one})}
+    counit = {"g": Fraction(5), "h": _GF5.one}
+    with pytest.raises(FieldError, match=re.escape("rational 1/5 has no residue mod 5")):
+        check_coalgebra(order, delta.__getitem__, counit.__getitem__)
+
+
 def test_left_module_refuses_actions_over_another_modulus():
     algebra = structured_algebra(named_quiver("single_arrow"), PrimeField(5))
     module = regular_left_module(algebra)

@@ -200,3 +200,34 @@ def test_counterexample_certificate_work_does_not_depend_on_the_window(monkeypat
     assert calls == {"_block_product": 9, "difference_rank": 1}
     # The product table and its closure check are gone.
     assert not {"check_ideal", "_generator_rows", "_check_difference_ideal"} & set(vars(algebra))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "thm33", "family:cycle:3", "--codim-bound", "10"],
+    ["check", "thm33", "TAILS", "--codim-bound", "6"],
+    ["counterexample", "cycle", "family:cycle:3", "--max-len", "24"],
+    ["counterexample", "cycle", "TAILS", "--max-len", "18"],
+], ids=["thm33-cycle3", "thm33-tails", "counterexample-cycle3", "counterexample-tails"])
+def test_ann_certificates_convert_once_and_form_each_product_once(monkeypatch, tmp_path, capsys, argv):
+    # The module is converted to integers once per call, and the kernel
+    # forms each product of a distinct path matrix and an arrow once,
+    # whether the certificate's walk along W or the Krylov closure asks.
+    source = tmp_path / "tails.txt"
+    source.write_text(quiver_to_text(TAILS))
+    calls, pairs = Counter(), Counter()
+    for module in (linalg, representation):
+        _count_calls(monkeypatch, calls, module, "integer_matrices")
+    exact = representation._block_product
+
+    def recording(left, right, p):
+        pairs[frozenset((r, c, n) for r, cols in left.items() for c, n in cols.items()), id(right)] += 1
+        return exact(left, right, p)
+
+    monkeypatch.setattr(representation, "_block_product", recording)
+    cli.main([str(source) if a == "TAILS" else a for a in argv] + ["--json"])
+    capsys.readouterr()
+    assert calls == {"integer_matrices": 1}
+    assert max(pairs.values()) == 1
+    # The 3-cycle: 9 path matrices, each met by the one arrow leaving its
+    # target.  The tails: 6 of them end where a tail arrow leaves as well.
+    assert sum(pairs.values()) == (15 if "TAILS" in argv else 9)
