@@ -159,20 +159,23 @@ class _IntegerTables:
     """The tables of one kernel call as integers: each field row or scalar
     is converted by ``linalg._integers`` on first use, an integer row is
     taken as it is, and either is kept for the call.  ``p`` is the modulus
-    of the residues met so far, 0 for rationals; the rational rows read
-    before the first residue must have residues too."""
+    of the residues met so far, 0 for rationals."""
 
     def __init__(self):
         self.p, self._rational = 0, []
 
     def _convert(self, entries: dict):
-        if not self.p and (p := _modulus(entries.values())):
-            self.p = p
+        if self.p:
+            return _integers(entries, self.p)
+        try:
+            converted = _integers(entries, 0)
+        except AttributeError:  # a residue (no denominator): the rows read before need residues too
+            self.p = _modulus(entries.values())
             for rational in self._rational:
-                _integers(rational, p)
-        elif not self.p:
-            self._rational.append(entries)
-        return _integers(entries, self.p)
+                _integers(rational, self.p)
+            return _integers(entries, self.p)
+        self._rational.append(entries)
+        return converted
 
     def rows(self, table):
         """label -> (scale, {key: int}) of a table of rows."""

@@ -354,9 +354,8 @@ def rank(vectors) -> int:
 
 def integer_matrices(matrices, field=None) -> tuple[int, list]:
     """The modulus of the scalars' field (0 for the rationals, p for GF(p))
-    and each matrix as ``(scale, {(row, column): n})``, the matrix being
-    the integers over the scale: numerators over the least common
-    denominator of that matrix, or residues mod p with scale 1."""
+    and each matrix as ``_integers`` gives it, ``(scale, {(row, column):
+    n})`` with the matrix equal to the integers over the scale."""
     entries = [{(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c} for m in matrices]
     p = _modulus((c for e in entries for c in e.values()), field)
     return p, [_integers(e, p) for e in entries]

@@ -224,9 +224,8 @@ def annihilator_basis(rep: Representation, field=QQ) -> list[Path]:
     idempotents under right multiplication by the arrows that leave t(b)
     spans every M_p; a product joins B when it is independent of B.  One
     exact elimination of the ``PathAction`` rows (nonzero multiples of the
-    matrices, so spans are kept) re-checks both claims: the rows of B all
-    become pivots, and no other matrix formed does; else AssertionError.
-    """
+    matrices) re-checks both claims: the rows of B all become pivots, and
+    no other matrix formed does; else AssertionError."""
     return PathAction(rep, field).basis()
 
 
@@ -267,10 +266,8 @@ class PathAction:
 
     def basis(self) -> list[Path]:
         """``annihilator_basis`` of the representation."""
-        quiver, echelon, basis = self.quiver, Echelon(self.p), []
-        for v in quiver.vertices:
-            if echelon.admit((matrix := self.vertices[v])[2]):
-                basis.append((quiver.vertex_path(v), matrix))
+        quiver, echelon = self.quiver, Echelon(self.p)
+        basis = [(quiver.vertex_path(v), matrix) for v, matrix in self.vertices.items() if echelon.admit(matrix[2])]
         # B grows while it is walked, so each member is extended once.
         for path, matrix in basis:
             for a in quiver.out_arrows(path.target):
