@@ -8,7 +8,9 @@ equal the files under ``tests/golden/``.  So must the stdout of the
 product verbs on corpus quivers (``PRODUCT_RUNS``, ``FACTOR_RUNS``), and
 of ``check thm33 --json`` at the bounds and cycle lengths of
 ``THM33_RUNS``, and of ``counterexample --json`` at the windows of
-``COUNTEREXAMPLE_RUNS``.
+``COUNTEREXAMPLE_RUNS``, and of every ``check`` verb on every family
+token of its input kind (``FAMILY_TOKENS``), and of ``rep-locnilp`` in text
+and ``--json`` form on the representations of ``REP_RUNS``.
 The test only reads those files.  After a deliberate output change,
 rewrite them with
 
@@ -28,6 +30,9 @@ import pytest
 
 from quivercoalg import cli
 from quivercoalg.corpus import ACYCLIC_CORPUS, CYCLIC_CORPUS, POSET_CORPUS, named_poset, named_quiver
+from quivercoalg.quiver import FAMILIES, family_kinds
+from quivercoalg.representation import Representation, cycle_quotient_module
+from quivercoalg.scalars import QQ
 from quivercoalg.textio import poset_to_text, quiver_to_text
 from test_work_counts import TAILS
 
@@ -73,6 +78,19 @@ COUNTEREXAMPLE_RUNS = [("cycle", f"family:cycle:{s}", w, []) for s in (1, 2, 3) 
 COUNTEREXAMPLE_RUNS += [("cycle", "tails", w, []) for w in (3, 12, 18)]
 COUNTEREXAMPLE_RUNS += [("cycle", "family:cycle:3", 12, ["--field", "fp:5"])]
 COUNTEREXAMPLE_RUNS += [("multiarrow", None, w, []) for w in (2, 5)]
+# Carrier -> the family tokens of ``FAMILIES`` (the cycle at length 2).
+FAMILY_TOKENS = {
+    carrier: [f"{kind}:2" if FAMILIES[kind].parametrized else kind for kind in family_kinds(carrier)]
+    for carrier in ("quiver", "poset")
+}
+# (name, representation): a nilpotent one on line3, the loop acting by one,
+# and the cycle-quotient module of the 3-cycle.
+REP_RUNS = [
+    ("line3-nilpotent", Representation(named_quiver("line3"), {"a": 1, "b": 2, "c": 1},
+                                       {"x": ((QQ.one, QQ.of(2)),), "y": ((QQ.one,), (QQ.zero,))})),
+    ("loop-scalar-one", Representation(named_quiver("loop"), {"v": 1}, {"x": ((QQ.one,),)})),
+    ("cycle-quotient-3", cycle_quotient_module(3)),
+]
 
 
 def demo_output(demo: Path) -> str:
@@ -93,6 +111,43 @@ def check_output(verb: str, directory: Path) -> str:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main(["check", verb, str(path), "--json"])
             records.append(f"$ check {verb} {kind}:{name} --json -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
+def families_output() -> str:
+    """One record per check verb and family token of its input kind: a
+    header with the exit code, then stdout."""
+    records = []
+    for verb in sorted(VERBS):
+        for kind in VERBS[verb]:
+            for token in FAMILY_TOKENS[kind]:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    status = cli.main(["check", verb, f"family:{token}", "--json"])
+                records.append(f"$ check {verb} family:{token} --json -> exit {status}\n{out.getvalue()}")
+    return "".join(records)
+
+
+def rep_text(rep: Representation) -> str:
+    """The rep file of ``rep``: a dim line per vertex, a map line per arrow."""
+    lines = ["rep"] + [f"dim {v} {rep.dims[v]}" for v in rep.quiver.vertices]
+    lines += [f"map {label} " + " ; ".join(" ".join(map(str, row)) for row in m) for label, m in rep.maps.items()]
+    return "\n".join(lines) + "\n"
+
+
+def rep_locnilp_output(directory: Path) -> str:
+    """One record per run of ``REP_RUNS`` in text and ``--json`` form: a
+    header with the exit code, then stdout."""
+    records = []
+    for name, rep in REP_RUNS:
+        quiver, source = directory / f"quiver-{name}.txt", directory / f"rep-{name}.txt"
+        quiver.write_text(quiver_to_text(rep.quiver))
+        source.write_text(rep_text(rep))
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                status = cli.main(["rep-locnilp", str(quiver), str(source), *flags])
+            records.append(f"$ {' '.join(['rep-locnilp', name, *flags])} -> exit {status}\n{out.getvalue()}")
     return "".join(records)
 
 
@@ -178,6 +233,8 @@ def golden_files(directory: Path) -> dict:
     files["products.txt"] = products_output(directory)
     files["thm33.txt"] = thm33_output(directory)
     files["counterexample.txt"] = counterexample_output(directory)
+    files["families.txt"] = families_output()
+    files["rep-locnilp.txt"] = rep_locnilp_output(directory)
     return files
 
 
@@ -191,6 +248,8 @@ def test_the_golden_files_are_exactly_these():
     expected.add("products.txt")
     expected.add("thm33.txt")
     expected.add("counterexample.txt")
+    expected.add("families.txt")
+    expected.add("rep-locnilp.txt")
     assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
@@ -218,6 +277,14 @@ def test_thm33_stdout_is_unchanged(tmp_path):
 
 def test_counterexample_stdout_is_unchanged(tmp_path):
     assert counterexample_output(tmp_path) == golden("counterexample.txt")
+
+
+def test_family_check_stdout_is_unchanged():
+    assert families_output() == golden("families.txt")
+
+
+def test_rep_locnilp_stdout_is_unchanged(tmp_path):
+    assert rep_locnilp_output(tmp_path) == golden("rep-locnilp.txt")
 
 
 if __name__ == "__main__":
