@@ -18,8 +18,8 @@ CASES = [
 
 for name, quiver in CASES:
     report = bialgebra_check(quiver)
-    if report.compatible:
-        print(f"{name:22s} compatible      (checked {report.pairs_checked} pairs)")
+    if report:
+        print(f"{name:22s} compatible      (checked {report.data['pairs_checked']} pairs)")
     else:
         x, y = report.witness
         print(f"{name:22s} NOT compatible  witness pair ([{x}], [{y}])")

@@ -28,13 +28,13 @@ print("coordinate functional of [x.y] vanishes on the monomial ideal whose")
 print("complement is the subpath set:", [str(p) for p in embedded.witness_complement])
 
 print("\nacyclic case: the embedding is onto;",
-      f"dimension = {theta_recovery_check(line).dimension}")
+      f"dimension = {theta_recovery_check(line).data['dimension']}")
 
 loop = Family("loop")
 report = theta_recovery_check(loop, codim_bound=10)
-print("\nloop case: recovered =", report.recovered)
+print("\nloop case: recovered =", bool(report))
 print("  witness functional:", report.witness.describe())
-print("  monomial-ideal verdict for its kernel:", report.witness_verdict.status)
+print("  monomial-ideal verdict for its kernel:", report.status)
 
 print("\nthe cofinite ideal of winding differences on a 2-cycle:")
 cycle2 = Family("cycle", 2).truncate(0)

@@ -45,7 +45,7 @@ exy = CoalgElement.unit(diamond, ("0", "1"))
 print("  E_{0,0} . E_{0,1} =", dict(multiply(exx, exy).combo.items()))
 
 report = incidence_dual_recovery_check(diamond)
-print("\nfinite dual recovery:", report.isomorphism, "| dimension:", report.dimension)
+print("\nfinite dual recovery:", bool(report), "| dimension:", report.data["dimension"])
 
 print("\nsemiperfectness with certificates:")
 chain = incidence_semiperfect_check(diamond)

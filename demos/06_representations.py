@@ -33,14 +33,14 @@ rep = Representation(
     },
 )
 verdict = is_locally_nilpotent(rep)
-print("acyclic representation is locally nilpotent:", verdict.locally_nilpotent,
-      f"(actions vanish from length {verdict.vanishing_level})")
+print("acyclic representation is locally nilpotent:", bool(verdict),
+      f"(actions vanish from length {verdict.data['vanishing_level']})")
 
 loop = Quiver(["v"], [("x", "v", "v")], name="loop")
 scalar_one = Representation(loop, {"v": 1}, {"x": ((Fraction(1),),)})
 verdict = is_locally_nilpotent(scalar_one)
 print("\nloop acting by 1 is NOT locally nilpotent:",
-      f"witness path {verdict.witness_path} keeps a vector alive")
+      f"witness path {verdict.data['witness_path']} keeps a vector alive")
 
 print("\ncycle-quotient modules (full turn == local unit):")
 for n in (1, 2, 3):
@@ -48,7 +48,7 @@ for n in (1, 2, 3):
     nil = is_locally_nilpotent(rep_n)
     vector = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(rep_n.total_dimension()))
     ann = annihilator_monomial_check(rep_n, vector, 10)
-    print(f"  n={n}: dimension {rep_n.total_dimension()}, locally nilpotent: {nil.locally_nilpotent},"
+    print(f"  n={n}: dimension {rep_n.total_dimension()}, locally nilpotent: {bool(nil)},"
           f" annihilator search: {ann.status}")
 
 print("\nmodule -> comodule -> module over the dual coalgebra:")

@@ -60,6 +60,7 @@ from .incidence import (
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,
+    phi_image_check,
 )
 from .representation import (
     LeftModule,

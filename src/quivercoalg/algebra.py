@@ -21,7 +21,6 @@ and a difference that stays within w lies in the span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .coalgebra import CoalgElement
 from .linalg import SparseVector, difference_rank, reducer, rref
@@ -29,6 +28,7 @@ from .quiver import (
     Family,
     Path,
     Quiver,
+    Verdict,
     compose_paths,
     enumerate_paths,
     find_simple_cycle,
@@ -309,18 +309,7 @@ def build_multiarrow_counterexample(family: Family, truncation: int, field=QQ) -
     )
 
 
-@dataclass
-class BialgebraReport:
-    compatible: bool
-    criterion: bool
-    witness: Optional[tuple] = None
-    pairs_checked: int = 0
-
-    def __bool__(self):
-        return self.compatible
-
-
-def bialgebra_check(quiver: Quiver, field=QQ) -> BialgebraReport:
+def bialgebra_check(quiver: Quiver, field=QQ) -> Verdict:
     """Compatibility of the concatenation product with the path
     comultiplication, against the structural criterion: no paths of length
     >= 2 and no multiple edges.
@@ -335,7 +324,7 @@ def bialgebra_check(quiver: Quiver, field=QQ) -> BialgebraReport:
     units, so they carry no information about the criterion.
 
     Grouplike consistency Δ(vw) = Δ(v)Δ(w) is also verified on all vertex
-    pairs.
+    pairs.  A no is witnessed by the first incompatible pair.
     """
     criterion = not has_multiple_edges(quiver) and not has_composable_arrow_pair(quiver)
     vertices = [quiver.vertex_path(v) for v in quiver.vertices]
@@ -378,4 +367,7 @@ def bialgebra_check(quiver: Quiver, field=QQ) -> BialgebraReport:
         raise AssertionError(
             "structural criterion and exhaustive witness test disagree; bug"
         )
-    return BialgebraReport(compatible, criterion, witness, checked)
+    data = {"compatible": compatible, "pairs_checked": checked}
+    if witness:
+        data["witness"] = f"([{witness[0]}], [{witness[1]}])"
+    return Verdict("yes" if compatible else "no", witness, data=data)

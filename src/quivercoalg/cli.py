@@ -11,6 +11,8 @@ import functools
 import json
 import random
 import sys
+from dataclasses import replace
+from typing import NamedTuple, Optional
 
 from . import suites
 from .algebra import (
@@ -27,8 +29,9 @@ from .incidence import (
     incidence_dual_recovery_check,
     incidence_semiperfect_check,
     phi_embed,
+    phi_image_check,
 )
-from .linalg import SparseVector, rank
+from .linalg import SparseVector
 from .products import (
     TensorProduct,
     alpha_embed,
@@ -40,9 +43,9 @@ from .products import (
 from .quiver import (
     FAMILIES,
     Family,
+    Verdict,
     check_recovery_clause_equivalence,
     check_semiperfect_condition,
-    check_unique_path_condition,
     enumerate_paths,
     family_from_token,
     is_acyclic,
@@ -226,15 +229,7 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     quiver = _resolve(args.quiver, "quiver").materialize(args.max_len)
     rep = parse_rep_text(_read_file(args.rep), quiver, field)
     verdict = is_locally_nilpotent(rep, field)
-    report = {
-        "command": "rep-locnilp",
-        "locally_nilpotent": verdict.locally_nilpotent,
-    }
-    if verdict.locally_nilpotent:
-        report["vanishing_level"] = verdict.vanishing_level
-    else:
-        report["stable_dims"] = {str(k): v for k, v in (verdict.stable_dims or {}).items()}
-        report["witness_path"] = str(verdict.witness_path)
+    report = {"command": "rep-locnilp", **verdict.data}
     total = rep.total_dimension()
     bounded_no = 0
     for i in range(total):
@@ -242,7 +237,7 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
         check = annihilator_monomial_check(rep, vector, args.codim_bound)
         if not check:
             bounded_no += 1
-    consistent = (bounded_no > 0) == (not verdict.locally_nilpotent)
+    consistent = (bounded_no > 0) == (not verdict)
     report["annihilator_crosscheck"] = "consistent" if consistent else "inconsistent"
     return report, 0 if consistent else 1
 
@@ -269,105 +264,55 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     }, 0
 
 
-def _check_thm33(target, args):
-    report = theta_recovery_check(target, codim_bound=args.codim_bound, window=args.max_len, field=QQ)
-    fields = {"recovered": report.recovered, "explanation": report.explanation}
-    if report.dimension is not None:
-        fields["dimension"] = report.dimension
-    if report.witness is not None:
-        fields["witness"] = report.witness.describe()
-        fields["witness_monomial_verdict"] = report.witness_verdict.status
-    return fields, report.recovered
-
-
-def _check_semiperfect(target, args):
-    verdict = check_semiperfect_condition(target)
-    return {"holds": bool(verdict), "explanation": verdict.explanation}, bool(verdict)
-
-
-def _check_bialgebra(quiver, args):
-    report = bialgebra_check(quiver, field=QQ)
-    fields = {"compatible": report.compatible, "pairs_checked": report.pairs_checked}
-    if report.witness:
-        fields["witness"] = f"([{report.witness[0]}], [{report.witness[1]}])"
-    return fields, report.compatible
-
-
-def _check_prop41(poset, args):
-    quiver = hasse_quiver(poset)
-    unique = check_unique_path_condition(quiver)
-    images = [phi_embed(CoalgElement.unit(poset, interval, QQ)).combo for interval in poset.intervals()]
-    image_rank = rank(images)
-    injective = image_rank == len(poset.intervals())
-    surjective = image_rank == len(quiver.basis())
-    fields = {
-        "injective": injective,
-        "surjective": surjective,
-        "unique_path_condition": unique,
-        "agreement": surjective == unique,
-    }
-    return fields, injective and surjective == unique
-
-
-def _check_thm42(poset, args):
-    report = incidence_dual_recovery_check(poset, QQ)
-    fields = {"isomorphism": report.isomorphism, "dimension": report.dimension, "explanation": report.explanation}
-    return fields, report.isomorphism
-
-
-def _check_thm43(target, args):
-    report = incidence_semiperfect_check(target, QQ)
-    fields = {"holds": bool(report), "explanation": report.explanation, "certificates": len(report.witness or ())}
-    return fields, bool(report)
-
-
-def _check_coreflexive(target, args):
-    if args.second is not None:
-        target = TensorProduct(target, _resolve(args.second).target)
-    verdict = coreflexivity_verdict(target)
-    return {"status": verdict.status, "chain": verdict.witness}, bool(verdict)
-
-
-def _check_prop32(quiver, args):
-    verdict = check_recovery_clause_equivalence(quiver)
-    fields = {"clauses_agree": True, "shared_value": bool(verdict), "explanation": verdict.explanation}
-    return fields, True
-
-
-def _check_thm57(target, args):
+def _thm57_verdict(target) -> Verdict:
+    """Thm 5.7's reflexivity verdict, printed beside the γ-membership answer."""
     verdict = reflexivity_verdict(target)
-    fields = {
+    return replace(verdict, data={
         "status": verdict.status,
         "explanation": verdict.explanation,
         "gamma_in_image": bool(gamma_membership(target)),
-    }
-    return fields, bool(verdict)
+    })
 
 
-# name -> (input kind for _resolve, whether a family is truncated at
-# --max-len, check returning (report fields, passed)).  The checks call the
-# verdict functions through this module's globals, so wrappers installed
-# after import are used.
+class Check(NamedTuple):
+    """A ``check`` verb: the input kind for ``_resolve`` (None reads either
+    carrier, and a second input makes the target a tensor product), whether
+    a family is truncated at --max-len, the name of the verdict function in
+    this module (looked up at call time, so wrappers installed after import
+    are used), the keyword arguments it takes from the command line, and
+    whether the verb exits 0 whatever the verdict."""
+
+    kind: Optional[str]
+    truncate: bool
+    verdict: str
+    options: tuple = ()
+    always_passes: bool = False
+
+
 CHECKS = {
-    "thm33": ("quiver", False, _check_thm33),
-    "semiperfect": ("quiver", False, _check_semiperfect),
-    "bialgebra": ("quiver", True, _check_bialgebra),
-    "prop41": ("poset", True, _check_prop41),
-    "thm42": ("poset", True, _check_thm42),
-    "thm43": ("poset", False, _check_thm43),
-    "coreflexive": (None, False, _check_coreflexive),
-    "prop32": ("quiver", True, _check_prop32),
-    "thm57": ("quiver", False, _check_thm57),
+    "thm33": Check("quiver", False, "theta_recovery_check", ("codim_bound", "window")),
+    "semiperfect": Check("quiver", False, "check_semiperfect_condition"),
+    "bialgebra": Check("quiver", True, "bialgebra_check"),
+    "prop41": Check("poset", True, "phi_image_check"),
+    "thm42": Check("poset", True, "incidence_dual_recovery_check"),
+    "thm43": Check("poset", False, "incidence_semiperfect_check"),
+    "coreflexive": Check(None, False, "coreflexivity_verdict"),
+    "prop32": Check("quiver", False, "check_recovery_clause_equivalence", always_passes=True),
+    "thm57": Check("quiver", False, "_thm57_verdict"),
 }
 
 
 def cmd_check(args, field) -> tuple[dict, int]:
     if field is not QQ:
         raise InputFailure(f"check verdicts are certified over q only, not {field.name}")
-    kind, truncate, check = CHECKS[args.name]
-    parsed = _resolve(args.input, kind)
-    fields, passed = check(parsed.materialize(args.max_len) if truncate else parsed.target, args)
-    return {"command": f"check-{args.name}", **fields}, 0 if passed else 1
+    check = CHECKS[args.name]
+    parsed = _resolve(args.input, check.kind)
+    target = parsed.materialize(args.max_len) if check.truncate else parsed.target
+    if check.kind is None and args.second is not None:
+        target = TensorProduct(target, _resolve(args.second).target)
+    given = {"codim_bound": args.codim_bound, "window": args.max_len}
+    verdict = globals()[check.verdict](target, **{name: given[name] for name in check.options})
+    return {"command": f"check-{args.name}", **verdict.data}, 0 if check.always_passes or verdict else 1
 
 
 def cmd_suite(args, field) -> tuple[dict, int]:

@@ -13,7 +13,7 @@ witnesses, and the recovery check that decides when that embedding is onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import subpath_closure, winding_paths
@@ -315,33 +315,21 @@ def is_in_theta_image(f: Functional, target, codim_bound: int = 10, window: Opti
     )
 
 
-@dataclass
-class RecoveryReport:
-    recovered: bool
-    dimension: Optional[int] = None
-    witness: Optional[Functional] = None
-    witness_verdict: Optional[Verdict] = None
-    explanation: str = ""
-
-    def __bool__(self):
-        return self.recovered
-
-
-def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=QQ) -> RecoveryReport:
+def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=QQ) -> Verdict:
     """Decides whether the coordinate embedding recovers the path coalgebra.
 
     Acyclic finite quivers: yes, with the dimension count.  Cyclic quivers
-    (or the loop/cycle families): no; the witness is the winding-path
-    indicator, which lies in the finite dual (its kernel contains the
-    explicit cofinite counterexample ideal) yet no cofinite monomial ideal
-    fits inside its kernel up to the bound.
+    (or the loop/cycle families): a bounded no; the witness is the
+    winding-path indicator, which lies in the finite dual (its kernel
+    contains the explicit cofinite counterexample ideal) yet no cofinite
+    monomial ideal fits inside its kernel up to the bound.
     """
     if isinstance(target, Family):
         if not target.facts.acyclic:
             quiver = target.truncate(window)
             return _cyclic_recovery_report(quiver, codim_bound, window, field)
         verdict = check_recovery_condition(target)
-        return RecoveryReport(bool(verdict), explanation=verdict.explanation)
+        return replace(verdict, data={"recovered": bool(verdict), "explanation": verdict.explanation})
     quiver: Quiver = target
     if is_acyclic(quiver):
         paths = quiver.basis()
@@ -350,7 +338,8 @@ def theta_recovery_check(target, codim_bound: int = 10, window: int = 12, field=
         # enumeration lists each path once, and this guards it.
         if len(set(paths)) != dim:
             raise AssertionError("coordinate functionals are not independent; bug")
-        return RecoveryReport(True, dimension=dim, explanation="acyclic: dimensions match and the embedding is injective")
+        why = "acyclic: dimensions match and the embedding is injective"
+        return Verdict("yes", explanation=why, data={"recovered": True, "explanation": why, "dimension": dim})
     return _cyclic_recovery_report(quiver, codim_bound, window, field)
 
 
@@ -364,7 +353,7 @@ def endpoint_buckets(paths):
     return starts, ends
 
 
-def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> RecoveryReport:
+def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> Verdict:
     from .representation import annihilator_basis, cycle_module  # representation imports this module
 
     cycle = find_simple_cycle(quiver)
@@ -403,20 +392,15 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     # support's subpath closure.
     if max((k for (_, k), value in values.items() if value), default=-1) + 1 <= codim_bound:
         raise AssertionError("witness support closure unexpectedly small")
-    verdict = Verdict(
-        "no_up_to_bound",
-        explanation="the winding indicator has unbounded support along the cycle",
-    )
-    return RecoveryReport(
-        False,
-        witness=witness,
-        witness_verdict=verdict,
-        explanation=(
-            "cycle found: the winding indicator lies in the finite dual "
-            f"(kernel contains a cofinite ideal of codimension {codimension}) "
-            "but admits no cofinite monomial ideal up to the bound"
-        ),
-    )
+    why = ("cycle found: the winding indicator lies in the finite dual "
+           f"(kernel contains a cofinite ideal of codimension {codimension}) "
+           "but admits no cofinite monomial ideal up to the bound")
+    return Verdict("no_up_to_bound", witness, why, {
+        "recovered": False,
+        "explanation": why,
+        "witness": witness.describe(),
+        "witness_monomial_verdict": "no_up_to_bound",
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 from .coalgebra import CoalgElement, basis_tables, check_morphism, linear_extension
 from .dual import Functional, is_rational_left
 from .finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
-from .linalg import SparseVector, label_sort_key
-from .quiver import Family, Quiver, Verdict, check_semiperfect_condition
+from .linalg import SparseVector, label_sort_key, rank
+from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, check_unique_path_condition
 from .scalars import QQ
 
 
@@ -150,17 +150,30 @@ def fia_structured_algebra(poset: Poset, field=QQ) -> StructuredAlgebra:
     return structured_algebra(poset, field, f"FIA({poset.name})")
 
 
-@dataclass
-class IncidenceRecoveryReport:
-    isomorphism: bool
-    dimension: int
-    explanation: str
+def phi_image_check(poset: Poset) -> Verdict:
+    """φ is injective, and onto exactly when the Hasse quiver has at most
+    one path between any two points: the rank of the interval images
+    against the interval count and the Hasse path count."""
+    phi = phi_table(poset)
+    intervals = poset.intervals()
+    image_rank = rank([SparseVector(phi(interval)[1]) for interval in intervals])
+    injective = image_rank == len(intervals)
+    surjective = image_rank == sum(map(len, _paths_between(poset).values()))
+    unique = check_unique_path_condition(hasse_quiver(poset))
+    return Verdict("yes" if injective and surjective == unique else "no", data={
+        "injective": injective,
+        "surjective": surjective,
+        "unique_path_condition": unique,
+        "agreement": surjective == unique,
+    })
 
-    def __bool__(self):
-        return self.isomorphism
+
+def _recovery_verdict(isomorphism: bool, dimension: int, why: str) -> Verdict:
+    return Verdict("yes" if isomorphism else "no", explanation=why,
+                   data={"isomorphism": isomorphism, "dimension": dimension, "explanation": why})
 
 
-def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryReport:
+def incidence_dual_recovery_check(poset: Poset, field=QQ) -> Verdict:
     """The incidence coalgebra is the finite dual of the finite-support
     incidence algebra: the evaluation map interval -> dual basis vector is a
     bijective coalgebra morphism.  Verified exactly on every interval."""
@@ -179,14 +192,14 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> IncidenceRecoveryRe
     )
     if failure is not None:
         law, interval = failure
-        return IncidenceRecoveryReport(False, len(algebra.basis), f"{law} mismatch at {interval}")
+        return _recovery_verdict(False, len(algebra.basis), f"{law} mismatch at {interval}")
     # The evaluation map sends the intervals to distinct dual basis vectors
     # exactly when they are the algebra's basis with no repeats; this holds
     # by construction of ``fia_structured_algebra`` and guards it.
     dim = len(intervals)
     if len(set(intervals)) != dim or set(intervals) != set(algebra.basis):
         raise AssertionError("dual basis vectors are not independent; bug")
-    return IncidenceRecoveryReport(True, dim, "bijective coalgebra morphism onto the finite dual")
+    return _recovery_verdict(True, dim, "bijective coalgebra morphism onto the finite dual")
 
 
 def incidence_semiperfect_check(target, field=QQ) -> Verdict:
@@ -201,7 +214,9 @@ def incidence_semiperfect_check(target, field=QQ) -> Verdict:
     witness is the list of verified certificates; a family has none.
     """
     if isinstance(target, Family):
-        return check_semiperfect_condition(target)
+        verdict = check_semiperfect_condition(target)
+        return replace(verdict, data={**verdict.data, "certificates": 0})
     units = (Functional(target, support=SparseVector({i: field.one}), field=field) for i in target.intervals())
     certificates = [is_rational_left(e_xy, target).witness for e_xy in units]
-    return Verdict("yes", certificates, "finite poset: every down-set and up-set is finite; all certificates verified")
+    why = "finite poset: every down-set and up-set is finite; all certificates verified"
+    return Verdict("yes", certificates, why, {"holds": True, "explanation": why, "certificates": len(certificates)})

@@ -436,55 +436,48 @@ def coreflexivity_verdict(target) -> Verdict:
     takes the rule of its ``FAMILIES`` entry.  The witness is the chain of
     rules applied.
     """
-    chain = []
+    status, chain = _coreflexivity_rules(target)
+    return Verdict(status, chain, data={"status": status, "chain": chain})
+
+
+def _coreflexivity_rules(target) -> tuple:
+    """The status of ``coreflexivity_verdict`` and its chain of rules."""
     if isinstance(target, Quiver):
         if is_acyclic(target):
-            chain.append("(a) finite acyclic quiver: the path coalgebra is finite dimensional")
-            return Verdict("yes", chain)
+            return "yes", ["(a) finite acyclic quiver: the path coalgebra is finite dimensional"]
         if len(target.vertices) == 1 and len(target.arrows) == 1:
-            chain.append(_ONE_LOOP)
-            return Verdict("yes", chain)
-        chain.append("cyclic quiver outside the rule set")
-        return Verdict("unknown", chain)
+            return "yes", [_ONE_LOOP]
+        return "unknown", ["cyclic quiver outside the rule set"]
     if isinstance(target, Poset):
-        chain.append("(a) finite poset: the incidence coalgebra is finite dimensional")
-        return Verdict("yes", chain)
+        return "yes", ["(a) finite poset: the incidence coalgebra is finite dimensional"]
     if isinstance(target, Family):
         rule = target.facts.rule
         if rule == "b":
-            chain.append(_ONE_LOOP)
-            return Verdict("yes", chain)
+            return "yes", [_ONE_LOOP]
         if rule == "c":
-            chain.append(f"(c) {_finitely_many_paths_and_tame(target)}")
-            chain.append(_RULE_C[target.facts.carrier][1])
-            return Verdict("yes", chain)
+            return "yes", [f"(c) {_finitely_many_paths_and_tame(target)}", _RULE_C[target.facts.carrier][1]]
         if rule == "d":
-            chain.append(
+            return "no", [
                 "(d) growing parallel bundles: the quotient by the skew-primitive span "
                 "of hub minus tip is a known non-coreflexive coalgebra"
-            )
-            return Verdict("no", chain)
-        chain.append(f"{target.describe()}: outside the rule set")
-        return Verdict("unknown", chain)
+            ]
+        return "unknown", [f"{target.describe()}: outside the rule set"]
     if isinstance(target, TensorProduct):
         left_reason = _finitely_many_paths_and_tame(target.left)
         right_reason = _finitely_many_paths_and_tame(target.right)
-        left_verdict = coreflexivity_verdict(target.left)
-        right_verdict = coreflexivity_verdict(target.right)
         if (
             left_reason is not None
             and right_reason is not None
-            and left_verdict.status == "yes"
-            and right_verdict.status == "yes"
+            and _coreflexivity_rules(target.left)[0] == "yes"
+            and _coreflexivity_rules(target.right)[0] == "yes"
         ):
-            chain.append(f"(e) left factor: {left_reason}")
-            chain.append(f"(e) right factor: {right_reason}")
-            chain.append("(e) tensor rule: the product embeds in the path coalgebra of the product quiver")
-            return Verdict("yes", chain)
-        chain.append("tensor product outside the rule set")
-        return Verdict("unknown", chain)
-    chain.append("unrecognized input")
-    return Verdict("unknown", chain)
+            return "yes", [
+                f"(e) left factor: {left_reason}",
+                f"(e) right factor: {right_reason}",
+                "(e) tensor rule: the product embeds in the path coalgebra of the product quiver",
+            ]
+        return "unknown", ["tensor product outside the rule set"]
+    return "unknown", ["unrecognized input"]
 
 
 def skew_primitive_quotient_check(stage: int, field=QQ) -> bool:

@@ -13,7 +13,7 @@ generation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 
@@ -376,12 +376,15 @@ class Verdict:
     ``yes``/``no`` are proved: on a finite object, an exhaustive search or
     a closed-form rule.  ``yes_up_to_bound``/``no_up_to_bound`` come from a
     truncated window and are never proofs.  ``unknown`` means no rule
-    applies.  The witness is the certificate the answer rests on.
+    applies.  The witness is the certificate the answer rests on.  ``data``
+    holds the fields a report prints, in order; ``check`` prints them as
+    they are, and they read as attributes too (``verdict.dimension``).
     """
 
     status: str
     witness: object = None
     explanation: str = ""
+    data: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.status not in VERDICT_STATUSES:
@@ -389,6 +392,17 @@ class Verdict:
 
     def __bool__(self):
         return self.status in ("yes", "yes_up_to_bound")
+
+    def __getattr__(self, name):
+        # Only names missing from the instance get here.  Dunders and
+        # ``data`` itself are refused, so copy and pickle, which probe an
+        # instance before its fields are set, cannot recurse.
+        if name.startswith("__") or name == "data":
+            raise AttributeError(name)
+        try:
+            return self.data[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def horizon_verdict(found: bool, exhaustive: bool, complement, horizon: int, because="", unless="") -> Verdict:
@@ -428,12 +442,13 @@ def check_semiperfect_condition(target) -> Verdict:
     For a finite quiver this holds iff the quiver is acyclic.
     """
     if isinstance(target, Family):
-        return Verdict("yes" if target.facts.semiperfect else "no", explanation=target.facts.semiperfect_reason)
-    if is_acyclic(target):
-        return Verdict("yes", explanation="finite acyclic quiver: the path set is finite")
-    cycle = find_simple_cycle(target)
-    v = cycle[0].source
-    return Verdict("no", explanation=f"infinitely many paths start and end at {v} (cycle through it)")
+        holds, why = target.facts.semiperfect, target.facts.semiperfect_reason
+    elif is_acyclic(target):
+        holds, why = True, "finite acyclic quiver: the path set is finite"
+    else:
+        v = find_simple_cycle(target)[0].source
+        holds, why = False, f"infinitely many paths start and end at {v} (cycle through it)"
+    return Verdict("yes" if holds else "no", explanation=why, data={"holds": holds, "explanation": why})
 
 
 def check_unique_path_condition(quiver: Quiver) -> bool:
@@ -444,17 +459,25 @@ def check_unique_path_condition(quiver: Quiver) -> bool:
     return all(c <= 1 for c in counts.values())
 
 
-def check_recovery_clause_equivalence(quiver: Quiver) -> Verdict:
-    """The shared truth value of the two finiteness clauses on a finite quiver.
+def check_recovery_clause_equivalence(target) -> Verdict:
+    """The shared truth value of the two finiteness clauses.
 
-    Clause one: no oriented cycles (arrow finiteness is automatic here).
-    Clause two: for every vertex subset E, only finitely many paths pass
-    exclusively through E; with cycle detection standing in for infinitude,
-    this says every induced subquiver is acyclic.  A cycle of an induced
-    subquiver is a cycle of the quiver, which induces itself: clause two
-    holds exactly when clause one does.
+    Clause one: no oriented cycles, and finitely many arrows between any two
+    vertices (automatic on a finite quiver).  Clause two: for every vertex
+    subset E, only finitely many paths pass exclusively through E; with
+    cycle detection standing in for infinitude, this says every induced
+    subquiver is acyclic.  A cycle of an induced subquiver is a cycle of
+    the quiver, which induces itself: clause two holds exactly when clause
+    one does.  A family answers from its facts, so an infinite arrow bundle
+    (which lies inside its two end vertices) fails both.
     """
-    return Verdict("yes" if is_acyclic(quiver) else "no", explanation="both finiteness clauses agree")
+    if isinstance(target, Family):
+        holds = target.facts.acyclic and target.facts.finite_arrows
+    else:
+        holds = is_acyclic(target)
+    why = "both finiteness clauses agree"
+    return Verdict("yes" if holds else "no", explanation=why,
+                   data={"clauses_agree": True, "shared_value": holds, "explanation": why})
 
 
 def induced_subquiver(quiver: Quiver, vertex_subset) -> Quiver:

@@ -76,29 +76,18 @@ def shape_problem(label: str, m, rows: int, cols: int) -> Optional[str]:
     return None
 
 
-@dataclass
-class NilpotenceReport:
-    locally_nilpotent: bool
-    vanishing_level: Optional[int] = None
-    stable_dims: Optional[dict] = None
-    witness_path: Optional[Path] = None
-    witness_vector: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.locally_nilpotent
-
-
-def is_locally_nilpotent(rep: Representation, field=QQ) -> NilpotenceReport:
+def is_locally_nilpotent(rep: Representation, field=QQ) -> Verdict:
     """Subspace-chain decision: propagate the spaces reached by length-L
     path actions; the chain is decreasing, so it either hits zero (locally
-    nilpotent) or stabilizes at a nonzero state (witnessed by a nonvanishing
-    action of a path long enough to repeat a vertex)."""
+    nilpotent, from the vanishing level on) or stabilizes at a nonzero
+    state (witnessed by a nonvanishing action of a path long enough to
+    repeat a vertex, with a vector it keeps alive)."""
     quiver = rep.quiver
     state = {v: [SparseVector.unit(j, field) for j in range(rep.dims[v])] for v in quiver.vertices}
     level = 0
     while True:
         if all(not state[v] for v in quiver.vertices):
-            return NilpotenceReport(True, vanishing_level=level)
+            return Verdict("yes", level, data={"locally_nilpotent": True, "vanishing_level": level})
         new_state = {v: [] for v in quiver.vertices}
         for a in quiver.arrows:
             m = rep.maps[a.label]
@@ -112,13 +101,11 @@ def is_locally_nilpotent(rep: Representation, field=QQ) -> NilpotenceReport:
         # rref bases are canonical, so equal spans have equal states.
         if new_state == state:
             witness = _find_nonvanishing_long_path(rep, level + len(quiver.vertices) + 1, field)
-            stable_dims = {v: len(new_state[v]) for v in quiver.vertices}
-            return NilpotenceReport(
-                False,
-                stable_dims=stable_dims,
-                witness_path=witness[0] if witness else None,
-                witness_vector=witness[1] if witness else None,
-            )
+            return Verdict("no", witness, data={
+                "locally_nilpotent": False,
+                "stable_dims": {str(v): len(new_state[v]) for v in quiver.vertices},
+                "witness_path": str(witness[0] if witness else None),
+            })
         state = new_state
         level += 1
 

@@ -63,6 +63,7 @@ from quivercoalg.scalars import QQ
 from quivercoalg.products import lattice_walks, walk_path
 from quivercoalg.quiver import (
     Path,
+    Verdict,
     enumerate_paths,
     has_composable_arrow_pair,
     has_multiple_edges,
@@ -706,7 +707,7 @@ def element_bialgebra_check(quiver, field=QQ):
                 witness = (pa, pb)
     if (witness is None) != criterion:
         raise AssertionError("structural criterion and exhaustive witness test disagree; bug")
-    return algebra.BialgebraReport(witness is None, criterion, witness, checked)
+    return Verdict("yes" if witness is None else "no", witness, data={"pairs_checked": checked})
 
 
 def in_span(v, rref_basis):

@@ -669,7 +669,7 @@ POSET_CHECKS = ("prop41", "thm42", "thm43")
 
 
 def test_every_check_but_coreflexive_takes_one_input_kind():
-    kinds = {name: kind for name, (kind, _, _) in cli.CHECKS.items()}
+    kinds = {name: kind for name, (kind, *_) in cli.CHECKS.items()}
     assert kinds == {**dict.fromkeys(QUIVER_CHECKS, "quiver"), **dict.fromkeys(POSET_CHECKS, "poset"), "coreflexive": None}
 
 
@@ -701,3 +701,57 @@ def test_readme_lists_exactly_the_check_and_suite_names():
     poset_tokens = re.search(r"poset inputs are files or `family:\{([^}]*)\}`", readme).group(1).split("|")
     assert quiver_tokens == [f"{kind}:<n>" if FAMILIES[kind].parametrized else kind for kind in family_kinds("quiver")]
     assert poset_tokens == list(family_kinds("poset"))
+
+
+def _check_sources(kinds, directory):
+    """The corpus inputs of the given kinds, written as files, and the
+    family tokens of those kinds."""
+    from test_golden import FAMILY_TOKENS, INPUTS
+
+    sources = []
+    for kind in kinds:
+        for name, text in INPUTS[kind]:
+            path = directory / f"{kind}-{name}.txt"
+            path.write_text(text)
+            sources.append(str(path))
+        sources += [f"family:{token}" for token in FAMILY_TOKENS[kind]]
+    return sources
+
+
+def test_prop32_shared_value_is_thm33_recovered(tmp_path, capsys):
+    # Both read the recovery condition of Thm 3.3: no oriented cycle and
+    # finitely many arrows between any two vertices.
+    for source in _check_sources(["quiver"], tmp_path):
+        answers = [json.loads(run(capsys, "check", name, source, "--json")[1]) for name in ("prop32", "thm33")]
+        assert answers[0]["shared_value"] == answers[1]["recovered"], source
+
+
+def test_only_prop32_is_declared_always_passing():
+    assert [name for name, check in cli.CHECKS.items() if check.always_passes] == ["prop32"]
+
+
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_check_exit_code_follows_the_verdict_status(name, tmp_path, monkeypatch, capsys):
+    # The verdict function is wrapped under its name in the cli module,
+    # where the row looks it up: each run's verdict is seen, and the run
+    # prints exactly its data and exits 0 exactly when it is a yes.
+    from test_golden import VERBS
+
+    check = cli.CHECKS[name]
+    exact, seen = getattr(cli, check.verdict), []
+
+    def recording(*args, **kwargs):
+        seen.append(exact(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, check.verdict, recording)
+    outcomes = set()
+    for source in _check_sources(VERBS[name], tmp_path):
+        status, out, _ = run(capsys, "check", name, source, "--json")
+        (verdict,) = seen
+        seen.clear()
+        assert json.loads(out) == json.loads(json.dumps({"command": f"check-{name}", **verdict.data}, default=str))
+        assert status == (0 if name == "prop32" or verdict else 1), source
+        outcomes.add(bool(verdict))
+    # Every row but the two incidence recoveries meets a no on these inputs.
+    assert outcomes == ({True} if name in ("thm42", "prop41") else {True, False})

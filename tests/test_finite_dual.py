@@ -474,15 +474,15 @@ def test_theta_image_of_coordinate_functionals():
 
 def test_theta_recovery():
     line = theta_recovery_check(named_quiver("line3"))
-    assert line.recovered and line.dimension == 6
+    assert line.status == "yes" and line.data["recovered"] and line.data["dimension"] == 6
     point = theta_recovery_check(named_quiver("point"))
-    assert point.recovered and point.dimension == 1
+    assert point.status == "yes" and point.data["dimension"] == 1
     loop = theta_recovery_check(Family("loop"))
-    assert not loop.recovered
-    assert loop.witness.describe() == "rule:eval(1)"
-    assert loop.witness_verdict.status == "no_up_to_bound"
+    assert loop.status == "no_up_to_bound" and not loop.data["recovered"]
+    assert loop.witness.describe() == loop.data["witness"] == "rule:eval(1)"
+    assert loop.data["witness_monomial_verdict"] == "no_up_to_bound"
     cyc = theta_recovery_check(named_quiver("cycle2"))
-    assert not cyc.recovered
+    assert not cyc
 
 
 _CYCLIC = [pytest.param(named_quiver(name), id=name) for name in CYCLIC_CORPUS] + [
@@ -517,7 +517,7 @@ def test_cycle_recovery_bounds_the_support_closure_without_building_it(monkeypat
     monkeypatch.setattr(finite_dual, "subpath_closure", refuse)
     report = theta_recovery_check(Family("cycle", 3), codim_bound=20)
     assert report.witness.describe() == "rule:winding-multiple"
-    assert report.witness_verdict.status == "no_up_to_bound"
+    assert report.status == "no_up_to_bound"
 
 
 def test_off_winding_oracle_sees_a_witness_off_the_cycle():
@@ -565,7 +565,7 @@ def test_cycle_recovery_builds_only_the_winding_paths(monkeypatch):
 
     monkeypatch.setattr(Path, "__init__", counting)
     report = theta_recovery_check(quiver, codim_bound=40)
-    assert not report.recovered and report.witness_verdict.status == "no_up_to_bound"
+    assert report.status == "no_up_to_bound"
     assert "codimension 1)" in report.explanation
     assert built[0] < 2000
 

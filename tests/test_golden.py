@@ -40,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # verb -> the corpus kinds it reads ("coreflexive" reads both).
-VERBS = {name: ("quiver", "poset") if kind is None else (kind,) for name, (kind, _, _) in cli.CHECKS.items()}
+VERBS = {name: ("quiver", "poset") if kind is None else (kind,) for name, (kind, *_) in cli.CHECKS.items()}
 INPUTS = {
     "quiver": [(name, quiver_to_text(named_quiver(name))) for name in ACYCLIC_CORPUS + CYCLIC_CORPUS],
     "poset": [(name, poset_to_text(named_poset(name))) for name in POSET_CORPUS],

@@ -342,3 +342,29 @@ def test_horizon_rule(found, exhaustive, top, status):
     assert verdict.status == status
     assert verdict.witness == (complement if verdict else None)
     assert verdict.explanation == ("why yes" if verdict else "why not")
+
+
+def test_a_verdict_reads_its_data_as_attributes_and_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    verdict = Verdict("yes", ("w",), "why", {"dimension": 3, "chain": ["(a) rule"]})
+    assert verdict.dimension == 3 and verdict.chain == ["(a) rule"]
+    for name in ("missing", "__setstate__", "__deepcopy__"):
+        assert not hasattr(verdict, name)
+    for twin in (copy.copy(verdict), copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert twin == verdict and twin.dimension == 3
+    # A bare instance has no fields yet: ``data`` is refused, not looked up.
+    bare = Verdict.__new__(Verdict)
+    with pytest.raises(AttributeError):
+        bare.dimension
+    assert Verdict("no").data == {}
+
+
+def test_recovery_clauses_answer_a_family_from_its_facts():
+    for kind, spec in FAMILIES.items():
+        if spec.carrier == "quiver":
+            family = Family(kind, 2) if spec.parametrized else Family(kind)
+            verdict = check_recovery_clause_equivalence(family)
+            assert bool(verdict) == (spec.acyclic and spec.finite_arrows) == bool(check_recovery_condition(family))
+    assert not check_recovery_clause_equivalence(Family("multiarrow")).data["shared_value"]

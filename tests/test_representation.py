@@ -55,7 +55,7 @@ def test_locally_nilpotent_acyclic_always():
         if not is_acyclic(q):
             continue
         rep = random_representation(rng, q, 3)
-        assert is_locally_nilpotent(rep).locally_nilpotent
+        assert is_locally_nilpotent(rep)
         checked += 1
     assert checked > 1000
 
@@ -64,10 +64,11 @@ def test_locally_nilpotent_loop_cases():
     loop = named_quiver("loop")
     nonnil = Representation(loop, {"v": 1}, {"x": ((one(),),)})
     verdict = is_locally_nilpotent(nonnil)
-    assert not verdict.locally_nilpotent
-    assert verdict.witness_path is not None and verdict.witness_path.length >= 1
+    assert verdict.status == "no"
+    path, vector = verdict.witness
+    assert path.length >= 1 and verdict.data["witness_path"] == str(path)
     nil = Representation(loop, {"v": 1}, {"x": ((Fraction(0),),)})
-    assert is_locally_nilpotent(nil).locally_nilpotent
+    assert is_locally_nilpotent(nil).status == "yes"
 
 
 def test_annihilator_check_agrees():
@@ -81,7 +82,7 @@ def test_annihilator_check_agrees():
     for _ in range(15):
         q = random_acyclic_quiver(rng, 4, 4)
         rep = random_representation(rng, q, 2)
-        nil = is_locally_nilpotent(rep).locally_nilpotent
+        nil = bool(is_locally_nilpotent(rep))
         bounded_no = 0
         total = rep.total_dimension()
         for i in range(total):
@@ -131,7 +132,7 @@ def test_cycle_quotient_satisfies_its_defining_relations(n):
 
 def test_cycle_quotient_not_locally_nilpotent():
     for n in (1, 2, 3):
-        assert not is_locally_nilpotent(cycle_quotient_module(n)).locally_nilpotent
+        assert not is_locally_nilpotent(cycle_quotient_module(n))
 
 
 def test_cycle_module_of_the_n_cycle_is_the_cycle_quotient_module():

@@ -6,6 +6,7 @@ anything."""
 import inspect
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -34,8 +35,10 @@ def test_rational_part_convolves_nothing(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, calls, dual, "convolve")
     _count_calls(monkeypatch, calls, dual.RationalCertificate, "verify")
-    # The dimension guard compares path counts; it ranks nothing.
-    _count_calls(monkeypatch, calls, suites, "rank")
+    # The dimension guard compares path counts; it ranks nothing, under any
+    # module's name for ``linalg.rank``.
+    for module in [m for name, m in sys.modules.items() if name.startswith("quivercoalg") and getattr(m, "rank", None) is linalg.rank]:
+        _count_calls(monkeypatch, calls, module, "rank")
     assert suites.check_rational_part()
     assert calls == {"verify": 53}
 
