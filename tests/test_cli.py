@@ -15,6 +15,7 @@ from quivercoalg.cli import main
 from quivercoalg.corpus import named_quiver
 from quivercoalg.quiver import FAMILIES, VERDICT_STATUSES, Family, Quiver, family_kinds
 from quivercoalg.textio import quiver_to_text
+from test_golden import FAMILY_TOKENS, INPUTS, VERBS
 
 LINE = """quiver
 vertex a
@@ -706,8 +707,6 @@ def test_readme_lists_exactly_the_check_and_suite_names():
 def _check_sources(kinds, directory):
     """The corpus inputs of the given kinds, written as files, and the
     family tokens of those kinds."""
-    from test_golden import FAMILY_TOKENS, INPUTS
-
     sources = []
     for kind in kinds:
         for name, text in INPUTS[kind]:
@@ -734,9 +733,8 @@ def test_only_prop32_is_declared_always_passing():
 def test_check_exit_code_follows_the_verdict_status(name, tmp_path, monkeypatch, capsys):
     # The verdict function is wrapped under its name in the cli module,
     # where the row looks it up: each run's verdict is seen, and the run
-    # prints exactly its data and exits 0 exactly when it is a yes.
-    from test_golden import VERBS
-
+    # prints exactly its data and exits 0 exactly when the verdict is true
+    # (yes or yes_up_to_bound), except on the always-passing prop32.
     check = cli.CHECKS[name]
     exact, seen = getattr(cli, check.verdict), []
 
@@ -753,5 +751,5 @@ def test_check_exit_code_follows_the_verdict_status(name, tmp_path, monkeypatch,
         assert json.loads(out) == json.loads(json.dumps({"command": f"check-{name}", **verdict.data}, default=str))
         assert status == (0 if name == "prop32" or verdict else 1), source
         outcomes.add(bool(verdict))
-    # Every row but the two incidence recoveries meets a no on these inputs.
+    # Every row but prop41 and thm42 meets a no on these inputs.
     assert outcomes == ({True} if name in ("thm42", "prop41") else {True, False})
