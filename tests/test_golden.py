@@ -10,7 +10,8 @@ of ``check thm33 --json`` at the bounds and cycle lengths of
 ``THM33_RUNS``, and of ``counterexample --json`` at the windows of
 ``COUNTEREXAMPLE_RUNS``, and of every ``check`` verb on every family
 token of its input kind (``FAMILY_TOKENS``), and of ``rep-locnilp`` in text
-and ``--json`` form on the representations of ``REP_RUNS``.
+and ``--json`` form on the representations of ``REP_RUNS``, each with its
+own flags.
 The test only reads those files.  After a deliberate output change,
 rewrite them with
 
@@ -83,13 +84,19 @@ FAMILY_TOKENS = {
     carrier: [f"{kind}:2" if FAMILIES[kind].parametrized else kind for kind in family_kinds(carrier)]
     for carrier in ("quiver", "poset")
 }
-# (name, representation): a nilpotent one on line3, the loop acting by one,
-# and the cycle-quotient module of the 3-cycle.
+# (name, representation, extra flags): a nilpotent one on line3, the loop
+# acting by one, the cycle-quotient module of the 3-cycle, two loops whose
+# walk branches (x unipotent, y nilpotent), and the loop acting by 5, which
+# is nilpotent over GF(5) only.
 REP_RUNS = [
     ("line3-nilpotent", Representation(named_quiver("line3"), {"a": 1, "b": 2, "c": 1},
-                                       {"x": ((QQ.one, QQ.of(2)),), "y": ((QQ.one,), (QQ.zero,))})),
-    ("loop-scalar-one", Representation(named_quiver("loop"), {"v": 1}, {"x": ((QQ.one,),)})),
-    ("cycle-quotient-3", cycle_quotient_module(3)),
+                                       {"x": ((QQ.one, QQ.of(2)),), "y": ((QQ.one,), (QQ.zero,))}), []),
+    ("loop-scalar-one", Representation(named_quiver("loop"), {"v": 1}, {"x": ((QQ.one,),)}), []),
+    ("cycle-quotient-3", cycle_quotient_module(3), []),
+    ("two-loops-branching", Representation(named_quiver("two_loops"), {"v": 2},
+                                           {"x": ((QQ.one, QQ.one), (QQ.zero, QQ.one)),
+                                            "y": ((QQ.zero, QQ.one), (QQ.zero, QQ.zero))}), []),
+    ("loop-scalar-five", Representation(named_quiver("loop"), {"v": 1}, {"x": ((QQ.of(5),),)}), ["--field", "fp:5"]),
 ]
 
 
@@ -136,14 +143,14 @@ def rep_text(rep: Representation) -> str:
 
 
 def rep_locnilp_output(directory: Path) -> str:
-    """One record per run of ``REP_RUNS`` in text and ``--json`` form: a
-    header with the exit code, then stdout."""
+    """One record per run of ``REP_RUNS``, with its own flags, in text and
+    ``--json`` form: a header with the exit code, then stdout."""
     records = []
-    for name, rep in REP_RUNS:
+    for name, rep, extra in REP_RUNS:
         quiver, source = directory / f"quiver-{name}.txt", directory / f"rep-{name}.txt"
         quiver.write_text(quiver_to_text(rep.quiver))
         source.write_text(rep_text(rep))
-        for flags in ([], ["--json"]):
+        for flags in (extra, [*extra, "--json"]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main(["rep-locnilp", str(quiver), str(source), *flags])
