@@ -47,7 +47,7 @@ for n in (1, 2, 3):
     rep_n = cycle_quotient_module(n)
     nil = is_locally_nilpotent(rep_n)
     vector = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(rep_n.total_dimension()))
-    ann = annihilator_monomial_check(rep_n, vector, 10)
+    ann = annihilator_monomial_check(rep_n, vector)
     print(f"  n={n}: dimension {rep_n.total_dimension()}, locally nilpotent: {bool(nil)},"
           f" annihilator search: {ann.status}")
 

@@ -231,13 +231,11 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     verdict = is_locally_nilpotent(rep, field)
     report = {"command": "rep-locnilp", **verdict.data}
     total = rep.total_dimension()
-    bounded_no = 0
-    for i in range(total):
-        vector = tuple(field.one if j == i else field.zero for j in range(total))
-        check = annihilator_monomial_check(rep, vector, args.codim_bound)
-        if not check:
-            bounded_no += 1
-    consistent = (bounded_no > 0) == (not verdict)
+    # Exact on both sides: M is locally nilpotent exactly when a cofinite
+    # monomial ideal kills every basis vector.
+    unkilled = any(not annihilator_monomial_check(rep, tuple(field.one if j == i else field.zero for j in range(total)))
+                   for i in range(total))
+    consistent = unkilled == (not verdict)
     report["annihilator_crosscheck"] = "consistent" if consistent else "inconsistent"
     return report, 0 if consistent else 1
 
@@ -306,9 +304,11 @@ def cmd_check(args, field) -> tuple[dict, int]:
     if field is not QQ:
         raise InputFailure(f"check verdicts are certified over q only, not {field.name}")
     check = CHECKS[args.name]
+    if check.kind is not None and args.second is not None:
+        raise InputFailure(f"check {args.name} takes one input, got a second: {args.second}")
     parsed = _resolve(args.input, check.kind)
     target = parsed.materialize(args.max_len) if check.truncate else parsed.target
-    if check.kind is None and args.second is not None:
+    if args.second is not None:
         target = TensorProduct(target, _resolve(args.second).target)
     given = {"codim_bound": args.codim_bound, "window": args.max_len}
     verdict = globals()[check.verdict](target, **{name: given[name] for name in check.options})

@@ -474,8 +474,9 @@ def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
 
 
 # ---------------------------------------------------------------------------
-# Small dense matrices (tuples of tuples of scalars), used by representations
-# and the rank-1 splitting of 2x2 systems.
+# Small dense matrices (tuples of tuples of scalars), used to build and
+# validate representations and modules, and by the rank-1 splitting of 2x2
+# systems.
 # ---------------------------------------------------------------------------
 
 
@@ -493,20 +494,6 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _sparse_rows(m):
-    return [[(j, y) for j, y in enumerate(row) if y] for row in m]
-
-
-def _row_times(vec, sparse_rows, zero, width):
-    """vec times the matrix whose nonzero entries are ``sparse_rows``."""
-    acc = [zero] * width
-    for x, row in zip(vec, sparse_rows):
-        if x:
-            for j, y in row:
-                acc[j] += x * y
-    return tuple(acc)
-
-
 def mat_mul(a, b):
     """Dense product that skips zero entries of both factors.
 
@@ -517,19 +504,17 @@ def mat_mul(a, b):
     width = len(b[0]) if b else 0
     if not (a and width):
         return tuple(() for _ in a)
-    rows = _sparse_rows(b)
+    rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     zero = 0 * a[0][0] * b[0][0]
-    return tuple(_row_times(ra, rows, zero, width) for ra in a)
-
-
-def vec_mat(vec, m):
-    """Row vector times matrix (right-action convention)."""
-    if len(vec) != len(m):
-        raise ValueError("shape mismatch in vec_mat")
-    width = len(m[0]) if m else 0
-    if not width:
-        return ()
-    return _row_times(vec, _sparse_rows(m), 0 * vec[0] * m[0][0], width)
+    product = []
+    for ra in a:
+        acc = [zero] * width
+        for x, row in zip(ra, rows):
+            if x:
+                for j, y in row:
+                    acc[j] += x * y
+        product.append(tuple(acc))
+    return tuple(product)
 
 
 def mat_eq(a, b) -> bool:
@@ -543,10 +528,6 @@ def mat_eq(a, b) -> bool:
         if ra != rb and any(x - y for x, y in zip(ra, rb)):
             return False
     return True
-
-
-def mat_is_zero(m) -> bool:
-    return all(not x for row in m for x in row)
 
 
 def det2(m):

@@ -25,14 +25,11 @@ from .linalg import (
     integer_matrices,
     mat_eq,
     mat_identity,
-    mat_is_zero,
     mat_mul,
     mat_zero,
-    rref,
-    vec_mat,
 )
 from .quiver import Family, Path, Quiver, Verdict, find_simple_cycle
-from .scalars import QQ
+from .scalars import QQ, PrimeField
 
 
 @dataclass
@@ -77,92 +74,63 @@ def shape_problem(label: str, m, rows: int, cols: int) -> Optional[str]:
 
 
 def is_locally_nilpotent(rep: Representation, field=QQ) -> Verdict:
-    """Subspace-chain decision: propagate the spaces reached by length-L
-    path actions; the chain is decreasing, so it either hits zero (locally
-    nilpotent, from the vanishing level on) or stabilizes at a nonzero
-    state (witnessed by a nonvanishing action of a path long enough to
-    repeat a vertex, with a vector it keeps alive)."""
-    quiver = rep.quiver
-    state = {v: [SparseVector.unit(j, field) for j in range(rep.dims[v])] for v in quiver.vertices}
-    level = 0
-    while True:
-        if all(not state[v] for v in quiver.vertices):
-            return Verdict("yes", level, data={"locally_nilpotent": True, "vanishing_level": level})
-        new_state = {v: [] for v in quiver.vertices}
+    """Subspace-chain decision on ``PathAction`` rows.  Level L holds one
+    block of rows per vertex, together spanning V·J^L, the images of the
+    total space under the paths of length L; one echelon per level admits
+    the products of the blocks before with the arrows.  As
+    V·J^(L+1) = (V·J^L)·J ⊆ V·J^L, the chain decreases and is stable from
+    the first level that admits as many rows as the level before.  It
+    either hits zero (locally nilpotent, from the vanishing level on) or
+    stabilizes at a nonzero space, witnessed by a path long enough to
+    repeat a vertex and the first unit vector at its start that it keeps
+    alive."""
+    quiver, action = rep.quiver, PathAction(rep, field)
+    blocks, count, level = dict(action.units()), rep.total_dimension(), 0
+    while count:
+        echelon, admitted = Echelon(action.p), {v: {} for v in quiver.vertices}
         for a in quiver.arrows:
-            m = rep.maps[a.label]
-            for basis_vec in state[a.source]:
-                row = tuple(basis_vec.coeff(j) or field.zero for j in range(rep.dims[a.source]))
-                image = vec_mat(row, m)
-                vec = SparseVector({j: x for j, x in enumerate(image) if x})
-                if not vec.is_zero():
-                    new_state[a.target].append(vec)
-        new_state = {v: rref(new_state[v]) for v in quiver.vertices}
-        # rref bases are canonical, so equal spans have equal states.
-        if new_state == state:
-            witness = _find_nonvanishing_long_path(rep, level + len(quiver.vertices) + 1, field)
-            return Verdict("no", witness, data={
+            for image in _block_product(blocks[a.source], action.arrows[a.label][1], action.p).values():
+                if echelon.admit(image):
+                    admitted[a.target][len(admitted[a.target])] = image
+        if (admitted_count := sum(map(len, admitted.values()))) == count:
+            depth = level + len(quiver.vertices) + 1
+            path, block = next(walked for walked in action.alive(action.units(), depth) if walked[0].length == depth)
+            start = min(block) - action.offsets[path.source]
+            vector = tuple(field.one if j == start else field.zero for j in range(rep.dims[path.source]))
+            return Verdict("no", (path, vector), data={
                 "locally_nilpotent": False,
-                "stable_dims": {str(v): len(new_state[v]) for v in quiver.vertices},
-                "witness_path": str(witness[0] if witness else None),
+                "stable_dims": {str(v): len(admitted[v]) for v in quiver.vertices},
+                "witness_path": str(path),
             })
-        state = new_state
-        level += 1
+        blocks, count, level = admitted, admitted_count, level + 1
+    return Verdict("yes", level, data={"locally_nilpotent": True, "vanishing_level": level})
 
 
-def _find_nonvanishing_long_path(rep: Representation, depth: int, field=QQ):
-    """DFS for a path of the target length whose action matrix is nonzero,
-    together with a vector not killed by it."""
-    quiver = rep.quiver
-    stack = []
-    for v in quiver.vertices:
-        if rep.dims[v]:
-            stack.append((quiver.vertex_path(v), mat_identity(rep.dims[v], field)))
-    while stack:
-        path, matrix = stack.pop()
-        if path.length >= depth:
-            for i, row in enumerate(matrix):
-                if any(row):
-                    vector = tuple(field.one if j == i else field.zero for j in range(len(matrix)))
-                    return path, vector
-            continue
-        for a in quiver.out_arrows(path.target):
-            product = mat_mul(matrix, rep.maps[a.label])
-            if not mat_is_zero(product):
-                stack.append((Path(quiver, None, path.arrows + (a,)), product))
-    return None
-
-
-def annihilator_monomial_check(rep: Representation, vector, codim_bound: int = 10) -> Verdict:
-    """Search for a cofinite monomial ideal annihilating the vector.
+def annihilator_monomial_check(rep: Representation, vector) -> Verdict:
+    """Whether a cofinite monomial ideal annihilates the vector v, exactly.
 
     ``vector`` lies in the total space, the vertex spaces taken in
-    ``quiver.vertices`` order.  The nonvanishing path set of the vector is
-    prefix-closed, so a depth first walk with pruning enumerates it; a
-    surviving path longer than the bound already forces more than
-    codim_bound complement elements.  A yes walked the whole set, and its
-    witness is the complement.
+    ``quiver.vertices`` order.  Let n = dim M and U_L = span{v·M_p : |p| ≥
+    L}.  The chain U_0 ⊇ U_1 ⊇ … decreases and U_(L+1) = U_L·J, so it is
+    constant from its first repeat on; each strict step lowers the
+    dimension, so the first repeat comes by L = n and U_L = U_n for every
+    L ≥ n.  The paths acting nonzero on v are prefix-closed, so a depth
+    first walk with pruning to depth n enumerates those of length ≤ n.
+    If one of length n acts nonzero, U_n ≠ 0, so every U_L is nonzero and
+    paths of every length act nonzero: no cofinite set of paths kills v,
+    and the answer is no with that path as witness.  Otherwise every path
+    of length ≥ n kills v, the nonvanishing set is finite, and the yes
+    witness is its subpath closure: the span of the paths outside it is a
+    cofinite two-sided ideal, and it annihilates v.
     """
-    quiver = rep.quiver
-    if len(vector) != rep.total_dimension():
-        raise ValueError(f"vector has length {len(vector)}, expected {rep.total_dimension()}")
-    alive = []
-    stack = []
-    offset = 0
-    for v in quiver.vertices:
-        image = vector[offset:offset + rep.dims[v]]
-        offset += rep.dims[v]
-        if any(image):
-            stack.append((quiver.vertex_path(v), image))
-    while stack:
-        path, image = stack.pop()
+    n = rep.total_dimension()
+    if len(vector) != n:
+        raise ValueError(f"vector has length {len(vector)}, expected {n}")
+    action, alive = PathAction(rep), []
+    for path, _ in action.alive(action.starts(vector), n):
+        if path.length == n:
+            return Verdict("no", path, f"the path {path} of length dim M = {n} acts nonzero, so paths of every length do")
         alive.append(path)
-        if path.length > codim_bound:
-            return Verdict("no_up_to_bound", explanation=f"a path of length {path.length} still acts nontrivially")
-        for a in quiver.out_arrows(path.target):
-            new_image = vec_mat(image, rep.maps[a.label])
-            if any(new_image):
-                stack.append((Path(quiver, None, path.arrows + (a,)), new_image))
     return Verdict(
         "yes", subpath_closure(alive), "the span of all paths outside the closure annihilates the vector"
     )
@@ -223,11 +191,13 @@ class PathAction:
     path matrix is one object per value, ``(scale, block, row)`` in lowest
     terms, row the block flattened to {row * total + column: n}: M_p = M_r,
     scale included, exactly when the objects are the same.  ``times`` forms
-    one product per distinct matrix and arrow."""
+    one product per distinct matrix and arrow.  ``alive`` walks the products
+    of row blocks, the unit rows of ``units`` or a vector's ``starts``,
+    without forming path matrices."""
 
     def __init__(self, rep: Representation, field=QQ):
         self.quiver = quiver = rep.quiver
-        offsets = dict(zip(quiver.vertices, accumulate([rep.dims[v] for v in quiver.vertices], initial=0)))
+        self.offsets = offsets = dict(zip(quiver.vertices, accumulate([rep.dims[v] for v in quiver.vertices], initial=0)))
         self.p, converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
         self.arrows = {}
         for a, (scale, ints) in zip(quiver.arrows, converted):
@@ -250,6 +220,34 @@ class PathAction:
             scale, block = self.arrows[label]
             self._formed[key] = self._matrix(matrix[0] * scale, _block_product(matrix[1], block, self.p))
         return self._formed[key]
+
+    def units(self) -> list:
+        """The unit rows of the total space, as the starts (vertex, block)
+        with the identity block of each vertex."""
+        return [(v, matrix[1]) for v, matrix in self.vertices.items()]
+
+    def starts(self, vector) -> list:
+        """The starts (vertex, {0: row}) of a total-space vector, one per
+        vertex where it is nonzero, the row its integers with the kernel's
+        modulus."""
+        ints = integer_matrices([(vector,)], PrimeField(self.p) if self.p else None)[1][0][1]
+        bounds = [*self.offsets.values(), self._total]
+        return [(v, {0: row}) for v, low, high in zip(self.offsets, bounds, bounds[1:])
+                if (row := {k: n for (_, k), n in ints.items() if low <= k < high})]
+
+    def alive(self, starts, depth: int):
+        """Depth first, each path p of length at most ``depth`` from a start
+        (vertex, block) whose product block·M_p is nonzero, with that
+        product.  A zero product ends its branch, since every extension of
+        the path is zero on the block too."""
+        quiver = self.quiver
+        stack = [(quiver.vertex_path(v), block) for v, block in starts if block]
+        while stack:
+            path, block = stack.pop()
+            yield path, block
+            for a in quiver.out_arrows(path.target) if path.length < depth else ():
+                if product := _block_product(block, self.arrows[a.label][1], self.p):
+                    stack.append((Path(quiver, None, path.arrows + (a,)), product))
 
     def basis(self) -> list[Path]:
         """``annihilator_basis`` of the representation."""

@@ -35,7 +35,7 @@ from .incidence import (
     incidence_semiperfect_check,
     phi_image_check,
 )
-from .linalg import SparseVector, det2, solve_membership
+from .linalg import SparseVector, det2, mat_mul, solve_membership
 from .quiver import (
     Family,
     Quiver,
@@ -456,15 +456,15 @@ def check_cycle_quotient() -> CheckReport:
         nil = is_locally_nilpotent(rep)
         if nil:
             return CheckReport("cycle-quotient", False, {"failure": f"unexpected nilpotence at n={n}"})
-        if nil.witness is None:
-            return CheckReport("cycle-quotient", False, {"failure": "missing nilpotence witness"})
-        disagreements = 0
-        for i in range(rep.total_dimension()):
-            vector = tuple(QQ.one if j == i else QQ.zero for j in range(rep.total_dimension()))
-            verdict = annihilator_monomial_check(rep, vector, 10)
-            if verdict:
-                disagreements += 1
-        if disagreements:
+        path, vector = nil.witness
+        image = (vector,)
+        for a in path.arrows:
+            image = mat_mul(image, rep.maps[a.label])
+        if not any(image[0]):
+            return CheckReport("cycle-quotient", False, {"failure": f"witness path {path} kills its vector at n={n}"})
+        total = rep.total_dimension()
+        if any(annihilator_monomial_check(rep, tuple(QQ.one if j == i else QQ.zero for j in range(total))).status != "no"
+               for i in range(total)):
             return CheckReport("cycle-quotient", False, {"failure": f"annihilator verdicts disagree at n={n}"})
         if n == 1:
             if rep.maps["x0"] != ((QQ.one,),):

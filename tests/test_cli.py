@@ -108,6 +108,22 @@ def test_rep_locnilp(line_file, tmp_path, capsys):
     assert "consistent" in out
 
 
+def test_rep_locnilp_on_a_long_all_ones_line_is_consistent_at_every_codim_bound(tmp_path, capsys):
+    # Dimension 13, and e_v0 survives the path of length 12: a walk bounded
+    # by --codim-bound 10 saw it as unkilled and printed "inconsistent".
+    vertices = [f"v{i}" for i in range(13)]
+    arrows = [f"arrow x{i} v{i} v{i + 1}" for i in range(12)]
+    line, rep = tmp_path / "line13.txt", tmp_path / "rep13.txt"
+    line.write_text("\n".join(["quiver", *(f"vertex {v}" for v in vertices), *arrows]) + "\n")
+    rep.write_text("\n".join(["rep", *(f"dim {v} 1" for v in vertices), *(f"map x{i} 1" for i in range(12))]) + "\n")
+    runs = [run(capsys, "rep-locnilp", str(line), str(rep), "--json", "--codim-bound", bound) for bound in ("0", "10", "40")]
+    assert runs[0] == runs[1] == runs[2]
+    status, out, err = runs[0]
+    report = json.loads(out)
+    assert (status, err) == (0, "")
+    assert report["annihilator_crosscheck"] == "consistent" and report["vanishing_level"] == 13
+
+
 def test_check_prop41_and_thm42(poset_file, capsys):
     status, out, _ = run(capsys, "check", "prop41", poset_file)
     assert status == 0 and "agreement: True" in out
@@ -672,6 +688,14 @@ POSET_CHECKS = ("prop41", "thm42", "thm43")
 def test_every_check_but_coreflexive_takes_one_input_kind():
     kinds = {name: kind for name, (kind, *_) in cli.CHECKS.items()}
     assert kinds == {**dict.fromkeys(QUIVER_CHECKS, "quiver"), **dict.fromkeys(POSET_CHECKS, "poset"), "coreflexive": None}
+
+
+@pytest.mark.parametrize("name", [name for name, check in cli.CHECKS.items() if check.kind is not None])
+def test_check_of_one_input_kind_refuses_a_second_input(name, line_file, poset_file, capsys):
+    first = line_file if cli.CHECKS[name].kind == "quiver" else poset_file
+    for second in (line_file, "family:loop"):
+        message = f"error: check {name} takes one input, got a second: {second}\n"
+        assert run(capsys, "check", name, first, second) == (2, "", message)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from quivercoalg.linalg import (
     reducer,
     rref,
     solve_membership,
-    vec_mat,
 )
 from quivercoalg.corpus import named_quiver
 from quivercoalg.quiver import enumerate_paths
@@ -265,24 +264,18 @@ def matrix_pairs(draw):
 
 
 @given(matrix_pairs())
-def test_mat_mul_and_vec_mat_match_the_dense_oracle(case):
+def test_mat_mul_matches_the_dense_oracle(case):
     field, a, b = case
     scalar = type(field.zero)
     product = mat_mul(a, b)
     assert product == dense_mat_mul(a, b, field.zero)
     assert all(type(x) is scalar for row in product for x in row)
-    for row in a:
-        image = vec_mat(row, b)
-        assert image == dense_mat_mul((row,), b, field.zero)[0]
-        assert all(type(x) is scalar for x in image)
 
 
-def test_mat_mul_and_vec_mat_reject_shape_mismatch():
+def test_mat_mul_rejects_shape_mismatch():
     one = QQ.one
     with pytest.raises(ValueError, match="shape mismatch 1x1 times 2x1"):
         mat_mul(((one,),), ((one,), (one,)))
-    with pytest.raises(ValueError, match="shape mismatch in vec_mat"):
-        vec_mat((one,), ((one,), (one,)))
 
 
 def test_mat_eq_compares_values():

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from quivercoalg import corpus, linalg
-from quivercoalg.algebra import build_cycle_counterexample
+from quivercoalg import corpus, linalg, suites
+from quivercoalg.algebra import build_cycle_counterexample, subpath_closure
 from quivercoalg.corpus import (
     CYCLIC_CORPUS,
     enumerate_small_quivers,
@@ -18,10 +18,11 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.finite_dual import structured_algebra
 from quivercoalg.incidence import fia_structured_algebra
-from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_is_zero, mat_mul
-from quivercoalg.quiver import Family, Path, Quiver, find_simple_cycle, is_acyclic
+from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_mul
+from quivercoalg.quiver import Family, Path, Quiver, Verdict, find_simple_cycle, is_acyclic
 from quivercoalg.representation import (
     LeftModule,
+    PathAction,
     Representation,
     annihilator_basis,
     annihilator_monomial_check,
@@ -74,22 +75,123 @@ def test_locally_nilpotent_loop_cases():
 def test_annihilator_check_agrees():
     loop = named_quiver("loop")
     nonnil = Representation(loop, {"v": 1}, {"x": ((one(),),)})
-    verdict = annihilator_monomial_check(nonnil, (one(),), 10)
-    assert verdict.status == "no_up_to_bound"
-    zero_vec = annihilator_monomial_check(nonnil, (Fraction(0),), 10)
+    verdict = annihilator_monomial_check(nonnil, (one(),))
+    assert verdict.status == "no" and verdict.witness == loop.arrow_path("x")
+    zero_vec = annihilator_monomial_check(nonnil, (Fraction(0),))
     assert zero_vec.status == "yes" and len(zero_vec.witness) == 0
     rng = random.Random(8)
     for _ in range(15):
         q = random_acyclic_quiver(rng, 4, 4)
         rep = random_representation(rng, q, 2)
         nil = bool(is_locally_nilpotent(rep))
-        bounded_no = 0
+        unkilled = 0
         total = rep.total_dimension()
         for i in range(total):
             vector = tuple(one() if j == i else Fraction(0) for j in range(total))
-            if annihilator_monomial_check(rep, vector, 10).status != "yes":
-                bounded_no += 1
-        assert (bounded_no == 0) == nil
+            if annihilator_monomial_check(rep, vector).status != "yes":
+                unkilled += 1
+        assert (unkilled == 0) == nil
+
+
+def _is_zero(m) -> bool:
+    return not any(any(row) for row in m)
+
+
+def _unit(rep, i, field=QQ):
+    return tuple(field.one if j == i else field.zero for j in range(rep.total_dimension()))
+
+
+def _path_image(rep, row, path, field=QQ):
+    """The row of V_(s(p)) times M_p, in field arithmetic."""
+    image = (row,)
+    for a in path.arrows:
+        image = dense_mat_mul(image, rep.maps[a.label], field.zero)
+    return image[0]
+
+
+def _image(rep, vector, path, field=QQ):
+    """v·M_p for v in the total space: its slice at the start of p times
+    the arrows' matrices."""
+    vertices = list(rep.quiver.vertices)
+    offset = sum(rep.dims[v] for v in vertices[:vertices.index(path.source)])
+    return _path_image(rep, vector[offset:offset + rep.dims[path.source]], path, field)
+
+
+def _bounded_walk(rep, vector, bound, field=QQ) -> Verdict:
+    """The bounded field-arithmetic walk that ``annihilator_monomial_check``
+    replaced: the paths acting nonzero on v are prefix-closed, so a depth
+    first walk with pruning enumerates them; one longer than the bound
+    gives no_up_to_bound, and a finished walk gives yes with the subpath
+    closure of the set."""
+    alive, stack = [], [(p, _image(rep, vector, p, field)) for p in map(rep.quiver.vertex_path, rep.quiver.vertices)]
+    stack = [(path, image) for path, image in stack if any(image)]
+    while stack:
+        path, image = stack.pop()
+        alive.append(path)
+        if path.length > bound:
+            return Verdict("no_up_to_bound")
+        for a in rep.quiver.out_arrows(path.target):
+            if any(product := dense_mat_mul((image,), rep.maps[a.label], field.zero)[0]):
+                stack.append((Path(rep.quiver, None, path.arrows + (a,)), product))
+    return Verdict("yes", subpath_closure(alive))
+
+
+def _vector_disagreements(rep, check=annihilator_monomial_check, field=QQ) -> list[str]:
+    """Where ``check`` and the bounded walk at a bound above dim M answer
+    differently on a basis vector, and every no witness shorter than dim M
+    or killing its vector."""
+    n, wrong = rep.total_dimension(), []
+    for i in range(n):
+        vector = _unit(rep, i, field)
+        exact, bounded = check(rep, vector), _bounded_walk(rep, vector, n + 1, field)
+        if bool(exact) != bool(bounded) or (exact and exact.witness != bounded.witness):
+            wrong.append(f"e{i}: {exact.status} {exact.witness} against {bounded.status} {bounded.witness}")
+        elif not exact and (exact.status != "no" or exact.witness.length < n
+                            or not any(_image(rep, vector, exact.witness, field))):
+            wrong.append(f"e{i}: {exact.status} witness {exact.witness} is shorter than {n} or kills the vector")
+    return wrong
+
+
+def _all_ones_line(n: int) -> Representation:
+    """The line v0 -> ... -> v(n-1), dimension 1 everywhere, every arrow
+    acting by 1: nilpotent, yet e_v0 survives the path of length n - 1."""
+    line = Quiver([f"v{i}" for i in range(n)], [(f"x{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    return Representation(line, dict.fromkeys(line.vertices, 1), {a.label: ((one(),),) for a in line.arrows})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_annihilator_check_agrees_with_the_bounded_walk_on_small_quivers(field):
+    rng, answers = random.Random(12), set()
+    for quiver in enumerate_small_quivers(3, 2):
+        for _ in range(3):
+            rep = random_representation(rng, quiver, 3, field)
+            assert _vector_disagreements(rep, field=field) == [], quiver.arrows
+            nil = is_locally_nilpotent(rep, field)
+            answers.add(nil.status)
+            if not nil:
+                path, vector = nil.witness
+                assert path.length >= len(quiver.vertices) + 1 and any(_path_image(rep, vector, path, field))
+    assert answers == {"yes", "no"}
+
+
+def test_annihilator_check_agrees_on_the_all_ones_line():
+    # Dimension 13 with a nonzero path of length 12: a walk bounded at 10
+    # would see a path longer than its bound and answer no.
+    rep = _all_ones_line(13)
+    assert is_locally_nilpotent(rep).data["vanishing_level"] == 13
+    assert _vector_disagreements(rep) == []
+
+
+def test_the_bounded_walk_refuses_a_check_one_step_short_of_dim_m():
+    def one_short(rep, vector):
+        depth, action, alive = rep.total_dimension() - 1, PathAction(rep), []
+        for path, _ in action.alive(action.starts(vector), depth):
+            if path.length == depth:
+                return Verdict("no", path)
+            alive.append(path)
+        return Verdict("yes", subpath_closure(alive))
+
+    assert _vector_disagreements(_all_ones_line(13), one_short) != []
 
 
 def test_annihilator_check_slices_the_total_space_by_vertex():
@@ -98,16 +200,38 @@ def test_annihilator_check_slices_the_total_space_by_vertex():
     zero = Fraction(0)
     rep = Representation(q, {"a": 1, "b": 2, "c": 1}, {"x": ((one(), zero),), "y": ((zero,), (one(),))})
     # e_a survives x but dies on x.y; the first basis vector of V_b dies on y.
-    verdict = annihilator_monomial_check(rep, (one(), one(), zero, zero), 10)
+    verdict = annihilator_monomial_check(rep, (one(), one(), zero, zero))
     assert verdict.status == "yes"
     assert verdict.witness == sorted([q.vertex_path("a"), q.vertex_path("b"), q.arrow_path("x")],
                                      key=lambda p: p.sort_key)
     # The second basis vector of V_b survives y, which brings in c.
-    verdict = annihilator_monomial_check(rep, (one(), zero, one(), zero), 10)
+    verdict = annihilator_monomial_check(rep, (one(), zero, one(), zero))
     assert verdict.status == "yes"
     assert set(verdict.witness) == {q.vertex_path(v) for v in "abc"} | {q.arrow_path("x"), q.arrow_path("y")}
     with pytest.raises(ValueError, match="length 3, expected 4"):
-        annihilator_monomial_check(rep, (one(), zero, zero), 10)
+        annihilator_monomial_check(rep, (one(), zero, zero))
+
+
+@pytest.mark.parametrize("status", ["yes", "no_up_to_bound", "unknown"])
+def test_the_cycle_quotient_suite_check_needs_a_no_on_every_basis_vector(monkeypatch, status):
+    exact = suites.annihilator_monomial_check
+    monkeypatch.setattr(suites, "annihilator_monomial_check",
+                        lambda rep, vector: Verdict(status) if vector[-1] else exact(rep, vector))
+    report = suites.check_cycle_quotient()
+    assert not report.passed and report.details == {"failure": "annihilator verdicts disagree at n=1"}
+
+
+def test_the_cycle_quotient_suite_check_remultiplies_the_nilpotence_witness(monkeypatch):
+    exact = suites.is_locally_nilpotent
+
+    def zeroed(rep):
+        verdict = exact(rep)
+        path, vector = verdict.witness
+        return Verdict(verdict.status, (path, tuple(0 * x for x in vector)), data=verdict.data)
+
+    monkeypatch.setattr(suites, "is_locally_nilpotent", zeroed)
+    report = suites.check_cycle_quotient()
+    assert not report.passed and report.details == {"failure": "witness path x0.x0 kills its vector at n=1"}
 
 
 def test_cycle_quotient_dimensions_and_unit():
@@ -145,7 +269,7 @@ def test_cycle_module_lives_on_the_cycle():
     rep = cycle_module(TAILS)
     assert rep.dims == {"c0": 3, "c1": 3, "c2": 3, "t0": 0, "t1": 0}
     assert all(rep.maps[a] == mat_identity(3) for a in "xyz")
-    assert all(mat_is_zero(rep.maps[a]) for a in "st")
+    assert all(_is_zero(rep.maps[a]) for a in "st")
     with pytest.raises(ValueError, match="no oriented cycle"):
         cycle_module(named_quiver("line3"))
 
@@ -174,7 +298,7 @@ def _acting_paths(rep, window):
         path, m = stack.pop()
         found.append(path)
         for a in quiver.out_arrows(path.target) if path.length < window else ():
-            if not mat_is_zero(product := mat_mul(m, rep.maps[a.label])):
+            if not _is_zero(product := mat_mul(m, rep.maps[a.label])):
                 stack.append((Path(quiver, None, path.arrows + (a,)), product))
     return found
 
