@@ -97,10 +97,6 @@ def _is_zero(m) -> bool:
     return not any(any(row) for row in m)
 
 
-def _unit(rep, i, field=QQ):
-    return tuple(field.one if j == i else field.zero for j in range(rep.total_dimension()))
-
-
 def _path_image(rep, row, path, field=QQ):
     """The row of V_(s(p)) times M_p, in field arithmetic."""
     image = (row,)
@@ -123,8 +119,8 @@ def _bounded_walk(rep, vector, bound, field=QQ) -> Verdict:
     first walk with pruning enumerates them; one longer than the bound
     gives no_up_to_bound, and a finished walk gives yes with the subpath
     closure of the set."""
-    alive, stack = [], [(p, _image(rep, vector, p, field)) for p in map(rep.quiver.vertex_path, rep.quiver.vertices)]
-    stack = [(path, image) for path, image in stack if any(image)]
+    starts = map(rep.quiver.vertex_path, rep.quiver.vertices)
+    alive, stack = [], [(path, image) for path in starts if any(image := _image(rep, vector, path, field))]
     while stack:
         path, image = stack.pop()
         alive.append(path)
@@ -142,7 +138,7 @@ def _vector_disagreements(rep, check=annihilator_monomial_check, field=QQ) -> li
     or killing its vector."""
     n, wrong = rep.total_dimension(), []
     for i in range(n):
-        vector = _unit(rep, i, field)
+        vector = tuple(field.one if j == i else field.zero for j in range(n))
         exact, bounded = check(rep, vector), _bounded_walk(rep, vector, n + 1, field)
         if bool(exact) != bool(bounded) or (exact and exact.witness != bounded.witness):
             wrong.append(f"e{i}: {exact.status} {exact.witness} against {bounded.status} {bounded.witness}")
