@@ -182,6 +182,11 @@ def _generators(quiver: Quiver) -> list[Path]:
     return [quiver.vertex_path(v) for v in quiver.vertices] + [Path(quiver, None, (a,)) for a in quiver.arrows]
 
 
+def _word(path: Path):
+    """The key of a path in W: its arrow word, or its vertex at length 0."""
+    return path.arrows or path.vertex
+
+
 def _certify_annihilator(module, closed, pairs, window: int, field=QQ) -> tuple[int, int, list]:
     """The three checks of the module docstring, each raising
     AssertionError, for W = ``closed`` (subpath-closed, sorted by length)
@@ -194,22 +199,21 @@ def _certify_annihilator(module, closed, pairs, window: int, field=QQ) -> tuple[
     from . import representation  # representation imports this module
 
     action = representation.PathAction(rep := module(representation), field)
-    quiver, on_w = rep.quiver, set(closed)
+    quiver, index, lengths = rep.quiver, {_word(p): i for i, p in enumerate(closed)}, [p.length for p in closed]
     for g in _generators(quiver):
-        if g not in on_w and (action.arrows[g.arrows[0].label][1] if g.length else rep.dims[g.vertex]):
+        if _word(g) not in index and (action.arrows[g.arrows[0].label][1] if g.length else rep.dims[g.vertex]):
             raise AssertionError(f"{g} is off W but does not act by zero")
-    # M on W; a path that no extension reaches keeps itself, equal to no matrix.
-    index, lengths = {p: i for i, p in enumerate(closed)}, [p.length for p in closed]
+    # M on W by arrow word; a path that no extension reaches keeps itself, equal to no matrix.
     steps, matrix = {p.arrows[0] for p, n in zip(closed, lengths) if n == 1}, list(closed)
     for i, p in enumerate(closed):
         if not lengths[i]:
             matrix[i] = action.vertices[p.vertex]
         for a in quiver.out_arrows(p.target) if lengths[i] < window else ():
             if a in steps:
-                if (k := index.get(longer := Path(quiver, None, p.arrows + (a,)))) is None:
-                    raise AssertionError(f"{longer} is off W but its arrows are on it")
+                if (k := index.get(p.arrows + (a,))) is None:
+                    raise AssertionError(f"{Path(quiver, None, p.arrows + (a,))} is off W but its arrows are on it")
                 matrix[k] = action.times(matrix[i], a.label)
-    positions = [(index[p], index[r]) for p, r in pairs]
+    positions = [(index[_word(p)], index[_word(r)]) for p, r in pairs]
     for (i, j), (p, r) in zip(positions, pairs):
         if matrix[i] is not matrix[j]:
             raise AssertionError(f"M tells {p} from {r}, so their difference is not in Ann(M)")
@@ -244,16 +248,17 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     if max_len < s:
         raise ValueError(f"window {max_len} is shorter than the cycle of length {s}")
     q = winding_paths(quiver, cycle, max_len)
-    x_set = set(q.values())
     # W in path order: by length, then first arrow label (vertex name at length 0).
     by_vertex = sorted(range(s), key=lambda n: cycle[n].source)
     by_arrow = sorted(range(s), key=lambda n: cycle[n].label)
     closed = [p for k in range(max_len + 1) for n in (by_arrow if k else by_vertex) if (p := q.get((n, k)))]
-    # Both subpaths of length n - 1 of each path of W in W: by induction W
-    # holds every subpath, so a product with a path off W is off W or zero.
+    # Both subpaths of length n - 1 of each path of W in W, as words: by
+    # induction W holds every subpath, so a product with a path off W is off W or zero.
+    words = {_word(p) for p in closed}
     for p in closed:
-        for part in (p.prefix(p.length - 1), p.suffix_from(1)) if p.length else ():
-            if part not in x_set:
+        for part in (p.arrows[:-1], p.arrows[1:]) if p.length > 1 else (p.source, p.target) if p.length else ():
+            if part not in words:
+                part = Path(quiver, None, part) if isinstance(part, tuple) else quiver.vertex_path(part)
                 raise AssertionError(f"subpath {part} of the winding path {p} is off the winding paths")
     pairs = [(q[(n, k * s + i)], q[(n, i)])
              for n in range(s) for i in range(max_len + 1) for k in range(1, (max_len - i) // s + 1)]
@@ -264,7 +269,7 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
         quiver=quiver,
         max_len=max_len,
         difference_pairs=pairs,
-        monomial_generators=[g for g in _generators(quiver) if g not in x_set],
+        monomial_generators=[g for g in _generators(quiver) if _word(g) not in words],
         closed_path_set=closed,
         codimension=codimension,
         identities_checked=identities,

@@ -51,7 +51,7 @@ from .quiver import (
     is_acyclic,
     path_labels,
 )
-from .representation import annihilator_monomial_check, is_locally_nilpotent
+from .representation import PathAction, is_locally_nilpotent
 from .scalars import QQ, FieldError, field_from_spec
 from .textio import (
     ParseError,
@@ -230,10 +230,10 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     rep = parse_rep_text(_read_file(args.rep), quiver, field)
     verdict = is_locally_nilpotent(rep, field)
     report = {"command": "rep-locnilp", **verdict.data}
-    total = rep.total_dimension()
+    total, action = rep.total_dimension(), PathAction(rep)
     # Exact on both sides: M is locally nilpotent exactly when a cofinite
-    # monomial ideal kills every basis vector.
-    unkilled = any(not annihilator_monomial_check(rep, tuple(field.one if j == i else field.zero for j in range(total)))
+    # monomial ideal kills every basis vector; one kernel serves them all.
+    unkilled = any(not action.monomial_check(tuple(field.one if j == i else field.zero for j in range(total)))
                    for i in range(total))
     consistent = unkilled == (not verdict)
     report["annihilator_crosscheck"] = "consistent" if consistent else "inconsistent"
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-len", type=int, default=6, help="path-length window / truncation stage")
     common.add_argument("--field", default="q", help="q (rationals) or fp:<prime>")
-    common.add_argument("--codim-bound", type=int, default=10, help="bound for monomial-ideal searches")
+    common.add_argument("--codim-bound", type=int, default=10, help="codimension bound of the thm33 witness; only check thm33 reads it")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import prod
 from typing import Optional
 
 from .coalgebra import CoalgElement
@@ -35,12 +34,13 @@ def _has_prefix(prefix: Path, path: Path, field):
 
 
 def _winding_multiple(cycle: tuple, path: Path, field):
+    # One tuple comparison with the cycle rotated to the path's start and repeated:
+    # arrows compare by identity, and the rule reads paths of its cycle's quiver.
     s, starts = len(cycle), [a.source for a in cycle]
     if path.length % s or path.source not in starts:
         return field.zero
     n = starts.index(path.source)
-    winds = all(a.ident == cycle[(n + k) % s].ident for k, a in enumerate(path.arrows))
-    return field.one if winds else field.zero
+    return field.one if path.arrows == (cycle[n:] + cycle[:n]) * (path.length // s) else field.zero
 
 
 def _read_vertex(text: str, carrier, field):
@@ -61,7 +61,7 @@ RULES = {
     "gamma": RuleKind("gamma", None, lambda text, carrier, field: None, lambda _, path, field: field.one),
     # On the one-loop quiver, the n-th power goes to lambda^n.
     "eval": RuleKind("eval({})", "a scalar", lambda text, carrier, field: field.parse(text),
-                     lambda lam, path, field: prod([lam] * path.length, start=field.one)),
+                     lambda lam, path, field: field.one * lam ** path.length),
     # Indicator of the paths with the given source.
     "starts_at": RuleKind("starts-at({})", "a vertex", _read_vertex,
                           lambda v, path, field: field.one if path.source == v else field.zero),

@@ -239,28 +239,29 @@ class PathEnumeration:
         return len(self.paths)
 
 
-def _walk(quiver: Quiver, max_len: int, first, suffix):
-    """The paths of lengths 1..max_len as layers of (end vertex, payload)
-    pairs, in ``sort_key`` order, and the exhaustive flag.
-
-    An arrow a is the path with payload ``first(a)``; extending a path by a
-    appends ``suffix(a)`` to its payload.  Both are computed once per arrow.
+def _walk(quiver: Quiver, max_len: int, first, joint):
+    """The paths of lengths 1..max_len as layers of payloads, in ``sort_key``
+    order, and the exhaustive flag.  An arrow a is the path with payload
+    ``first(a)``, and a·r, r not a vertex, has the payload ``joint(a) + r``;
+    both are computed once per arrow.
     """
-    # Each layer is built in sort_key order, so nothing is sorted afterwards:
-    # arrows by label, and longer paths by extending the sorted previous
-    # layer with out-arrows in label order.  Arrow labels are unique, so a
-    # label sequence names one path and ties cannot occur.
+    # Arrow labels are unique, so within one length sort_key orders paths as label words,
+    # by first arrow and then the rest: layer n + 1 is built in order, with nothing sorted,
+    # by prepending each arrow in label order to the layer-n payloads that start at its target.
     by_label = sorted(quiver.arrows, key=lambda a: a.label)
-    out = {v: [] for v in quiver.vertices}
-    for a in by_label:
-        out[a.source].append((a.target, suffix(a)))
-    layers = []
-    layer = [(a.target, first(a)) for a in by_label] if max_len else []
+    steps = [(a.source, a.target, joint(a)) for a in by_label]
+    layer = [first(a) for a in by_label] if max_len else []
+    layers, starting = [], {v: [] for v in quiver.vertices}
+    for a, x in zip(by_label, layer):
+        starting[a.source].append(x)
     while layer:
         layers.append(layer)
         if len(layers) == max_len:
             break
-        layer = [(end, x + s) for v, x in layer for end, s in out[v]]
+        layer, before, starting = [], starting, {v: [] for v in quiver.vertices}
+        for source, target, j in steps:
+            starting[source] += (block := [j + r for r in before[target]])
+            layer += block
     # Ran out of extensions (no path of some length <= max_len exists), or the
     # acyclic longest-path bound is covered: a path visits distinct vertices,
     # so its length is at most min(|vertices| - 1, |arrows|).
@@ -279,15 +280,15 @@ def enumerate_paths(quiver: Quiver, max_len: int) -> PathEnumeration:
     """
     layers, exhaustive = _walk(quiver, max_len, lambda a: (a,), lambda a: (a,))
     paths = [Path(quiver, v, ()) for v in sorted(quiver.vertices)]
-    paths += [Path(quiver, None, arrows) for layer in layers for _, arrows in layer]
+    paths += [Path(quiver, None, arrows) for layer in layers for arrows in layer]
     return PathEnumeration(paths, exhaustive)
 
 
 def path_labels(quiver: Quiver, max_len: int) -> PathEnumeration:
     """``enumerate_paths`` with each path given as its label, ``str(p)``,
     and no ``Path`` built: the walk's payloads are the label strings."""
-    layers, exhaustive = _walk(quiver, max_len, lambda a: a.label, lambda a: "." + a.label)
-    labels = sorted(quiver.vertices) + [label for layer in layers for _, label in layer]
+    layers, exhaustive = _walk(quiver, max_len, lambda a: a.label, lambda a: a.label + ".")
+    labels = sorted(quiver.vertices) + [label for layer in layers for label in layer]
     return PathEnumeration(labels, exhaustive)
 
 

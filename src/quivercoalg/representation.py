@@ -107,33 +107,8 @@ def is_locally_nilpotent(rep: Representation, field=QQ) -> Verdict:
 
 
 def annihilator_monomial_check(rep: Representation, vector) -> Verdict:
-    """Whether a cofinite monomial ideal annihilates the vector v, exactly.
-
-    ``vector`` lies in the total space, the vertex spaces taken in
-    ``quiver.vertices`` order.  Let n = dim M and U_L = span{v·M_p : |p| ≥
-    L}.  The chain U_0 ⊇ U_1 ⊇ … decreases and U_(L+1) = U_L·J, so it is
-    constant from its first repeat on; each strict step lowers the
-    dimension, so the first repeat comes by L = n and U_L = U_n for every
-    L ≥ n.  The paths acting nonzero on v are prefix-closed, so a depth
-    first walk with pruning to depth n enumerates those of length ≤ n.
-    If one of length n acts nonzero, U_n ≠ 0, so every U_L is nonzero and
-    paths of every length act nonzero: no cofinite set of paths kills v,
-    and the answer is no with that path as witness.  Otherwise every path
-    of length ≥ n kills v, the nonvanishing set is finite, and the yes
-    witness is its subpath closure: the span of the paths outside it is a
-    cofinite two-sided ideal, and it annihilates v.
-    """
-    n = rep.total_dimension()
-    if len(vector) != n:
-        raise ValueError(f"vector has length {len(vector)}, expected {n}")
-    action, alive = PathAction(rep), []
-    for path, _ in action.alive(action.starts(vector), n):
-        if path.length == n:
-            return Verdict("no", path, f"the path {path} of length dim M = {n} acts nonzero, so paths of every length do")
-        alive.append(path)
-    return Verdict(
-        "yes", subpath_closure(alive), "the span of all paths outside the closure annihilates the vector"
-    )
+    """``PathAction.monomial_check`` of the vector, on its own kernel."""
+    return PathAction(rep).monomial_check(vector)
 
 
 def cycle_quotient_module(n: int, field=QQ) -> Representation:
@@ -248,6 +223,32 @@ class PathAction:
             for a in quiver.out_arrows(path.target) if path.length < depth else ():
                 if product := _block_product(block, self.arrows[a.label][1], self.p):
                     stack.append((Path(quiver, None, path.arrows + (a,)), product))
+
+    def monomial_check(self, vector) -> Verdict:
+        """Whether a cofinite monomial ideal annihilates the vector v, exactly.
+
+        ``vector`` lies in the total space, the vertex spaces taken in
+        ``quiver.vertices`` order.  Let n = dim M and U_L = span{v·M_p : |p| ≥
+        L}.  The chain U_0 ⊇ U_1 ⊇ … decreases and U_(L+1) = U_L·J, so it is
+        constant from its first repeat on; each strict step lowers the
+        dimension, so the first repeat comes by L = n and U_L = U_n for every
+        L ≥ n.  The paths acting nonzero on v are prefix-closed, so a depth
+        first walk with pruning to depth n enumerates those of length ≤ n.
+        If one of length n acts nonzero, U_n ≠ 0, so every U_L is nonzero and
+        paths of every length act nonzero: no cofinite set of paths kills v,
+        and the answer is no with that path as witness.  Otherwise every path
+        of length ≥ n kills v, the nonvanishing set is finite, and the yes
+        witness is its subpath closure: the span of the paths outside it is a
+        cofinite two-sided ideal, and it annihilates v.
+        """
+        if len(vector) != (n := self._total):
+            raise ValueError(f"vector has length {len(vector)}, expected {n}")
+        alive = []
+        for path, _ in self.alive(self.starts(vector), n):
+            if path.length == n:
+                return Verdict("no", path, f"the path {path} of length dim M = {n} acts nonzero, so paths of every length do")
+            alive.append(path)
+        return Verdict("yes", subpath_closure(alive), "the span of all paths outside the closure annihilates the vector")
 
     def basis(self) -> list[Path]:
         """``annihilator_basis`` of the representation."""

@@ -94,6 +94,9 @@ class ModP:
             return NotImplemented
         return other / self
 
+    def __pow__(self, n: int):
+        return ModP(self.p, pow(self.value, n, self.p))
+
     def __bool__(self):
         return self.value != 0
 

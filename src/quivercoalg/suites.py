@@ -60,7 +60,7 @@ from .products import (
     walk_path,
 )
 from .representation import (
-    annihilator_monomial_check,
+    PathAction,
     comodule_from_module,
     cycle_quotient_module,
     is_locally_nilpotent,
@@ -462,8 +462,8 @@ def check_cycle_quotient() -> CheckReport:
             image = mat_mul(image, rep.maps[a.label])
         if not any(image[0]):
             return CheckReport("cycle-quotient", False, {"failure": f"witness path {path} kills its vector at n={n}"})
-        total = rep.total_dimension()
-        if any(annihilator_monomial_check(rep, tuple(QQ.one if j == i else QQ.zero for j in range(total))).status != "no"
+        total, action = rep.total_dimension(), PathAction(rep)
+        if any(action.monomial_check(tuple(QQ.one if j == i else QQ.zero for j in range(total))).status != "no"
                for i in range(total)):
             return CheckReport("cycle-quotient", False, {"failure": f"annihilator verdicts disagree at n={n}"})
         if n == 1:

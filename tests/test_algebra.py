@@ -635,12 +635,13 @@ def test_counterexample_certificate_needs_a_path_basis_inside_the_window():
 
 def test_cycle_counterexample_checks_the_monomial_part(monkeypatch):
     # The paths off the winding paths are certified an ideal by the subpath
-    # closure of the winding paths.  Corrupt one prefix, of x.x.x, to the
-    # tail arrow y: only the closure check can notice.
+    # closure of the winding paths, read on their arrow words.  Corrupt the
+    # word of x.x, a prefix of x.x.x, to that of the tail arrow y: the
+    # closure check, which runs before the module is formed, must notice.
     quiver = named_quiver("loop_with_tail")
-    target, tail, exact = quiver.path_from_labels(["x", "x", "x"]), quiver.arrow_path("y"), Path.prefix
-    monkeypatch.setattr(Path, "prefix", lambda p, n: tail if (p, n) == (target, 2) else exact(p, n))
-    with pytest.raises(AssertionError, match=re.escape("subpath y of the winding path x.x.x is off the winding paths")):
+    target, tail, exact = quiver.path_from_labels(["x", "x"]), quiver.arrow_path("y"), algebra._word
+    monkeypatch.setattr(algebra, "_word", lambda p: exact(tail) if p == target else exact(p))
+    with pytest.raises(AssertionError, match=re.escape("subpath x.x of the winding path x.x.x is off the winding paths")):
         build_cycle_counterexample(quiver, 4)
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -508,6 +509,69 @@ def test_winding_rule_matches_the_winding_predicate(quiver):
     for seq in brute_force_paths(quiver, 8):
         path = quiver.path_from_labels(seq[1:]) if len(seq) > 1 else quiver.vertex_path(seq[0])
         assert f(path) == (QQ.one if winds_a_multiple(cycle, path) else QQ.zero)
+
+
+# The two rule rows as they read paths arrow by arrow: the test oracles of
+# the one-step rows in ``dual.RULES``.
+def _per_arrow_winding_multiple(cycle, path, field):
+    s, starts = len(cycle), [a.source for a in cycle]
+    if path.length % s or path.source not in starts:
+        return field.zero
+    n = starts.index(path.source)
+    winds = all(a.ident == cycle[(n + k) % s].ident for k, a in enumerate(path.arrows))
+    return field.one if winds else field.zero
+
+
+def _product_eval(lam, path, field):
+    return prod([lam] * path.length, start=field.one)
+
+
+def _rotated_the_wrong_way(cycle, path, field):
+    s, starts = len(cycle), [a.source for a in cycle]
+    if path.length % s or path.source not in starts:
+        return field.zero
+    n = -starts.index(path.source) % s
+    return field.one if path.arrows == (cycle[n:] + cycle[:n]) * (path.length // s) else field.zero
+
+
+def _without_the_length_test(cycle, path, field):
+    # Every path that starts on the cycle and follows it, of any length.
+    s, starts = len(cycle), [a.source for a in cycle]
+    if path.source not in starts:
+        return field.zero
+    n = starts.index(path.source)
+    return field.one if path.arrows == ((cycle[n:] + cycle[:n]) * (path.length // s + 1))[:path.length] else field.zero
+
+
+_RULE_QUIVERS = [named_quiver(name) for name in CYCLIC_CORPUS] + [Family("loop").truncate(0)] + [
+    Family("cycle", s).truncate(0) for s in (2, 3, 4)]
+
+
+def _winding_disagreements(value):
+    """The (quiver, path, field) where ``value`` and the per-arrow rule
+    differ, on every path up to length 8, over q and fp:5."""
+    return [(q.name, str(p), field) for q in _RULE_QUIVERS for cycle in [tuple(find_simple_cycle(q))]
+            for p in enumerate_paths(q, 8).paths for field in (QQ, PrimeField(5))
+            if value(cycle, p, field) != _per_arrow_winding_multiple(cycle, p, field)]
+
+
+def test_the_winding_rule_agrees_with_the_per_arrow_rule():
+    assert _winding_disagreements(dual.RULES["winding_multiple"].value) == []
+
+
+@pytest.mark.parametrize("mutant", [_rotated_the_wrong_way, _without_the_length_test])
+def test_winding_rule_mutants_disagree_with_the_per_arrow_rule(mutant):
+    assert _winding_disagreements(mutant) != []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["q", "fp5"])
+@pytest.mark.parametrize("lam", ["0", "1", "2", "-1/3"])
+def test_the_eval_rule_agrees_with_the_product_of_its_factors(field, lam):
+    value, exact = field.parse(lam), dual.RULES["eval"].value
+    for q in _RULE_QUIVERS:
+        for p in enumerate_paths(q, 8).paths:
+            got, expected = exact(value, p, field), _product_eval(value, p, field)
+            assert got == expected and type(got) is type(expected)
 
 
 def test_cycle_recovery_bounds_the_support_closure_without_building_it(monkeypatch):

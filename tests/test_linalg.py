@@ -240,6 +240,13 @@ def test_prime_field_mode():
     assert rank([g, h]) == 2
 
 
+def test_prime_field_powers():
+    field = PrimeField(5)
+    assert field.of(3) ** 0 == field.zero ** 0 == field.one
+    assert field.zero ** 3 == field.zero
+    assert [field.of(2) ** n for n in range(1, 6)] == [field.of(n) for n in (2, 4, 3, 1, 2)]
+
+
 # ---------------------------------------------------------------------------
 # Kernels against oracles: sparse dense-matrix products, the reducer, rref.
 # Small entries make zeros common; some cases zero a whole row of the left

@@ -1,8 +1,10 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quivercoalg.quiver as quiver_module
 from quivercoalg.corpus import enumerate_small_quivers, finite_corpus, named_quiver, random_quiver
 from quivercoalg.quiver import (
     FAMILIES,
@@ -313,6 +315,49 @@ def test_distinct_enumerated_paths_match_the_oracle(text, max_len):
 @given(quiver_texts(), st.integers(0, 4))
 def test_path_labels_match_the_enumeration_and_the_oracle(text, max_len):
     _assert_walk_agrees(parse_quiver_text(text).target, max_len)
+
+
+def _appending_walk(quiver, max_len):
+    """Every path up to ``max_len``, built by appending each arrow to each
+    shorter path that ends at its source and sorted by ``sort_key``, and the
+    exhaustive flag's rule: acyclic, and either some length up to
+    ``max_len`` has no path or the window reaches min(|vertices| - 1,
+    |arrows|)."""
+    layer = [Path(quiver, v, ()) for v in quiver.vertices]
+    paths, filled = list(layer), 0
+    for _ in range(max_len):
+        layer = [Path(quiver, None, p.arrows + (a,)) for p in layer for a in quiver.arrows if a.source == p.target]
+        paths, filled = paths + layer, filled + bool(layer)
+    bound = min(max(0, len(quiver.vertices) - 1), len(quiver.arrows))
+    return sorted(paths, key=lambda p: p.sort_key), is_acyclic(quiver) and (filled < max_len or max_len >= bound)
+
+
+def _assert_prepend_walk_agrees(quiver, max_len):
+    paths, exhaustive = _appending_walk(quiver, max_len)
+    enum, labels = enumerate_paths(quiver, max_len), path_labels(quiver, max_len)
+    assert (enum.paths, enum.exhaustive) == (paths, exhaustive)
+    assert (labels.paths, labels.exhaustive) == ([str(p) for p in enum.paths], exhaustive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quiver_texts(), st.integers(0, 5))
+def test_the_prepend_walk_matches_the_appending_oracle(text, max_len):
+    # Loops, parallel arrows and labels declared out of order.
+    _assert_prepend_walk_agrees(parse_quiver_text(text).target, max_len)
+
+
+def test_a_walk_that_keeps_payloads_per_end_vertex_fails_the_oracle(monkeypatch):
+    # Prepending an arrow to the payloads that end, not start, at its target
+    # builds x.x and y.y on a -x-> b -y-> c.
+    source = inspect.getsource(quiver_module._walk)
+    mutated = source.replace("starting[a.source]", "starting[a.target]").replace("starting[source] +=", "starting[target] +=")
+    assert mutated.count("starting[a.target]") == mutated.count("starting[target] +=") == 1
+    namespace = dict(vars(quiver_module))
+    exec(mutated, namespace)
+    monkeypatch.setattr(quiver_module, "_walk", namespace["_walk"])
+    assert path_labels(named_quiver("line3"), 2).paths == ["a", "b", "c", "x", "y", "x.x", "y.y"]
+    with pytest.raises(AssertionError):
+        _assert_prepend_walk_agrees(named_quiver("line3"), 2)
 
 
 def test_verdict_truth_and_closed_vocabulary():

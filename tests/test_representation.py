@@ -210,9 +210,9 @@ def test_annihilator_check_slices_the_total_space_by_vertex():
 
 @pytest.mark.parametrize("status", ["yes", "no_up_to_bound", "unknown"])
 def test_the_cycle_quotient_suite_check_needs_a_no_on_every_basis_vector(monkeypatch, status):
-    exact = suites.annihilator_monomial_check
-    monkeypatch.setattr(suites, "annihilator_monomial_check",
-                        lambda rep, vector: Verdict(status) if vector[-1] else exact(rep, vector))
+    exact = PathAction.monomial_check
+    monkeypatch.setattr(PathAction, "monomial_check",
+                        lambda action, vector: Verdict(status) if vector[-1] else exact(action, vector))
     report = suites.check_cycle_quotient()
     assert not report.passed and report.details == {"failure": "annihilator verdicts disagree at n=1"}
 

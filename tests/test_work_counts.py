@@ -234,3 +234,40 @@ def test_ann_certificates_convert_once_and_form_each_product_once(monkeypatch, t
     # The 3-cycle: 9 path matrices, each met by the one arrow leaving its
     # target.  The tails: 6 of them end where a tail arrow leaves as well.
     assert sum(pairs.values()) == (15 if "TAILS" in argv else 9)
+
+
+def test_rep_locnilp_builds_one_kernel_for_all_basis_vectors(monkeypatch, tmp_path, capsys):
+    # The 13-vertex all-ones line: one PathAction for the nilpotence chain
+    # and one shared by the 13 basis vectors of the cross-check.  The
+    # cycle-quotient suite check builds the same two per module, n = 1, 2, 3.
+    vertices = [f"v{i}" for i in range(13)]
+    line, rep = tmp_path / "line13.txt", tmp_path / "rep13.txt"
+    line.write_text("\n".join(["quiver", *(f"vertex {v}" for v in vertices),
+                               *(f"arrow x{i} v{i} v{i + 1}" for i in range(12))]) + "\n")
+    rep.write_text("\n".join(["rep", *(f"dim {v} 1" for v in vertices), *(f"map x{i} 1" for i in range(12))]) + "\n")
+    calls = Counter()
+    _count_calls(monkeypatch, calls, representation.PathAction, "__init__")
+    assert cli.main(["rep-locnilp", str(line), str(rep), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["annihilator_crosscheck"] == "consistent"
+    assert calls == {"__init__": 2}
+    calls.clear()
+    assert suites.check_cycle_quotient()
+    assert calls == {"__init__": 6}
+
+
+def test_counterexample_builds_each_winding_path_once(monkeypatch, capsys):
+    # W is read by arrow word.  The |W| = 3(w + 1) winding paths are built
+    # once each; besides them, the vertex and arrow paths (6) for the module
+    # check and again for the monomial generators, and the 9 Krylov basis
+    # paths.  No path equality is asked more often at a wider window.
+    equalities = set()
+    for window in (12, 18, 24):
+        calls = Counter()
+        with monkeypatch.context() as patched:
+            for name in ("__init__", "__eq__"):
+                _count_calls(patched, calls, quiver.Path, name)
+            assert cli.main(["counterexample", "cycle", "family:cycle:3", "--max-len", str(window), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["codimension"] == 9
+        assert calls["__init__"] <= 3 * (window + 1) + 21
+        equalities.add(calls["__eq__"])
+    assert len(equalities) == 1
