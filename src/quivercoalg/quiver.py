@@ -241,27 +241,27 @@ class PathEnumeration:
 
 def _walk(quiver: Quiver, max_len: int, first, joint):
     """The paths of lengths 1..max_len as layers of payloads, in ``sort_key``
-    order, and the exhaustive flag.  An arrow a is the path with payload
-    ``first(a)``, and a·r, r not a vertex, has the payload ``joint(a) + r``;
-    both are computed once per arrow.
-    """
+    order, and the exhaustive flag.  An arrow a has the payload ``first(a)``
+    and a·r, r not a vertex, ``joint(a) + r``; both are computed once per arrow."""
     # Arrow labels are unique, so within one length sort_key orders paths as label words,
     # by first arrow and then the rest: layer n + 1 is built in order, with nothing sorted,
     # by prepending each arrow in label order to the layer-n payloads that start at its target.
+    # Only vertices where some payload starts get a list, so a sparse layer costs little.
     by_label = sorted(quiver.arrows, key=lambda a: a.label)
     steps = [(a.source, a.target, joint(a)) for a in by_label]
     layer = [first(a) for a in by_label] if max_len else []
-    layers, starting = [], {v: [] for v in quiver.vertices}
+    layers, starting = [], {}
     for a, x in zip(by_label, layer):
-        starting[a.source].append(x)
+        starting.setdefault(a.source, []).append(x)
     while layer:
         layers.append(layer)
         if len(layers) == max_len:
             break
-        layer, before, starting = [], starting, {v: [] for v in quiver.vertices}
+        layer, before, starting = [], starting, {}
         for source, target, j in steps:
-            starting[source] += (block := [j + r for r in before[target]])
-            layer += block
+            if target in before:
+                starting.setdefault(source, []).extend(block := [j + r for r in before[target]])
+                layer += block
     # Ran out of extensions (no path of some length <= max_len exists), or the
     # acyclic longest-path bound is covered: a path visits distinct vertices,
     # so its length is at most min(|vertices| - 1, |arrows|).

@@ -350,8 +350,8 @@ def test_a_walk_that_keeps_payloads_per_end_vertex_fails_the_oracle(monkeypatch)
     # Prepending an arrow to the payloads that end, not start, at its target
     # builds x.x and y.y on a -x-> b -y-> c.
     source = inspect.getsource(quiver_module._walk)
-    mutated = source.replace("starting[a.source]", "starting[a.target]").replace("starting[source] +=", "starting[target] +=")
-    assert mutated.count("starting[a.target]") == mutated.count("starting[target] +=") == 1
+    mutated = source.replace("setdefault(a.source,", "setdefault(a.target,").replace("setdefault(source,", "setdefault(target,")
+    assert mutated.count("setdefault(a.target,") == mutated.count("setdefault(target,") == 1
     namespace = dict(vars(quiver_module))
     exec(mutated, namespace)
     monkeypatch.setattr(quiver_module, "_walk", namespace["_walk"])
