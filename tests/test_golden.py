@@ -73,9 +73,12 @@ FACTOR_RUNS = [
 # (input, --codim-bound): cycle lengths and bounds past the corpus runs
 # (bound 10, cycles of length at most 3), and a cycle with two tails.
 THM33_RUNS = [("family:cycle:3", 4), ("family:cycle:3", 40), ("family:cycle:5", 10), ("tails", 2), ("tails", 6)]
+THM33_RUNS += [("family:cycle:12", 10)]
 # (kind, input, --max-len, extra flags): the s-cycles at s, 2s + 1, 12 and
-# 24, the cycle with two tails, one run over GF(5) and the parallel bundle.
+# 24, the 6-cycle at 6 and 13, the cycle with two tails, one run over GF(5)
+# and the parallel bundle.
 COUNTEREXAMPLE_RUNS = [("cycle", f"family:cycle:{s}", w, []) for s in (1, 2, 3) for w in (s, 2 * s + 1, 12, 24)]
+COUNTEREXAMPLE_RUNS += [("cycle", "family:cycle:6", w, []) for w in (6, 13)]
 COUNTEREXAMPLE_RUNS += [("cycle", "tails", w, []) for w in (3, 12, 18)]
 COUNTEREXAMPLE_RUNS += [("cycle", "family:cycle:3", 12, ["--field", "fp:5"])]
 COUNTEREXAMPLE_RUNS += [("multiarrow", None, w, []) for w in (2, 5)]
