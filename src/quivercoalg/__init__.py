@@ -2,7 +2,7 @@
 (co)algebras, their dual and convolution algebras, and finite duals."""
 
 from .scalars import QQ, PrimeField, field_from_spec
-from .linalg import SparseVector, codimension_of_span, rank, rank1_decompose_2x2, rref, solve_membership
+from .linalg import SparseVector, rank, rank1_decompose_2x2, rref, solve_membership
 from .quiver import (
     FAMILIES,
     Family,
@@ -32,15 +32,12 @@ from .algebra import (
     build_cycle_counterexample,
     build_multiarrow_counterexample,
     contains_cofinite_monomial_ideal,
-    local_unit,
-    monomial_closure,
     multiply,
 )
 from .dual import (
     Functional,
     convolve,
     gamma_membership,
-    hit_action,
     is_rational_left,
     psi_embed,
     reflexivity_verdict,

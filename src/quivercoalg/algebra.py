@@ -56,45 +56,6 @@ def multiply(a: CoalgElement, b: CoalgElement) -> CoalgElement:
     )
 
 
-def local_unit(elements, field=QQ) -> CoalgElement:
-    """Sum of the endpoint vertices of all support paths: a local unit."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("need at least one element to determine the quiver")
-    quiver = elements[0].carrier
-    vertices = []
-    for e in elements:
-        for p in e.combo.labels():
-            for v in (p.source, p.target):
-                if v not in vertices:
-                    vertices.append(v)
-    acc = SparseVector({quiver.vertex_path(v): field.one for v in vertices})
-    return CoalgElement(quiver, acc)
-
-
-@dataclass
-class MonomialIdeal:
-    """Span of all paths r·g·s over the generators, within a length window."""
-
-    quiver: Quiver
-    generators: list
-    closure: list
-    max_len: int
-    exhaustive: bool
-
-
-def monomial_closure(generators, quiver: Quiver, max_len: int) -> MonomialIdeal:
-    """All paths of length <= max_len containing a generator as a factor."""
-    generators = list(generators)
-    enum = enumerate_paths(quiver, max_len)
-    gen_set = set(generators)
-    closure = []
-    for p in enum.paths:
-        if any(g in gen_set for g in p.subpaths()):
-            closure.append(p)
-    return MonomialIdeal(quiver, generators, closure, max_len, enum.exhaustive)
-
-
 def subpath_closure(paths) -> list[Path]:
     """Close a path set under taking contiguous subpaths; sorted output.
 
@@ -234,12 +195,16 @@ def build_cycle_counterexample(quiver: Quiver, max_len: int, field=QQ) -> Counte
     is spanned by the differences q[n,ks+i] - q[n,i] (k >= 1) together with
     every path off the winding paths W, which is built alone.  W is
     certified closed under subpaths.  Inside the window the whole is
-    certified as Ann(M), M the cycle-quotient module (``cycle_module``), in
-    three steps: every vertex and arrow off W acts by zero; M_p = M_r on
-    every difference, M formed along W; and the differences' codimension on
-    W is dim span{M_p}.  So every product of a generator and a difference
-    that stays inside the window lies in the ideal.  The window must reach
-    the cycle length, or there are no differences.
+    certified as Ann(M1), M1 = ``cycle_module`` with dimension one at each
+    cycle vertex, in three steps: every vertex and arrow off W acts by
+    zero; M1_p = M1_r on every difference, M1 formed along W; and the
+    differences' codimension on W is dim span{M1_p} = s^2.  So every
+    product of a generator and a difference that stays inside the window
+    lies in the ideal.  The s^2-dimensional cycle-quotient module is s
+    copies of M1, with the same annihilator.  The ideal lies in the kernel
+    of the winding indicator, Σ_v e_v·M1_p·e_v over the cycle vertices v, a
+    sum of coefficient functionals of M1.  The window must reach the cycle
+    length, or there are no differences.
     """
     cycle = find_simple_cycle(quiver)
     if cycle is None:

@@ -244,6 +244,8 @@ def cmd_counterexample(args, field) -> tuple[dict, int]:
     # Infinitely many parallel arrows: the ideal lives on the family itself.
     # Otherwise (an oriented cycle) it lives on a quiver input.
     if not FAMILIES[args.kind].finite_arrows:
+        if args.input is not None:
+            raise InputFailure(f"counterexample multiarrow takes no input, got {args.input}")
         ce = build_multiarrow_counterexample(Family(args.kind), args.max_len, field)
     else:
         if args.input is None:

@@ -163,16 +163,6 @@ def psi_embed(element: CoalgElement, field=QQ) -> Functional:
     return Functional(element.carrier, support=SparseVector(dict(element.combo.items())), field=field)
 
 
-def hit_action(c_star: Functional, f: Functional, side: str, paths) -> Functional:
-    """Left/right hit of the dual algebra on itself, realized by convolution
-    order: the left hit of c* on f is f·c*, the right hit is c*·f."""
-    if side == "left":
-        return convolve(f, c_star, paths)
-    if side == "right":
-        return convolve(c_star, f, paths)
-    raise ValueError("side must be 'left' or 'right'")
-
-
 @dataclass
 class RationalCertificate:
     """Finite families (c_i) and (c_i*) witnessing d*·f = Σ d*(c_i)·c_i*."""

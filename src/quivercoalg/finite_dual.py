@@ -354,6 +354,13 @@ def endpoint_buckets(paths):
 
 
 def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field) -> Verdict:
+    """The verdict on a quiver with a simple cycle of length s: the winding
+    indicator lies in the finite dual, and its support closure exceeds the
+    bound.  The indicator is Σ_v e_v·M1_p·e_v, one coefficient functional
+    of M1 = ``cycle_module`` per cycle vertex v, so its kernel holds
+    Ann(M1), a two-sided ideal of codimension s^2.  M1 has dimension one
+    per cycle vertex; the s^2-dimensional cycle-quotient module is s copies
+    of it and has the same annihilator."""
     from .representation import annihilator_basis, cycle_module  # representation imports this module
 
     cycle = find_simple_cycle(quiver)
@@ -362,10 +369,8 @@ def _cyclic_recovery_report(quiver: Quiver, codim_bound: int, window: int, field
     # The winding indicator; on the one-loop quiver, evaluation at one.
     loop = len(quiver.arrows) == len(quiver.vertices) == 1
     witness = Functional.from_rule(quiver, *(("eval", field.one) if loop else ("winding_multiple", tuple(cycle))), field)
-    # The witness is a coefficient functional of the cycle-quotient module
-    # M, so its kernel holds Ann(M), a two-sided ideal of codimension s².
     codimension = len(annihilator_basis(cycle_module(quiver, field), field))
-    # M_p is the same on the winding paths of one class (start, length mod
+    # M1_p is the same on the winding paths of one class (start, length mod
     # s) and zero off them: the witness is read once per path of W, the
     # winding paths of the window, and compared with its class.
     table = winding_paths(quiver, cycle, effective_window)

@@ -446,17 +446,6 @@ def solve_membership(v: SparseVector, generators) -> list | None:
     return [ModP(p, c % p) if p else Fraction(c, residue[own]) for c in coeffs]
 
 
-def codimension_of_span(generators, ambient_basis) -> int:
-    """dim(ambient) - rank(generators); generators must live in the ambient."""
-    generators = list(generators)
-    ambient = set(ambient_basis)
-    for g in generators:
-        for label in g.labels():
-            if label not in ambient:
-                raise ValueError(f"generator label outside ambient basis: {label!r}")
-    return len(ambient) - rank(generators)
-
-
 def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
     """Canonical basis of the kernel of a linear map given on domain labels.
 

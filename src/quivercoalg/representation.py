@@ -114,33 +114,40 @@ def annihilator_monomial_check(rep: Representation, vector) -> Verdict:
 def cycle_quotient_module(n: int, field=QQ) -> Representation:
     """The quotient of the cycle-quiver algebra by the relations making
     every full turn equal to the local unit at its start, as a
-    representation: ``cycle_module`` of the n-cycle.
+    representation of the n-cycle.
 
     The space at v_m has as basis the winding paths of length < n that end
     at v_m, the one that starts at v_j listed j-th (n^2 in total).  An arrow
     extends a path by one step and drops a completed turn, which keeps the
-    start, so every arrow acts as the n x n identity.
+    start, so every arrow acts as the n x n identity: the module is n
+    copies of ``cycle_module`` of the n-cycle, with the same annihilator.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return cycle_module(Family("cycle", n).truncate(0), field)
+    quiver, identity = Family("cycle", n).truncate(0), mat_identity(n, field)
+    return Representation(quiver, dict.fromkeys(quiver.vertices, n), {a.label: identity for a in quiver.arrows})
 
 
 def cycle_module(quiver: Quiver, field=QQ) -> Representation:
-    """The cycle-quotient module of the simple cycle that
-    ``find_simple_cycle`` finds: dimension s, the cycle's length, at each
-    cycle vertex and 0 elsewhere, the s x s identity on each cycle arrow and
-    zero maps on every other arrow.  With α_v = β_v the basis vector of the
-    trivial path at v (the j-th at the j-th cycle vertex), the coefficient
-    functional p ↦ α_{s(p)}·M_p·β_{t(p)} is the winding indicator; on the
-    one-loop quiver it is eval(1)."""
+    """M1 of the simple cycle that ``find_simple_cycle`` finds: dimension 1
+    at each cycle vertex and 0 elsewhere, 1 on each cycle arrow and zero
+    maps on every other arrow.  So M1_p is the matrix unit E_{s(p),t(p)} on
+    the paths that follow the cycle and zero on every other path.
+
+    The cycle-quotient module M of a cycle of length s, dimension s at each
+    cycle vertex and the identity on each cycle arrow, is s copies of M1:
+    M_p = M1_p ⊗ I_s, so Σ c_p M_p = 0 exactly when Σ c_p M1_p = 0, and
+    Ann(M) = Ann(M1), of codimension s^2.  The winding indicator is a sum
+    of coefficient functionals p ↦ e_v·M1_p·e_v, one per cycle vertex v
+    with e_v its unit vector; each vanishes on Ann(M1).  On the one-loop
+    quiver it is eval(1)."""
     cycle = find_simple_cycle(quiver)
     if cycle is None:
         raise ValueError("quiver has no oriented cycle")
-    s, on_cycle = len(cycle), {a.source for a in cycle}
-    dims = {v: s if v in on_cycle else 0 for v in quiver.vertices}
-    identity = mat_identity(s, field)
-    maps = {a.label: identity if a in cycle else mat_zero(dims[a.source], dims[a.target], field) for a in quiver.arrows}
+    on_cycle = {a.source for a in cycle}
+    dims = {v: int(v in on_cycle) for v in quiver.vertices}
+    maps = {a.label: ((field.one,),) if a in cycle else mat_zero(dims[a.source], dims[a.target], field)
+            for a in quiver.arrows}
     return Representation(quiver, dims, maps)
 
 

@@ -346,6 +346,16 @@ def test_counterexample_verbs(capsys):
     assert "codimension: 4" in out
 
 
+def test_counterexample_multiarrow_rejects_an_input(capsys):
+    # The multiarrow ideal lives on its family; a given input is an error,
+    # as a missing one is for the cycle kind.
+    status, out, err = run(capsys, "counterexample", "multiarrow", "family:cycle:3", "--json")
+    assert (status, out) == (2, "")
+    assert err == "error: counterexample multiarrow takes no input, got family:cycle:3\n"
+    status, _, err = run(capsys, "counterexample", "cycle", "--json")
+    assert status == 2 and err == "error: counterexample cycle needs a quiver input\n"
+
+
 def test_prime_field_flag(line_file, capsys):
     status, out, _ = run(capsys, "mul", line_file, "3*[x]", "5*[y]", "--field", "fp:7")
     assert status == 0

@@ -13,7 +13,6 @@ from quivercoalg.dual import (
     RationalCertificate,
     convolve,
     gamma_membership,
-    hit_action,
     is_rational_left,
     psi_embed,
     reflexivity_verdict,
@@ -161,22 +160,6 @@ def test_psi_noncomposable_is_zero():
     z, w = q.arrow_path("z"), q.arrow_path("w")
     product = convolve(psi_embed(CoalgElement.from_path(z)), psi_embed(CoalgElement.from_path(w)), paths_of(q))
     assert product.support.is_zero()
-
-
-def test_hit_actions():
-    q = named_quiver("line3")
-    window = paths_of(q)
-    x = q.arrow_path("x")
-    b_star = dual(q.vertex_path("b"))
-    hit = hit_action(b_star, dual(x), "left", window)
-    assert hit.support == SparseVector({x: Fraction(1)})  # t(x) = b
-    a_star = dual(q.vertex_path("a"))
-    miss = hit_action(a_star, dual(x), "left", window)
-    assert miss.support.is_zero()  # t(x) != a
-    zero = Functional.zero(q)
-    assert hit_action(zero, dual(x), "left", window).support.is_zero()
-    right = hit_action(a_star, dual(x), "right", window)
-    assert right.support == SparseVector({x: Fraction(1)})  # s(x) = a
 
 
 def test_rational_zero_and_dual_basis():

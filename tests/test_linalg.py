@@ -8,7 +8,6 @@ from quivercoalg import linalg
 from quivercoalg.coalgebra import check_coalgebra
 from quivercoalg.linalg import (
     SparseVector,
-    codimension_of_span,
     det2,
     difference_rank,
     kernel_of_map,
@@ -109,30 +108,6 @@ def test_solve_membership_needs_late_pivot():
     g2 = sv(b=1)
     coeffs = solve_membership(sv(a=1), [g1, g2])
     assert coeffs == [1, -1]
-
-
-def test_codimension_trivial_cases():
-    assert codimension_of_span([], ["a", "b", "c", "d", "e"]) == 5
-    basis = [sv(a=1), sv(b=1), sv(c=1)]
-    assert codimension_of_span(basis, ["a", "b", "c"]) == 0
-
-
-def test_codimension_outside_ambient_is_error():
-    with pytest.raises(ValueError):
-        codimension_of_span([sv(z=1)], ["a"])
-
-
-def test_codimension_matches_dense_oracle_on_random_spans():
-    rng = random.Random(7)
-    labels = list("abcdef")
-    for _ in range(30):
-        vectors = []
-        for _ in range(rng.randint(0, 6)):
-            vectors.append(
-                SparseVector({l: Fraction(rng.randint(-3, 3)) for l in labels if rng.random() < 0.6})
-            )
-        expected = len(labels) - dense_rank(sparse_rows_to_dense([v for v in vectors], labels))
-        assert codimension_of_span(vectors, labels) == expected
 
 
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))

@@ -18,8 +18,8 @@ from quivercoalg.corpus import (
 )
 from quivercoalg.finite_dual import structured_algebra
 from quivercoalg.incidence import fia_structured_algebra
-from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_mul
-from quivercoalg.quiver import Family, Path, Quiver, Verdict, find_simple_cycle, is_acyclic
+from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_mul, mat_zero
+from quivercoalg.quiver import Family, Path, Quiver, Verdict, enumerate_paths, find_simple_cycle, is_acyclic
 from quivercoalg.representation import (
     LeftModule,
     PathAction,
@@ -36,7 +36,7 @@ from quivercoalg.representation import (
 )
 from quivercoalg.scalars import QQ, PrimeField
 
-from helpers import dense_mat_mul, elementary_base_change
+from helpers import dense_mat_mul, elementary_base_change, oracle_rank
 from test_work_counts import TAILS
 
 
@@ -256,24 +256,113 @@ def test_cycle_quotient_not_locally_nilpotent():
 
 
 def test_cycle_module_of_the_n_cycle_is_the_cycle_quotient_module():
-    for n in (1, 2, 3):
-        quiver = Family("cycle", n).truncate(0)
-        assert cycle_module(quiver) == cycle_quotient_module(n)
+    # The n^2-dimensional quotient is n copies of the cycle module M1 of the
+    # n-cycle, the s-dimensional oracle of the n-cycle, and has M1's basis.
+    for n in (1, 2, 3, 4):
+        quiver, quotient = Family("cycle", n).truncate(0), cycle_quotient_module(n)
+        m1 = cycle_module(quiver)
+        assert m1.dims == dict.fromkeys(quiver.vertices, 1)
+        assert quotient == _copies_of(m1, n) == s_copies_module(quiver)
+        assert annihilator_basis(quotient) == annihilator_basis(m1)
 
 
 def test_cycle_module_lives_on_the_cycle():
     rep = cycle_module(TAILS)
-    assert rep.dims == {"c0": 3, "c1": 3, "c2": 3, "t0": 0, "t1": 0}
-    assert all(rep.maps[a] == mat_identity(3) for a in "xyz")
+    assert rep.dims == {"c0": 1, "c1": 1, "c2": 1, "t0": 0, "t1": 0}
+    assert all(rep.maps[a] == ((one(),),) for a in "xyz")
     assert all(_is_zero(rep.maps[a]) for a in "st")
     with pytest.raises(ValueError, match="no oriented cycle"):
         cycle_module(named_quiver("line3"))
 
 
+_CYCLIC = ([pytest.param(Family("cycle", s).truncate(0), id=f"cycle:{s}") for s in range(1, 6)]
+           + [pytest.param(named_quiver(name), id=name) for name in CYCLIC_CORPUS] + [pytest.param(TAILS, id="tails")])
+_CYCLIC_AND_SIX = _CYCLIC + [pytest.param(Family("cycle", 6).truncate(0), id="cycle:6")]
+
+
+# The oracle of ``cycle_module``: the cycle-quotient module of the simple
+# cycle, dimension s at each cycle vertex and the s x s identity on each
+# cycle arrow.  It is s copies of M1, so the two have one annihilator: the
+# same Krylov basis, and within a window the same linear relations among
+# the path matrices, that is rank M = rank M1 = rank of the two side by side.
+
+
+def s_copies_module(quiver, field=QQ):
+    cycle = find_simple_cycle(quiver)
+    s, on_cycle = len(cycle), {a.source for a in cycle}
+    dims = {v: s if v in on_cycle else 0 for v in quiver.vertices}
+    return Representation(quiver, dims, {a.label: mat_identity(s, field) if a in cycle
+                                         else mat_zero(dims[a.source], dims[a.target], field) for a in quiver.arrows})
+
+
+def _copies_of(rep, n, field=QQ):
+    """n copies of ``rep``: each map m becomes m ⊗ I_n."""
+    maps = {label: tuple(tuple(x if i == j else field.zero for x in row for j in range(n)) for row in m for i in range(n))
+            for label, m in rep.maps.items()}
+    return Representation(rep.quiver, {v: n * d for v, d in rep.dims.items()}, maps)
+
+
+def _annihilator_disagreements(rep, field) -> list[str]:
+    """How ``rep`` and the oracle differ in annihilator: their Krylov bases,
+    and the path relations within window 2s + 1 by ``oracle_rank``."""
+    quiver = rep.quiver
+    oracle = s_copies_module(quiver, field)
+    wrong = [] if annihilator_basis(rep, field) == annihilator_basis(oracle, field) else ["Krylov bases differ"]
+    paths = enumerate_paths(quiver, _windows(quiver)[1]).paths
+
+    def entries(module, tag, p):
+        # A zero product ends the walk: the vertex spaces after it may be 0.
+        m = mat_identity(module.dims[p.source], field)
+        for a in p.arrows:
+            if _is_zero(m):
+                return {}
+            m = mat_mul(m, module.maps[a.label])
+        return {(tag, p.source, p.target, i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+    rows = [(entries(oracle, "M", p), entries(rep, "M1", p)) for p in paths]
+    ranks = [oracle_rank([SparseVector(part) for part in parts], field)
+             for parts in ([m for m, _ in rows], [m1 for _, m1 in rows], [{**m, **m1} for m, m1 in rows])]
+    return wrong + ([] if len(set(ranks)) == 1 else [f"ranks M, M1, both: {ranks}"])
+
+
+_FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+
+
+@_FIELDS
+@pytest.mark.parametrize("quiver", _CYCLIC_AND_SIX)
+def test_cycle_module_has_the_annihilator_of_its_s_copies(field, quiver):
+    assert _annihilator_disagreements(cycle_module(quiver, field), field) == []
+
+
+@_FIELDS
+def test_cycle_module_has_the_annihilator_of_its_s_copies_on_small_quivers(field):
+    cyclic = [q for q in enumerate_small_quivers(3, 3) if not is_acyclic(q)]
+    assert len(cyclic) == 190
+    for quiver in cyclic:
+        assert _annihilator_disagreements(cycle_module(quiver, field), field) == [], quiver.arrows
+
+
+def _arrow_by_two(rep, field):
+    arrow = find_simple_cycle(rep.quiver)[0].label
+    return Representation(rep.quiver, rep.dims, {**rep.maps, arrow: ((field.of(2),),)})
+
+
+def _vertex_missing(rep, field):
+    vertex = find_simple_cycle(rep.quiver)[-1].source
+    return Representation(rep.quiver, {**rep.dims, vertex: 0}, dict(rep.maps))
+
+
+@_FIELDS
+@pytest.mark.parametrize("mutant", [_arrow_by_two, _vertex_missing], ids=["arrow-by-two", "vertex-missing"])
+@pytest.mark.parametrize("quiver", _CYCLIC_AND_SIX)
+def test_the_s_copies_oracle_sees_a_mutated_cycle_module(field, mutant, quiver):
+    assert _annihilator_disagreements(mutant(cycle_module(quiver, field), field), field) != []
+
+
 # The windowed counterexample ideal of ``build_cycle_counterexample`` against
-# Ann(M) of the cycle-quotient module: the same codimension s², and M kills
-# the ideal's differences and every path of its window off the winding
-# paths W.  M_p is the product of the arrows' matrices, in field arithmetic.
+# Ann(M1) of the cycle module: the same codimension s², and M1 kills the
+# ideal's differences and every path of its window off the winding paths
+# W.  M1_p is the product of the arrows' matrices, in field arithmetic.
 
 
 def _path_matrix(rep, path):
@@ -315,10 +404,6 @@ def _windows(quiver):
     return (s, 2 * s + 1, 3 * s + 2)
 
 
-_CYCLIC = ([pytest.param(Family("cycle", s).truncate(0), id=f"cycle:{s}") for s in range(1, 6)]
-           + [pytest.param(named_quiver(name), id=name) for name in CYCLIC_CORPUS] + [pytest.param(TAILS, id="tails")])
-
-
 @pytest.mark.parametrize("quiver", _CYCLIC)
 def test_annihilator_basis_agrees_with_the_windowed_ideal(quiver):
     rep = cycle_module(quiver)
@@ -352,12 +437,8 @@ def test_the_windowed_oracle_sees_a_closure_that_skips_an_arrow(monkeypatch, qui
 
 @pytest.mark.parametrize("quiver", _CYCLIC)
 def test_the_windowed_oracle_sees_a_perturbed_cycle_arrow(quiver):
-    # One entry of the first cycle arrow's identity matrix moves off it.
-    rep = cycle_module(quiver)
-    arrow = find_simple_cycle(quiver)[0].label
-    s = rep.dims[find_simple_cycle(quiver)[0].source]
-    rep.maps[arrow] = tuple(tuple(x + (i == 0 and j == s - 1) for j, x in enumerate(row))
-                            for i, row in enumerate(rep.maps[arrow]))
+    # The first cycle arrow acts by 2, so a full turn tells q[n, s] from q[n, 0].
+    rep = _arrow_by_two(cycle_module(quiver), QQ)
     assert _windowed_ideal_disagreements(quiver, rep, annihilator_basis(rep), _windows(quiver)[0]) != []
 
 

@@ -175,12 +175,26 @@ def test_cycle_certificate_composes_only_where_endpoints_meet(monkeypatch, tmp_p
     assert calls["compose_paths"] == composed
 
 
+def _module_sizes(monkeypatch) -> list:
+    """The total dimension of each representation a ``PathAction`` is
+    built on, in order."""
+    sizes, exact = [], representation.PathAction.__init__
+
+    def recording(self, rep, *args, **kwargs):
+        sizes.append(rep.total_dimension())
+        exact(self, rep, *args, **kwargs)
+
+    monkeypatch.setattr(representation.PathAction, "__init__", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("bound", [4, 10, 40])
 def test_thm33_certificate_work_does_not_depend_on_the_bound(monkeypatch, capsys, bound):
-    # The Krylov closure of the 3-cycle's module: its 9 basis paths (the
-    # winding paths of length < 3) each meet the one arrow that leaves
-    # their target, so 9 arrow products at every bound; no windowed ideal.
-    calls = Counter()
+    # The Krylov closure of the 3-cycle's module M1, of dimension one per
+    # cycle vertex: its 9 basis paths (the winding paths of length < 3)
+    # each meet the one arrow that leaves their target, so 9 arrow products
+    # at every bound; no windowed ideal.
+    calls, sizes = Counter(), _module_sizes(monkeypatch)
     _count_calls(monkeypatch, calls, representation, "_block_product")
     for name in ("build_cycle_counterexample", "difference_rank"):
         _count_calls(monkeypatch, calls, algebra, name)
@@ -188,19 +202,22 @@ def test_thm33_certificate_work_does_not_depend_on_the_bound(monkeypatch, capsys
     assert cli.main(["check", "thm33", "family:cycle:3", "--codim-bound", str(bound), "--json"]) == 1
     assert "codimension 9)" in json.loads(capsys.readouterr().out)["explanation"]
     assert calls == {"_block_product": 9}
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("window", [12, 18, 24])
 def test_counterexample_certificate_work_does_not_depend_on_the_window(monkeypatch, capsys, window):
-    # Ann(M) of the 3-cycle's module is the same Krylov closure at every
-    # window: 9 arrow products.  Along the winding paths M is formed once
-    # per distinct matrix, and the differences are ranked once.
-    calls = Counter()
+    # Ann(M1) of the 3-cycle's module, of dimension 3, is the same Krylov
+    # closure at every window: 9 arrow products.  Along the winding paths
+    # M1 is formed once per distinct matrix, and the differences are ranked
+    # once.
+    calls, sizes = Counter(), _module_sizes(monkeypatch)
     _count_calls(monkeypatch, calls, representation, "_block_product")
     _count_calls(monkeypatch, calls, algebra, "difference_rank")
     assert cli.main(["counterexample", "cycle", "family:cycle:3", "--max-len", str(window), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["codimension"] == 9
     assert calls == {"_block_product": 9, "difference_rank": 1}
+    assert sizes == [3]
     # The product table and its closure check are gone.
     assert not {"check_ideal", "_generator_rows", "_check_difference_ideal"} & set(vars(algebra))
 
