@@ -118,12 +118,6 @@ class Functional:
             return self.support.coeff(path)
         return RULES[self.rule.kind].value(self.rule.param, path, self.field)
 
-    def evaluate_element(self, element: CoalgElement):
-        total = self.field.zero
-        for path, coeff in element.combo.items():
-            total = total + self(path) * coeff
-        return total
-
     def restrict(self, paths) -> SparseVector:
         """Values on a concrete path list, as a finite-support vector."""
         return SparseVector({p: self(p) for p in paths})

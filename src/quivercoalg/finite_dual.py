@@ -42,6 +42,7 @@ class StructuredAlgebra:
         self.idempotents = tuple(idempotents)
         self.field = field
         self.name = name
+        self._dual = None
         basis_set = set(self.basis)
         if len(basis_set) != len(self.basis):
             raise ValueError("duplicate basis labels")
@@ -59,6 +60,13 @@ class StructuredAlgebra:
 
     def basis_product(self, a, b) -> SparseVector:
         return self.mult.get((a, b), SparseVector())
+
+    def dual(self) -> "DualCoalgebra":
+        """The transposed table A*, built once per algebra and shared by
+        every reader; ``dual_coalgebra`` builds and validates a fresh one."""
+        if self._dual is None:
+            self._dual = DualCoalgebra(self, validate=False)
+        return self._dual
 
     def product(self, x: SparseVector, y: SparseVector) -> SparseVector:
         if not (x.entries and y.entries):
@@ -81,7 +89,7 @@ class StructuredAlgebra:
                     raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
         # Associativity of A is coassociativity of the transposed table A*,
         # and completeness of the idempotents is its two counit laws.
-        dual = DualCoalgebra(self, validate=False)
+        dual = self.dual()
         if check_coalgebra(self.basis, dual.delta_table.__getitem__, dual.counit_table.__getitem__) is not None:
             raise ValueError(self._first_violation())
 
@@ -124,11 +132,13 @@ class DualCoalgebra:
 
     The comultiplication table transposes multiplication: the dual basis
     vector of b splits as the sum of x* ⊗ y* weighted by the coefficient of
-    b in xy.  The counit evaluates at the sum of the idempotents.
+    b in xy.  The counit evaluates at the sum of the idempotents.  It keeps
+    the algebra's basis and field, not the algebra, which caches its dual:
+    a reference back would leave each algebra to the cycle collector.
     """
 
     def __init__(self, algebra: StructuredAlgebra, validate=True):
-        self.algebra = algebra
+        self.basis, self.field = algebra.basis, algebra.field
         terms = {b: [] for b in algebra.basis}
         for pair, vec in algebra.mult.items():
             for b, coeff in vec.items():
@@ -149,15 +159,13 @@ class DualCoalgebra:
         )
 
     def counit(self, functional: SparseVector):
-        total = self.algebra.field.zero
+        total = self.field.zero
         for b, coeff in functional.items():
             total = total + self.counit_table[b] * coeff
         return total
 
     def _validate(self):
-        failure = check_coalgebra(
-            self.algebra.basis, self.delta_table.__getitem__, self.counit_table.__getitem__
-        )
+        failure = check_coalgebra(self.basis, self.delta_table.__getitem__, self.counit_table.__getitem__)
         if failure is None:
             return
         law, b = failure
@@ -224,10 +232,13 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
             raise ValueError(f"functional label {label!r} is not a basis label of {algebra!r}")
         if not algebra.field.contains(value):
             raise FieldError(f"functional value {value!r} at label {label!r} is not in {algebra.field!r}")
-    span = subcoalgebra_span([functional], DualCoalgebra(algebra, validate=False).comultiply)
-    return kernel_of_map(
-        algebra.basis, lambda b: SparseVector((i, g.coeff(b)) for i, g in enumerate(span)), algebra.field
-    )
+    span = subcoalgebra_span([functional], algebra.dual().comultiply)
+    # The map a ↦ (g(a))_g, one column per basis label, read off in one pass.
+    columns = {b: SparseVector() for b in algebra.basis}
+    for i, g in enumerate(span):
+        for b, c in g.items():
+            columns[b].entries[i] = c
+    return kernel_of_map(algebra.basis, columns.__getitem__, algebra.field)
 
 
 def is_in_finite_dual(f, target, window: int = 12) -> Verdict:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .coalgebra import CoalgElement, basis_tables, check_morphism, linear_extension
 from .dual import Functional, is_rational_left
-from .finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
+from .finite_dual import StructuredAlgebra, structured_algebra
 from .linalg import SparseVector, label_sort_key, rank
 from .quiver import Family, Quiver, Verdict, check_semiperfect_condition, check_unique_path_condition
 from .scalars import QQ
@@ -179,7 +179,7 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> Verdict:
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
     # Building the algebra checked these tables' coalgebra laws.
-    dual = DualCoalgebra(algebra, validate=False)
+    dual = algebra.dual()
     delta, eps = basis_tables(poset)
     intervals = poset.intervals()
     failure = check_morphism(

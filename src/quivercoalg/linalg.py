@@ -127,13 +127,18 @@ class SparseVector:
 # order, and works on rows {rank: int}: over QQ primitive integer vectors
 # combined fraction-free, over GF(p) residues mod p made monic at their lead.
 # Columns ranked at or after ``main`` carry bookkeeping coefficients and are
-# never leads.  Field scalars appear only at the boundary.
+# never leads.  Field scalars appear only at the boundary, and each side of
+# it is paid once: a rational system is read in one pass (the modulus scan
+# runs only when a residue turns up or a prime field is given), and each
+# output scalar is built once per (lead value, numerator), from a memo per
+# lead value.
 #
 # Over QQ a pivot step cancels only gcd(a, b) of the two leads; a row's
 # content is divided out once, when its reduction ends.  rref feeds its rows
-# largest lead first, so back-substitution has little left to clear.  Each
-# label gets one sort key (paths one length at a time, to bound the keys
-# alive), and each distinct output value one scalar object.
+# largest lead first, so back-substitution has little left to clear.  Ints
+# and tuples of strs (intervals) are ranked as themselves, whose order is
+# label_sort_key's; any other label gets one sort key (paths one length at
+# a time, to bound the keys alive).
 #
 # rank, kernel_of_map and solve_membership peel before they eliminate.  A
 # row that alone holds some label (with a nonzero entry) has coefficient 0
@@ -148,10 +153,13 @@ class SparseVector:
 
 def _rank_labels(labels) -> dict:
     """Label -> rank in ``label_sort_key`` order, one sort key per label.
-    Plain ints sort as themselves.  Paths (whose class has ``sort_key``) sort
-    one length at a time, after the ints and before the other labels."""
+    Plain ints, and tuples of plain strs (intervals), sort as themselves.
+    Paths (whose class has ``sort_key``) sort one length at a time, after
+    the ints and before the other labels."""
     labels = list(labels)
-    if all(type(label) is int for label in labels):
+    if all(type(label) is int for label in labels) or (
+            all(type(label) is tuple for label in labels)
+            and all(type(part) is str for label in labels for part in label)):
         return {label: rank for rank, label in enumerate(sorted(labels))}
     buckets: dict = {}
     for label in labels:
@@ -197,7 +205,13 @@ def _nonzero(sums: dict, p: int) -> bool:
 
 def _converted(vectors, field=None):
     """The modulus (0 for the rationals) and the ``(scale, ints)`` of every
-    vector from ``_integers``."""
+    vector from ``_integers``, in one pass unless a residue or a prime
+    ``field`` calls for the modulus scan."""
+    if not hasattr(field, "p"):
+        try:
+            return 0, [_integers(v.entries, 0) for v in vectors]
+        except AttributeError:  # a residue (no denominator): read them all mod p
+            pass
     p = _modulus((c for v in vectors for c in v.entries.values()), field)
     return p, [_integers(v.entries, p) for v in vectors]
 
@@ -318,13 +332,17 @@ def _reduced_rows(pivots: dict, p: int, labels: list, offset: int = 0) -> list[S
     leads = sorted(pivots)
     for lead in reversed(leads):
         pivots[lead] = _reduce(pivots.pop(lead), pivots, p)
-    scalars = {(c, d): ModP(p, c) if p else Fraction(c, d)
-               for c, d in {(c, row[lead]) for lead, row in pivots.items() for c in row.values()}}
+    memos: dict = {}
     basis = []
     for lead in leads:
         row = pivots[lead]
+        d = row[lead]
+        memo = memos.setdefault(d, {})
+        for c in row.values():
+            if c not in memo:
+                memo[c] = ModP(p, c) if p else Fraction(c, d)
         vec = SparseVector()
-        vec.entries = {labels[k - offset]: scalars[c, row[lead]] for k, c in row.items()}
+        vec.entries = {labels[k - offset]: memo[c] for k, c in row.items()}
         basis.append(vec)
     return basis
 
@@ -487,9 +505,13 @@ def mat_mul(a, b):
     """Dense product that skips zero entries of both factors.
 
     Entries of the result that no term reaches are the field's zero, taken
-    as ``0 * a[0][0] * b[0][0]``, as a sum over every term would give."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    as ``0 * a[0][0] * b[0][0]``, as a sum over every term would give.  A
+    matrix with no rows, ``()``, carries no column count, so a product
+    with rows whose right factor is ``()`` has no known width and raises."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} times {len(b)}x{len(b[0]) if b else '?'}")
+    if a and not b:
+        raise ValueError(f"{len(a)}x0 times () has no known width")
     width = len(b[0]) if b else 0
     if not (a and width):
         return tuple(() for _ in a)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebra import subpath_closure
 from .coalgebra import check_comodule
-from .finite_dual import DualCoalgebra, StructuredAlgebra
+from .finite_dual import StructuredAlgebra
 from .linalg import (
     Echelon,
     SparseVector,
@@ -309,7 +309,7 @@ class LeftModule:
     def _validate(self):
         # A left A-module is a right A*-comodule: ρ(a)ρ(b) = ρ(ab) is the
         # coaction's coassociativity and unitality its counit law.
-        dual = DualCoalgebra(self.algebra, validate=False)
+        dual = self.algebra.dual()
         rho = _coaction_rows(self)
         if check_comodule(range(self.dimension), rho.__getitem__, dual.delta_table.__getitem__,
                           dual.counit_table.__getitem__) is not None:

@@ -752,7 +752,7 @@ def convolution_verify(cert, f, duals, paths):
         right = SparseVector(
             (p, value * weight)
             for c, c_star in zip(cert.elements, cert.functionals)
-            if (weight := d_star.evaluate_element(c))
+            if (weight := sum((d_star(q) * x for q, x in c.combo.items()), d_star.field.zero))
             for p, value in c_star.restrict(paths).items()
         )
         if left.support != right:

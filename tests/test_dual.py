@@ -471,14 +471,3 @@ def test_reflexivity_verdicts():
     line2 = reflexivity_verdict(Family("line2"))
     assert line2.status == "no"
     assert reflexivity_verdict(named_quiver("cycle2")).status == "no"
-
-
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
-def test_evaluate_element_returns_field_scalars(field):
-    q = named_quiver("single_arrow")
-    u, x = q.vertex_path("a"), q.arrow_path("x")
-    f = Functional(q, support=SparseVector({u: field.of(2), x: field.of(3)}), field=field)
-    zero = f.evaluate_element(CoalgElement.zero(q))
-    assert zero == field.zero and type(zero) is type(field.zero)
-    value = f.evaluate_element(CoalgElement(q, SparseVector({u: field.of(1), x: field.of(4)})))
-    assert value == field.of(14) and type(value) is type(field.zero)

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quivercoalg import linalg
-from quivercoalg.coalgebra import check_coalgebra
+from quivercoalg.coalgebra import check_coalgebra, subcoalgebra_span
 from quivercoalg.linalg import (
     SparseVector,
     det2,
@@ -21,7 +22,9 @@ from quivercoalg.linalg import (
     rref,
     solve_membership,
 )
-from quivercoalg.corpus import named_quiver
+from quivercoalg.corpus import named_poset, named_quiver
+from quivercoalg.finite_dual import maximal_ideal_in_kernel
+from quivercoalg.incidence import fia_structured_algebra
 from quivercoalg.quiver import enumerate_paths
 from quivercoalg.scalars import QQ, FieldError, ModP, PrimeField
 
@@ -249,6 +252,10 @@ def matrix_pairs(draw):
 def test_mat_mul_matches_the_dense_oracle(case):
     field, a, b = case
     scalar = type(field.zero)
+    if a and not b:  # an inner dimension 0: the right factor () has no width to give the product
+        with pytest.raises(ValueError, match="has no known width"):
+            mat_mul(a, b)
+        return
     product = mat_mul(a, b)
     assert product == dense_mat_mul(a, b, field.zero)
     assert all(type(x) is scalar for row in product for x in row)
@@ -258,6 +265,17 @@ def test_mat_mul_rejects_shape_mismatch():
     one = QQ.one
     with pytest.raises(ValueError, match="shape mismatch 1x1 times 2x1"):
         mat_mul(((one,),), ((one,), (one,)))
+    # A right factor with no rows is checked against the inner dimension too.
+    with pytest.raises(ValueError, match=r"shape mismatch 1x1 times 0x\?"):
+        mat_mul(((one,),), ())
+
+
+def test_mat_mul_refuses_a_product_of_unknown_width():
+    # 1x0 times 0x1 is the 1x1 zero, but () does not say it has one column:
+    # returning the 1x0 matrix ((),) would be the wrong shape.
+    with pytest.raises(ValueError, match=re.escape("1x0 times () has no known width")):
+        mat_mul(((),), ())
+    assert mat_mul((), ()) == () and mat_mul((), ((QQ.one,),)) == ()
 
 
 def test_mat_eq_compares_values():
@@ -419,6 +437,9 @@ def test_exact_results_hold_field_scalars_only():
     kernel = kernel_of_map(["a", "b"], lambda label: SparseVector())
     assert typed(kernel) == [{"a": (Fraction, 1)}, {"b": (Fraction, 1)}]
     assert typed(rref([SparseVector({"x": 2, "y": 3})])) == [{"x": (Fraction, 1), "y": (Fraction, Fraction(3, 2))}]
+    images = [SparseVector({"x": 2, "y": 4}), SparseVector({"x": 3, "y": 6})]
+    assert typed(kernel_of_map([0, 1], images.__getitem__)) == [{0: (Fraction, 1), 1: (Fraction, Fraction(-2, 3))}]
+    assert rank(images) == 1
     assert [(type(c), c) for c in solve_membership(SparseVector({"a": 1}), [SparseVector({"a": 2})])] == [
         (Fraction, Fraction(1, 2))
     ]
@@ -437,21 +458,28 @@ def test_elimination_on_empty_input():
 
 
 def test_mixed_moduli_raise_field_error():
-    rows = [SparseVector({"a": GF5.one}), SparseVector({"b": PrimeField(7).one})]
-    for call in (lambda: rref(rows), lambda: rank(rows), lambda: solve_membership(rows[0], rows[1:])):
-        with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
-            call()
-    with pytest.raises(FieldError):
-        kernel_of_map(["a"], lambda label: rows[0], PrimeField(7))
+    # Also after a rational, which is read as one until the residue turns up.
+    for rows in ([SparseVector({"a": GF5.one}), SparseVector({"b": PrimeField(7).one})],
+                 [SparseVector({"a": Fraction(1, 2)}), SparseVector({"a": GF5.one}),
+                  SparseVector({"b": PrimeField(7).one})]):
+        for call in (lambda: rref(rows), lambda: rank(rows), lambda: solve_membership(rows[0], rows[1:]),
+                     lambda: kernel_of_map(range(len(rows)), rows.__getitem__)):
+            with pytest.raises(FieldError, match=re.escape("mixed moduli 5 and 7")):
+                call()
+    with pytest.raises(FieldError, match=re.escape("mixed moduli 5 and 7")):
+        kernel_of_map(["a"], lambda label: rows[1], PrimeField(7))
 
 
 def test_rationals_without_a_residue_raise_field_error():
     # Over GF(5), 1/5 has no value: its denominator is 0 mod 5.
     rows = [SparseVector({"a": GF5.one}), SparseVector({"b": Fraction(1, 5)})]
     delta = {"g": SparseVector({("g", "g"): GF5.one, ("g", "h"): Fraction(1, 5)})}
+    # The last images are rationals only: the field argument alone calls for
+    # the residues.
     for call in (lambda: rref(rows), lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__),
                  lambda: solve_membership(rows[0], rows[1:]),
-                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": GF5.one}.__getitem__)):
+                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": GF5.one}.__getitem__),
+                 lambda: kernel_of_map([0, 1], [SparseVector({"b": Fraction(1, 2)}), rows[1]].__getitem__, GF5)):
         with pytest.raises(FieldError, match="rational 1/5 has no residue mod 5"):
             call()
 
@@ -584,3 +612,109 @@ def test_bad_scalars_raise_in_rows_that_peeling_would_drop():
                      lambda: solve_membership(rows[1], rows[:1])):
             with pytest.raises(FieldError, match=message):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# The field boundary.  A rational system is read in one pass, and the
+# modulus scan runs only when a residue turns up or a prime field is given;
+# each output scalar is built once per (lead value, numerator).  These pin
+# every way into and out of the integer kernel against its earlier form.
+# ---------------------------------------------------------------------------
+
+
+def test_rationals_before_a_residue_are_read_mod_p():
+    # 1/2 is 3 mod 5 and 3/4 is 2 mod 5: the rows read as rationals before
+    # the residue are read again mod 5.
+    rows = [SparseVector({"a": Fraction(1, 2), "b": Fraction(3, 4)}), SparseVector({"b": 4, "c": Fraction(1, 3)}),
+            SparseVector({"a": GF5.one, "c": GF5.of(2)})]
+    field_rows = [SparseVector({label: GF5.of(c) if isinstance(c, ModP) else GF5.of(c.numerator, c.denominator)
+                                for label, c in v.items()}) for v in rows]
+    assert typed(rref(rows)) == typed(oracle_rref(field_rows, GF5))
+    assert rank(rows) == oracle_rank(field_rows, GF5)
+    assert typed(kernel_of_map([0, 1, 2], rows.__getitem__)) == typed(
+        oracle_kernel_of_map([0, 1, 2], field_rows.__getitem__, GF5))
+    assert solve_membership(rows[2], rows[:2]) == oracle_solve_membership(field_rows[2], field_rows[:2], GF5)
+
+
+_STRS = st.text(alphabet="ab(),' 10", max_size=3)
+_STR_TUPLES = st.lists(_STRS, max_size=3).map(tuple)
+_OTHER_PARTS = st.one_of(_INTS, st.booleans(), st.sampled_from(enumerate_paths(named_quiver("line3"), 2).paths))
+
+
+@given(st.lists(_STR_TUPLES, max_size=14, unique=True)
+       | st.tuples(st.lists(_STR_TUPLES, min_size=1, max_size=8, unique=True),
+                   st.one_of(_OTHER_PARTS, st.tuples(_STRS, _OTHER_PARTS), st.just(()))).map(
+           lambda pair: pair[0] + [pair[1]]),
+       st.randoms(use_true_random=False))
+def test_rank_labels_ranks_string_tuples_in_label_sort_key_order(labels, rnd):
+    # Tuples of strings of mixed lengths, the empty tuple among them, in any
+    # order; then sets with one label that is no tuple of strs (an int, a
+    # bool, a path, a tuple holding one of those) or the empty tuple.  A
+    # ranking by str(label) differs wherever a prefix and its extension
+    # meet: str(("a",)) sorts after str(("a", "b")).
+    labels = list(dict.fromkeys(labels))
+    rnd.shuffle(labels)
+    expected = {label: rank for rank, label in enumerate(sorted(labels, key=label_sort_key))}
+    assert linalg._rank_labels(labels) == expected
+
+
+def _reference_reduced_rows(pivots, p, labels, offset=0):
+    """The output stage as it was before the per-lead memo: one scalar per
+    distinct (entry, lead) pair from a global table."""
+    leads = sorted(pivots)
+    for lead in reversed(leads):
+        pivots[lead] = linalg._reduce(pivots.pop(lead), pivots, p)
+    scalars = {(c, d): ModP(p, c) if p else Fraction(c, d)
+               for c, d in {(c, row[lead]) for lead, row in pivots.items() for c in row.values()}}
+    basis = []
+    for lead in leads:
+        row = pivots[lead]
+        vec = SparseVector()
+        vec.entries = {labels[k - offset]: scalars[c, row[lead]] for k, c in row.items()}
+        basis.append(vec)
+    return basis
+
+
+def _reference_converted(vectors, field=None):
+    p = linalg._modulus((c for v in vectors for c in v.entries.values()), field)
+    return p, [linalg._integers(v.entries, p) for v in vectors]
+
+
+def _shape(basis):
+    """Each vector's entries in iteration order, and for every entry the
+    position of the first entry holding the same scalar object."""
+    entries = [(label, c) for v in basis for label, c in v.items()]
+    first = {}
+    return ([list(v.items()) for v in basis],
+            [first.setdefault(id(c), i) for i, (_, c) in enumerate(entries)])
+
+
+def _finite_dual_calls():
+    """rref and kernel_of_map on the finite-dual benchmark's systems, and
+    on its chain incidence algebras the closure's span (an rref over
+    intervals) and the maximal ideal in the kernel."""
+    calls = []
+    for n in (25, 50, 100):
+        rows = benchmark_system(n, QQ, random.Random(n))
+        summed = rows + [rows[i] + rows[j] for i, j in (random.Random(-n).sample(range(n), 2) for _ in range(n // 5))]
+        calls += [lambda r=rows: rref(r), lambda r=summed: rref(r),
+                  lambda r=summed: kernel_of_map(range(len(r)), r.__getitem__)]
+    for n in (3, 4, 5, 6, 7):
+        chain = named_poset(f"chain{n}")
+        values = random.Random(n)
+        f = SparseVector({b: Fraction(values.choice((-3, -1, 2, 5)), values.randint(1, 3))
+                          for b in [(x, x) for x in chain.elements] + chain.covers()})
+        fia = fia_structured_algebra(chain)
+        calls += [lambda a=fia, f=f: subcoalgebra_span([f], a.dual().comultiply),
+                  lambda a=fia, f=f: maximal_ideal_in_kernel(a, f)]
+    return calls
+
+
+def test_finite_dual_outputs_keep_their_entry_order_and_scalar_sharing(monkeypatch):
+    got = [_shape(call()) for call in _finite_dual_calls()]
+    monkeypatch.setattr(linalg, "_reduced_rows", _reference_reduced_rows)
+    monkeypatch.setattr(linalg, "_converted", _reference_converted)
+    monkeypatch.setattr(linalg, "_rank_labels",
+                        lambda labels: {label: r for r, label in enumerate(sorted(labels, key=label_sort_key))})
+    assert got == [_shape(call()) for call in _finite_dual_calls()]
+    assert sum(len(sharing) for _, sharing in got) > 1000

@@ -288,3 +288,24 @@ def test_counterexample_builds_each_winding_path_once(monkeypatch, capsys):
         assert calls["__init__"] <= 3 * (window + 1) + 21
         equalities.add(calls["__eq__"])
     assert len(equalities) == 1
+
+
+def test_incidence_recovery_transposes_the_algebra_once(monkeypatch):
+    # The law check that builds the FIA and the recovery check read one
+    # transposed table, StructuredAlgebra.dual().
+    calls = Counter()
+    _count_calls(monkeypatch, calls, finite_dual.DualCoalgebra, "__init__")
+    assert incidence.incidence_dual_recovery_check(named_poset("chain4"))
+    assert calls == {"__init__": 1}
+
+
+def test_maximal_ideal_reads_its_span_in_one_pass(monkeypatch):
+    # The closure's span is transposed into columns over its entries: no
+    # coefficient is looked up per (label, span vector) pair.
+    chain = named_poset("chain5")
+    fia = incidence.fia_structured_algebra(chain)
+    f = linalg.SparseVector({b: QQ.one for b in [(x, x) for x in chain.elements] + chain.covers()})
+    calls = Counter()
+    _count_calls(monkeypatch, calls, linalg.SparseVector, "coeff")
+    assert len(finite_dual.maximal_ideal_in_kernel(fia, f)) == 6
+    assert calls == {}
