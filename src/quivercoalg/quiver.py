@@ -1,8 +1,9 @@
 """Quivers, paths, path enumeration, and built-in infinite quiver families.
 
 A quiver is a finite directed multigraph with labeled arrows.  Paths are
-composable arrow sequences; vertices count as paths of length zero.  Path
-identity is by arrow-id sequence, so parallel arrows give distinct paths.
+composable arrow sequences; vertices count as paths of length zero.  A
+path is the tuple (quiver, vertex, arrows), and arrows compare by identity,
+so parallel arrows give distinct paths.
 
 Infinite quivers and posets are supported only through the named families
 of ``FAMILIES``: one table of closed-form answers to the structural
@@ -13,17 +14,17 @@ generation.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 
-@dataclass(frozen=True, eq=False)
 class Arrow:
     # Arrows hash and compare by identity: each Quiver builds its own.
-    ident: int
-    label: str
-    source: str
-    target: str
+    __slots__ = ("ident", "label", "source", "target")
+
+    def __init__(self, ident: int, label: str, source: str, target: str):
+        self.ident, self.label, self.source, self.target = ident, label, source, target
 
 
 class Quiver:
@@ -122,36 +123,19 @@ class Quiver:
         return f"Quiver({tag})"
 
 
-class Path:
+class Path(namedtuple("Path", "quiver vertex arrows")):
     """A path in a fixed quiver: a base vertex, or a composable arrow chain.
 
-    A value: the hash is computed once at construction, so the fields are
-    never reassigned.  Two paths are equal only when they share the quiver
-    object, the base vertex and the arrow sequence.
+    A value: the tuple (quiver, vertex, arrows), so hashing, equality and
+    field reads run in C.  Two paths are equal only when they share the
+    quiver object, the base vertex and the arrow sequence (quivers and
+    arrows compare by identity); ``vertex`` is None once there are arrows.
+    Being a tuple, a path is written by ``json.dumps`` as an array: a report
+    holds its label, ``str(p)``, instead.  ``Path(quiver, vertex, arrows)``
+    is the one constructor.
     """
 
-    __slots__ = ("quiver", "vertex", "arrows", "_hash")
-
-    def __init__(self, quiver: Quiver, vertex: Optional[str], arrows: tuple):
-        self.quiver = quiver
-        self.vertex = vertex
-        self.arrows = arrows
-        self._hash = hash((vertex, arrows))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Path):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.quiver is other.quiver
-            and self.vertex == other.vertex
-            and self.arrows == other.arrows
-        )
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -186,8 +170,13 @@ class Path:
         return Path(self.quiver, None, self.arrows[n:])
 
     def splits(self):
-        """All decompositions p = q r, as (q, r) pairs (length+1 of them)."""
-        return [(self.prefix(i), self.suffix_from(i)) for i in range(len(self.arrows) + 1)]
+        """All decompositions p = q r, as (q, r) pairs (length+1 of them):
+        the first and last pair hold p itself, beside its two vertex ends."""
+        quiver, arrows = self.quiver, self.arrows
+        if not arrows:
+            return [(self, self)]
+        inner = [(Path(quiver, None, arrows[:i]), Path(quiver, None, arrows[i:])) for i in range(1, len(arrows))]
+        return [(Path(quiver, arrows[0].source, ()), self), *inner, (self, Path(quiver, arrows[-1].target, ()))]
 
     def subpaths(self):
         """All contiguous subpaths, including all vertices on the path."""

@@ -144,7 +144,10 @@ def loop_power_decompositions(n):
 
 def dense_mat_mul(a, b, zero):
     """Textbook product of tuple-of-tuple matrices: every entry is the sum,
-    started at the field's zero, of all its terms."""
+    started at the field's zero, of all its terms.  Rows times (), which
+    carries no column count, have no known width and raise."""
+    if a and not b:
+        raise ValueError(f"{len(a)}x0 times () has no known width")
     cols = len(b[0]) if b else 0
     return tuple(
         tuple(sum((row[k] * b[k][j] for k in range(len(b))), zero) for j in range(cols))

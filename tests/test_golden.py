@@ -31,7 +31,7 @@ import pytest
 
 from quivercoalg import cli
 from quivercoalg.corpus import ACYCLIC_CORPUS, CYCLIC_CORPUS, POSET_CORPUS, named_poset, named_quiver
-from quivercoalg.quiver import FAMILIES, family_kinds
+from quivercoalg.quiver import FAMILIES, Path as QuiverPath, family_kinds
 from quivercoalg.representation import Representation, cycle_quotient_module
 from quivercoalg.scalars import QQ
 from quivercoalg.textio import poset_to_text, quiver_to_text
@@ -295,6 +295,40 @@ def test_family_check_stdout_is_unchanged():
 
 def test_rep_locnilp_stdout_is_unchanged(tmp_path):
     assert rep_locnilp_output(tmp_path) == golden("rep-locnilp.txt")
+
+
+def _values(value):
+    """``value`` and every key and item inside it, containers first."""
+    yield value
+    if isinstance(value, QuiverPath):
+        return
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _values(item)
+
+
+def test_no_report_holds_a_path(monkeypatch, tmp_path):
+    # A path is a tuple, so ``json.dumps(default=str)`` would write it as an
+    # array of its fields, where the text form prints its label: every
+    # report of the ``check``, ``counterexample`` and ``rep-locnilp`` runs
+    # above holds labels only.
+    reports, emit = [], cli._emit
+
+    def recording(report, as_json):
+        reports.append(report)
+        emit(report, as_json)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    for verb in VERBS:
+        check_output(verb, tmp_path)
+    families_output()
+    for output in (thm33_output, counterexample_output, rep_locnilp_output):
+        output(tmp_path)
+    assert {report["command"].split("-")[0] for report in reports} == {"check", "counterexample", "rep"}
+    assert [(report["command"], value) for report in reports for value in _values(report)
+            if isinstance(value, QuiverPath)] == []
 
 
 if __name__ == "__main__":

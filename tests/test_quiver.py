@@ -259,27 +259,6 @@ def _rebuilt(p):
 
 @settings(max_examples=60, deadline=None)
 @given(quiver_texts())
-def test_path_equality_is_quiver_vertex_and_arrow_sequence(text):
-    first = parse_quiver_text(text).target
-    second = parse_quiver_text(text).target
-    pool = []
-    for q in (first, second):
-        for p in enumerate_paths(q, 2).paths:
-            pool += [p, _rebuilt(p)]
-    for p in pool:
-        for r in pool:
-            same = (
-                p.quiver is r.quiver
-                and p.vertex == r.vertex
-                and [a.ident for a in p.arrows] == [a.ident for a in r.arrows]
-            )
-            assert (p == r) is same
-            if same:
-                assert hash(p) == hash(r)
-
-
-@settings(max_examples=60, deadline=None)
-@given(quiver_texts())
 def test_prefix_suffix_recompose_to_the_same_path(text):
     q = parse_quiver_text(text).target
     for p in enumerate_paths(q, 3).paths:
@@ -300,6 +279,75 @@ def test_paths_of_two_parses_of_one_text_are_unequal(text):
         )
         assert twin in seen and str(twin) == str(p)
         assert p != twin and p not in seen
+
+
+class _OraclePath:
+    """The hand-written path value that the tuple-backed ``Path`` replaced:
+    equal only on the same quiver object, base vertex and arrow objects,
+    hashed on the vertex and arrows, ordered by length, then arrow labels,
+    then arrow idents (a vertex path by its name)."""
+
+    def __init__(self, p):
+        self.quiver, self.vertex, self.arrows = p.quiver, p.vertex, tuple(map(id, p.arrows))
+        labels = [a.label for a in p.arrows]
+        self.key = (len(labels), tuple(labels), tuple(a.ident for a in p.arrows)) if labels else (0, (), (p.vertex,))
+
+    def __hash__(self):
+        return hash((self.vertex, self.arrows))
+
+    def __eq__(self, other):
+        return self.quiver is other.quiver and self.vertex == other.vertex and self.arrows == other.arrows
+
+
+def _contract_pool(text):
+    """Paths of length <= 2 of two quivers parsed from ``text``, each with a
+    fresh copy and the pieces of its splits, in a shuffled order."""
+    pool = []
+    for q in (parse_quiver_text(text).target, parse_quiver_text(text).target):
+        for p in enumerate_paths(q, 2).paths:
+            pool += [p, _rebuilt(p), *(piece for pair in p.splits() for piece in pair)]
+    random.Random(len(pool)).shuffle(pool)
+    return pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_path_equality_is_quiver_vertex_and_arrow_sequence(text):
+    pool = _contract_pool(text)
+    oracle = {id(p): _OraclePath(p) for p in pool}
+    for p in pool:
+        for r in pool:
+            same = oracle[id(p)] == oracle[id(r)]
+            assert (p == r) is same and (p != r) is not same
+            if same:
+                assert hash(p) == hash(r)
+    assert len(set(pool)) == len(set(oracle.values()))
+    assert [id(p) for p in sorted(pool, key=lambda p: p.sort_key)] == [
+        id(p) for p in sorted(pool, key=lambda p: oracle[id(p)].key)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_vertices_and_arrows_of_two_parses_of_one_text_differ(text):
+    first, second = parse_quiver_text(text).target, parse_quiver_text(text).target
+    for v in first.vertices:
+        assert first.vertex_path(v) == first.vertex_path(v) != second.vertex_path(v)
+        assert second.vertex_path(v) not in {first.vertex_path(v)}
+    arrows = first.arrows + second.arrows + Quiver(first.vertices, first.arrows).arrows
+    assert all((a == b) is (a is b) for a in arrows for b in arrows)
+    assert len(set(arrows)) == len(arrows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_texts())
+def test_splits_are_the_prefix_suffix_pairs_around_the_path_itself(text):
+    q = parse_quiver_text(text).target
+    for p in enumerate_paths(q, 3).paths:
+        pairs = p.splits()
+        assert pairs == [(p.prefix(i), p.suffix_from(i)) for i in range(p.length + 1)]
+        assert pairs[0][1] is p and pairs[-1][0] is p
+        assert all(compose_paths(left, right) == p for left, right in pairs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,7 +68,7 @@ def test_paths_verb_builds_no_path(monkeypatch, tmp_path, capsys):
     calls = Counter()
     for module in (cli, quiver):
         _count_calls(monkeypatch, calls, module, "enumerate_paths")
-    _count_calls(monkeypatch, calls, quiver.Path, "__init__")
+    _count_calls(monkeypatch, calls, quiver.Path, "__new__")
     assert cli.main(["paths", str(source), "--max-len", "12", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 2**13 - 1
     assert calls == {}
@@ -281,11 +281,11 @@ def test_counterexample_builds_each_winding_path_once(monkeypatch, capsys):
     for window in (12, 18, 24):
         calls = Counter()
         with monkeypatch.context() as patched:
-            for name in ("__init__", "__eq__"):
+            for name in ("__new__", "__eq__"):
                 _count_calls(patched, calls, quiver.Path, name)
             assert cli.main(["counterexample", "cycle", "family:cycle:3", "--max-len", str(window), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["codimension"] == 9
-        assert calls["__init__"] <= 3 * (window + 1) + 21
+        assert calls["__new__"] <= 3 * (window + 1) + 21
         equalities.add(calls["__eq__"])
     assert len(equalities) == 1
 
