@@ -300,6 +300,7 @@ def bialgebra_check(quiver: Quiver, field=QQ) -> Verdict:
     vertices = [quiver.vertex_path(v) for v in quiver.vertices]
     arrows = [Path(quiver, None, (a,)) for a in quiver.arrows]
     splits = {p: p.splits() for p in vertices + arrows}
+    char = getattr(field, "p", 0)  # counts are scalars n·1 of the field, zero when char divides n
 
     def multiplicative(x: Path, y: Path) -> bool:
         """Δ(xy) = Δ(x)Δ(y): both sides are counts of basis pairs, those
@@ -310,7 +311,7 @@ def bialgebra_check(quiver: Quiver, field=QQ) -> Verdict:
             for y1, y2 in splits[y]:
                 if (left := compose_paths(x1, y1)) is not None and (right := compose_paths(x2, y2)) is not None:
                     counts[left, right] = counts.get((left, right), 0) - 1
-        return not any(field.of(n) for n in counts.values())
+        return not any(n % char if char else n for n in counts.values())
 
     witness = None
     checked = 0

@@ -21,7 +21,7 @@ from .linalg import (
     rref,
 )
 from .quiver import Path, Quiver, enumerate_paths
-from .scalars import QQ
+from .scalars import QQ, FieldError
 
 
 class CoalgElement:
@@ -142,145 +142,161 @@ def linear_extension(table, combo: SparseVector) -> SparseVector:
 
 # ---------------------------------------------------------------------------
 # The coalgebra-law kernel: every law check in the library goes through these
-# three functions.  They read basis-level tables (``delta(label)`` a row over
-# label pairs, ``rho(label)`` one over (module index, coalgebra label) pairs,
-# ``counit(label)`` a scalar) and return None, or (law, label) for the first
-# failure; callers word their own messages.  A row is a SparseVector or an
-# integer row ``(scale, {key: int})`` standing for the entries over the
-# scale; a scalar is a field scalar or an integer row ``(scale, {0: int})``.
-# The arithmetic is on integers: each field row or scalar a call reads is
-# converted once, to numerators over a scale (residues mod p over GF(p)),
-# and both sides of a law are multiplied by a common multiple of their
-# scales before they are compared.
+# three functions.  They read basis-level tables (``delta[label]`` a row over
+# label pairs, ``rho[label]`` one over (module index, coalgebra label) pairs,
+# ``counit[label]`` a scalar), each a function of a label or an
+# ``IntegerRows``, and return None, or (law, label) for the first failure;
+# callers word their own messages.  A row is a SparseVector or an integer row
+# ``(scale, {key: int})`` standing for the entries over the scale; a scalar
+# is a field scalar or an integer row ``(scale, {0: int})``.  Each field row
+# a call reads is converted once to numerators over a scale (residues mod p
+# over GF(p)), and the laws at a label are compared on integers, multiplied
+# by one common multiple of the scales they read.
 # ---------------------------------------------------------------------------
 
 
+class IntegerRows(dict):
+    """Integer rows label -> (scale, {key: int}) built once by ``integer_rows``
+    with their modulus ``p`` (0 for rationals) and, while p is 0, the field
+    entries over a scale other than 1 (``rational``) a later modulus re-reads."""
+
+    __slots__ = ("p", "rational")
+
+
+def integer_rows(rows: dict, scalars: dict):
+    """A table of rows and a table of scalars as two ``IntegerRows`` with
+    one modulus, each entry converted once, as a kernel call would."""
+    ints = _IntegerTables()
+    tables = (IntegerRows((label, ints.convert(row.entries)) for label, row in rows.items()),
+              IntegerRows((label, ints.convert({0: value})) for label, value in scalars.items()))
+    for table in tables:
+        table.p, table.rational = ints.p, ints.rational
+    return tables
+
+
+class _Memo(dict):
+    """A table of one kernel call: a label read first is looked up and converted."""
+
+    __slots__ = ("table", "convert", "scalar")
+
+    def __missing__(self, label):
+        got = self.table(label)
+        if got.__class__ is not tuple:
+            got = self.convert({0: got} if self.scalar else got.entries)
+        self[label] = got
+        return got
+
+
 class _IntegerTables:
-    """The tables of one kernel call as integers: each field row or scalar
-    is converted by ``linalg._integers`` on first use, an integer row is
-    taken as it is, and either is kept for the call.  ``p`` is the modulus
-    of the residues met so far, 0 for rationals."""
+    """The tables of one kernel call as integers.  ``p`` is the modulus of
+    the residues met so far, 0 for rationals; ``rational`` the entries over
+    a scale other than 1 read before, which must have residues mod p too."""
 
     def __init__(self):
-        self.p, self._rational = 0, []
+        self.p, self.rational = 0, []
 
-    def _convert(self, entries: dict):
+    def _meet(self, p: int):
+        if self.p not in (0, p):
+            raise FieldError(f"mixed moduli {min(p, self.p)} and {max(p, self.p)}")
+        self.p, rational, self.rational = p, self.rational, []
+        for entries in rational:
+            _integers(entries, p)
+
+    def convert(self, entries: dict):
         if self.p:
             return _integers(entries, self.p)
         try:
             converted = _integers(entries, 0)
-        except AttributeError:  # a residue (no denominator): the rows read before need residues too
-            self.p = _modulus(entries.values())
-            for rational in self._rational:
-                _integers(rational, self.p)
+        except AttributeError:  # a residue (no denominator)
+            self._meet(_modulus(entries.values()))
             return _integers(entries, self.p)
-        self._rational.append(entries)
+        if converted[0] != 1:
+            self.rational.append(entries)
         return converted
 
-    def rows(self, table):
-        """label -> (scale, {key: int}) of a table of rows."""
-        return self._memo(table, lambda row: row.entries)
-
-    def scalars(self, table):
-        """label -> (scale, {0: int}) of a table of scalars."""
-        return self._memo(table, lambda value: {0: value})
-
-    def _memo(self, table, entries_of):
-        memo = {}
-
-        def converted(label):
-            got = memo.get(label)
-            if got is None:
-                got = table(label)
-                if got.__class__ is not tuple:
-                    got = self._convert(entries_of(got))
-                memo[label] = got
-            return got
-
-        return converted
+    def table(self, table, scalar=False):
+        """An ``IntegerRows`` as it is, any other table behind a memo."""
+        if table.__class__ is IntegerRows:
+            self.rational += table.rational
+            if table.p or self.p:
+                self._meet(table.p or self.p)
+            return table
+        memo = _Memo()
+        memo.table, memo.convert, memo.scalar = table, self.convert, scalar
+        return memo
 
 
 _ONE, _ZERO = (1, {0: 1}), (1, {})  # the scalars 1 and 0 as integer rows
 
 
-def _counit_differs(terms, counit, scale_j, key, value, p) -> bool:
-    """Whether Σ ε(b)·n / scale_j over the (index, b, n) terms, index by
-    index, differs from the scalar ``value`` = (e, {0: u}), that is u/e, at
-    ``key`` and from zero elsewhere."""
-    e, u = value[0], value[1].get(0, 0)
-    terms = [(i, counit(b), n) for i, b, n in terms]
-    scale = lcm(*[scale_b for _, (scale_b, _), _ in terms])
-    sums = {key: -u * scale * scale_j}
-    for i, (scale_b, value_b), n in terms:
-        sums[i] = sums.get(i, 0) + n * value_b.get(0, 0) * (scale // scale_b) * e
-    return _nonzero(sums, p)
-
-
-def _comodule_failure(j, rho, delta, counit, ints):
-    scale_j, coaction = rho(j)
-    terms = [(i, b, n, rho(i), delta(b)) for (i, b), n in coaction.items()]
-    scale = lcm(*[row_i[0] for *_, row_i, _ in terms], *[row_b[0] for *_, row_b in terms])
-    sums = {}
-    for i, b, n, (scale_i, inner), (scale_b, split) in terms:
-        w = n * (scale // scale_i)
-        for (k, c), m in inner.items():
-            key = (k, c, b)
-            sums[key] = sums.get(key, 0) + w * m
-        w = n * (scale // scale_b)
-        for (c, d), m in split.items():
-            key = (i, c, d)
-            sums[key] = sums.get(key, 0) - w * m
-    if _nonzero(sums, ints.p):
-        return ("coassociativity", j)
-    if _counit_differs([(i, b, n) for (i, b), n in coaction.items()], counit, scale_j, j, _ONE, ints.p):
-        return ("counit", j)
+def _first_failure(basis, rho, delta, counit):
+    """The first failure of ``check_comodule``, or with ``rho`` None of
+    ``check_coalgebra`` (ρ = Δ), in one pass over the terms of each ρ(j)."""
+    ints, left = _IntegerTables(), rho is None
+    delta, counit = ints.table(delta), ints.table(counit, True)
+    rho = delta if left else ints.table(rho)
+    for j in basis:
+        scale_j, coaction = rho[j]
+        terms = [(i, b, n, rho[i], delta[b], counit[b], counit[i] if left else _ZERO) for (i, b), n in coaction.items()]
+        # Each law at j times scale_j · scale, a common multiple of the scales read.
+        scale = lcm(*[row[0] for term in terms for row in term[3:]])
+        sums, right, left_sums = {}, {j: -scale * scale_j}, {j: -scale * scale_j}
+        for i, b, n, (scale_i, inner), (scale_b, split), (e_b, u_b), (e_i, u_i) in terms:
+            w = n * (scale // scale_i)
+            for (k, c), m in inner.items():
+                key = (k, c, b)
+                sums[key] = sums.get(key, 0) + w * m
+            w = n * (scale // scale_b)
+            for (c, d), m in split.items():
+                key = (i, c, d)
+                sums[key] = sums.get(key, 0) - w * m
+            if u_b:
+                right[i] = right.get(i, 0) + n * u_b[0] * (scale // e_b)
+            if u_i:
+                left_sums[b] = left_sums.get(b, 0) + n * u_i[0] * (scale // e_i)
+        if _nonzero(sums, ints.p):
+            return ("coassociativity", j)
+        if _nonzero(right, ints.p):
+            return ("counit", j)
+        if left and _nonzero(left_sums, ints.p):
+            return ("left counit", j)
     return None
 
 
 def check_comodule(basis, rho, delta, counit):
     """(ρ⊗id)ρ = (id⊗Δ)ρ and (id⊗ε)ρ = id on every basis label."""
-    ints = _IntegerTables()
-    rho, delta, counit = ints.rows(rho), ints.rows(delta), ints.scalars(counit)
-    for j in basis:
-        failure = _comodule_failure(j, rho, delta, counit, ints)
-        if failure is not None:
-            return failure
-    return None
+    return _first_failure(basis, rho, delta, counit)
 
 
 def check_coalgebra(basis, delta, counit):
     """Coassociativity and both counit laws on every basis label: the
     coalgebra coacting on itself (ρ = Δ) plus (ε⊗id)Δ = id."""
-    ints = _IntegerTables()
-    delta, counit = ints.rows(delta), ints.scalars(counit)
-    for b in basis:
-        failure = _comodule_failure(b, delta, delta, counit, ints)
-        if failure is not None:
-            return failure
-        scale_b, split = delta(b)
-        if _counit_differs([(y, x, n) for (x, y), n in split.items()], counit, scale_b, b, _ONE, ints.p):
-            return ("left counit", b)
-    return None
+    return _first_failure(basis, None, delta, counit)
 
 
 def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
     """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label; ``f(label)`` is a
     row over target labels."""
     ints = _IntegerTables()
-    f, delta_src, delta_tgt = ints.rows(f), ints.rows(delta_src), ints.rows(delta_tgt)
-    counit_src, counit_tgt = ints.scalars(counit_src), ints.scalars(counit_tgt)
+    f, delta_src, delta_tgt = ints.table(f), ints.table(delta_src), ints.table(delta_tgt)
+    counit_src, counit_tgt = ints.table(counit_src, True), ints.table(counit_tgt, True)
     for x in basis:
-        # Both sides times scale_f · scale_x · scale.
-        scale_f, image = f(x)
-        scale_x, split = delta_src(x)
-        image_terms = [(n, delta_tgt(y)) for y, n in image.items()]
-        split_terms = [(n, f(a), f(b)) for (a, b), n in split.items()]
-        scale = lcm(*[row[0] for _, row in image_terms], *[row_a[0] * row_b[0] for _, row_a, row_b in split_terms])
-        sums = {}
-        for n, (scale_y, image_split) in image_terms:
+        # Both sides of Δ'∘f = (f⊗f)∘Δ times scale_f · scale_x · scale, and
+        # of ε'∘f = ε times scale_f · e_x · scale.
+        scale_f, image = f[x]
+        scale_x, split = delta_src[x]
+        e_x, u_x = counit_src[x]
+        image_terms = [(n, delta_tgt[y], counit_tgt[y]) for y, n in image.items()]
+        split_terms = [(n, f[a], f[b]) for (a, b), n in split.items()]
+        scale = lcm(*[row[0] for term in image_terms for row in term[1:]],
+                    *[row_a[0] * row_b[0] for _, row_a, row_b in split_terms])
+        sums, counit_sum = {}, -u_x.get(0, 0) * scale_f * scale
+        for n, (scale_y, image_split), (e_y, u_y) in image_terms:
             w = n * scale_x * (scale // scale_y)
             for pair, m in image_split.items():
                 sums[pair] = sums.get(pair, 0) + w * m
+            if u_y:
+                counit_sum += n * u_y[0] * (scale // e_y) * e_x
         for n, (scale_a, image_a), (scale_b, image_b) in split_terms:
             w = n * scale_f * (scale // (scale_a * scale_b))
             for u, cu in image_a.items():
@@ -289,7 +305,7 @@ def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
                     sums[u, v] = sums.get((u, v), 0) - wu * cv
         if _nonzero(sums, ints.p):
             return ("comultiplication", x)
-        if _counit_differs([(x, y, n) for y, n in image.items()], counit_tgt, scale_f, x, counit_src(x), ints.p):
+        if counit_sum % ints.p if ints.p else counit_sum:
             return ("counit", x)
     return None
 

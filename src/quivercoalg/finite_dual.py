@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import subpath_closure, winding_paths
-from .coalgebra import CoalgElement, _closed_span, check_coalgebra, subcoalgebra_span
+from .coalgebra import CoalgElement, _closed_span, check_coalgebra, integer_rows, subcoalgebra_span
 from .dual import Functional
 from .linalg import SparseVector, kernel_of_map, reducer, rref
 from .quiver import (
@@ -89,8 +89,7 @@ class StructuredAlgebra:
                     raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
         # Associativity of A is coassociativity of the transposed table A*,
         # and completeness of the idempotents is its two counit laws.
-        dual = self.dual()
-        if check_coalgebra(self.basis, dual.delta_table.__getitem__, dual.counit_table.__getitem__) is not None:
+        if check_coalgebra(self.basis, *self.dual().integer_tables) is not None:
             raise ValueError(self._first_violation())
 
     def _first_violation(self) -> str:
@@ -144,34 +143,26 @@ class DualCoalgebra:
             for b, coeff in vec.items():
                 terms[b].append((pair, coeff))
         self.delta_table = {b: SparseVector(bterms) for b, bterms in terms.items()}
-        self.counit_table = {
-            b: (algebra.field.one if b in algebra.idempotents else algebra.field.zero)
-            for b in algebra.basis
-        }
+        one, zero = algebra.field.one, algebra.field.zero
+        self.counit_table = {b: one if b in algebra.idempotents else zero for b in algebra.basis}
+        # Δ and ε as the law kernel's ``IntegerRows``, converted once; the
+        # comultiplication and counit of functionals read the field tables.
+        self.integer_tables = integer_rows(self.delta_table, self.counit_table)
         if validate:
             self._validate()
 
     def comultiply(self, functional: SparseVector) -> SparseVector:
-        return SparseVector(
-            (pair, c * coeff)
-            for b, coeff in functional.items()
-            for pair, c in self.delta_table[b].items()
-        )
+        delta = self.delta_table
+        return SparseVector((pair, c * coeff) for b, coeff in functional.items() for pair, c in delta[b].items())
 
     def counit(self, functional: SparseVector):
-        total = self.field.zero
-        for b, coeff in functional.items():
-            total = total + self.counit_table[b] * coeff
-        return total
+        return sum((self.counit_table[b] * coeff for b, coeff in functional.items()), self.field.zero)
 
     def _validate(self):
-        failure = check_coalgebra(self.basis, self.delta_table.__getitem__, self.counit_table.__getitem__)
-        if failure is None:
-            return
-        law, b = failure
-        if law == "coassociativity":
-            raise ValueError(f"dual comultiplication not coassociative at {b!r}")
-        raise ValueError(f"counit law fails at {b!r}")
+        if failure := check_coalgebra(self.basis, *self.integer_tables):
+            law, b = failure
+            raise ValueError(f"dual comultiplication not coassociative at {b!r}" if law == "coassociativity"
+                             else f"counit law fails at {b!r}")
 
 
 def dual_coalgebra(algebra: StructuredAlgebra) -> DualCoalgebra:

@@ -179,17 +179,9 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> Verdict:
     bijective coalgebra morphism.  Verified exactly on every interval."""
     algebra = fia_structured_algebra(poset, field)
     # Building the algebra checked these tables' coalgebra laws.
-    dual = algebra.dual()
-    delta, eps = basis_tables(poset)
+    (delta, eps), (dual_delta, dual_eps) = basis_tables(poset), algebra.dual().integer_tables
     intervals = poset.intervals()
-    failure = check_morphism(
-        intervals,
-        lambda interval: (1, {interval: 1}),
-        delta,
-        dual.delta_table.__getitem__,
-        eps,
-        dual.counit_table.__getitem__,
-    )
+    failure = check_morphism(intervals, lambda interval: (1, {interval: 1}), delta, dual_delta, eps, dual_eps)
     if failure is not None:
         law, interval = failure
         return _recovery_verdict(False, len(algebra.basis), f"{law} mismatch at {interval}")

@@ -309,10 +309,8 @@ class LeftModule:
     def _validate(self):
         # A left A-module is a right A*-comodule: ρ(a)ρ(b) = ρ(ab) is the
         # coaction's coassociativity and unitality its counit law.
-        dual = self.algebra.dual()
         rho = _coaction_rows(self)
-        if check_comodule(range(self.dimension), rho.__getitem__, dual.delta_table.__getitem__,
-                          dual.counit_table.__getitem__) is not None:
+        if check_comodule(range(self.dimension), rho.__getitem__, *self.algebra.dual().integer_tables) is not None:
             raise ValueError(self._first_violation())
 
     def _first_violation(self) -> str:

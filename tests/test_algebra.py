@@ -803,6 +803,22 @@ def test_bialgebra_check_raises_the_element_checks_error_on_a_corrupted_product(
             assert _bialgebra_outcome(bialgebra_check, quiver) == outcome
 
 
+def test_bialgebra_check_reads_its_counts_mod_the_characteristic(monkeypatch):
+    # With x·x = 0 on the loop, Δ(x)Δ(x) holds x⊗x twice against nothing in
+    # Δ(xx) = 0: a count of -2, a witness over QQ and GF(3) and zero over
+    # GF(2), where the compatible pair contradicts the criterion.  No count
+    # is made a field scalar.
+    loop = named_quiver("loop")
+    x = Path(loop, None, (loop.arrows[0],))
+    _corrupt_product(monkeypatch, (x, x), None)
+    outcome = "expected product incompatibility at (x, x); bug"
+    assert _bialgebra_outcome(element_bialgebra_check, loop, PrimeField(2)) == outcome
+    monkeypatch.setattr(PrimeField, "of", None)
+    assert _bialgebra_outcome(bialgebra_check, loop, PrimeField(2)) == outcome
+    for field in (QQ, PrimeField(3)):
+        assert _bialgebra_outcome(bialgebra_check, loop, field) == ("no", (x, x), 2)
+
+
 _SMALL_QUIVERS = list(enumerate_small_quivers(3, 3))
 
 

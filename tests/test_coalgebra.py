@@ -192,6 +192,16 @@ def test_law_kernel_rejects_non_morphisms():
     assert check_morphism(["a"], zero_map, delta, delta, counit_of, counit_of) == ("counit", "a")
 
 
+def test_law_kernel_reads_counits_over_their_own_scale():
+    # Δg = 2·g⊗g with ε(g) = 1/2 is a coalgebra: the integer rows of Δ have
+    # scale 1, the counit has scale 2, and every law must take both.
+    delta = table({"g": {("g", "g"): Fraction(2)}})
+    counit_of = {"g": Fraction(1, 2)}.get
+    assert check_coalgebra(["g"], delta, counit_of) is None
+    assert check_comodule(["g"], delta, delta, counit_of) is None
+    assert check_morphism(["g"], SparseVector.unit, delta, delta, counit_of, counit_of) is None
+
+
 def test_closure_of_grouplike():
     q = named_quiver("single_arrow")
     v = unit(q.vertex_path("a"))

@@ -31,7 +31,7 @@ from helpers import (
     unchecked_left_module,
 )
 import quivercoalg
-from quivercoalg import finite_dual, representation
+from quivercoalg import coalgebra, finite_dual, representation
 from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, check_comodule, check_morphism
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
 from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
@@ -347,6 +347,40 @@ def test_left_module_validation_agrees_with_the_fraction_validator(field, seed, 
     assert _outcome(unchecked._validate) == expected
     if not corrupt:
         assert expected is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_the_dual_integer_rows_are_the_kernel_conversion_of_its_field_rows(field, seed, rescaled):
+    # The rows and counits that ``DualCoalgebra`` converts once are those a
+    # kernel call converts from its field tables, with the same modulus, and
+    # each stands for its field entries.
+    rng = random.Random(seed)
+    algebra = _rescaled_algebra(rng, field) if rescaled else random_structured_algebra(rng, field=field)
+    dual = DualCoalgebra(algebra, validate=False)
+    ints = coalgebra._IntegerTables()
+    delta, counit = ints.table(dual.delta_table.__getitem__), ints.table(dual.counit_table.__getitem__, True)
+    expected = {b: delta[b] for b in algebra.basis}, {b: counit[b] for b in algebra.basis}
+    assert tuple(map(dict, dual.integer_tables)) == expected
+    assert [(table.p, table.rational) for table in dual.integer_tables] == [(ints.p, ints.rational)] * 2
+    assert ints.p == getattr(field, "p", 0)
+    for field_table, integer in zip((dual.delta_table, dual.counit_table), dual.integer_tables):
+        for b, value in field_table.items():
+            entries = value.entries if isinstance(value, SparseVector) else {0: value}
+            scale, row = integer[b]
+            assert {k: c for k, n in row.items() if (c := field.of(n, scale))} == {k: c for k, c in entries.items() if c}
+
+
+def test_a_module_over_a_prime_field_rereads_the_rational_rows_of_the_dual():
+    # Over QQ, e + a with aa = a/5 is an algebra whose dual row of a* has
+    # the scale 5.  A module over GF(5) whose coaction never reads that row
+    # is still refused: the dual's rows count as read by the kernel call.
+    one = QQ.one
+    mult = {("e", "e"): {"e": one}, ("e", "a"): {"a": one}, ("a", "e"): {"a": one}, ("a", "a"): {"a": one / 5}}
+    algebra = StructuredAlgebra(["e", "a"], {pair: SparseVector(row) for pair, row in mult.items()}, ["e"], QQ)
+    gf5 = PrimeField(5)
+    with pytest.raises(FieldError, match=re.escape("rational 1/5 has no residue mod 5")):
+        LeftModule(algebra, 1, {"e": ((gf5.one,),), "a": ((gf5.zero,),)})
 
 
 def test_rescaled_structures_need_both_denominators():

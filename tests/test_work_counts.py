@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from quivercoalg import algebra, cli, dual, finite_dual, incidence, linalg, products, quiver, representation, suites
+from quivercoalg import algebra, cli, coalgebra, dual, finite_dual, incidence, linalg, products, quiver, representation, suites
 from quivercoalg.corpus import named_poset, named_quiver
 from quivercoalg.scalars import QQ
 from quivercoalg.quiver import Quiver
@@ -297,6 +297,27 @@ def test_incidence_recovery_transposes_the_algebra_once(monkeypatch):
     _count_calls(monkeypatch, calls, finite_dual.DualCoalgebra, "__init__")
     assert incidence.incidence_dual_recovery_check(named_poset("chain4"))
     assert calls == {"__init__": 1}
+
+
+def test_modules_over_one_algebra_convert_the_dual_rows_once(monkeypatch):
+    # Building the algebra converts each row and counit of its dual A* to
+    # integers once; validating k modules over it converts only their own
+    # coaction rows, not the dual's rows again per module.
+    converted = Counter()
+    exact = coalgebra._integers
+
+    def counting(entries, p):
+        converted[id(entries)] += 1
+        return exact(entries, p)
+
+    monkeypatch.setattr(coalgebra, "_integers", counting)
+    fia = incidence.fia_structured_algebra(named_poset("chain4"))
+    rows = {id(row.entries) for row in fia.dual().delta_table.values()}
+    k, n = 4, len(fia.basis)
+    for _ in range(k):
+        representation.regular_left_module(fia)
+    assert {key: converted[key] for key in rows} == dict.fromkeys(rows, 1)
+    assert sum(converted.values()) == 2 * n + k * n
 
 
 def test_maximal_ideal_reads_its_span_in_one_pass(monkeypatch):
