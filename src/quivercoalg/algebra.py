@@ -73,13 +73,10 @@ def is_subpath_closed(paths) -> bool:
     return all(s in pset for p in pset for s in p.subpaths())
 
 
-def contains_cofinite_monomial_ideal(
-    ideal_generators,
-    quiver: Quiver,
-    max_len: int,
-    codim_bound: int,
-) -> Verdict:
-    """Does the span of the generators contain a cofinite monomial ideal?
+def contains_cofinite_monomial_ideal(ideal_generators, quiver: Quiver, max_len: int, codim_bound: int,
+                                     field=QQ) -> Verdict:
+    """Does the span of the generators, over the field, contain a cofinite
+    monomial ideal?
 
     Candidate monomial ideals are described by their complements: finite
     subpath-closed path sets E with |E| <= codim_bound.  The span of the
@@ -90,8 +87,8 @@ def contains_cofinite_monomial_ideal(
     carries the complement as its witness.
     """
     enum = enumerate_paths(quiver, max_len)
-    reduce = reducer(rref(list(ideal_generators)))
-    outside = [p for p in enum.paths if not reduce(SparseVector.unit(p)).is_zero()]
+    reduce = reducer(rref(ideal_generators, field))
+    outside = [p for p in enum.paths if not reduce(SparseVector.unit(p, field)).is_zero()]
     complement = subpath_closure(outside)
     return horizon_verdict(len(complement) <= codim_bound, enum.exhaustive, complement, max_len)
 
@@ -120,7 +117,7 @@ class CounterexampleIdeal:
         closed = set(self.closed_path_set)
         one = self.field.one
         return [SparseVector({p: one, r: -one}) for p, r in self.difference_pairs] + [
-            SparseVector.unit(p) for p in enumerate_paths(self.quiver, self.max_len).paths if p not in closed
+            SparseVector({p: one}) for p in enumerate_paths(self.quiver, self.max_len).paths if p not in closed
         ]
 
 
@@ -300,7 +297,7 @@ def bialgebra_check(quiver: Quiver, field=QQ) -> Verdict:
     vertices = [quiver.vertex_path(v) for v in quiver.vertices]
     arrows = [Path(quiver, None, (a,)) for a in quiver.arrows]
     splits = {p: p.splits() for p in vertices + arrows}
-    char = getattr(field, "p", 0)  # counts are scalars n·1 of the field, zero when char divides n
+    char = field.p  # counts are scalars n·1 of the field, zero when char divides n
 
     def multiplicative(x: Path, y: Path) -> bool:
         """Δ(xy) = Δ(x)Δ(y): both sides are counts of basis pairs, those

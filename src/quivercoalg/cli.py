@@ -203,7 +203,7 @@ def cmd_factor_perp(args, field) -> tuple[dict, int]:
     if not is_acyclic(quiver):
         raise InputFailure("perp factorization needs an acyclic quiver")
     element = parse_element(args.element, quiver, field)
-    closure = subcoalgebra_closure([element])
+    closure = subcoalgebra_closure([element], field)
     saturation = saturate_subcoalgebra(closure, quiver)
     paths = quiver.basis()
     rng = random.Random(args.seed)
@@ -230,7 +230,7 @@ def cmd_rep_locnilp(args, field) -> tuple[dict, int]:
     rep = parse_rep_text(_read_file(args.rep), quiver, field)
     verdict = is_locally_nilpotent(rep, field)
     report = {"command": "rep-locnilp", **verdict.data}
-    total, action = rep.total_dimension(), PathAction(rep)
+    total, action = rep.total_dimension(), PathAction(rep, field)
     # Exact on both sides: M is locally nilpotent exactly when a cofinite
     # monomial ideal kills every basis vector; one kernel serves them all.
     unkilled = any(not action.monomial_check(tuple(field.one if j == i else field.zero for j in range(total)))

@@ -14,7 +14,6 @@ from math import lcm
 from .linalg import (
     SparseVector,
     _integers,
-    _modulus,
     _nonzero,
     kernel_of_map,
     reducer,
@@ -148,93 +147,65 @@ def linear_extension(table, combo: SparseVector) -> SparseVector:
 # ``IntegerRows``, and return None, or (law, label) for the first failure;
 # callers word their own messages.  A row is a SparseVector or an integer row
 # ``(scale, {key: int})`` standing for the entries over the scale; a scalar
-# is a field scalar or an integer row ``(scale, {0: int})``.  Each field row
-# a call reads is converted once to numerators over a scale (residues mod p
-# over GF(p)), and the laws at a label are compared on integers, multiplied
-# by one common multiple of the scales they read.
+# is a field scalar or an integer row ``(scale, {0: int})``.  Each call is
+# told its field.  Each field row it reads is converted once, with the
+# field's characteristic, to numerators over a scale (residues mod p over
+# GF(p)), and the laws at a label are compared on integers, multiplied by
+# one common multiple of the scales they read.
 # ---------------------------------------------------------------------------
 
 
 class IntegerRows(dict):
-    """Integer rows label -> (scale, {key: int}) built once by ``integer_rows``
-    with their modulus ``p`` (0 for rationals) and, while p is 0, the field
-    entries over a scale other than 1 (``rational``) a later modulus re-reads."""
+    """Integer rows label -> (scale, {key: int}) over the characteristic ``p``."""
 
-    __slots__ = ("p", "rational")
+    __slots__ = ("p",)
 
 
-def integer_rows(rows: dict, scalars: dict):
-    """A table of rows and a table of scalars as two ``IntegerRows`` with
-    one modulus, each entry converted once, as a kernel call would."""
-    ints = _IntegerTables()
-    tables = (IntegerRows((label, ints.convert(row.entries)) for label, row in rows.items()),
-              IntegerRows((label, ints.convert({0: value})) for label, value in scalars.items()))
-    for table in tables:
-        table.p, table.rational = ints.p, ints.rational
+def integer_rows(rows: dict, scalars: dict, field):
+    """A table of rows and a table of scalars over the field as two
+    ``IntegerRows``, each entry converted once, as a kernel call would."""
+    p = field.p
+    tables = (IntegerRows((label, _integers(row.entries, p)) for label, row in rows.items()),
+              IntegerRows((label, _integers({0: value}, p)) for label, value in scalars.items()))
+    tables[0].p = tables[1].p = p
     return tables
 
 
 class _Memo(dict):
-    """A table of one kernel call: a label read first is looked up and converted."""
+    """A table of one kernel call: a label read first is looked up and
+    converted with the characteristic ``p``."""
 
-    __slots__ = ("table", "convert", "scalar")
+    __slots__ = ("table", "p", "scalar")
 
     def __missing__(self, label):
         got = self.table(label)
         if got.__class__ is not tuple:
-            got = self.convert({0: got} if self.scalar else got.entries)
+            got = _integers({0: got} if self.scalar else got.entries, self.p)
         self[label] = got
         return got
 
 
-class _IntegerTables:
-    """The tables of one kernel call as integers.  ``p`` is the modulus of
-    the residues met so far, 0 for rationals; ``rational`` the entries over
-    a scale other than 1 read before, which must have residues mod p too."""
-
-    def __init__(self):
-        self.p, self.rational = 0, []
-
-    def _meet(self, p: int):
-        if self.p not in (0, p):
-            raise FieldError(f"mixed moduli {min(p, self.p)} and {max(p, self.p)}")
-        self.p, rational, self.rational = p, self.rational, []
-        for entries in rational:
-            _integers(entries, p)
-
-    def convert(self, entries: dict):
-        if self.p:
-            return _integers(entries, self.p)
-        try:
-            converted = _integers(entries, 0)
-        except AttributeError:  # a residue (no denominator)
-            self._meet(_modulus(entries.values()))
-            return _integers(entries, self.p)
-        if converted[0] != 1:
-            self.rational.append(entries)
-        return converted
-
-    def table(self, table, scalar=False):
-        """An ``IntegerRows`` as it is, any other table behind a memo."""
-        if table.__class__ is IntegerRows:
-            self.rational += table.rational
-            if table.p or self.p:
-                self._meet(table.p or self.p)
-            return table
-        memo = _Memo()
-        memo.table, memo.convert, memo.scalar = table, self.convert, scalar
-        return memo
+def _integer_table(table, p: int, scalar=False):
+    """An ``IntegerRows`` over the characteristic p as it is, any other
+    table behind a memo."""
+    if table.__class__ is IntegerRows:
+        if table.p != p:
+            raise FieldError(f"integer rows of characteristic {table.p} in a kernel told {p}")
+        return table
+    memo = _Memo()
+    memo.table, memo.p, memo.scalar = table, p, scalar
+    return memo
 
 
 _ONE, _ZERO = (1, {0: 1}), (1, {})  # the scalars 1 and 0 as integer rows
 
 
-def _first_failure(basis, rho, delta, counit):
+def _first_failure(basis, rho, delta, counit, p: int):
     """The first failure of ``check_comodule``, or with ``rho`` None of
     ``check_coalgebra`` (ρ = Δ), in one pass over the terms of each ρ(j)."""
-    ints, left = _IntegerTables(), rho is None
-    delta, counit = ints.table(delta), ints.table(counit, True)
-    rho = delta if left else ints.table(rho)
+    left = rho is None
+    delta, counit = _integer_table(delta, p), _integer_table(counit, p, True)
+    rho = delta if left else _integer_table(rho, p)
     for j in basis:
         scale_j, coaction = rho[j]
         terms = [(i, b, n, rho[i], delta[b], counit[b], counit[i] if left else _ZERO) for (i, b), n in coaction.items()]
@@ -254,32 +225,32 @@ def _first_failure(basis, rho, delta, counit):
                 right[i] = right.get(i, 0) + n * u_b[0] * (scale // e_b)
             if u_i:
                 left_sums[b] = left_sums.get(b, 0) + n * u_i[0] * (scale // e_i)
-        if _nonzero(sums, ints.p):
+        if _nonzero(sums, p):
             return ("coassociativity", j)
-        if _nonzero(right, ints.p):
+        if _nonzero(right, p):
             return ("counit", j)
-        if left and _nonzero(left_sums, ints.p):
+        if left and _nonzero(left_sums, p):
             return ("left counit", j)
     return None
 
 
-def check_comodule(basis, rho, delta, counit):
-    """(ρ⊗id)ρ = (id⊗Δ)ρ and (id⊗ε)ρ = id on every basis label."""
-    return _first_failure(basis, rho, delta, counit)
+def check_comodule(basis, rho, delta, counit, field):
+    """(ρ⊗id)ρ = (id⊗Δ)ρ and (id⊗ε)ρ = id on every basis label, over the field."""
+    return _first_failure(basis, rho, delta, counit, field.p)
 
 
-def check_coalgebra(basis, delta, counit):
-    """Coassociativity and both counit laws on every basis label: the
-    coalgebra coacting on itself (ρ = Δ) plus (ε⊗id)Δ = id."""
-    return _first_failure(basis, None, delta, counit)
+def check_coalgebra(basis, delta, counit, field):
+    """Coassociativity and both counit laws on every basis label, over the
+    field: the coalgebra coacting on itself (ρ = Δ) plus (ε⊗id)Δ = id."""
+    return _first_failure(basis, None, delta, counit, field.p)
 
 
-def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
-    """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label; ``f(label)`` is a
-    row over target labels."""
-    ints = _IntegerTables()
-    f, delta_src, delta_tgt = ints.table(f), ints.table(delta_src), ints.table(delta_tgt)
-    counit_src, counit_tgt = ints.table(counit_src, True), ints.table(counit_tgt, True)
+def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt, field):
+    """Δ'∘f = (f⊗f)∘Δ and ε'∘f = ε on every basis label, over the field;
+    ``f(label)`` is a row over target labels."""
+    p = field.p
+    f, delta_src, delta_tgt = _integer_table(f, p), _integer_table(delta_src, p), _integer_table(delta_tgt, p)
+    counit_src, counit_tgt = _integer_table(counit_src, p, True), _integer_table(counit_tgt, p, True)
     for x in basis:
         # Both sides of Δ'∘f = (f⊗f)∘Δ times scale_f · scale_x · scale, and
         # of ε'∘f = ε times scale_f · e_x · scale.
@@ -303,9 +274,9 @@ def check_morphism(basis, f, delta_src, delta_tgt, counit_src, counit_tgt):
                 wu = w * cu
                 for v, cv in image_b.items():
                     sums[u, v] = sums.get((u, v), 0) - wu * cv
-        if _nonzero(sums, ints.p):
+        if _nonzero(sums, p):
             return ("comultiplication", x)
-        if counit_sum % ints.p if ints.p else counit_sum:
+        if counit_sum % p if p else counit_sum:
             return ("counit", x)
     return None
 
@@ -325,18 +296,19 @@ def right_tensor_components(tensor: SparseVector) -> list[SparseVector]:
     return [SparseVector(dict(items)) for items in grouped.values()]
 
 
-def _closed_span(vectors, grow) -> list[SparseVector]:
-    """Canonical ``rref`` basis of the smallest span that holds the vectors
-    and ``grow(vec)`` of each of its vectors, ``grow`` linear.  Each round
-    grows only the frontier, the rows new to the span, which with the old
-    basis span it; the closure stops when the rank does not grow."""
-    basis = rref(vectors)
+def _closed_span(vectors, grow, field) -> list[SparseVector]:
+    """Canonical ``rref`` basis over the field of the smallest span that
+    holds the vectors and ``grow(vec)`` of each of its vectors, ``grow``
+    linear.  Each round grows only the frontier, the rows new to the span,
+    which with the old basis span it; the closure stops when the rank does
+    not grow."""
+    basis = rref(vectors, field)
     frontier = basis
     while frontier:
         grown = list(basis)
         for vec in frontier:
             grown.extend(grow(vec))
-        refined = rref(grown)
+        refined = rref(grown, field)
         if len(refined) == len(basis):
             break
         old = set(basis)
@@ -345,21 +317,22 @@ def _closed_span(vectors, grow) -> list[SparseVector]:
     return basis
 
 
-def subcoalgebra_span(vectors, delta) -> list[SparseVector]:
-    """Canonical ``rref`` basis of the smallest span that contains the
-    vectors and the left and right tensor components of ``delta`` of each
-    of its vectors (grouped over the label basis on the opposite side);
-    components are linear in the tensor."""
+def subcoalgebra_span(vectors, delta, field) -> list[SparseVector]:
+    """Canonical ``rref`` basis over the field of the smallest span that
+    contains the vectors and the left and right tensor components of
+    ``delta`` of each of its vectors (grouped over the label basis on the
+    opposite side); components are linear in the tensor."""
 
     def components(vec):
         tensor = delta(vec)
         return left_tensor_components(tensor) + right_tensor_components(tensor)
 
-    return _closed_span(vectors, components)
+    return _closed_span(vectors, components, field)
 
 
-def subcoalgebra_closure(elements) -> list[CoalgElement]:
-    """Basis of the smallest subcoalgebra containing the given elements.
+def subcoalgebra_closure(elements, field=QQ) -> list[CoalgElement]:
+    """Basis of the smallest subcoalgebra containing the given elements,
+    whose scalars lie in the field.
 
     The result is the canonical reduced basis; closing it again changes
     nothing.
@@ -368,7 +341,7 @@ def subcoalgebra_closure(elements) -> list[CoalgElement]:
     if not elements:
         return []
     carrier = elements[0].carrier
-    basis = subcoalgebra_span([e.combo for e in elements], lambda vec: comultiply(CoalgElement(carrier, vec)))
+    basis = subcoalgebra_span([e.combo for e in elements], lambda vec: comultiply(CoalgElement(carrier, vec)), field)
     return [CoalgElement(carrier, v) for v in basis]
 
 
@@ -384,17 +357,17 @@ class WedgeResult:
         return len(self.basis)
 
 
-def wedge(x_basis, y_basis, quiver: Quiver, max_len: int) -> WedgeResult:
+def wedge(x_basis, y_basis, quiver: Quiver, max_len: int, field=QQ) -> WedgeResult:
     """The wedge X ∧ Y = Δ^{-1}(X ⊗ C + C ⊗ Y) within a path-length window.
 
     Exact when the quiver is acyclic and the window is exhaustive; otherwise
     the result is the truncated wedge and is flagged as such.
     """
     enum = enumerate_paths(quiver, max_len)
-    reduce_x = reducer(rref([e.combo for e in x_basis]))
-    reduce_y = reducer(rref([e.combo for e in y_basis]))
-    residue_x = {p: reduce_x(SparseVector.unit(p)) for p in enum.paths}
-    residue_y = {p: reduce_y(SparseVector.unit(p)) for p in enum.paths}
+    reduce_x = reducer(rref([e.combo for e in x_basis], field))
+    reduce_y = reducer(rref([e.combo for e in y_basis], field))
+    residue_x = {p: reduce_x(SparseVector.unit(p, field)) for p in enum.paths}
+    residue_y = {p: reduce_y(SparseVector.unit(p, field)) for p in enum.paths}
 
     def image_of(path: Path) -> SparseVector:
         return SparseVector(
@@ -404,7 +377,7 @@ def wedge(x_basis, y_basis, quiver: Quiver, max_len: int) -> WedgeResult:
             for rl, rc in residue_y[right].items()
         )
 
-    kernel = kernel_of_map(enum.paths, image_of)
+    kernel = kernel_of_map(enum.paths, image_of, field)
     basis = [CoalgElement(quiver, v) for v in kernel]
     return WedgeResult(basis, exact=enum.exhaustive)
 

@@ -81,7 +81,7 @@ class StructuredAlgebra:
         )
 
     def _validate(self):
-        one = self.field.one
+        one, tables = self.field.one, self.dual().integer_tables  # a scalar of another field raises here
         for e in self.idempotents:
             for f in self.idempotents:
                 expected = SparseVector({e: one}) if e == f else SparseVector()
@@ -89,7 +89,7 @@ class StructuredAlgebra:
                     raise ValueError(f"idempotents {e!r},{f!r} are not orthogonal idempotents")
         # Associativity of A is coassociativity of the transposed table A*,
         # and completeness of the idempotents is its two counit laws.
-        if check_coalgebra(self.basis, *self.dual().integer_tables) is not None:
+        if check_coalgebra(self.basis, *tables, self.field) is not None:
             raise ValueError(self._first_violation())
 
     def _first_violation(self) -> str:
@@ -147,7 +147,7 @@ class DualCoalgebra:
         self.counit_table = {b: one if b in algebra.idempotents else zero for b in algebra.basis}
         # Δ and ε as the law kernel's ``IntegerRows``, converted once; the
         # comultiplication and counit of functionals read the field tables.
-        self.integer_tables = integer_rows(self.delta_table, self.counit_table)
+        self.integer_tables = integer_rows(self.delta_table, self.counit_table, self.field)
         if validate:
             self._validate()
 
@@ -159,7 +159,7 @@ class DualCoalgebra:
         return sum((self.counit_table[b] * coeff for b, coeff in functional.items()), self.field.zero)
 
     def _validate(self):
-        if failure := check_coalgebra(self.basis, *self.integer_tables):
+        if failure := check_coalgebra(self.basis, *self.integer_tables, self.field):
             law, b = failure
             raise ValueError(f"dual comultiplication not coassociative at {b!r}" if law == "coassociativity"
                              else f"counit law fails at {b!r}")
@@ -223,7 +223,7 @@ def maximal_ideal_in_kernel(algebra: StructuredAlgebra, functional: SparseVector
             raise ValueError(f"functional label {label!r} is not a basis label of {algebra!r}")
         if not algebra.field.contains(value):
             raise FieldError(f"functional value {value!r} at label {label!r} is not in {algebra.field!r}")
-    span = subcoalgebra_span([functional], algebra.dual().comultiply)
+    span = subcoalgebra_span([functional], algebra.dual().comultiply, algebra.field)
     # The map a ↦ (g(a))_g, one column per basis label, read off in one pass.
     columns = {b: SparseVector() for b in algebra.basis}
     for i, g in enumerate(span):
@@ -444,12 +444,12 @@ def two_sided_ideal_closure(algebra: StructuredAlgebra, seeds) -> list[SparseVec
             yield algebra.product(unit, vec)
             yield algebra.product(vec, unit)
 
-    return _closed_span(list(seeds), products)
+    return _closed_span(list(seeds), products, algebra.field)
 
 
 def tensor_slice_ideals(a: StructuredAlgebra, b: StructuredAlgebra, h_basis) -> tuple:
     """The ideals I = {x : x⊗B ⊆ H} and J = {y : A⊗y ⊆ H} of a tensor ideal."""
-    reduce = reducer(rref(list(h_basis)))
+    reduce = reducer(rref(list(h_basis), a.field))
     one = a.field.one
 
     def residual_i(x_label):

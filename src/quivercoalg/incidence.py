@@ -156,7 +156,7 @@ def phi_image_check(poset: Poset) -> Verdict:
     against the interval count and the Hasse path count."""
     phi = phi_table(poset)
     intervals = poset.intervals()
-    image_rank = rank([SparseVector(phi(interval)[1]) for interval in intervals])
+    image_rank = rank([SparseVector(phi(interval)[1]) for interval in intervals], QQ)
     injective = image_rank == len(intervals)
     surjective = image_rank == sum(map(len, _paths_between(poset).values()))
     unique = check_unique_path_condition(hasse_quiver(poset))
@@ -181,7 +181,7 @@ def incidence_dual_recovery_check(poset: Poset, field=QQ) -> Verdict:
     # Building the algebra checked these tables' coalgebra laws.
     (delta, eps), (dual_delta, dual_eps) = basis_tables(poset), algebra.dual().integer_tables
     intervals = poset.intervals()
-    failure = check_morphism(intervals, lambda interval: (1, {interval: 1}), delta, dual_delta, eps, dual_eps)
+    failure = check_morphism(intervals, lambda interval: (1, {interval: 1}), delta, dual_delta, eps, dual_eps, field)
     if failure is not None:
         law, interval = failure
         return _recovery_verdict(False, len(algebra.basis), f"{law} mismatch at {interval}")

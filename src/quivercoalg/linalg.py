@@ -4,8 +4,8 @@ Vectors are sparse maps from hashable basis labels to nonzero scalars.
 All elimination routines pivot along a fixed total order on labels
 (``label_sort_key``), so every output basis is canonical: two generating
 sets spanning the same subspace reduce to the identical basis.  Results
-hold the field's scalars: ``Fraction`` over the rationals (ints are read as
-rationals), ``ModP`` over GF(p).
+hold the scalars of the field the caller names: ``Fraction`` over the
+rationals (ints are read as rationals), ``ModP`` over GF(p).
 """
 
 from __future__ import annotations
@@ -128,10 +128,13 @@ class SparseVector:
 # combined fraction-free, over GF(p) residues mod p made monic at their lead.
 # Columns ranked at or after ``main`` carry bookkeeping coefficients and are
 # never leads.  Field scalars appear only at the boundary, and each side of
-# it is paid once: a rational system is read in one pass (the modulus scan
-# runs only when a residue turns up or a prime field is given), and each
-# output scalar is built once per (lead value, numerator), from a memo per
-# lead value.
+# it is paid once.  Every entry point is told its field (rref, rank and
+# kernel_of_map default to QQ, the library's default field) and reads each
+# vector once, by ``_integers`` with the field's characteristic; nothing
+# finds the field from the scalars.  A residue in a system over QQ raises
+# FieldError in that one pass, where its denominator is read.  Each output
+# scalar is built once per (lead value, numerator), from a memo per lead
+# value.
 #
 # Over QQ a pivot step cancels only gcd(a, b) of the two leads; a row's
 # content is divided out once, when its reduction ends.  rref feeds its rows
@@ -169,20 +172,13 @@ def _rank_labels(labels) -> dict:
     return {label: rank for rank, label in enumerate(ordered)}
 
 
-def _modulus(scalars, field=None) -> int:
-    """The modulus of the scalars' field: p when they (or ``field``) are
-    residues mod p, 0 for the rationals."""
-    moduli = {c.p for c in scalars if isinstance(c, ModP)}
-    moduli.update([field.p] if hasattr(field, "p") else [])
-    if len(moduli) > 1:
-        raise FieldError(f"mixed moduli {' and '.join(map(str, sorted(moduli)))}")
-    return moduli.pop() if moduli else 0
-
-
 def _integers(entries: dict, p: int):
-    """``(scale, ints)`` with ``entries[k] == ints[k] / scale`` in the field:
-    over the rationals (p = 0) the numerators over the least common
-    denominator, over GF(p) the nonzero residues mod p with scale 1."""
+    """``(scale, ints)`` with ``entries[k] == ints[k] / scale`` in the field
+    of characteristic p: over the rationals (p = 0) the numerators over the
+    least common denominator, over GF(p) the nonzero residues mod p with
+    scale 1.  Over the rationals a residue raises FieldError when its
+    denominator is read; over GF(p) a residue mod another prime, or a
+    rational whose denominator p divides, raises it."""
     if p:
         for c in entries.values():
             if isinstance(c, ModP):
@@ -201,19 +197,6 @@ def _integers(entries: dict, p: int):
 def _nonzero(sums: dict, p: int) -> bool:
     """Whether some integer sum is nonzero (mod p when p)."""
     return any(v % p for v in sums.values()) if p else any(sums.values())
-
-
-def _converted(vectors, field=None):
-    """The modulus (0 for the rationals) and the ``(scale, ints)`` of every
-    vector from ``_integers``, in one pass unless a residue or a prime
-    ``field`` calls for the modulus scan."""
-    if not hasattr(field, "p"):
-        try:
-            return 0, [_integers(v.entries, 0) for v in vectors]
-        except AttributeError:  # a residue (no denominator): read them all mod p
-            pass
-    p = _modulus((c for v in vectors for c in v.entries.values()), field)
-    return p, [_integers(v.entries, p) for v in vectors]
 
 
 def _peel(converted, held=()) -> list:
@@ -347,7 +330,7 @@ def _reduced_rows(pivots: dict, p: int, labels: list, offset: int = 0) -> list[S
     return basis
 
 
-def rref(vectors) -> list[SparseVector]:
+def rref(vectors, field=QQ) -> list[SparseVector]:
     """Canonical reduced basis of the span of the given vectors.
 
     The result depends only on the span, not on the generating set: pivots
@@ -355,28 +338,28 @@ def rref(vectors) -> list[SparseVector]:
     lead first and are back-substituted once at the end, in decreasing
     lead order, so each row is cleared only of leads that are already final.
     """
-    p, converted = _converted(list(vectors))
-    ranks, rows = _rows(p, list(enumerate(converted)))
+    p = field.p
+    ranks, rows = _rows(p, list(enumerate([_integers(v.entries, p) for v in vectors])))
     rows.sort(key=lambda row: min(row, default=-1), reverse=True)
     return _reduced_rows(_echelon(rows, p, len(ranks))[0], p, list(ranks))
 
 
-def rank(vectors) -> int:
+def rank(vectors, field=QQ) -> int:
     """Dimension of the span: each peeled vector counts one, and the
     nonzero vectors left count their pivots."""
-    p, converted = _converted(list(vectors))
+    p = field.p
+    converted = [_integers(v.entries, p) for v in vectors]
     left = _peel(converted)
     ranks, rows = _rows(p, left)
     return len(converted) - len(left) + len(_echelon(rows, p, len(ranks))[0])
 
 
-def integer_matrices(matrices, field=None) -> tuple[int, list]:
-    """The modulus of the scalars' field (0 for the rationals, p for GF(p))
-    and each matrix as ``_integers`` gives it, ``(scale, {(row, column):
-    n})`` with the matrix equal to the integers over the scale."""
-    entries = [{(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c} for m in matrices]
-    p = _modulus((c for e in entries for c in e.values()), field)
-    return p, [_integers(e, p) for e in entries]
+def integer_matrices(matrices, field) -> list:
+    """Each matrix over the field as ``_integers`` gives it, ``(scale,
+    {(row, column): n})`` with the matrix equal to the integers over the
+    scale."""
+    return [_integers({(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}, field.p)
+            for m in matrices]
 
 
 class Echelon:
@@ -443,7 +426,7 @@ def reducer(rref_basis):
     return reduce
 
 
-def solve_membership(v: SparseVector, generators) -> list | None:
+def solve_membership(v: SparseVector, generators, field) -> list | None:
     """Coefficients expressing v in terms of the generators, or None.
 
     Deterministic: each generator independent of the earlier ones becomes a
@@ -452,8 +435,9 @@ def solve_membership(v: SparseVector, generators) -> list | None:
     label v does not hold is zero in every solution, and dropping it leaves
     the pivot status of the others as it was.
     """
-    p, converted = _converted(list(generators) + [v])
-    target = converted.pop()
+    p = field.p
+    converted = [_integers(g.entries, p) for g in generators]
+    target = _integers(v.entries, p)
     ranks, rows = _rows(p, _peel(converted, target[1]) + [(len(converted), target)], marked=True)
     main, own = len(ranks), len(ranks) + len(converted)
     residue = _reduce(rows.pop(), _echelon(rows, p, main)[0], p)
@@ -464,16 +448,17 @@ def solve_membership(v: SparseVector, generators) -> list | None:
     return [ModP(p, c % p) if p else Fraction(c, residue[own]) for c in coeffs]
 
 
-def kernel_of_map(domain_labels, image_of, field=None) -> list[SparseVector]:
-    """Canonical basis of the kernel of a linear map given on domain labels.
+def kernel_of_map(domain_labels, image_of, field=QQ) -> list[SparseVector]:
+    """Canonical basis of the kernel of a linear map over the field, given
+    on domain labels.
 
     ``image_of(label)`` must return a SparseVector over the image labels.
-    The kernel's scalars are those of ``field``, else of the images, else
-    (every image zero) rationals.  A domain label whose image is peeled is
-    0 in every kernel vector; zero images stay, as kernel vectors.
+    A domain label whose image is peeled is 0 in every kernel vector; zero
+    images stay, as kernel vectors.
     """
     domain = list(_rank_labels(domain_labels))
-    p, converted = _converted([image_of(label) for label in domain], field)
+    p = field.p
+    converted = [_integers(image_of(label).entries, p) for label in domain]
     ranks, rows = _rows(p, _peel(converted), marked=True)
     main = len(ranks)
     kernel = _echelon(rows, p, main)[1]

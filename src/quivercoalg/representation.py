@@ -29,7 +29,7 @@ from .linalg import (
     mat_zero,
 )
 from .quiver import Family, Path, Quiver, Verdict, find_simple_cycle
-from .scalars import QQ, PrimeField
+from .scalars import QQ, FieldError
 
 
 @dataclass
@@ -106,9 +106,9 @@ def is_locally_nilpotent(rep: Representation, field=QQ) -> Verdict:
     return Verdict("yes", level, data={"locally_nilpotent": True, "vanishing_level": level})
 
 
-def annihilator_monomial_check(rep: Representation, vector) -> Verdict:
+def annihilator_monomial_check(rep: Representation, vector, field=QQ) -> Verdict:
     """``PathAction.monomial_check`` of the vector, on its own kernel."""
-    return PathAction(rep).monomial_check(vector)
+    return PathAction(rep, field).monomial_check(vector)
 
 
 def cycle_quotient_module(n: int, field=QQ) -> Representation:
@@ -180,7 +180,8 @@ class PathAction:
     def __init__(self, rep: Representation, field=QQ):
         self.quiver = quiver = rep.quiver
         self.offsets = offsets = dict(zip(quiver.vertices, accumulate([rep.dims[v] for v in quiver.vertices], initial=0)))
-        self.p, converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
+        self.field, self.p = field, field.p
+        converted = integer_matrices([rep.maps[a.label] for a in quiver.arrows], field)
         self.arrows = {}
         for a, (scale, ints) in zip(quiver.arrows, converted):
             self.arrows[a.label] = scale, (block := {})
@@ -212,7 +213,7 @@ class PathAction:
         """The starts (vertex, {0: row}) of a total-space vector, one per
         vertex where it is nonzero, the row its integers with the kernel's
         modulus."""
-        ints = integer_matrices([(vector,)], PrimeField(self.p) if self.p else None)[1][0][1]
+        ints = integer_matrices([(vector,)], self.field)[0][1]
         bounds = [*self.offsets.values(), self._total]
         return [(v, {0: row}) for v, low, high in zip(self.offsets, bounds, bounds[1:])
                 if (row := {k: n for (_, k), n in ints.items() if low <= k < high})]
@@ -297,7 +298,8 @@ class LeftModule:
 
     ``action[b]`` is the matrix of the basis element b acting on column
     vectors; unitality means the idempotents' actions sum to the identity.
-    Every module is checked when it is built.
+    Every module is checked when it is built: its matrices must hold
+    scalars of the algebra's field, else FieldError.
     """
 
     def __init__(self, algebra: StructuredAlgebra, dimension: int, action: dict):
@@ -307,10 +309,13 @@ class LeftModule:
         self._validate()
 
     def _validate(self):
+        field = self.algebra.field
+        if stray := [(b, x) for b, m in self.action.items() for row in m for x in row if not field.contains(x)]:
+            raise FieldError("the action of {!r} holds {!r}, which is not in {!r}".format(*stray[0], field))
         # A left A-module is a right A*-comodule: ρ(a)ρ(b) = ρ(ab) is the
         # coaction's coassociativity and unitality its counit law.
         rho = _coaction_rows(self)
-        if check_comodule(range(self.dimension), rho.__getitem__, *self.algebra.dual().integer_tables) is not None:
+        if check_comodule(range(self.dimension), rho.__getitem__, *self.algebra.dual().integer_tables, field) is not None:
             raise ValueError(self._first_violation())
 
     def _first_violation(self) -> str:

@@ -33,21 +33,20 @@ class ModP:
     p: int
     value: int
 
-    def _check(self, other: "ModP") -> None:
-        if self.p != other.p:
-            raise FieldError(f"mixed moduli {self.p} and {other.p}")
-
     def _coerce(self, other):
         if isinstance(other, ModP):
-            self._check(other)
+            if self.p != other.p:
+                raise FieldError(f"mixed moduli {self.p} and {other.p}")
             return other
         if isinstance(other, int):
             return ModP(self.p, other % self.p)
         if isinstance(other, Fraction):
-            if other.denominator == 1:
-                return ModP(self.p, other.numerator % self.p)
-            return ModP(self.p, other.numerator % self.p) / ModP(self.p, other.denominator % self.p)
+            raise FieldError(f"rational {other} met a residue mod {self.p}")
         return NotImplemented
+
+    @property
+    def denominator(self):  # read by the integer kernels over QQ, where a residue has no place
+        raise FieldError(f"residue {self.value} mod {self.p} in a system over QQ")
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -119,6 +118,7 @@ class RationalField:
     """The field of rationals (exact, arbitrary precision)."""
 
     name = "q"
+    p = 0  # the characteristic
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -154,10 +154,11 @@ class PrimeField:
         self.one = ModP(p, 1)
 
     def of(self, numerator, denominator=1):
-        num = ModP(self.p, numerator % self.p) if isinstance(numerator, int) else self.zero._coerce(numerator)
-        if denominator == 1:
-            return num
-        return num / ModP(self.p, denominator % self.p)
+        """The residue of numerator / denominator (ints, or a rational or residue over 1)."""
+        if isinstance(numerator, Fraction):
+            numerator, denominator = numerator.numerator, numerator.denominator * denominator
+        num = self.zero._coerce(numerator)
+        return num if denominator == 1 else num / ModP(self.p, denominator % self.p)
 
     def contains(self, value) -> bool:
         """Whether the value is a scalar of this field (ints included)."""

@@ -95,7 +95,7 @@ def check_coalgebra_axioms(seed: int = 0) -> CheckReport:
         delta = cache(delta)
         for _ in range(3):
             element = corpus.random_element(rng, quiver, 5)
-            failure = check_coalgebra(element.combo.labels(), delta, eps)
+            failure = check_coalgebra(element.combo.labels(), delta, eps, QQ)
             if failure is not None:
                 law = "coassociativity" if failure[0] == "coassociativity" else "counit law"
                 return CheckReport("coalgebra-axioms", False, {"failure": f"{law} on {quiver}"})
@@ -107,7 +107,7 @@ def check_coalgebra_axioms(seed: int = 0) -> CheckReport:
         combo = SparseVector(
             (rng.choice(intervals), corpus.random_scalar(rng)) for _ in range(rng.randint(1, 3))
         )
-        failure = check_coalgebra(combo.labels(), *basis_tables(poset))
+        failure = check_coalgebra(combo.labels(), *basis_tables(poset), QQ)
         if failure is not None:
             law = "coassociativity" if failure[0] == "coassociativity" else "counit law"
             return CheckReport("coalgebra-axioms", False, {"failure": f"incidence {law} on {poset}"})
@@ -214,12 +214,12 @@ def check_counterexample_ideals() -> CheckReport:
             return CheckReport(
                 "counterexample-ideals", False, {"failure": f"codimension {ce.codimension} != {s*s}"}
             )
-        verdict = contains_cofinite_monomial_ideal(ce.ideal_generators(), quiver, 4 * s, 10)
+        verdict = contains_cofinite_monomial_ideal(ce.ideal_generators(), quiver, 4 * s, 10, ce.field)
         if verdict.status != "no_up_to_bound":
             return CheckReport("counterexample-ideals", False, {"failure": f"monomial verdict {verdict.status}"})
         gens = ce.ideal_generators()
         probe = quiver.vertex_path(quiver.vertices[0])
-        if solve_membership(SparseVector.unit(probe), gens) is not None:
+        if solve_membership(SparseVector.unit(probe), gens, ce.field) is not None:
             return CheckReport("counterexample-ideals", False, {"failure": "winding path fell into the ideal"})
         details[f"cycle{s}_identities"] = ce.identities_checked
     ma = build_multiarrow_counterexample(Family("multiarrow"), 5)
@@ -273,7 +273,7 @@ def check_unique_path_embedding() -> CheckReport:
         phi = {interval: phi_of(interval) for interval in poset.intervals()}
         delta, eps = basis_tables(poset)
         hasse_delta, hasse_eps = basis_tables(quiver)
-        failure = check_morphism(phi, phi.__getitem__, delta, hasse_delta, eps, hasse_eps)
+        failure = check_morphism(phi, phi.__getitem__, delta, hasse_delta, eps, hasse_eps, QQ)
         if failure is not None:
             if failure[0] == "comultiplication":
                 return CheckReport("unique-path-embedding", False, {"failure": f"not a coalgebra morphism on {poset}"})
@@ -342,7 +342,7 @@ def check_walk_embedding(seed: int = 0) -> CheckReport:
         embedded = linear_extension(alpha, tensor)
         tensor_delta, tensor_eps = basis_tables(TensorProduct(left, right))
         product_delta, product_eps = basis_tables(product)
-        failure = check_morphism(support, alpha, tensor_delta, product_delta, tensor_eps, product_eps)
+        failure = check_morphism(support, alpha, tensor_delta, product_delta, tensor_eps, product_eps, QQ)
         if failure is not None:
             return CheckReport("walk-embedding", False, {"failure": f"{failure[0]} does not commute"})
         morphism_cases += 1
@@ -583,6 +583,7 @@ SUITES = {
     "bialgebra": (check_bialgebra_criterion,),
     "prop32": (check_recovery_clauses,),
     "thm57": (check_reflexivity_closure,),
+    "laws": (check_coalgebra_axioms, check_dual_coalgebra_axioms),
 }
 
 ALL_CHECKS = (

@@ -619,7 +619,7 @@ def stage_loop_maximal_ideal(algebra, functional):
 
         combos = kernel_of_map(range(len(stage)), image_of, algebra.field)
         refined = rref([SparseVector((label, c * coeff) for idx, coeff in combo.items() for label, c in stage[idx].items())
-                        for combo in combos])
+                        for combo in combos], algebra.field)
         if refined == current:
             return refined
         current = refined

@@ -41,3 +41,9 @@ def test_criterion(criterion, checks):
     detail = "; ".join(r.summary_line() for r in reports)
     print(f"[{status}] criterion {criterion}: {detail}")
     assert passed, detail
+
+
+def test_every_acceptance_check_has_a_suite_name():
+    # ``quivercoalg suite <name>`` can run each check the gate runs.
+    named = {check for checks in suites.SUITES.values() for check in checks}
+    assert [check.__name__ for check in suites.ALL_CHECKS if check not in named] == []

@@ -254,7 +254,7 @@ def per_identity_difference_ideal(ce, window, generators=None, sides=("left", "r
         nonlocal checked
         checked += 1
         on = SparseVector((p, c) for p, c in x.combo.items() if p in closed)
-        return on.is_zero() or on in stored or solve_membership(on, basis) is not None
+        return on.is_zero() or on in stored or solve_membership(on, basis, ce.field) is not None
 
     failure = per_identity_check_ideal(differences, generators, product, contains)
     if failure is not None:
@@ -671,7 +671,7 @@ def test_check_ideal_finds_one_sided_ideals():
 
     def within(*spanning):
         span = [v.combo for v in spanning]
-        return lambda e: e.is_zero() or solve_membership(e.combo, span) is not None
+        return lambda e: e.is_zero() or solve_membership(e.combo, span, QQ) is not None
 
     assert per_identity_check_ideal([x], generators, _products, within(x)) == ("right", y, x)
     assert per_identity_check_ideal([y], generators, _products, within(y)) == ("left", x, y)
@@ -728,7 +728,7 @@ def test_multiarrow_counterexample():
     ce = build_multiarrow_counterexample(fam, 1)
     gens = [SparseVector({p: Fraction(1), r: Fraction(-1)}) for p, r in ce.difference_pairs]
     x0 = ce.quiver.arrow_path("x0")
-    assert solve_membership(SparseVector({x0: Fraction(1)}), gens) is None
+    assert solve_membership(SparseVector({x0: Fraction(1)}), gens, QQ) is None
     ce3 = build_multiarrow_counterexample(fam, 3)
     assert ce3.codimension == 3
     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from quivercoalg.corpus import (
 from quivercoalg.incidence import Poset
 from quivercoalg.linalg import SparseVector, rref
 from quivercoalg.quiver import Quiver, enumerate_paths
+from quivercoalg.scalars import QQ
 
 from helpers import field_basis_tables, in_span, spans_equal, whole_basis_subcoalgebra_closure
 
@@ -84,12 +85,12 @@ def test_coassociativity_and_counit_laws_random():
     for _ in range(60):
         q = random_quiver(rng, 5, 8)
         c = random_element(rng, q, 8)
-        assert check_coalgebra(c.combo.labels(), delta_of, counit_of) is None
+        assert check_coalgebra(c.combo.labels(), delta_of, counit_of, QQ) is None
         # The regular comodule: the path coalgebra coacting on itself.
-        assert check_comodule(c.combo.labels(), delta_of, delta_of, counit_of) is None
+        assert check_comodule(c.combo.labels(), delta_of, delta_of, counit_of, QQ) is None
         # The identity is a coalgebra morphism.
         assert (
-            check_morphism(c.combo.labels(), SparseVector.unit, delta_of, delta_of, counit_of, counit_of)
+            check_morphism(c.combo.labels(), SparseVector.unit, delta_of, delta_of, counit_of, counit_of, QQ)
             is None
         )
         delta, eps = field_basis_tables(q)
@@ -155,7 +156,7 @@ def test_comultiply_and_counit_extend_the_basis_tables(element):
     )
     assert counit(element) == sum((coeff * eps(label) for label, coeff in items), 0)
     assert all(carrier.owns(left) and carrier.owns(right) for left, right in comultiply(element).labels())
-    assert check_coalgebra(element.combo.labels(), delta, eps) is None
+    assert check_coalgebra(element.combo.labels(), delta, eps, QQ) is None
 
 
 def table(mapping):
@@ -169,27 +170,27 @@ def test_law_kernel_rejects_non_coassociative_table():
     # Δ(b) = a⊗b + b⊗b: (Δ⊗id)Δ(b) misses the term b⊗a⊗b.
     delta = table({"a": {("a", "a"): ONE}, "b": {("a", "b"): ONE, ("b", "b"): ONE}})
     counit_of = {"a": ONE, "b": Fraction(0)}.get
-    assert check_coalgebra(["a", "b"], delta, counit_of) == ("coassociativity", "b")
-    assert check_comodule(["a", "b"], delta, delta, counit_of) == ("coassociativity", "b")
+    assert check_coalgebra(["a", "b"], delta, counit_of, QQ) == ("coassociativity", "b")
+    assert check_comodule(["a", "b"], delta, delta, counit_of, QQ) == ("coassociativity", "b")
 
 
 def test_law_kernel_rejects_wrong_counit():
     delta = table({"a": {("a", "a"): ONE}})
-    assert check_coalgebra(["a"], delta, {"a": Fraction(2)}.get) == ("counit", "a")
+    assert check_coalgebra(["a"], delta, {"a": Fraction(2)}.get, QQ) == ("counit", "a")
     # Δ(x) = x⊗a is coassociative and right-counital but not left-counital.
     delta = table({"a": {("a", "a"): ONE}, "x": {("x", "a"): ONE}})
     counit_of = {"a": ONE, "x": Fraction(0)}.get
-    assert check_comodule(["a", "x"], delta, delta, counit_of) is None
-    assert check_coalgebra(["a", "x"], delta, counit_of) == ("left counit", "x")
+    assert check_comodule(["a", "x"], delta, delta, counit_of, QQ) is None
+    assert check_coalgebra(["a", "x"], delta, counit_of, QQ) == ("left counit", "x")
 
 
 def test_law_kernel_rejects_non_morphisms():
     delta = table({"a": {("a", "a"): ONE}})
     counit_of = {"a": ONE}.get
     doubling = table({"a": {"a": Fraction(2)}})
-    assert check_morphism(["a"], doubling, delta, delta, counit_of, counit_of) == ("comultiplication", "a")
+    assert check_morphism(["a"], doubling, delta, delta, counit_of, counit_of, QQ) == ("comultiplication", "a")
     zero_map = table({})
-    assert check_morphism(["a"], zero_map, delta, delta, counit_of, counit_of) == ("counit", "a")
+    assert check_morphism(["a"], zero_map, delta, delta, counit_of, counit_of, QQ) == ("counit", "a")
 
 
 def test_law_kernel_reads_counits_over_their_own_scale():
@@ -197,9 +198,9 @@ def test_law_kernel_reads_counits_over_their_own_scale():
     # scale 1, the counit has scale 2, and every law must take both.
     delta = table({"g": {("g", "g"): Fraction(2)}})
     counit_of = {"g": Fraction(1, 2)}.get
-    assert check_coalgebra(["g"], delta, counit_of) is None
-    assert check_comodule(["g"], delta, delta, counit_of) is None
-    assert check_morphism(["g"], SparseVector.unit, delta, delta, counit_of, counit_of) is None
+    assert check_coalgebra(["g"], delta, counit_of, QQ) is None
+    assert check_comodule(["g"], delta, delta, counit_of, QQ) is None
+    assert check_morphism(["g"], SparseVector.unit, delta, delta, counit_of, counit_of, QQ) is None
 
 
 def test_closure_of_grouplike():

@@ -22,12 +22,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    eliminate,
     field_basis_tables,
     fraction_check_coalgebra,
     fraction_check_comodule,
     fraction_check_morphism,
     fraction_validate_left_module,
     fraction_validate_structured,
+    oracle_kernel_of_map,
+    oracle_rank,
+    oracle_solve_membership,
     unchecked_left_module,
 )
 import quivercoalg
@@ -36,7 +40,7 @@ from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, c
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
 from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
 from quivercoalg.incidence import Poset, hasse_quiver, phi_embed
-from quivercoalg.linalg import SparseVector
+from quivercoalg.linalg import SparseVector, kernel_of_map, label_sort_key, rank, reducer, rref, solve_membership
 from quivercoalg.products import product_quiver
 from quivercoalg.quiver import enumerate_paths
 from quivercoalg.representation import LeftModule, regular_left_module
@@ -117,7 +121,7 @@ def test_coalgebra_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
         else:
             _corrupt_scalar(rng, field, eps)
     expected = fraction_check_coalgebra(basis, delta.__getitem__, eps.__getitem__)
-    assert check_coalgebra(basis, delta.__getitem__, eps.__getitem__) == expected
+    assert check_coalgebra(basis, delta.__getitem__, eps.__getitem__, field) == expected
     if not corrupt:
         assert expected is None
 
@@ -149,7 +153,7 @@ def test_comodule_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
             _corrupt_scalar(rng, field, eps)
     tables = (range(n), rho.__getitem__, delta.__getitem__, eps.__getitem__)
     expected = fraction_check_comodule(*tables)
-    assert check_comodule(*tables) == expected
+    assert check_comodule(*tables, field) == expected
     if not corrupt:
         assert expected is None
 
@@ -196,7 +200,7 @@ def test_morphism_kernel_agrees_with_the_fraction_kernel(field, seed, corrupt):
             _corrupt_scalar(rng, field, rng.choice([eps, eps_t]))
     tables = (basis, f.__getitem__, delta.__getitem__, delta_t.__getitem__, eps.__getitem__, eps_t.__getitem__)
     expected = fraction_check_morphism(*tables)
-    assert check_morphism(*tables) == expected
+    assert check_morphism(*tables, field) == expected
     if not corrupt:
         assert expected is None
 
@@ -264,7 +268,7 @@ def test_integer_basis_tables_agree_with_the_field_tables(field, seed, mutant):
         _mutate(rng, carrier, basis, (integer, oracle), field)
         integer, oracle = [(delta.__getitem__, eps.__getitem__) for delta, eps in (integer, oracle)]
     expected = fraction_check_coalgebra(basis, *oracle)
-    assert check_coalgebra(basis, *integer) == expected
+    assert check_coalgebra(basis, *integer, field) == expected
     assert expected is None or mutant
     if isinstance(carrier, Poset):
         target = hasse_quiver(carrier)
@@ -274,7 +278,7 @@ def test_integer_basis_tables_agree_with_the_field_tables(field, seed, mutant):
     (delta, eps), (delta_t, eps_t) = integer, basis_tables(target)
     (field_delta, field_eps), (field_delta_t, field_eps_t) = oracle, field_basis_tables(target, field)
     expected = fraction_check_morphism(basis, f, field_delta, field_delta_t, field_eps, field_eps_t)
-    assert check_morphism(basis, f, delta, delta_t, eps, eps_t) == expected
+    assert check_morphism(basis, f, delta, delta_t, eps, eps_t, field) == expected
     assert (expected is None) == (not mutant)
 
 
@@ -298,8 +302,8 @@ def test_each_basis_table_mutant_is_caught_where_the_oracle_fails(field):
             lambda b: field.of(mutant[1](b)[1].get(0, 0)),
         )
         assert fraction_check_coalgebra(basis, *oracle) == failure
-        assert check_coalgebra(basis, *mutant) == failure
-    assert check_coalgebra(basis, delta, eps) is None
+        assert check_coalgebra(basis, *mutant, field) == failure
+    assert check_coalgebra(basis, delta, eps, field) is None
 
 
 def _outcome(validate):
@@ -353,17 +357,16 @@ def test_left_module_validation_agrees_with_the_fraction_validator(field, seed, 
 @given(FIELDS, SEEDS, st.booleans())
 def test_the_dual_integer_rows_are_the_kernel_conversion_of_its_field_rows(field, seed, rescaled):
     # The rows and counits that ``DualCoalgebra`` converts once are those a
-    # kernel call converts from its field tables, with the same modulus, and
-    # each stands for its field entries.
+    # kernel call told the algebra's field converts from its field tables,
+    # with that field's characteristic, and each stands for its field entries.
     rng = random.Random(seed)
     algebra = _rescaled_algebra(rng, field) if rescaled else random_structured_algebra(rng, field=field)
     dual = DualCoalgebra(algebra, validate=False)
-    ints = coalgebra._IntegerTables()
-    delta, counit = ints.table(dual.delta_table.__getitem__), ints.table(dual.counit_table.__getitem__, True)
+    delta = coalgebra._integer_table(dual.delta_table.__getitem__, field.p)
+    counit = coalgebra._integer_table(dual.counit_table.__getitem__, field.p, True)
     expected = {b: delta[b] for b in algebra.basis}, {b: counit[b] for b in algebra.basis}
     assert tuple(map(dict, dual.integer_tables)) == expected
-    assert [(table.p, table.rational) for table in dual.integer_tables] == [(ints.p, ints.rational)] * 2
-    assert ints.p == getattr(field, "p", 0)
+    assert [table.p for table in dual.integer_tables] == [field.p] * 2
     for field_table, integer in zip((dual.delta_table, dual.counit_table), dual.integer_tables):
         for b, value in field_table.items():
             entries = value.entries if isinstance(value, SparseVector) else {0: value}
@@ -371,16 +374,25 @@ def test_the_dual_integer_rows_are_the_kernel_conversion_of_its_field_rows(field
             assert {k: c for k, n in row.items() if (c := field.of(n, scale))} == {k: c for k, c in entries.items() if c}
 
 
-def test_a_module_over_a_prime_field_rereads_the_rational_rows_of_the_dual():
+def test_a_module_over_a_prime_field_is_refused_by_a_rational_algebra(monkeypatch):
     # Over QQ, e + a with aa = a/5 is an algebra whose dual row of a* has
-    # the scale 5.  A module over GF(5) whose coaction never reads that row
-    # is still refused: the dual's rows count as read by the kernel call.
+    # the scale 5.  A module with GF(5) matrices is refused when it is
+    # built, before any law is read, whether or not its coaction reads that
+    # row; so is one with GF(5) matrices over the QQ algebra K[line].
     one = QQ.one
     mult = {("e", "e"): {"e": one}, ("e", "a"): {"a": one}, ("a", "e"): {"a": one}, ("a", "a"): {"a": one / 5}}
     algebra = StructuredAlgebra(["e", "a"], {pair: SparseVector(row) for pair, row in mult.items()}, ["e"], QQ)
     gf5 = PrimeField(5)
-    with pytest.raises(FieldError, match=re.escape("rational 1/5 has no residue mod 5")):
-        LeftModule(algebra, 1, {"e": ((gf5.one,),), "a": ((gf5.zero,),)})
+    line = structured_algebra(named_quiver("line3"))
+    residues = {b: tuple(tuple(gf5.of(x) for x in row) for row in m) for b, m in regular_left_module(line).action.items()}
+    for algebra, n, action in ((algebra, 1, {"e": ((gf5.one,),), "a": ((gf5.zero,),)}),
+                               (line, len(line.basis), residues)):
+        with pytest.raises(FieldError, match=re.escape("which is not in QQ")):
+            LeftModule(algebra, n, action)
+        with monkeypatch.context() as patch:
+            patch.setattr(representation, "check_comodule", None)  # never reached
+            with pytest.raises(FieldError, match=re.escape("which is not in QQ")):
+                LeftModule(algebra, n, action)
 
 
 def test_rescaled_structures_need_both_denominators():
@@ -400,7 +412,7 @@ def test_rescaled_structures_need_both_denominators():
                for j in range(n)}
         dual = DualCoalgebra(algebra)
         assert check_comodule(range(n), rho.__getitem__, dual.delta_table.__getitem__,
-                              dual.counit_table.__getitem__) is None
+                              dual.counit_table.__getitem__, QQ) is None
     assert min(non_integral.values()) >= 10
 
 
@@ -410,7 +422,7 @@ def test_kernel_refuses_rows_of_two_moduli():
     delta5, eps5 = field_basis_tables(quiver, PrimeField(5))
     delta7 = field_basis_tables(quiver, PrimeField(7))[0]
     mixed = {b: (delta5 if i % 2 else delta7)(b) for i, b in enumerate(basis)}
-    for check in (check_coalgebra, fraction_check_coalgebra):
+    for check in (lambda *tables: check_coalgebra(*tables, PrimeField(5)), fraction_check_coalgebra):
         with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
             check(basis, mixed.__getitem__, eps5)
 
@@ -420,7 +432,7 @@ _GF5 = PrimeField(5)
 
 @pytest.mark.parametrize("delta_g, order", [
     # Δg = (1/5)·g⊗g, ε(g) = 5 holds every law over QQ and has no residue
-    # mod 5; Δh = h⊗h in GF(5) fixes the modulus, read before or after it.
+    # mod 5; Δh = h⊗h in GF(5) is read before or after it.
     ({("g", "g"): Fraction(1, 5)}, ["g", "h"]),
     ({("g", "g"): Fraction(1, 5)}, ["h", "g"]),
     # One row of both kinds, the rational read first.
@@ -430,7 +442,7 @@ def test_kernel_refuses_a_rational_without_a_residue_in_any_order(delta_g, order
     delta = {"g": SparseVector(delta_g), "h": SparseVector({("h", "h"): _GF5.one})}
     counit = {"g": Fraction(5), "h": _GF5.one}
     with pytest.raises(FieldError, match=re.escape("rational 1/5 has no residue mod 5")):
-        check_coalgebra(order, delta.__getitem__, counit.__getitem__)
+        check_coalgebra(order, delta.__getitem__, counit.__getitem__, _GF5)
 
 
 def test_left_module_refuses_actions_over_another_modulus():
@@ -438,7 +450,7 @@ def test_left_module_refuses_actions_over_another_modulus():
     module = regular_left_module(algebra)
     gf7 = PrimeField(7)
     action = {b: tuple(tuple(gf7.of(x.value) for x in row) for row in m) for b, m in module.action.items()}
-    with pytest.raises(FieldError, match="mixed moduli 5 and 7"):
+    with pytest.raises(FieldError, match=re.escape("holds ModP(p=7, value=1), which is not in GF(5)")):
         LeftModule(algebra, module.dimension, action)
 
 
@@ -464,7 +476,7 @@ def test_the_law_kernel_is_the_only_gate_of_the_validators(monkeypatch):
 
 
 def test_only_the_law_kernels_use_the_integer_helpers():
-    private = {"_integers", "_modulus", "_nonzero"}
+    private = {"_integers", "_nonzero"}
     src = Path(quivercoalg.__file__).parent
     users = set()
     for path in src.glob("*.py"):
@@ -475,3 +487,54 @@ def test_only_the_law_kernels_use_the_integer_helpers():
             if private & set(names):
                 users.add(path.stem)
     assert users == {"coalgebra"}
+
+
+# The elimination entry points and law kernels, and the spans built on them.
+KERNELS = {"rref", "rank", "kernel_of_map", "solve_membership", "integer_matrices", "subcoalgebra_span",
+           "_closed_span", "check_coalgebra", "check_comodule", "check_morphism"}
+
+
+def test_every_kernel_call_in_src_is_told_its_field():
+    # The field is the last argument of every call, a field held by its
+    # caller (``field``, ``x.field``) or QQ: never found from the scalars,
+    # never left to a default.
+    src = Path(quivercoalg.__file__).parent
+    calls, untold = 0, []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in KERNELS:
+                calls += 1
+                told = node.args[-1] if node.args and not node.keywords else None
+                if told is None or not re.fullmatch(r"QQ|(\w+\.)?field", ast.unparse(told)):
+                    untold.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+    assert untold == [] and calls >= 25
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIELDS, SEEDS)
+def test_elimination_told_the_algebra_field_agrees_with_the_dense_oracles(field, seed):
+    # The structure rows and the dual rows of a rescaled algebra, whose
+    # scalars over QQ are not integers, told the algebra's field: rank,
+    # kernel_of_map, solve_membership and the residues modulo an rref basis
+    # against the dense elimination of helpers.
+    algebra = _rescaled_algebra(random.Random(seed), field)
+    field, mult, delta = algebra.field, algebra.mult, algebra.dual().delta_table
+    pairs = sorted(mult, key=label_sort_key)
+    rows = [mult[pair] for pair in pairs]
+
+    def typed(vectors):
+        return [{label: (type(c), c) for label, c in v.items()} for v in vectors]
+
+    assert rank(rows, field) == oracle_rank(rows, field)
+    for domain, image_of in ((pairs, mult.__getitem__), (algebra.basis, delta.__getitem__)):
+        assert typed(kernel_of_map(domain, image_of, field)) == typed(oracle_kernel_of_map(domain, image_of, field))
+    basis = rref(rows, field)
+    reduce, pivots = reducer(basis), {min(b.labels(), key=label_sort_key): b.entries for b in basis}
+    for b in algebra.basis:
+        unit = SparseVector({b: field.one})
+        assert reduce(unit).entries == eliminate(dict(unit.entries), pivots)
+        coeffs, expected = solve_membership(unit, rows, field), oracle_solve_membership(unit, rows, field)
+        assert coeffs == expected and [type(c) for c in coeffs or []] == [type(c) for c in expected or []]

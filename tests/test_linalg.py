@@ -77,12 +77,12 @@ def test_summing_constructor_is_the_left_fold(terms, field):
 
 
 def test_solve_membership_zero_vector_empty_generators():
-    assert solve_membership(SparseVector(), []) == []
+    assert solve_membership(SparseVector(), [], QQ) == []
 
 
 def test_solve_membership_identity_case():
     g = sv(a=1, b=2)
-    coeffs = solve_membership(g, [g])
+    coeffs = solve_membership(g, [g], QQ)
     assert coeffs == [1]
 
 
@@ -92,7 +92,7 @@ def test_solve_membership_recombination():
     e1pe2 = sv(e1=1, e2=1)
     e1 = sv(e1=1)
     target = sv(e1=1, e2=1)
-    coeffs = solve_membership(target, [e1me2, e1pe2, e1])
+    coeffs = solve_membership(target, [e1me2, e1pe2, e1], QQ)
     assert coeffs is not None
     recombined = SparseVector()
     for c, g in zip(coeffs, [e1me2, e1pe2, e1]):
@@ -101,7 +101,7 @@ def test_solve_membership_recombination():
 
 
 def test_solve_membership_absent():
-    assert solve_membership(sv(a=1), [sv(b=1)]) is None
+    assert solve_membership(sv(a=1), [sv(b=1)], QQ) is None
 
 
 def test_solve_membership_needs_late_pivot():
@@ -109,7 +109,7 @@ def test_solve_membership_needs_late_pivot():
     # mid-reduction.
     g1 = sv(a=1, b=1)
     g2 = sv(b=1)
-    coeffs = solve_membership(sv(a=1), [g1, g2])
+    coeffs = solve_membership(sv(a=1), [g1, g2], QQ)
     assert coeffs == [1, -1]
 
 
@@ -212,10 +212,22 @@ def test_prime_field_mode():
     one = field.one
     g = SparseVector({"a": one, "b": field.of(2)})
     h = SparseVector({"b": one})
-    coeffs = solve_membership(SparseVector({"a": field.of(3)}), [g, h])
+    coeffs = solve_membership(SparseVector({"a": field.of(3)}), [g, h], field)
     recombined = g.scale(coeffs[0]) + h.scale(coeffs[1])
     assert recombined == SparseVector({"a": field.of(3)})
-    assert rank([g, h]) == 2
+    assert rank([g, h], field) == 2
+
+
+def test_residues_and_rationals_do_not_mix_in_arithmetic():
+    # Only PrimeField.of and PrimeField.parse turn a rational into a residue;
+    # an int is a scalar of every field.
+    gf5 = PrimeField(5)
+    for mixed in (lambda: gf5.one + Fraction(1, 2), lambda: Fraction(1, 2) * gf5.one,
+                  lambda: gf5.of(3) - Fraction(2), lambda: Fraction(3) / gf5.of(2)):
+        with pytest.raises(FieldError, match="met a residue mod 5"):
+            mixed()
+    assert gf5.of(Fraction(1, 2)) == gf5.parse("1/2") == gf5.of(1, 2) == gf5.of(3)
+    assert gf5.one + 2 == 2 + gf5.one == gf5.of(3)
 
 
 def test_prime_field_powers():
@@ -314,7 +326,7 @@ def _fresh_pivot_residue(v, basis):
 @given(field_and(vector_lists, vector_lists))
 def test_reducer_matches_fresh_pivot_elimination(case):
     field, generators, vectors = case
-    basis = rref(generators)
+    basis = rref(generators, field)
     reduce = reducer(basis)
     leads = {min(b.labels(), key=label_sort_key) for b in basis}
     for v in vectors + generators + [SparseVector()]:
@@ -322,7 +334,7 @@ def test_reducer_matches_fresh_pivot_elimination(case):
         expected = _fresh_pivot_residue(v, basis)
         assert list(residue.items()) == list(expected.items())
         assert not leads & set(residue.labels())
-        assert solve_membership(v - residue, generators) is not None
+        assert solve_membership(v - residue, generators, field) is not None
         assert in_span(v, basis) == residue.is_zero()
 
 
@@ -338,16 +350,16 @@ def test_reducer_clears_leads_smallest_first():
 @given(field_and(vector_lists), st.randoms(use_true_random=False))
 def test_rref_is_order_independent_and_matches_dense_rank(case, rnd):
     field, vectors = case
-    basis = rref(vectors)
+    basis = rref(vectors, field)
     shuffled = list(vectors)
     rnd.shuffle(shuffled)
-    assert rref(shuffled) == basis
+    assert rref(shuffled, field) == basis
     leads = [min(b.labels(), key=label_sort_key) for b in basis]
     assert leads == sorted(leads, key=label_sort_key) and len(set(leads)) == len(leads)
     for b, lead in zip(basis, leads):
         assert b.coeff(lead) == field.one
         assert not (set(leads) - {lead}) & set(b.labels())
-    assert len(basis) == rank(vectors)
+    assert len(basis) == rank(vectors, field)
     if field is QQ:
         assert len(basis) == dense_rank(sparse_rows_to_dense(vectors, LABELS))
 
@@ -365,8 +377,8 @@ MIXED_LABELS = ["a", "b", 2, 7, ("a", 1), (("b",), 2)] + enumerate_paths(named_q
 
 @st.composite
 def systems(draw, max_rows=6):
-    """A field and rows over it.  A row drawn "raw" holds plain ints, so an
-    all-raw system over GF(5) is, for the library, a system over QQ."""
+    """A field and rows over it.  A row drawn "raw" holds plain ints, which
+    every field reads as its own."""
     field = draw(FIELDS)
     labels = st.sampled_from(MIXED_LABELS)
     rows = []
@@ -384,12 +396,6 @@ def systems(draw, max_rows=6):
     return field, rows
 
 
-def _seen_field(field, *vector_lists):
-    """The field the library infers: GF(5) only when a ModP scalar occurs."""
-    scalars = [c for vectors in vector_lists for v in vectors for c in v.entries.values()]
-    return field if any(isinstance(c, ModP) for c in scalars) else QQ
-
-
 def typed(vectors):
     return [{label: (type(c), c) for label, c in v.items()} for v in vectors]
 
@@ -397,9 +403,8 @@ def typed(vectors):
 @given(systems())
 def test_rref_and_rank_match_the_oracle(case):
     field, rows = case
-    field = _seen_field(field, rows)
-    assert typed(rref(rows)) == typed(oracle_rref(rows, field))
-    assert rank(rows) == oracle_rank(rows, field)
+    assert typed(rref(rows, field)) == typed(oracle_rref(rows, field))
+    assert rank(rows, field) == oracle_rank(rows, field)
 
 
 @given(systems(), st.data())
@@ -410,10 +415,8 @@ def test_kernel_of_map_matches_the_oracle(case, data):
     images = dict(zip(domain, rows + [SparseVector()] * len(domain)))
     kernel = kernel_of_map(domain, images.__getitem__, field)
     assert typed(kernel) == typed(oracle_kernel_of_map(domain, images.__getitem__, field))
-    # Rows past the domain are not images, so they do not decide the field.
-    assert typed(kernel_of_map(domain, images.__getitem__)) == typed(
-        oracle_kernel_of_map(domain, images.__getitem__, _seen_field(field, images.values()))
-    )
+    if field is QQ:  # the field kernel_of_map is told when none is named
+        assert typed(kernel_of_map(domain, images.__getitem__)) == typed(kernel)
 
 
 @given(systems(), st.data())
@@ -423,8 +426,7 @@ def test_solve_membership_matches_the_oracle(case, data):
     v = SparseVector((l, field.of(w) * c) for w, g in zip(weights, generators) for l, c in g.items())
     if data.draw(st.booleans()):
         v = v + SparseVector({data.draw(st.sampled_from(MIXED_LABELS)): field.one})
-    field = _seen_field(field, generators, [v])
-    coeffs = solve_membership(v, generators)
+    coeffs = solve_membership(v, generators, field)
     expected = oracle_solve_membership(v, generators, field)
     assert (coeffs is None) == (expected is None)
     if coeffs is not None:
@@ -441,12 +443,13 @@ def test_exact_results_hold_field_scalars_only():
     images = [SparseVector({"x": 2, "y": 4}), SparseVector({"x": 3, "y": 6})]
     assert typed(kernel_of_map([0, 1], images.__getitem__)) == [{0: (Fraction, 1), 1: (Fraction, Fraction(-2, 3))}]
     assert rank(images) == 1
-    assert [(type(c), c) for c in solve_membership(SparseVector({"a": 1}), [SparseVector({"a": 2})])] == [
+    assert [(type(c), c) for c in solve_membership(SparseVector({"a": 1}), [SparseVector({"a": 2})], QQ)] == [
         (Fraction, Fraction(1, 2))
     ]
-    # Over GF(p) the field of an all-zero map comes from the argument.
+    # The scalars are those of the field told, also of an all-zero map and
+    # of plain-int generators.
     assert typed(kernel_of_map(["a"], lambda label: SparseVector(), GF5)) == [{"a": (ModP, GF5.one)}]
-    assert solve_membership(SparseVector({"a": GF5.of(3)}), [SparseVector({"a": 1}), SparseVector({"b": 2})]) == [
+    assert solve_membership(SparseVector({"a": GF5.of(3)}), [SparseVector({"a": 1}), SparseVector({"b": 2})], GF5) == [
         GF5.of(3),
         GF5.zero,
     ]
@@ -455,31 +458,46 @@ def test_exact_results_hold_field_scalars_only():
 def test_elimination_on_empty_input():
     assert rref([]) == [] and rank([]) == 0 and rref([SparseVector()]) == []
     assert kernel_of_map([], lambda label: SparseVector()) == []
-    assert solve_membership(SparseVector(), [SparseVector()]) == [0]
+    assert solve_membership(SparseVector(), [SparseVector()], QQ) == [0]
 
 
 def test_mixed_moduli_raise_field_error():
-    # Also after a rational, which is read as one until the residue turns up.
+    # Told GF(5), a residue mod 7 is refused, also after a rational, which
+    # is read as its residue mod 5.
     for rows in ([SparseVector({"a": GF5.one}), SparseVector({"b": PrimeField(7).one})],
                  [SparseVector({"a": Fraction(1, 2)}), SparseVector({"a": GF5.one}),
                   SparseVector({"b": PrimeField(7).one})]):
-        for call in (lambda: rref(rows), lambda: rank(rows), lambda: solve_membership(rows[0], rows[1:]),
-                     lambda: kernel_of_map(range(len(rows)), rows.__getitem__)):
+        for call in (lambda: rref(rows, GF5), lambda: rank(rows, GF5), lambda: solve_membership(rows[0], rows[1:], GF5),
+                     lambda: kernel_of_map(range(len(rows)), rows.__getitem__, GF5)):
             with pytest.raises(FieldError, match=re.escape("mixed moduli 5 and 7")):
                 call()
     with pytest.raises(FieldError, match=re.escape("mixed moduli 5 and 7")):
         kernel_of_map(["a"], lambda label: rows[1], PrimeField(7))
 
 
+def test_a_kernel_told_qq_refuses_a_residue():
+    # A residue has no rational reading: FieldError where its denominator is
+    # read, never an AttributeError, and never a second reading mod p.
+    rows = [SparseVector({"a": Fraction(1, 2), "b": 3}), SparseVector({"b": GF5.of(2)})]
+    delta = {"g": SparseVector({("g", "g"): GF5.one})}
+    for call in (lambda: rref(rows), lambda: rank(rows, QQ), lambda: kernel_of_map([0, 1], rows.__getitem__, QQ),
+                 lambda: solve_membership(rows[1], rows[:1], QQ), lambda: solve_membership(rows[0], rows[1:], QQ),
+                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": QQ.one}.__getitem__, QQ),
+                 lambda: check_coalgebra(["g"], {"g": SparseVector({("g", "g"): 1})}.__getitem__,
+                                         {"g": GF5.one}.__getitem__, QQ)):
+        with pytest.raises(FieldError, match=re.escape("mod 5 in a system over QQ")):
+            call()
+
+
 def test_rationals_without_a_residue_raise_field_error():
     # Over GF(5), 1/5 has no value: its denominator is 0 mod 5.
     rows = [SparseVector({"a": GF5.one}), SparseVector({"b": Fraction(1, 5)})]
     delta = {"g": SparseVector({("g", "g"): GF5.one, ("g", "h"): Fraction(1, 5)})}
-    # The last images are rationals only: the field argument alone calls for
+    # The last images are rationals only: the field told alone calls for
     # the residues.
-    for call in (lambda: rref(rows), lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__),
-                 lambda: solve_membership(rows[0], rows[1:]),
-                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": GF5.one}.__getitem__),
+    for call in (lambda: rref(rows, GF5), lambda: rank(rows, GF5), lambda: kernel_of_map([0, 1], rows.__getitem__, GF5),
+                 lambda: solve_membership(rows[0], rows[1:], GF5),
+                 lambda: check_coalgebra(["g"], delta.__getitem__, {"g": GF5.one}.__getitem__, GF5),
                  lambda: kernel_of_map([0, 1], [SparseVector({"b": Fraction(1, 2)}), rows[1]].__getitem__, GF5)):
         with pytest.raises(FieldError, match="rational 1/5 has no residue mod 5"):
             call()
@@ -490,8 +508,8 @@ def test_rref_accepts_empty_and_repeated_rows():
         rows = [SparseVector(), SparseVector({"a": field.one, "b": field.of(2)}), SparseVector(),
                 SparseVector({"a": field.one, "b": field.of(2)}), SparseVector({"b": field.of(4), "c": field.of(2)}),
                 SparseVector({"a": field.of(2), "b": field.of(4)}), SparseVector()]
-        assert typed(rref(rows)) == typed(oracle_rref(rows, field))
-        assert len(rref(rows)) == rank(rows) == 2
+        assert typed(rref(rows, field)) == typed(oracle_rref(rows, field))
+        assert len(rref(rows, field)) == rank(rows, field) == 2
     assert rref([SparseVector()] * 3) == []
 
 
@@ -504,10 +522,10 @@ def test_benchmark_systems_match_the_oracles(n, field):
     pairs = random.Random(n)
     summed = rows + [rows[i] + rows[j] for i, j in (pairs.sample(range(n), 2) for _ in range(n // 5))]
     for system in (rows, summed):
-        assert typed(rref(system)) == typed(oracle_rref(system, field))
-        assert rank(system) == oracle_rank(system, field)
+        assert typed(rref(system, field)) == typed(oracle_rref(system, field))
+        assert rank(system, field) == oracle_rank(system, field)
         domain = range(len(system))
-        assert typed(kernel_of_map(domain, system.__getitem__)) == typed(
+        assert typed(kernel_of_map(domain, system.__getitem__, field)) == typed(
             oracle_kernel_of_map(domain, system.__getitem__, field))
 
 
@@ -555,7 +573,7 @@ def staircases(draw):
 @given(staircases(), st.data())
 def test_peeled_systems_match_the_oracles(case, data):
     field, rows = case
-    assert rank(rows) == oracle_rank(rows, _seen_field(field, rows))
+    assert rank(rows, field) == oracle_rank(rows, field)
     domain = list(range(len(rows)))
     kernel = kernel_of_map(domain, rows.__getitem__, field)
     assert typed(kernel) == typed(oracle_kernel_of_map(domain, rows.__getitem__, field))
@@ -566,8 +584,8 @@ def test_peeled_systems_match_the_oracles(case, data):
     labels = list(dict.fromkeys(l for g in rows for l in g.labels()))
     if labels and data.draw(st.booleans()):
         v = v + SparseVector({data.draw(st.sampled_from(labels)): field.one})
-    coeffs = solve_membership(v, rows)
-    expected = oracle_solve_membership(v, rows, _seen_field(field, rows, [v]))
+    coeffs = solve_membership(v, rows, field)
+    expected = oracle_solve_membership(v, rows, field)
     assert coeffs == expected and [type(c) for c in coeffs or []] == [type(c) for c in expected or []]
 
 
@@ -578,9 +596,9 @@ def test_staircase_peels_one_step_at_a_time():
     rows = steps[::-1] + [sv(x0=1), sv(x0=-2)]
     assert rank(rows) == 5
     assert kernel_of_map(range(6), rows.__getitem__) == [SparseVector({4: Fraction(1), 5: Fraction(1, 2)})]
-    assert solve_membership(sv(x0=3), rows) == [0, 0, 0, 0, 3, 0]
+    assert solve_membership(sv(x0=3), rows, QQ) == [0, 0, 0, 0, 3, 0]
     # With x4 held by v, no step is peeled and the stair is solved for.
-    assert solve_membership(sv(x0=1, x4=5), rows) == [1, Fraction(-1, 4), Fraction(1, 12), Fraction(-1, 24),
+    assert solve_membership(sv(x0=1, x4=5), rows, QQ) == [1, Fraction(-1, 4), Fraction(1, 12), Fraction(-1, 24),
                                                       Fraction(25, 24), 0]
 
 
@@ -591,7 +609,7 @@ def test_repeated_rows_and_zero_images_are_never_peeled():
     assert rank(rows) == 2
     assert kernel_of_map(range(4), rows.__getitem__) == [SparseVector({0: Fraction(1), 1: Fraction(-1)}),
                                                          SparseVector({2: Fraction(1)})]
-    assert solve_membership(sv(a=2, b=4), rows) == [2, 0, 0, 0]
+    assert solve_membership(sv(a=2, b=4), rows, QQ) == [2, 0, 0, 0]
     assert kernel_of_map(["a", "b"], lambda label: SparseVector()) == [sv(a=1), sv(b=1)]
 
 
@@ -600,8 +618,8 @@ def test_peeling_reads_entries_after_conversion():
     # the second: neither may be peeled through x.
     rows = [sv(x=5, a=2), sv(a=1)]
     assert typed(kernel_of_map([0, 1], rows.__getitem__, GF5)) == [{0: (ModP, GF5.one), 1: (ModP, GF5.of(-2))}]
-    assert rank(rows + [SparseVector({"b": GF5.one})]) == 2
-    assert solve_membership(SparseVector({"a": GF5.one}), rows[:1]) == [GF5.of(3)]
+    assert rank(rows + [SparseVector({"b": GF5.one})], GF5) == 2
+    assert solve_membership(SparseVector({"a": GF5.one}), rows[:1], GF5) == [GF5.of(3)]
 
 
 def test_bad_scalars_raise_in_rows_that_peeling_would_drop():
@@ -609,32 +627,36 @@ def test_bad_scalars_raise_in_rows_that_peeling_would_drop():
     for bad, message in ((Fraction(1, 5), "rational 1/5 has no residue mod 5"),
                          (PrimeField(7).one, "mixed moduli 5 and 7")):
         rows = [SparseVector({"x": bad, "a": Fraction(1)}), SparseVector({"a": GF5.one})]
-        for call in (lambda: rank(rows), lambda: kernel_of_map([0, 1], rows.__getitem__, GF5),
-                     lambda: solve_membership(rows[1], rows[:1])):
+        for call in (lambda: rank(rows, GF5), lambda: kernel_of_map([0, 1], rows.__getitem__, GF5),
+                     lambda: solve_membership(rows[1], rows[:1], GF5)):
             with pytest.raises(FieldError, match=message):
                 call()
 
 
 # ---------------------------------------------------------------------------
-# The field boundary.  A rational system is read in one pass, and the
-# modulus scan runs only when a residue turns up or a prime field is given;
-# each output scalar is built once per (lead value, numerator).  These pin
-# every way into and out of the integer kernel against its earlier form.
+# The field boundary.  Every kernel is told its field and reads each vector
+# once, with that field's characteristic; no scan finds the field from the
+# scalars.  Told QQ, a residue is refused in that pass; told GF(p), a rational
+# is read as its residue.  Each output scalar is built once per (lead value,
+# numerator).  These pin every way into and out of the integer kernel
+# against its earlier form: ``_reference_converted`` keeps the scan that found
+# the field, and the told reading agrees with it wherever that scan finds
+# the field told.
 # ---------------------------------------------------------------------------
 
 
 def test_rationals_before_a_residue_are_read_mod_p():
-    # 1/2 is 3 mod 5 and 3/4 is 2 mod 5: the rows read as rationals before
-    # the residue are read again mod 5.
+    # 1/2 is 3 mod 5 and 3/4 is 2 mod 5: told GF(5), the rational rows
+    # before the residue are read mod 5 in the one pass.
     rows = [SparseVector({"a": Fraction(1, 2), "b": Fraction(3, 4)}), SparseVector({"b": 4, "c": Fraction(1, 3)}),
             SparseVector({"a": GF5.one, "c": GF5.of(2)})]
     field_rows = [SparseVector({label: GF5.of(c) if isinstance(c, ModP) else GF5.of(c.numerator, c.denominator)
                                 for label, c in v.items()}) for v in rows]
-    assert typed(rref(rows)) == typed(oracle_rref(field_rows, GF5))
-    assert rank(rows) == oracle_rank(field_rows, GF5)
-    assert typed(kernel_of_map([0, 1, 2], rows.__getitem__)) == typed(
+    assert typed(rref(rows, GF5)) == typed(oracle_rref(field_rows, GF5))
+    assert rank(rows, GF5) == oracle_rank(field_rows, GF5)
+    assert typed(kernel_of_map([0, 1, 2], rows.__getitem__, GF5)) == typed(
         oracle_kernel_of_map([0, 1, 2], field_rows.__getitem__, GF5))
-    assert solve_membership(rows[2], rows[:2]) == oracle_solve_membership(field_rows[2], field_rows[:2], GF5)
+    assert solve_membership(rows[2], rows[:2], GF5) == oracle_solve_membership(field_rows[2], field_rows[:2], GF5)
 
 
 _STRS = st.text(alphabet="ab(),' 10", max_size=3)
@@ -677,8 +699,29 @@ def _reference_reduced_rows(pivots, p, labels, offset=0):
 
 
 def _reference_converted(vectors, field=None):
-    p = linalg._modulus((c for v in vectors for c in v.entries.values()), field)
+    """The conversion as it was when the kernels found their field: one scan
+    of every scalar (and of ``field``, when it is a prime field) for the
+    moduli, then each vector read with the modulus found, 0 for none."""
+    moduli = {c.p for v in vectors for c in v.entries.values() if isinstance(c, ModP)}
+    moduli.update([field.p] if field is not None and field.p else [])
+    if len(moduli) > 1:
+        raise FieldError(f"mixed moduli {' and '.join(map(str, sorted(moduli)))}")
+    p = moduli.pop() if moduli else 0
     return p, [linalg._integers(v.entries, p) for v in vectors]
+
+
+@given(systems())
+def test_the_told_reading_agrees_with_the_scan_it_replaced(case):
+    # Told the field of its scalars, every system is read as the scan read
+    # it; told QQ, a system that holds a residue is refused instead.
+    field, rows = case
+    assert [linalg._integers(v.entries, field.p) for v in rows] == _reference_converted(rows, field)[1]
+    p, found = _reference_converted(rows)
+    if p:
+        with pytest.raises(FieldError, match="in a system over QQ"):
+            [linalg._integers(v.entries, 0) for v in rows]
+    else:
+        assert [linalg._integers(v.entries, 0) for v in rows] == found
 
 
 def _shape(basis):
@@ -706,7 +749,7 @@ def _finite_dual_calls():
         f = SparseVector({b: Fraction(values.choice((-3, -1, 2, 5)), values.randint(1, 3))
                           for b in [(x, x) for x in chain.elements] + chain.covers()})
         fia = fia_structured_algebra(chain)
-        calls += [lambda a=fia, f=f: subcoalgebra_span([f], a.dual().comultiply),
+        calls += [lambda a=fia, f=f: subcoalgebra_span([f], a.dual().comultiply, a.field),
                   lambda a=fia, f=f: maximal_ideal_in_kernel(a, f)]
     return calls
 
@@ -714,7 +757,6 @@ def _finite_dual_calls():
 def test_finite_dual_outputs_keep_their_entry_order_and_scalar_sharing(monkeypatch):
     got = [_shape(call()) for call in _finite_dual_calls()]
     monkeypatch.setattr(linalg, "_reduced_rows", _reference_reduced_rows)
-    monkeypatch.setattr(linalg, "_converted", _reference_converted)
     monkeypatch.setattr(linalg, "_rank_labels",
                         lambda labels: {label: r for r, label in enumerate(sorted(labels, key=label_sort_key))})
     assert got == [_shape(call()) for call in _finite_dual_calls()]

@@ -139,7 +139,7 @@ def _vector_disagreements(rep, check=annihilator_monomial_check, field=QQ) -> li
     n, wrong = rep.total_dimension(), []
     for i in range(n):
         vector = tuple(field.one if j == i else field.zero for j in range(n))
-        exact, bounded = check(rep, vector), _bounded_walk(rep, vector, n + 1, field)
+        exact, bounded = check(rep, vector, field), _bounded_walk(rep, vector, n + 1, field)
         if bool(exact) != bool(bounded) or (exact and exact.witness != bounded.witness):
             wrong.append(f"e{i}: {exact.status} {exact.witness} against {bounded.status} {bounded.witness}")
         elif not exact and (exact.status != "no" or exact.witness.length < n
@@ -179,8 +179,8 @@ def test_annihilator_check_agrees_on_the_all_ones_line():
 
 
 def test_the_bounded_walk_refuses_a_check_one_step_short_of_dim_m():
-    def one_short(rep, vector):
-        depth, action, alive = rep.total_dimension() - 1, PathAction(rep), []
+    def one_short(rep, vector, field):
+        depth, action, alive = rep.total_dimension() - 1, PathAction(rep, field), []
         for path, _ in action.alive(action.starts(vector), depth):
             if path.length == depth:
                 return Verdict("no", path)
