@@ -210,7 +210,10 @@ def cmd_factor_perp(args, field) -> tuple[dict, int]:
     values = {}
     for p in paths:
         if not saturation.contains_path(p):
-            values[p] = field.of(rng.randint(-5, 5), rng.randint(1, 3))
+            numerator, denominator = rng.randint(-5, 5), rng.randint(1, 3)
+            while field.p and not denominator % field.p:  # drawn again until it is a unit
+                denominator = rng.randint(1, 3)
+            values[p] = field.of(numerator, denominator)
     eta = Functional(quiver, support=SparseVector(values), field=field)
     # The window of the longest path holds every path.
     witness = factor_perp_element(eta, saturation, paths[-1].length, field)

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, permutations, product
 from .coalgebra import CoalgElement
 from .finite_dual import StructuredAlgebra, structured_algebra
 from .incidence import Poset, fia_structured_algebra
-from .linalg import SparseVector, mat_identity, mat_mul
+from .linalg import SparseVector, integer_matrices, mat_mul
 from .quiver import Path, Quiver
 from .representation import LeftModule, Representation
 from .scalars import QQ
@@ -330,17 +330,18 @@ def random_structured_algebra(rng, max_basis=6, field=QQ) -> StructuredAlgebra:
     return StructuredAlgebra(basis, mult, basis, field, name=f"diag{n}")
 
 
-def _random_base_change(rng, n, field=QQ):
-    """A unimodular matrix with its exact inverse: elementary operations,
-    row j += lam * row i on u and column i -= lam * column j on u^-1."""
-    u = [list(row) for row in mat_identity(n, field)]
-    u_inv = [list(row) for row in mat_identity(n, field)]
+def _random_base_change(rng, n):
+    """A unimodular integer matrix with its exact inverse: elementary
+    operations, row j += lam * row i on u and column i -= lam * column j on
+    u^-1."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [list(row) for row in u]
     for _ in range(rng.randint(0, 2 * n)):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        lam = field.of(rng.randint(-2, 2))
+        lam = rng.randint(-2, 2)
         if not lam:
             continue
         u[j] = [x + lam * y for x, y in zip(u[j], u[i])]
@@ -350,27 +351,26 @@ def _random_base_change(rng, n, field=QQ):
 
 
 def random_left_module(rng, algebra: StructuredAlgebra) -> LeftModule:
-    """A left ideal cut of the regular module, conjugated by a random exact
-    base change."""
-    field = algebra.field
-    subset = [e for e in algebra.idempotents if rng.random() < 0.7]
-    if not subset:
-        subset = [rng.choice(algebra.idempotents)]
-    e_vec = SparseVector({e: field.one for e in subset})
+    """A left ideal cut of the regular module, conjugated in integers by a
+    random exact base change; each entry becomes a field scalar once."""
+    field, product = algebra.field, algebra.basis_product
+    subset = [e for e in algebra.idempotents if rng.random() < 0.7] or [rng.choice(algebra.idempotents)]
     kept = [b for b in algebra.basis
-            if algebra.product(SparseVector({b: field.one}), e_vec) == SparseVector({b: field.one})]
+            if SparseVector(term for e in subset for term in product(b, e).items()) == SparseVector({b: field.one})]
     index = {b: i for i, b in enumerate(kept)}
     n = len(kept)
-    action = {}
-    for b in algebra.basis:
-        m = [[field.zero] * n for _ in range(n)]
+    matrices = [[[0] * n for _ in range(n)] for _ in algebra.basis]
+    for b, m in zip(algebra.basis, matrices):
         for c in kept:
-            product = algebra.product(SparseVector({b: field.one}), SparseVector({c: field.one}))
-            for d, coeff in product.items():
+            for d, coeff in product(b, c).items():
                 if d not in index:
                     raise AssertionError("ideal cut is not closed under the left action; bug")
                 m[index[d]][index[c]] = coeff
-        action[b] = tuple(tuple(row) for row in m)
-    u, u_inv = _random_base_change(rng, n, field)
-    conjugated = {b: mat_mul(u_inv, mat_mul(action[b], u)) for b in algebra.basis}
-    return LeftModule(algebra, n, conjugated)
+    u, u_inv = _random_base_change(rng, n)
+    action = {}
+    for b, (scale, ints) in zip(algebra.basis, integer_matrices(matrices, field)):
+        right = [[0] * n for _ in range(n)]  # the integer matrix times u
+        for (i, k), x in ints.items():
+            right[i] = [y + x * z for y, z in zip(right[i], u[k])]
+        action[b] = tuple(tuple(field.of(x, scale) if x else field.zero for x in row) for row in mat_mul(u_inv, right))
+    return LeftModule(algebra, n, action)

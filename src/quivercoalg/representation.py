@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .algebra import subpath_closure
-from .coalgebra import check_comodule
+from .coalgebra import IntegerRows, check_comodule
 from .finite_dual import StructuredAlgebra
 from .linalg import (
     Echelon,
@@ -298,8 +298,8 @@ class LeftModule:
 
     ``action[b]`` is the matrix of the basis element b acting on column
     vectors; unitality means the idempotents' actions sum to the identity.
-    Every module is checked when it is built: its matrices must hold
-    scalars of the algebra's field, else FieldError.
+    Every module is checked when it is built: each basis label, and no other,
+    needs an n x n matrix (ValueError) of its field's scalars (FieldError).
     """
 
     def __init__(self, algebra: StructuredAlgebra, dimension: int, action: dict):
@@ -309,13 +309,25 @@ class LeftModule:
         self._validate()
 
     def _validate(self):
-        field = self.algebra.field
-        if stray := [(b, x) for b, m in self.action.items() for row in m for x in row if not field.contains(x)]:
-            raise FieldError("the action of {!r} holds {!r}, which is not in {!r}".format(*stray[0], field))
+        algebra, field, n = self.algebra, self.algebra.field, self.dimension
+        for b in algebra.basis:
+            if (m := self.action.get(b)) is None or len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"the action of {b!r} is not a {n}x{n} matrix")
+            if stray := [x for row in m for x in row if not field.contains(x)]:
+                raise FieldError(f"the action of {b!r} holds {stray[0]!r}, which is not in {field!r}")
+        if len(self.action) != len(algebra.basis):
+            raise ValueError("the action has a label that is not a basis label")
         # A left A-module is a right A*-comodule: ρ(a)ρ(b) = ρ(ab) is the
-        # coaction's coassociativity and unitality its counit law.
-        rho = _coaction_rows(self)
-        if check_comodule(range(self.dimension), rho.__getitem__, *self.algebra.dual().integer_tables, field) is not None:
+        # coaction's coassociativity and unitality its counit law.  Column j
+        # of the matrices, over their common scale, is ρ(m_j) = Σ_i m_i ⊗ a_ij b*.
+        converted = integer_matrices([self.action[b] for b in algebra.basis], field)
+        scale, columns = lcm(*[s for s, _ in converted]), [{} for _ in range(n)]
+        for b, (s, ints) in zip(algebra.basis, converted):
+            for (i, j), x in ints.items():
+                columns[j][i, b] = x * (scale // s)
+        rho = IntegerRows((j, (scale, column)) for j, column in enumerate(columns))
+        rho.p = field.p
+        if check_comodule(range(n), rho, *algebra.dual().integer_tables, field) is not None:
             raise ValueError(self._first_violation())
 
     def _first_violation(self) -> str:
@@ -363,34 +375,29 @@ class Coaction:
     rho: list  # rho[j]: SparseVector over pairs (i, basis label)
 
 
-def _coaction_rows(module: LeftModule) -> list:
-    """ρ(m_j) = Σ_i m_i ⊗ a*_ij, with a_ij read off the action matrices."""
-    n = module.dimension
-    return [
-        SparseVector({(i, b): c for b in module.algebra.basis for i in range(n) if (c := module.action[b][i][j])})
-        for j in range(n)
-    ]
-
-
 def comodule_from_module(module: LeftModule) -> Coaction:
-    """The right comodule of ``_coaction_rows``: the rows whose
-    coassociativity and counit law the module's own check passed."""
-    return Coaction(module.algebra, module.dimension, _coaction_rows(module))
+    """The right comodule ρ(m_j) = Σ_i m_i ⊗ a_ij b*, with a_ij read off the
+    action matrices: the coaction whose laws the module's own check passed."""
+    n, action = module.dimension, module.action
+    return Coaction(module.algebra, n, [
+        SparseVector({(i, b): c for b in module.algebra.basis for i in range(n) if (c := action[b][i][j])})
+        for j in range(n)])
 
 
 def module_from_comodule(coaction: Coaction) -> LeftModule:
-    """Inverse construction: b acts by pairing the dual-basis leg with b.
-    A ``Coaction`` can be built from any rows, so the rebuilt module's own
-    check is the one check of the comodule laws; it raises ValueError."""
-    algebra = coaction.algebra
-    field = algebra.field
-    n = coaction.dimension
-    action = {}
-    for b in algebra.basis:
-        m = [[field.zero] * n for _ in range(n)]
-        for j in range(n):
-            for (i, c), coeff in coaction.rho[j].items():
-                if c == b:
-                    m[i][j] = m[i][j] + coeff
-        action[b] = tuple(tuple(row) for row in m)
-    return LeftModule(algebra, n, action)
+    """Inverse construction, in one pass over ρ: the entry (i, b) of ρ(m_j)
+    is a_ij of b, else ValueError.  A ``Coaction`` can be built from any
+    rows, so the rebuilt module's own check is the one check of the comodule
+    laws; it raises ValueError."""
+    algebra, n = coaction.algebra, coaction.dimension
+    if len(coaction.rho) != n:
+        raise ValueError(f"the coaction has {len(coaction.rho)} rows, expected {n}")
+    action = {b: [[algebra.field.zero] * n for _ in range(n)] for b in algebra.basis}
+    for j, row in enumerate(coaction.rho):
+        for (i, b), c in row.items():
+            if b not in action:
+                raise ValueError(f"ρ(m_{j}) has the entry {(i, b)!r}, whose leg {b!r} is not a basis label")
+            if i not in range(n):
+                raise ValueError(f"ρ(m_{j}) has the entry {(i, b)!r}, whose index is outside 0..{n - 1}")
+            action[b][i][j] = c
+    return LeftModule(algebra, n, {b: tuple(map(tuple, m)) for b, m in action.items()})

@@ -149,6 +149,16 @@ def test_reports_are_deterministic(line_file, capsys):
     assert reseeded != first
 
 
+@pytest.mark.parametrize("field", ["fp:2", "fp:3"])
+def test_factor_perp_draws_denominators_that_are_units_of_the_field(line_file, capsys, field):
+    # η's denominators are drawn from 1..3, and again while p divides them:
+    # a denominator 0 in GF(p) ended most of these seeds in a traceback.
+    for seed in range(8):
+        status, out, err = run(capsys, "factor-perp", line_file, "[a]", "--seed", str(seed), "--field", field, "--json")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["verified"] is True
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("quiver\nvertex a\narrow x a\n")

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    elementary_base_change,
     eliminate,
     field_basis_tables,
     fraction_check_coalgebra,
@@ -40,7 +41,9 @@ from quivercoalg.coalgebra import CoalgElement, basis_tables, check_coalgebra, c
 from quivercoalg.corpus import named_quiver, random_left_module, random_poset, random_quiver, random_structured_algebra
 from quivercoalg.finite_dual import DualCoalgebra, StructuredAlgebra, structured_algebra
 from quivercoalg.incidence import Poset, hasse_quiver, phi_embed
-from quivercoalg.linalg import SparseVector, kernel_of_map, label_sort_key, rank, reducer, rref, solve_membership
+from quivercoalg.linalg import (
+    SparseVector, kernel_of_map, label_sort_key, mat_mul, rank, reducer, rref, solve_membership,
+)
 from quivercoalg.products import product_quiver
 from quivercoalg.quiver import enumerate_paths
 from quivercoalg.representation import LeftModule, regular_left_module
@@ -351,6 +354,62 @@ def test_left_module_validation_agrees_with_the_fraction_validator(field, seed, 
     assert _outcome(unchecked._validate) == expected
     if not corrupt:
         assert expected is None
+
+
+def _fraction_random_left_module(rng, algebra):
+    """``corpus.random_left_module`` built in field scalars, with the same
+    random draws: the left ideal cut and the action from products of unit
+    vectors, conjugated by two ``mat_mul``s per basis element.  The
+    dimension and the action, unchecked."""
+    field = algebra.field
+    subset = [e for e in algebra.idempotents if rng.random() < 0.7]
+    if not subset:
+        subset = [rng.choice(algebra.idempotents)]
+    e_vec = SparseVector({e: field.one for e in subset})
+    kept = [b for b in algebra.basis
+            if algebra.product(SparseVector({b: field.one}), e_vec) == SparseVector({b: field.one})]
+    index = {b: i for i, b in enumerate(kept)}
+    n = len(kept)
+    action = {}
+    for b in algebra.basis:
+        m = [[field.zero] * n for _ in range(n)]
+        for c in kept:
+            for d, coeff in algebra.product(SparseVector({b: field.one}), SparseVector({c: field.one})).items():
+                m[index[d]][index[c]] = coeff
+        action[b] = tuple(tuple(row) for row in m)
+    u, u_inv = elementary_base_change(rng, n, field)
+    return n, {b: mat_mul(u_inv, mat_mul(action[b], u)) for b in algebra.basis}
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, SEEDS, st.booleans())
+def test_random_left_module_matches_the_fraction_construction(field, seed, rescaled):
+    # The integer construction returns the same matrices, scalar types
+    # included, and leaves the generator in the same state; the integer
+    # rows that the module's check hands the law kernel stand for the
+    # coaction rows ρ(m_j) = Σ_i m_i ⊗ a_ij b* in field scalars.
+    rng = random.Random(seed)
+    algebra = _rescaled_algebra(rng, field) if rescaled else random_structured_algebra(rng, field=field)
+    ours, theirs, handed = random.Random(seed), random.Random(seed), []
+
+    def spy(basis, rho, *tables):
+        handed.append(rho)
+        return check_comodule(basis, rho, *tables)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(representation, "check_comodule", spy)
+        module = random_left_module(ours, algebra)
+    n, action = _fraction_random_left_module(theirs, algebra)
+
+    def typed(matrices):
+        return {b: [[(type(x), x) for x in row] for row in m] for b, m in matrices.items()}
+
+    assert (module.dimension, typed(module.action)) == (n, typed(action))
+    assert ours.getstate() == theirs.getstate()
+    (rho,) = handed
+    assert rho.p == field.p and list(rho) == list(range(n))
+    old_rows = [{(i, b): c for b in algebra.basis for i in range(n) if (c := action[b][i][j])} for j in range(n)]
+    assert [{k: field.of(x, scale) for k, x in ints.items()} for scale, ints in rho.values()] == old_rows
 
 
 @settings(max_examples=100, deadline=None)

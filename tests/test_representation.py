@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from quivercoalg.corpus import (
     random_structured_algebra,
 )
 from quivercoalg.finite_dual import structured_algebra
-from quivercoalg.incidence import fia_structured_algebra
+from quivercoalg.incidence import Poset, fia_structured_algebra
 from quivercoalg.linalg import SparseVector, mat_eq, mat_identity, mat_mul, mat_zero
 from quivercoalg.quiver import Family, Path, Quiver, Verdict, enumerate_paths, find_simple_cycle, is_acyclic
 from quivercoalg.representation import (
@@ -590,14 +591,86 @@ def test_left_module_rejects_an_action_that_breaks_a_product():
     assert str(info.value) == first_failure
 
 
+def _fia4_regular_module():
+    """The regular module of the 4-dimensional incidence algebra of a < b
+    beside c."""
+    return regular_left_module(fia_structured_algebra(Poset(["a", "b", "c"], [("a", "b")], name="ab_c")))
+
+
+def test_left_module_refuses_a_dimension_below_its_matrices():
+    # The 3 x 3 top-left blocks of the regular action are not read alone.
+    regular = _fia4_regular_module()
+    with pytest.raises(ValueError, match=r"is not a 3x3 matrix"):
+        LeftModule(regular.algebra, regular.dimension - 1, regular.action)
+
+
+def test_left_module_refuses_a_dimension_above_its_matrices():
+    regular = _fia4_regular_module()
+    with pytest.raises(ValueError, match=r"is not a 5x5 matrix"):
+        LeftModule(regular.algebra, regular.dimension + 1, regular.action)
+
+
+def test_left_module_refuses_an_action_that_misses_a_label():
+    regular = _fia4_regular_module()
+    for b in regular.algebra.basis:
+        action = {c: m for c, m in regular.action.items() if c != b}
+        with pytest.raises(ValueError, match=re.escape(f"the action of {b!r} is not a 4x4 matrix")):
+            LeftModule(regular.algebra, regular.dimension, action)
+
+
+def test_left_module_refuses_a_ragged_matrix_and_a_foreign_label():
+    regular = _fia4_regular_module()
+    b = regular.algebra.basis[-1]
+    ragged = regular.action | {b: regular.action[b][:-1] + (regular.action[b][-1][:-1],)}
+    with pytest.raises(ValueError, match=re.escape(f"the action of {b!r} is not a 4x4 matrix")):
+        LeftModule(regular.algebra, regular.dimension, ragged)
+    with pytest.raises(ValueError, match="a label that is not a basis label"):
+        LeftModule(regular.algebra, regular.dimension, regular.action | {"z": regular.action[b]})
+
+
+def _random_fia_coaction(seed):
+    rng = random.Random(seed)
+    return comodule_from_module(random_left_module(rng, fia_structured_algebra(corpus.random_poset(rng, 3))))
+
+
+def test_module_from_comodule_refuses_an_entry_with_a_foreign_leg():
+    # The entry was dropped, and the round trip passed on the other entries.
+    for seed in range(10):
+        coaction = _random_fia_coaction(seed)
+        rho = list(coaction.rho)
+        rho[0] = SparseVector(dict(rho[0].entries) | {(0, ("x", "y")): QQ.one})
+        with pytest.raises(ValueError, match=re.escape("whose leg ('x', 'y') is not a basis label")):
+            module_from_comodule(Coaction(coaction.algebra, coaction.dimension, rho))
+
+
+def test_module_from_comodule_refuses_an_entry_with_an_index_out_of_range():
+    for seed in range(10):
+        coaction = _random_fia_coaction(seed)
+        n, b = coaction.dimension, coaction.algebra.basis[0]
+        for i in (n, -1):
+            rho = list(coaction.rho)
+            rho[-1] = SparseVector(dict(rho[-1].entries) | {(i, b): QQ.one})
+            with pytest.raises(ValueError, match=re.escape(f"whose index is outside 0..{n - 1}")):
+                module_from_comodule(Coaction(coaction.algebra, n, rho))
+
+
+def test_module_from_comodule_refuses_a_coaction_with_the_wrong_number_of_rows():
+    coaction = _random_fia_coaction(0)
+    n = coaction.dimension
+    for rho in (coaction.rho[:-1], coaction.rho + [SparseVector()]):
+        with pytest.raises(ValueError, match=re.escape(f"the coaction has {len(rho)} rows, expected {n}")):
+            module_from_comodule(Coaction(coaction.algebra, n, rho))
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
 def test_random_base_change_matches_the_elementary_matrix_products(field):
-    # Row and column operations in place give the same matrices, and take
-    # the same random draws, as the products with elementary matrices.
+    # Integer row and column operations in place give the same matrices,
+    # read in the field, and take the same random draws, as the products
+    # with elementary matrices.
     for seed in range(40):
         n = seed % 5 + 1
         ours, theirs = random.Random(seed), random.Random(seed)
-        u, u_inv = corpus._random_base_change(ours, n, field)
+        u, u_inv = (tuple(tuple(map(field.of, row)) for row in m) for m in corpus._random_base_change(ours, n))
         assert (u, u_inv) == elementary_base_change(theirs, n, field)
         assert mat_mul(u, u_inv) == mat_identity(n, field)
         assert ours.random() == theirs.random()

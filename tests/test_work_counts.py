@@ -302,7 +302,7 @@ def test_incidence_recovery_transposes_the_algebra_once(monkeypatch):
 def test_modules_over_one_algebra_convert_the_dual_rows_once(monkeypatch):
     # Building the algebra converts each row and counit of its dual A* to
     # integers once; validating k modules over it converts only their own
-    # coaction rows, not the dual's rows again per module.
+    # action matrices, one each, not the dual's rows again per module.
     converted = Counter()
     exact = coalgebra._integers
 
@@ -310,7 +310,8 @@ def test_modules_over_one_algebra_convert_the_dual_rows_once(monkeypatch):
         converted[id(entries)] += 1
         return exact(entries, p)
 
-    monkeypatch.setattr(coalgebra, "_integers", counting)
+    for module in (coalgebra, linalg):
+        monkeypatch.setattr(module, "_integers", counting)
     fia = incidence.fia_structured_algebra(named_poset("chain4"))
     rows = {id(row.entries) for row in fia.dual().delta_table.values()}
     k, n = 4, len(fia.basis)
