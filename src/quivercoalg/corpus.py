@@ -147,65 +147,63 @@ def enumerate_small_quivers(max_vertices: int, max_arrows: int):
 
 
 def enumerate_posets_up_to_iso(max_elements: int) -> list[Poset]:
-    """All isomorphism classes of posets with 1..max_elements elements.
+    """All isomorphism classes of posets with 1..max_elements elements (none
+    when max_elements < 1).
 
-    Built by repeatedly adjoining a new maximal element over an arbitrary
-    order ideal, deduplicating by a canonical form.  Every isomorphism keeps
-    each element's invariant (down-set size, up-set size), so the form is
-    the sorted invariants with the minimum relation matrix over the
-    relabelings that list the invariant classes in sorted order, permuting
-    within each class.  Class counts for sizes 1..6 are 1, 2, 5, 16, 63, 318.
+    Built from the empty poset by repeatedly adjoining a new maximal
+    element over an arbitrary order ideal, keeping the first candidate of
+    each class in generation order.  A candidate on 0..n-1 is its up-set
+    and down-set masks: bit j of ``ups[i]`` is set when i <= j.  Every
+    isomorphism keeps each element's (down-set size, up-set size), so the
+    canonical form is the minimum tuple of row masks (column 0 the top
+    bit) over the relabelings that list these classes in sorted order,
+    permuting within each class.  Twins, elements with the same others
+    below and above them, are swapped by an automorphism, so of the
+    orders that differ only by twins one is tried.  Class counts for sizes
+    1..7 are 1, 2, 5, 16, 63, 318, 2045.
     """
+    elements_of = [[j for j in range(max_elements) if mask >> j & 1] for mask in range(1 << max(max_elements, 0))]
 
-    def canonical(n, leq_pairs):
-        leq = set(leq_pairs)
-        invariant = [(sum((j, i) in leq for j in range(n)), sum((i, j) in leq for j in range(n))) for i in range(n)]
+    def canonical(ups, downs):
         classes: dict = {}
-        for i in sorted(range(n), key=invariant.__getitem__):
-            classes.setdefault(invariant[i], []).append(i)
-        best = None
-        for parts in product(*(permutations(members) for members in classes.values())):
-            perm = [i for part in parts for i in part]
-            matrix = tuple(
-                tuple(1 if (perm[i], perm[j]) in leq else 0 for j in range(n)) for i in range(n)
-            )
-            if best is None or matrix < best:
-                best = matrix
-        return tuple(sorted(invariant)), best
+        others = []  # the elements below and above each one, itself left out: equal for twins
+        for i, (down, up) in enumerate(zip(downs, ups)):
+            classes.setdefault((down.bit_count(), up.bit_count()), []).append(i)
+            others.append((down ^ 1 << i, up ^ 1 << i))
+        orders = []
+        for size in sorted(classes):
+            distinct: dict = {}
+            for order in permutations(classes[size]):
+                distinct.setdefault(tuple(map(others.__getitem__, order)), order)
+            orders.append(distinct.values())
+        best, bit = None, [0] * len(ups)
+        for parts in product(*orders):
+            order = [i for part in parts for i in part]
+            for k, i in enumerate(order):
+                bit[i] = 1 << len(ups) - 1 - k
+            rows = tuple([sum([bit[j] for j in elements_of[ups[i]]]) for i in order])
+            if best is None or rows < best:
+                best = rows
+        return best
 
-    def ideals(n, leq):
-        out = []
-        for mask in range(1 << n):
-            subset = {i for i in range(n) if mask >> i & 1}
-            if all(j in subset for i in subset for j in range(n) if (j, i) in leq):
-                out.append(subset)
-        return out
-
-    # Per size: canonical relation matrix -> a concrete relation set.
-    current: dict = {}
-    single = {(0, 0)}
-    current[canonical(1, single)] = single
-    all_posets = [current]
-    for n in range(2, max_elements + 1):
-        nxt: dict = {}
-        for leq in all_posets[-1].values():
-            size = n - 1
-            for ideal in ideals(size, leq):
-                new_leq = set(leq)
-                new_leq.add((size, size))
-                for i in ideal:
-                    new_leq.add((i, size))
-                key = canonical(n, new_leq)
-                if key not in nxt:
-                    nxt[key] = new_leq
-        all_posets.append(nxt)
-    result = []
-    for size, table in enumerate(all_posets, start=1):
-        for leq in table.values():
-            elements = [f"e{i}" for i in range(size)]
-            relation = [(f"e{i}", f"e{j}") for (i, j) in leq]
-            result.append(Poset(elements, relation, name=f"iso{size}"))
-    return result
+    # Per size: canonical form -> the first candidate's (ups, downs).
+    tables = [{(): ([], [])}]
+    for size in range(max_elements):
+        table: dict = {}
+        top = 1 << size
+        for ups, downs in tables[-1].values():
+            for ideal in range(top):
+                if all(not downs[i] & ~ideal for i in elements_of[ideal]):
+                    new = ([up | top if ideal >> i & 1 else up for i, up in enumerate(ups)] + [top],
+                           downs + [ideal | top])
+                    table.setdefault(canonical(*new), new)
+        tables.append(table)
+    return [
+        Poset([f"e{i}" for i in range(size)], [(f"e{i}", f"e{j}") for i in range(size) for j in elements_of[ups[i]]],
+              name=f"iso{size}")
+        for size, table in enumerate(tables) if size
+        for ups, _ in table.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

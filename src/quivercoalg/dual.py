@@ -157,6 +157,28 @@ def psi_embed(element: CoalgElement, field=QQ) -> Functional:
     return Functional(element.carrier, support=SparseVector(dict(element.combo.items())), field=field)
 
 
+class CertificateWindow:
+    """Basis labels closed under splitting, as the rational-part certificates
+    read them: in order, the position of each (the index of its dual-basis
+    functional δ_q), and per right factor r the (p, q) with p = q·r."""
+
+    __slots__ = ("carrier", "labels", "position", "by_right")
+
+    def __init__(self, carrier, labels):
+        self.carrier, self.labels = carrier, labels
+        self.position = {p: i for i, p in enumerate(labels)}
+        self.by_right = {}
+        for p in labels:
+            for q, r in carrier.splits(p):
+                self.by_right.setdefault(r, []).append((p, q))
+
+    def restrict(self, f: Functional) -> SparseVector:
+        """f on the window: a support through its window labels, a rule at every label."""
+        if f.support is not None:
+            return SparseVector({p: c for p, c in f.support.items() if p in self.position})
+        return f.restrict(self.labels)
+
+
 @dataclass
 class RationalCertificate:
     """Finite families (c_i) and (c_i*) witnessing d*·f = Σ d*(c_i)·c_i*."""
@@ -164,31 +186,24 @@ class RationalCertificate:
     elements: list  # CoalgElement
     functionals: list  # Functional
 
-    def verify(self, f: Functional, duals, labels, carrier) -> bool:
-        """Exact check of the defining identity against the given d* family,
-        with both sides evaluated on the given window of basis labels, whose
-        comultiplication is ``carrier.splits``.  The window's splits p = qr
-        with f(r) nonzero are indexed by q, and the element labels by the
-        members they weigh, once: every d* reads (d*·f)(p) = Σ d*(q)·f(r)
-        and its weights d*(c_i) off the indexes, a rule-valued d* at their
-        keys.  Each member c_i* is read on the window once."""
-        by_prefix, by_label = {}, {}
-        for p in labels:
-            for q, r in carrier.splits(p):
-                if value := f(r):
-                    by_prefix.setdefault(q, []).append((p, value))
+    def verify(self, f: Functional, window: CertificateWindow) -> bool:
+        """Exact check of the defining identity at every functional δ_q of
+        the window's dual basis, both sides evaluated on the window:
+        (δ_q·f)(p) = δ_q(q)·f(r) over the splits p = qr, read off
+        ``_by_prefix``, and δ_q(c_i) = δ_q(q)·c_i(q), read off an index of
+        the element labels.  δ_q has its one term at q, so only the window
+        labels on either index are visited; both sides are 0 at every other
+        δ_q.  Each member c_i* is read on the window once."""
+        by_prefix, by_label, one = _by_prefix(f, window), {}, f.field.one
         for i, c in enumerate(self.elements):
             for label, coeff in c.combo.items():
-                by_label.setdefault(label, []).append((i, coeff))
-        members = [c_star.restrict(labels) for c_star in self.functionals]
-        for d_star in duals:
-            terms = (d_star.support.items() if d_star.support is not None
-                     else [(q, w) for q in by_prefix.keys() | by_label.keys() if (w := d_star(q))])
-            # A term on neither index adds nothing to either side.
-            if not (terms := [(q, w) for q, w in terms if q in by_prefix or q in by_label]):
+                by_label.setdefault(label, []).append((i, one * coeff))
+        members = [window.restrict(c_star) for c_star in self.functionals]
+        for q in by_prefix.keys() | by_label.keys():
+            if q not in window.position:
                 continue
-            left = SparseVector((p, w * value) for q, w in terms for p, value in by_prefix.get(q, ()))
-            weights = SparseVector((i, w * coeff) for q, w in terms for i, coeff in by_label.get(q, ())).items()
+            left = SparseVector((p, one * value) for p, value in by_prefix.get(q, {}).items())
+            weights = by_label.get(q, ())
             if left != SparseVector((p, value * weight) for i, weight in weights for p, value in members[i].items()):
                 return False
         return True
@@ -213,8 +228,9 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Ve
     finite-support functional, on the truncation at ``max_len`` when that
     holds the support (else unknown).  On the loop only the zero functional
     is rational; other families are unknown.  A yes carries its
-    ``RationalCertificate``, verified once against every dual-basis
-    functional of the window by reading both sides off its splits.
+    ``RationalCertificate``, verified once against the dual basis of its
+    ``CertificateWindow``, which a finite carrier keeps.  A support label
+    outside a finite carrier's basis raises ``ValueError``.
     """
     if isinstance(target, Quiver) and not is_acyclic(target):
         raise ValueError("finite cyclic quivers are handled through their family kind")
@@ -222,35 +238,45 @@ def is_rational_left(f: Functional, target, max_len: Optional[int] = None) -> Ve
         return Verdict("yes", RationalCertificate([], []), "zero functional")
     if isinstance(target, Family):
         return _rational_on_family(f, target, max_len if max_len is not None else 10)
+    if f.support is not None and (foreign := [label for label in f.support.labels() if not target.owns(label)]):
+        raise ValueError(f"functional label {foreign[0]} is not a basis label of {target!r}")
+    if target._window is None:
+        target._window = CertificateWindow(target, target.basis())
     kind = "path" if isinstance(target, Quiver) else "incidence"
-    return _certified(f, target.basis(), target, f"finite-dimensional {kind} coalgebra")
+    return _certified(f, target._window, f"finite-dimensional {kind} coalgebra")
 
 
-def _window_translates(f: Functional, labels, carrier) -> list:
+def _by_prefix(f: Functional, window: CertificateWindow) -> dict:
+    """q -> {p: f(r)} over the window's splits p = qr with f(r) nonzero,
+    read off the window's index at each window label r with f(r) nonzero."""
+    by_prefix: dict = {}
+    for r, value in window.restrict(f).items():
+        for p, q in window.by_right[r]:
+            by_prefix.setdefault(q, {})[p] = value
+    return by_prefix
+
+
+def _window_translates(f: Functional, window: CertificateWindow) -> list:
     """(q, f_q) for each window label q with f_q nonzero on the window, in
     window order, where f_q(p) = f(r) for each split p = qr."""
-    values = {}
-    for p in labels:
-        for q, r in carrier.splits(p):
-            if value := f(r):
-                values.setdefault(q, {})[p] = value
-    return [(q, Functional(carrier, support=SparseVector(values[q]), field=f.field)) for q in labels if q in values]
+    by_prefix = _by_prefix(f, window)
+    return [(q, Functional(window.carrier, support=SparseVector(by_prefix[q]), field=f.field))
+            for q in sorted(by_prefix, key=window.position.__getitem__)]
 
 
-def _certified(f: Functional, labels, carrier, why: str, translates=None) -> Verdict:
+def _certified(f: Functional, window: CertificateWindow, why: str, translates=None) -> Verdict:
     """The certificate c_i = q, c_i* = f_q of the translates, by default
-    those read off the window, verified against every dual-basis functional
-    of the window."""
-    translates = _window_translates(f, labels, carrier) if translates is None else translates
-    cert = RationalCertificate([CoalgElement.unit(carrier, q, f.field) for q, _ in translates],
+    those read off the window, verified against the window's dual basis."""
+    translates = _window_translates(f, window) if translates is None else translates
+    cert = RationalCertificate([CoalgElement.unit(window.carrier, q, f.field) for q, _ in translates],
                                [f_q for _, f_q in translates])
-    duals = [Functional(carrier, support=SparseVector({p: f.field.one}), field=f.field) for p in labels]
-    if not cert.verify(f, duals, labels, carrier):
+    if not cert.verify(f, window):
         raise AssertionError("certificate failed to verify; bug")
     return Verdict("yes", cert, why)
 
 
 def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
+    # Each call builds its window: a truncation is a shared stage of ``_TRUNCATION_CACHE``.
     if not family.facts.acyclic:
         return Verdict("no", explanation="every nonzero functional has an infinite-dimensional hit orbit here")
     if not family.facts.finite_paths:
@@ -259,12 +285,13 @@ def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
         # A truncation is a down-set, so it holds the intervals the translates read.
         poset = family.truncate(window)
         if all(poset.owns(label) for label in f.support.labels()):
-            return _certified(f, poset.basis(), poset, "finitely many points lie below each support interval")
+            return _certified(f, CertificateWindow(poset, poset.basis()), "finitely many points lie below each support interval")
         return Verdict("unknown", explanation=f"the support leaves the truncation at window {window}")
     if f.finite_support:
         # Certify on the acyclic truncation the support paths live on.
         quiver = next(iter(f.support.labels())).quiver
-        return _certified(f, enumerate_paths(quiver, window).paths, quiver, "finitely many paths end with each support path")
+        paths = enumerate_paths(quiver, window).paths
+        return _certified(f, CertificateWindow(quiver, paths), "finitely many paths end with each support path")
     if f.rule.kind == "starts_at":
         # f_q = has-prefix(q) for the paths q ending at the vertex, else zero.
         quiver = family.truncate(window)
@@ -272,7 +299,8 @@ def _rational_on_family(f: Functional, family: Family, window: int) -> Verdict:
         translates = [
             (q, Functional.from_rule(quiver, "has_prefix", q, f.field)) for q in paths if q.target == f.rule.param
         ]
-        return _certified(f, paths, quiver, "certified through the finitely many paths ending at the vertex", translates)
+        return _certified(f, CertificateWindow(quiver, paths),
+                          "certified through the finitely many paths ending at the vertex", translates)
     return Verdict("unknown", explanation=f"no rule for {f.describe()}")
 
 

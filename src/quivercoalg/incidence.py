@@ -61,6 +61,7 @@ class Poset:
         self._hasse: Optional[Quiver] = None
         self._paths_between: Optional[dict] = None
         self._points: dict = {}  # interval -> the points between its ends, built on first use
+        self._window = None  # dual.CertificateWindow over the intervals, built on first use
 
     def intervals(self) -> list:
         pairs = [(x, y) for x in self.elements for y in self.elements if (x, y) in self.leq]
@@ -201,9 +202,10 @@ def incidence_semiperfect_check(target, field=QQ) -> Verdict:
     E_{x,y} gets the rational-part certificate of ``dual.is_rational_left``:
     c*·E_{x,y} = Σ_{u <= x} c*(u,x)·E_{u,y}, the elements e_{u,x} of the
     down-set of x with their translates E_{u,y}, verified against every
-    dual basis element c* = E_{p,q}.  The chain family on the naturals
-    fails the condition upward; the antichain family satisfies it.  The
-    witness is the list of verified certificates; a family has none.
+    dual basis element c* = E_{p,q} off the poset's one certificate window.
+    The chain family on the naturals fails the condition upward; the
+    antichain family satisfies it.  The witness is the list of verified
+    certificates; a family has none.
     """
     if isinstance(target, Family):
         verdict = check_semiperfect_condition(target)

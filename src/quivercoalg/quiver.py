@@ -58,6 +58,7 @@ class Quiver:
             self._out[a.source].append(a)
             self._in[a.target].append(a)
         self._acyclic: Optional[bool] = None
+        self._window = None  # dual.CertificateWindow over the basis, built on first use
 
     def out_arrows(self, vertex: str):
         return self._out[vertex]

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from quivercoalg.coalgebra import CoalgElement
 from quivercoalg.corpus import (
-    ACYCLIC_CORPUS, named_poset, named_quiver, random_acyclic_quiver, random_element, random_quiver,
+    ACYCLIC_CORPUS, enumerate_posets_up_to_iso, named_poset, named_quiver, poset_corpus, random_acyclic_quiver,
+    random_element, random_quiver,
 )
 from quivercoalg.dual import (
+    CertificateWindow,
     Functional,
     RationalCertificate,
     convolve,
@@ -16,6 +18,8 @@ from quivercoalg.dual import (
     is_rational_left,
     psi_embed,
     reflexivity_verdict,
+    _by_prefix,
+    _window_translates,
 )
 from quivercoalg.linalg import SparseVector
 from quivercoalg.quiver import Family, enumerate_paths, family_from_token
@@ -180,11 +184,10 @@ def test_rational_certificate_reverification():
     p = q.arrow_path("x")
     verdict = is_rational_left(dual(p), q)
     cert = verdict.witness
-    duals = [dual(r) for r in window]
-    assert cert.verify(dual(p), duals, window, q)
+    assert cert.verify(dual(p), CertificateWindow(q, window))
     broken = RationalCertificate(cert.elements[:-1], cert.functionals[:-1])
     if cert.elements:
-        assert not broken.verify(dual(p), duals, window, q)
+        assert not broken.verify(dual(p), CertificateWindow(q, window))
 
 
 def test_rational_rule_on_bounded_line():
@@ -222,9 +225,7 @@ def test_rational_finite_support_on_poset_family(kind):
     verdict = is_rational_left(f, fam)
     assert verdict.status == "yes"
     poset = fam.truncate(10)
-    labels = poset.basis()
-    duals = [Functional(poset, support=SparseVector({i: QQ.one})) for i in labels]
-    assert verdict.witness.verify(f, duals, labels, poset)
+    assert verdict.witness.verify(f, CertificateWindow(poset, poset.basis()))
     assert [list(c.combo.labels()) for c in verdict.witness.elements] == [[("n0", "n0")]]
     assert [c.support for c in verdict.witness.functionals] == [SparseVector({("n0", "n0"): QQ.one})]
 
@@ -329,7 +330,7 @@ def test_certificates_carry_the_functional_field():
 
 
 def _rejects(cert, f, window):
-    return not cert.verify(f, [dual(p) for p in window], window, window[0].quiver)
+    return not cert.verify(f, CertificateWindow(window[0].quiver, window))
 
 
 def _mutation_cases():
@@ -394,14 +395,8 @@ def test_verify_rejects_family_translates_counted_by_start():
         assert _rejects(mutant, f, window)
 
 
-def _rule_duals(q, window, field=QQ):
-    return [Functional.from_rule(q, "gamma", None, field)] + [
-        Functional.from_rule(q, "has_prefix", p, field) for p in window
-    ]
-
-
 def test_split_index_verify_agrees_with_the_convolution_oracle():
-    # Every certificate and mutant above, against dual-basis and rule duals.
+    # Every certificate and mutant above, against the window's dual basis.
     cases = []
     for q, window, f in _mutation_cases():
         certs = [is_rational_left(f, q).witness] + [mutant for _, mutant in _mutated_translates(q, window, f)]
@@ -410,11 +405,10 @@ def test_split_index_verify_agrees_with_the_convolution_oracle():
     cases.append((quiver, window, f, [cert] + mutants))
     verdicts = set()
     for q, window, f, certs in cases:
-        for duals in ([dual(p) for p in window], _rule_duals(q, window)):
-            for cert in certs:
-                got = cert.verify(f, duals, window, q)
-                assert got == convolution_verify(cert, f, duals, window)
-                verdicts.add(got)
+        for cert in certs:
+            got = cert.verify(f, CertificateWindow(q, window))
+            assert got == convolution_verify(cert, f, [dual(p) for p in window], window)
+            verdicts.add(got)
     assert verdicts == {True, False}
 
 
@@ -446,8 +440,82 @@ def test_split_index_verify_agrees_on_random_certificates(data):
         values[data.draw(st.sampled_from(window))] = field.of(data.draw(st.integers(-2, 2)))
         members[0] = Functional(quiver, support=SparseVector(values), field=field)
     mutant = RationalCertificate(elements, members)
-    for duals in ([Functional.dual_of_path(p, field) for p in window], _rule_duals(quiver, window, field)):
-        assert mutant.verify(f, duals, window, quiver) == convolution_verify(mutant, f, duals, window)
+    duals = [Functional.dual_of_path(p, field) for p in window]
+    assert mutant.verify(f, CertificateWindow(quiver, window)) == convolution_verify(mutant, f, duals, window)
+
+
+# The labels x splits scan that read the translates and ``verify``'s index
+# before the window's right-factor index: the oracle of the index.
+def _scan_by_prefix(f, labels, carrier):
+    by_prefix = {}
+    for p in labels:
+        for q, r in carrier.splits(p):
+            if value := f(r):
+                by_prefix.setdefault(q, []).append((p, value))
+    return by_prefix
+
+
+def _scan_translates(f, labels, carrier):
+    values = _scan_by_prefix(f, labels, carrier)
+    return [(q, Functional(carrier, support=SparseVector(dict(values[q])), field=f.field)) for q in labels if q in values]
+
+
+def _assert_the_index_reads_as_the_scan(f, labels, carrier):
+    window = CertificateWindow(carrier, labels)
+    assert _by_prefix(f, window) == {q: dict(pairs) for q, pairs in _scan_by_prefix(f, labels, carrier).items()}
+    got, expected = _window_translates(f, window), _scan_translates(f, labels, carrier)
+    assert [q for q, _ in got] == [q for q, _ in expected]
+    assert [(f_q.support, f_q.field) for _, f_q in got] == [(f_q.support, f_q.field) for _, f_q in expected]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_window_index_matches_the_scan_on_random_quivers(data):
+    quiver = random_acyclic_quiver(random.Random(data.draw(st.integers(0, 10**6))), 5, 7)
+    window = paths_of(quiver)
+    field = data.draw(st.sampled_from([QQ, GF5]))
+    _assert_the_index_reads_as_the_scan(data.draw(functional(quiver, window, field, data.draw(st.booleans()))),
+                                        window, quiver)
+
+
+def _small_posets():
+    return enumerate_posets_up_to_iso(5) + poset_corpus()
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+def test_window_index_matches_the_scan_on_every_small_poset(field):
+    # Every poset of up to five elements and the corpus: each dual-basis
+    # functional and gamma.
+    for poset in _small_posets():
+        labels = poset.intervals()
+        for f in [Functional(poset, support=SparseVector.unit(i, field), field=field) for i in labels] + [
+                Functional.from_rule(poset, "gamma", None, field)]:
+            _assert_the_index_reads_as_the_scan(f, labels, poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_index_matches_the_scan_on_drawn_poset_supports(data):
+    poset = data.draw(st.sampled_from(_small_posets()))
+    labels = poset.intervals()
+    field = data.draw(st.sampled_from([QQ, GF5]))
+    support = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    values = {label: field.of(data.draw(st.integers(-2, 2).filter(bool))) for label in support}
+    _assert_the_index_reads_as_the_scan(Functional(poset, support=SparseVector(values), field=field), labels, poset)
+
+
+def test_rational_part_refuses_a_path_of_another_quiver():
+    # It used to answer yes with an empty certificate.
+    line, other = named_quiver("line3"), named_quiver("line3")
+    with pytest.raises(ValueError, match=r"^functional label x is not a basis label of Quiver\(line3\)$"):
+        is_rational_left(Functional(line, support=SparseVector({other.arrow_path("x"): QQ.one})), line)
+
+
+def test_rational_part_refuses_a_pair_that_is_no_interval_of_the_poset():
+    # It used to answer yes with an empty certificate.
+    diamond = named_poset("diamond")
+    with pytest.raises(ValueError, match=r"^functional label \('zz', 'yy'\) is not a basis label of Poset\(diamond\)$"):
+        is_rational_left(Functional(diamond, support=SparseVector({("zz", "yy"): QQ.one})), diamond)
 
 
 def test_rational_left_takes_its_field_from_the_functional():

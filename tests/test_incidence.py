@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivercoalg.corpus import enumerate_posets_up_to_iso, named_poset, poset_corpus, random_poset, random_scalar
-from quivercoalg.dual import Functional, RationalCertificate
+from quivercoalg.dual import CertificateWindow, Functional, RationalCertificate
 from quivercoalg.incidence import (
     Poset,
     fia_structured_algebra,
@@ -120,9 +120,15 @@ def test_poset_enumeration_matches_the_all_relabelings_oracle():
 
 
 def test_poset_class_counts():
-    posets = enumerate_posets_up_to_iso(6)
-    counts = [sum(1 for p in posets if len(p.elements) == n) for n in range(1, 7)]
-    assert counts == [1, 2, 5, 16, 63, 318]
+    posets = enumerate_posets_up_to_iso(7)
+    counts = [sum(1 for p in posets if len(p.elements) == n) for n in range(1, 8)]
+    assert counts == [1, 2, 5, 16, 63, 318, 2045]
+
+
+@pytest.mark.parametrize("max_elements", [0, -1])
+def test_poset_enumeration_below_one_element_is_empty(max_elements):
+    # It used to return the one-element poset.
+    assert enumerate_posets_up_to_iso(max_elements) == []
 
 
 def test_phi_is_coalgebra_morphism_and_injective_small():
@@ -288,10 +294,8 @@ def test_semiperfect_certificates_match_the_pair_loop():
 
 
 def _verify_on_poset(cert, interval, poset):
-    one = QQ.one
-    intervals = poset.intervals()
-    duals = [Functional(poset, support=SparseVector({i: one})) for i in intervals]
-    return cert.verify(Functional(poset, support=SparseVector({interval: one})), duals, intervals, poset)
+    return cert.verify(Functional(poset, support=SparseVector({interval: QQ.one})),
+                       CertificateWindow(poset, poset.intervals()))
 
 
 def test_verify_rejects_mutated_poset_certificates():

@@ -39,8 +39,11 @@ def test_rational_part_convolves_nothing(monkeypatch):
     # module's name for ``linalg.rank``.
     for module in [m for name, m in sys.modules.items() if name.startswith("quivercoalg") and getattr(m, "rank", None) is linalg.rank]:
         _count_calls(monkeypatch, calls, module, "rank")
+    _count_calls(monkeypatch, calls, dual.CertificateWindow, "__init__")
     assert suites.check_rational_part()
-    assert calls == {"verify": 53}
+    # One window per corpus quiver, kept on it for all its paths, and one
+    # for the line family's certificate.
+    assert calls == {"verify": 53, "__init__": 8 + 1}
 
 
 def test_semiperfect_check_verifies_one_certificate_per_interval(monkeypatch):
@@ -52,6 +55,23 @@ def test_semiperfect_check_verifies_one_certificate_per_interval(monkeypatch):
     _count_calls(monkeypatch, calls, dual.RationalCertificate, "verify")
     assert len(incidence.incidence_semiperfect_check(named_poset("chain5")).witness) == 15
     assert calls == {"verify": 15}
+
+
+@pytest.mark.parametrize("name, intervals", [("chain5", 15), ("chain8", 36)])
+def test_semiperfect_check_reads_the_splits_of_each_interval_once(monkeypatch, name, intervals):
+    # The certificates all read the poset's one window; they used to read
+    # every interval's splits twice each, 450 and 2,592 reads.
+    calls = Counter()
+    _count_calls(monkeypatch, calls, incidence.Poset, "splits")
+    assert len(incidence.incidence_semiperfect_check(named_poset(name)).witness) == intervals
+    assert calls == {"splits": intervals}
+
+
+def test_family_certificates_leave_no_window_on_the_shared_stage():
+    family = quiver.Family("line1")
+    verdict = dual.is_rational_left(dual.Functional.from_rule(family, "starts_at", "v3"), family, 10)
+    assert verdict.status == "yes"
+    assert family.truncate(10)._window is None
 
 
 def test_unique_path_embedding_enumerates_each_hasse_window_once(monkeypatch):
